@@ -1,6 +1,6 @@
 //! Observability overhead: what does tracing cost the simulator hot path?
 //!
-//! Six single-thread measurements over the same fixed-seed scenario as
+//! Five single-thread measurements over the same fixed-seed scenario as
 //! `perf_throughput`'s `single_sim_serial` (Masstree single-class, N=100,
 //! load 0.5). Every overhead figure uses the same baseline and the same
 //! direction: `wall(variant) / wall(nullsink) − 1`, so the rows are
@@ -12,15 +12,13 @@
 //!    the cached `trace_on: false` fast path. This is the path every
 //!    existing caller takes; the PR-4 acceptance bound is <2% regression
 //!    against the committed seed baseline (`BENCH_throughput.json`).
-//!  - `ringrecorder` — [`run_simulation_traced`] into the legacy
-//!    [`RingRecorder`]: one `TraceEvent` clone plus one mutex round-trip
-//!    per event. Recording only — no snapshots, no decode, no registry.
 //!  - `binrecorder` — [`run_simulation_traced`] into the
 //!    [`BinaryRecorder`] at [`FLIGHT_RING_CAPACITY`]: batched event
 //!    delivery, fixed-width encode into a staging buffer, one block-move
 //!    flush into the ring per `FLUSH_EVENTS` batch, ring and staging
-//!    block cache-resident. The always-on configuration and the PR-9
-//!    headline row; acceptance is ≤15% over `nullsink`.
+//!    block cache-resident. Recording only — no snapshots, no decode, no
+//!    registry. The always-on configuration and the PR-9 headline row;
+//!    acceptance is ≤15% over `nullsink`.
 //!  - `binrecorder_fullring` — the same recorder at
 //!    [`DEFAULT_RING_CAPACITY`], which retains this run's entire ~28 MiB
 //!    event stream. Identical encode path; the extra cost over
@@ -50,7 +48,7 @@ use tailguard::{
     DEFAULT_RING_CAPACITY, FLIGHT_RING_CAPACITY,
 };
 use tailguard_bench::{header, scaled};
-use tailguard_obs::{BinaryRecorder, RingRecorder, SamplerConfig};
+use tailguard_obs::{BinaryRecorder, SamplerConfig};
 use tailguard_policy::Policy;
 use tailguard_workload::TailbenchWorkload;
 
@@ -143,7 +141,7 @@ fn main() {
     header(
         "obs_overhead",
         "PR-4/PR-9 observability",
-        "NullSink vs legacy/binary recording vs full pipeline on the simulator hot path (best of 15)",
+        "NullSink vs binary recording vs full pipeline on the simulator hot path (best of 15)",
     );
     let queries = scaled(60_000);
     let scenario = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
@@ -153,15 +151,6 @@ fn main() {
     let mut run_null = || {
         let report = run_simulation(&config, &input);
         (report.events_processed, report.completed_queries, 0)
-    };
-    let mut run_ring = || {
-        let recorder = RingRecorder::with_capacity(DEFAULT_RING_CAPACITY);
-        let report = run_simulation_traced(&config, &input, recorder.sink());
-        (
-            report.events_processed,
-            report.completed_queries,
-            recorder.total_recorded(),
-        )
     };
     let mut run_bin = || {
         let recorder = BinaryRecorder::with_capacity(FLIGHT_RING_CAPACITY);
@@ -201,7 +190,6 @@ fn main() {
     };
     let measured = measure_interleaved(&mut [
         ("nullsink", &mut run_null),
-        ("ringrecorder", &mut run_ring),
         ("binrecorder", &mut run_bin),
         ("binrecorder_fullring", &mut run_bin_fullring),
         ("binrecorder_sampled", &mut run_bin_sampled),
@@ -224,11 +212,10 @@ fn main() {
             m.trace_events
         );
     }
-    let ring_pct = measured[1].overhead_pct(&nullsink);
-    let bin_pct = measured[2].overhead_pct(&nullsink);
-    let bin_fullring_pct = measured[3].overhead_pct(&nullsink);
-    let bin_sampled_pct = measured[4].overhead_pct(&nullsink);
-    let observed_pct = measured[5].overhead_pct(&nullsink);
+    let bin_pct = measured[1].overhead_pct(&nullsink);
+    let bin_fullring_pct = measured[2].overhead_pct(&nullsink);
+    let bin_sampled_pct = measured[3].overhead_pct(&nullsink);
+    let observed_pct = measured[4].overhead_pct(&nullsink);
     println!("binary recording overhead vs nullsink: {bin_pct:+.1}% (acceptance: <=15%)");
 
     // Regression check against the committed seed throughput baseline.
@@ -265,7 +252,6 @@ fn main() {
          \"binrecorder_overhead_pct\": {bin_pct:.1},\n  \
          \"binrecorder_fullring_overhead_pct\": {bin_fullring_pct:.1},\n  \
          \"binrecorder_sampled_overhead_pct\": {bin_sampled_pct:.1},\n  \
-         \"ringrecorder_overhead_pct\": {ring_pct:.1},\n  \
          \"observed_pipeline_overhead_pct\": {observed_pct:.1},\n  \
          \"nullsink_vs_seed_baseline_pct\": {seed_field},\n  \
          \"measurements\": [\n{rows}\n  ]\n}}\n"

@@ -1179,15 +1179,7 @@ pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
     if args.flag("online") {
         config = config.with_estimator(EstimatorMode::online_default());
     }
-    let mut slo_config = tailguard_obs::SloConfig::default();
-    let strictest = config
-        .classes
-        .iter()
-        .map(|c| c.percentile)
-        .fold(f64::NAN, f64::min);
-    if !strictest.is_nan() {
-        slo_config.target = strictest;
-    }
+    let mut slo_config = tailguard_obs::SloConfig::for_classes(&config.classes);
     if args.get("target").is_some() {
         let target = args.f64_or("target", 0.99)?;
         if !(0.0..1.0).contains(&target) || target <= 0.0 {

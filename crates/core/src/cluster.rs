@@ -17,7 +17,7 @@ use tailguard_faults::FaultPlan;
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
     AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, LeaseToken,
-    LostTask, QueryArrival, QueryDone, QueryHandler, TraceSink,
+    QueryArrival, QueryDone, QueryHandler, TaskCompletion, TraceSink,
 };
 use tailguard_simcore::{Engine, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 
@@ -156,12 +156,9 @@ pub(crate) fn run_with_observer(
     if let Some(hc) = config.health {
         handler = handler.with_health(hc);
     }
-    let (sink, snapshot_every) = match observer {
-        Some(o) => (Some(o.sink), o.snapshot_every),
-        None => (None, None),
-    };
-    if let Some(sink) = sink {
-        handler = handler.with_trace_sink(sink);
+    let snapshot_every = observer.as_ref().and_then(|o| o.snapshot_every);
+    if let Some(o) = observer {
+        handler = handler.with_trace_sink(o.sink);
     }
     let sim = ClusterSim {
         config: config.clone(),
@@ -375,29 +372,17 @@ impl ClusterSim {
             },
             &mut started,
         );
-        if let AdmitDecision::Admitted { .. } = decision {
+        if let AdmitDecision::Admitted { query } = decision {
             self.issued_queries += 1;
             self.services.extend_from_slice(&services);
             self.dispatched_at
                 .resize(self.services.len(), SimTime::ZERO);
             // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
             self.query_request.push(request as u32);
-            // Deadline-aware hedging: schedule a check at each original
-            // task's hedge threshold (before dispatch, so a dispatch-time
-            // fault retry cannot shift the new tasks' id range).
-            if self
-                .handler
-                .mitigation()
-                .is_some_and(|m| m.hedge_after.is_some())
-            {
-                let first_task = self.handler.task_count().saturating_sub(targets.len());
-                for t in first_task..self.handler.task_count() {
-                    // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
-                    if let Some(at) = self.handler.hedge_deadline(t as u32) {
-                        // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
-                        sched.schedule_at(at, Ev::HedgeCheck(t as u32));
-                    }
-                }
+            // Deadline-aware hedging: a check at each original task's hedge
+            // threshold, scheduled before the dispatches below.
+            for (task, at) in self.handler.hedge_checks(query) {
+                sched.schedule_at(at, Ev::HedgeCheck(task));
             }
             for &d in &started {
                 self.dispatch(now, d, sched);
@@ -436,9 +421,11 @@ impl ClusterSim {
     fn dispatch(&mut self, now: SimTime, d: DispatchedTask, sched: &mut Scheduler<Ev>) {
         // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
         self.dispatched_at[d.task as usize] = now;
+        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
+        let service = self.services[d.task as usize];
         // The lease check is armed before any fault can swallow the
         // dispatch: for a crashed node it is the *only* recovery path.
-        if let Some(expiry) = self.handler.lease_expiry(d.task) {
+        if let Some(expiry) = d.lease_expires_at {
             sched.schedule_at(
                 expiry,
                 Ev::LeaseCheck {
@@ -447,37 +434,26 @@ impl ClusterSim {
                 },
             );
         }
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let service = self.services[d.task as usize];
-        let Some(faults) = &self.faults else {
-            sched.schedule_in(
-                now,
-                service,
-                Ev::Finish {
-                    server: d.server,
-                    task: d.task,
-                    token: d.lease,
-                    busy: service,
-                },
-            );
-            return;
-        };
-        if faults.crashed(d.server, now) {
-            // The node is down and never saw the dispatch: no loss report,
-            // no finish event. Without a lease TTL the attempt is gone.
-            return;
-        }
-        if faults.drops(d.server, now) {
-            let lost = self.handler.on_task_lost(now, d.task, d.lease);
-            self.apply_lost(now, lost, sched);
-            return;
-        }
         // The effective dispatch→finish delay rides in the event so
         // busy/estimator accounting at completion observes the fault. The
         // nominal draw in `services` is never overwritten: a reclaimed task
         // re-dispatches from the same nominal service, so repeated reclaims
         // cannot compound fault holds into the service time.
-        let delay = faults.completion_delay(d.server, now, service);
+        let mut delay = service;
+        if let Some(faults) = &self.faults {
+            if faults.crashed(d.server, now) {
+                // The node is down and never saw the dispatch: no loss
+                // report, no finish event. Without a lease TTL the attempt
+                // is gone.
+                return;
+            }
+            if faults.drops(d.server, now) {
+                let lost = self.handler.on_task_lost(now, d.task, d.lease);
+                self.apply(now, lost, sched);
+                return;
+            }
+            delay = faults.completion_delay(d.server, now, service);
+        }
         sched.schedule_in(
             now,
             delay,
@@ -490,47 +466,39 @@ impl ClusterSim {
         );
     }
 
-    /// Applies the fallout of a lost task: the freed server's next task is
-    /// dispatched first (work conservation), then the retry the handler
-    /// planned (with a fresh service draw for the backup server), then any
-    /// query resolution the loss caused.
-    fn apply_lost(&mut self, now: SimTime, lost: LostTask, sched: &mut Scheduler<Ev>) {
-        if let Some(next) = lost.next {
+    /// Applies the fallout of an attempt ending: the freed server's next
+    /// task is dispatched first (work conservation: *before* any successor
+    /// query is issued, so a chained query cannot jump the queue or
+    /// double-start the server), then the retry the handler planned for a
+    /// lost task, then any query resolution the ending caused.
+    fn apply(&mut self, now: SimTime, ended: TaskCompletion, sched: &mut Scheduler<Ev>) {
+        if let Some(next) = ended.next {
             self.dispatch(now, next, sched);
         }
-        if let Some(retry) = lost.retry {
-            let svc = self.draw_service(retry.server, now);
-            let (task, dispatched) = self.handler.issue_duplicate(
-                now,
-                retry.slot,
-                retry.server,
-                Some(svc),
-                AttemptKind::Retry,
-            );
-            debug_assert_eq!(task as usize, self.services.len());
-            self.services.push(svc);
-            self.dispatched_at.push(SimTime::ZERO);
-            if let Some(d) = dispatched {
-                self.dispatch(now, d, sched);
-            }
+        if let Some(retry) = ended.retry {
+            self.issue_copy(now, retry.slot, retry.server, AttemptKind::Retry, sched);
         }
-        if let Some(done) = lost.done {
+        if let Some(done) = ended.done {
             self.handle_done(now, done, sched);
         }
     }
 
-    /// A hedge threshold fired: if the slot is still unresolved and under
-    /// its attempt cap, issue a hedge copy on the least-loaded backup.
-    fn hedge_check(&mut self, now: SimTime, task: u32, sched: &mut Scheduler<Ev>) {
-        let Some(server) = self.handler.hedge_target(now, task) else {
-            return;
-        };
-        let svc = self.draw_service(server, now);
-        let (id, dispatched) =
+    /// Issues a hedge or retry copy of `slot` on `server`, with a fresh
+    /// service draw for that server.
+    fn issue_copy(
+        &mut self,
+        now: SimTime,
+        slot: u32,
+        server: u32,
+        kind: AttemptKind,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let service = self.draw_service(server, now);
+        let (task, dispatched) =
             self.handler
-                .issue_duplicate(now, task, server, Some(svc), AttemptKind::Hedge);
-        debug_assert_eq!(id as usize, self.services.len());
-        self.services.push(svc);
+                .issue_duplicate(now, slot, server, Some(service), kind);
+        debug_assert_eq!(task as usize, self.services.len());
+        self.services.push(service);
         self.dispatched_at.push(SimTime::ZERO);
         if let Some(d) = dispatched {
             self.dispatch(now, d, sched);
@@ -560,7 +528,7 @@ impl ClusterSim {
             // sim analog of a node failing mid-reply with a NACK).
             if faults.drops(server, now) || faults.restart_loses(server, now) {
                 let lost = self.handler.on_task_lost(now, task, token);
-                self.apply_lost(now, lost, sched);
+                self.apply(now, lost, sched);
                 return;
             }
             duplicate = faults.duplicates(server, now);
@@ -571,40 +539,7 @@ impl ClusterSim {
             // arrives a second time; the state store suppresses it.
             let _ = self.handler.on_task_complete(now, task, token, busy);
         }
-
-        // Work conservation: the freed server's next task is scheduled
-        // *before* any successor query is issued, so a chained query cannot
-        // jump the queue (and cannot double-start the server).
-        if let Some(next) = completion.next {
-            self.dispatch(now, next, sched);
-        }
-
-        if let Some(done) = completion.done {
-            self.handle_done(now, done, sched);
-        }
-    }
-
-    /// A lease TTL elapsed. If that lease is still the active one the
-    /// attempt is reclaimed — re-enqueued with its *original* deadline —
-    /// and the suspected server's next task dispatched; otherwise (the
-    /// common case: the work committed first) this is a pure no-op. Only a
-    /// real reclaim counts as activity, so lease-only runs keep `elapsed`
-    /// — and every load ratio — identical to lease-free ones.
-    fn lease_check(
-        &mut self,
-        now: SimTime,
-        task: u32,
-        token: LeaseToken,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let before = self.handler.lifecycle().reclaims;
-        let next = self.handler.on_lease_expired(now, task, token);
-        if self.handler.lifecycle().reclaims > before {
-            self.last_activity = now;
-        }
-        if let Some(d) = next {
-            self.dispatch(now, d, sched);
-        }
+        self.apply(now, completion, sched);
     }
 
     /// Samples the cluster's instantaneous and cumulative state at `now`.
@@ -691,8 +626,29 @@ impl Simulation for ClusterSim {
                 token,
                 busy,
             } => self.finish_task(now, server, task, token, busy, sched),
-            Ev::HedgeCheck(task) => self.hedge_check(now, task, sched),
-            Ev::LeaseCheck { task, token } => self.lease_check(now, task, token, sched),
+            // A hedge threshold fired: if the slot is still unresolved,
+            // under its attempt cap and within budget, hedge it on the
+            // least-loaded backup.
+            Ev::HedgeCheck(task) => {
+                if let Some(server) = self.handler.copy_target(now, task) {
+                    self.issue_copy(now, task, server, AttemptKind::Hedge, sched);
+                }
+            }
+            // A lease TTL elapsed. If that lease is still the active one
+            // the attempt is reclaimed — begun again with its *original*
+            // deadline — and the suspected server's next task dispatched;
+            // otherwise (the common case: the work committed first) this
+            // is a pure no-op. Only a real reclaim counts as activity, so
+            // lease-only runs keep `elapsed` — and every load ratio —
+            // identical to lease-free ones.
+            Ev::LeaseCheck { task, token } => {
+                if let Some(next) = self.handler.on_lease_expired(now, task, token) {
+                    self.last_activity = now;
+                    if let Some(d) = next {
+                        self.dispatch(now, d, sched);
+                    }
+                }
+            }
             Ev::Snapshot => {
                 self.snapshot_pending = false;
                 self.take_snapshot(now);
@@ -918,35 +874,6 @@ mod tests {
         );
         assert!(report.rejected_load() > 0.0);
         assert!(report.offered_load() > report.accepted_load());
-    }
-
-    #[test]
-    fn count_window_admission_rejects_under_overload() {
-        // Same overload through the count-window admission variant: the
-        // miss ratio over the most recent dequeues must trip rejection too.
-        let cfg = SimConfig::new(
-            det_cluster(1, 5.0),
-            vec![ClassSpec::p99(ms(6.0))],
-            Policy::TfEdf,
-        )
-        .with_admission(
-            AdmissionConfig::new(SimDuration::from_millis(100), 0.05)
-                .with_min_samples(5)
-                .with_count_window(20),
-        )
-        .with_warmup(0);
-        let arrivals: Vec<u64> = (0..200).collect();
-        let input = one_query_input(&arrivals, 0, 1);
-        let report = run_simulation(&cfg, &input);
-        assert!(
-            report.rejected_queries > 80,
-            "rejected only {}",
-            report.rejected_queries
-        );
-        assert_eq!(
-            report.load.queries_offered_count(),
-            report.rejected_queries + report.load.queries_accepted_count()
-        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! the handler's [`TraceSink`](tailguard_sched::TraceSink) — events are
 //! encoded into a fixed-width binary layout on the hot path and decoded
 //! back only here, at analysis time — samples [`SimSnapshot`]s at a
-//! configurable virtual-time cadence, replays the decoded stream through
-//! the [`SloMonitor`], and distills everything into a [`Registry`] — the
-//! one place the CLI `--json` output, the Prometheus exposition, and the
-//! JSON snapshot dumps all read from.
+//! configurable virtual-time cadence, and distills everything into a
+//! [`Registry`] ([`publish_run`], shared with the testbed) — the one place
+//! the CLI `--json` output, the Prometheus exposition, and the JSON
+//! snapshot dumps all read from.
 //!
 //! The observed run is still fully deterministic in `(config.seed,
 //! input)`: tracing draws no randomness and snapshot events touch no
@@ -21,7 +21,9 @@ use crate::cluster::{run_with_observer, ObserverSetup};
 use crate::report::SimReport;
 use crate::spec::{SimConfig, SimInput};
 use serde::Serialize;
-use tailguard_obs::{BinaryRecorder, Registry, SamplerConfig, SloConfig, SloMonitor, SloSnapshot};
+use tailguard_obs::{
+    publish_run, BinaryRecorder, Registry, RunSummary, SamplerConfig, SloConfig, SloSnapshot,
+};
 use tailguard_simcore::{SimDuration, SimTime};
 
 /// Default [`BinaryRecorder`] capacity: at 51 bytes per encoded event
@@ -143,21 +145,6 @@ fn default_snapshot_interval(config: &SimConfig) -> SimDuration {
         .map_or_else(|| SimDuration::from_millis(10), |a| a.window)
 }
 
-/// The SLO-monitor config when [`ObsOptions::slo`] is `None`: default
-/// windows, with the attainment target taken from the strictest (lowest)
-/// class percentile so no configured class under-alerts.
-fn default_slo_config(config: &SimConfig) -> SloConfig {
-    let target = config
-        .classes
-        .iter()
-        .map(|c| c.percentile)
-        .fold(f64::NAN, f64::min);
-    SloConfig {
-        target: if target.is_nan() { 0.99 } else { target },
-        ..SloConfig::default()
-    }
-}
-
 /// Runs one simulation with the flight recorder on.
 ///
 /// Behaves exactly like [`crate::run_simulation`] — same panics, same
@@ -211,109 +198,39 @@ pub fn run_simulation_observed(
             snapshot_every: Some(every),
         }),
     );
-    // Decode once, at analysis time; the hot path only saw fixed-width
-    // binary appends.
-    let events = recorder.events();
-    let mut slo_monitor = SloMonitor::new(opts.slo.unwrap_or_else(|| default_slo_config(config)));
-    slo_monitor.ingest(&events);
-    slo_monitor.finish();
+    // The recording is decoded once, here at analysis time; the hot path
+    // only saw fixed-width binary appends.
     let mut registry = Registry::new();
-    registry.ingest_events(&events);
-    registry.ingest_robustness(&raw.report.robustness);
-    registry.ingest_lifecycle(&raw.report.lifecycle);
-    slo_monitor.publish(&mut registry);
-    // Health and adaptive-estimator metrics exist exactly when their
-    // features are configured, so feature-off registries are unchanged.
-    if !raw.report.server_health.is_empty() {
-        for (server, score) in raw.report.server_health.iter().enumerate() {
-            registry.gauge_set(
-                &format!("tailguard_server_health{{server=\"{server}\"}}"),
-                "Per-server EWMA health score (observed service time, seconds)",
-                *score,
-            );
-        }
-        registry.counter_set(
-            "tailguard_ejections_total",
-            "Servers ejected from dispatch by the health tracker",
-            raw.report.health.ejections,
-        );
-        registry.counter_set(
-            "tailguard_readmissions_total",
-            "Ejected servers readmitted after recovering",
-            raw.report.health.readmissions,
-        );
-        registry.counter_set(
-            "tailguard_health_probes_total",
-            "Tasks sent to ejected servers as recovery probes",
-            raw.report.health.probes,
-        );
-        registry.counter_set(
-            "tailguard_health_rerouted_total",
-            "Arrivals diverted away from ejected servers",
-            raw.report.health.rerouted_tasks,
-        );
-    }
-    if config.adaptive.is_some() {
-        registry.counter_set(
-            "tailguard_estimator_window_rolls_total",
-            "Adaptive estimator window rolls (decay + budget-table rebuild)",
-            raw.report.estimator_window_rolls,
-        );
-    }
-    registry.counter_set(
-        "tailguard_estimator_budget_lookups_total",
-        "Budget-table lookups while stamping deadlines (Eq. 6)",
-        raw.budget_lookups,
-    );
-    registry.counter_set(
-        "tailguard_estimator_refreshes_total",
-        "Online budget-table rebuilds from refreshed CDFs (§III.B.2)",
-        raw.estimator_refreshes,
-    );
-    registry.gauge_set(
-        "tailguard_estimator_cached_budgets",
-        "Distinct (class, fanout) budgets currently cached",
-        raw.cached_budgets as f64,
-    );
-    registry.counter_set(
-        "tailguard_run_queries_completed_total",
-        "Recorded (post-warm-up) queries completed",
-        raw.report.completed_queries,
+    let report = &raw.report;
+    let slo = publish_run(
+        &mut registry,
+        &recorder,
+        &config.classes,
+        opts.slo,
+        &RunSummary {
+            robustness: &report.robustness,
+            lifecycle: &report.lifecycle,
+            health: &report.health,
+            server_health: &report.server_health,
+            window_rolls: config.adaptive.map(|_| report.estimator_window_rolls),
+            budget_lookups: raw.budget_lookups,
+            estimator_refreshes: raw.estimator_refreshes,
+            cached_budgets: raw.cached_budgets,
+            completed_queries: report.completed_queries,
+            elapsed_ms: report.elapsed.as_millis_f64(),
+            deadline_miss_ratio: report.deadline_miss_ratio(),
+        },
     );
     registry.counter_set(
         "tailguard_run_events_processed_total",
         "Discrete events the engine processed (snapshots included)",
-        raw.report.events_processed,
-    );
-    registry.gauge_set(
-        "tailguard_run_elapsed_ms",
-        "Virtual time at the last processed event",
-        raw.report.elapsed.as_millis_f64(),
+        report.events_processed,
     );
     registry.gauge_set(
         "tailguard_run_accepted_load",
         "Executed busy time over cluster capacity",
-        raw.report.accepted_load(),
+        report.accepted_load(),
     );
-    registry.gauge_set(
-        "tailguard_run_deadline_miss_ratio",
-        "Final dequeue-time deadline-miss ratio",
-        raw.report.deadline_miss_ratio(),
-    );
-    if recorder.dropped() > 0 {
-        registry.counter_set(
-            "tailguard_trace_events_dropped_total",
-            "Events evicted by the ring recorder's capacity bound",
-            recorder.dropped(),
-        );
-    }
-    if recorder.sampled_out() > 0 {
-        registry.counter_set(
-            "tailguard_trace_events_sampled_out_total",
-            "Healthy-query events discarded by tail-aware sampling",
-            recorder.sampled_out(),
-        );
-    }
     for s in &raw.snapshots {
         let at = SimTime::from_nanos(s.at_ns);
         registry.series_push(
@@ -340,7 +257,7 @@ pub fn run_simulation_observed(
         recorder,
         registry,
         snapshots: raw.snapshots,
-        slo: slo_monitor.snapshot(),
+        slo,
     }
 }
 

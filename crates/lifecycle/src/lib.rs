@@ -137,11 +137,13 @@ pub struct AttemptRecord {
     pub kind: AttemptKind,
 }
 
-/// Per-logical-task (slot) state, indexed like attempts; entries at
-/// hedge/retry ids are inert placeholders (their state lives at the
-/// original's index).
+/// Per-logical-task (slot) state: one row per original attempt, shared by
+/// its hedge/retry copies. Read through [`TaskStateStore::slot`]; only the
+/// store writes it.
 #[derive(Debug, Clone)]
 pub struct SlotRecord {
+    /// The slot's id: the id of its original attempt.
+    pub id: u32,
     /// A completion (or exhaustion) already resolved this slot; any other
     /// in-flight attempt is a loser to cancel at dequeue or completion.
     pub resolved: bool,
@@ -159,17 +161,16 @@ pub struct SlotRecord {
     pub extra_servers: Vec<u32>,
 }
 
-impl SlotRecord {
-    fn placeholder() -> Self {
-        SlotRecord {
-            resolved: true,
-            attempts: 0,
-            live: 0,
-            deadline: SimTime::ZERO,
-            hedge_at: None,
-            extra_servers: Vec::new(),
-        }
-    }
+/// One row of the attempt table: identity, lifecycle state, and where the
+/// slot it serves lives (48 bytes; the slot's id is kept once, in its row).
+#[derive(Debug)]
+struct Attempt {
+    query: u32,
+    server: u32,
+    /// Index of the served slot in `TaskStateStore::slots`.
+    slot_row: u32,
+    kind: AttemptKind,
+    state: AttemptState,
 }
 
 /// Lifecycle gauges and counters, accumulated by the store.
@@ -228,8 +229,9 @@ pub struct LifecycleStats {
 /// ```
 #[derive(Debug)]
 pub struct TaskStateStore {
-    attempts: Vec<AttemptRecord>,
-    states: Vec<AttemptState>,
+    /// One row per attempt, indexed by attempt id.
+    attempts: Vec<Attempt>,
+    /// One row per logical task, in creation order (see `Attempt::slot_row`).
     slots: Vec<SlotRecord>,
     next_token: u64,
     lease_ttl: Option<SimDuration>,
@@ -244,7 +246,6 @@ impl TaskStateStore {
     pub fn new(lease_ttl: Option<SimDuration>) -> Self {
         TaskStateStore {
             attempts: Vec::new(),
-            states: Vec::new(),
             slots: Vec::new(),
             next_token: 1,
             lease_ttl,
@@ -252,16 +253,56 @@ impl TaskStateStore {
         }
     }
 
-    /// The configured lease TTL, if any.
-    pub fn lease_ttl(&self) -> Option<SimDuration> {
-        self.lease_ttl
-    }
-
     /// Sets the lease TTL. Intended for builder-time configuration, before
     /// any lease is issued.
     /// `ttl` is a virtual-time duration (nanosecond domain).
     pub fn set_lease_ttl(&mut self, ttl: Option<SimDuration>) {
         self.lease_ttl = ttl;
+    }
+
+    fn row(&self, task: u32) -> &Attempt {
+        // tg-lint: allow(panic-surface) -- dense id-indexed table: attempt ids are minted by this store's push_* methods; a foreign id is a fencing bug where the documented panic is the designed failure mode
+        &self.attempts[task as usize]
+    }
+
+    fn slot_mut(&mut self, task: u32) -> &mut SlotRecord {
+        let row = self.row(task).slot_row;
+        // tg-lint: allow(panic-surface) -- `slot_row` is minted by `push_original` as the index of the row it pushes; rows are never removed
+        &mut self.slots[row as usize]
+    }
+
+    /// Moves `task` to state `to`, keeping the per-state gauges exact.
+    fn transition(&mut self, task: u32, to: AttemptState) {
+        fn gauge<'a>(stats: &'a mut LifecycleStats, state: &AttemptState) -> &'a mut u64 {
+            match state {
+                AttemptState::Queued => &mut stats.queued,
+                AttemptState::Leased { .. } => &mut stats.leased,
+                AttemptState::Running { .. } => &mut stats.running,
+                AttemptState::Completed { .. } => &mut stats.completed,
+                AttemptState::Failed { .. } => &mut stats.failed,
+            }
+        }
+        // tg-lint: allow(panic-surface) -- dense id-indexed table: attempt ids are minted by this store's push_* methods; a foreign id is a fencing bug where the documented panic is the designed failure mode
+        let from = std::mem::replace(&mut self.attempts[task as usize].state, to);
+        let left = gauge(&mut self.stats, &from);
+        *left = left.saturating_sub(1);
+        *gauge(&mut self.stats, &to) += 1;
+    }
+
+    /// Appends a `Queued` attempt row serving the slot at `slot_row` and
+    /// returns its id.
+    fn push_attempt(&mut self, query: u32, server: u32, kind: AttemptKind, slot_row: u32) -> u32 {
+        // tg-lint: allow(lossy-cast) -- attempt ids are `u32` on the wire and dense by construction; saturation would alias ids, and admission bounds a run far below 2^32 attempts
+        let task = self.attempts.len() as u32;
+        self.attempts.push(Attempt {
+            query,
+            server,
+            slot_row,
+            kind,
+            state: AttemptState::Queued,
+        });
+        self.stats.queued += 1;
+        task
     }
 
     /// Registers a query's original attempt for one fanout task, `Queued`,
@@ -274,16 +315,11 @@ impl TaskStateStore {
         deadline: SimTime,
         hedge_at: Option<SimTime>,
     ) -> u32 {
-        // tg-lint: allow(lossy-cast) -- attempt ids are `u32` on the wire and dense by construction; saturation would alias ids, and admission bounds a run far below 2^32 attempts
-        let task = self.attempts.len() as u32;
-        self.attempts.push(AttemptRecord {
-            query,
-            server,
-            slot: task,
-            kind: AttemptKind::Original,
-        });
-        self.states.push(AttemptState::Queued);
+        // tg-lint: allow(lossy-cast) -- at most one slot row per attempt, so the attempt-id bound (far below 2^32) covers it
+        let slot_row = self.slots.len() as u32;
+        let task = self.push_attempt(query, server, AttemptKind::Original, slot_row);
         self.slots.push(SlotRecord {
+            id: task,
             resolved: false,
             attempts: 1,
             live: 1,
@@ -291,7 +327,6 @@ impl TaskStateStore {
             hedge_at,
             extra_servers: Vec::new(),
         });
-        self.stats.queued += 1;
         task
     }
 
@@ -305,30 +340,13 @@ impl TaskStateStore {
     /// [`AttemptKind::Original`].
     pub fn push_duplicate(&mut self, slot: u32, server: u32, kind: AttemptKind) -> u32 {
         debug_assert_ne!(kind, AttemptKind::Original, "duplicates are not originals");
-        debug_assert!(
-            // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-            !self.slots[slot as usize].resolved,
-            "cannot duplicate a resolved slot"
-        );
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        let query = self.attempts[slot as usize].query;
-        // tg-lint: allow(lossy-cast) -- attempt ids are `u32` on the wire and dense by construction; saturation would alias ids, and admission bounds a run far below 2^32 attempts
-        let task = self.attempts.len() as u32;
-        self.attempts.push(AttemptRecord {
-            query,
-            server,
-            slot,
-            kind,
-        });
-        self.states.push(AttemptState::Queued);
-        self.slots.push(SlotRecord::placeholder());
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        let slot_state = &mut self.slots[slot as usize];
+        let slot_state = self.slot_mut(slot);
+        debug_assert!(!slot_state.resolved, "cannot duplicate a resolved slot");
         slot_state.attempts += 1;
         slot_state.live += 1;
         slot_state.extra_servers.push(server);
-        self.stats.queued += 1;
-        task
+        let original = self.row(slot);
+        self.push_attempt(original.query, server, kind, original.slot_row)
     }
 
     /// Leases a `Queued` attempt for dispatch at `now`: assigns the next
@@ -341,19 +359,13 @@ impl TaskStateStore {
     /// `now` is virtual time (nanosecond domain).
     pub fn lease(&mut self, task: u32, now: SimTime) -> LeaseToken {
         debug_assert!(
-            // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-            matches!(self.states[task as usize], AttemptState::Queued),
+            matches!(self.row(task).state, AttemptState::Queued),
             "only queued attempts can be leased"
         );
         let token = LeaseToken(self.next_token);
         self.next_token += 1;
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        self.states[task as usize] = AttemptState::Leased {
-            token,
-            expires_at: self.lease_ttl.map(|ttl| now + ttl),
-        };
-        self.stats.queued = self.stats.queued.saturating_sub(1);
-        self.stats.leased += 1;
+        let expires_at = self.lease_ttl.map(|ttl| now + ttl);
+        self.transition(task, AttemptState::Leased { token, expires_at });
         self.stats.leases_issued += 1;
         token
     }
@@ -364,15 +376,46 @@ impl TaskStateStore {
     ///
     /// Debug-asserts the attempt is `Leased`.
     pub fn mark_running(&mut self, task: u32) {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        let AttemptState::Leased { token, expires_at } = self.states[task as usize] else {
+        let AttemptState::Leased { token, expires_at } = self.row(task).state else {
             debug_assert!(false, "only leased attempts can start running");
             return;
         };
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        self.states[task as usize] = AttemptState::Running { token, expires_at };
-        self.stats.leased = self.stats.leased.saturating_sub(1);
-        self.stats.running += 1;
+        self.transition(task, AttemptState::Running { token, expires_at });
+    }
+
+    /// The one fenced ending: `task` moves to the terminal state `to` (and
+    /// leaves its slot's live count) only when `token` is its active lease.
+    fn finish(&mut self, task: u32, token: LeaseToken, to: AttemptState) -> CommitOutcome {
+        match self.row(task).state {
+            AttemptState::Running { token: t, .. } | AttemptState::Leased { token: t, .. }
+                if t == token =>
+            {
+                self.end(task, to);
+                CommitOutcome::Committed
+            }
+            AttemptState::Completed { token: t } | AttemptState::Failed { token: t }
+                if t == token =>
+            {
+                self.stats.duplicates_suppressed += 1;
+                CommitOutcome::Duplicate
+            }
+            AttemptState::Queued
+            | AttemptState::Running { .. }
+            | AttemptState::Leased { .. }
+            | AttemptState::Completed { .. }
+            | AttemptState::Failed { .. } => {
+                self.stats.stale_commits_rejected += 1;
+                CommitOutcome::Stale
+            }
+        }
+    }
+
+    /// Makes `task` terminal and takes it out of its slot's live count.
+    fn end(&mut self, task: u32, to: AttemptState) {
+        self.transition(task, to);
+        let slot = self.slot_mut(task);
+        debug_assert!(slot.live > 0, "an attempt ends at most once");
+        slot.live = slot.live.saturating_sub(1);
     }
 
     /// Fenced commit of a result for `task` under `token`.
@@ -383,74 +426,14 @@ impl TaskStateStore {
     /// superseded, or terminal under a different token →
     /// [`CommitOutcome::Stale`].
     pub fn commit(&mut self, task: u32, token: LeaseToken) -> CommitOutcome {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        match self.states[task as usize] {
-            AttemptState::Running { token: t, .. } if t == token => {
-                // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-                self.states[task as usize] = AttemptState::Completed { token };
-                self.stats.running = self.stats.running.saturating_sub(1);
-                self.stats.completed += 1;
-                CommitOutcome::Committed
-            }
-            AttemptState::Leased { token: t, .. } if t == token => {
-                // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-                self.states[task as usize] = AttemptState::Completed { token };
-                self.stats.leased = self.stats.leased.saturating_sub(1);
-                self.stats.completed += 1;
-                CommitOutcome::Committed
-            }
-            AttemptState::Completed { token: t } | AttemptState::Failed { token: t }
-                if t == token =>
-            {
-                self.stats.duplicates_suppressed += 1;
-                CommitOutcome::Duplicate
-            }
-            AttemptState::Queued
-            | AttemptState::Running { .. }
-            | AttemptState::Leased { .. }
-            | AttemptState::Completed { .. }
-            | AttemptState::Failed { .. } => {
-                self.stats.stale_commits_rejected += 1;
-                CommitOutcome::Stale
-            }
-        }
+        self.finish(task, token, AttemptState::Completed { token })
     }
 
     /// Fenced failure report (a loss notification) for `task` under
     /// `token`. Same fencing rules as [`TaskStateStore::commit`], with
     /// `Failed` as the terminal state.
     pub fn fail(&mut self, task: u32, token: LeaseToken) -> CommitOutcome {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        match self.states[task as usize] {
-            AttemptState::Running { token: t, .. } if t == token => {
-                // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-                self.states[task as usize] = AttemptState::Failed { token };
-                self.stats.running = self.stats.running.saturating_sub(1);
-                self.stats.failed += 1;
-                CommitOutcome::Committed
-            }
-            AttemptState::Leased { token: t, .. } if t == token => {
-                // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-                self.states[task as usize] = AttemptState::Failed { token };
-                self.stats.leased = self.stats.leased.saturating_sub(1);
-                self.stats.failed += 1;
-                CommitOutcome::Committed
-            }
-            AttemptState::Completed { token: t } | AttemptState::Failed { token: t }
-                if t == token =>
-            {
-                self.stats.duplicates_suppressed += 1;
-                CommitOutcome::Duplicate
-            }
-            AttemptState::Queued
-            | AttemptState::Running { .. }
-            | AttemptState::Leased { .. }
-            | AttemptState::Completed { .. }
-            | AttemptState::Failed { .. } => {
-                self.stats.stale_commits_rejected += 1;
-                CommitOutcome::Stale
-            }
-        }
+        self.finish(task, token, AttemptState::Failed { token })
     }
 
     /// Cancels a `Queued` attempt (discarded at dequeue because its slot
@@ -461,16 +444,11 @@ impl TaskStateStore {
     /// Debug-asserts the attempt is `Queued`.
     pub fn cancel(&mut self, task: u32) {
         debug_assert!(
-            // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-            matches!(self.states[task as usize], AttemptState::Queued),
+            matches!(self.row(task).state, AttemptState::Queued),
             "only queued attempts are cancelled at dequeue"
         );
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        self.states[task as usize] = AttemptState::Failed {
-            token: LeaseToken::NONE,
-        };
-        self.stats.queued = self.stats.queued.saturating_sub(1);
-        self.stats.failed += 1;
+        let token = LeaseToken::NONE;
+        self.end(task, AttemptState::Failed { token });
     }
 
     /// Reclaims an expired lease: when `task` still holds an active lease
@@ -481,84 +459,66 @@ impl TaskStateStore {
     /// token.
     /// `now` is virtual time (nanosecond domain).
     pub fn reclaim_expired(&mut self, task: u32, token: LeaseToken, now: SimTime) -> bool {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        let (t, expires_at) = match self.states[task as usize] {
-            AttemptState::Running { token, expires_at }
-            | AttemptState::Leased { token, expires_at } => (token, expires_at),
+        let expired = self
+            .active(task)
+            .is_some_and(|(t, expires_at)| t == token && expires_at.is_some_and(|at| now >= at));
+        if expired {
+            self.transition(task, AttemptState::Queued);
+            self.stats.reclaims += 1;
+        }
+        expired
+    }
+
+    /// Marks the slot `task` serves resolved — by a winning completion, by
+    /// exhausting every attempt, or because its query finished without it.
+    /// From here on its other attempts are losers.
+    pub fn resolve(&mut self, task: u32) {
+        self.slot_mut(task).resolved = true;
+    }
+
+    /// The token and expiry of the lease `task` holds, if it holds one.
+    fn active(&self, task: u32) -> Option<(LeaseToken, Option<SimTime>)> {
+        match self.row(task).state {
+            AttemptState::Leased { token, expires_at }
+            | AttemptState::Running { token, expires_at } => Some((token, expires_at)),
             AttemptState::Queued | AttemptState::Completed { .. } | AttemptState::Failed { .. } => {
-                return false
+                None
             }
-        };
-        if t != token {
-            return false;
         }
-        let Some(expires_at) = expires_at else {
-            return false;
-        };
-        if now < expires_at {
-            return false;
-        }
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        match self.states[task as usize] {
-            AttemptState::Running { .. } => {
-                self.stats.running = self.stats.running.saturating_sub(1)
-            }
-            _ => self.stats.leased = self.stats.leased.saturating_sub(1),
-        }
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        self.states[task as usize] = AttemptState::Queued;
-        self.stats.queued += 1;
-        self.stats.reclaims += 1;
-        true
     }
 
     /// When the current lease of `task` expires, if it holds one with a
     /// TTL — the driver schedules its reclaim check here.
     pub fn lease_expiry(&self, task: u32) -> Option<SimTime> {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        match self.states[task as usize] {
-            AttemptState::Leased { expires_at, .. } | AttemptState::Running { expires_at, .. } => {
-                expires_at
-            }
-            AttemptState::Queued | AttemptState::Completed { .. } | AttemptState::Failed { .. } => {
-                None
-            }
-        }
+        self.active(task).and_then(|(_, expires_at)| expires_at)
     }
 
     /// The token of the attempt's current lease, if it holds one.
     pub fn current_token(&self, task: u32) -> Option<LeaseToken> {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        match self.states[task as usize] {
-            AttemptState::Leased { token, .. } | AttemptState::Running { token, .. } => Some(token),
-            AttemptState::Queued | AttemptState::Completed { .. } | AttemptState::Failed { .. } => {
-                None
-            }
-        }
+        self.active(task).map(|(token, _)| token)
     }
 
     /// The attempt's current lifecycle state.
     pub fn state(&self, task: u32) -> AttemptState {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        self.states[task as usize]
+        self.row(task).state
     }
 
     /// The attempt's immutable identity (query, server, slot, kind).
-    pub fn attempt(&self, task: u32) -> &AttemptRecord {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        &self.attempts[task as usize]
+    pub fn attempt(&self, task: u32) -> AttemptRecord {
+        let row = self.row(task);
+        AttemptRecord {
+            query: row.query,
+            server: row.server,
+            slot: self.slot(task).id,
+            kind: row.kind,
+        }
     }
 
-    /// The slot record at `slot` (placeholder for hedge/retry ids).
-    pub fn slot(&self, slot: u32) -> &SlotRecord {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        &self.slots[slot as usize]
-    }
-
-    /// Mutable slot record (the scheduling core resolves slots here).
-    pub fn slot_mut(&mut self, slot: u32) -> &mut SlotRecord {
-        // tg-lint: allow(panic-surface) -- dense id-indexed tables: `task`/`slot` ids are minted by this store's push_* methods and the tables grow in lockstep; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        &mut self.slots[slot as usize]
+    /// The slot `task` serves (its own for an original, the original's for
+    /// a hedge or retry copy).
+    pub fn slot(&self, task: u32) -> &SlotRecord {
+        // tg-lint: allow(panic-surface) -- `slot_row` is minted by `push_original` as the index of the row it pushes; rows are never removed
+        &self.slots[self.row(task).slot_row as usize]
     }
 
     /// Total attempts created (ids are `0..len()`).
@@ -721,7 +681,28 @@ mod tests {
         assert_eq!(slot.live, 2);
         assert_eq!(slot.extra_servers, vec![2]);
         assert_eq!(slot.hedge_at, Some(ms(5)));
-        assert!(s.slot(hedge).resolved, "duplicate entry is a placeholder");
+        assert_eq!(
+            s.slot(hedge).attempts,
+            2,
+            "a copy reads its original's slot"
+        );
+        assert_eq!(s.len(), 2, "no placeholder rows");
+    }
+
+    #[test]
+    fn terminal_attempts_leave_the_live_count_of_their_shared_slot() {
+        let mut s = store(None);
+        let orig = s.push_original(0, 0, ms(10), None);
+        let hedge = s.push_duplicate(orig, 1, AttemptKind::Hedge);
+        let (to, th) = (s.lease(orig, ms(0)), s.lease(hedge, ms(0)));
+        assert_eq!(s.commit(hedge, th), CommitOutcome::Committed);
+        assert_eq!(s.slot(orig).live, 1);
+        s.resolve(hedge);
+        assert!(s.slot(orig).resolved, "a copy resolves its original's slot");
+        assert_eq!(s.fail(orig, to), CommitOutcome::Committed);
+        assert_eq!(s.slot(orig).live, 0);
+        assert_eq!(s.commit(orig, to), CommitOutcome::Duplicate);
+        assert_eq!(s.slot(orig).live, 0, "fenced endings leave the slot alone");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //!
 //! * [`LatencyReservoir`] — stores raw latency samples and answers exact
 //!   percentile queries (the paper reports 95th/99th percentile tails),
-//! * [`TimedRatio`] / [`MovingRatio`] — moving-window task-deadline-
-//!   violation ratios (time-based and count-based) that drive query
-//!   admission control (§III.C),
+//! * [`TimedRatio`] — the moving-time-window task-deadline-violation
+//!   ratio that drives query admission control (§III.C),
 //! * [`LoadStats`] — offered / accepted / rejected load accounting and
 //!   per-server busy-time utilization,
 //! * [`LatencySummary`] — a compact row (count, mean, p50/p95/p99/max) for
@@ -15,9 +14,7 @@
 mod load;
 mod reservoir;
 mod timed_window;
-mod window;
 
 pub use load::LoadStats;
 pub use reservoir::{LatencyReservoir, LatencySummary};
 pub use timed_window::TimedRatio;
-pub use window::MovingRatio;

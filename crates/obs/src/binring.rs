@@ -1,9 +1,9 @@
 //! The binary flight recorder: per-handler staging, batched flushes.
 //!
-//! [`RingRecorder`](crate::RingRecorder) takes one mutex lock and one
-//! 72-byte enum copy per event — measured at roughly a doubling of the
-//! pure-sim hot path. [`BinaryRecorder`] restructures recording around
-//! the runner's actual concurrency model: parallelism is *across*
+//! A recorder that takes one mutex lock and one 72-byte enum copy per
+//! event was measured at roughly a doubling of the pure-sim hot path.
+//! [`BinaryRecorder`] structures recording around the runner's actual
+//! concurrency model instead: parallelism is *across*
 //! experiment cells, each handler is single-threaded, so each installed
 //! [`BinarySink`] owns a private staging buffer it appends encoded
 //! records to without any synchronization, and only touches the shared
@@ -14,7 +14,7 @@
 //! Records are the [`codec`](crate::codec) fixed-width layout, decoded
 //! back into [`TraceEvent`]s only at analysis time ([`BinaryRecorder::events`]).
 //! The ring bounds memory by *event count* and evicts whole oldest
-//! records, counting evictions, exactly like the legacy recorder.
+//! records, counting evictions.
 
 use crate::codec::{decode, encode_append, EVENT_BYTES};
 use crate::sampler::{SamplerConfig, TailSampler};

@@ -1,9 +1,8 @@
 //! Fixed-width binary encoding of [`TraceEvent`]s.
 //!
-//! The mutex'd [`RingRecorder`](crate::RingRecorder) stores whole
-//! `TraceEvent` enums (72 bytes each after alignment) and pays one lock
-//! per event; `BENCH_obs.json` put that at roughly a doubling of the
-//! pure-sim hot path. The binary path instead encodes each event into a
+//! Storing whole `TraceEvent` enums (72 bytes each after alignment)
+//! behind one lock per event roughly doubled the pure-sim hot path. The
+//! binary path instead encodes each event into a
 //! [`EVENT_BYTES`]-byte little-endian record on the emitting thread's
 //! stack and batches records into the shared ring, deferring all decoding
 //! to analysis time.

@@ -16,14 +16,12 @@
 //! - [`SloMonitor`] — online SLO attainment tracking: windowed per-class
 //!   miss ratios and slack percentiles with multi-window burn-rate
 //!   alerts, published under the `tailguard_slo_*` names;
-//! - [`RingRecorder`] — the legacy bounded, shareable sink retaining the
-//!   most recent N lifecycle events as full enums (evictions counted,
-//!   memory bounded; one mutex lock per event);
 //! - [`Registry`] — counters, gauges, log-bucketed histograms (built on
 //!   [`tailguard_dist::LogHistogram`]) and time series under one naming
 //!   scheme, with Prometheus text exposition
 //!   ([`Registry::prometheus_text`]) and JSON snapshots
-//!   ([`Registry::to_json`]);
+//!   ([`Registry::to_json`]); [`publish_run`] fills it from a finished
+//!   run the same way for both runtimes;
 //! - timeline reconstruction ([`build_timelines`]) — per-query
 //!   enqueue→dequeue→completion timelines including hedge/retry attempts,
 //!   top-k slowest queries, per-class/per-type dequeue-slack statistics,
@@ -40,7 +38,7 @@
 mod binring;
 pub mod codec;
 mod export;
-mod recorder;
+mod publish;
 mod registry;
 mod sampler;
 mod server;
@@ -49,7 +47,7 @@ mod timeline;
 
 pub use binring::{BinaryRecorder, BinarySink, FLUSH_EVENTS};
 pub use export::{event_to_csv_row, event_to_json, events_to_csv, events_to_jsonl, CSV_HEADER};
-pub use recorder::RingRecorder;
+pub use publish::{publish_run, RunSummary};
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Registry, RegistrySnapshot, SeriesPoint,
     SeriesSnapshot,

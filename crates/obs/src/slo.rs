@@ -21,7 +21,7 @@
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use tailguard_dist::{Cdf, LogHistogram};
-use tailguard_sched::TraceEvent;
+use tailguard_sched::{ClassSpec, TraceEvent};
 use tailguard_simcore::SimDuration;
 
 use crate::Registry;
@@ -50,6 +50,22 @@ impl Default for SloConfig {
             bucket: SimDuration::from_millis(100),
             slow_buckets: 10,
             burn_threshold: 2.0,
+        }
+    }
+}
+
+impl SloConfig {
+    /// The default windows with the attainment target taken from the
+    /// strictest (lowest) percentile in `classes`, so no configured class
+    /// under-alerts; the plain default when `classes` is empty.
+    pub fn for_classes(classes: &[ClassSpec]) -> Self {
+        let target = classes
+            .iter()
+            .map(|c| c.percentile)
+            .fold(f64::NAN, f64::min);
+        SloConfig {
+            target: if target.is_nan() { 0.99 } else { target },
+            ..SloConfig::default()
         }
     }
 }

@@ -117,8 +117,8 @@ impl QueryTimeline {
 ///
 /// Events for queries whose `QueryAdmitted` was evicted from the ring are
 /// dropped (a timeline without its head cannot be anchored); the caller
-/// can compare against [`RingRecorder::dropped`](crate::RingRecorder) to
-/// know whether that happened.
+/// can compare against [`BinaryRecorder::dropped`](crate::BinaryRecorder)
+/// to know whether that happened.
 pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline> {
     let mut timelines: BTreeMap<QueryId, QueryTimeline> = BTreeMap::new();
     let mut task_owner: BTreeMap<TaskId, QueryId> = BTreeMap::new();

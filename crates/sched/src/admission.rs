@@ -2,100 +2,42 @@
 //! outcomes plus reject-then-recover hysteresis.
 
 use crate::config::AdmissionConfig;
-use tailguard_metrics::{MovingRatio, TimedRatio};
+use tailguard_metrics::TimedRatio;
 use tailguard_simcore::SimTime;
-
-/// The miss-ratio measurement device behind the controller: the paper's
-/// moving *time* window by default, or a count window over the most recent
-/// dequeues when [`AdmissionConfig::count_window`] is set.
-///
-/// Time-window events age out on their own, so the controller re-admits
-/// under total rejection. The count window cannot age events out, so the
-/// controller guards it with a max-freeze timeout ([`AdmissionConfig`]'s
-/// `window` duration): once a windowful of time passes with no dequeue at
-/// all, the frozen ratio is treated as stale, the window is cleared (which
-/// re-arms the `min_samples` gate), and admission resumes.
-#[derive(Debug, Clone)]
-enum MissWindow {
-    Timed(TimedRatio),
-    Counted(MovingRatio),
-}
-
-impl MissWindow {
-    fn record(&mut self, now: SimTime, missed: bool) {
-        match self {
-            MissWindow::Timed(w) => w.record(now, missed),
-            MissWindow::Counted(w) => w.record(missed),
-        }
-    }
-
-    fn len(&mut self, now: SimTime) -> usize {
-        match self {
-            MissWindow::Timed(w) => w.len(now),
-            MissWindow::Counted(w) => w.len(),
-        }
-    }
-
-    fn ratio(&mut self, now: SimTime) -> f64 {
-        match self {
-            MissWindow::Timed(w) => w.ratio(now),
-            MissWindow::Counted(w) => w.ratio(),
-        }
-    }
-}
 
 /// Window-based admission control with hysteresis.
 ///
-/// Rejection starts when the deadline-miss ratio over the window exceeds
-/// `threshold` and stops when it falls below `resume_threshold` (or when the
-/// window drains below `min_samples`, whichever happens first).
+/// Rejection starts when the deadline-miss ratio over the moving time
+/// window exceeds `threshold` and stops when it falls below
+/// `resume_threshold` (or when the window drains below `min_samples`,
+/// whichever happens first). Events age out of a time window on their own,
+/// so the controller re-admits even under total rejection.
 #[derive(Debug, Clone)]
 pub(crate) struct AdmissionController {
     config: AdmissionConfig,
-    window: MissWindow,
+    window: TimedRatio,
     rejecting: bool,
     resumes: u64,
-    /// Last dequeue outcome fed into the window — the count window's
-    /// staleness reference.
-    last_event_at: SimTime,
 }
 
 impl AdmissionController {
     pub(crate) fn new(config: AdmissionConfig) -> Self {
-        let window = match config.count_window {
-            Some(n) => MissWindow::Counted(MovingRatio::new(n)),
-            None => MissWindow::Timed(TimedRatio::new(config.window)),
-        };
         AdmissionController {
             config,
-            window,
+            window: TimedRatio::new(config.window),
             rejecting: false,
             resumes: 0,
-            last_event_at: SimTime::ZERO,
         }
     }
 
     /// Records one dequeue outcome into the window.
     pub(crate) fn record(&mut self, now: SimTime, missed: bool) {
-        self.last_event_at = now;
         self.window.record(now, missed);
     }
 
     /// Whether a query arriving at `now` must be rejected. Updates the
     /// `rejecting` state (hysteresis) as a side effect.
     pub(crate) fn rejects(&mut self, now: SimTime) -> bool {
-        // Max-freeze guard for the count window: under total rejection no
-        // new tasks are dequeued, so the count ratio would stay frozen above
-        // the threshold forever. After a full `window` duration with no
-        // dequeue the frozen measurement is stale — drop it and re-admit
-        // (the cleared window re-arms the `min_samples` gate).
-        if let MissWindow::Counted(w) = &mut self.window {
-            if now.saturating_since(self.last_event_at) > self.config.window {
-                w.clear();
-                self.resume_if_rejecting();
-                return false;
-            }
-        }
         if self.window.len(now) < self.config.min_samples {
             self.resume_if_rejecting();
             return false;
@@ -203,48 +145,5 @@ mod tests {
         assert!(c.rejects(ms(10)));
         assert!(!c.rejects(ms(500)), "window drained → admit");
         assert_eq!(c.resumes(), 1);
-    }
-
-    #[test]
-    fn count_window_recovers_after_max_freeze() {
-        // Regression for the count-window freeze hazard: under total
-        // rejection no new tasks are dequeued, the ratio never changes, and
-        // the controller used to reject forever. A windowful of silence now
-        // marks the measurement stale and re-admits.
-        let config = cfg(0.1).with_count_window(8);
-        let mut c = AdmissionController::new(config);
-        for i in 0..8 {
-            c.record(ms(i), true);
-        }
-        assert!(c.rejects(ms(8)));
-        assert!(
-            c.rejects(ms(50)),
-            "within the freeze window the miss burst still rejects"
-        );
-        assert!(
-            !c.rejects(ms(500_000)),
-            "a stale count window must not reject forever"
-        );
-        assert_eq!(c.resumes(), 1);
-        // The cleared window re-arms the min-samples gate.
-        assert!(!c.rejects(ms(500_001)));
-        c.record(ms(500_002), true);
-        assert!(!c.rejects(ms(500_003)), "one miss is below min_samples");
-    }
-
-    #[test]
-    fn count_window_rejects_on_recent_miss_burst() {
-        let config = cfg(0.25).with_count_window(4);
-        let mut c = AdmissionController::new(config);
-        // Old clean history beyond the window capacity...
-        for i in 0..100 {
-            c.record(ms(i), false);
-        }
-        assert!(!c.rejects(ms(100)));
-        // ...then a burst of misses fills the 4-slot window.
-        for i in 100..104 {
-            c.record(ms(i), true);
-        }
-        assert!(c.rejects(ms(104)));
     }
 }

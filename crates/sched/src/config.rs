@@ -148,21 +148,14 @@ impl ClusterSpec {
 /// again. The moving time window can be set to be the same as the time
 /// window in which the tail latency SLOs should be guaranteed."
 ///
-/// The window defaults to the *time*-based measurement the paper specifies;
-/// [`AdmissionConfig::with_count_window`] switches to a count-based window
-/// over the most recent dequeue outcomes instead (the paper describes the
-/// window abstractly; both readings are implemented). A count window never
-/// ages events out on its own, so under total rejection it would freeze
-/// above the threshold; the controller therefore also treats `window` as a
-/// max-freeze duration — after that long with no dequeue at all, the stale
-/// count window is cleared and admission resumes.
+/// The window is the moving *time* window the paper specifies: events age
+/// out of it on their own, so the controller re-admits even when total
+/// rejection stops all dequeues (a count window would freeze there; see
+/// DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Moving *time* window over task-dequeue outcomes (the paper sizes it
-    /// as 1 000 queries' worth of time for the Masstree OLDI case). When
-    /// `count_window` is set it is reused as the count window's max-freeze
-    /// duration: after `window` with no dequeue event, the frozen ratio is
-    /// discarded and admission resumes.
+    /// as 1 000 queries' worth of time for the Masstree OLDI case).
     pub window: SimDuration,
     /// Deadline-violation ratio threshold `R_th` above which new queries
     /// are rejected (the paper finds 1.7 % at the maximum acceptable load).
@@ -175,9 +168,6 @@ pub struct AdmissionConfig {
     /// drain before new load is accepted. Defaults to `threshold` (no
     /// hysteresis).
     pub resume_threshold: f64,
-    /// When set, measure the miss ratio over the most recent `n` dequeue
-    /// outcomes (a count window) instead of the moving time window.
-    pub count_window: Option<usize>,
 }
 
 impl AdmissionConfig {
@@ -200,7 +190,6 @@ impl AdmissionConfig {
             threshold,
             min_samples: 50,
             resume_threshold: threshold,
-            count_window: None,
         }
     }
 
@@ -221,18 +210,6 @@ impl AdmissionConfig {
             "resume threshold must lie in (0, threshold]"
         );
         self.resume_threshold = resume_threshold;
-        self
-    }
-
-    /// Measures the miss ratio over the most recent `n` dequeue outcomes
-    /// instead of a moving time window (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is zero.
-    pub fn with_count_window(mut self, n: usize) -> Self {
-        assert!(n > 0, "count window must be positive");
-        self.count_window = Some(n);
         self
     }
 }
@@ -288,25 +265,12 @@ mod tests {
         let a = AdmissionConfig::new(SimDuration::from_millis(10), 0.017).with_min_samples(10);
         assert_eq!(a.window, SimDuration::from_millis(10));
         assert_eq!(a.min_samples, 10);
-        assert_eq!(a.count_window, None);
     }
 
     #[test]
     #[should_panic(expected = "threshold must lie in (0,1)")]
     fn admission_rejects_bad_threshold() {
         let _ = AdmissionConfig::new(SimDuration::from_millis(10), 1.5);
-    }
-
-    #[test]
-    fn admission_count_window_builder() {
-        let a = AdmissionConfig::new(SimDuration::from_millis(10), 0.02).with_count_window(500);
-        assert_eq!(a.count_window, Some(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "count window must be positive")]
-    fn admission_rejects_zero_count_window() {
-        let _ = AdmissionConfig::new(SimDuration::from_millis(10), 0.02).with_count_window(0);
     }
 
     #[test]

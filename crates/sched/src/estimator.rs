@@ -379,6 +379,12 @@ impl DeadlineEstimator {
         self.refreshes
     }
 
+    /// The adaptive window, when one is configured
+    /// ([`DeadlineEstimator::with_adaptive`]).
+    pub fn adaptive(&self) -> Option<AdaptiveWindow> {
+        self.adaptive
+    }
+
     /// Number of adaptive window rolls (decay + cache invalidation)
     /// performed so far. Always zero without [`AdaptiveWindow`].
     pub fn window_roll_count(&self) -> u64 {

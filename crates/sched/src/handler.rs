@@ -100,6 +100,11 @@ pub struct DispatchedTask {
     /// / [`QueryHandler::on_task_lost`]) so a stale incarnation's report can
     /// be rejected.
     pub lease: LeaseToken,
+    /// When that lease expires, if a TTL is configured
+    /// ([`QueryHandler::with_lease`]) — the driver calls
+    /// [`QueryHandler::on_lease_expired`] then (virtual time in the
+    /// simulator; a wall timer in the testbed).
+    pub lease_expires_at: Option<SimTime>,
 }
 
 /// A fully aggregated query (its slowest task just completed).
@@ -121,20 +126,6 @@ pub struct QueryDone {
     pub partial: bool,
 }
 
-/// Everything that follows from one task completion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskCompletion {
-    /// The freed server's next task, if its queue was non-empty (work
-    /// conservation: popped *before* any successor query is issued).
-    pub next: Option<DispatchedTask>,
-    /// The completed query, when this was its last outstanding task.
-    pub done: Option<QueryDone>,
-    /// The fencing verdict. Only [`CommitOutcome::Committed`] results were
-    /// applied; for `Duplicate`/`Stale` the completion was suppressed and
-    /// the driver must discard the result's payload too.
-    pub commit: CommitOutcome,
-}
-
 /// The driver's cue to reissue a fault-lost task on a backup server: call
 /// [`QueryHandler::issue_duplicate`] with this slot and server (the
 /// simulator first draws a fresh service time for the backup).
@@ -146,17 +137,41 @@ pub struct RetryPlan {
     pub server: u32,
 }
 
-/// Everything that follows from one task being lost to a fault.
+/// Everything that follows from one attempt ending — a completion
+/// ([`QueryHandler::on_task_complete`]) or a loss
+/// ([`QueryHandler::on_task_lost`]). The driver acts on the fields in
+/// declaration order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LostTask {
-    /// The freed server's next task, if any (a lost task still frees its
-    /// server — blackout drops are failures of the *task*, and the sim's
-    /// server keeps draining; the testbed node likewise moves on).
+pub struct TaskCompletion {
+    /// The freed server's next task, if its queue was non-empty (work
+    /// conservation: popped *before* any successor query is issued). A lost
+    /// task frees its server too — blackout drops are failures of the
+    /// *task*, and the server keeps draining.
     pub next: Option<DispatchedTask>,
-    /// A retry to issue, when the mitigation config allows one.
+    /// A retry to issue, when the attempt was lost and the mitigation
+    /// config allows one.
     pub retry: Option<RetryPlan>,
-    /// The query, when this loss resolved its last outstanding slot.
+    /// The finished query, when this ending resolved its last outstanding
+    /// slot.
     pub done: Option<QueryDone>,
+    /// The fencing verdict. Only [`CommitOutcome::Committed`] reports were
+    /// applied; for `Duplicate`/`Stale` the report was suppressed (every
+    /// other field is `None`) and the driver must discard its payload too.
+    pub commit: CommitOutcome,
+}
+
+/// How an attempt ended (see `QueryHandler::end_attempt`).
+#[derive(Clone, Copy)]
+enum End {
+    /// Its server returned a result after `busy` of service.
+    Completed {
+        token: LeaseToken,
+        busy: SimDuration,
+    },
+    /// A fault or a worker failure lost it in service.
+    Lost { token: LeaseToken },
+    /// Its slot resolved while it waited: discarded at dequeue or reclaim.
+    Cancelled,
 }
 
 /// Measurements the handler accumulates; extracted with
@@ -259,19 +274,16 @@ struct QueryMeta {
     class: u8,
     fanout: u32,
     started_at: SimTime,
-    /// Unresolved slots (not tasks: hedge copies do not inflate it).
-    outstanding: u32,
     record: bool,
     /// First slot id; the query's slots are `first_task..first_task+fanout`.
     first_task: TaskId,
-    /// Slots resolved by a completed attempt.
+    /// Unresolved slots (not tasks: hedge copies do not inflate it).
+    outstanding: u32,
+    /// Slots resolved by a completed attempt (the rest were lost).
     completed_slots: u32,
-    /// Slots resolved by exhausting every attempt to faults.
-    lost_slots: u32,
     /// Completed slots needed to finish (equals `fanout` without a
     /// [`MitigationConfig::partial_quorum`]).
     quorum: u32,
-    done: bool,
 }
 
 struct ServerSlot {
@@ -441,11 +453,6 @@ impl QueryHandler {
         self
     }
 
-    /// The mitigation config, when one was set.
-    pub fn mitigation(&self) -> Option<&MitigationConfig> {
-        self.mitigation.as_ref()
-    }
-
     /// Enables per-server health scoring with hysteresis-gated outlier
     /// ejection (see [`HealthTracker`]). Tasks aimed at an ejected server
     /// are diverted to the least-loaded healthy server (keeping their
@@ -475,9 +482,22 @@ impl QueryHandler {
         self
     }
 
-    /// The configured lease TTL, if any.
-    pub fn lease_ttl(&self) -> Option<SimDuration> {
-        self.store.lease_ttl()
+    fn server(&mut self, server: u32) -> &mut ServerSlot {
+        // tg-lint: allow(panic-surface) -- dense per-server table sized at construction; `server` ids come from the admitted placement or a backup scan over the same table — an out-of-range id is a driver bug where the documented panic is the designed failure mode
+        &mut self.servers[server as usize]
+    }
+
+    fn query(&self, query: QueryId) -> &QueryMeta {
+        // tg-lint: allow(panic-surface) -- dense per-query table; `query` ids are minted at admission and only ever read back from the store's attempt records
+        &self.queries[query as usize]
+    }
+
+    /// Outstanding hedge+retry copies of `query`'s class (the
+    /// [`MitigationConfig::hedge_budget`] token bucket).
+    fn dups(&mut self, query: QueryId) -> &mut u32 {
+        let class = self.query(query).class;
+        // tg-lint: allow(panic-surface) -- one counter per class, sized at construction; `class` was range-checked when its query was admitted
+        &mut self.outstanding_dups[class as usize]
     }
 
     /// Handles one query arrival at `now`: admission (§III.C), deadline
@@ -539,7 +559,7 @@ impl QueryHandler {
         let budget = match arrival.budget_override {
             Some(b) => b,
             None => match self.policy.deadline_rule() {
-                // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
+                // tg-lint: allow(panic-surface) -- `arrival.class` was range-checked against `classes` at the top of this function
                 DeadlineRule::SloOnly => self.classes[arrival.class as usize].slo,
                 // FIFO/PRIQ ignore deadlines for ordering; we still stamp
                 // the TailGuard deadline so miss accounting is comparable.
@@ -572,13 +592,11 @@ impl QueryHandler {
             class: arrival.class,
             fanout,
             started_at: now,
-            outstanding: fanout,
             record: arrival.record,
             first_task: self.store.len() as TaskId,
+            outstanding: fanout,
             completed_slots: 0,
-            lost_slots: 0,
             quorum,
-            done: false,
         });
         if self.trace_on {
             self.tracer.emit(TraceEvent::QueryAdmitted {
@@ -601,57 +619,66 @@ impl QueryHandler {
                 None => false,
             };
             let server = if divert {
-                self.healthy_backup(server).unwrap_or(server)
+                self.least_loaded(|i| i == server).unwrap_or(server)
             } else {
                 server
             };
-            // Footnote-4 ablation hook: per-task deadlines when provided.
-            let (task_budget, task_deadline) = match arrival.task_budgets {
-                // tg-lint: allow(panic-surface) -- aligned-by-contract with `arrival.targets` (documented on `QueryArrival`); `idx` enumerates `targets`, so a length mismatch is a driver bug surfaced loudly
-                Some(tb) => (tb[idx], now + tb[idx]),
-                None => (budget, deadline),
-            };
+            // Footnote-4 ablation hook: per-task deadlines when provided
+            // (the lengths were checked equal above).
+            let task_budget = arrival
+                .task_budgets
+                .and_then(|tb| tb.get(idx))
+                .map_or(budget, |&b| b);
             // Deadline-aware hedge trigger: a fraction of the queuing
             // budget after arrival (the remaining budget has crossed
             // the threshold once it fires).
             let hedge_at = hedge_after.map(|f| now + task_budget.mul_f64(f));
             let task = self
                 .store
-                .push_original(query, server, task_deadline, hedge_at);
+                .push_original(query, server, now + task_budget, hedge_at);
             self.stats.load.task_dispatched();
-            let mut entry = QueuedTask::new(
-                u64::from(task),
-                ServiceClass(arrival.class),
-                task_deadline,
-                now,
-            );
-            if let Some(sizes) = arrival.sizes {
-                // tg-lint: allow(panic-surface) -- aligned-by-contract with `arrival.targets` (documented on `QueryArrival`); `idx` enumerates `targets`, so a length mismatch is a driver bug surfaced loudly
-                entry = entry.with_size_hint(sizes[idx]);
-            }
-            if self.trace_on {
-                self.tracer.emit(TraceEvent::TaskEnqueued {
-                    at: now,
-                    task,
-                    slot: task,
-                    query,
-                    class: arrival.class,
-                    server,
-                    kind: AttemptKind::Original,
-                    deadline: task_deadline,
-                });
-            }
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            if self.servers[server as usize].in_service.is_none() {
-                // Idle server: immediate dequeue, by definition on time.
-                let dispatched = self.start(now, server, entry);
-                started.push(dispatched);
-            } else {
-                // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-                self.servers[server as usize].queue.push(entry);
-            }
+            let size = arrival.sizes.and_then(|s| s.get(idx)).copied();
+            started.extend(self.enqueue(now, task, size));
         }
         AdmitDecision::Admitted { query }
+    }
+
+    /// The one way an attempt begins — an original at arrival, a hedge or
+    /// retry copy, or a reclaimed attempt beginning again: it queues on its
+    /// server under its slot's deadline `t_D`, stamped once at arrival and
+    /// never re-derived, or enters service at once when that server is idle
+    /// (an immediate dequeue, by definition on time).
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        task: TaskId,
+        size: Option<SimDuration>,
+    ) -> Option<DispatchedTask> {
+        let rec = self.store.attempt(task);
+        let class = self.query(rec.query).class;
+        let deadline = self.store.slot(task).deadline;
+        if self.trace_on {
+            self.tracer.emit(TraceEvent::TaskEnqueued {
+                at: now,
+                task,
+                slot: rec.slot,
+                query: rec.query,
+                class,
+                server: rec.server,
+                kind: rec.kind,
+                deadline,
+            });
+        }
+        let mut entry = QueuedTask::new(u64::from(task), ServiceClass(class), deadline, now);
+        if let Some(size) = size {
+            entry = entry.with_size_hint(size);
+        }
+        if self.server(rec.server).in_service.is_none() {
+            Some(self.start(now, rec.server, entry))
+        } else {
+            self.server(rec.server).queue.push(entry);
+            None
+        }
     }
 
     /// Handles the completion of `task` at `now` under the lease `token`
@@ -676,7 +703,6 @@ impl QueryHandler {
     /// Panics when `task` is unknown; debug-asserts a committed result's
     /// task is the task in service at its server.
     /// `now` is virtual time (nanosecond domain).
-    // tg-lint: hot(complete)
     pub fn on_task_complete(
         &mut self,
         now: SimTime,
@@ -684,50 +710,172 @@ impl QueryHandler {
         token: LeaseToken,
         busy: SimDuration,
     ) -> TaskCompletion {
-        let rec = *self.store.attempt(task);
-        let (query, server, slot, kind) = (rec.query, rec.server, rec.slot, rec.kind);
-        match self.store.commit(task, token) {
-            CommitOutcome::Committed => {}
-            outcome @ CommitOutcome::Duplicate => {
-                if self.trace_on {
-                    self.tracer.emit(TraceEvent::DuplicateSuppressed {
-                        at: now,
+        self.end_attempt(now, task, End::Completed { token, busy })
+    }
+
+    /// Handles the loss of `task` — in service at its server under the
+    /// lease `token` — to an injected fault (blackout drop) or a worker
+    /// failure. The loss report is fenced exactly like a commit: a stale
+    /// incarnation's loss (its lease was already reclaimed) or a redundant
+    /// report for a terminal attempt is a no-op. For a committed loss the
+    /// server is freed (no busy time is recorded: the work produced nothing
+    /// the estimator should learn from), and the slot either retries on a
+    /// backup server (see [`TaskCompletion::retry`]), keeps waiting for
+    /// another live attempt, or — with every attempt exhausted — resolves
+    /// as lost, possibly finishing the query as partial or failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `task` is unknown; debug-asserts a committed loss's task
+    /// is in service.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn on_task_lost(
+        &mut self,
+        now: SimTime,
+        task: TaskId,
+        token: LeaseToken,
+    ) -> TaskCompletion {
+        self.end_attempt(now, task, End::Lost { token })
+    }
+
+    /// The one way an attempt ends: fence the report in the store, trace
+    /// it, return a copy's budget token, free the server, then settle the
+    /// slot — a loser of an already-resolved slot only counts as cancelled;
+    /// the first completion wins it; a loss retries, waits for a live
+    /// sibling, or resolves it as lost. The only place slots resolve.
+    // tg-lint: hot(complete)
+    fn end_attempt(&mut self, now: SimTime, task: TaskId, end: End) -> TaskCompletion {
+        let rec = self.store.attempt(task);
+        let (query, server, slot) = (rec.query, rec.server, rec.slot);
+        let (token, commit) = match end {
+            End::Completed { token, .. } => (token, self.store.commit(task, token)),
+            End::Lost { token } => (token, self.store.fail(task, token)),
+            End::Cancelled => {
+                self.store.cancel(task);
+                (LeaseToken::NONE, CommitOutcome::Committed)
+            }
+        };
+        let mut ended = TaskCompletion {
+            next: None,
+            retry: None,
+            done: None,
+            commit,
+        };
+        if commit != CommitOutcome::Committed {
+            if self.trace_on {
+                let at = now;
+                self.tracer.emit(if commit == CommitOutcome::Duplicate {
+                    TraceEvent::DuplicateSuppressed {
+                        at,
                         task,
                         query,
                         server,
-                    });
-                }
-                return TaskCompletion {
-                    next: None,
-                    done: None,
-                    commit: outcome,
-                };
-            }
-            outcome @ CommitOutcome::Stale => {
-                if self.trace_on {
-                    self.tracer.emit(TraceEvent::StaleCommitRejected {
-                        at: now,
+                    }
+                } else {
+                    TraceEvent::StaleCommitRejected {
+                        at,
                         task,
                         query,
                         server,
                         token,
-                    });
+                    }
+                });
+            }
+            return ended;
+        }
+        let in_service = !matches!(end, End::Cancelled);
+        debug_assert!(
+            !in_service || self.server(server).in_service == Some(task),
+            "a committed report implies the task is in service at its server"
+        );
+        if rec.kind != AttemptKind::Original {
+            let dups = self.dups(query);
+            debug_assert!(*dups > 0, "token-bucket underflow");
+            *dups = dups.saturating_sub(1);
+        }
+        let was_resolved = self.store.slot(task).resolved;
+        if let End::Completed { busy, .. } = end {
+            self.record_service(now, server, busy);
+        }
+        if self.trace_on {
+            // Emitted before the freed server's next dequeue so the stream
+            // reads completion-then-dequeue at equal timestamps.
+            let at = now;
+            self.tracer.emit(match end {
+                End::Completed { busy, .. } => TraceEvent::TaskCompleted {
+                    at,
+                    task,
+                    slot,
+                    query,
+                    server,
+                    busy,
+                    won: !was_resolved,
+                },
+                End::Lost { .. } => TraceEvent::TaskLost {
+                    at,
+                    task,
+                    slot,
+                    query,
+                    server,
+                },
+                End::Cancelled => TraceEvent::TaskCancelled {
+                    at,
+                    task,
+                    slot,
+                    query,
+                    server,
+                },
+            });
+        }
+        if in_service {
+            ended.next = self.on_server_free(now, server);
+        }
+        // Whether this ending resolves the slot, and if so whether as lost.
+        let resolves_lost = if was_resolved {
+            // The slot already has a winner (a cancelled attempt's always
+            // does): the work may have been done — busy accounting stands —
+            // but its outcome is ignored.
+            self.stats.robustness.cancelled_tasks += 1;
+            None
+        } else if matches!(end, End::Completed { .. }) {
+            // First completion wins the slot.
+            self.stats.robustness.task_wins += 1;
+            if rec.kind == AttemptKind::Hedge {
+                self.stats.robustness.hedge_wins += 1;
+            }
+            Some(false)
+        } else {
+            debug_assert!(in_service, "only resolved slots cancel attempts");
+            self.stats.robustness.tasks_lost_to_faults += 1;
+            if self.mitigation.is_some_and(|m| m.retry_lost) {
+                ended.retry = self
+                    .copy_target(now, slot)
+                    .map(|server| RetryPlan { slot, server });
+            }
+            // With no retry and no live sibling every attempt is gone.
+            (ended.retry.is_none() && self.store.slot(slot).live == 0).then_some(true)
+        };
+        if let Some(lost) = resolves_lost {
+            self.store.resolve(slot);
+            ended.done = self.resolve_slot(now, query, lost);
+            if let Some(done) = ended.done {
+                // The query is done (possibly at an early quorum), so any
+                // unresolved straggler slots resolve now — their in-flight
+                // attempts become losers, cancelled at completion or
+                // dequeue.
+                let first = self.query(query).first_task;
+                for straggler in first..first + done.fanout {
+                    self.store.resolve(straggler);
                 }
-                return TaskCompletion {
-                    next: None,
-                    done: None,
-                    commit: outcome,
-                };
             }
         }
-        debug_assert_eq!(
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.servers[server as usize].in_service,
-            Some(task),
-            "a committed completion implies the task is in service at its server"
-        );
+        ended
+    }
+
+    /// Busy/estimator/health accounting for a committed completion.
+    fn record_service(&mut self, now: SimTime, server: u32, busy: SimDuration) {
         self.stats.load.record_busy(busy);
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
+        // tg-lint: allow(panic-surface) -- dense per-server table sized at construction, indexed by the server a committed attempt was dispatched to
         self.stats.busy_by_server[server as usize] += busy;
         // Online updating process (§III.B.2): the handler learns the
         // server's post-queuing time distribution from returned results.
@@ -737,329 +885,99 @@ impl QueryHandler {
         // here — drained even when tracing is off to keep the buffer empty.
         if let Some(h) = &mut self.health {
             h.observe(server as usize, busy);
-            while let Some((flipped, ejected)) = h.take_transition() {
+            while let Some((server, ejected)) = h.take_transition() {
                 if self.trace_on {
-                    let ev = if ejected {
-                        TraceEvent::ServerEjected {
-                            at: now,
-                            server: flipped,
-                        }
+                    self.tracer.emit(if ejected {
+                        TraceEvent::ServerEjected { at: now, server }
                     } else {
-                        TraceEvent::ServerReadmitted {
-                            at: now,
-                            server: flipped,
-                        }
-                    };
-                    self.tracer.emit(ev);
+                        TraceEvent::ServerReadmitted { at: now, server }
+                    });
                 }
             }
-        }
-        if kind != AttemptKind::Original {
-            self.release_dup(query);
-        }
-        if self.trace_on {
-            // Emitted before the freed server's next dequeue so the stream
-            // reads completion-then-dequeue at equal timestamps.
-            self.tracer.emit(TraceEvent::TaskCompleted {
-                at: now,
-                task,
-                slot,
-                query,
-                server,
-                busy,
-                won: !self.store.slot(slot).resolved,
-            });
-        }
-
-        let next = self.on_server_free(now, server);
-        let slot_state = self.store.slot_mut(slot);
-        slot_state.live -= 1;
-        let done = if slot_state.resolved {
-            // A duplicate already resolved this slot: the completion is a
-            // loser — its work was done (busy accounting stands) but its
-            // result is ignored.
-            self.stats.robustness.cancelled_tasks += 1;
-            None
-        } else {
-            // First completion wins the slot.
-            slot_state.resolved = true;
-            self.stats.robustness.task_wins += 1;
-            if kind == AttemptKind::Hedge {
-                self.stats.robustness.hedge_wins += 1;
-            }
-            self.resolve_slot(now, query, false)
-        };
-        TaskCompletion {
-            next,
-            done,
-            commit: CommitOutcome::Committed,
         }
     }
     // tg-lint: endhot
-
-    /// Handles the loss of `task` — in service at its server under the
-    /// lease `token` — to an injected fault (blackout drop) or a worker
-    /// failure. The loss report is fenced exactly like a commit: a stale
-    /// incarnation's loss (its lease was already reclaimed) or a redundant
-    /// report for a terminal attempt is a no-op. For a committed loss the
-    /// server is freed (no busy time is recorded: the work produced nothing
-    /// the estimator should learn from), and the slot either retries on a
-    /// backup server (see [`LostTask::retry`]), keeps waiting for another
-    /// live attempt, or — with every attempt exhausted — resolves as lost,
-    /// possibly finishing the query as partial or failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `task` is unknown; debug-asserts a committed loss's task
-    /// is in service.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn on_task_lost(&mut self, now: SimTime, task: TaskId, token: LeaseToken) -> LostTask {
-        let rec = *self.store.attempt(task);
-        let (query, server, slot) = (rec.query, rec.server, rec.slot);
-        match self.store.fail(task, token) {
-            CommitOutcome::Committed => {}
-            CommitOutcome::Duplicate => {
-                if self.trace_on {
-                    self.tracer.emit(TraceEvent::DuplicateSuppressed {
-                        at: now,
-                        task,
-                        query,
-                        server,
-                    });
-                }
-                return LostTask {
-                    next: None,
-                    retry: None,
-                    done: None,
-                };
-            }
-            CommitOutcome::Stale => {
-                if self.trace_on {
-                    self.tracer.emit(TraceEvent::StaleCommitRejected {
-                        at: now,
-                        task,
-                        query,
-                        server,
-                        token,
-                    });
-                }
-                return LostTask {
-                    next: None,
-                    retry: None,
-                    done: None,
-                };
-            }
-        }
-        debug_assert_eq!(
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.servers[server as usize].in_service,
-            Some(task),
-            "a committed loss implies the task is in service at its server"
-        );
-        if self.trace_on {
-            self.tracer.emit(TraceEvent::TaskLost {
-                at: now,
-                task,
-                slot,
-                query,
-                server,
-            });
-        }
-        if rec.kind != AttemptKind::Original {
-            self.release_dup(query);
-        }
-        let next = self.on_server_free(now, server);
-        let slot_state = self.store.slot_mut(slot);
-        slot_state.live -= 1;
-        if slot_state.resolved {
-            // The slot already has a winner; losing a loser is a wash.
-            self.stats.robustness.cancelled_tasks += 1;
-            return LostTask {
-                next,
-                retry: None,
-                done: None,
-            };
-        }
-        self.stats.robustness.tasks_lost_to_faults += 1;
-        let wants_retry = self
-            .mitigation
-            .as_ref()
-            .is_some_and(|m| m.retry_lost && self.store.slot(slot).attempts < m.max_attempts);
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        let class = self.queries[query as usize].class;
-        let can_retry = wants_retry && self.dup_budget_available(class);
-        if wants_retry && !can_retry && self.trace_on {
-            self.tracer.emit(TraceEvent::HedgeBudgetExhausted {
-                at: now,
-                slot,
-                query,
-                class,
-            });
-        }
-        let retry = if can_retry {
-            self.backup_server(slot)
-                .map(|server| RetryPlan { slot, server })
-        } else {
-            None
-        };
-        let done = if retry.is_none() && self.store.slot(slot).live == 0 {
-            // Every attempt is gone: the slot resolves as lost.
-            self.store.slot_mut(slot).resolved = true;
-            self.resolve_slot(now, query, true)
-        } else {
-            None
-        };
-        LostTask { next, retry, done }
-    }
 
     /// Releases `server` and pulls its next queued task into service, if
     /// any. Queued attempts whose slot was already resolved (hedge losers,
     /// stragglers of early-quorum queries) are discarded here — the
     /// cancel-at-dequeue that a [`TaskQueue`] without arbitrary removal
-    /// supports. [`QueryHandler::on_task_complete`] calls this internally;
-    /// drivers only need it when a server frees up without completing a
-    /// task (e.g. a cancelled assignment).
-    pub fn on_server_free(&mut self, now: SimTime, server: u32) -> Option<DispatchedTask> {
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        self.servers[server as usize].in_service = None;
+    /// supports.
+    fn on_server_free(&mut self, now: SimTime, server: u32) -> Option<DispatchedTask> {
+        self.server(server).in_service = None;
         loop {
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            let entry = self.servers[server as usize].queue.pop()?;
+            let entry = self.server(server).queue.pop()?;
             let task = entry.task_id as TaskId;
-            let rec = *self.store.attempt(task);
-            let slot = rec.slot;
-            if self.store.slot(slot).resolved {
-                self.store.cancel(task);
-                self.store.slot_mut(slot).live -= 1;
-                self.stats.robustness.cancelled_tasks += 1;
-                if rec.kind != AttemptKind::Original {
-                    self.release_dup(rec.query);
-                }
-                if self.trace_on {
-                    self.tracer.emit(TraceEvent::TaskCancelled {
-                        at: now,
-                        task,
-                        slot,
-                        query: rec.query,
-                        server,
-                    });
-                }
-                continue;
+            if !self.store.slot(task).resolved {
+                return Some(self.start(now, server, entry));
             }
-            return Some(self.start(now, server, entry));
+            self.end_attempt(now, task, End::Cancelled);
         }
     }
 
-    /// When the hedge copy of `task` (an original attempt) becomes due, if
-    /// hedging is configured — the driver schedules its hedge check here.
-    pub fn hedge_deadline(&self, task: TaskId) -> Option<SimTime> {
-        self.store.slot(task).hedge_at
+    /// The hedge checks a just-admitted `query` needs: each of its tasks
+    /// with the instant its hedge copy becomes due (see
+    /// [`QueryHandler::copy_target`]). Empty unless hedging is configured.
+    /// The instants are virtual time (nanosecond domain).
+    pub fn hedge_checks(&self, query: QueryId) -> impl Iterator<Item = (TaskId, SimTime)> + '_ {
+        let meta = self.query(query);
+        let hedging = self.mitigation.is_some_and(|m| m.hedge_after.is_some());
+        let tasks = meta.first_task..meta.first_task + if hedging { meta.fanout } else { 0 };
+        tasks.filter_map(|task| Some((task, self.store.slot(task).hedge_at?)))
     }
 
-    /// Picks a backup server for the slot of `task` when a hedge is still
-    /// worthwhile: the slot is unresolved, attempts remain under
+    /// Picks a backup server for one more copy of the slot of `task` — a
+    /// hedge when its check comes due, a retry after a loss — if one is
+    /// still worthwhile: the slot is unresolved, attempts remain under
     /// [`MitigationConfig::max_attempts`], the class has token-bucket
     /// budget left ([`MitigationConfig::hedge_budget`]), and an untried
     /// healthy server exists. The driver follows up with
-    /// [`QueryHandler::issue_duplicate`]. A budget denial is narrated as
-    /// [`TraceEvent::HedgeBudgetExhausted`] at `now` (the hedge-check
-    /// instant).
+    /// [`QueryHandler::issue_duplicate`]. A budget denial counts in
+    /// [`RobustnessStats::budget_exhausted`] and is narrated as
+    /// [`TraceEvent::HedgeBudgetExhausted`] at `now`.
     /// `now` is virtual time (nanosecond domain).
-    pub fn hedge_target(&mut self, now: SimTime, task: TaskId) -> Option<u32> {
-        let m = self.mitigation.as_ref()?;
+    pub fn copy_target(&mut self, now: SimTime, task: TaskId) -> Option<u32> {
+        let m = self.mitigation?;
         let slot_state = self.store.slot(task);
         if slot_state.resolved || slot_state.attempts >= m.max_attempts {
             return None;
         }
-        let query = self.store.attempt(task).query;
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        let class = self.queries[query as usize].class;
-        if !self.dup_budget_available(class) {
+        let rec = self.store.attempt(task);
+        if m.hedge_budget
+            .is_some_and(|cap| *self.dups(rec.query) >= cap)
+        {
+            self.stats.robustness.budget_exhausted += 1;
             if self.trace_on {
                 self.tracer.emit(TraceEvent::HedgeBudgetExhausted {
                     at: now,
-                    slot: task,
-                    query,
-                    class,
+                    slot: rec.slot,
+                    query: rec.query,
+                    class: self.query(rec.query).class,
                 });
             }
             return None;
         }
-        self.backup_server(task)
-    }
-
-    /// Whether `class` has hedge/retry token-bucket budget left. A denial
-    /// counts in [`RobustnessStats::budget_exhausted`]; without a
-    /// configured budget the bucket is bottomless.
-    fn dup_budget_available(&mut self, class: u8) -> bool {
-        let Some(cap) = self.mitigation.as_ref().and_then(|m| m.hedge_budget) else {
-            return true;
-        };
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        if self.outstanding_dups[class as usize] >= cap {
-            self.stats.robustness.budget_exhausted += 1;
-            return false;
-        }
-        true
-    }
-
-    /// Returns the terminal non-original attempt of `query`'s class to the
-    /// token bucket.
-    fn release_dup(&mut self, query: QueryId) {
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        let class = self.queries[query as usize].class as usize;
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        debug_assert!(self.outstanding_dups[class] > 0, "token-bucket underflow");
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        self.outstanding_dups[class] = self.outstanding_dups[class].saturating_sub(1);
+        // The slot's own server and every server a copy already tried are
+        // out.
+        let origin = self.store.attempt(rec.slot).server;
+        let tried = &self.store.slot(task).extra_servers;
+        self.least_loaded(|i| i == origin || tried.contains(&i))
     }
 
     /// The least-loaded server (queue depth + in-service occupancy, lowest
-    /// index breaking ties — deterministic) that this slot has not yet
-    /// tried, skipping ejected servers. `None` when every candidate was
-    /// tried or is ejected.
-    fn backup_server(&self, slot: TaskId) -> Option<u32> {
-        let origin = self.store.attempt(slot).server;
-        let tried = &self.store.slot(slot).extra_servers;
-        let mut best: Option<(usize, u32)> = None;
-        for (i, s) in self.servers.iter().enumerate() {
-            let i = units::sat_usize_to_u32(i);
-            if i == origin || tried.contains(&i) {
-                continue;
-            }
-            if self
-                .health
+    /// index breaking ties — deterministic) that `skip` does not exclude
+    /// and that is not ejected; `None` when no such server exists.
+    fn least_loaded(&self, skip: impl Fn(u32) -> bool) -> Option<u32> {
+        let ejected = |i: u32| {
+            self.health
                 .as_ref()
                 .is_some_and(|h| h.is_ejected(i as usize))
-            {
-                continue;
-            }
-            let depth = s.queue.len() + usize::from(s.in_service.is_some());
-            if best.is_none_or(|(d, _)| depth < d) {
-                best = Some((depth, i));
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    /// The least-loaded healthy server other than `exclude` (lowest index
-    /// breaking ties — deterministic); `None` when no other healthy server
-    /// exists (the quorum floor makes this unreachable in practice, but
-    /// diversion then falls back to the original target).
-    fn healthy_backup(&self, exclude: u32) -> Option<u32> {
-        let h = self.health.as_ref()?;
-        let mut best: Option<(usize, u32)> = None;
-        for (i, s) in self.servers.iter().enumerate() {
-            let i = units::sat_usize_to_u32(i);
-            if i == exclude || h.is_ejected(i as usize) {
-                continue;
-            }
-            let depth = s.queue.len() + usize::from(s.in_service.is_some());
-            if best.is_none_or(|(d, _)| depth < d) {
-                best = Some((depth, i));
-            }
-        }
-        best.map(|(_, i)| i)
+        };
+        (0u32..)
+            .zip(&self.servers)
+            .filter(|&(i, _)| !skip(i) && !ejected(i))
+            .min_by_key(|(_, s)| s.queue.len() + usize::from(s.in_service.is_some()))
+            .map(|(i, _)| i)
     }
 
     /// Issues a hedge or retry copy of `slot` (an original task id) on
@@ -1081,88 +999,58 @@ impl QueryHandler {
         kind: AttemptKind,
     ) -> (TaskId, Option<DispatchedTask>) {
         let query = self.store.attempt(slot).query;
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        let class = self.queries[query as usize].class;
-        let deadline = self.store.slot(slot).deadline;
         let task = self.store.push_duplicate(slot, server, kind);
         match kind {
             AttemptKind::Hedge => self.stats.robustness.hedges_issued += 1,
             AttemptKind::Retry => self.stats.robustness.retries += 1,
             AttemptKind::Original => {}
         }
-        if kind != AttemptKind::Original {
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.outstanding_dups[class as usize] += 1;
-        }
+        *self.dups(query) += 1;
         self.stats.load.task_dispatched();
-        if self.trace_on {
-            if kind == AttemptKind::Hedge {
-                self.tracer.emit(TraceEvent::HedgeIssued {
-                    at: now,
-                    task,
-                    slot,
-                    query,
-                    server,
-                });
-            }
-            self.tracer.emit(TraceEvent::TaskEnqueued {
+        if self.trace_on && kind == AttemptKind::Hedge {
+            self.tracer.emit(TraceEvent::HedgeIssued {
                 at: now,
                 task,
                 slot,
                 query,
-                class,
                 server,
-                kind,
-                deadline,
             });
         }
-        let mut entry = QueuedTask::new(u64::from(task), ServiceClass(class), deadline, now);
-        if let Some(size) = size {
-            entry = entry.with_size_hint(size);
-        }
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        let dispatched = if self.servers[server as usize].in_service.is_none() {
-            Some(self.start(now, server, entry))
-        } else {
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.servers[server as usize].queue.push(entry);
-            None
-        };
-        (task, dispatched)
+        (task, self.enqueue(now, task, size))
     }
 
     /// Handles an expired lease check for `task` at `now`: the driver
-    /// schedules this at the dispatch's [`QueryHandler::lease_expiry`]
-    /// instant (virtual time in the simulator; a wall timer in the
-    /// testbed).
+    /// schedules this at the dispatch's
+    /// [`DispatchedTask::lease_expires_at`] instant.
     ///
     /// A lease still active under exactly `token` past its expiry is
     /// **reclaimed**: the incarnation is presumed dead (crashed node,
     /// swallowed result), the attempt returns to `Queued`, and — unless its
     /// slot already resolved, in which case it is cancelled outright — it
-    /// is re-enqueued on its server with the slot's *original* deadline
-    /// `t_D` (Eq. 6 stamps the queuing deadline once, at arrival; recovery
-    /// must not grant a crashed task fresh budget). The suspected server is
-    /// then freed, so its queue keeps draining; the returned dispatch (often
-    /// the reclaimed task itself, under a new lease) must be started by the
-    /// driver. If the presumed-dead incarnation later reports anyway (false
-    /// suspicion), its stale token fences it off.
+    /// begins again on its server with the slot's *original* deadline `t_D`
+    /// (Eq. 6 stamps the queuing deadline once, at arrival; recovery must
+    /// not grant a crashed task fresh budget). The suspected server is then
+    /// freed, so its queue keeps draining. If the presumed-dead incarnation
+    /// later reports anyway (false suspicion), its stale token fences it
+    /// off.
     ///
-    /// Checks for leases that were already committed, superseded, or not
-    /// yet expired are no-ops returning `None`.
+    /// Returns `None` — a no-op — for a lease that was already committed,
+    /// superseded, or has not yet expired; for a reclaim, `Some` of the
+    /// freed server's next dispatch (often the reclaimed task itself, under
+    /// a new lease), which the driver must start.
+    /// `now` is virtual time (nanosecond domain).
     pub fn on_lease_expired(
         &mut self,
         now: SimTime,
         task: TaskId,
         token: LeaseToken,
-    ) -> Option<DispatchedTask> {
+    ) -> Option<Option<DispatchedTask>> {
         if !self.store.reclaim_expired(task, token, now) {
             return None;
         }
-        let rec = *self.store.attempt(task);
+        let rec = self.store.attempt(task);
         debug_assert_eq!(
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.servers[rec.server as usize].in_service,
+            self.server(rec.server).in_service,
             Some(task),
             "a reclaimed lease implies the task was in service at its server"
         );
@@ -1175,54 +1063,16 @@ impl QueryHandler {
                 token,
             });
         }
-        if self.store.slot(rec.slot).resolved {
+        if self.store.slot(task).resolved {
             // The slot resolved while this attempt sat on the dead server:
-            // nothing left to recover, the attempt is cancelled.
-            self.store.cancel(task);
-            self.store.slot_mut(rec.slot).live -= 1;
-            self.stats.robustness.cancelled_tasks += 1;
-            if rec.kind != AttemptKind::Original {
-                self.release_dup(rec.query);
-            }
-            if self.trace_on {
-                self.tracer.emit(TraceEvent::TaskCancelled {
-                    at: now,
-                    task,
-                    slot: rec.slot,
-                    query: rec.query,
-                    server: rec.server,
-                });
-            }
+            // nothing left to recover.
+            self.end_attempt(now, task, End::Cancelled);
         } else {
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            let class = self.queries[rec.query as usize].class;
-            let deadline = self.store.slot(rec.slot).deadline;
-            let entry = QueuedTask::new(u64::from(task), ServiceClass(class), deadline, now);
-            if self.trace_on {
-                self.tracer.emit(TraceEvent::TaskEnqueued {
-                    at: now,
-                    task,
-                    slot: rec.slot,
-                    query: rec.query,
-                    class,
-                    server: rec.server,
-                    kind: rec.kind,
-                    deadline,
-                });
-            }
-            // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-            self.servers[rec.server as usize].queue.push(entry);
+            // Queues behind itself: the server still counts as serving it.
+            let started = self.enqueue(now, task, None);
+            debug_assert!(started.is_none());
         }
-        // Free the suspected-dead server so its queue drains; this may pop
-        // the reclaimed task itself, re-dispatching it under a new lease.
-        self.on_server_free(now, rec.server)
-    }
-
-    /// When the current lease of `task` expires, if it holds one with a
-    /// TTL — the driver schedules the reclaim check
-    /// ([`QueryHandler::on_lease_expired`]) here.
-    pub fn lease_expiry(&self, task: TaskId) -> Option<SimTime> {
-        self.store.lease_expiry(task)
+        Some(self.on_server_free(now, rec.server))
     }
 
     /// Dequeues `entry` into service on `server`: miss detection at dequeue
@@ -1238,10 +1088,10 @@ impl QueryHandler {
         }
         let waited = now.saturating_since(entry.enqueued_at);
         let task = entry.task_id as TaskId;
-        let rec = *self.store.attempt(task);
+        let rec = self.store.attempt(task);
         let query = rec.query;
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        if self.queries[query as usize].record {
+        let QueryMeta { record, class, .. } = *self.query(query);
+        if record {
             self.stats.pre_dequeue.record(waited);
         }
         let lease = self.store.lease(task, now);
@@ -1254,8 +1104,7 @@ impl QueryHandler {
                 task,
                 slot: rec.slot,
                 query,
-                // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-                class: self.queries[query as usize].class,
+                class,
                 kind: rec.kind,
                 server,
                 token: lease,
@@ -1272,12 +1121,12 @@ impl QueryHandler {
                 });
             }
         }
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
-        self.servers[server as usize].in_service = Some(task);
+        self.server(server).in_service = Some(task);
         DispatchedTask {
             task,
             server,
             lease,
+            lease_expires_at: self.store.lease_expiry(task),
         }
     }
     // tg-lint: endhot
@@ -1287,32 +1136,19 @@ impl QueryHandler {
     /// is met or no slots remain — the generalized slowest-task-wins
     /// aggregation (quorum = fanout without a partial-quorum config).
     fn resolve_slot(&mut self, now: SimTime, query: QueryId, lost: bool) -> Option<QueryDone> {
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
+        // tg-lint: allow(panic-surface) -- dense per-query table; `query` ids are minted at admission and only ever read back from the store's attempt records
         let meta = &mut self.queries[query as usize];
-        if meta.done {
-            return None;
-        }
         meta.outstanding = meta.outstanding.saturating_sub(1);
-        if lost {
-            meta.lost_slots += 1;
-        } else {
+        if !lost {
             meta.completed_slots += 1;
         }
         if meta.completed_slots < meta.quorum && meta.outstanding > 0 {
             return None;
         }
-        meta.done = true;
         let latency = now.saturating_since(meta.started_at);
         let (class, fanout, recorded) = (meta.class, meta.fanout, meta.record);
         let completed = meta.completed_slots;
         let partial = completed < fanout;
-        let (first, last) = (meta.first_task, meta.first_task + fanout);
-        // Early quorum: the query is done, so any unresolved straggler
-        // slots resolve now — their in-flight attempts become losers,
-        // cancelled at completion or dequeue.
-        for slot in first..last {
-            self.store.slot_mut(slot).resolved = true;
-        }
         if recorded {
             if completed == 0 {
                 // Nothing came back: the query failed outright.
@@ -1384,11 +1220,6 @@ impl QueryHandler {
             .count()
     }
 
-    /// Total tasks created so far (task ids are `0..task_count()`).
-    pub fn task_count(&self) -> usize {
-        self.store.len()
-    }
-
     /// The live lifecycle gauges/counters from the task state store.
     pub fn lifecycle(&self) -> &LifecycleStats {
         self.store.stats()
@@ -1402,16 +1233,6 @@ impl QueryHandler {
     /// The accumulated measurements, live.
     pub fn stats(&self) -> &SchedStats {
         &self.stats
-    }
-
-    /// The class table.
-    pub fn classes(&self) -> &[ClassSpec] {
-        &self.classes
-    }
-
-    /// The policy the per-server queues run.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// The deadline estimator (e.g. to inspect cache statistics).
@@ -1451,6 +1272,16 @@ mod tests {
         QueryHandler::new(policy, classes, n, estimator, admission)
     }
 
+    /// A lease-free dispatch of `task` on `server` under token `lease`.
+    fn dispatch_of(task: TaskId, server: u32, lease: u64) -> DispatchedTask {
+        DispatchedTask {
+            task,
+            server,
+            lease: LeaseToken(lease),
+            lease_expires_at: None,
+        }
+    }
+
     fn arrival<'a>(targets: &'a [u32], record: bool) -> QueryArrival<'a> {
         QueryArrival {
             class: 0,
@@ -1468,21 +1299,7 @@ mod tests {
         let mut started = Vec::new();
         let d = h.on_query_arrival(SimTime::ZERO, arrival(&[2, 0], true), &mut started);
         assert_eq!(d, AdmitDecision::Admitted { query: 0 });
-        assert_eq!(
-            started,
-            vec![
-                DispatchedTask {
-                    task: 0,
-                    server: 2,
-                    lease: LeaseToken(1)
-                },
-                DispatchedTask {
-                    task: 1,
-                    server: 0,
-                    lease: LeaseToken(2)
-                }
-            ]
-        );
+        assert_eq!(started, vec![dispatch_of(0, 2, 1), dispatch_of(1, 0, 2)]);
         assert_eq!(h.task_in_service(2), Some(0));
         assert_eq!(h.task_in_service(1), None);
     }
@@ -1498,14 +1315,7 @@ mod tests {
 
         let done = h.on_task_complete(SimTime::from_millis(3), 0, LeaseToken(1), ms(3.0));
         // Work conservation: the queued task enters service...
-        assert_eq!(
-            done.next,
-            Some(DispatchedTask {
-                task: 1,
-                server: 0,
-                lease: LeaseToken(2)
-            })
-        );
+        assert_eq!(done.next, Some(dispatch_of(1, 0, 2)));
         assert_eq!(done.commit, CommitOutcome::Committed);
         // ...and the first query aggregates.
         let q = done.done.expect("fanout-1 query done");
@@ -1570,14 +1380,7 @@ mod tests {
         let next = h
             .on_task_complete(SimTime::from_millis(1), 0, LeaseToken(1), ms(1.0))
             .next;
-        assert_eq!(
-            next,
-            Some(DispatchedTask {
-                task: 1,
-                server: 0,
-                lease: LeaseToken(2)
-            })
-        );
+        assert_eq!(next, Some(dispatch_of(1, 0, 2)));
 
         // Miss ratio 1/2 > 0.1 → the next arrival is rejected.
         let sizes = [ms(4.0)];
@@ -1637,11 +1440,7 @@ mod tests {
             .next;
         assert_eq!(
             next,
-            Some(DispatchedTask {
-                task: 2,
-                server: 0,
-                lease: LeaseToken(2)
-            }),
+            Some(dispatch_of(2, 0, 2)),
             "SJF must pick the short task first"
         );
     }
@@ -1652,24 +1451,20 @@ mod tests {
             .with_mitigation(MitigationConfig::new().with_hedge_after(0.5));
         let mut started = Vec::new();
         h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
-        let due = h.hedge_deadline(0).expect("original has a hedge deadline");
+        let (_, due) = h
+            .hedge_checks(0)
+            .next()
+            .expect("original has a hedge check");
         assert!(due > SimTime::ZERO);
         assert_eq!(
-            h.hedge_target(due, 0),
+            h.copy_target(due, 0),
             Some(1),
             "idle server 1 is the backup"
         );
 
         let (hedge, dispatched) = h.issue_duplicate(due, 0, 1, None, AttemptKind::Hedge);
-        assert_eq!(
-            dispatched,
-            Some(DispatchedTask {
-                task: 1,
-                server: 1,
-                lease: LeaseToken(2)
-            })
-        );
-        assert_eq!(h.hedge_target(due, 0), None, "attempt cap reached");
+        assert_eq!(dispatched, Some(dispatch_of(1, 1, 2)));
+        assert_eq!(h.copy_target(due, 0), None, "attempt cap reached");
 
         // The hedge returns first: it wins and completes the query.
         let win = h.on_task_complete(due + ms(1.0), hedge, LeaseToken(2), ms(1.0));
@@ -1792,7 +1587,7 @@ mod tests {
         let mut started = Vec::new();
         h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
         let d = started[0];
-        assert_eq!(h.lease_expiry(d.task), Some(SimTime::ZERO + ms(2.0)));
+        assert_eq!(d.lease_expires_at, Some(SimTime::ZERO + ms(2.0)));
 
         // Not yet expired: the check is a no-op.
         assert!(h
@@ -1803,6 +1598,7 @@ mod tests {
         // the freed server under a new lease.
         let again = h
             .on_lease_expired(SimTime::from_millis(2), d.task, d.lease)
+            .flatten()
             .expect("reclaimed task re-dispatches");
         assert_eq!(again.task, d.task);
         assert!(again.lease > d.lease, "re-dispatch gets a newer token");
@@ -1840,16 +1636,18 @@ mod tests {
         let d = started[0];
         let again = h
             .on_lease_expired(SimTime::from_millis(2), d.task, d.lease)
+            .flatten()
             .expect("reclaim re-dispatches");
         // A loss notification from the presumed-dead incarnation must not
         // trigger a retry or free the server a second time.
         let stale = h.on_task_lost(SimTime::from_millis(3), d.task, d.lease);
         assert_eq!(
             stale,
-            LostTask {
+            TaskCompletion {
                 next: None,
                 retry: None,
-                done: None
+                done: None,
+                commit: CommitOutcome::Stale
             }
         );
         assert_eq!(h.stats().robustness.tasks_lost_to_faults, 0);
@@ -1879,7 +1677,7 @@ mod tests {
         // The original's lease expires: nothing left to recover, so the
         // reclaim cancels it rather than re-enqueueing.
         let next = h.on_lease_expired(SimTime::from_millis(5), d.task, d.lease);
-        assert!(next.is_none(), "no queued work on the freed server");
+        assert_eq!(next, Some(None), "reclaimed, no queued work to start");
         assert_eq!(h.lifecycle().reclaims, 1);
         assert_eq!(h.stats().robustness.cancelled_tasks, 1);
         assert_eq!(h.task_in_service(0), None, "suspected server was freed");
@@ -1943,7 +1741,7 @@ mod tests {
             .with_trace_sink(Box::new(sink.clone()));
         let mut started = Vec::new();
         h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
-        let due = h.hedge_deadline(0).unwrap();
+        let (_, due) = h.hedge_checks(0).next().unwrap();
         let (hedge, _) = h.issue_duplicate(due, 0, 1, None, AttemptKind::Hedge);
         h.on_task_complete(due + ms(1.0), hedge, LeaseToken(2), ms(1.0));
         h.on_task_complete(due + ms(5.0), 0, LeaseToken(1), ms(5.0));
@@ -2042,16 +1840,16 @@ mod tests {
 
         // The first hedge fits the bucket; the second is denied while it
         // is outstanding.
-        let due = h.hedge_deadline(0).unwrap();
-        let target = h.hedge_target(due, 0).expect("budget available");
+        let (_, due) = h.hedge_checks(0).next().unwrap();
+        let target = h.copy_target(due, 0).expect("budget available");
         let (hedge, dispatched) = h.issue_duplicate(due, 0, target, None, AttemptKind::Hedge);
         let lease = dispatched.expect("idle backup dispatches").lease;
-        assert_eq!(h.hedge_target(due, 1), None, "bucket exhausted");
+        assert_eq!(h.copy_target(due, 1), None, "bucket exhausted");
         assert_eq!(h.stats().robustness.budget_exhausted, 1);
 
         // The hedge resolving returns its token; hedging works again.
         h.on_task_complete(due + ms(1.0), hedge, lease, ms(1.0));
-        assert!(h.hedge_target(due, 1).is_some(), "token returned");
+        assert!(h.copy_target(due, 1).is_some(), "token returned");
         assert_eq!(h.stats().robustness.budget_exhausted, 1);
     }
 
@@ -2161,7 +1959,7 @@ mod tests {
             &mut started,
         );
         let slot = started[0].task;
-        assert_eq!(h.hedge_target(SimTime::from_millis(1000), slot), Some(2));
+        assert_eq!(h.copy_target(SimTime::from_millis(1000), slot), Some(2));
     }
 
     #[test]
@@ -2230,10 +2028,10 @@ mod tests {
         let mut started = Vec::new();
         h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
         h.on_query_arrival(SimTime::ZERO, arrival(&[1], true), &mut started);
-        let due = h.hedge_deadline(0).unwrap();
-        let target = h.hedge_target(due, 0).expect("budget available");
+        let (_, due) = h.hedge_checks(0).next().unwrap();
+        let target = h.copy_target(due, 0).expect("budget available");
         h.issue_duplicate(due, 0, target, None, AttemptKind::Hedge);
-        assert_eq!(h.hedge_target(due, 1), None, "bucket exhausted");
+        assert_eq!(h.copy_target(due, 1), None, "bucket exhausted");
         assert!(
             sink.0
                 .lock()

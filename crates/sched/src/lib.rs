@@ -32,12 +32,12 @@ pub mod units;
 pub use config::{AdmissionConfig, ClassSpec, ClusterSpec};
 pub use estimator::{AdaptiveWindow, DeadlineEstimator, EstimatorMode};
 pub use handler::{
-    AdmitDecision, DispatchedTask, LostTask, QueryArrival, QueryDone, QueryHandler, QueryId,
-    QueryTypeKey, RetryPlan, SchedStats, TaskCompletion, TaskId,
+    AdmitDecision, DispatchedTask, QueryArrival, QueryDone, QueryHandler, QueryId, QueryTypeKey,
+    RetryPlan, SchedStats, TaskCompletion, TaskId,
 };
 pub use health::{HealthConfig, HealthStats, HealthTracker};
 pub use mitigation::{MitigationConfig, RobustnessStats};
 // Lifecycle vocabulary re-exported for driver convenience (`AttemptKind`
 // predates the lifecycle crate and keeps its original path here).
 pub use tailguard_lifecycle::{AttemptKind, CommitOutcome, LeaseToken, LifecycleStats};
-pub use trace::{NullSink, TraceEvent, TraceSink, VecSink};
+pub use trace::{NullSink, TraceEvent, TraceSink};

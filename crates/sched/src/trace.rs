@@ -394,20 +394,6 @@ impl TraceSink for NullSink {
     }
 }
 
-/// A sink that appends every event to a `Vec` — the simplest recording
-/// sink, used by unit tests; bounded recording lives in `tailguard-obs`.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The recorded events, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,16 +10,16 @@
 
 use crate::node::{TaskAssignment, TaskOutcome, TaskResult};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::future::Future;
 use tailguard_metrics::LatencyReservoir;
-use tailguard_obs::{BinaryRecorder, SharedRegistry, SloConfig, SloMonitor};
+use tailguard_obs::{publish_run, BinaryRecorder, RunSummary, SharedRegistry};
 use tailguard_policy::Policy;
 use tailguard_sched::units;
 use tailguard_sched::{
     AdmissionConfig, AdmitDecision, AttemptKind, ClassSpec, CommitOutcome, DeadlineEstimator,
-    DispatchedTask, HealthConfig, HealthStats, LeaseToken, LifecycleStats, MitigationConfig,
-    QueryArrival, QueryHandler, RobustnessStats, TaskCompletion,
+    DispatchedTask, HealthConfig, LeaseToken, MitigationConfig, QueryArrival, QueryHandler,
+    SchedStats, TaskCompletion,
 };
 use tailguard_simcore::{SimDuration, SimTime};
 use tokio::sync::mpsc;
@@ -36,37 +36,23 @@ pub(crate) struct IncomingQuery {
     pub ranges: Vec<(u32, u32)>,
 }
 
-/// Everything the handler hands back when the run completes.
+/// Everything the handler hands back when the run completes. Durations
+/// are in the scaled wall domain.
 #[derive(Debug)]
 pub(crate) struct HandlerOutput {
-    pub latency_by_class: BTreeMap<u8, LatencyReservoir>, // scaled wall ms
-    pub post_queuing_by_node: Vec<LatencyReservoir>,      // scaled wall ms
-    pub busy_by_node: Vec<SimDuration>,                   // scaled wall
-    pub elapsed: SimDuration,                             // scaled wall
-    pub completed_queries: u64,
-    pub rejected_queries: u64,
-    pub tasks_dequeued: u64,
-    pub deadline_misses: u64,
-    pub admission_resumes: u64,
+    /// The scheduling core's measurements: latencies, load, and the
+    /// robustness, lifecycle and health counters.
+    pub stats: SchedStats,
+    pub post_queuing_by_node: Vec<LatencyReservoir>,
+    pub elapsed: SimDuration,
     pub records_retrieved: u64,
     /// Sum of per-task mean temperatures — the aggregator's running merge
     /// (used to report a fleet-wide mean reading).
     pub temperature_sum: f64,
     pub humidity_sum: f64,
     pub task_results: u64,
-    /// Fault/hedge/partial counters from the scheduling core.
-    pub robustness: RobustnessStats,
     /// Tasks whose worker panicked (counted on top of `tasks_lost_to_faults`).
     pub worker_panics: u64,
-    /// Lease/fencing counters from the core's task state store.
-    pub lifecycle: LifecycleStats,
-    /// Health-tracking counters (all zero without a health config).
-    pub health: HealthStats,
-    /// Final per-node EWMA health scores, scaled wall domain (empty
-    /// without health tracking).
-    pub server_health: Vec<f64>,
-    /// Adaptive-estimator window rolls (zero without an adaptive window).
-    pub estimator_window_rolls: u64,
 }
 
 pub(crate) struct HandlerConfig {
@@ -82,7 +68,7 @@ pub(crate) struct HandlerConfig {
     /// deadline, and any late result it still sends is fenced off.
     pub lease_ttl: Option<SimDuration>,
     /// When set, the handler records lifecycle events into a
-    /// [`RingRecorder`] and keeps this registry current: queue-depth and
+    /// [`BinaryRecorder`] and keeps this registry current: queue-depth and
     /// miss-ratio series during the run (so a live `/metrics` scrape sees
     /// them), full counters/histograms at the end. All durations are in
     /// the *compressed* wall domain (`tailguard_run_time_scale` converts).
@@ -130,13 +116,15 @@ pub(crate) async fn query_handler(
     // Results processed since the last live registry sample; sampling every
     // 64 keeps the registry mutex off the per-task hot path.
     let mut results_since_sample = 0u32;
-    // Driver-side per-task state, indexed by the core's sequential task id:
-    // what to fetch, and when the node started on it.
-    let mut task_ranges: Vec<(u32, u32)> = Vec::new();
-    let mut dispatched_at: Vec<Option<Instant>> = Vec::new();
     let mut started: Vec<DispatchedTask> = Vec::new();
 
     let epoch = Instant::now();
+    let mut nodes = Nodes {
+        epoch,
+        txs: node_txs,
+        tasks: Vec::new(),
+        lease_heap: BinaryHeap::new(),
+    };
     let mut post_queuing_by_node: Vec<LatencyReservoir> =
         (0..n).map(|_| LatencyReservoir::new()).collect();
     let mut records_retrieved = 0u64;
@@ -147,10 +135,6 @@ pub(crate) async fn query_handler(
     // Pending hedge thresholds: (wall deadline, slot task id), earliest
     // first. Stale entries (slot already resolved) are dropped when due.
     let mut hedge_heap: BinaryHeap<Reverse<(Instant, u32)>> = BinaryHeap::new();
-    // Pending lease expiries: (wall expiry, task, token). Entries whose
-    // token no longer matches the store (task committed, failed, or
-    // already reclaimed) are no-ops when due — the core rejects them.
-    let mut lease_heap: BinaryHeap<Reverse<(Instant, u32, u64)>> = BinaryHeap::new();
 
     let to_sim = |i: Instant| -> SimTime {
         SimTime::from_nanos(units::sat_u128_to_u64(i.duration_since(epoch).as_nanos()))
@@ -177,9 +161,10 @@ pub(crate) async fn query_handler(
         let mut hedge_sleep = hedge_heap
             .peek()
             .map(|Reverse((at, _))| Box::pin(tokio::time::sleep_until(*at)));
-        let mut lease_sleep = lease_heap
+        let mut lease_sleep = nodes
+            .lease_heap
             .peek()
-            .map(|Reverse((at, _, _))| Box::pin(tokio::time::sleep_until(*at)));
+            .map(|Reverse((at, _))| Box::pin(tokio::time::sleep_until(*at)));
         let event = std::future::poll_fn(|cx| {
             let mut results_closed = false;
             match results.poll_recv(cx) {
@@ -218,7 +203,9 @@ pub(crate) async fn query_handler(
                 let now = Instant::now();
                 let post_queuing = SimDuration::from_nanos(units::sat_u128_to_u64(
                     now.duration_since(
-                        dispatched_at[task as usize].expect("result implies dispatch"),
+                        nodes.tasks[task as usize]
+                            .dispatched_at
+                            .expect("result implies dispatch"),
                     )
                     .as_nanos(),
                 ));
@@ -229,34 +216,17 @@ pub(crate) async fn query_handler(
                 // (its lease was reclaimed and the task re-issued) must
                 // not double-count records or node latency either, so the
                 // driver-side aggregates below are gated the same way.
-                let TaskCompletion {
-                    next,
-                    done: _,
-                    commit,
-                } = core.on_task_complete(
-                    to_sim(now),
-                    task,
-                    LeaseToken(result.lease),
-                    post_queuing,
-                );
-                if commit == CommitOutcome::Committed {
+                let now = to_sim(now);
+                let completion =
+                    core.on_task_complete(now, task, LeaseToken(result.lease), post_queuing);
+                if completion.commit == CommitOutcome::Committed {
                     post_queuing_by_node[node].record(post_queuing);
                     records_retrieved += result.records as u64;
                     temperature_sum += f64::from(result.mean_temperature);
                     humidity_sum += f64::from(result.mean_humidity);
                     task_results += 1;
                 }
-                if let Some(d) = next {
-                    dispatch(
-                        d,
-                        &core,
-                        epoch,
-                        &mut lease_heap,
-                        &mut dispatched_at,
-                        &task_ranges,
-                        &node_txs,
-                    );
-                }
+                nodes.apply(&mut core, now, completion);
                 if let Some(reg) = &cfg.registry {
                     results_since_sample += 1;
                     if results_since_sample >= 64 {
@@ -273,113 +243,38 @@ pub(crate) async fn query_handler(
                 if result.outcome == TaskOutcome::Failed {
                     worker_panics += 1;
                 }
-                let task = result.task_id as u32;
                 let now = to_sim(Instant::now());
-                let lost = core.on_task_lost(now, task, LeaseToken(result.lease));
-                if let Some(d) = lost.next {
-                    dispatch(
-                        d,
-                        &core,
-                        epoch,
-                        &mut lease_heap,
-                        &mut dispatched_at,
-                        &task_ranges,
-                        &node_txs,
-                    );
-                }
-                if let Some(retry) = lost.retry {
-                    let (dup, dispatched) = core.issue_duplicate(
-                        now,
-                        retry.slot,
-                        retry.server,
-                        None,
-                        AttemptKind::Retry,
-                    );
-                    debug_assert_eq!(dup as usize, task_ranges.len());
-                    task_ranges.push(task_ranges[retry.slot as usize]);
-                    dispatched_at.push(None);
-                    if let Some(d) = dispatched {
-                        dispatch(
-                            d,
-                            &core,
-                            epoch,
-                            &mut lease_heap,
-                            &mut dispatched_at,
-                            &task_ranges,
-                            &node_txs,
-                        );
-                    }
-                }
-                // lost.done needs no driving here: the sas workload has no
-                // request chaining, and the failed/partial accounting
-                // already happened in the core.
+                let lost = core.on_task_lost(now, result.task_id as u32, LeaseToken(result.lease));
+                nodes.apply(&mut core, now, lost);
             }
             HandlerEvent::HedgeDue => {
                 let wall = Instant::now();
                 let now = to_sim(wall);
-                while let Some(Reverse((at, _))) = hedge_heap.peek() {
-                    if *at > wall {
-                        break;
-                    }
-                    let Some(Reverse((_, slot))) = hedge_heap.pop() else {
-                        break;
-                    };
+                while let Some(slot) = pop_due(&mut hedge_heap, wall) {
                     // Slot already resolved or at its attempt cap → the
                     // timer is stale; drop it.
-                    let Some(server) = core.hedge_target(now, slot) else {
-                        continue;
-                    };
-                    let (dup, dispatched) =
-                        core.issue_duplicate(now, slot, server, None, AttemptKind::Hedge);
-                    debug_assert_eq!(dup as usize, task_ranges.len());
-                    task_ranges.push(task_ranges[slot as usize]);
-                    dispatched_at.push(None);
-                    if let Some(d) = dispatched {
-                        dispatch(
-                            d,
-                            &core,
-                            epoch,
-                            &mut lease_heap,
-                            &mut dispatched_at,
-                            &task_ranges,
-                            &node_txs,
-                        );
+                    if let Some(server) = core.copy_target(now, slot) {
+                        nodes.issue_copy(&mut core, now, slot, server, AttemptKind::Hedge);
                     }
                 }
             }
             HandlerEvent::LeaseDue => {
                 let wall = Instant::now();
                 let now = to_sim(wall);
-                while let Some(Reverse((at, _, _))) = lease_heap.peek() {
-                    if *at > wall {
-                        break;
-                    }
-                    let Some(Reverse((_, task, token))) = lease_heap.pop() else {
-                        break;
-                    };
+                while let Some((task, token)) = pop_due(&mut nodes.lease_heap, wall) {
                     // The core validates the token against the store: a
                     // task that committed, failed, or re-leased since this
                     // timer was armed is left alone. A genuine expiry
-                    // reclaims the lease, re-enqueues the task with its
+                    // reclaims the lease, begins the task again with its
                     // ORIGINAL deadline, and may start the freed node on
-                    // its next queued task.
-                    if let Some(d) = core.on_lease_expired(now, task, LeaseToken(token)) {
-                        dispatch(
-                            d,
-                            &core,
-                            epoch,
-                            &mut lease_heap,
-                            &mut dispatched_at,
-                            &task_ranges,
-                            &node_txs,
-                        );
+                    // its next queued task (often the reclaimed one, whose
+                    // dispatch re-arms its lease timer).
+                    if let Some(Some(d)) = core.on_lease_expired(now, task, LeaseToken(token)) {
+                        nodes.dispatch(d);
                     }
-                    // The reclaimed task itself re-dispatches later via the
-                    // normal dequeue path, which re-arms its lease timer.
                 }
             }
             HandlerEvent::Query(query) => {
-                let first_task = core.task_count();
                 let decision = core.on_query_arrival(
                     to_sim(Instant::now()),
                     QueryArrival {
@@ -394,27 +289,21 @@ pub(crate) async fn query_handler(
                     },
                     &mut started,
                 );
-                if let AdmitDecision::Admitted { .. } = decision {
-                    task_ranges.extend(&query.ranges);
-                    dispatched_at.resize(task_ranges.len(), None);
-                    for t in first_task..core.task_count() {
-                        if let Some(at) = core.hedge_deadline(t as u32) {
-                            hedge_heap.push(Reverse((
-                                epoch + std::time::Duration::from_nanos(at.as_nanos()),
-                                t as u32,
-                            )));
-                        }
+                if let AdmitDecision::Admitted { query: id } = decision {
+                    nodes
+                        .tasks
+                        .extend(query.ranges.iter().map(|&range| NodeTask {
+                            range,
+                            dispatched_at: None,
+                        }));
+                    for (task, at) in core.hedge_checks(id) {
+                        hedge_heap.push(Reverse((
+                            epoch + std::time::Duration::from_nanos(at.as_nanos()),
+                            task,
+                        )));
                     }
                     for &d in &started {
-                        dispatch(
-                            d,
-                            &core,
-                            epoch,
-                            &mut lease_heap,
-                            &mut dispatched_at,
-                            &task_ranges,
-                            &node_txs,
-                        );
+                        nodes.dispatch(d);
                     }
                 }
             }
@@ -428,119 +317,41 @@ pub(crate) async fn query_handler(
     }
     let budget_lookups = core.estimator().budget_lookup_count();
     let estimator_refreshes = core.estimator().refresh_count();
-    let cached_budgets = core.estimator().cached_budget_count();
+    let cached_budgets = core.estimator().cached_budget_count() as u64;
+    let adaptive = core.estimator().adaptive().is_some();
+    // Consuming the core flushes its staged trace records into the
+    // recorder, which `publish_run` then decodes once.
     let stats = core.into_stats();
     if let (Some(reg), Some(rec)) = (&cfg.registry, &recorder) {
-        let mut reg = reg.lock().unwrap();
-        // Decode the binary recording once, at analysis time: the hot
-        // path only staged fixed-width records (flushed when the core was
-        // consumed above).
-        let events = rec.events();
-        let slo_target = cfg
-            .scaled_classes
-            .iter()
-            .map(|c| c.percentile)
-            .fold(f64::NAN, f64::min);
-        let mut slo = SloMonitor::new(SloConfig {
-            target: if slo_target.is_nan() {
-                0.99
-            } else {
-                slo_target
+        publish_run(
+            &mut reg.lock().unwrap(),
+            rec,
+            &cfg.scaled_classes,
+            None,
+            &RunSummary {
+                robustness: &stats.robustness,
+                lifecycle: &stats.lifecycle,
+                health: &stats.health,
+                server_health: &stats.server_health,
+                window_rolls: adaptive.then_some(stats.estimator_window_rolls),
+                budget_lookups,
+                estimator_refreshes,
+                cached_budgets,
+                completed_queries: stats.completed_queries,
+                elapsed_ms: elapsed.as_millis_f64(),
+                deadline_miss_ratio: stats.load.deadline_miss_ratio(),
             },
-            ..SloConfig::default()
-        });
-        slo.ingest(&events);
-        slo.finish();
-        reg.ingest_events(&events);
-        reg.ingest_robustness(&stats.robustness);
-        reg.ingest_lifecycle(&stats.lifecycle);
-        slo.publish(&mut reg);
-        reg.counter_set(
-            "tailguard_estimator_budget_lookups_total",
-            "Budget-table lookups while stamping deadlines (Eq. 6)",
-            budget_lookups,
         );
-        reg.counter_set(
-            "tailguard_estimator_refreshes_total",
-            "Online budget-table rebuilds from refreshed CDFs (§III.B.2)",
-            estimator_refreshes,
-        );
-        reg.gauge_set(
-            "tailguard_estimator_cached_budgets",
-            "Distinct (class, fanout) budgets currently cached",
-            cached_budgets as f64,
-        );
-        reg.counter_set(
-            "tailguard_run_queries_completed_total",
-            "Recorded queries completed",
-            stats.completed_queries,
-        );
-        reg.gauge_set(
-            "tailguard_run_elapsed_ms",
-            "Compressed wall-clock duration of the run",
-            elapsed.as_millis_f64(),
-        );
-        reg.gauge_set(
-            "tailguard_run_deadline_miss_ratio",
-            "Final dequeue-time deadline-miss ratio",
-            stats.load.deadline_miss_ratio(),
-        );
-        // Health metrics exist exactly when health tracking is on, so
-        // feature-off registries keep their previous shape.
-        if !stats.server_health.is_empty() {
-            for (node, score) in stats.server_health.iter().enumerate() {
-                reg.gauge_set(
-                    &format!("tailguard_server_health{{server=\"{node}\"}}"),
-                    "Per-node EWMA health score (observed service time, compressed domain)",
-                    *score,
-                );
-            }
-            reg.counter_set(
-                "tailguard_ejections_total",
-                "Nodes ejected from dispatch by the health tracker",
-                stats.health.ejections,
-            );
-            reg.counter_set(
-                "tailguard_readmissions_total",
-                "Ejected nodes readmitted after recovering",
-                stats.health.readmissions,
-            );
-        }
-        if stats.estimator_window_rolls > 0 {
-            reg.counter_set(
-                "tailguard_estimator_window_rolls_total",
-                "Adaptive estimator window rolls (decay + budget-table rebuild)",
-                stats.estimator_window_rolls,
-            );
-        }
-        if rec.dropped() > 0 {
-            reg.counter_set(
-                "tailguard_trace_events_dropped_total",
-                "Events evicted by the ring recorder's capacity bound",
-                rec.dropped(),
-            );
-        }
     }
     HandlerOutput {
-        latency_by_class: stats.query_latency_by_class,
+        stats,
         post_queuing_by_node,
-        busy_by_node: stats.busy_by_server,
         elapsed,
-        completed_queries: stats.completed_queries,
-        rejected_queries: stats.rejected_queries,
-        tasks_dequeued: stats.load.tasks_completed_count(),
-        deadline_misses: stats.load.deadline_miss_count(),
-        admission_resumes: stats.admission_resumes,
         records_retrieved,
         temperature_sum,
         humidity_sum,
         task_results,
-        robustness: stats.robustness,
         worker_panics,
-        lifecycle: stats.lifecycle,
-        health: stats.health,
-        server_health: stats.server_health,
-        estimator_window_rolls: stats.estimator_window_rolls,
     }
 }
 
@@ -569,34 +380,91 @@ fn sample_registry(reg: &SharedRegistry, core: &QueryHandler, now: SimTime) {
     );
 }
 
-/// Sends a task the core just moved into service to its edge node,
-/// arming its lease-reclaim timer when leasing is on.
-fn dispatch(
-    d: DispatchedTask,
-    core: &QueryHandler,
+/// What the driver knows about one task, indexed by the core's sequential
+/// task id: what to fetch, and when the node started on it.
+struct NodeTask {
+    /// Record range `(start_day, days)`.
+    range: (u32, u32),
+    dispatched_at: Option<Instant>,
+}
+
+/// The driver's side of a dispatch: the edge-node channels, the per-task
+/// state, and the lease-reclaim timers.
+struct Nodes {
     epoch: Instant,
-    lease_heap: &mut BinaryHeap<Reverse<(Instant, u32, u64)>>,
-    dispatched_at: &mut [Option<Instant>],
-    task_ranges: &[(u32, u32)],
-    node_txs: &[mpsc::UnboundedSender<TaskAssignment>],
-) {
-    dispatched_at[d.task as usize] = Some(Instant::now());
-    if let Some(expiry) = core.lease_expiry(d.task) {
-        lease_heap.push(Reverse((
-            epoch + std::time::Duration::from_nanos(expiry.as_nanos()),
-            d.task,
-            d.lease.0,
-        )));
+    txs: Vec<mpsc::UnboundedSender<TaskAssignment>>,
+    tasks: Vec<NodeTask>,
+    /// Pending lease expiries: (wall expiry, (task, token)). Entries whose
+    /// token no longer matches the store (task committed, failed, or
+    /// already reclaimed) are no-ops when due — the core rejects them.
+    lease_heap: BinaryHeap<Reverse<(Instant, (u32, u64))>>,
+}
+
+impl Nodes {
+    /// Sends a task the core just moved into service to its edge node,
+    /// arming its lease-reclaim timer when leasing is on.
+    fn dispatch(&mut self, d: DispatchedTask) {
+        let task = &mut self.tasks[d.task as usize];
+        task.dispatched_at = Some(Instant::now());
+        let (start_day, days) = task.range;
+        if let Some(expiry) = d.lease_expires_at {
+            self.lease_heap.push(Reverse((
+                self.epoch + std::time::Duration::from_nanos(expiry.as_nanos()),
+                (d.task, d.lease.0),
+            )));
+        }
+        // A closed node channel means shutdown is racing completion; the
+        // expected-queries accounting still terminates the loop.
+        let _ = self.txs[d.server as usize].send(TaskAssignment {
+            task_id: u64::from(d.task),
+            start_day,
+            days,
+            lease: d.lease.0,
+        });
     }
-    let (start_day, days) = task_ranges[d.task as usize];
-    // A closed node channel means shutdown is racing completion; the
-    // expected-queries accounting still terminates the loop.
-    let _ = node_txs[d.server as usize].send(TaskAssignment {
-        task_id: u64::from(d.task),
-        start_day,
-        days,
-        lease: d.lease.0,
-    });
+
+    /// Issues a hedge or retry copy of `slot` on `server`: same record
+    /// range, fresh attempt.
+    fn issue_copy(
+        &mut self,
+        core: &mut QueryHandler,
+        now: SimTime,
+        slot: u32,
+        server: u32,
+        kind: AttemptKind,
+    ) {
+        let (task, dispatched) = core.issue_duplicate(now, slot, server, None, kind);
+        debug_assert_eq!(task as usize, self.tasks.len());
+        self.tasks.push(NodeTask {
+            range: self.tasks[slot as usize].range,
+            dispatched_at: None,
+        });
+        if let Some(d) = dispatched {
+            self.dispatch(d);
+        }
+    }
+
+    /// Applies the fallout of an attempt ending: the freed node's next
+    /// task, then the retry the core planned for a lost one. A finished
+    /// query needs no driving here — the sas workload has no request
+    /// chaining, and its accounting already happened in the core.
+    fn apply(&mut self, core: &mut QueryHandler, now: SimTime, ended: TaskCompletion) {
+        if let Some(d) = ended.next {
+            self.dispatch(d);
+        }
+        if let Some(retry) = ended.retry {
+            self.issue_copy(core, now, retry.slot, retry.server, AttemptKind::Retry);
+        }
+    }
+}
+
+/// Pops the earliest timer of `heap` if it is due by `wall`.
+fn pop_due<T: Ord>(heap: &mut BinaryHeap<Reverse<(Instant, T)>>, wall: Instant) -> Option<T> {
+    let Reverse((at, _)) = heap.peek()?;
+    if *at > wall {
+        return None;
+    }
+    heap.pop().map(|Reverse((_, what))| what)
 }
 
 /// Outcome of one biased poll over the handler's inputs.

@@ -371,7 +371,7 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
             policy: config.policy,
             scaled_classes,
             // Compress the time window like every other duration; the
-            // thresholds, hysteresis, and window variant pass through.
+            // thresholds and hysteresis pass through.
             admission: config.admission.map(|a| AdmissionConfig {
                 window: SimDuration::from_millis_f64(a.window.as_millis_f64() / scale),
                 ..a
@@ -406,8 +406,8 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
             .collect()
     };
     let mut latency_by_class = BTreeMap::new();
-    let mut out_latency = out.latency_by_class;
-    for (class, r) in out_latency.iter_mut() {
+    let mut stats = out.stats;
+    for (class, r) in stats.query_latency_by_class.iter_mut() {
         latency_by_class.insert(*class, unscale(r));
     }
 
@@ -422,7 +422,7 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
                 merged.merge(&post[node]);
             }
             let mut merged = unscale(&mut merged);
-            let busy: u64 = out.busy_by_node[range.clone()]
+            let busy: u64 = stats.busy_by_server[range.clone()]
                 .iter()
                 .map(|d| d.as_nanos())
                 .sum();
@@ -435,21 +435,17 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
             }
         })
         .collect();
-    let total_busy: u64 = out.busy_by_node.iter().map(|d| d.as_nanos()).sum();
+    let total_busy: u64 = stats.busy_by_server.iter().map(|d| d.as_nanos()).sum();
 
     TestbedReport {
         policy: config.policy,
         latency_by_class,
         slos: scenario.classes.iter().map(|c| c.slo).collect(),
         clusters,
-        completed_queries: out.completed_queries,
-        rejected_queries: out.rejected_queries,
-        admission_resumes: out.admission_resumes,
-        miss_ratio: if out.tasks_dequeued == 0 {
-            0.0
-        } else {
-            out.deadline_misses as f64 / out.tasks_dequeued as f64
-        },
+        completed_queries: stats.completed_queries,
+        rejected_queries: stats.rejected_queries,
+        admission_resumes: stats.admission_resumes,
+        miss_ratio: stats.load.deadline_miss_ratio(),
         overall_load: total_busy as f64 / (elapsed_ns as f64 * 32.0),
         elapsed_wall_ms: elapsed_ns as f64 / 1e6,
         busy_wall_ms: total_busy as f64 / 1e6,
@@ -462,12 +458,12 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
                 out.humidity_sum / out.task_results as f64,
             )
         },
-        robustness: out.robustness,
+        robustness: stats.robustness,
         worker_panics: out.worker_panics,
-        lifecycle: out.lifecycle,
-        health: out.health,
-        server_health: out.server_health,
-        estimator_window_rolls: out.estimator_window_rolls,
+        lifecycle: stats.lifecycle,
+        health: stats.health,
+        server_health: stats.server_health,
+        estimator_window_rolls: stats.estimator_window_rolls,
     }
 }
 
@@ -801,6 +797,7 @@ mod tests {
         let registry = shared_registry();
         let mut cfg = quick(Policy::TfEdf, 0.25, 200);
         cfg.registry = Some(Arc::clone(&registry));
+        cfg.health = Some(HealthConfig::new());
         let report = run_testbed(&cfg);
         assert_eq!(report.completed_queries, 200);
 
@@ -819,6 +816,11 @@ mod tests {
             assert!(reg.histogram("tailguard_queue_wait_ms").is_some());
             assert!(reg.series("tailguard_queue_depth").is_some());
             assert_eq!(reg.gauge("tailguard_run_time_scale"), Some(25.0));
+            assert!(
+                reg.counter("tailguard_health_probes_total").is_some()
+                    && reg.counter("tailguard_health_rerouted_total").is_some(),
+                "health tracking publishes the same counters as the simulator"
+            );
         }
 
         // The same registry serves live Prometheus scrapes.

@@ -3,7 +3,7 @@
 //! These values were captured from a verified build; any unintended change
 //! to RNG streams, event ordering, estimator math, or policy behaviour
 //! shows up here as an exact-value mismatch. Update them only after
-//! deliberately changing simulation semantics (and say so in CHANGELOG.md).
+//! deliberately changing simulation semantics (and say so in CHANGES.md).
 
 use tailguard_repro::policy::Policy;
 use tailguard_repro::simcore::SimDuration;
@@ -36,7 +36,7 @@ fn opts() -> MaxLoadOptions {
 //   3. The structural invariants below (FIFO == PRIQ == T-EDFQ with one
 //      class; TailGuard and SJF distinct) held before and after the swap.
 // If the real `rand` ever returns, expect pins to shift again: re-baseline
-// deliberately, in a dedicated commit, and say so in CHANGELOG.md.
+// deliberately, in a dedicated commit, and say so in CHANGES.md.
 const GOLDEN: [(&str, u64, u64, u64); 5] = [
     ("TailGuard", 764618, 9500, 493996),
     ("FIFO", 733903, 9500, 462686),
