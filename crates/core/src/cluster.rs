@@ -13,7 +13,7 @@ use crate::observe::SimSnapshot;
 use crate::report::SimReport;
 use crate::spec::{QuerySpec, SimConfig, SimInput};
 use std::collections::BTreeMap;
-use tailguard_faults::FaultPlan;
+use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
     AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, LeaseToken,
@@ -439,21 +439,21 @@ impl ClusterSim {
         // nominal draw in `services` is never overwritten: a reclaimed task
         // re-dispatches from the same nominal service, so repeated reclaims
         // cannot compound fault holds into the service time.
-        let mut delay = service;
-        if let Some(faults) = &self.faults {
-            if faults.crashed(d.server, now) {
-                // The node is down and never saw the dispatch: no loss
-                // report, no finish event. Without a lease TTL the attempt
-                // is gone.
-                return;
-            }
-            if faults.drops(d.server, now) {
+        let outcome = match &self.faults {
+            None => DispatchOutcome::Runs(service),
+            Some(faults) => faults.at_dispatch(d.server, now, service),
+        };
+        let delay = match outcome {
+            // No loss report, no finish event: without a lease TTL the
+            // attempt is gone.
+            DispatchOutcome::Swallowed => return,
+            DispatchOutcome::Dropped => {
                 let lost = self.handler.on_task_lost(now, d.task, d.lease);
                 self.apply(now, lost, sched);
                 return;
             }
-            delay = faults.completion_delay(d.server, now, service);
-        }
+            DispatchOutcome::Runs(delay) => delay,
+        };
         sched.schedule_in(
             now,
             delay,
@@ -514,25 +514,21 @@ impl ClusterSim {
         busy: SimDuration,
         sched: &mut Scheduler<Ev>,
     ) {
-        let mut duplicate = false;
-        if let Some(faults) = &self.faults {
-            // A crash that began after dispatch swallows in-flight work:
-            // the node restarted and forgot the task, so nothing lands and
-            // nobody is notified. Only the lease reclaim recovers it.
+        let outcome = match &self.faults {
+            None => FinishOutcome::Delivered { duplicate: false },
             // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-            if faults.crash_started_within(server, self.dispatched_at[task as usize], now) {
-                return;
-            }
-            // The result lands inside a blackout or a restart: it is lost
-            // with the server's work, but the scheduler hears about it (the
-            // sim analog of a node failing mid-reply with a NACK).
-            if faults.drops(server, now) || faults.restart_loses(server, now) {
+            Some(faults) => faults.at_finish(server, self.dispatched_at[task as usize], now),
+        };
+        let duplicate = match outcome {
+            FinishOutcome::Swallowed => return,
+            // The sim analog of a node failing mid-reply with a NACK.
+            FinishOutcome::Lost => {
                 let lost = self.handler.on_task_lost(now, task, token);
                 self.apply(now, lost, sched);
                 return;
             }
-            duplicate = faults.duplicates(server, now);
-        }
+            FinishOutcome::Delivered { duplicate } => duplicate,
+        };
         let completion = self.handler.on_task_complete(now, task, token, busy);
         if duplicate {
             // At-least-once delivery: the same result (same lease token)

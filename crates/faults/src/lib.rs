@@ -4,13 +4,16 @@
 //! *unloaded* per-server CDFs, so a single degraded or blacked-out task
 //! server silently invalidates the deadline math and blows the query tail.
 //! This crate describes misbehaving servers as data: a [`FaultPlan`] is a
-//! set of per-server [`FaultEpisode`]s — service-time inflation over an
-//! interval, transient stalls (tasks held but not served), and blackouts
-//! that drop tasks outright — that both drivers consume identically. The
-//! discrete-event simulator queries the plan in virtual time
-//! (`crates/core/src/cluster.rs`); the tokio testbed compresses the same
-//! plan onto its wall clock (`crates/testbed/src/node.rs`), so a shared
-//! plan produces comparable fault counters on both runtimes.
+//! set of per-server [`FaultEpisode`]s of eight [`FaultKind`]s — step,
+//! ramping and flapping service-time inflation, stalls and restarts that
+//! hold tasks, blackouts that drop them with a notification, crashes that
+//! swallow them without one, and duplicated deliveries — that both drivers
+//! consume identically through two questions, [`FaultPlan::at_dispatch`]
+//! and [`FaultPlan::at_finish`]. The discrete-event simulator asks them in
+//! virtual time (`crates/core/src/cluster.rs`); the tokio testbed
+//! compresses the same plan onto its wall clock
+//! (`crates/testbed/src/node.rs`), so a shared plan produces comparable
+//! fault counters on both runtimes.
 //!
 //! Everything here is pure data + arithmetic: no clock, no I/O, and the
 //! only randomness is the caller-seeded [`SimRng`] behind
@@ -96,34 +99,35 @@ impl FaultEpisode {
     /// finite and positive, or a flap period is zero.
     /// `start` is virtual time (nanosecond domain).
     pub fn new(server: u32, start: SimTime, end: SimTime, kind: FaultKind) -> Self {
-        assert!(start < end, "fault episode needs start < end");
-        match kind {
-            FaultKind::Slowdown { factor } => {
-                assert!(
-                    factor.is_finite() && factor > 0.0,
-                    "slowdown factor must be finite and positive, got {factor}"
-                );
-            }
-            FaultKind::DegradeRamp { peak } => {
-                assert!(
-                    peak.is_finite() && peak > 0.0,
-                    "degrade ramp peak must be finite and positive, got {peak}"
-                );
-            }
-            FaultKind::Flap { factor, period } => {
-                assert!(
-                    factor.is_finite() && factor > 0.0,
-                    "flap factor must be finite and positive, got {factor}"
-                );
-                assert!(!period.is_zero(), "flap period must be non-zero");
-            }
-            _ => {}
-        }
-        FaultEpisode {
+        let episode = FaultEpisode {
             server,
             start,
             end,
             kind,
+        };
+        episode.validate();
+        episode
+    }
+
+    /// The checks every episode in a plan has passed: the fields are `pub`,
+    /// so [`FaultPlan::with_episode`] repeats them on struct literals that
+    /// never went through [`FaultEpisode::new`].
+    fn validate(&self) {
+        assert!(self.start < self.end, "fault episode needs start < end");
+        let positive = |what: &str, v: f64| {
+            assert!(
+                v.is_finite() && v > 0.0,
+                "{what} must be finite and positive, got {v}"
+            );
+        };
+        match self.kind {
+            FaultKind::Slowdown { factor } => positive("slowdown factor", factor),
+            FaultKind::DegradeRamp { peak } => positive("degrade ramp peak", peak),
+            FaultKind::Flap { factor, period } => {
+                positive("flap factor", factor);
+                assert!(!period.is_zero(), "flap period must be non-zero");
+            }
+            _ => {}
         }
     }
 
@@ -131,20 +135,94 @@ impl FaultEpisode {
     pub fn active_at(&self, now: SimTime) -> bool {
         self.start <= now && now < self.end
     }
+
+    /// `acc` times the service-time multiplier this episode contributes at
+    /// `now`, an instant inside it (holds, losses and duplicates inflate
+    /// nothing).
+    fn inflate(&self, acc: f64, now: SimTime) -> f64 {
+        match self.kind {
+            FaultKind::Slowdown { factor } => acc * factor,
+            FaultKind::DegradeRamp { peak } => {
+                let span = self.end.saturating_since(self.start).as_nanos() as f64;
+                let phase = now.saturating_since(self.start).as_nanos() as f64 / span;
+                acc * (1.0 + (peak - 1.0) * phase)
+            }
+            FaultKind::Flap { factor, period } => {
+                // tg-lint: allow(panic-surface) -- every episode in a plan passed `validate` (non-zero flap period), and `compressed` clamps the scaled period to >= 1 ns
+                let cycle = now.saturating_since(self.start).as_nanos() / period.as_nanos();
+                if cycle.is_multiple_of(2) {
+                    acc * factor
+                } else {
+                    acc
+                }
+            }
+            _ => acc,
+        }
+    }
+}
+
+/// What happens to a task dispatched to a faulty server —
+/// [`FaultPlan::at_dispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchOutcome {
+    /// An active crash: the node is down and never sees the task. No loss
+    /// report, no result — only a lease reclaim recovers the attempt.
+    Swallowed,
+    /// An active blackout: the task is lost and the scheduler is told.
+    Dropped,
+    /// The task runs: its result is due this long after the dispatch
+    /// (stall/restart holds plus the service inflated at its start).
+    Runs(SimDuration),
+}
+
+/// What happens to a result a faulty server is about to deliver —
+/// [`FaultPlan::at_finish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FinishOutcome {
+    /// A crash began while the work was in flight: the node restarted and
+    /// forgot the task. Nothing lands, nobody is notified.
+    Swallowed,
+    /// The result lands inside a blackout or a restart: it is lost with
+    /// the node's in-flight state, but the scheduler is notified.
+    Lost,
+    /// The result is delivered — twice when `duplicate` is set.
+    Delivered {
+        /// An active [`FaultKind::DuplicateDelivery`] episode retransmits
+        /// the result; the lifecycle store must suppress the second copy.
+        duplicate: bool,
+    },
+}
+
+/// One episode in its server's slice of the index.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    episode: FaultEpisode,
+    /// Latest `end` over this server's rows up to and including this one.
+    /// Non-decreasing along the slice, so the rows that ended at or before
+    /// an instant form a prefix even when a long early episode nests
+    /// short later ones.
+    ends_by: SimTime,
 }
 
 /// A deterministic schedule of fault episodes across the cluster.
 ///
-/// The plan is plain data: drivers query it (`drops`, `slowdown_factor`,
-/// `completion_delay`) at dispatch/completion time. Episodes affect tasks
-/// *dispatched during* them — a deliberate approximation that keeps both
-/// drivers' semantics identical (the testbed cannot retroactively inflate
-/// a sleep already underway).
+/// The plan is plain data: drivers ask it [`FaultPlan::at_dispatch`] when a
+/// task starts and [`FaultPlan::at_finish`] when its result is due.
+/// Episodes affect tasks *dispatched during* them — a deliberate
+/// approximation that keeps both drivers' semantics identical (the testbed
+/// cannot retroactively inflate a sleep already underway).
+///
+/// Every question is answered from a per-server index built with the plan:
+/// two binary searches over that server's episodes plus a walk over the
+/// ones that overlap the instant — `O(log m + overlap)` for a server with
+/// `m` episodes, independent of the plan's length. Overlapping multipliers
+/// are folded in plan order (ascending `start`, insertion order on ties),
+/// so results are bit-reproducible.
 ///
 /// # Example
 ///
 /// ```
-/// use tailguard_faults::{FaultEpisode, FaultKind, FaultPlan};
+/// use tailguard_faults::{DispatchOutcome, FaultEpisode, FaultKind, FaultPlan};
 /// use tailguard_simcore::{SimDuration, SimTime};
 ///
 /// let plan = FaultPlan::new().with_episode(FaultEpisode::new(
@@ -156,14 +234,26 @@ impl FaultEpisode {
 /// let svc = SimDuration::from_millis(2);
 /// assert_eq!(plan.completion_delay(0, SimTime::from_millis(5), svc), svc);
 /// assert_eq!(
-///     plan.completion_delay(0, SimTime::from_millis(12), svc),
-///     SimDuration::from_millis(8)
+///     plan.at_dispatch(0, SimTime::from_millis(12), svc),
+///     DispatchOutcome::Runs(SimDuration::from_millis(8))
 /// );
 /// assert!(!plan.drops(0, SimTime::from_millis(12)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
+    /// Sorted by `start`, insertion order on ties.
     episodes: Vec<FaultEpisode>,
+    /// `rows[offsets[s]..offsets[s + 1]]` are server `s`'s episodes, in
+    /// `episodes` order.
+    offsets: Vec<usize>,
+    rows: Vec<Row>,
+}
+
+/// Plans are equal when their episodes are; the index is derived from them.
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.episodes == other.episodes
+    }
 }
 
 impl FaultPlan {
@@ -172,11 +262,87 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    /// Builds the plan and its index from validated episodes already
+    /// sorted by `start`.
+    fn indexed(episodes: Vec<FaultEpisode>) -> Self {
+        let mut rows: Vec<Row> = episodes
+            .iter()
+            .map(|&episode| Row {
+                episode,
+                ends_by: episode.end,
+            })
+            .collect();
+        // Stable: each server's rows keep the plan's order.
+        rows.sort_by_key(|r| r.episode.server);
+        let mut offsets = Vec::new();
+        let mut ends_by = SimTime::ZERO;
+        for (i, row) in rows.iter_mut().enumerate() {
+            // First row of a server: it, and every id skipped before it,
+            // starts here with a fresh running maximum.
+            while offsets.len() <= row.episode.server as usize {
+                offsets.push(i);
+                ends_by = SimTime::ZERO;
+            }
+            ends_by = ends_by.max(row.episode.end);
+            row.ends_by = ends_by;
+        }
+        offsets.push(rows.len());
+        FaultPlan {
+            episodes,
+            offsets,
+            rows,
+        }
+    }
+
     /// Adds an episode, keeping the episode list sorted by start time.
+    /// Re-indexes the whole plan: meant for hand-built plans, the
+    /// generators index once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the episode would be rejected by [`FaultEpisode::new`].
     pub fn with_episode(mut self, episode: FaultEpisode) -> Self {
+        episode.validate();
         let at = self.episodes.partition_point(|e| e.start <= episode.start);
         self.episodes.insert(at, episode);
-        self
+        FaultPlan::indexed(self.episodes)
+    }
+
+    /// The draws the three generators share: per episode a uniform server,
+    /// a length ~ Exp(`mean_len_ms`) truncated below at 10% of the mean so
+    /// an episode is never degenerate, a start uniform over the horizon,
+    /// then whatever `draw_kind` takes from the stream (it is handed the
+    /// length in ms).
+    fn generate_with(
+        seed: u64,
+        servers: u32,
+        horizon: SimDuration,
+        n_episodes: usize,
+        mean_len_ms: f64,
+        mut draw_kind: impl FnMut(&mut SimRng, f64) -> FaultKind,
+    ) -> Self {
+        assert!(servers > 0, "need at least one server");
+        assert!(!horizon.is_zero(), "horizon must be positive");
+        assert!(
+            mean_len_ms.is_finite() && mean_len_ms > 0.0,
+            "mean episode length must be finite and positive"
+        );
+        let mut rng = SimRng::seed(seed);
+        let mut episodes: Vec<FaultEpisode> = (0..n_episodes)
+            .map(|_| {
+                // tg-lint: allow(lossy-cast) -- `rng.index(servers)` is below the u32 server count
+                let server = rng.index(servers as usize) as u32;
+                let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
+                // tg-lint: allow(lossy-cast) -- u64 nanoseconds times a [0,1) draw: truncation is the intended draw
+                let start_ns = (horizon.as_nanos() as f64 * rng.f64()) as u64;
+                let start = SimTime::from_nanos(start_ns);
+                let end = start + SimDuration::from_millis_f64(len_ms);
+                FaultEpisode::new(server, start, end, draw_kind(&mut rng, len_ms))
+            })
+            .collect();
+        // Stable, like `with_episode`: equal starts keep their draw order.
+        episodes.sort_by_key(|e| e.start);
+        FaultPlan::indexed(episodes)
     }
 
     /// Generates a seed-driven plan of fail/recover cycles: `n_episodes`
@@ -199,49 +365,26 @@ impl FaultPlan {
         n_episodes: usize,
         mean_len_ms: f64,
     ) -> Self {
-        assert!(servers > 0, "need at least one server");
-        assert!(!horizon.is_zero(), "horizon must be positive");
-        assert!(
-            mean_len_ms.is_finite() && mean_len_ms > 0.0,
-            "mean episode length must be finite and positive"
-        );
-        let mut rng = SimRng::seed(seed);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n_episodes {
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let server = rng.index(servers as usize) as u32;
-            // Length ~ Exp(mean) truncated below at 10% of the mean so an
-            // episode is never degenerate; start uniform over the horizon.
-            let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let start_ns = (horizon.as_nanos() as f64 * rng.f64()) as u64;
-            let start = SimTime::from_nanos(start_ns);
-            let end = start + SimDuration::from_millis_f64(len_ms);
-            let kind = match rng.index(3) {
-                0 => FaultKind::Slowdown {
-                    factor: 2.0 + rng.f64() * 8.0,
-                },
-                1 => FaultKind::Stall,
-                _ => FaultKind::Drop,
-            };
-            plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
-        }
-        plan
+        let kind = |rng: &mut SimRng, _len_ms: f64| match rng.index(3) {
+            0 => FaultKind::Slowdown {
+                factor: 2.0 + rng.f64() * 8.0,
+            },
+            1 => FaultKind::Stall,
+            _ => FaultKind::Drop,
+        };
+        FaultPlan::generate_with(seed, servers, horizon, n_episodes, mean_len_ms, kind)
     }
 
-    /// Generates a seed-driven crash storm: `n_episodes` episodes of mean
-    /// length `mean_len_ms`, uniformly placed over `[0, horizon)` on
-    /// uniformly drawn servers from `0..servers`, cycling through the
-    /// lifecycle fault kinds — [`FaultKind::Crash`], [`FaultKind::Restart`],
-    /// and [`FaultKind::DuplicateDelivery`].
-    ///
-    /// A separate generator (rather than extending [`FaultPlan::generate`]'s
-    /// three-kind cycle) so existing seeded plans stay bit-identical.
+    /// Generates a seed-driven crash storm: [`FaultPlan::generate`]'s
+    /// placement, cycling through the lifecycle fault kinds instead —
+    /// [`FaultKind::Crash`], [`FaultKind::Restart`], and
+    /// [`FaultKind::DuplicateDelivery`].
     ///
     /// # Panics
     ///
     /// Panics when `servers` is zero, `horizon` is zero, or `mean_len_ms`
     /// is not finite and positive.
+    /// `horizon` is a virtual-time duration (nanosecond domain).
     pub fn generate_crash_storm(
         seed: u64,
         servers: u32,
@@ -249,46 +392,25 @@ impl FaultPlan {
         n_episodes: usize,
         mean_len_ms: f64,
     ) -> Self {
-        assert!(servers > 0, "need at least one server");
-        assert!(!horizon.is_zero(), "horizon must be positive");
-        assert!(
-            mean_len_ms.is_finite() && mean_len_ms > 0.0,
-            "mean episode length must be finite and positive"
-        );
-        let mut rng = SimRng::seed(seed);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n_episodes {
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let server = rng.index(servers as usize) as u32;
-            let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let start_ns = (horizon.as_nanos() as f64 * rng.f64()) as u64;
-            let start = SimTime::from_nanos(start_ns);
-            let end = start + SimDuration::from_millis_f64(len_ms);
-            let kind = match rng.index(3) {
-                0 => FaultKind::Crash,
-                1 => FaultKind::Restart,
-                _ => FaultKind::DuplicateDelivery,
-            };
-            plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
-        }
-        plan
+        let kind = |rng: &mut SimRng, _len_ms: f64| match rng.index(3) {
+            0 => FaultKind::Crash,
+            1 => FaultKind::Restart,
+            _ => FaultKind::DuplicateDelivery,
+        };
+        FaultPlan::generate_with(seed, servers, horizon, n_episodes, mean_len_ms, kind)
     }
 
-    /// Generates a seed-driven *gray-failure* plan: `n_episodes` episodes
-    /// of mean length `mean_len_ms`, uniformly placed over `[0, horizon)`
-    /// on uniformly drawn servers from `0..servers`, alternating between
-    /// [`FaultKind::DegradeRamp`] (peak 2–10×) and [`FaultKind::Flap`]
-    /// (factor 2–10×, period one tenth of the episode length) — the
-    /// non-stationary degradations the health layer must detect.
-    ///
-    /// A separate generator (rather than extending [`FaultPlan::generate`]'s
-    /// three-kind cycle) so existing seeded plans stay bit-identical.
+    /// Generates a seed-driven *gray-failure* plan: [`FaultPlan::generate`]'s
+    /// placement, alternating between [`FaultKind::DegradeRamp`] (peak
+    /// 2–10×) and [`FaultKind::Flap`] (factor 2–10×, period one tenth of
+    /// the episode length) — the non-stationary degradations the health
+    /// layer must detect.
     ///
     /// # Panics
     ///
     /// Panics when `servers` is zero, `horizon` is zero, or `mean_len_ms`
     /// is not finite and positive.
+    /// `horizon` is a virtual-time duration (nanosecond domain).
     pub fn generate_drift(
         seed: u64,
         servers: u32,
@@ -296,145 +418,17 @@ impl FaultPlan {
         n_episodes: usize,
         mean_len_ms: f64,
     ) -> Self {
-        assert!(servers > 0, "need at least one server");
-        assert!(!horizon.is_zero(), "horizon must be positive");
-        assert!(
-            mean_len_ms.is_finite() && mean_len_ms > 0.0,
-            "mean episode length must be finite and positive"
-        );
-        let mut rng = SimRng::seed(seed);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n_episodes {
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let server = rng.index(servers as usize) as u32;
-            let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
-            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-            let start_ns = (horizon.as_nanos() as f64 * rng.f64()) as u64;
-            let start = SimTime::from_nanos(start_ns);
-            let end = start + SimDuration::from_millis_f64(len_ms);
+        let kind = |rng: &mut SimRng, len_ms: f64| {
             let magnitude = 2.0 + rng.f64() * 8.0;
-            let kind = match rng.index(2) {
+            match rng.index(2) {
                 0 => FaultKind::DegradeRamp { peak: magnitude },
                 _ => FaultKind::Flap {
                     factor: magnitude,
                     period: SimDuration::from_millis_f64((len_ms / 10.0).max(0.1)),
                 },
-            };
-            plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
-        }
-        plan
-    }
-
-    /// Whether a task dispatched to (or completing at) `server` at `now`
-    /// is lost to an active [`FaultKind::Drop`] episode.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn drops(&self, server: u32, now: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| e.server == server && e.active_at(now) && e.kind == FaultKind::Drop)
-    }
-
-    /// Whether `server` is dead to an active [`FaultKind::Crash`] episode
-    /// at `now` — work sent to it is silently swallowed.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn crashed(&self, server: u32, now: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| e.server == server && e.active_at(now) && e.kind == FaultKind::Crash)
-    }
-
-    /// Whether a [`FaultKind::Crash`] episode *began* on `server` strictly
-    /// after `from` and at or before `to` — i.e. the crash interrupted work
-    /// dispatched at `from` that would have completed at `to`. The result
-    /// of such work is silently swallowed even though the server may
-    /// already be back up at `to`.
-    /// `from` is virtual time (nanosecond domain).
-    pub fn crash_started_within(&self, server: u32, from: SimTime, to: SimTime) -> bool {
-        self.episodes.iter().any(|e| {
-            e.server == server && e.kind == FaultKind::Crash && from < e.start && e.start <= to
-        })
-    }
-
-    /// Whether a result landing at `server` at `now` is lost (with a
-    /// notification) to an active [`FaultKind::Restart`] episode.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn restart_loses(&self, server: u32, now: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| e.server == server && e.active_at(now) && e.kind == FaultKind::Restart)
-    }
-
-    /// Whether a result completing at `server` at `now` is delivered twice
-    /// by an active [`FaultKind::DuplicateDelivery`] episode.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn duplicates(&self, server: u32, now: SimTime) -> bool {
-        self.episodes.iter().any(|e| {
-            e.server == server && e.active_at(now) && e.kind == FaultKind::DuplicateDelivery
-        })
-    }
-
-    /// Product of all service-time multipliers active on `server` at `now`
-    /// (overlapping episodes compose multiplicatively; 1.0 when healthy).
-    ///
-    /// [`FaultKind::Slowdown`] contributes its constant factor;
-    /// [`FaultKind::DegradeRamp`] contributes `1 + (peak − 1)·φ` where `φ`
-    /// is the episode's elapsed fraction at `now`; [`FaultKind::Flap`]
-    /// contributes its factor in degraded phases (the first phase after
-    /// the episode start, then every other `period`) and 1.0 in healthy
-    /// phases.
-    pub fn slowdown_factor(&self, server: u32, now: SimTime) -> f64 {
-        self.episodes
-            .iter()
-            .filter(|e| e.server == server && e.active_at(now))
-            .fold(1.0, |acc, e| match e.kind {
-                FaultKind::Slowdown { factor } => acc * factor,
-                FaultKind::DegradeRamp { peak } => {
-                    let span = e.end.saturating_since(e.start).as_nanos() as f64;
-                    let phase = now.saturating_since(e.start).as_nanos() as f64 / span;
-                    acc * (1.0 + (peak - 1.0) * phase)
-                }
-                FaultKind::Flap { factor, period } => {
-                    // tg-lint: allow(panic-surface) -- flap period is asserted non-zero at episode construction
-                    let cycle = now.saturating_since(e.start).as_nanos() / period.as_nanos();
-                    if cycle.is_multiple_of(2) {
-                        acc * factor
-                    } else {
-                        acc
-                    }
-                }
-                _ => acc,
-            })
-    }
-
-    /// Total dispatch→completion delay for a task of nominal service time
-    /// `service` dispatched to `server` at `now`.
-    ///
-    /// Active [`FaultKind::Stall`] and [`FaultKind::Restart`] episodes push
-    /// the service start to the episode end (chained holds compose: if
-    /// another hold is active at that instant, it pushes further); the
-    /// service itself is then inflated by the slowdown factors active at
-    /// the (possibly deferred) start instant.
-    /// `now` is virtual time (nanosecond domain).
-    pub fn completion_delay(&self, server: u32, now: SimTime, service: SimDuration) -> SimDuration {
-        let mut start = now;
-        loop {
-            let stalled_until = self
-                .episodes
-                .iter()
-                .filter(|e| {
-                    e.server == server
-                        && e.active_at(start)
-                        && matches!(e.kind, FaultKind::Stall | FaultKind::Restart)
-                })
-                .map(|e| e.end)
-                .max();
-            match stalled_until {
-                Some(end) if end > start => start = end,
-                _ => break,
             }
-        }
-        let factor = self.slowdown_factor(server, start);
-        start.saturating_since(now) + service.mul_f64(factor)
+        };
+        FaultPlan::generate_with(seed, servers, horizon, n_episodes, mean_len_ms, kind)
     }
 
     /// Returns the plan with every episode's times divided by `scale` —
@@ -448,35 +442,32 @@ impl FaultPlan {
             scale.is_finite() && scale > 0.0,
             "time scale must be finite and positive"
         );
-        FaultPlan {
-            episodes: self
-                .episodes
-                .iter()
-                .map(|e| FaultEpisode {
+        // tg-lint: allow(lossy-cast) -- u64 nanoseconds divided by a validated-positive scale: truncation is the intended rounding
+        let shrink = |ns: u64| (ns as f64 / scale) as u64;
+        // Monotone in `start`, so the episodes stay sorted; every interval
+        // and flap period stays non-empty.
+        let episodes = self
+            .episodes
+            .iter()
+            .map(|e| {
+                let start = shrink(e.start.as_nanos());
+                FaultEpisode {
                     server: e.server,
-                    // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-                    start: SimTime::from_nanos((e.start.as_nanos() as f64 / scale) as u64),
-                    end: SimTime::from_nanos(
-                        // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-                        ((e.end.as_nanos() as f64 / scale) as u64)
-                            // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-                            .max((e.start.as_nanos() as f64 / scale) as u64 + 1),
-                    ),
+                    start: SimTime::from_nanos(start),
+                    end: SimTime::from_nanos(shrink(e.end.as_nanos()).max(start + 1)),
                     // Flap phases live on the same clock as the episode
                     // interval, so the period compresses with it.
                     kind: match e.kind {
                         FaultKind::Flap { factor, period } => FaultKind::Flap {
                             factor,
-                            period: SimDuration::from_nanos(
-                                // tg-lint: allow(lossy-cast) -- in range by construction: `rng.index(servers)` is below the u32 server count, and horizon/period scaling multiplies u64 nanoseconds by a [0,1) or validated-positive factor — truncation is the intended draw
-                                ((period.as_nanos() as f64 / scale) as u64).max(1),
-                            ),
+                            period: SimDuration::from_nanos(shrink(period.as_nanos()).max(1)),
                         },
                         kind => kind,
                     },
-                })
-                .collect(),
-        }
+                }
+            })
+            .collect();
+        FaultPlan::indexed(episodes)
     }
 
     /// The episodes, sorted by start time.
@@ -493,73 +484,176 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.episodes.is_empty()
     }
+}
 
-    /// The plan's start/end transitions in time order — the form event-loop
-    /// consumers (CLI display, tests) iterate.
-    pub fn schedule(&self) -> FaultSchedule {
-        let mut transitions: Vec<FaultTransition> = self
-            .episodes
-            .iter()
-            .flat_map(|&e| {
-                [
-                    FaultTransition {
-                        at: e.start,
-                        episode: e,
-                        edge: FaultEdge::Start,
-                    },
-                    FaultTransition {
-                        at: e.end,
-                        episode: e,
-                        edge: FaultEdge::End,
-                    },
-                ]
-            })
-            .collect();
-        // tg-lint: allow(lossy-cast) -- C-like enum discriminant (0/1) used as a deterministic sort key
-        transitions.sort_by_key(|t| (t.at, t.edge as u8, t.episode.server));
-        FaultSchedule {
-            transitions,
-            next: 0,
+// tg-lint: hot(fault-probe)
+/// The episodes among a server's `started` rows still running at `now`, in
+/// plan order.
+fn live(started: &[Row], now: SimTime) -> impl Iterator<Item = &FaultEpisode> {
+    let over = started.partition_point(|r| r.ends_by <= now);
+    started
+        .split_at(over)
+        .1
+        .iter()
+        .map(|r| &r.episode)
+        .filter(move |e| now < e.end)
+}
+
+/// Whether a crash among a server's `started` rows began strictly after
+/// `from`.
+fn crash_began_after(started: &[Row], from: SimTime) -> bool {
+    let since = started.partition_point(|r| r.episode.start <= from);
+    started
+        .split_at(since)
+        .1
+        .iter()
+        .any(|r| r.episode.kind == FaultKind::Crash)
+}
+
+/// Asking a plan: every question goes through one server's index slice.
+impl FaultPlan {
+    /// Server `server`'s rows that started at or before `now` (none for a
+    /// server the plan never names).
+    fn started(&self, server: u32, now: SimTime) -> &[Row] {
+        let s = server as usize;
+        let rows = match self.offsets.get(s..s + 2) {
+            Some(&[lo, hi]) => self.rows.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        };
+        rows.split_at(rows.partition_point(|r| r.episode.start <= now))
+            .0
+    }
+
+    /// The episodes active on `server` at `now`, in plan order: the one
+    /// probe every question below is asked through.
+    fn active(&self, server: u32, now: SimTime) -> impl Iterator<Item = &FaultEpisode> {
+        live(self.started(server, now), now)
+    }
+
+    /// What happens to a task of nominal service time `service` dispatched
+    /// to `server` at `now`: an active crash outranks an active blackout,
+    /// which outranks running for [`FaultPlan::completion_delay`].
+    /// `now` is virtual time (nanosecond domain).
+    pub fn at_dispatch(&self, server: u32, now: SimTime, service: SimDuration) -> DispatchOutcome {
+        let (mut dropped, mut held, mut factor) = (false, false, 1.0);
+        for e in self.active(server, now) {
+            match e.kind {
+                FaultKind::Crash => return DispatchOutcome::Swallowed,
+                FaultKind::Drop => dropped = true,
+                FaultKind::Stall | FaultKind::Restart => held = true,
+                _ => factor = e.inflate(factor, now),
+            }
+        }
+        if dropped {
+            DispatchOutcome::Dropped
+        } else if held {
+            DispatchOutcome::Runs(self.completion_delay(server, now, service))
+        } else {
+            DispatchOutcome::Runs(service.mul_f64(factor))
         }
     }
-}
 
-/// Whether a transition begins or ends its episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEdge {
-    /// The episode becomes active.
-    Start,
-    /// The episode ends (the server recovers from it).
-    End,
-}
+    /// What happens to the result of work dispatched to `server` at
+    /// `dispatched_at` and due at `now`: a crash that began in
+    /// `(dispatched_at, now]` outranks a blackout or restart active at
+    /// `now`, which outranks delivery.
+    /// `dispatched_at` is virtual time (nanosecond domain).
+    pub fn at_finish(&self, server: u32, dispatched_at: SimTime, now: SimTime) -> FinishOutcome {
+        let started = self.started(server, now);
+        if crash_began_after(started, dispatched_at) {
+            return FinishOutcome::Swallowed;
+        }
+        let mut duplicate = false;
+        for e in live(started, now) {
+            match e.kind {
+                FaultKind::Drop | FaultKind::Restart => return FinishOutcome::Lost,
+                FaultKind::DuplicateDelivery => duplicate = true,
+                _ => {}
+            }
+        }
+        FinishOutcome::Delivered { duplicate }
+    }
 
-/// One edge of one episode, as yielded by [`FaultSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultTransition {
-    /// When the transition happens.
-    pub at: SimTime,
-    /// The episode transitioning.
-    pub episode: FaultEpisode,
-    /// Start or end.
-    pub edge: FaultEdge,
-}
+    /// Whether a task dispatched to (or completing at) `server` at `now`
+    /// is lost to an active [`FaultKind::Drop`] episode.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn drops(&self, server: u32, now: SimTime) -> bool {
+        self.active(server, now).any(|e| e.kind == FaultKind::Drop)
+    }
 
-/// Time-ordered iterator over a plan's episode start/end transitions.
-#[derive(Debug, Clone)]
-pub struct FaultSchedule {
-    transitions: Vec<FaultTransition>,
-    next: usize,
-}
+    /// Whether `server` is dead to an active [`FaultKind::Crash`] episode
+    /// at `now` — work sent to it is silently swallowed.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn crashed(&self, server: u32, now: SimTime) -> bool {
+        self.active(server, now).any(|e| e.kind == FaultKind::Crash)
+    }
 
-impl Iterator for FaultSchedule {
-    type Item = FaultTransition;
+    /// Whether a [`FaultKind::Crash`] episode *began* on `server` strictly
+    /// after `from` and at or before `to` — i.e. the crash interrupted work
+    /// dispatched at `from` that would have completed at `to`. The result
+    /// of such work is silently swallowed even though the server may
+    /// already be back up at `to`.
+    /// `from` is virtual time (nanosecond domain).
+    pub fn crash_started_within(&self, server: u32, from: SimTime, to: SimTime) -> bool {
+        crash_began_after(self.started(server, to), from)
+    }
 
-    fn next(&mut self) -> Option<FaultTransition> {
-        let t = self.transitions.get(self.next).copied()?;
-        self.next += 1;
-        Some(t)
+    /// Whether a result landing at `server` at `now` is lost (with a
+    /// notification) to an active [`FaultKind::Restart`] episode.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn restart_loses(&self, server: u32, now: SimTime) -> bool {
+        self.active(server, now)
+            .any(|e| e.kind == FaultKind::Restart)
+    }
+
+    /// Whether a result completing at `server` at `now` is delivered twice
+    /// by an active [`FaultKind::DuplicateDelivery`] episode.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn duplicates(&self, server: u32, now: SimTime) -> bool {
+        self.active(server, now)
+            .any(|e| e.kind == FaultKind::DuplicateDelivery)
+    }
+
+    /// Product of all service-time multipliers active on `server` at `now`
+    /// (overlapping episodes compose multiplicatively, folded in plan
+    /// order; 1.0 when healthy).
+    ///
+    /// [`FaultKind::Slowdown`] contributes its constant factor;
+    /// [`FaultKind::DegradeRamp`] contributes `1 + (peak − 1)·φ` where `φ`
+    /// is the episode's elapsed fraction at `now`; [`FaultKind::Flap`]
+    /// contributes its factor in degraded phases (the first phase after
+    /// the episode start, then every other `period`) and 1.0 in healthy
+    /// phases.
+    pub fn slowdown_factor(&self, server: u32, now: SimTime) -> f64 {
+        self.active(server, now)
+            .fold(1.0, |acc, e| e.inflate(acc, now))
+    }
+
+    /// Total dispatch→completion delay for a task of nominal service time
+    /// `service` dispatched to `server` at `now`.
+    ///
+    /// Active [`FaultKind::Stall`] and [`FaultKind::Restart`] episodes push
+    /// the service start to the episode end (chained holds compose: if
+    /// another hold is active at that instant, it pushes further); the
+    /// service itself is then inflated by the slowdown factors active at
+    /// the (possibly deferred) start instant.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn completion_delay(&self, server: u32, now: SimTime, service: SimDuration) -> SimDuration {
+        let mut start = now;
+        // An active episode ends after `start`: every hold moves it forward.
+        while let Some(end) = self
+            .active(server, start)
+            .filter(|e| matches!(e.kind, FaultKind::Stall | FaultKind::Restart))
+            .map(|e| e.end)
+            .max()
+        {
+            start = end;
+        }
+        let factor = self.slowdown_factor(server, start);
+        start.saturating_since(now) + service.mul_f64(factor)
     }
 }
+// tg-lint: endhot
 
 #[cfg(test)]
 mod tests {
@@ -676,28 +770,6 @@ mod tests {
         let c = plan.compressed(10.0);
         assert_eq!(c.episodes()[0].start, ms(10));
         assert_eq!(c.episodes()[0].end, ms(30));
-    }
-
-    #[test]
-    fn schedule_yields_time_ordered_transitions() {
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(0, ms(10), ms(30), FaultKind::Stall))
-            .with_episode(FaultEpisode::new(1, ms(5), ms(15), FaultKind::Drop));
-        let times: Vec<u64> = plan
-            .schedule()
-            .map(|t| t.at.as_nanos() / 1_000_000)
-            .collect();
-        assert_eq!(times, vec![5, 10, 15, 30]);
-        let edges: Vec<FaultEdge> = plan.schedule().map(|t| t.edge).collect();
-        assert_eq!(
-            edges,
-            vec![
-                FaultEdge::Start,
-                FaultEdge::Start,
-                FaultEdge::End,
-                FaultEdge::End
-            ]
-        );
     }
 
     #[test]
@@ -900,6 +972,172 @@ mod tests {
         )));
         let c = FaultPlan::generate_drift(8, 16, dms(10_000), 12, 50.0);
         assert_ne!(a, c, "different seeds must differ");
+    }
+
+    /// The three generators share one body; these are the plans the three
+    /// separate bodies produced for `(7, 16, 10 s, 12, 50.0)` before they
+    /// were folded (floats by bit pattern).
+    #[test]
+    fn generators_reproduce_the_recorded_plans() {
+        type Recorded = [(u32, u64, u64, FaultKind); 12];
+        let assert_plan = |plan: FaultPlan, recorded: Recorded| {
+            let recorded = recorded.map(|(server, start, end, kind)| {
+                FaultEpisode::new(
+                    server,
+                    SimTime::from_nanos(start),
+                    SimTime::from_nanos(end),
+                    kind,
+                )
+            });
+            assert_eq!(plan.episodes(), recorded);
+        };
+        #[rustfmt::skip]
+        let generate: Recorded = [
+            (1, 972762448, 1007959190, FaultKind::Slowdown { factor: f64::from_bits(0x400bcdab91c4b0aa) }),
+            (1, 1719681406, 1828153553, FaultKind::Drop),
+            (1, 2858457860, 2906211552, FaultKind::Drop),
+            (2, 3086458711, 3113608016, FaultKind::Slowdown { factor: f64::from_bits(0x4011850b03de06a7) }),
+            (13, 5316703201, 5461976777, FaultKind::Slowdown { factor: f64::from_bits(0x40231d5689477ac9) }),
+            (9, 5871373663, 5940093037, FaultKind::Drop),
+            (11, 6175189974, 6180189974, FaultKind::Slowdown { factor: f64::from_bits(0x4014c7adb52f3e64) }),
+            (1, 6756197884, 6767987949, FaultKind::Stall),
+            (0, 7175761283, 7263740656, FaultKind::Stall),
+            (15, 7239070952, 7277281237, FaultKind::Slowdown { factor: f64::from_bits(0x4023b797f4d139c0) }),
+            (1, 8330456527, 8364361106, FaultKind::Stall),
+            (12, 8428952911, 8460615190, FaultKind::Slowdown { factor: f64::from_bits(0x400058c6682e1e9e) }),
+        ];
+        assert_plan(FaultPlan::generate(7, 16, dms(10_000), 12, 50.0), generate);
+        #[rustfmt::skip]
+        let crash_storm: Recorded = [
+            (13, 54183976, 311766842, FaultKind::Crash),
+            (15, 605083512, 629185784, FaultKind::Restart),
+            (2, 1099398030, 1183922806, FaultKind::DuplicateDelivery),
+            (15, 1142412376, 1273083167, FaultKind::Crash),
+            (2, 3086458711, 3113608016, FaultKind::Crash),
+            (8, 3410599151, 3419732493, FaultKind::Restart),
+            (11, 4946351614, 5055332051, FaultKind::Crash),
+            (0, 7175761283, 7263740656, FaultKind::Restart),
+            (15, 7239070952, 7277281237, FaultKind::Crash),
+            (10, 7925549284, 7969324640, FaultKind::Restart),
+            (6, 8031168501, 8093783642, FaultKind::Crash),
+            (4, 8374638791, 8401263615, FaultKind::DuplicateDelivery),
+        ];
+        assert_plan(
+            FaultPlan::generate_crash_storm(7, 16, dms(10_000), 12, 50.0),
+            crash_storm,
+        );
+        #[rustfmt::skip]
+        let drift: Recorded = [
+            (15, 605083512, 629185784, FaultKind::DegradeRamp { peak: f64::from_bits(0x4014c7adb52f3e64) }),
+            (9, 886998258, 945776293, FaultKind::Flap { factor: f64::from_bits(0x4011850b03de06a7), period: SimDuration::from_nanos(5877804) }),
+            (0, 1205501522, 1466399279, FaultKind::DegradeRamp { peak: f64::from_bits(0x40145025fa4d8e0d) }),
+            (1, 1844281123, 1935038503, FaultKind::Flap { factor: f64::from_bits(0x40070940f4a310f4), period: SimDuration::from_nanos(9075738) }),
+            (0, 2196464782, 2228051366, FaultKind::Flap { factor: f64::from_bits(0x40231d5689477ac9), period: SimDuration::from_nanos(3158658) }),
+            (13, 2889440094, 2974996724, FaultKind::DegradeRamp { peak: f64::from_bits(0x40236d804ef2b57a) }),
+            (7, 3298394295, 3314548906, FaultKind::DegradeRamp { peak: f64::from_bits(0x4023b797f4d139c0) }),
+            (12, 5075847575, 5200250198, FaultKind::DegradeRamp { peak: f64::from_bits(0x40215427ada7d5fc) }),
+            (9, 5871373663, 5940093037, FaultKind::Flap { factor: f64::from_bits(0x40216640864a2a78), period: SimDuration::from_nanos(6871937) }),
+            (0, 7175761283, 7263740656, FaultKind::Flap { factor: f64::from_bits(0x4015abb3ed4c6300), period: SimDuration::from_nanos(8797937) }),
+            (1, 7338237180, 7426259482, FaultKind::DegradeRamp { peak: f64::from_bits(0x40073ccc175d1a86) }),
+            (10, 7925549284, 7969324640, FaultKind::Flap { factor: f64::from_bits(0x4018fcdac4de4468), period: SimDuration::from_nanos(4377536) }),
+        ];
+        assert_plan(
+            FaultPlan::generate_drift(7, 16, dms(10_000), 12, 50.0),
+            drift,
+        );
+    }
+
+    #[test]
+    fn dispatch_and_finish_outcomes_follow_the_drivers_order() {
+        let plan = FaultPlan::new()
+            .with_episode(FaultEpisode::new(0, ms(10), ms(20), FaultKind::Crash))
+            .with_episode(FaultEpisode::new(0, ms(15), ms(30), FaultKind::Drop))
+            .with_episode(FaultEpisode::new(0, ms(25), ms(40), FaultKind::Restart))
+            .with_episode(FaultEpisode::new(
+                0,
+                ms(35),
+                ms(50),
+                FaultKind::DuplicateDelivery,
+            ));
+        // A crash outranks the blackout it overlaps; the blackout outranks
+        // the restart's hold.
+        assert_eq!(
+            plan.at_dispatch(0, ms(17), dms(2)),
+            DispatchOutcome::Swallowed
+        );
+        assert_eq!(
+            plan.at_dispatch(0, ms(27), dms(2)),
+            DispatchOutcome::Dropped
+        );
+        assert_eq!(
+            plan.at_dispatch(0, ms(32), dms(2)),
+            DispatchOutcome::Runs(dms(10))
+        );
+        assert_eq!(
+            plan.at_dispatch(0, ms(5), dms(2)),
+            DispatchOutcome::Runs(dms(2))
+        );
+        // In flight across the crash start: swallowed even though the node
+        // is back up; otherwise lost to the restart, then delivered twice.
+        assert_eq!(plan.at_finish(0, ms(5), ms(45)), FinishOutcome::Swallowed);
+        assert_eq!(plan.at_finish(0, ms(22), ms(37)), FinishOutcome::Lost);
+        assert_eq!(
+            plan.at_finish(0, ms(22), ms(45)),
+            FinishOutcome::Delivered { duplicate: true }
+        );
+        assert_eq!(
+            plan.at_finish(1, ms(22), ms(45)),
+            FinishOutcome::Delivered { duplicate: false }
+        );
+    }
+
+    /// `FaultEpisode`'s fields are `pub`: a struct literal skips `new`, so
+    /// `with_episode` must reject what `new` would have.
+    fn literal(start: u64, end: u64, kind: FaultKind) -> FaultEpisode {
+        FaultEpisode {
+            server: 0,
+            start: ms(start),
+            end: ms(end),
+            kind,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "start < end")]
+    fn plan_rejects_inverted_interval_literal() {
+        let _ = FaultPlan::new().with_episode(literal(10, 10, FaultKind::Stall));
+    }
+
+    #[test]
+    #[should_panic(expected = "slowdown factor must be finite")]
+    fn plan_rejects_non_finite_factor_literal() {
+        let _ = FaultPlan::new().with_episode(literal(
+            0,
+            1,
+            FaultKind::Slowdown {
+                factor: f64::INFINITY,
+            },
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "ramp peak must be finite")]
+    fn plan_rejects_nan_peak_literal() {
+        let _ =
+            FaultPlan::new().with_episode(literal(0, 1, FaultKind::DegradeRamp { peak: f64::NAN }));
+    }
+
+    #[test]
+    #[should_panic(expected = "flap period must be non-zero")]
+    fn plan_rejects_zero_flap_period_literal() {
+        let _ = FaultPlan::new().with_episode(literal(
+            0,
+            1,
+            FaultKind::Flap {
+                factor: 2.0,
+                period: SimDuration::ZERO,
+            },
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tailguard_dist::DynDistribution;
-use tailguard_faults::FaultPlan;
+use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_sched::units;
 use tailguard_simcore::{SimDuration, SimRng, SimTime};
 use tokio::sync::mpsc;
@@ -149,34 +149,20 @@ pub(crate) async fn edge_node(
             continue;
         };
         let mut service_ms = sample_ms / time_scale;
-        let dispatched_at = fault_now().unwrap_or(SimTime::ZERO);
-        if let (Some(plan), Some(now)) = (faults.as_deref(), fault_now()) {
-            if plan.crashed(node_id, now) {
-                // The node is down: the dispatch vanishes without a trace —
-                // no NACK, no result. Only a lease reclaim recovers it.
-                continue;
-            }
-            if plan.drops(node_id, now) {
-                // Blackout at dispatch: the task is swallowed, no work done.
-                if results
-                    .send(empty_result(
-                        node_id,
-                        task.task_id,
-                        task.lease,
-                        TaskOutcome::Lost,
-                    ))
-                    .is_err()
-                {
-                    return;
+        let dispatched_at = fault_now();
+        if let (Some(plan), Some(now)) = (faults.as_deref(), dispatched_at) {
+            match plan.at_dispatch(node_id, now, SimDuration::from_millis_f64(service_ms)) {
+                // No NACK, no result: only a lease reclaim recovers it.
+                DispatchOutcome::Swallowed => continue,
+                DispatchOutcome::Dropped => {
+                    let lost = empty_result(node_id, task.task_id, task.lease, TaskOutcome::Lost);
+                    if results.send(lost).is_err() {
+                        return;
+                    }
+                    continue;
                 }
-                continue;
+                DispatchOutcome::Runs(delay) => service_ms = delay.as_millis_f64(),
             }
-            // Stall/restart episodes defer the start; slowdown episodes
-            // inflate the service — both fold into one effective
-            // dispatch→result delay.
-            service_ms = plan
-                .completion_delay(node_id, now, SimDuration::from_millis_f64(service_ms))
-                .as_millis_f64();
         }
         // tokio's timer wheel rounds sleeps *up* to 1 ms, which would bias
         // every service time (+0.5 ms mean — 20% at a 25x compression).
@@ -196,30 +182,17 @@ pub(crate) async fn edge_node(
         }
         let mut duplicate = false;
         if let (Some(plan), Some(now)) = (faults.as_deref(), fault_now()) {
-            if plan.crash_started_within(node_id, dispatched_at, now) {
-                // The node crashed while the work was in flight: it
-                // restarted and forgot the task. Nothing lands, nobody is
-                // notified — the lease reclaim is the only recovery.
-                continue;
-            }
-            if plan.drops(node_id, now) || plan.restart_loses(node_id, now) {
-                // The result lands inside a blackout or a restart window:
-                // the reply is lost with the node's in-flight state, but
-                // the scheduler is notified.
-                if results
-                    .send(empty_result(
-                        node_id,
-                        task.task_id,
-                        task.lease,
-                        TaskOutcome::Lost,
-                    ))
-                    .is_err()
-                {
-                    return;
+            match plan.at_finish(node_id, dispatched_at.unwrap_or(SimTime::ZERO), now) {
+                FinishOutcome::Swallowed => continue,
+                FinishOutcome::Lost => {
+                    let lost = empty_result(node_id, task.task_id, task.lease, TaskOutcome::Lost);
+                    if results.send(lost).is_err() {
+                        return;
+                    }
+                    continue;
                 }
-                continue;
+                FinishOutcome::Delivered { duplicate: twice } => duplicate = twice,
             }
-            duplicate = plan.duplicates(node_id, now);
         }
         let retrieved = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let slice = store.range_query(task.start_day, task.days);
