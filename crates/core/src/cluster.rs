@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
-    AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, LeaseToken,
-    QueryArrival, QueryDone, QueryHandler, TaskCompletion, TraceSink,
+    AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, IdRing,
+    LeaseToken, QueryArrival, QueryHandler, TaskCompletion, TraceSink,
 };
 use tailguard_simcore::{Engine, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 
@@ -161,17 +161,16 @@ pub(crate) fn run_with_observer(
         handler = handler.with_trace_sink(o.sink);
     }
     let sim = ClusterSim {
-        config: config.clone(),
-        input: input.clone(),
+        config,
+        input,
         handler,
         // An empty plan is normalized to "no plan" so the hot path stays
         // the config-gated single schedule_in either way.
-        faults: config.faults.clone().filter(|p| !p.is_empty()),
+        faults: config.faults.as_ref().filter(|p| !p.is_empty()),
         placement_rng,
         service_rng,
-        services: Vec::with_capacity(input.query_count() * 2),
-        dispatched_at: Vec::with_capacity(input.query_count() * 2),
-        query_request: Vec::new(),
+        services: IdRing::new(),
+        query_request: IdRing::new(),
         targets_scratch: Vec::new(),
         services_scratch: Vec::new(),
         started_scratch: Vec::new(),
@@ -266,23 +265,23 @@ enum Ev {
     Snapshot,
 }
 
-struct ClusterSim {
-    config: SimConfig,
-    input: SimInput,
+struct ClusterSim<'a> {
+    /// The run's configuration and input, borrowed: a run reads them and
+    /// never owns a copy.
+    config: &'a SimConfig,
+    input: &'a SimInput,
     handler: QueryHandler,
     /// Interval fault episodes, if configured (empty plans normalized away).
-    faults: Option<FaultPlan>,
+    faults: Option<&'a FaultPlan>,
     placement_rng: SimRng,
     service_rng: SimRng,
     /// Drawn service time per handler task id — the simulator's oracle for
-    /// when a started task's `Finish` event fires.
-    services: Vec<SimDuration>,
-    /// When each task was (last) dispatched — the window start for
-    /// crash-interrupts-in-flight-work detection at finish time. Grown in
-    /// lockstep with `services`.
-    dispatched_at: Vec<SimTime>,
-    /// Owning request per handler query id (for Fig. 1 chaining).
-    query_request: Vec<u32>,
+    /// when a started task's `Finish` event fires. Minted in lockstep with
+    /// the handler's task ids and trimmed to its first live one.
+    services: IdRing<SimDuration>,
+    /// Owning request per handler query id (for Fig. 1 chaining), trimmed
+    /// to the handler's first live query.
+    query_request: IdRing<u32>,
     // Per-query scratch, reused across issue_query calls so the hot path
     // does not allocate per query.
     targets_scratch: Vec<u32>,
@@ -305,7 +304,7 @@ struct ClusterSim {
     last_activity: SimTime,
 }
 
-impl ClusterSim {
+impl<'a> ClusterSim<'a> {
     fn choose_servers_into(&mut self, spec: &QuerySpec, out: &mut Vec<u32>) {
         let n = self.config.cluster.servers();
         match &spec.servers {
@@ -339,14 +338,17 @@ impl ClusterSim {
     }
 
     fn issue_query(&mut self, now: SimTime, request: usize, sched: &mut Scheduler<Ev>) {
+        // Read through the run-long borrow, not through `self`, so the
+        // spec stays usable across the `&mut self` calls below.
+        let input: &'a SimInput = self.input;
         // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let spec = self.input.requests[request].queries[self.request_progress[request]].clone();
+        let spec = &input.requests[request].queries[self.request_progress[request]];
         // Scratch buffers are moved out for the duration of the call (and
         // restored on every exit path) so the hot path reuses their
         // capacity instead of allocating per query.
         let mut targets = std::mem::take(&mut self.targets_scratch);
         targets.clear();
-        self.choose_servers_into(&spec, &mut targets);
+        self.choose_servers_into(spec, &mut targets);
         // Service times drawn now, in issue order, for cross-policy
         // alignment — and so rejected work can be accounted.
         let mut services = std::mem::take(&mut self.services_scratch);
@@ -374,11 +376,17 @@ impl ClusterSim {
         );
         if let AdmitDecision::Admitted { query } = decision {
             self.issued_queries += 1;
-            self.services.extend_from_slice(&services);
-            self.dispatched_at
-                .resize(self.services.len(), SimTime::ZERO);
+            // Admission is when the handler retires rows, so it is when
+            // the driver's tables follow.
+            self.services.retire_to(self.handler.first_live_task());
+            self.query_request
+                .retire_to(self.handler.first_live_query());
+            for &service in &services {
+                self.services.push(service);
+            }
             // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
-            self.query_request.push(request as u32);
+            let minted = self.query_request.push(request as u32);
+            debug_assert_eq!(minted, query);
             // Deadline-aware hedging: a check at each original task's hedge
             // threshold, scheduled before the dispatches below.
             for (task, at) in self.handler.hedge_checks(query) {
@@ -419,10 +427,7 @@ impl ClusterSim {
     /// an active blackout (lost, possibly retried), or its completion
     /// deferred by stall/restart/slowdown episodes.
     fn dispatch(&mut self, now: SimTime, d: DispatchedTask, sched: &mut Scheduler<Ev>) {
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        self.dispatched_at[d.task as usize] = now;
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let service = self.services[d.task as usize];
+        let service = *self.services.row(d.task);
         // The lease check is armed before any fault can swallow the
         // dispatch: for a crashed node it is the *only* recovery path.
         if let Some(expiry) = d.lease_expires_at {
@@ -471,15 +476,23 @@ impl ClusterSim {
     /// query is issued, so a chained query cannot jump the queue or
     /// double-start the server), then the retry the handler planned for a
     /// lost task, then any query resolution the ending caused.
+    ///
+    /// With a fault plan the first two steps can nest whole admissions (a
+    /// dispatch dropped on the spot ends its query, whose request chains
+    /// the next one), and every admission retires rows. What this frame
+    /// still needs afterwards survives that: `next` is in service and
+    /// `retry.slot` is unresolved, so neither has retired; the finished
+    /// query may have, so its request is read before anything else runs.
     fn apply(&mut self, now: SimTime, ended: TaskCompletion, sched: &mut Scheduler<Ev>) {
+        let request = ended.done.map(|done| *self.query_request.row(done.query));
         if let Some(next) = ended.next {
             self.dispatch(now, next, sched);
         }
         if let Some(retry) = ended.retry {
             self.issue_copy(now, retry.slot, retry.server, AttemptKind::Retry, sched);
         }
-        if let Some(done) = ended.done {
-            self.handle_done(now, done, sched);
+        if let Some(request) = request {
+            self.handle_done(now, request as usize, sched);
         }
     }
 
@@ -497,9 +510,8 @@ impl ClusterSim {
         let (task, dispatched) =
             self.handler
                 .issue_duplicate(now, slot, server, Some(service), kind);
-        debug_assert_eq!(task as usize, self.services.len());
-        self.services.push(service);
-        self.dispatched_at.push(SimTime::ZERO);
+        let minted = self.services.push(service);
+        debug_assert_eq!(minted, task);
         if let Some(d) = dispatched {
             self.dispatch(now, d, sched);
         }
@@ -516,8 +528,11 @@ impl ClusterSim {
     ) {
         let outcome = match &self.faults {
             None => FinishOutcome::Delivered { duplicate: false },
-            // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-            Some(faults) => faults.at_finish(server, self.dispatched_at[task as usize], now),
+            // This event was scheduled at its own dispatch + `busy`, so
+            // `now - busy` is when *this* work was dispatched — also for a
+            // zombie whose attempt has been reclaimed and dispatched again
+            // since.
+            Some(faults) => faults.at_finish(server, now - busy, now),
         };
         let duplicate = match outcome {
             FinishOutcome::Swallowed => return,
@@ -570,13 +585,11 @@ impl ClusterSim {
         }
     }
 
-    /// Sequential request chaining (Fig. 1): a finished query issues its
-    /// request's next query, or records the request latency when it was the
-    /// last (partial and failed completions advance the chain too — the
-    /// request does not stall on a degraded answer).
-    fn handle_done(&mut self, now: SimTime, done: QueryDone, sched: &mut Scheduler<Ev>) {
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let request = self.query_request[done.query as usize] as usize;
+    /// Sequential request chaining (Fig. 1): a query of `request` finished,
+    /// so the request issues its next query, or records its latency when
+    /// that was the last (partial and failed completions advance the chain
+    /// too — the request does not stall on a degraded answer).
+    fn handle_done(&mut self, now: SimTime, request: usize, sched: &mut Scheduler<Ev>) {
         // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
         self.request_progress[request] += 1;
         // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
@@ -596,7 +609,7 @@ impl ClusterSim {
     }
 }
 
-impl Simulation for ClusterSim {
+impl Simulation for ClusterSim<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
@@ -1117,6 +1130,139 @@ mod tests {
         let input = one_query_input(&[0], 0, 1);
         let mut report = run_simulation(&cfg, &input);
         assert_eq!(report.class_tail(0, 1.0), ms(6.0));
+    }
+
+    #[test]
+    fn a_zombie_finish_is_judged_against_its_own_dispatch() {
+        use tailguard_faults::{FaultEpisode, FaultKind};
+        // One task on one server. Dispatched at 0 into a restart that holds
+        // it until 5 ms (due at 6); its 4 ms lease expires first, so it is
+        // reclaimed and dispatched again at 4 (also due at 6). A crash
+        // began at 1 ms — after the first dispatch, before the second.
+        let at = SimTime::from_millis;
+        let plan = FaultPlan::new()
+            .with_episode(FaultEpisode::new(0, at(0), at(5), FaultKind::Restart))
+            .with_episode(FaultEpisode::new(0, at(1), at(2), FaultKind::Crash));
+        let cfg = SimConfig::new(
+            det_cluster(1, 1.0),
+            vec![ClassSpec::p99(ms(100.0))],
+            Policy::TfEdf,
+        )
+        .with_warmup(0)
+        .with_lease(ms(4.0))
+        .with_faults(plan);
+        let mut report = run_simulation(&cfg, &one_query_input(&[0], 0, 1));
+        assert_eq!(report.lifecycle.reclaims, 1);
+        // The crash interrupted the zombie's work, so its result is
+        // swallowed — measured from the second dispatch it would look
+        // untouched, be delivered, and only then be fenced as stale.
+        assert_eq!(report.lifecycle.stale_commits_rejected, 0);
+        assert_eq!(report.lifecycle.leases_issued, 2);
+        assert_eq!(report.completed_queries, 1);
+        assert_eq!(report.class_tail(0, 1.0), ms(6.0));
+    }
+
+    #[test]
+    fn a_chained_request_admitted_while_a_report_unwinds_finds_its_rows() {
+        use tailguard_faults::{FaultEpisode, FaultKind};
+        // One server, blacked out from 0.5 ms on. Q0's task was dispatched
+        // at 0 and reports lost at 1 ms; the task queued behind it opens a
+        // three-query request, each query lost at dispatch and chaining the
+        // next — three admissions, each retiring rows, all inside the
+        // handling of Q0's one report. Q0's own request must still resolve
+        // when that unwinds.
+        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+            0,
+            SimTime::from_micros(500),
+            SimTime::from_millis(10),
+            FaultKind::Drop,
+        ));
+        let cfg = SimConfig::new(
+            det_cluster(1, 1.0),
+            vec![ClassSpec::p99(ms(100.0))],
+            Policy::TfEdf,
+        )
+        .with_warmup(0)
+        .with_faults(plan);
+        let input = SimInput {
+            requests: vec![
+                RequestInput {
+                    arrival: SimTime::ZERO,
+                    queries: vec![QuerySpec::new(0, 1), QuerySpec::new(0, 1)],
+                },
+                RequestInput {
+                    arrival: SimTime::ZERO,
+                    queries: vec![
+                        QuerySpec::new(0, 1),
+                        QuerySpec::new(0, 1),
+                        QuerySpec::new(0, 1),
+                    ],
+                },
+            ],
+        };
+        let mut report = run_simulation(&cfg, &input);
+        assert_eq!(report.completed_queries, 0);
+        assert_eq!(report.robustness.failed_queries, 5);
+        assert_eq!(report.robustness.tasks_lost_to_faults, 5);
+        // Both requests ran to their last query, all at 1 ms.
+        let req = report
+            .request_latency_by_class
+            .get_mut(&0)
+            .expect("request latency recorded");
+        assert_eq!(req.len(), 2);
+        assert_eq!(req.percentile(1.0), ms(1.0));
+    }
+
+    #[test]
+    fn chained_requests_survive_fault_storms_with_every_recovery_path_on() {
+        use tailguard_sched::MitigationConfig;
+        // Rows retire at every admission, and with faults an admission can
+        // nest inside a report's fallout (the test above). Blackouts, crash
+        // storms, retries, hedges, early quorums and lease reclaims at once
+        // on a small cluster make that happen in every combination; each
+        // run must account for every query and finish every request.
+        for seed in 0..40 {
+            let horizon = SimDuration::from_millis(300);
+            let plan = FaultPlan::generate_crash_storm(seed, 4, horizon, 30, 6.0)
+                .episodes()
+                .iter()
+                .fold(FaultPlan::generate(seed, 4, horizon, 40, 6.0), |plan, e| {
+                    plan.with_episode(*e)
+                });
+            let cfg = SimConfig::new(
+                det_cluster(4, 1.0),
+                vec![ClassSpec::p99(ms(20.0))],
+                Policy::TfEdf,
+            )
+            .with_warmup(0)
+            .with_seed(seed)
+            .with_lease(ms(3.0))
+            .with_mitigation(
+                MitigationConfig::new()
+                    .with_hedge_after(0.1)
+                    .with_retry_lost(true)
+                    .with_max_attempts(3)
+                    .with_partial_quorum(0.5),
+            )
+            .with_faults(plan);
+            let input = SimInput {
+                requests: (0..200)
+                    .map(|i| RequestInput {
+                        arrival: SimTime::from_millis(i),
+                        queries: vec![QuerySpec::new(0, 1 + (i as u32 + seed as u32) % 3); 3],
+                    })
+                    .collect(),
+            };
+            let report = run_simulation(&cfg, &input);
+            let rb = &report.robustness;
+            assert_eq!(
+                report.completed_queries + rb.partial_completions + rb.failed_queries,
+                600,
+                "seed {seed}"
+            );
+            let requests = &report.request_latency_by_class[&0];
+            assert_eq!(requests.len(), 200, "seed {seed}");
+        }
     }
 
     #[test]

@@ -27,7 +27,18 @@
 //! transition; the discrete-event simulator and the tokio testbed only see
 //! tokens and expiry instants through it, which is what makes crash
 //! recovery behave identically on both runtimes.
+//!
+//! The store holds in-flight work only. Attempt and slot rows live in
+//! [`IdRing`]s: ids stay dense and monotonic for the whole run, but a row
+//! **retires** once nothing can act on it any more (see
+//! [`TaskStateStore::push_original`]), so memory follows the tasks in
+//! flight, not the tasks ever minted. A late event naming a retired id
+//! gets the answer its row would have given.
 
+mod ring;
+
+pub use ring::IdRing;
+use std::collections::BTreeMap;
 use tailguard_simcore::{SimDuration, SimTime};
 
 /// A fencing token for one lease of one task attempt.
@@ -159,6 +170,21 @@ pub struct SlotRecord {
     pub hedge_at: Option<SimTime>,
     /// Servers already tried by duplicates (excluded from backup choice).
     pub extra_servers: Vec<u32>,
+    /// The newest attempt serving this slot; the row retires after it.
+    newest: u32,
+}
+
+/// What the store remembers of a lease it reclaimed, so that the zombie
+/// incarnation's report is still fenced — and narrated in full — after the
+/// attempt's row has retired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReclaimedLease {
+    /// The attempt that held the lease.
+    pub task: u32,
+    /// The attempt's query.
+    pub query: u32,
+    /// The server the attempt targets.
+    pub server: u32,
 }
 
 /// One row of the attempt table: identity, lifecycle state, and where the
@@ -167,7 +193,7 @@ pub struct SlotRecord {
 struct Attempt {
     query: u32,
     server: u32,
-    /// Index of the served slot in `TaskStateStore::slots`.
+    /// Id of the served slot's row in `TaskStateStore::slots`.
     slot_row: u32,
     kind: AttemptKind,
     state: AttemptState,
@@ -229,10 +255,16 @@ pub struct LifecycleStats {
 /// ```
 #[derive(Debug)]
 pub struct TaskStateStore {
-    /// One row per attempt, indexed by attempt id.
-    attempts: Vec<Attempt>,
-    /// One row per logical task, in creation order (see `Attempt::slot_row`).
-    slots: Vec<SlotRecord>,
+    /// One row per attempt not yet retired, by attempt id.
+    attempts: IdRing<Attempt>,
+    /// One row per logical task not yet retired, in creation order (see
+    /// `Attempt::slot_row`).
+    slots: IdRing<SlotRecord>,
+    /// Every lease ever reclaimed, by token: what fences a zombie's report
+    /// once its attempt's row is gone. Never pruned — nothing tells the
+    /// store that a zombie will not report any more — so it holds one entry
+    /// per reclaim: it follows fault traffic, not run length.
+    reclaimed: BTreeMap<LeaseToken, ReclaimedLease>,
     next_token: u64,
     lease_ttl: Option<SimDuration>,
     stats: LifecycleStats,
@@ -245,11 +277,22 @@ impl TaskStateStore {
     /// `lease_ttl` is a virtual-time duration (nanosecond domain).
     pub fn new(lease_ttl: Option<SimDuration>) -> Self {
         TaskStateStore {
-            attempts: Vec::new(),
-            slots: Vec::new(),
+            attempts: IdRing::new(),
+            slots: IdRing::new(),
+            reclaimed: BTreeMap::new(),
             next_token: 1,
             lease_ttl,
             stats: LifecycleStats::default(),
+        }
+    }
+
+    /// An empty store whose first attempt id is `base`, to reach the end of
+    /// the id space in a test.
+    #[cfg(test)]
+    fn starting_at(base: u32) -> Self {
+        TaskStateStore {
+            attempts: IdRing::starting_at(base),
+            ..TaskStateStore::new(None)
         }
     }
 
@@ -260,15 +303,14 @@ impl TaskStateStore {
         self.lease_ttl = ttl;
     }
 
+    /// The row of a live attempt (a slot's row outlives its attempts').
     fn row(&self, task: u32) -> &Attempt {
-        // tg-lint: allow(panic-surface) -- dense id-indexed table: attempt ids are minted by this store's push_* methods; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        &self.attempts[task as usize]
+        self.attempts.row(task)
     }
 
     fn slot_mut(&mut self, task: u32) -> &mut SlotRecord {
         let row = self.row(task).slot_row;
-        // tg-lint: allow(panic-surface) -- `slot_row` is minted by `push_original` as the index of the row it pushes; rows are never removed
-        &mut self.slots[row as usize]
+        self.slots.row_mut(row)
     }
 
     /// Moves `task` to state `to`, keeping the per-state gauges exact.
@@ -282,8 +324,7 @@ impl TaskStateStore {
                 AttemptState::Failed { .. } => &mut stats.failed,
             }
         }
-        // tg-lint: allow(panic-surface) -- dense id-indexed table: attempt ids are minted by this store's push_* methods; a foreign id is a fencing bug where the documented panic is the designed failure mode
-        let from = std::mem::replace(&mut self.attempts[task as usize].state, to);
+        let from = std::mem::replace(&mut self.attempts.row_mut(task).state, to);
         let left = gauge(&mut self.stats, &from);
         *left = left.saturating_sub(1);
         *gauge(&mut self.stats, &to) += 1;
@@ -292,21 +333,51 @@ impl TaskStateStore {
     /// Appends a `Queued` attempt row serving the slot at `slot_row` and
     /// returns its id.
     fn push_attempt(&mut self, query: u32, server: u32, kind: AttemptKind, slot_row: u32) -> u32 {
-        // tg-lint: allow(lossy-cast) -- attempt ids are `u32` on the wire and dense by construction; saturation would alias ids, and admission bounds a run far below 2^32 attempts
-        let task = self.attempts.len() as u32;
+        self.stats.queued += 1;
         self.attempts.push(Attempt {
             query,
             server,
             slot_row,
             kind,
             state: AttemptState::Queued,
-        });
-        self.stats.queued += 1;
-        task
+        })
     }
+
+    /// Retires the rows nothing can act on any more, oldest first: an
+    /// attempt once it is terminal *and* its slot is resolved (an
+    /// unresolved slot may still be copied, which reads its original's
+    /// row), a slot once its newest attempt has retired. An attempt that
+    /// never ends pins every row minted after it.
+    // tg-lint: hot(retire)
+    fn retire(&mut self) {
+        while let Some(front) = self.attempts.front() {
+            let ended = matches!(
+                front.state,
+                AttemptState::Completed { .. } | AttemptState::Failed { .. }
+            );
+            if !(ended && self.slots.row(front.slot_row).resolved) {
+                break;
+            }
+            self.attempts.pop_front();
+        }
+        let first_live = self.attempts.base();
+        while self.slots.front().is_some_and(|s| s.newest < first_live) {
+            self.slots.pop_front();
+        }
+    }
+    // tg-lint: endhot
 
     /// Registers a query's original attempt for one fanout task, `Queued`,
     /// with its own slot. Returns the attempt id (`== slot id`).
+    ///
+    /// This is also the only moment rows retire (see `retire`): no report
+    /// is in flight through the handler while it admits a query, so the
+    /// second delivery of one result still finds the row the first one
+    /// ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "ids exhausted" instead of wrapping at 2^32.
     /// `deadline` is virtual time (nanosecond domain).
     pub fn push_original(
         &mut self,
@@ -315,9 +386,8 @@ impl TaskStateStore {
         deadline: SimTime,
         hedge_at: Option<SimTime>,
     ) -> u32 {
-        // tg-lint: allow(lossy-cast) -- at most one slot row per attempt, so the attempt-id bound (far below 2^32) covers it
-        let slot_row = self.slots.len() as u32;
-        let task = self.push_attempt(query, server, AttemptKind::Original, slot_row);
+        self.retire();
+        let task = self.push_attempt(query, server, AttemptKind::Original, self.slots.end());
         self.slots.push(SlotRecord {
             id: task,
             resolved: false,
@@ -326,6 +396,7 @@ impl TaskStateStore {
             deadline,
             hedge_at,
             extra_servers: Vec::new(),
+            newest: task,
         });
         task
     }
@@ -340,11 +411,13 @@ impl TaskStateStore {
     /// [`AttemptKind::Original`].
     pub fn push_duplicate(&mut self, slot: u32, server: u32, kind: AttemptKind) -> u32 {
         debug_assert_ne!(kind, AttemptKind::Original, "duplicates are not originals");
+        let newest = self.attempts.end();
         let slot_state = self.slot_mut(slot);
         debug_assert!(!slot_state.resolved, "cannot duplicate a resolved slot");
         slot_state.attempts += 1;
         slot_state.live += 1;
         slot_state.extra_servers.push(server);
+        slot_state.newest = newest;
         let original = self.row(slot);
         self.push_attempt(original.query, server, kind, original.slot_row)
     }
@@ -385,7 +458,23 @@ impl TaskStateStore {
 
     /// The one fenced ending: `task` moves to the terminal state `to` (and
     /// leaves its slot's live count) only when `token` is its active lease.
+    ///
+    /// A retired attempt was terminal, so its report is a `Stale` zombie if
+    /// `token` is a lease the store reclaimed from it, and otherwise the
+    /// `Duplicate` redelivery of the result that ended it. (Exact for every
+    /// token the store issued to `task`; handing in any other is a caller
+    /// bug, read as `Duplicate`.)
     fn finish(&mut self, task: u32, token: LeaseToken, to: AttemptState) -> CommitOutcome {
+        if self.is_retired(task) {
+            let zombie = self.reclaimed(token).is_some_and(|r| r.task == task);
+            return if zombie {
+                self.stats.stale_commits_rejected += 1;
+                CommitOutcome::Stale
+            } else {
+                self.stats.duplicates_suppressed += 1;
+                CommitOutcome::Duplicate
+            };
+        }
         match self.row(task).state {
             AttemptState::Running { token: t, .. } | AttemptState::Leased { token: t, .. }
                 if t == token =>
@@ -456,7 +545,7 @@ impl TaskStateStore {
     /// to `Queued` (ready for re-enqueue with its original deadline) and
     /// the reclaim is counted. Returns `false` — a fenced no-op — when the
     /// attempt already committed, failed, or was re-leased under a newer
-    /// token.
+    /// token — or has since retired.
     /// `now` is virtual time (nanosecond domain).
     pub fn reclaim_expired(&mut self, task: u32, token: LeaseToken, now: SimTime) -> bool {
         let expired = self
@@ -465,19 +554,50 @@ impl TaskStateStore {
         if expired {
             self.transition(task, AttemptState::Queued);
             self.stats.reclaims += 1;
+            let Attempt { query, server, .. } = *self.row(task);
+            let lease = ReclaimedLease {
+                task,
+                query,
+                server,
+            };
+            self.reclaimed.insert(token, lease);
         }
         expired
     }
 
-    /// Marks the slot `task` serves resolved — by a winning completion, by
-    /// exhausting every attempt, or because its query finished without it.
-    /// From here on its other attempts are losers.
-    pub fn resolve(&mut self, task: u32) {
-        self.slot_mut(task).resolved = true;
+    /// The lease that was reclaimed under `token`, if any ever was.
+    pub fn reclaimed(&self, token: LeaseToken) -> Option<ReclaimedLease> {
+        self.reclaimed.get(&token).copied()
     }
 
-    /// The token and expiry of the lease `task` holds, if it holds one.
+    /// Marks the slot `task` serves resolved — by a winning completion, by
+    /// exhausting every attempt, or because its query finished without it.
+    /// From here on its other attempts are losers. A no-op on a retired
+    /// `task`: its slot resolved before it could retire.
+    pub fn resolve(&mut self, task: u32) {
+        if !self.is_retired(task) {
+            self.slot_mut(task).resolved = true;
+        }
+    }
+
+    /// Whether `task`'s row has retired: it ended and its slot resolved,
+    /// and only a late report or timer can still name it.
+    pub fn is_retired(&self, task: u32) -> bool {
+        task < self.attempts.base()
+    }
+
+    /// The first attempt id that has not retired: tables a driver keeps by
+    /// task id can drop everything below it.
+    pub fn first_live(&self) -> u32 {
+        self.attempts.base()
+    }
+
+    /// The token and expiry of the lease `task` holds, if it holds one
+    /// (a retired attempt holds none).
     fn active(&self, task: u32) -> Option<(LeaseToken, Option<SimTime>)> {
+        if self.is_retired(task) {
+            return None;
+        }
         match self.row(task).state {
             AttemptState::Leased { token, expires_at }
             | AttemptState::Running { token, expires_at } => Some((token, expires_at)),
@@ -499,6 +619,11 @@ impl TaskStateStore {
     }
 
     /// The attempt's current lifecycle state.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `task` has retired (as do [`TaskStateStore::attempt`]
+    /// and [`TaskStateStore::slot`]); see [`TaskStateStore::is_retired`].
     pub fn state(&self, task: u32) -> AttemptState {
         self.row(task).state
     }
@@ -517,18 +642,18 @@ impl TaskStateStore {
     /// The slot `task` serves (its own for an original, the original's for
     /// a hedge or retry copy).
     pub fn slot(&self, task: u32) -> &SlotRecord {
-        // tg-lint: allow(panic-surface) -- `slot_row` is minted by `push_original` as the index of the row it pushes; rows are never removed
-        &self.slots[self.row(task).slot_row as usize]
+        self.slots.row(self.row(task).slot_row)
     }
 
-    /// Total attempts created (ids are `0..len()`).
+    /// Total attempts created (ids are `0..len()`, of which
+    /// `first_live()..len()` still have a row).
     pub fn len(&self) -> usize {
-        self.attempts.len()
+        self.attempts.end() as usize
     }
 
     /// True when no attempt was created yet.
     pub fn is_empty(&self) -> bool {
-        self.attempts.is_empty()
+        self.attempts.end() == 0
     }
 
     /// The accumulated lifecycle gauges and counters.
@@ -717,6 +842,124 @@ mod tests {
             }
         );
         assert_eq!((s.stats().queued, s.stats().failed), (0, 1));
+    }
+
+    /// Runs `task` to a committed result and resolves its slot.
+    fn finish(s: &mut TaskStateStore, task: u32) -> LeaseToken {
+        let tok = s.lease(task, ms(0));
+        s.mark_running(task);
+        assert_eq!(s.commit(task, tok), CommitOutcome::Committed);
+        s.resolve(task);
+        tok
+    }
+
+    #[test]
+    fn rows_retire_at_the_next_mint_and_ids_stay_dense() {
+        let mut s = store(None);
+        let a = s.push_original(0, 0, ms(10), None);
+        let b = s.push_original(0, 1, ms(10), None);
+        let tok = finish(&mut s, a);
+        assert!(
+            !s.is_retired(a),
+            "nothing retires until an original is minted"
+        );
+        assert_eq!(s.commit(a, tok), CommitOutcome::Duplicate);
+        let c = s.push_original(1, 0, ms(10), None);
+        assert_eq!((a, b, c), (0, 1, 2), "ids are never reused");
+        assert!(s.is_retired(a) && !s.is_retired(b));
+        assert_eq!((s.first_live(), s.len()), (1, 3));
+        assert_eq!(
+            s.attempt(c).slot,
+            c,
+            "a later slot is found past the retired one"
+        );
+        // b is still queued: it pins everything behind it.
+        finish(&mut s, c);
+        s.push_original(2, 0, ms(10), None);
+        assert_eq!(s.first_live(), 1);
+        finish(&mut s, b);
+        s.push_original(3, 0, ms(10), None);
+        assert_eq!(s.first_live(), 3);
+        let st = s.stats();
+        assert_eq!((st.completed, st.queued), (3, 2), "gauges outlive the rows");
+    }
+
+    #[test]
+    fn a_terminal_attempt_stays_while_its_slot_may_still_be_copied() {
+        let mut s = store(None);
+        let a = s.push_original(4, 0, ms(10), None);
+        let tok = s.lease(a, ms(0));
+        assert_eq!(s.fail(a, tok), CommitOutcome::Committed);
+        s.push_original(5, 1, ms(10), None);
+        assert!(
+            !s.is_retired(a),
+            "lost, but unresolved: a retry reads its row"
+        );
+        let retry = s.push_duplicate(a, 2, AttemptKind::Retry);
+        assert_eq!((s.attempt(retry).query, s.attempt(retry).slot), (4, a));
+        // Resolved now, but the slot row outlives its newest attempt.
+        s.resolve(a);
+        s.push_original(6, 1, ms(10), None);
+        assert!(s.is_retired(a) && !s.is_retired(retry));
+        assert_eq!(s.slot(retry).extra_servers, vec![2]);
+    }
+
+    #[test]
+    fn late_events_on_a_retired_id_get_the_rows_answer() {
+        let mut s = store(Some(5));
+        let t = s.push_original(7, 3, ms(10), None);
+        let old = s.lease(t, ms(0));
+        s.mark_running(t);
+        assert!(s.reclaim_expired(t, old, ms(5)));
+        let new = finish(&mut s, t);
+        s.push_original(8, 0, ms(10), None);
+        assert!(s.is_retired(t));
+        // The zombie is fenced, the redelivery suppressed, the timers inert.
+        assert_eq!(s.commit(t, old), CommitOutcome::Stale);
+        assert_eq!(s.fail(t, old), CommitOutcome::Stale);
+        assert_eq!(s.commit(t, new), CommitOutcome::Duplicate);
+        assert!(!s.reclaim_expired(t, new, ms(99)));
+        assert_eq!((s.current_token(t), s.lease_expiry(t)), (None, None));
+        s.resolve(t);
+        let st = s.stats();
+        assert_eq!(
+            (st.stale_commits_rejected, st.duplicates_suppressed),
+            (2, 1)
+        );
+        assert_eq!((st.reclaims, st.completed), (1, 1));
+        let lease = s.reclaimed(old).expect("kept for narration");
+        assert_eq!((lease.task, lease.query, lease.server), (t, 7, 3));
+        assert_eq!(s.reclaimed(new), None);
+    }
+
+    #[test]
+    fn reclaimed_tokens_are_all_that_outlives_a_row_one_per_reclaim() {
+        let mut s = store(Some(5));
+        for query in 0..100 {
+            let t = s.push_original(query, 0, ms(10), None);
+            for _ in 0..2 {
+                let tok = s.lease(t, ms(0));
+                s.mark_running(t);
+                assert!(s.reclaim_expired(t, tok, ms(5)));
+            }
+            finish(&mut s, t);
+        }
+        assert_eq!(s.len() - s.first_live() as usize, 1, "rows retire");
+        // The stated limit: this table grows with the reclaims of a run.
+        assert_eq!(s.stats().reclaims, 200);
+        assert_eq!(s.reclaimed.len(), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "ids exhausted")]
+    fn attempt_ids_panic_instead_of_wrapping() {
+        let mut s = TaskStateStore::starting_at(u32::MAX - 2);
+        let a = s.push_original(0, 0, ms(10), None);
+        finish(&mut s, a);
+        let b = s.push_original(0, 0, ms(10), None);
+        assert_eq!((a, b), (u32::MAX - 2, u32::MAX - 1));
+        assert!(s.is_retired(a), "retirement gives no ids back");
+        s.push_duplicate(b, 1, AttemptKind::Hedge);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::mitigation::{MitigationConfig, RobustnessStats};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::units;
 use std::collections::BTreeMap;
-use tailguard_lifecycle::{AttemptKind, CommitOutcome, LeaseToken, LifecycleStats, TaskStateStore};
+use tailguard_lifecycle::{
+    AttemptKind, CommitOutcome, IdRing, LeaseToken, LifecycleStats, TaskStateStore,
+};
 use tailguard_metrics::{LatencyReservoir, LoadStats};
 use tailguard_policy::{DeadlineRule, Policy, QueuedTask, ServiceClass, TaskQueue};
 use tailguard_simcore::{SimDuration, SimTime};
@@ -277,6 +279,10 @@ struct QueryMeta {
     record: bool,
     /// First slot id; the query's slots are `first_task..first_task+fanout`.
     first_task: TaskId,
+    /// One past the newest attempt serving the query (originals and
+    /// hedge/retry copies): once the store has retired every id below it,
+    /// nothing can name this query again and its row retires too.
+    tasks_end: TaskId,
     /// Unresolved slots (not tasks: hedge copies do not inflate it).
     outstanding: u32,
     /// Slots resolved by a completed attempt (the rest were lost).
@@ -346,7 +352,8 @@ pub struct QueryHandler {
     /// The durable lifecycle store: per-attempt state machine, slot
     /// bookkeeping, lease issuance, and fenced commits.
     store: TaskStateStore,
-    queries: Vec<QueryMeta>,
+    /// One row per admitted query not yet retired, by query id.
+    queries: IdRing<QueryMeta>,
     admission: Option<AdmissionController>,
     mitigation: Option<MitigationConfig>,
     health: Option<HealthTracker>,
@@ -371,7 +378,7 @@ impl std::fmt::Debug for QueryHandler {
         f.debug_struct("QueryHandler")
             .field("policy", &self.policy)
             .field("servers", &self.servers.len())
-            .field("queries", &self.queries.len())
+            .field("queries", &self.queries.end())
             .field("tasks", &self.store.len())
             .finish()
     }
@@ -408,7 +415,7 @@ impl QueryHandler {
                 })
                 .collect(),
             store: TaskStateStore::new(None),
-            queries: Vec::new(),
+            queries: IdRing::new(),
             admission: admission.map(AdmissionController::new),
             mitigation: None,
             health: None,
@@ -487,9 +494,9 @@ impl QueryHandler {
         &mut self.servers[server as usize]
     }
 
+    /// The row of a query that still has an attempt row in the store.
     fn query(&self, query: QueryId) -> &QueryMeta {
-        // tg-lint: allow(panic-surface) -- dense per-query table; `query` ids are minted at admission and only ever read back from the store's attempt records
-        &self.queries[query as usize]
+        self.queries.row(query)
     }
 
     /// Outstanding hedge+retry copies of `query`'s class (the
@@ -587,13 +594,15 @@ impl QueryHandler {
         };
         let hedge_after = self.mitigation.as_ref().and_then(|m| m.hedge_after);
 
-        let query = self.queries.len() as QueryId;
-        self.queries.push(QueryMeta {
+        self.retire_queries();
+        let first_task = self.store.len() as TaskId;
+        let query = self.queries.push(QueryMeta {
             class: arrival.class,
             fanout,
             started_at: now,
             record: arrival.record,
-            first_task: self.store.len() as TaskId,
+            first_task,
+            tasks_end: first_task.saturating_add(fanout),
             outstanding: fanout,
             completed_slots: 0,
             quorum,
@@ -643,6 +652,22 @@ impl QueryHandler {
         AdmitDecision::Admitted { query }
     }
 
+    /// Retires, oldest first, the queries whose every attempt the store has
+    /// retired — which takes all their slots resolved, i.e. the query done.
+    /// Only an attempt row ever leads back to a query's row.
+    // tg-lint: hot(retire)
+    fn retire_queries(&mut self) {
+        let first_live = self.store.first_live();
+        while self
+            .queries
+            .front()
+            .is_some_and(|q| q.tasks_end <= first_live)
+        {
+            self.queries.pop_front();
+        }
+    }
+    // tg-lint: endhot
+
     /// The one way an attempt begins — an original at arrival, a hedge or
     /// retry copy, or a reclaimed attempt beginning again: it queues on its
     /// server under its slot's deadline `t_D`, stamped once at arrival and
@@ -691,7 +716,9 @@ impl QueryHandler {
     /// reclaimed (zombie) incarnation is rejected by token mismatch — both
     /// return without touching server state, accounting, or aggregation,
     /// and the driver must discard the result's payload (see
-    /// [`TaskCompletion::commit`]).
+    /// [`TaskCompletion::commit`]). A report that arrives after its
+    /// attempt's row has retired (see [`QueryHandler::first_live_task`]) is
+    /// fenced the same way.
     ///
     /// For a committed result, in order: busy/estimator accounting, work
     /// conservation (the freed server pulls its next task — reported in
@@ -745,8 +772,8 @@ impl QueryHandler {
     /// sibling, or resolves it as lost. The only place slots resolve.
     // tg-lint: hot(complete)
     fn end_attempt(&mut self, now: SimTime, task: TaskId, end: End) -> TaskCompletion {
-        let rec = self.store.attempt(task);
-        let (query, server, slot) = (rec.query, rec.server, rec.slot);
+        // A retired attempt has no row; the store still fences its report.
+        let rec = (!self.store.is_retired(task)).then(|| self.store.attempt(task));
         let (token, commit) = match end {
             End::Completed { token, .. } => (token, self.store.commit(task, token)),
             End::Lost { token } => (token, self.store.fail(task, token)),
@@ -761,28 +788,37 @@ impl QueryHandler {
             done: None,
             commit,
         };
-        if commit != CommitOutcome::Committed {
+        let (Some(rec), CommitOutcome::Committed) = (rec, commit) else {
             if self.trace_on {
-                let at = now;
-                self.tracer.emit(if commit == CommitOutcome::Duplicate {
-                    TraceEvent::DuplicateSuppressed {
-                        at,
-                        task,
-                        query,
-                        server,
-                    }
-                } else {
-                    TraceEvent::StaleCommitRejected {
-                        at,
-                        task,
-                        query,
-                        server,
-                        token,
-                    }
-                });
+                // Narrated with the attempt's identity: its row's, or — for
+                // a zombie reporting after the row retired — its reclaimed
+                // lease's. (A redelivery that late is counted only.)
+                let who = rec
+                    .map(|rec| (rec.query, rec.server))
+                    .or_else(|| self.store.reclaimed(token).map(|l| (l.query, l.server)));
+                if let Some((query, server)) = who {
+                    let at = now;
+                    self.tracer.emit(if commit == CommitOutcome::Duplicate {
+                        TraceEvent::DuplicateSuppressed {
+                            at,
+                            task,
+                            query,
+                            server,
+                        }
+                    } else {
+                        TraceEvent::StaleCommitRejected {
+                            at,
+                            task,
+                            query,
+                            server,
+                            token,
+                        }
+                    });
+                }
             }
             return ended;
-        }
+        };
+        let (query, server, slot) = (rec.query, rec.server, rec.slot);
         let in_service = !matches!(end, End::Cancelled);
         debug_assert!(
             !in_service || self.server(server).in_service == Some(task),
@@ -938,6 +974,9 @@ impl QueryHandler {
     /// `now` is virtual time (nanosecond domain).
     pub fn copy_target(&mut self, now: SimTime, task: TaskId) -> Option<u32> {
         let m = self.mitigation?;
+        if self.store.is_retired(task) {
+            return None; // its slot resolved before the row could retire
+        }
         let slot_state = self.store.slot(task);
         if slot_state.resolved || slot_state.attempts >= m.max_attempts {
             return None;
@@ -1000,6 +1039,7 @@ impl QueryHandler {
     ) -> (TaskId, Option<DispatchedTask>) {
         let query = self.store.attempt(slot).query;
         let task = self.store.push_duplicate(slot, server, kind);
+        self.queries.row_mut(query).tasks_end = task + 1;
         match kind {
             AttemptKind::Hedge => self.stats.robustness.hedges_issued += 1,
             AttemptKind::Retry => self.stats.robustness.retries += 1,
@@ -1136,8 +1176,7 @@ impl QueryHandler {
     /// is met or no slots remain — the generalized slowest-task-wins
     /// aggregation (quorum = fanout without a partial-quorum config).
     fn resolve_slot(&mut self, now: SimTime, query: QueryId, lost: bool) -> Option<QueryDone> {
-        // tg-lint: allow(panic-surface) -- dense per-query table; `query` ids are minted at admission and only ever read back from the store's attempt records
-        let meta = &mut self.queries[query as usize];
+        let meta = self.queries.row_mut(query);
         meta.outstanding = meta.outstanding.saturating_sub(1);
         if !lost {
             meta.completed_slots += 1;
@@ -1227,7 +1266,20 @@ impl QueryHandler {
 
     /// Total queries admitted so far (query ids are `0..query_count()`).
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.queries.end() as usize
+    }
+
+    /// The first query id whose row has not retired: a driver's per-query
+    /// table can drop everything below it.
+    pub fn first_live_query(&self) -> QueryId {
+        self.queries.base()
+    }
+
+    /// The first task id whose row has not retired: a driver's per-task
+    /// table can drop everything below it. Timers and reports that still
+    /// name a lower id are answered as fenced no-ops.
+    pub fn first_live_task(&self) -> TaskId {
+        self.store.first_live()
     }
 
     /// The accumulated measurements, live.
@@ -1692,6 +1744,58 @@ mod tests {
         fn record(&mut self, event: &TraceEvent) {
             self.0.lock().unwrap().push(*event);
         }
+    }
+
+    #[test]
+    fn late_events_on_a_retired_task_keep_their_answers() {
+        let sink = TestSink::default();
+        let mut h = handler(2, Policy::TfEdf, None)
+            .with_mitigation(MitigationConfig::new().with_hedge_after(0.5))
+            .with_lease(ms(2.0))
+            .with_trace_sink(Box::new(sink.clone()));
+        let mut started = Vec::new();
+        h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
+        let d = started[0];
+        let again = h
+            .on_lease_expired(SimTime::from_millis(2), d.task, d.lease)
+            .flatten()
+            .expect("reclaim re-dispatches");
+        let won = h.on_task_complete(SimTime::from_millis(3), d.task, again.lease, ms(1.0));
+        assert!(won.done.is_some());
+        assert_eq!((h.first_live_task(), h.first_live_query()), (0, 0));
+        // The next admission retires the finished task, then its query.
+        h.on_query_arrival(SimTime::from_millis(4), arrival(&[1], true), &mut started);
+        h.on_query_arrival(SimTime::from_millis(4), arrival(&[1], true), &mut started);
+        assert_eq!((h.first_live_task(), h.first_live_query()), (1, 1));
+        assert_eq!(h.query_count(), 3, "ids stay dense");
+
+        let at = SimTime::from_millis(5);
+        let stale = h.on_task_complete(at, d.task, d.lease, ms(5.0));
+        assert_eq!(stale.commit, CommitOutcome::Stale);
+        let dup = h.on_task_lost(at, d.task, again.lease);
+        assert_eq!(dup.commit, CommitOutcome::Duplicate);
+        assert!(stale.next.is_none() && dup.next.is_none() && dup.retry.is_none());
+        assert!(h.on_lease_expired(at, d.task, again.lease).is_none());
+        assert_eq!(h.copy_target(at, d.task), None);
+        let life = h.lifecycle();
+        assert_eq!(
+            (life.stale_commits_rejected, life.duplicates_suppressed),
+            (1, 1)
+        );
+        // The zombie is narrated in full from its reclaimed lease; the
+        // redelivery is counted only.
+        let events = sink.0.lock().unwrap();
+        let late: Vec<_> = events.iter().filter(|e| e.at() == at).collect();
+        assert_eq!(
+            late,
+            [&TraceEvent::StaleCommitRejected {
+                at,
+                task: d.task,
+                query: 0,
+                server: 0,
+                token: d.lease,
+            }]
+        );
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub use health::{HealthConfig, HealthStats, HealthTracker};
 pub use mitigation::{MitigationConfig, RobustnessStats};
 // Lifecycle vocabulary re-exported for driver convenience (`AttemptKind`
 // predates the lifecycle crate and keeps its original path here).
-pub use tailguard_lifecycle::{AttemptKind, CommitOutcome, LeaseToken, LifecycleStats};
+pub use tailguard_lifecycle::{AttemptKind, CommitOutcome, IdRing, LeaseToken, LifecycleStats};
 pub use trace::{NullSink, TraceEvent, TraceSink};
