@@ -17,7 +17,7 @@ use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
     AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, IdRing,
-    LeaseToken, QueryArrival, QueryHandler, TaskCompletion, TraceSink,
+    LeaseToken, QueryArrival, QueryHandler, RetryPlan, TaskCompletion, TraceSink,
 };
 use tailguard_simcore::{Engine, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 
@@ -170,12 +170,11 @@ pub(crate) fn run_with_observer(
         placement_rng,
         service_rng,
         services: IdRing::new(),
-        query_request: IdRing::new(),
+        query_cursor: IdRing::new(),
+        steps: Vec::new(),
         targets_scratch: Vec::new(),
         services_scratch: Vec::new(),
         started_scratch: Vec::new(),
-        request_progress: vec![0; input.requests.len()],
-        request_started: vec![SimTime::ZERO; input.requests.len()],
         issued_queries: 0,
         request_latency_by_class: BTreeMap::new(),
         snapshot_every,
@@ -265,6 +264,32 @@ enum Ev {
     Snapshot,
 }
 
+/// Where a request stands (Fig. 1 chaining): the index of its query in
+/// flight and when the request arrived. Each admitted query's row carries
+/// one, so the driver keeps no table per input request.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    request: usize,
+    index: usize,
+    started: SimTime,
+}
+
+/// Follow-up work of the current event, run last-in-first-out from
+/// [`ClusterSim::steps`], each step returning before the next starts: what
+/// a step causes runs before the steps queued ahead of it, the depth-first
+/// order of nested calls without the nesting. Nothing a pending step names
+/// can retire: a begun task is in service, a retry's slot is unresolved,
+/// and a chain holds its request's cursor, not its query's row.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Begin the work of a task the handler moved into service.
+    Begin(DispatchedTask),
+    /// Issue the retry the handler planned for a lost task.
+    Retry(RetryPlan),
+    /// A request's query finished: issue its next query or record it.
+    Chain(Cursor),
+}
+
 struct ClusterSim<'a> {
     /// The run's configuration and input, borrowed: a run reads them and
     /// never owns a copy.
@@ -279,16 +304,16 @@ struct ClusterSim<'a> {
     /// when a started task's `Finish` event fires. Minted in lockstep with
     /// the handler's task ids and trimmed to its first live one.
     services: IdRing<SimDuration>,
-    /// Owning request per handler query id (for Fig. 1 chaining), trimmed
-    /// to the handler's first live query.
-    query_request: IdRing<u32>,
+    /// Its request's [`Cursor`] per handler query id, trimmed to the
+    /// handler's first live query.
+    query_cursor: IdRing<Cursor>,
+    /// The current event's fallout still to run; empty between events.
+    steps: Vec<Step>,
     // Per-query scratch, reused across issue_query calls so the hot path
     // does not allocate per query.
     targets_scratch: Vec<u32>,
     services_scratch: Vec<SimDuration>,
     started_scratch: Vec<DispatchedTask>,
-    request_progress: Vec<usize>, // next query index per request
-    request_started: Vec<SimTime>,
     issued_queries: u64,
     request_latency_by_class: BTreeMap<u8, LatencyReservoir>,
     /// Snapshot cadence in virtual time; `None` for unobserved runs (the
@@ -304,9 +329,25 @@ struct ClusterSim<'a> {
     last_activity: SimTime,
 }
 
+/// Draws one service time for `server` at virtual time `now`: the
+/// cluster's service distribution, inflated by any active step
+/// [`crate::spec::Slowdown`]s (interval fault episodes apply later, at
+/// dispatch time).
+fn draw_service(config: &SimConfig, rng: &mut SimRng, server: u32, now: SimTime) -> SimDuration {
+    let mut ms = config.cluster.service_of(server as usize).sample(rng);
+    for sd in &config.slowdowns {
+        if now >= sd.at && sd.servers.contains(&server) {
+            ms *= sd.factor;
+        }
+    }
+    SimDuration::from_millis_f64(ms)
+}
+
 impl<'a> ClusterSim<'a> {
-    fn choose_servers_into(&mut self, spec: &QuerySpec, out: &mut Vec<u32>) {
-        let n = self.config.cluster.servers();
+    /// Fills `targets_scratch` with the servers `spec` fans out to.
+    fn choose_servers(&mut self, spec: &QuerySpec) {
+        let (n, out) = (self.config.cluster.servers(), &mut self.targets_scratch);
+        out.clear();
         match &spec.servers {
             Some(s) => {
                 assert_eq!(
@@ -337,87 +378,55 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    fn issue_query(&mut self, now: SimTime, request: usize, sched: &mut Scheduler<Ev>) {
-        // Read through the run-long borrow, not through `self`, so the
-        // spec stays usable across the `&mut self` calls below.
-        let input: &'a SimInput = self.input;
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let spec = &input.requests[request].queries[self.request_progress[request]];
-        // Scratch buffers are moved out for the duration of the call (and
-        // restored on every exit path) so the hot path reuses their
-        // capacity instead of allocating per query.
-        let mut targets = std::mem::take(&mut self.targets_scratch);
-        targets.clear();
-        self.choose_servers_into(spec, &mut targets);
+    /// Issues query `at.index` of request `at.request`.
+    fn issue_query(&mut self, now: SimTime, at: Cursor, sched: &mut Scheduler<Ev>) {
+        // tg-lint: allow(panic-surface) -- `Ev::Arrive` names only requests of the input, and `chain` only indices its request has
+        let spec = &self.input.requests[at.request].queries[at.index];
+        self.choose_servers(spec);
         // Service times drawn now, in issue order, for cross-policy
         // alignment — and so rejected work can be accounted.
-        let mut services = std::mem::take(&mut self.services_scratch);
-        services.clear();
-        for &s in &targets {
-            let svc = self.draw_service(s, now);
-            services.push(svc);
-        }
+        self.services_scratch.clear();
+        let draw = |&s: &u32| draw_service(self.config, &mut self.service_rng, s, now);
+        self.services_scratch
+            .extend(self.targets_scratch.iter().map(draw));
 
         let record = self.issued_queries >= self.config.warmup_queries as u64;
-        let mut started = std::mem::take(&mut self.started_scratch);
-        let decision = self.handler.on_query_arrival(
+        // On rejection no state is created: the query terminates its
+        // request (no successors).
+        let AdmitDecision::Admitted { query } = self.handler.on_query_arrival(
             now,
             QueryArrival {
                 class: spec.class,
-                targets: &targets,
+                targets: &self.targets_scratch,
                 // The drawn services double as size hints so size-aware
                 // policies (SJF) can order on them.
-                sizes: Some(&services),
+                sizes: Some(&self.services_scratch),
                 budget_override: spec.budget_override,
                 task_budgets: spec.task_budgets.as_deref(),
                 record,
             },
-            &mut started,
-        );
-        if let AdmitDecision::Admitted { query } = decision {
-            self.issued_queries += 1;
-            // Admission is when the handler retires rows, so it is when
-            // the driver's tables follow.
-            self.services.retire_to(self.handler.first_live_task());
-            self.query_request
-                .retire_to(self.handler.first_live_query());
-            for &service in &services {
-                self.services.push(service);
-            }
-            // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
-            let minted = self.query_request.push(request as u32);
-            debug_assert_eq!(minted, query);
-            // Deadline-aware hedging: a check at each original task's hedge
-            // threshold, scheduled before the dispatches below.
-            for (task, at) in self.handler.hedge_checks(query) {
-                sched.schedule_at(at, Ev::HedgeCheck(task));
-            }
-            for &d in &started {
-                self.dispatch(now, d, sched);
-            }
+            &mut self.started_scratch,
+        ) else {
+            return;
+        };
+        self.issued_queries += 1;
+        // Admission is when the handler retires rows, so it is when the
+        // driver's tables follow.
+        self.services.retire_to(self.handler.first_live_task());
+        self.query_cursor.retire_to(self.handler.first_live_query());
+        for &service in &self.services_scratch {
+            self.services.push(service);
         }
-        // On rejection no state is created: the query terminates its
-        // request (no successors).
-        self.targets_scratch = targets;
-        self.services_scratch = services;
-        self.started_scratch = started;
-    }
-
-    /// Draws one service time for `server` at `now`: the cluster's service
-    /// distribution, inflated by any active step [`crate::spec::Slowdown`]s
-    /// (interval fault episodes apply later, at dispatch time).
-    fn draw_service(&mut self, server: u32, now: SimTime) -> SimDuration {
-        let mut ms = self
-            .config
-            .cluster
-            .service_of(server as usize)
-            .sample(&mut self.service_rng);
-        for sd in &self.config.slowdowns {
-            if now >= sd.at && sd.servers.contains(&server) {
-                ms *= sd.factor;
-            }
+        let minted = self.query_cursor.push(at);
+        debug_assert_eq!(minted, query);
+        // Deadline-aware hedging: a check at each original task's hedge
+        // threshold, scheduled before the dispatches below.
+        for (task, due) in self.handler.hedge_checks(query) {
+            sched.schedule_at(due, Ev::HedgeCheck(task));
         }
-        SimDuration::from_millis_f64(ms)
+        // Reversed, so the first task started begins first.
+        self.steps
+            .extend(self.started_scratch.iter().rev().map(|&d| Step::Begin(d)));
     }
 
     /// Begins the actual work of a task the handler just moved into
@@ -454,7 +463,7 @@ impl<'a> ClusterSim<'a> {
             DispatchOutcome::Swallowed => return,
             DispatchOutcome::Dropped => {
                 let lost = self.handler.on_task_lost(now, d.task, d.lease);
-                self.apply(now, lost, sched);
+                self.apply(lost);
                 return;
             }
             DispatchOutcome::Runs(delay) => delay,
@@ -471,50 +480,43 @@ impl<'a> ClusterSim<'a> {
         );
     }
 
-    /// Applies the fallout of an attempt ending: the freed server's next
-    /// task is dispatched first (work conservation: *before* any successor
-    /// query is issued, so a chained query cannot jump the queue or
-    /// double-start the server), then the retry the handler planned for a
-    /// lost task, then any query resolution the ending caused.
-    ///
-    /// With a fault plan the first two steps can nest whole admissions (a
-    /// dispatch dropped on the spot ends its query, whose request chains
-    /// the next one), and every admission retires rows. What this frame
-    /// still needs afterwards survives that: `next` is in service and
-    /// `retry.slot` is unresolved, so neither has retired; the finished
-    /// query may have, so its request is read before anything else runs.
-    fn apply(&mut self, now: SimTime, ended: TaskCompletion, sched: &mut Scheduler<Ev>) {
-        let request = ended.done.map(|done| *self.query_request.row(done.query));
-        if let Some(next) = ended.next {
-            self.dispatch(now, next, sched);
+    /// Queues the fallout of an attempt ending, to run in this order: the
+    /// freed server's next task is dispatched first (work conservation:
+    /// *before* any successor query is issued, so a chained query cannot
+    /// jump the queue or double-start the server), then the retry the
+    /// handler planned for a lost task, then the finished query's request
+    /// chains. The finished query's cursor is copied out now, because the
+    /// chained admission may retire that query's row.
+    fn apply(&mut self, ended: TaskCompletion) {
+        if let Some(done) = ended.done {
+            self.steps
+                .push(Step::Chain(*self.query_cursor.row(done.query)));
         }
-        if let Some(retry) = ended.retry {
-            self.issue_copy(now, retry.slot, retry.server, AttemptKind::Retry, sched);
-        }
-        if let Some(request) = request {
-            self.handle_done(now, request as usize, sched);
+        self.steps.extend(ended.retry.map(Step::Retry));
+        self.steps.extend(ended.next.map(Step::Begin));
+    }
+
+    /// Runs the current event's fallout to the end (see [`Step`]).
+    fn drain(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+        while let Some(step) = self.steps.pop() {
+            match step {
+                Step::Begin(d) => self.dispatch(now, d, sched),
+                Step::Retry(r) => self.issue_copy(now, r.slot, r.server, AttemptKind::Retry),
+                Step::Chain(done) => self.chain(now, done, sched),
+            }
         }
     }
 
     /// Issues a hedge or retry copy of `slot` on `server`, with a fresh
     /// service draw for that server.
-    fn issue_copy(
-        &mut self,
-        now: SimTime,
-        slot: u32,
-        server: u32,
-        kind: AttemptKind,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let service = self.draw_service(server, now);
+    fn issue_copy(&mut self, now: SimTime, slot: u32, server: u32, kind: AttemptKind) {
+        let service = draw_service(self.config, &mut self.service_rng, server, now);
         let (task, dispatched) =
             self.handler
                 .issue_duplicate(now, slot, server, Some(service), kind);
         let minted = self.services.push(service);
         debug_assert_eq!(minted, task);
-        if let Some(d) = dispatched {
-            self.dispatch(now, d, sched);
-        }
+        self.steps.extend(dispatched.map(Step::Begin));
     }
 
     fn finish_task(
@@ -524,7 +526,6 @@ impl<'a> ClusterSim<'a> {
         task: u32,
         token: LeaseToken,
         busy: SimDuration,
-        sched: &mut Scheduler<Ev>,
     ) {
         let outcome = match &self.faults {
             None => FinishOutcome::Delivered { duplicate: false },
@@ -539,7 +540,7 @@ impl<'a> ClusterSim<'a> {
             // The sim analog of a node failing mid-reply with a NACK.
             FinishOutcome::Lost => {
                 let lost = self.handler.on_task_lost(now, task, token);
-                self.apply(now, lost, sched);
+                self.apply(lost);
                 return;
             }
             FinishOutcome::Delivered { duplicate } => duplicate,
@@ -550,7 +551,7 @@ impl<'a> ClusterSim<'a> {
             // arrives a second time; the state store suppresses it.
             let _ = self.handler.on_task_complete(now, task, token, busy);
         }
-        self.apply(now, completion, sched);
+        self.apply(completion);
     }
 
     /// Samples the cluster's instantaneous and cumulative state at `now`.
@@ -585,26 +586,22 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// Sequential request chaining (Fig. 1): a query of `request` finished,
-    /// so the request issues its next query, or records its latency when
-    /// that was the last (partial and failed completions advance the chain
-    /// too — the request does not stall on a degraded answer).
-    fn handle_done(&mut self, now: SimTime, request: usize, sched: &mut Scheduler<Ev>) {
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        self.request_progress[request] += 1;
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        let req_input = &self.input.requests[request];
-        // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-        if self.request_progress[request] < req_input.queries.len() {
-            self.issue_query(now, request, sched);
-        } else if req_input.queries.len() > 1 {
-            // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-            let req_latency = now.saturating_since(self.request_started[request]);
-            let first_class = req_input.queries[0].class;
+    /// Sequential request chaining (Fig. 1): query `at.index` of its
+    /// request finished, so the request issues its next query, or records
+    /// its latency when that was the last (partial and failed completions
+    /// advance the chain too — the request does not stall on a degraded
+    /// answer).
+    fn chain(&mut self, now: SimTime, mut at: Cursor, sched: &mut Scheduler<Ev>) {
+        at.index += 1;
+        // tg-lint: allow(panic-surface) -- the request of an admitted query: `Ev::Arrive` names only requests of the input
+        let queries = &self.input.requests[at.request].queries;
+        if at.index < queries.len() {
+            self.issue_query(now, at, sched);
+        } else if queries.len() > 1 {
             self.request_latency_by_class
-                .entry(first_class)
+                .entry(queries[0].class)
                 .or_default()
-                .record(req_latency);
+                .record(now.saturating_since(at.started));
         }
     }
 }
@@ -619,14 +616,17 @@ impl Simulation for ClusterSim<'_> {
         match ev {
             Ev::Arrive(i) => {
                 // Chain the next arrival (requests are pre-sorted).
-                if i + 1 < self.input.requests.len() {
-                    // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-                    let t = self.input.requests[i + 1].arrival;
-                    sched.schedule_at(t.max(now), Ev::Arrive(i + 1));
+                if let Some(next) = self.input.requests.get(i + 1) {
+                    sched.schedule_at(next.arrival.max(now), Ev::Arrive(i + 1));
                 }
-                // tg-lint: allow(panic-surface) -- request/query/task tables grow in lockstep with admission: ids are minted by this driver loop, so an out-of-range id is an internal-invariant breach
-                self.request_started[i] = now;
-                self.issue_query(now, i, sched);
+                let first = Cursor {
+                    request: i,
+                    index: 0,
+                    started: now,
+                };
+                self.issue_query(now, first, sched);
+                // The arrival's fallout settles before the snapshot is armed.
+                self.drain(now, sched);
                 self.schedule_snapshot(now, sched);
             }
             Ev::Finish {
@@ -634,13 +634,13 @@ impl Simulation for ClusterSim<'_> {
                 task,
                 token,
                 busy,
-            } => self.finish_task(now, server, task, token, busy, sched),
+            } => self.finish_task(now, server, task, token, busy),
             // A hedge threshold fired: if the slot is still unresolved,
             // under its attempt cap and within budget, hedge it on the
             // least-loaded backup.
             Ev::HedgeCheck(task) => {
                 if let Some(server) = self.handler.copy_target(now, task) {
-                    self.issue_copy(now, task, server, AttemptKind::Hedge, sched);
+                    self.issue_copy(now, task, server, AttemptKind::Hedge);
                 }
             }
             // A lease TTL elapsed. If that lease is still the active one
@@ -653,9 +653,7 @@ impl Simulation for ClusterSim<'_> {
             Ev::LeaseCheck { task, token } => {
                 if let Some(next) = self.handler.on_lease_expired(now, task, token) {
                     self.last_activity = now;
-                    if let Some(d) = next {
-                        self.dispatch(now, d, sched);
-                    }
+                    self.steps.extend(next.map(Step::Begin));
                 }
             }
             Ev::Snapshot => {
@@ -666,6 +664,7 @@ impl Simulation for ClusterSim<'_> {
                 }
             }
         }
+        self.drain(now, sched);
     }
 }
 
@@ -1263,6 +1262,41 @@ mod tests {
             let requests = &report.request_latency_by_class[&0];
             assert_eq!(requests.len(), 200, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_hundred_thousand_deep_drop_cascade_fits_a_small_stack() {
+        use tailguard_faults::{FaultEpisode, FaultKind};
+        // One server, blacked out from 0.5 ms on, and 100 000 single-query
+        // requests at t = 0. The first task reports lost at 1 ms; the freed
+        // server's next dispatch is dropped on the spot, which frees it
+        // again — one report whose fallout is 99 999 more losses. A driver
+        // that recursed per loss overflowed this 256 KiB stack.
+        const N: u64 = 100_000;
+        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+            0,
+            SimTime::from_micros(500),
+            SimTime::from_millis(3_600_000),
+            FaultKind::Drop,
+        ));
+        let cfg = SimConfig::new(
+            det_cluster(1, 1.0),
+            vec![ClassSpec::p99(ms(100.0))],
+            Policy::TfEdf,
+        )
+        .with_warmup(0)
+        .with_faults(plan);
+        let input = one_query_input(&vec![0; N as usize], 0, 1);
+        let report = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || run_simulation(&cfg, &input))
+            .expect("spawn the small-stack runner")
+            .join()
+            .expect("the run completes");
+        assert_eq!(report.completed_queries, 0);
+        assert_eq!(report.robustness.failed_queries, N);
+        assert_eq!(report.robustness.tasks_lost_to_faults, N);
+        assert_eq!(report.load.queries_offered_count(), N);
     }
 
     #[test]

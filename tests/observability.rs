@@ -12,15 +12,19 @@
 //!  3. The Prometheus text exposition of a fixed-seed run matches a
 //!     committed golden snapshot (set `TG_UPDATE_GOLDEN=1` to
 //!     regenerate after a deliberate semantic change).
-//!  4. The decoded trace of a fixed-seed run matches a committed JSONL
-//!     golden — the binary codec round-trips every event the simulator
-//!     emits, not just the variants unit tests construct by hand.
+//!  4. The decoded traces of fixed-seed runs — one steady, one a fault
+//!     cascade through chained requests — match committed JSONL goldens:
+//!     the binary codec round-trips every event the simulator emits, not
+//!     just the variants unit tests construct by hand, and the driver's
+//!     order of settling one event's fallout is pinned.
 
 use tailguard_repro::obs::events_to_jsonl;
 use tailguard_repro::policy::Policy;
+use tailguard_repro::simcore::{SimDuration, SimTime};
 use tailguard_repro::tailguard::{
-    run_indexed, run_simulation, run_simulation_observed, scenarios, MaxLoadOptions, ObsOptions,
-    SimInput, SimReport,
+    run_indexed, run_simulation, run_simulation_observed, scenarios, ClassSpec, ClusterSpec,
+    FaultEpisode, FaultKind, FaultPlan, MaxLoadOptions, MitigationConfig, ObsOptions, QuerySpec,
+    RequestInput, SimConfig, SimInput, SimReport,
 };
 use tailguard_repro::workload::TailbenchWorkload;
 
@@ -137,37 +141,75 @@ fn recorder_contents_identical_across_jobs() {
     }
 }
 
-/// Invariant 4: the decoded trace of a small fixed-seed run is pinned to
-/// a committed JSONL golden — exercising encode → ring → decode over the
-/// full event mix a real simulation produces.
+/// A fault cascade on 4 servers: three-query chained requests under a
+/// blackout on server 1 and a crash on server 2, with a lease TTL, retries
+/// and hedging. Dispatches into the blackout are dropped on the spot, so
+/// one report's fallout dispatches, retries and chains — admits — further
+/// queries: the order the simulator's driver settles that in is pinned.
+fn fault_cascade_run() -> (SimConfig, SimInput) {
+    let at = SimTime::from_micros;
+    let plan = FaultPlan::new()
+        .with_episode(FaultEpisode::new(1, at(1_500), at(4_000), FaultKind::Drop))
+        .with_episode(FaultEpisode::new(2, at(2_500), at(5_000), FaultKind::Crash));
+    let config = SimConfig::new(
+        ClusterSpec::homogeneous(4, TailbenchWorkload::Masstree.service_dist()),
+        vec![ClassSpec::p99(SimDuration::from_millis(2))],
+        Policy::TfEdf,
+    )
+    .with_warmup(0)
+    .with_seed(7)
+    .with_lease(SimDuration::from_millis(1))
+    .with_mitigation(
+        MitigationConfig::new()
+            .with_hedge_after(1.0)
+            .with_max_attempts(3),
+    )
+    .with_faults(plan);
+    let input = SimInput {
+        requests: (0..30)
+            .map(|i| RequestInput {
+                arrival: at(i * 150),
+                queries: vec![QuerySpec::new(0, 2); 3],
+            })
+            .collect(),
+    };
+    (config, input)
+}
+
+/// Invariant 4: the decoded traces of small fixed-seed runs are pinned to
+/// committed JSONL goldens — exercising encode → ring → decode over the
+/// full event mix a real simulation produces, fault cascades included.
 #[test]
 fn decoded_trace_matches_committed_golden() {
     let (config, input) = golden_run(Policy::TfEdf);
-    let input_small = SimInput {
+    let steady = SimInput {
         requests: input.requests.into_iter().take(300).collect(),
     };
-    let run = run_simulation_observed(&config, &input_small, &ObsOptions::default());
-    assert_eq!(
-        run.recorder.dropped(),
-        0,
-        "ring evicted records; grow DEFAULT_RING_CAPACITY or shrink the run"
-    );
-    let jsonl = events_to_jsonl(&run.recorder.events());
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/decoded_trace.jsonl"
-    );
-    if std::env::var("TG_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &jsonl).expect("write golden decoded trace");
-        return;
+    let cases = [
+        ("decoded_trace.jsonl", (config, steady)),
+        ("fault_cascade_trace.jsonl", fault_cascade_run()),
+    ];
+    for (file, (config, input)) in cases {
+        let run = run_simulation_observed(&config, &input, &ObsOptions::default());
+        assert_eq!(
+            run.recorder.dropped(),
+            0,
+            "{file}: ring evicted records; grow DEFAULT_RING_CAPACITY or shrink the run"
+        );
+        let jsonl = events_to_jsonl(&run.recorder.events());
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var("TG_UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&path, &jsonl).expect("write golden decoded trace");
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|_| panic!("missing {path} — run with TG_UPDATE_GOLDEN=1"));
+        assert_eq!(
+            jsonl, golden,
+            "{file}: decoded trace drifted from the committed golden snapshot; \
+             if the change is deliberate, regenerate with TG_UPDATE_GOLDEN=1"
+        );
     }
-    let golden = std::fs::read_to_string(path)
-        .expect("missing tests/golden/decoded_trace.jsonl — run with TG_UPDATE_GOLDEN=1");
-    assert_eq!(
-        jsonl, golden,
-        "decoded trace drifted from the committed golden snapshot; \
-         if the change is deliberate, regenerate with TG_UPDATE_GOLDEN=1"
-    );
 }
 
 /// Invariant 3: the Prometheus text exposition of a fixed-seed run is
