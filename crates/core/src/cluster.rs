@@ -347,7 +347,6 @@ impl<'a> ClusterSim<'a> {
     /// Fills `targets_scratch` with the servers `spec` fans out to.
     fn choose_servers(&mut self, spec: &QuerySpec) {
         let (n, out) = (self.config.cluster.servers(), &mut self.targets_scratch);
-        out.clear();
         match &spec.servers {
             Some(s) => {
                 assert_eq!(
@@ -359,6 +358,7 @@ impl<'a> ClusterSim<'a> {
                     s.iter().all(|&i| (i as usize) < n),
                     "placement server index out of range"
                 );
+                out.clear();
                 out.extend_from_slice(s);
             }
             None => {
@@ -367,13 +367,10 @@ impl<'a> ClusterSim<'a> {
                     "fanout {} exceeds cluster size {n}",
                     spec.fanout
                 );
-                out.extend(
-                    self.placement_rng
-                        .sample_distinct(n, spec.fanout as usize)
-                        .into_iter()
-                        // tg-lint: allow(lossy-cast) -- enumerate index over the admitted request/task list; run sizes are far below 2^32 and ids must stay dense
-                        .map(|i| i as u32),
-                );
+                // tg-lint: hot(admit)
+                self.placement_rng
+                    .sample_distinct_into(n, spec.fanout as usize, out);
+                // tg-lint: endhot
             }
         }
     }

@@ -24,23 +24,30 @@
 //! Servers are organized into *groups* sharing a CDF (all servers in the
 //! homogeneous simulations; one group per hardware cluster in the SaS
 //! testbed — "we let all 8 edge nodes in each cluster share the same CDF").
-//! Budgets are cached per `(class, group-multiset)`, so the steady-state
-//! cost of a deadline is one hash lookup — the "lightweight" property the
-//! paper claims.
+//! `x_p^u(k_f)` is solved once per `(class, group-multiset)` and cached.
+//! When the multiset depends on the fanout alone (one group, or no explicit
+//! placement) the cache is a table indexed by class and fanout, so the
+//! steady-state cost of a deadline is a few indexed loads and a subtraction —
+//! the "lightweight" property the paper claims.
 
 use crate::config::{ClassSpec, ClusterSpec};
-// tg-lint: allow(hash-order) -- imported only for the lookup-only Memo alias below
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tailguard_dist::{order_stats, Cdf, CdfSnapshot, DynDistribution, LogHistogram};
 use tailguard_simcore::{SimDuration, SimRng};
 
-/// Budget/tail memo keyed by `(class, group occupancy)`. Accessed only
-/// point-wise (`get`/`insert`/`clear`/`len`) on the per-query hot path —
-/// never iterated, so the hash order cannot leak into any result. A
-/// `BTreeMap` here would put an `O(log n)` walk on every deadline stamp.
-// tg-lint: allow(hash-order) -- lookup-only memo, never iterated; hot-path point access
-type Memo = HashMap<(u8, GroupKey), SimDuration>;
+/// `x_p^u` memo for multi-group explicit placements (the SaS testbed),
+/// keyed by `(class, group occupancy)`.
+type Memo = BTreeMap<(u8, GroupKey), SimDuration>;
+
+/// A dense-table cell not solved since the last refresh.
+const UNSOLVED: SimDuration = SimDuration::MAX;
+
+/// Fanouts at or above this go to the [`Memo`] rather than the dense table:
+/// a fanout can come from an input trace, and one huge value must not size
+/// a row.
+const DENSE_FANOUTS: usize = 1 << 16;
 
 /// Where the estimator's per-server CDFs come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,8 +127,8 @@ const INLINE_GROUPS: usize = 4;
 ///
 /// Construction is canonical: keys with at most [`INLINE_GROUPS`] distinct
 /// groups are always `Inline` (with zeroed padding), larger ones always
-/// `Heap`, so derived `Eq`/`Hash` never have to compare across variants.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// `Heap`, so derived `Eq`/`Ord` never have to compare across variants.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum GroupKey {
     Inline {
         len: u8,
@@ -199,8 +206,12 @@ pub struct DeadlineEstimator {
     group_count: usize,
     source: CdfSource,
     hists: Vec<LogHistogram>, // per group; empty in analytic mode
-    budget_cache: Memo,
-    tail_cache: Memo,
+    /// `x_p^u(k_f)` per class, indexed by fanout, for keys that depend on
+    /// `(class, k_f)` alone; rows grow on a miss, refreshes reset cells to
+    /// [`UNSOLVED`].
+    dense: Vec<Vec<SimDuration>>,
+    dense_solved: usize, // cells of `dense` not UNSOLVED
+    memo: Memo,
     counts_scratch: Vec<u32>, // group -> count, reused across group_key calls
     budget_lookups: u64,
     refresh_every: u64,
@@ -216,7 +227,7 @@ impl std::fmt::Debug for DeadlineEstimator {
         f.debug_struct("DeadlineEstimator")
             .field("classes", &self.classes.len())
             .field("groups", &self.group_count)
-            .field("cached_budgets", &self.budget_cache.len())
+            .field("cached_budgets", &self.cached_budget_count())
             .field("refreshes", &self.refreshes)
             .finish()
     }
@@ -275,8 +286,9 @@ impl DeadlineEstimator {
             group_count,
             source,
             hists,
-            budget_cache: Memo::new(),
-            tail_cache: Memo::new(),
+            dense: Vec::new(),
+            dense_solved: 0,
+            memo: Memo::new(),
             counts_scratch: vec![0; group_count],
             budget_lookups: 0,
             refresh_every,
@@ -368,8 +380,11 @@ impl DeadlineEstimator {
         if snaps.iter().all(|s| !s.is_empty()) {
             self.source = CdfSource::Online(snaps);
         }
-        self.budget_cache.clear();
-        self.tail_cache.clear();
+        for row in &mut self.dense {
+            row.fill(UNSOLVED);
+        }
+        self.dense_solved = 0;
+        self.memo.clear();
         self.since_refresh = 0;
         self.refreshes += 1;
     }
@@ -406,33 +421,23 @@ impl DeadlineEstimator {
     }
 
     fn group_key(&mut self, fanout: u32, servers: &[u32]) -> GroupKey {
-        if servers.is_empty() || self.group_count == 1 {
-            // Uniform placement over a homogeneous cluster (or unknown
-            // placement): all tasks belong to group 0's CDF.
-            if self.group_count == 1 {
-                return GroupKey::single(0, fanout);
+        if self.group_count == 1 {
+            // A homogeneous cluster: all tasks belong to group 0's CDF,
+            // wherever they are placed.
+            return GroupKey::single(0, fanout);
+        }
+        if servers.is_empty() {
+            self.apportion(fanout);
+        } else {
+            // Explicit placement: count tasks per group into the reusable
+            // scratch.
+            self.counts_scratch.iter_mut().for_each(|c| *c = 0);
+            for &s in servers {
+                // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; inline keys are guarded by the `len < cap` branch; per-class specs are sized from the class list
+                self.counts_scratch[self.group_of[s as usize] as usize] += 1;
             }
-            // Unknown placement on a heterogeneous cluster: approximate by
-            // spreading tasks across groups proportionally to group size.
-            // tg-lint: allow(lossy-cast) -- group/server counts are far below 2^32 and inline key lengths below the u8 cap
-            let n = self.group_of.len() as u32;
-            let sizes = &self.group_sizes;
-            return GroupKey::from_sorted_pairs(
-                sizes
-                    .iter()
-                    .enumerate()
-                    // tg-lint: allow(lossy-cast) -- group/server counts are far below 2^32 and inline key lengths below the u8 cap
-                    .map(|(g, &members)| (g as u32, (fanout * members).div_ceil(n)))
-                    .filter(|&(_, c)| c > 0),
-            );
         }
-        // Explicit placement: count tasks per group into the reusable
-        // scratch (indexed by group id, hence already sorted).
-        self.counts_scratch.iter_mut().for_each(|c| *c = 0);
-        for &s in servers {
-            // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; inline keys are guarded by the `len < cap` branch; per-class specs are sized from the class list
-            self.counts_scratch[self.group_of[s as usize] as usize] += 1;
-        }
+        // Indexed by group id, hence already sorted.
         GroupKey::from_sorted_pairs(
             self.counts_scratch
                 .iter()
@@ -441,6 +446,29 @@ impl DeadlineEstimator {
                 // tg-lint: allow(lossy-cast) -- group/server counts are far below 2^32 and inline key lengths below the u8 cap
                 .map(|(g, &c)| (g as u32, c)),
         )
+    }
+
+    /// Unknown placement on a heterogeneous cluster: spreads `fanout` tasks
+    /// over the groups in proportion to their sizes into `counts_scratch`,
+    /// by largest remainder (ties to the lower group id), so the counts sum
+    /// to `fanout`.
+    fn apportion(&mut self, fanout: u32) {
+        let (k, n) = (u64::from(fanout), self.group_of.len() as u64);
+        let mut left = fanout;
+        let mut by_remainder = Vec::with_capacity(self.group_count);
+        let groups = self.counts_scratch.iter_mut().zip(&self.group_sizes);
+        for (g, (count, &members)) in groups.enumerate() {
+            let exact = k * u64::from(members); // k·m/n tasks, scaled by n
+            *count = u32::try_from(exact.checked_div(n).unwrap_or(0)).unwrap_or(fanout);
+            left = left.saturating_sub(*count);
+            by_remainder.push((Reverse(exact.checked_rem(n).unwrap_or(0)), g));
+        }
+        by_remainder.sort_unstable();
+        for &(_, g) in by_remainder.iter().take(left as usize) {
+            if let Some(count) = self.counts_scratch.get_mut(g) {
+                *count += 1;
+            }
+        }
     }
 
     /// The unloaded `p`-th percentile query tail latency `x_p^u(k_f)`
@@ -454,20 +482,82 @@ impl DeadlineEstimator {
     /// Panics when `class` is out of range or `fanout` is zero.
     pub fn unloaded_query_tail(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
         assert!(fanout >= 1, "fanout must be at least 1");
+        self.tail(class, fanout, servers)
+    }
+
+    /// The task pre-dequeuing time budget `T_b = x_p^SLO − x_p^u(k_f)`
+    /// (Eq. 6), clamped at zero when the unloaded tail already exceeds the
+    /// SLO (such queries are maximally urgent).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `class` is out of range or `fanout` is zero.
+    pub fn budget(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
+        // tg-lint: hot(admit)
+        assert!(fanout >= 1, "fanout must be at least 1");
+        self.budget_lookups += 1;
         // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; inline keys are guarded by the `len < cap` branch; per-class specs are sized from the class list
-        let spec = self.classes[class as usize];
-        let ck = (class, self.group_key(fanout, servers));
-        if let Some(&t) = self.tail_cache.get(&ck) {
-            return t;
+        let slo = self.classes[class as usize].slo;
+        slo.saturating_sub(self.tail(class, fanout, servers))
+        // tg-lint: endhot
+    }
+
+    /// `x_p^u(k_f)`, cached: a dense cell when the key is `(class, k_f)`
+    /// alone, the memo for multi-group explicit placements.
+    #[inline]
+    fn tail(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
+        // tg-lint: hot(admit)
+        if self.group_count > 1 && !servers.is_empty() {
+            return self.memo_tail(class, fanout, servers);
         }
-        let ms = self.solve_tail(&ck.1, spec.percentile);
-        let t = SimDuration::from_millis_f64(ms);
-        self.tail_cache.insert(ck, t);
+        let row = self.dense.get(usize::from(class));
+        match row.and_then(|row| row.get(fanout as usize)) {
+            Some(&t) if t != UNSOLVED => t,
+            _ => self.solve_dense(class, fanout),
+        }
+        // tg-lint: endhot
+    }
+
+    /// A dense-table miss: solves and fills the `(class, fanout)` cell,
+    /// growing the table to hold it.
+    #[cold]
+    fn solve_dense(&mut self, class: u8, fanout: u32) -> SimDuration {
+        let (c, k) = (usize::from(class), fanout as usize);
+        if k >= DENSE_FANOUTS {
+            return self.memo_tail(class, fanout, &[]);
+        }
+        let key = self.group_key(fanout, &[]);
+        let t = self.solve(class, &key);
+        if self.dense.len() <= c {
+            self.dense.resize_with(c + 1, Vec::new);
+        }
+        if let Some(row) = self.dense.get_mut(c) {
+            if row.len() <= k {
+                row.resize(k + 1, UNSOLVED);
+            }
+            if let Some(cell) = row.get_mut(k) {
+                *cell = t;
+                self.dense_solved += usize::from(t != UNSOLVED);
+            }
+        }
         t
     }
 
-    fn solve_tail(&self, key: &GroupKey, p: f64) -> f64 {
-        match &self.source {
+    fn memo_tail(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
+        let ck = (class, self.group_key(fanout, servers));
+        if let Some(&t) = self.memo.get(&ck) {
+            return t;
+        }
+        let t = self.solve(class, &ck.1);
+        self.memo.insert(ck, t);
+        t
+    }
+
+    /// Solves Eq. 2 for `class`'s percentile over the multiset `key`.
+    fn solve(&self, class: u8, key: &GroupKey) -> SimDuration {
+        // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; inline keys are guarded by the `len < cap` branch; per-class specs are sized from the class list
+        let p = self.classes[class as usize].percentile;
+        let ms = match &self.source {
             CdfSource::Analytic(reps) => {
                 let pairs: Vec<(&dyn Cdf, u32)> = key
                     .as_pairs()
@@ -486,40 +576,19 @@ impl DeadlineEstimator {
                     .collect();
                 order_stats::grouped_quantile(&pairs, p)
             }
-        }
-    }
-
-    /// The task pre-dequeuing time budget `T_b = x_p^SLO − x_p^u(k_f)`
-    /// (Eq. 6), clamped at zero when the unloaded tail already exceeds the
-    /// SLO (such queries are maximally urgent).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `class` is out of range or `fanout` is zero.
-    pub fn budget(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
-        assert!(fanout >= 1, "fanout must be at least 1");
-        self.budget_lookups += 1;
-        // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; inline keys are guarded by the `len < cap` branch; per-class specs are sized from the class list
-        let spec = self.classes[class as usize];
-        let ck = (class, self.group_key(fanout, servers));
-        if let Some(&b) = self.budget_cache.get(&ck) {
-            return b;
-        }
-        let tail = SimDuration::from_millis_f64(self.solve_tail(&ck.1, spec.percentile));
-        let b = spec.slo.saturating_sub(tail);
-        self.budget_cache.insert(ck, b);
-        b
+        };
+        SimDuration::from_millis_f64(ms)
     }
 
     /// Number of distinct `(class, placement)` budgets currently cached.
     pub fn cached_budget_count(&self) -> usize {
-        self.budget_cache.len()
+        self.dense_solved + self.memo.len()
     }
 
     /// Total [`DeadlineEstimator::budget`] calls over the estimator's
     /// lifetime (hits and misses alike). `budget_lookup_count() −
     /// cached_budget_count()` lower-bounds the cache hits since the last
-    /// refresh — the steady-state "one hash lookup per deadline" property.
+    /// refresh — the steady-state "one cached lookup per deadline" property.
     pub fn budget_lookup_count(&self) -> u64 {
         self.budget_lookups
     }
@@ -894,5 +963,128 @@ mod tests {
         // fanout 4, unknown placement: 3 fast + 1 slow → tail = 1.0ms.
         let tail = est.unloaded_query_tail(0, 4, &[]);
         assert!((tail.as_millis_f64() - 1.0).abs() < 1e-6, "tail {tail}");
+    }
+
+    /// An analytic estimator over groups of the given sizes (one
+    /// distribution object per group).
+    fn grouped(sizes: &[usize]) -> DeadlineEstimator {
+        let servers = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &n)| {
+                let d: DynDistribution = Arc::new(Exponential::with_mean(0.1 * (g + 1) as f64));
+                std::iter::repeat_n(d, n)
+            })
+            .collect();
+        DeadlineEstimator::new(
+            &ClusterSpec::heterogeneous(servers),
+            vec![ClassSpec::p99(ms(50.0))],
+            EstimatorMode::Analytic,
+        )
+    }
+
+    #[test]
+    fn unknown_placement_apportions_exactly_fanout_tasks() {
+        for sizes in [&[8, 8, 8][..], &[3, 1]] {
+            let mut est = grouped(sizes);
+            for k in 1..=sizes.iter().sum::<usize>() as u32 {
+                let key = est.group_key(k, &[]);
+                let total: u32 = key.as_pairs().iter().map(|&(_, c)| c).sum();
+                assert_eq!(total, k, "sizes {sizes:?} k {k}: {key:?}");
+            }
+        }
+        // Largest remainder, ties to the lower group id.
+        let mut est = grouped(&[8, 8, 8]);
+        assert_eq!(est.group_key(1, &[]).as_pairs(), &[(0, 1)]);
+        assert_eq!(est.group_key(2, &[]).as_pairs(), &[(0, 1), (1, 1)]);
+        assert_eq!(est.group_key(4, &[]).as_pairs(), &[(0, 2), (1, 1), (2, 1)]);
+        let mut est = grouped(&[1, 3]);
+        assert_eq!(est.group_key(2, &[]).as_pairs(), &[(0, 1), (1, 1)]);
+        assert_eq!(est.group_key(3, &[]).as_pairs(), &[(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn homogeneous_placements_share_one_dense_cell() {
+        let cluster = masstree_cluster(100);
+        let classes = vec![ClassSpec::p99(ms(1.0)), ClassSpec::p99(ms(1.5))];
+        let mut est = DeadlineEstimator::new(&cluster, classes, EstimatorMode::Analytic);
+        let explicit: Vec<u32> = (40..50).collect();
+        for class in 0..2u8 {
+            let unknown = est.budget(class, 10, &[]);
+            assert_eq!(est.budget(class, 10, &explicit), unknown);
+            assert_eq!(est.budget(class, 10, &[3; 10]), unknown);
+        }
+        assert_eq!(est.cached_budget_count(), 2, "one cell per class");
+        assert!(est.memo.is_empty());
+        assert_eq!(
+            est.unloaded_query_tail(1, 10, &[]),
+            ms(1.5).saturating_sub(est.budget(1, 10, &[]))
+        );
+        assert_eq!(est.cached_budget_count(), 2);
+    }
+
+    #[test]
+    fn a_refresh_resets_dense_cells_and_keeps_their_rows() {
+        let cluster = masstree_cluster(10);
+        let mut est = DeadlineEstimator::new(
+            &cluster,
+            vec![ClassSpec::p99(ms(5.0))],
+            EstimatorMode::Online {
+                refresh_every: 1_000,
+                offline_samples: 0,
+            },
+        );
+        let mut rng = SimRng::seed(8);
+        est.seed_offline(&cluster, 20_000, &mut rng);
+        let before = est.budget(0, 10, &[]);
+        assert_eq!(est.cached_budget_count(), 1);
+        // Every server now observed 5× slower than Masstree's mean.
+        let slow = Exponential::with_mean(1.0);
+        for i in 0..1_000 {
+            est.record_post_queuing(i % 10, ms(slow.sample(&mut rng)));
+        }
+        assert_eq!(est.refresh_count(), 2);
+        assert_eq!(est.cached_budget_count(), 0, "refresh must reset cells");
+        assert_eq!(est.dense[0].len(), 11, "the row stays allocated");
+        assert!(est.dense[0].iter().all(|&t| t == UNSOLVED));
+        let after = est.budget(0, 10, &[]);
+        assert!(after < before, "budget must tighten: {before} -> {after}");
+        assert_eq!(est.cached_budget_count(), 1);
+    }
+
+    #[test]
+    fn a_fanout_past_the_dense_table_is_memoized() {
+        let mut est = DeadlineEstimator::new(
+            &masstree_cluster(10),
+            vec![ClassSpec::p99(ms(5.0))],
+            EstimatorMode::Analytic,
+        );
+        let k = DENSE_FANOUTS as u32;
+        let b = est.budget(0, k, &[]);
+        assert_eq!(est.budget(0, k, &[]), b);
+        assert!(est.dense.iter().all(Vec::is_empty));
+        assert_eq!(est.memo.len(), 1);
+        assert_eq!(est.cached_budget_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fanout must be at least 1")]
+    fn zero_fanout_panics() {
+        let mut est = grouped(&[4]);
+        let _ = est.budget(0, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 1 but the index is 1")]
+    fn class_out_of_range_panics_on_a_warm_table() {
+        let mut est = grouped(&[4]);
+        let _ = est.budget(0, 2, &[]);
+        let _ = est.budget(1, 2, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 1 but the index is 3")]
+    fn class_out_of_range_panics_for_the_tail_too() {
+        let _ = grouped(&[2, 2]).unloaded_query_tail(3, 2, &[0, 3]);
     }
 }

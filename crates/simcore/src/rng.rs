@@ -97,6 +97,19 @@ impl SimRng {
         rand::seq::index::sample(&mut self.inner, n, k).into_vec()
     }
 
+    /// [`SimRng::sample_distinct`] into a buffer the caller owns: replaces
+    /// `out`'s contents with the same `k` indices the same draws give, and
+    /// allocates only when `out` must grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k > n` or `n` exceeds `u32::MAX + 1`.
+    #[inline]
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, out: &mut Vec<u32>) {
+        assert!(k <= n, "cannot sample {k} distinct values from {n}");
+        rand::seq::index::sample_into(&mut self.inner, n, k, out);
+    }
+
     /// Access to the underlying `rand` generator for use with external
     /// distribution adaptors.
     pub fn raw(&mut self) -> &mut impl Rng {
@@ -188,6 +201,18 @@ mod tests {
         let mut v = r.sample_distinct(5, 5);
         v.sort_unstable();
         assert_eq!(v, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn sample_distinct_into_draws_what_sample_distinct_draws() {
+        let (mut a, mut b) = (SimRng::seed(15), SimRng::seed(15));
+        let mut out = vec![7u32; 3]; // stale contents are replaced
+        for &(n, k) in &[(100, 10), (100, 40), (5, 5), (8, 0), (1000, 3)] {
+            b.sample_distinct_into(n, k, &mut out);
+            let want: Vec<u32> = a.sample_distinct(n, k).iter().map(|&i| i as u32).collect();
+            assert_eq!(out, want, "n={n} k={k}");
+        }
+        assert_eq!(a.u64(), b.u64());
     }
 
     #[test]
