@@ -1,45 +1,34 @@
 //! The discrete-event cluster simulator.
 //!
-//! A thin driver over the shared scheduling core
-//! ([`tailguard_sched::QueryHandler`]), which implements the TailGuard
-//! query processing model of Fig. 2: deadline stamping (`t_D = t_0 + T_b`,
-//! Eq. 6), per-server policy queues, dequeue-time deadline-miss detection
-//! (§III.C), window-based admission, and fanout aggregation. This module
-//! owns only what is genuinely simulation: the event heap, the RNG streams
-//! that draw placements and service times, failure injection (slowdowns),
-//! warm-up accounting, and the sequential request chaining of Fig. 1.
+//! The simulator's [`Transport`] under the shared [`Driver`] and its
+//! [`QueryHandler`], which implement the TailGuard query processing model
+//! of Fig. 2: deadline stamping (`t_D = t_0 + T_b`, Eq. 6), per-server
+//! policy queues, dequeue-time deadline-miss detection (§III.C),
+//! window-based admission, and fanout aggregation. This module owns only
+//! what is genuinely simulation: the event heap, the RNG streams that draw
+//! placements and service times, failure injection, warm-up accounting,
+//! and the sequential request chaining of Fig. 1.
 
 use crate::observe::SimSnapshot;
 use crate::report::SimReport;
-use crate::spec::{QuerySpec, SimConfig, SimInput};
+use crate::spec::{QuerySpec, RequestInput, SimConfig, SimInput};
 use std::collections::BTreeMap;
 use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
-    AdmitDecision, AttemptKind, DeadlineEstimator, DispatchedTask, EstimatorMode, IdRing,
-    LeaseToken, QueryArrival, QueryHandler, RetryPlan, TaskCompletion, TraceSink,
+    Begun, DeadlineEstimator, DispatchedTask, Driver, EstimatorMode, LeaseToken, QueryArrival,
+    QueryHandler, Timer, TraceSink, Transport,
 };
-use tailguard_simcore::{Engine, Scheduler, SimDuration, SimRng, SimTime, Simulation};
+use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 
 /// What [`run_with_observer`] installs when a run is observed: the trace
 /// sink the handler will emit lifecycle events into, and the virtual-time
 /// cadence for [`SimSnapshot`] sampling (`None` records the trace without
-/// injecting any snapshot events — the engine's event count then matches
-/// the unobserved run exactly).
+/// injecting any snapshot events — the event count then matches the
+/// unobserved run exactly).
 pub(crate) struct ObserverSetup {
     pub sink: Box<dyn TraceSink>,
     pub snapshot_every: Option<SimDuration>,
-}
-
-/// Everything a run produces before the observability layer shapes it:
-/// the report plus the sampled snapshots and the estimator counters that
-/// [`QueryHandler::into_stats`] does not carry.
-pub(crate) struct RawRun {
-    pub report: SimReport,
-    pub snapshots: Vec<SimSnapshot>,
-    pub budget_lookups: u64,
-    pub estimator_refreshes: u64,
-    pub cached_budgets: u64,
 }
 
 /// Runs one simulation to completion and returns the measurements.
@@ -82,7 +71,7 @@ pub(crate) struct RawRun {
 /// assert!(report.meets_all_slos());
 /// ```
 pub fn run_simulation(config: &SimConfig, input: &SimInput) -> SimReport {
-    run_with_observer(config, input, None).report
+    run_with_observer(config, input, None).0
 }
 
 /// Runs one simulation with a caller-supplied trace sink and *nothing
@@ -105,11 +94,12 @@ pub fn run_simulation_traced(
             snapshot_every: None,
         }),
     )
-    .report
+    .0
 }
 
 /// The shared run loop behind [`run_simulation`] and
-/// [`crate::run_simulation_observed`]. Without an observer this is
+/// [`crate::run_simulation_observed`]: the report, plus the sampled
+/// snapshots of an observed run. Without an observer this is
 /// byte-for-byte the unobserved simulation: no sink is installed (the
 /// handler keeps its allocation-free [`tailguard_sched::NullSink`]) and no
 /// snapshot events enter the heap, so reports — including
@@ -118,7 +108,7 @@ pub(crate) fn run_with_observer(
     config: &SimConfig,
     input: &SimInput,
     observer: Option<ObserverSetup>,
-) -> RawRun {
+) -> (SimReport, Vec<SimSnapshot>) {
     let mut master = SimRng::seed(config.seed);
     let placement_rng = master.split();
     let service_rng = master.split();
@@ -139,11 +129,10 @@ pub(crate) fn run_with_observer(
         estimator = estimator.with_adaptive(aw);
     }
 
-    let servers = config.cluster.servers();
     let mut handler = QueryHandler::new(
         config.policy,
         config.classes.clone(),
-        servers,
+        config.cluster.servers(),
         estimator,
         config.admission,
     );
@@ -162,20 +151,18 @@ pub(crate) fn run_with_observer(
     }
     let sim = ClusterSim {
         config,
-        input,
-        handler,
         // An empty plan is normalized to "no plan" so the hot path stays
         // the config-gated single schedule_in either way.
         faults: config.faults.as_ref().filter(|p| !p.is_empty()),
-        placement_rng,
         service_rng,
-        services: IdRing::new(),
-        query_cursor: IdRing::new(),
-        steps: Vec::new(),
+        events: Scheduler::new(),
+    };
+    let mut run = Run {
+        config,
+        driver: Driver::new(handler, sim),
+        placement_rng,
         targets_scratch: Vec::new(),
         services_scratch: Vec::new(),
-        started_scratch: Vec::new(),
-        issued_queries: 0,
         request_latency_by_class: BTreeMap::new(),
         snapshot_every,
         snapshot_pending: false,
@@ -183,63 +170,59 @@ pub(crate) fn run_with_observer(
         last_activity: SimTime::ZERO,
     };
 
-    let mut engine = Engine::new(sim);
-    if !input.requests.is_empty() {
-        engine
-            .scheduler_mut()
-            .schedule_at(input.requests[0].arrival, Ev::Arrive(0));
+    if let [first, ..] = input.requests.as_slice() {
+        run.events()
+            .schedule_at(first.arrival, Ev::Arrive(&input.requests));
     }
-    engine.run_to_completion();
-    let events = engine.processed();
-    let mut state = engine.into_state();
-    // `last_activity` equals `engine.now()` on unobserved runs (every
-    // event updates it); on observed runs it excludes any snapshot that
-    // fired after the final completion, keeping `elapsed` — and with it
-    // every load ratio — identical to the unobserved run.
-    let elapsed = state.last_activity;
+    let mut events = 0u64;
+    while let Some(scheduled) = run.events().pop() {
+        events += 1;
+        run.handle(scheduled.at(), scheduled.event);
+    }
+    // `last_activity` equals the last event's time on unobserved runs
+    // (every event updates it); on observed runs it excludes any snapshot
+    // that fired after the final completion, keeping `elapsed` — and with
+    // it every load ratio — identical to the unobserved run.
+    let elapsed = run.last_activity;
     // Observed runs always end with one final snapshot at the last event
     // time, so even an empty or snapshot-free run yields ≥ 1 snapshot.
     // Trailing idle samples past `elapsed` are superseded by it.
-    if state.snapshot_every.is_some() {
-        state.snapshots.retain(|s| s.at_ns <= elapsed.as_nanos());
-        state.take_snapshot(elapsed);
+    if run.snapshot_every.is_some() {
+        run.snapshots.retain(|s| s.at_ns <= elapsed.as_nanos());
+        run.take_snapshot(elapsed);
     }
-    let budget_lookups = state.handler.estimator().budget_lookup_count();
-    let estimator_refreshes = state.handler.estimator().refresh_count();
-    let cached_budgets = state.handler.estimator().cached_budget_count() as u64;
-    let stats = state.handler.into_stats();
-    RawRun {
-        report: SimReport {
-            policy: config.policy,
-            classes: config.classes.clone(),
-            query_latency_by_class: stats.query_latency_by_class,
-            query_latency_by_type: stats.query_latency_by_type,
-            request_latency_by_class: state.request_latency_by_class,
-            pre_dequeue: stats.pre_dequeue,
-            load: stats.load,
-            busy_by_server: stats.busy_by_server,
-            elapsed,
-            completed_queries: stats.completed_queries,
-            rejected_queries: stats.rejected_queries,
-            events_processed: events,
-            robustness: stats.robustness,
-            partial_latency: stats.partial_latency,
-            lifecycle: stats.lifecycle,
-            health: stats.health,
-            server_health: stats.server_health,
-            estimator_window_rolls: stats.estimator_window_rolls,
-        },
-        snapshots: state.snapshots,
-        budget_lookups,
-        estimator_refreshes,
-        cached_budgets,
-    }
+    let stats = run.driver.into_handler().into_stats();
+    let report = SimReport {
+        policy: config.policy,
+        classes: config.classes.clone(),
+        query_latency_by_class: stats.query_latency_by_class,
+        query_latency_by_type: stats.query_latency_by_type,
+        request_latency_by_class: run.request_latency_by_class,
+        pre_dequeue: stats.pre_dequeue,
+        load: stats.load,
+        busy_by_server: stats.busy_by_server,
+        elapsed,
+        completed_queries: stats.completed_queries,
+        rejected_queries: stats.rejected_queries,
+        events_processed: events,
+        robustness: stats.robustness,
+        partial_latency: stats.partial_latency,
+        lifecycle: stats.lifecycle,
+        health: stats.health,
+        server_health: stats.server_health,
+        estimator_window_rolls: stats.estimator_window_rolls,
+        budget_lookups: stats.budget_lookups,
+        estimator_refreshes: stats.estimator_refreshes,
+        cached_budgets: stats.cached_budgets,
+    };
+    (report, run.snapshots)
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Request `i` arrives (its first query is issued).
-    Arrive(usize),
+enum Ev<'a> {
+    /// The first request of this slice of the input arrives (its first
+    /// query is issued).
+    Arrive(&'a [RequestInput]),
     /// The work dispatched for `task` on `server` under `token` finishes.
     /// The token fences the result: a reclaim between dispatch and finish
     /// turns this into a stale commit the handler rejects. `busy` is the
@@ -253,80 +236,31 @@ enum Ev {
         token: LeaseToken,
         busy: SimDuration,
     },
-    /// Time to consider hedging original task `t` (its budget-fraction
-    /// threshold passed without a completion).
-    HedgeCheck(u32),
-    /// The lease `token` on `task` reached its TTL: reclaim the attempt if
-    /// that lease is still the active one. Only scheduled when a lease TTL
-    /// is configured.
-    LeaseCheck { task: u32, token: LeaseToken },
+    /// A hedge check or lease expiry the driver armed.
+    Timer(Timer),
     /// Observed runs only: sample a [`SimSnapshot`] of the cluster state.
     Snapshot,
 }
 
-/// Where a request stands (Fig. 1 chaining): the index of its query in
-/// flight and when the request arrived. Each admitted query's row carries
-/// one, so the driver keeps no table per input request.
+/// Where a request stands (Fig. 1 chaining): its queries, the index of
+/// the one in flight, and when the request arrived — the driver's tag of
+/// each admitted query, so the simulator keeps no table per request.
 #[derive(Debug, Clone, Copy)]
-struct Cursor {
-    request: usize,
+struct Cursor<'a> {
+    queries: &'a [QuerySpec],
     index: usize,
     started: SimTime,
 }
 
-/// Follow-up work of the current event, run last-in-first-out from
-/// [`ClusterSim::steps`], each step returning before the next starts: what
-/// a step causes runs before the steps queued ahead of it, the depth-first
-/// order of nested calls without the nesting. Nothing a pending step names
-/// can retire: a begun task is in service, a retry's slot is unresolved,
-/// and a chain holds its request's cursor, not its query's row.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Begin the work of a task the handler moved into service.
-    Begin(DispatchedTask),
-    /// Issue the retry the handler planned for a lost task.
-    Retry(RetryPlan),
-    /// A request's query finished: issue its next query or record it.
-    Chain(Cursor),
-}
-
+/// The simulator's transport: the event heap, the fault plan, and the
+/// service-time stream.
 struct ClusterSim<'a> {
-    /// The run's configuration and input, borrowed: a run reads them and
-    /// never owns a copy.
     config: &'a SimConfig,
-    input: &'a SimInput,
-    handler: QueryHandler,
     /// Interval fault episodes, if configured (empty plans normalized away).
     faults: Option<&'a FaultPlan>,
-    placement_rng: SimRng,
     service_rng: SimRng,
-    /// Drawn service time per handler task id — the simulator's oracle for
-    /// when a started task's `Finish` event fires. Minted in lockstep with
-    /// the handler's task ids and trimmed to its first live one.
-    services: IdRing<SimDuration>,
-    /// Its request's [`Cursor`] per handler query id, trimmed to the
-    /// handler's first live query.
-    query_cursor: IdRing<Cursor>,
-    /// The current event's fallout still to run; empty between events.
-    steps: Vec<Step>,
-    // Per-query scratch, reused across issue_query calls so the hot path
-    // does not allocate per query.
-    targets_scratch: Vec<u32>,
-    services_scratch: Vec<SimDuration>,
-    started_scratch: Vec<DispatchedTask>,
-    issued_queries: u64,
-    request_latency_by_class: BTreeMap<u8, LatencyReservoir>,
-    /// Snapshot cadence in virtual time; `None` for unobserved runs (the
-    /// default), which then schedule no `Ev::Snapshot` events at all.
-    snapshot_every: Option<SimDuration>,
-    /// True while an `Ev::Snapshot` sits in the heap — keeps at most one
-    /// pending so a burst of arrivals cannot pile up samplers.
-    snapshot_pending: bool,
-    snapshots: Vec<SimSnapshot>,
-    /// Time of the last *simulation* event (arrival/finish/hedge-check).
-    /// Reported as `elapsed` so a trailing snapshot firing after the
-    /// cluster drained cannot stretch observed runs' load denominators.
-    last_activity: SimTime,
+    /// The future-event list.
+    events: Scheduler<Ev<'a>>,
 }
 
 /// Draws one service time for `server` at virtual time `now`: the
@@ -343,7 +277,82 @@ fn draw_service(config: &SimConfig, rng: &mut SimRng, server: u32, now: SimTime)
     SimDuration::from_millis_f64(ms)
 }
 
-impl<'a> ClusterSim<'a> {
+impl<'a> Transport for ClusterSim<'a> {
+    /// The nominal service draw: a reclaimed task re-dispatches from it, so
+    /// reclaims cannot compound fault holds.
+    type Row = SimDuration;
+    type Tag = Cursor<'a>;
+
+    /// Without a fault plan this is exactly one `schedule_in`; with one,
+    /// the task can be swallowed by an active crash, dropped by an active
+    /// blackout, or its completion deferred by stall/restart/slowdown.
+    fn begin(&mut self, now: SimTime, d: DispatchedTask, service: SimDuration) -> Begun {
+        let outcome = match self.faults {
+            None => DispatchOutcome::Runs(service),
+            Some(faults) => faults.at_dispatch(d.server, now, service),
+        };
+        // The effective delay rides in the event so busy/estimator
+        // accounting at completion observes the fault.
+        let delay = match outcome {
+            DispatchOutcome::Swallowed => return Begun::Swallowed,
+            DispatchOutcome::Dropped => return Begun::Dropped,
+            DispatchOutcome::Runs(delay) => delay,
+        };
+        let finish = Ev::Finish {
+            server: d.server,
+            task: d.task,
+            token: d.lease,
+            busy: delay,
+        };
+        self.events.schedule_in(now, delay, finish);
+        Begun::Runs
+    }
+
+    fn arm(&mut self, at: SimTime, timer: Timer) {
+        self.events.schedule_at(at, Ev::Timer(timer));
+    }
+
+    /// A fresh service draw, which doubles as the copy's size hint.
+    fn copy(
+        &mut self,
+        now: SimTime,
+        server: u32,
+        _: SimDuration,
+    ) -> (SimDuration, Option<SimDuration>) {
+        let service = draw_service(self.config, &mut self.service_rng, server, now);
+        (service, Some(service))
+    }
+}
+
+/// One run: the driver over [`ClusterSim`], plus placement, warm-up,
+/// request chaining and snapshots.
+struct Run<'a> {
+    config: &'a SimConfig,
+    driver: Driver<ClusterSim<'a>>,
+    placement_rng: SimRng,
+    // Per-query scratch, reused across issue_query calls so the hot path
+    // does not allocate per query.
+    targets_scratch: Vec<u32>,
+    services_scratch: Vec<SimDuration>,
+    request_latency_by_class: BTreeMap<u8, LatencyReservoir>,
+    /// Snapshot cadence in virtual time; `None` for unobserved runs (the
+    /// default), which then schedule no `Ev::Snapshot` events at all.
+    snapshot_every: Option<SimDuration>,
+    /// True while an `Ev::Snapshot` sits in the heap — keeps at most one
+    /// pending so a burst of arrivals cannot pile up samplers.
+    snapshot_pending: bool,
+    snapshots: Vec<SimSnapshot>,
+    /// Time of the last *simulation* event (arrival/finish/hedge-check).
+    /// Reported as `elapsed` so a trailing snapshot firing after the
+    /// cluster drained cannot stretch observed runs' load denominators.
+    last_activity: SimTime,
+}
+
+impl<'a> Run<'a> {
+    fn events(&mut self) -> &mut Scheduler<Ev<'a>> {
+        &mut self.driver.transport.events
+    }
+
     /// Fills `targets_scratch` with the servers `spec` fans out to.
     fn choose_servers(&mut self, spec: &QuerySpec) {
         let (n, out) = (self.config.cluster.servers(), &mut self.targets_scratch);
@@ -375,145 +384,45 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// Issues query `at.index` of request `at.request`.
-    fn issue_query(&mut self, now: SimTime, at: Cursor, sched: &mut Scheduler<Ev>) {
-        // tg-lint: allow(panic-surface) -- `Ev::Arrive` names only requests of the input, and `chain` only indices its request has
-        let spec = &self.input.requests[at.request].queries[at.index];
+    /// Issues the query `at` points at; `false` past its request's last.
+    fn issue_query(&mut self, now: SimTime, at: Cursor<'a>) -> bool {
+        let Some(spec) = at.queries.get(at.index) else {
+            return false;
+        };
         self.choose_servers(spec);
         // Service times drawn now, in issue order, for cross-policy
         // alignment — and so rejected work can be accounted.
         self.services_scratch.clear();
-        let draw = |&s: &u32| draw_service(self.config, &mut self.service_rng, s, now);
+        let (config, rng) = (self.config, &mut self.driver.transport.service_rng);
+        let draw = |&s: &u32| draw_service(config, rng, s, now);
         self.services_scratch
             .extend(self.targets_scratch.iter().map(draw));
 
-        let record = self.issued_queries >= self.config.warmup_queries as u64;
+        // Warm-up counts admitted queries: the first ones go unrecorded.
+        let admitted = self.driver.handler().stats().load.queries_accepted_count();
+        let record = admitted >= self.config.warmup_queries as u64;
+        let arrival = QueryArrival {
+            class: spec.class,
+            targets: &self.targets_scratch,
+            // The drawn services double as size hints so size-aware
+            // policies (SJF) can order on them.
+            sizes: Some(&self.services_scratch),
+            budget_override: spec.budget_override,
+            task_budgets: spec.task_budgets.as_deref(),
+            record,
+        };
         // On rejection no state is created: the query terminates its
         // request (no successors).
-        let AdmitDecision::Admitted { query } = self.handler.on_query_arrival(
-            now,
-            QueryArrival {
-                class: spec.class,
-                targets: &self.targets_scratch,
-                // The drawn services double as size hints so size-aware
-                // policies (SJF) can order on them.
-                sizes: Some(&self.services_scratch),
-                budget_override: spec.budget_override,
-                task_budgets: spec.task_budgets.as_deref(),
-                record,
-            },
-            &mut self.started_scratch,
-        ) else {
-            return;
-        };
-        self.issued_queries += 1;
-        // Admission is when the handler retires rows, so it is when the
-        // driver's tables follow.
-        self.services.retire_to(self.handler.first_live_task());
-        self.query_cursor.retire_to(self.handler.first_live_query());
-        for &service in &self.services_scratch {
-            self.services.push(service);
-        }
-        let minted = self.query_cursor.push(at);
-        debug_assert_eq!(minted, query);
-        // Deadline-aware hedging: a check at each original task's hedge
-        // threshold, scheduled before the dispatches below.
-        for (task, due) in self.handler.hedge_checks(query) {
-            sched.schedule_at(due, Ev::HedgeCheck(task));
-        }
-        // Reversed, so the first task started begins first.
-        self.steps
-            .extend(self.started_scratch.iter().rev().map(|&d| Step::Begin(d)));
+        self.driver.admit(now, arrival, &self.services_scratch, at);
+        true
     }
 
-    /// Begins the actual work of a task the handler just moved into
-    /// service. Without a fault plan this is exactly the one `schedule_in`
-    /// the pre-fault simulator did; with one, the task can be swallowed by
-    /// an active crash (recoverable only through lease reclaim), dropped by
-    /// an active blackout (lost, possibly retried), or its completion
-    /// deferred by stall/restart/slowdown episodes.
-    fn dispatch(&mut self, now: SimTime, d: DispatchedTask, sched: &mut Scheduler<Ev>) {
-        let service = *self.services.row(d.task);
-        // The lease check is armed before any fault can swallow the
-        // dispatch: for a crashed node it is the *only* recovery path.
-        if let Some(expiry) = d.lease_expires_at {
-            sched.schedule_at(
-                expiry,
-                Ev::LeaseCheck {
-                    task: d.task,
-                    token: d.lease,
-                },
-            );
+    /// Runs the current event's fallout to the end, chaining each request
+    /// whose query finishes on the way.
+    fn drain(&mut self, now: SimTime) {
+        while let Some(done) = self.driver.drain(now) {
+            self.chain(now, done);
         }
-        // The effective dispatch→finish delay rides in the event so
-        // busy/estimator accounting at completion observes the fault. The
-        // nominal draw in `services` is never overwritten: a reclaimed task
-        // re-dispatches from the same nominal service, so repeated reclaims
-        // cannot compound fault holds into the service time.
-        let outcome = match &self.faults {
-            None => DispatchOutcome::Runs(service),
-            Some(faults) => faults.at_dispatch(d.server, now, service),
-        };
-        let delay = match outcome {
-            // No loss report, no finish event: without a lease TTL the
-            // attempt is gone.
-            DispatchOutcome::Swallowed => return,
-            DispatchOutcome::Dropped => {
-                let lost = self.handler.on_task_lost(now, d.task, d.lease);
-                self.apply(lost);
-                return;
-            }
-            DispatchOutcome::Runs(delay) => delay,
-        };
-        sched.schedule_in(
-            now,
-            delay,
-            Ev::Finish {
-                server: d.server,
-                task: d.task,
-                token: d.lease,
-                busy: delay,
-            },
-        );
-    }
-
-    /// Queues the fallout of an attempt ending, to run in this order: the
-    /// freed server's next task is dispatched first (work conservation:
-    /// *before* any successor query is issued, so a chained query cannot
-    /// jump the queue or double-start the server), then the retry the
-    /// handler planned for a lost task, then the finished query's request
-    /// chains. The finished query's cursor is copied out now, because the
-    /// chained admission may retire that query's row.
-    fn apply(&mut self, ended: TaskCompletion) {
-        if let Some(done) = ended.done {
-            self.steps
-                .push(Step::Chain(*self.query_cursor.row(done.query)));
-        }
-        self.steps.extend(ended.retry.map(Step::Retry));
-        self.steps.extend(ended.next.map(Step::Begin));
-    }
-
-    /// Runs the current event's fallout to the end (see [`Step`]).
-    fn drain(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        while let Some(step) = self.steps.pop() {
-            match step {
-                Step::Begin(d) => self.dispatch(now, d, sched),
-                Step::Retry(r) => self.issue_copy(now, r.slot, r.server, AttemptKind::Retry),
-                Step::Chain(done) => self.chain(now, done, sched),
-            }
-        }
-    }
-
-    /// Issues a hedge or retry copy of `slot` on `server`, with a fresh
-    /// service draw for that server.
-    fn issue_copy(&mut self, now: SimTime, slot: u32, server: u32, kind: AttemptKind) {
-        let service = draw_service(self.config, &mut self.service_rng, server, now);
-        let (task, dispatched) =
-            self.handler
-                .issue_duplicate(now, slot, server, Some(service), kind);
-        let minted = self.services.push(service);
-        debug_assert_eq!(minted, task);
-        self.steps.extend(dispatched.map(Step::Begin));
     }
 
     fn finish_task(
@@ -524,7 +433,7 @@ impl<'a> ClusterSim<'a> {
         token: LeaseToken,
         busy: SimDuration,
     ) {
-        let outcome = match &self.faults {
+        let outcome = match self.driver.transport.faults {
             None => FinishOutcome::Delivered { duplicate: false },
             // This event was scheduled at its own dispatch + `busy`, so
             // `now - busy` is when *this* work was dispatched — also for a
@@ -532,32 +441,28 @@ impl<'a> ClusterSim<'a> {
             // since.
             Some(faults) => faults.at_finish(server, now - busy, now),
         };
-        let duplicate = match outcome {
+        let (busy, twice) = match outcome {
             FinishOutcome::Swallowed => return,
             // The sim analog of a node failing mid-reply with a NACK.
-            FinishOutcome::Lost => {
-                let lost = self.handler.on_task_lost(now, task, token);
-                self.apply(lost);
-                return;
-            }
-            FinishOutcome::Delivered { duplicate } => duplicate,
+            FinishOutcome::Lost => (None, false),
+            FinishOutcome::Delivered { duplicate } => (Some(busy), duplicate),
         };
-        let completion = self.handler.on_task_complete(now, task, token, busy);
-        if duplicate {
+        self.driver.report(now, task, token, busy);
+        if twice {
             // At-least-once delivery: the same result (same lease token)
             // arrives a second time; the state store suppresses it.
-            let _ = self.handler.on_task_complete(now, task, token, busy);
+            self.driver.report(now, task, token, busy);
         }
-        self.apply(completion);
     }
 
     /// Samples the cluster's instantaneous and cumulative state at `now`.
     fn take_snapshot(&mut self, now: SimTime) {
-        let load = &self.handler.stats().load;
+        let handler = self.driver.handler();
+        let load = &handler.stats().load;
         self.snapshots.push(SimSnapshot {
             at_ns: now.as_nanos(),
-            queued_tasks: self.handler.queued_tasks() as u64,
-            servers_busy: self.handler.servers_busy() as u64,
+            queued_tasks: handler.queued_tasks() as u64,
+            servers_busy: handler.servers_busy() as u64,
             queries_offered: load.queries_offered_count(),
             queries_accepted: load.queries_accepted_count(),
             queries_rejected: load.queries_rejected_count(),
@@ -573,58 +478,60 @@ impl<'a> ClusterSim<'a> {
     /// gap) and from the snapshot handler itself while work remains — when
     /// the cluster drains with no arrivals left, no snapshot is re-armed
     /// and the event heap can empty.
-    fn schedule_snapshot(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    fn schedule_snapshot(&mut self, now: SimTime) {
         if self.snapshot_pending {
             return;
         }
         if let Some(every) = self.snapshot_every {
             self.snapshot_pending = true;
-            sched.schedule_in(now, every, Ev::Snapshot);
+            self.events().schedule_in(now, every, Ev::Snapshot);
         }
     }
 
-    /// Sequential request chaining (Fig. 1): query `at.index` of its
-    /// request finished, so the request issues its next query, or records
-    /// its latency when that was the last (partial and failed completions
+    /// Sequential request chaining (Fig. 1): the query `at` points at
+    /// finished, so the request issues its next query, or records its
+    /// latency when that was the last (partial and failed completions
     /// advance the chain too — the request does not stall on a degraded
     /// answer).
-    fn chain(&mut self, now: SimTime, mut at: Cursor, sched: &mut Scheduler<Ev>) {
+    fn chain(&mut self, now: SimTime, mut at: Cursor<'a>) {
         at.index += 1;
-        // tg-lint: allow(panic-surface) -- the request of an admitted query: `Ev::Arrive` names only requests of the input
-        let queries = &self.input.requests[at.request].queries;
-        if at.index < queries.len() {
-            self.issue_query(now, at, sched);
-        } else if queries.len() > 1 {
+        if self.issue_query(now, at) {
+            return;
+        }
+        if let [first, _, ..] = at.queries {
             self.request_latency_by_class
-                .entry(queries[0].class)
+                .entry(first.class)
                 .or_default()
                 .record(now.saturating_since(at.started));
         }
     }
-}
 
-impl Simulation for ClusterSim<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        if !matches!(ev, Ev::Snapshot | Ev::LeaseCheck { .. }) {
+    fn handle(&mut self, now: SimTime, ev: Ev<'a>) {
+        // Only a real reclaim counts as activity among lease expiries (see
+        // below), so lease-only runs keep `elapsed` — and every load
+        // ratio — identical to lease-free ones.
+        if !matches!(ev, Ev::Snapshot | Ev::Timer(Timer::Lease(..))) {
             self.last_activity = now;
         }
         match ev {
-            Ev::Arrive(i) => {
-                // Chain the next arrival (requests are pre-sorted).
-                if let Some(next) = self.input.requests.get(i + 1) {
-                    sched.schedule_at(next.arrival.max(now), Ev::Arrive(i + 1));
+            Ev::Arrive(requests) => {
+                if let [request, rest @ ..] = requests {
+                    // Chain the next arrival (requests are pre-sorted).
+                    if let [next, ..] = rest {
+                        let at = next.arrival.max(now);
+                        self.events().schedule_at(at, Ev::Arrive(rest));
+                    }
+                    let queries = &request.queries;
+                    let at = Cursor {
+                        queries,
+                        index: 0,
+                        started: now,
+                    };
+                    self.issue_query(now, at);
                 }
-                let first = Cursor {
-                    request: i,
-                    index: 0,
-                    started: now,
-                };
-                self.issue_query(now, first, sched);
                 // The arrival's fallout settles before the snapshot is armed.
-                self.drain(now, sched);
-                self.schedule_snapshot(now, sched);
+                self.drain(now);
+                self.schedule_snapshot(now);
             }
             Ev::Finish {
                 server,
@@ -632,36 +539,21 @@ impl Simulation for ClusterSim<'_> {
                 token,
                 busy,
             } => self.finish_task(now, server, task, token, busy),
-            // A hedge threshold fired: if the slot is still unresolved,
-            // under its attempt cap and within budget, hedge it on the
-            // least-loaded backup.
-            Ev::HedgeCheck(task) => {
-                if let Some(server) = self.handler.copy_target(now, task) {
-                    self.issue_copy(now, task, server, AttemptKind::Hedge);
-                }
-            }
-            // A lease TTL elapsed. If that lease is still the active one
-            // the attempt is reclaimed — begun again with its *original*
-            // deadline — and the suspected server's next task dispatched;
-            // otherwise (the common case: the work committed first) this
-            // is a pure no-op. Only a real reclaim counts as activity, so
-            // lease-only runs keep `elapsed` — and every load ratio —
-            // identical to lease-free ones.
-            Ev::LeaseCheck { task, token } => {
-                if let Some(next) = self.handler.on_lease_expired(now, task, token) {
+            Ev::Timer(timer) => {
+                if self.driver.on_timer(now, timer) {
                     self.last_activity = now;
-                    self.steps.extend(next.map(Step::Begin));
                 }
             }
             Ev::Snapshot => {
                 self.snapshot_pending = false;
                 self.take_snapshot(now);
-                if self.handler.queued_tasks() > 0 || self.handler.servers_busy() > 0 {
-                    self.schedule_snapshot(now, sched);
+                let handler = self.driver.handler();
+                if handler.queued_tasks() > 0 || handler.servers_busy() > 0 {
+                    self.schedule_snapshot(now);
                 }
             }
         }
-        self.drain(now, sched);
+        self.drain(now);
     }
 }
 

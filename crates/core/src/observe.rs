@@ -190,7 +190,7 @@ pub fn run_simulation_observed(
         Some(sampler) => recorder.sink_sampled(sampler),
         None => recorder.sink(),
     };
-    let raw = run_with_observer(
+    let (report, snapshots) = run_with_observer(
         config,
         input,
         Some(ObserverSetup {
@@ -201,7 +201,6 @@ pub fn run_simulation_observed(
     // The recording is decoded once, here at analysis time; the hot path
     // only saw fixed-width binary appends.
     let mut registry = Registry::new();
-    let report = &raw.report;
     let slo = publish_run(
         &mut registry,
         &recorder,
@@ -213,9 +212,9 @@ pub fn run_simulation_observed(
             health: &report.health,
             server_health: &report.server_health,
             window_rolls: config.adaptive.map(|_| report.estimator_window_rolls),
-            budget_lookups: raw.budget_lookups,
-            estimator_refreshes: raw.estimator_refreshes,
-            cached_budgets: raw.cached_budgets,
+            budget_lookups: report.budget_lookups,
+            estimator_refreshes: report.estimator_refreshes,
+            cached_budgets: report.cached_budgets,
             completed_queries: report.completed_queries,
             elapsed_ms: report.elapsed.as_millis_f64(),
             deadline_miss_ratio: report.deadline_miss_ratio(),
@@ -231,7 +230,7 @@ pub fn run_simulation_observed(
         "Executed busy time over cluster capacity",
         report.accepted_load(),
     );
-    for s in &raw.snapshots {
+    for s in &snapshots {
         let at = SimTime::from_nanos(s.at_ns);
         registry.series_push(
             "tailguard_queue_depth",
@@ -253,10 +252,10 @@ pub fn run_simulation_observed(
         );
     }
     ObservedRun {
-        report: raw.report,
+        report,
         recorder,
         registry,
-        snapshots: raw.snapshots,
+        snapshots,
         slo,
     }
 }

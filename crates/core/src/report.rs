@@ -65,6 +65,12 @@ pub struct SimReport {
     /// Times the adaptive estimator rolled its observation window (always
     /// zero without an [`AdaptiveWindow`](tailguard_sched::AdaptiveWindow)).
     pub estimator_window_rolls: u64,
+    /// Budget-table lookups while stamping deadlines (Eq. 6).
+    pub budget_lookups: u64,
+    /// Online budget-table rebuilds from refreshed CDFs (§III.B.2).
+    pub estimator_refreshes: u64,
+    /// Distinct `(class, fanout)` budgets cached at the end of the run.
+    pub cached_budgets: u64,
 }
 
 impl SimReport {
@@ -232,6 +238,9 @@ mod tests {
             health: HealthStats::default(),
             server_health: Vec::new(),
             estimator_window_rolls: 0,
+            budget_lookups: 0,
+            estimator_refreshes: 0,
+            cached_budgets: 0,
         }
     }
 

@@ -7,7 +7,7 @@
 //! set of per-server [`FaultEpisode`]s of eight [`FaultKind`]s — step,
 //! ramping and flapping service-time inflation, stalls and restarts that
 //! hold tasks, blackouts that drop them with a notification, crashes that
-//! swallow them without one, and duplicated deliveries — that both drivers
+//! swallow them without one, and duplicated deliveries — that both runtimes
 //! consume identically through two questions, [`FaultPlan::at_dispatch`]
 //! and [`FaultPlan::at_finish`]. The discrete-event simulator asks them in
 //! virtual time (`crates/core/src/cluster.rs`); the tokio testbed
@@ -206,10 +206,10 @@ struct Row {
 
 /// A deterministic schedule of fault episodes across the cluster.
 ///
-/// The plan is plain data: drivers ask it [`FaultPlan::at_dispatch`] when a
-/// task starts and [`FaultPlan::at_finish`] when its result is due.
+/// The plan is plain data: runtimes ask it [`FaultPlan::at_dispatch`] when
+/// a task starts and [`FaultPlan::at_finish`] when its result is due.
 /// Episodes affect tasks *dispatched during* them — a deliberate
-/// approximation that keeps both drivers' semantics identical (the testbed
+/// approximation that keeps both runtimes' semantics identical (the testbed
 /// cannot retroactively inflate a sleep already underway).
 ///
 /// Every question is answered from a per-server index built with the plan:

@@ -209,9 +209,11 @@ fn check_indexing(chars: &[char], line: u32, model: &FileModel, out: &mut Vec<Ca
             continue;
         }
         let before: String = ident_ending_at(chars, p);
+        // `let [a, _, ..] = xs` (also `if let`/`while let`) destructures
+        // with a slice pattern: a refutable pattern cannot panic.
         if matches!(
             before.as_str(),
-            "mut" | "dyn" | "impl" | "in" | "return" | "break"
+            "mut" | "dyn" | "impl" | "in" | "return" | "break" | "let"
         ) {
             continue;
         }

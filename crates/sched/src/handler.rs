@@ -216,6 +216,15 @@ pub struct SchedStats {
     /// Adaptive-estimator window rolls (0 without
     /// [`crate::AdaptiveWindow`]). Filled by [`QueryHandler::into_stats`].
     pub estimator_window_rolls: u64,
+    /// Budget-table lookups while stamping deadlines (Eq. 6). Filled by
+    /// [`QueryHandler::into_stats`].
+    pub budget_lookups: u64,
+    /// Online budget-table rebuilds from refreshed CDFs (§III.B.2). Filled
+    /// by [`QueryHandler::into_stats`].
+    pub estimator_refreshes: u64,
+    /// Distinct `(class, fanout)` budgets cached at the end of the run.
+    /// Filled by [`QueryHandler::into_stats`].
+    pub cached_budgets: u64,
 }
 
 /// The installed [`TraceSink`] plus the handler-side event stage.
@@ -435,6 +444,9 @@ impl QueryHandler {
                 health: HealthStats::default(),
                 server_health: Vec::new(),
                 estimator_window_rolls: 0,
+                budget_lookups: 0,
+                estimator_refreshes: 0,
+                cached_budgets: 0,
             },
             tracer: Tracer::new(Box::new(NullSink)),
             trace_on: false,
@@ -1302,6 +1314,9 @@ impl QueryHandler {
             stats.server_health = h.scores().to_vec();
         }
         stats.estimator_window_rolls = self.estimator.window_roll_count();
+        stats.budget_lookups = self.estimator.budget_lookup_count();
+        stats.estimator_refreshes = self.estimator.refresh_count();
+        stats.cached_budgets = self.estimator.cached_budget_count() as u64;
         stats
     }
 }

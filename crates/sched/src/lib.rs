@@ -9,19 +9,26 @@
 //!
 //! The [`QueryHandler`] state machine is pure event-driven code — every
 //! method takes `now` explicitly; there is no clock, RNG, or I/O anywhere
-//! in this crate. Two drivers share it:
+//! in this crate. One [`Driver`] runs it for both runtimes: it owns the
+//! loop around the handler (admission's bookkeeping, the per-task rows,
+//! copy issuing, the work stack of an event's fallout, and the hedge and
+//! lease timers), and two [`Transport`]s carry its work:
 //!
-//! - the discrete-event **simulator** (`tailguard-core`) feeds it from an
-//!   event heap with drawn placements and service times, and
-//! - the tokio **testbed** (`tailguard-testbed`) feeds it from channel
-//!   events under a real or paused clock, with live edge-node tasks.
+//! - the discrete-event **simulator** (`tailguard-core`) draws service
+//!   times, probes its fault plan and schedules events on a virtual-time
+//!   heap, and
+//! - the tokio **testbed** (`tailguard-testbed`) sends tasks to live edge
+//!   nodes over channels and arms wall-clock timers, under a real or
+//!   paused clock.
 //!
-//! Keeping both behind one core means a fix or policy change lands in the
-//! simulation and the system experiment at the same time, and differential
-//! tests can hold the two runtimes to the same observable behavior.
+//! Keeping both behind one core and one driver means a fix or policy
+//! change lands in the simulation and the system experiment at the same
+//! time, and differential tests can hold the two runtimes to the same
+//! observable behavior.
 
 mod admission;
 mod config;
+mod driver;
 mod estimator;
 mod handler;
 mod health;
@@ -30,6 +37,7 @@ mod trace;
 pub mod units;
 
 pub use config::{AdmissionConfig, ClassSpec, ClusterSpec};
+pub use driver::{Begun, Driver, Timer, Transport};
 pub use estimator::{AdaptiveWindow, DeadlineEstimator, EstimatorMode};
 pub use handler::{
     AdmitDecision, DispatchedTask, QueryArrival, QueryDone, QueryHandler, QueryId, QueryTypeKey,

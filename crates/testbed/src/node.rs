@@ -54,6 +54,8 @@ pub(crate) struct TaskAssignment {
     pub start_day: u32,
     /// Number of consecutive days requested.
     pub days: u32,
+    /// When the handler dispatched the task; echoed back in the result.
+    pub dispatched_at: Instant,
 }
 
 /// What happened to a task at the edge node.
@@ -77,6 +79,9 @@ pub(crate) struct TaskResult {
     pub task_id: u64,
     /// The lease token the task was dispatched under, echoed back.
     pub lease: u64,
+    /// The dispatch instant of the assignment, echoed back: the handler
+    /// measures post-queuing time from it.
+    pub dispatched_at: Instant,
     /// Number of sensor records retrieved.
     pub records: usize,
     /// Mean temperature over the range (the aggregated payload).
@@ -88,11 +93,12 @@ pub(crate) struct TaskResult {
 }
 
 /// A payload-free result for a task the node could not serve.
-fn empty_result(node: u32, task_id: u64, lease: u64, outcome: TaskOutcome) -> TaskResult {
+fn empty_result(node: u32, task: &TaskAssignment, outcome: TaskOutcome) -> TaskResult {
     TaskResult {
         node,
-        task_id,
-        lease,
+        task_id: task.task_id,
+        lease: task.lease,
+        dispatched_at: task.dispatched_at,
         records: 0,
         mean_temperature: 0.0,
         mean_humidity: 0.0,
@@ -124,102 +130,94 @@ pub(crate) async fn edge_node(
     mut tasks: mpsc::UnboundedReceiver<TaskAssignment>,
     results: mpsc::UnboundedSender<TaskResult>,
 ) {
-    while let Some(task) = tasks.recv().await {
+    'tasks: while let Some(task) = tasks.recv().await {
         let fault_now = || -> Option<SimTime> {
             let epoch = fault_epoch.get()?;
             Some(SimTime::from_nanos(units::sat_u128_to_u64(
                 epoch.elapsed().as_nanos(),
             )))
         };
-        // A pathological service distribution can panic; treat that like
-        // any other worker fault so the node survives.
-        let drawn = std::panic::catch_unwind(AssertUnwindSafe(|| service.sample(&mut rng)));
-        let Ok(sample_ms) = drawn else {
-            if results
-                .send(empty_result(
-                    node_id,
-                    task.task_id,
-                    task.lease,
-                    TaskOutcome::Failed,
-                ))
-                .is_err()
-            {
-                return;
-            }
-            continue;
-        };
-        let mut service_ms = sample_ms / time_scale;
-        let dispatched_at = fault_now();
-        if let (Some(plan), Some(now)) = (faults.as_deref(), dispatched_at) {
-            match plan.at_dispatch(node_id, now, SimDuration::from_millis_f64(service_ms)) {
-                // No NACK, no result: only a lease reclaim recovers it.
-                DispatchOutcome::Swallowed => continue,
-                DispatchOutcome::Dropped => {
-                    let lost = empty_result(node_id, task.task_id, task.lease, TaskOutcome::Lost);
-                    if results.send(lost).is_err() {
-                        return;
-                    }
-                    continue;
+        // Serves the task; breaks out with the outcome of a task that
+        // ends without a payload, which takes the one reply path below.
+        let unserved = 'serve: {
+            // A pathological service distribution can panic; treat that
+            // like any other worker fault so the node survives.
+            let drawn = std::panic::catch_unwind(AssertUnwindSafe(|| service.sample(&mut rng)));
+            let Ok(sample_ms) = drawn else {
+                break 'serve TaskOutcome::Failed;
+            };
+            let mut service_ms = sample_ms / time_scale;
+            let began = fault_now();
+            if let (Some(plan), Some(now)) = (faults.as_deref(), began) {
+                match plan.at_dispatch(node_id, now, SimDuration::from_millis_f64(service_ms)) {
+                    // No NACK, no result: only a lease reclaim recovers it.
+                    DispatchOutcome::Swallowed => continue 'tasks,
+                    DispatchOutcome::Dropped => break 'serve TaskOutcome::Lost,
+                    DispatchOutcome::Runs(delay) => service_ms = delay.as_millis_f64(),
                 }
-                DispatchOutcome::Runs(delay) => service_ms = delay.as_millis_f64(),
             }
-        }
-        // tokio's timer wheel rounds sleeps *up* to 1 ms, which would bias
-        // every service time (+0.5 ms mean — 20% at a 25x compression).
-        // Stochastic rounding to whole milliseconds keeps the mean exact:
-        // 2.3 ms sleeps 2 ms with p=0.7 and 3 ms with p=0.3.
-        let floor = service_ms.floor();
-        let quantized_ms = units::trunc_f64_to_u64(if rng.f64() < service_ms - floor {
-            floor + 1.0
-        } else {
-            floor
-        });
-        // tokio wakes at the first wheel tick *strictly after* now + d, so
-        // an aligned n-ms target needs sleep(n-1 ms); sleep(0) itself
-        // consumes exactly one 1-ms tick (verified by testbed tests).
-        if quantized_ms >= 1 {
-            tokio::time::sleep(std::time::Duration::from_millis(quantized_ms - 1)).await;
-        }
-        let mut duplicate = false;
-        if let (Some(plan), Some(now)) = (faults.as_deref(), fault_now()) {
-            match plan.at_finish(node_id, dispatched_at.unwrap_or(SimTime::ZERO), now) {
-                FinishOutcome::Swallowed => continue,
-                FinishOutcome::Lost => {
-                    let lost = empty_result(node_id, task.task_id, task.lease, TaskOutcome::Lost);
-                    if results.send(lost).is_err() {
-                        return;
-                    }
-                    continue;
+            // tokio's timer wheel rounds sleeps *up* to 1 ms, which would
+            // bias every service time (+0.5 ms mean — 20% at a 25x
+            // compression). Stochastic rounding to whole milliseconds keeps
+            // the mean exact: 2.3 ms sleeps 2 ms with p=0.7 and 3 ms with
+            // p=0.3.
+            let floor = service_ms.floor();
+            let quantized_ms = units::trunc_f64_to_u64(if rng.f64() < service_ms - floor {
+                floor + 1.0
+            } else {
+                floor
+            });
+            // tokio wakes at the first wheel tick *strictly after* now + d,
+            // so an aligned n-ms target needs sleep(n-1 ms); sleep(0)
+            // itself consumes exactly one 1-ms tick (verified by testbed
+            // tests).
+            if quantized_ms >= 1 {
+                tokio::time::sleep(std::time::Duration::from_millis(quantized_ms - 1)).await;
+            }
+            let mut duplicate = false;
+            if let (Some(plan), Some(now)) = (faults.as_deref(), fault_now()) {
+                match plan.at_finish(node_id, began.unwrap_or(SimTime::ZERO), now) {
+                    FinishOutcome::Swallowed => continue 'tasks,
+                    FinishOutcome::Lost => break 'serve TaskOutcome::Lost,
+                    FinishOutcome::Delivered { duplicate: twice } => duplicate = twice,
                 }
-                FinishOutcome::Delivered { duplicate: twice } => duplicate = twice,
             }
-        }
-        let retrieved = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let slice = store.range_query(task.start_day, task.days);
-            let (mean_temperature, mean_humidity) = SensorStore::aggregate(slice);
-            (slice.len(), mean_temperature, mean_humidity)
-        }));
-        let result = match retrieved {
-            Ok((records, mean_temperature, mean_humidity)) => TaskResult {
-                node: node_id,
-                task_id: task.task_id,
-                lease: task.lease,
-                records,
-                mean_temperature,
-                mean_humidity,
-                outcome: TaskOutcome::Ok,
-            },
-            Err(_) => empty_result(node_id, task.task_id, task.lease, TaskOutcome::Failed),
-        };
-        if results.send(result).is_err() {
-            return; // handler gone; shut down quietly
-        }
-        if duplicate {
-            // The ack was retransmitted: deliver the same result a second
-            // time. The handler's state store suppresses the redelivery.
+            let retrieved = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let slice = store.range_query(task.start_day, task.days);
+                let (mean_temperature, mean_humidity) = SensorStore::aggregate(slice);
+                (slice.len(), mean_temperature, mean_humidity)
+            }));
+            let result = match retrieved {
+                Ok((records, mean_temperature, mean_humidity)) => TaskResult {
+                    node: node_id,
+                    task_id: task.task_id,
+                    lease: task.lease,
+                    dispatched_at: task.dispatched_at,
+                    records,
+                    mean_temperature,
+                    mean_humidity,
+                    outcome: TaskOutcome::Ok,
+                },
+                Err(_) => empty_result(node_id, &task, TaskOutcome::Failed),
+            };
             if results.send(result).is_err() {
-                return;
+                return; // handler gone; shut down quietly
             }
+            if duplicate {
+                // The ack was retransmitted: deliver the same result a
+                // second time. The handler's state store suppresses the
+                // redelivery.
+                if results.send(result).is_err() {
+                    return;
+                }
+            }
+            continue 'tasks;
+        };
+        if results
+            .send(empty_result(node_id, &task, unserved))
+            .is_err()
+        {
+            return;
         }
     }
 }
@@ -260,6 +258,7 @@ mod tests {
                     lease: 0,
                     start_day: 0,
                     days: 1,
+                    dispatched_at: Instant::now(),
                 })
                 .unwrap();
         }
@@ -302,6 +301,7 @@ mod tests {
                 lease: 0,
                 start_day: 0,
                 days: 1,
+                dispatched_at: Instant::now(),
             })
             .unwrap();
         res_rx.recv().await.unwrap();
@@ -370,6 +370,7 @@ mod tests {
                     lease: 0,
                     start_day: 0,
                     days: 1,
+                    dispatched_at: Instant::now(),
                 })
                 .unwrap();
         };
@@ -417,6 +418,7 @@ mod tests {
                     lease: id + 1,
                     start_day: 0,
                     days: 1,
+                    dispatched_at: Instant::now(),
                 })
                 .unwrap();
         };
@@ -462,6 +464,7 @@ mod tests {
                 lease: 7,
                 start_day: 0,
                 days: 1,
+                dispatched_at: Instant::now(),
             })
             .unwrap();
         let first = res_rx.recv().await.unwrap();
@@ -505,6 +508,7 @@ mod tests {
                 lease: 0,
                 start_day: 0,
                 days: 1,
+                dispatched_at: Instant::now(),
             })
             .unwrap();
         let r = res_rx.recv().await.unwrap();
@@ -565,6 +569,7 @@ mod tests {
                     lease: 0,
                     start_day: 0,
                     days: 1,
+                    dispatched_at: Instant::now(),
                 })
                 .unwrap();
         }

@@ -1,6 +1,6 @@
 //! Testbed orchestration: calibration, load generation, and reporting.
 
-use crate::handler::{query_handler, HandlerConfig, IncomingQuery};
+use crate::handler::{query_handler, IncomingQuery};
 use crate::node::{edge_node, TaskAssignment, TaskResult};
 use crate::sensor::SensorStore;
 use std::collections::BTreeMap;
@@ -168,6 +168,13 @@ pub struct TestbedReport {
     pub robustness: RobustnessStats,
     /// Tasks whose worker panicked (the node survived and reported them).
     pub worker_panics: u64,
+    /// Node reports fenced off as stale or duplicate (each also counted in
+    /// [`TestbedReport::lifecycle`]).
+    pub fenced_reports: u64,
+    /// Task rows the driver still held when the run ended: the tasks from
+    /// the oldest unfinished one on, which follows the work in flight
+    /// rather than the length of the run.
+    pub task_rows_held: u32,
     /// Lease/fencing counters (all zero without `lease_ttl`).
     pub lifecycle: LifecycleStats,
     /// Health-tracking counters (all zero without [`TestbedConfig::health`]).
@@ -309,6 +316,7 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
                 start_day,
                 days: 1,
                 lease: 0, // probes bypass the core; no fencing
+                dispatched_at: sent,
             });
             let r = result_rx.recv().await.expect("nodes alive");
             debug_assert_eq!(r.node as usize, node);
@@ -366,30 +374,9 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
     });
 
     // --- Query handler. -----------------------------------------------------
-    let out = query_handler(
-        HandlerConfig {
-            policy: config.policy,
-            scaled_classes,
-            // Compress the time window like every other duration; the
-            // thresholds and hysteresis pass through.
-            admission: config.admission.map(|a| AdmissionConfig {
-                window: SimDuration::from_millis_f64(a.window.as_millis_f64() / scale),
-                ..a
-            }),
-            // Hedge threshold and quorum are fractions of budget/fanout —
-            // dimensionless, so no compression needed.
-            mitigation: config.mitigation,
-            // Health thresholds are ratios against the live cluster median
-            // — dimensionless, so they pass through uncompressed.
-            health: config.health,
-            expected_queries: config.queries as u64,
-            // The lease TTL is a Pi-time knob like the SLOs; compress it
-            // into the wall domain the handler's timers run in.
-            lease_ttl: config
-                .lease_ttl
-                .map(|ttl| SimDuration::from_nanos(units::scale_ns(ttl.as_nanos(), scale.recip()))),
-            registry: config.registry.clone(),
-        },
+    let (mut stats, out) = query_handler(
+        config,
+        scaled_classes,
         estimator,
         query_rx,
         result_rx,
@@ -406,7 +393,6 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
             .collect()
     };
     let mut latency_by_class = BTreeMap::new();
-    let mut stats = out.stats;
     for (class, r) in stats.query_latency_by_class.iter_mut() {
         latency_by_class.insert(*class, unscale(r));
     }
@@ -460,6 +446,8 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
         },
         robustness: stats.robustness,
         worker_panics: out.worker_panics,
+        fenced_reports: out.fenced_reports,
+        task_rows_held: out.task_rows_held,
         lifecycle: stats.lifecycle,
         health: stats.health,
         server_health: stats.server_health,
@@ -774,6 +762,52 @@ mod tests {
                 + report.robustness.partial_completions
                 + report.robustness.failed_queries,
             300
+        );
+    }
+
+    #[test]
+    fn late_reports_are_fenced_without_reading_their_retired_rows() {
+        use tailguard_faults::{FaultEpisode, FaultKind};
+        use tailguard_simcore::SimTime;
+        let mut cfg = quick(Policy::TfEdf, 0.3, 1_500);
+        // Nodes 0–1 run 20× slow for the whole run, so their work outlives
+        // both its hedge threshold and its lease: hedge copies win the
+        // slots, reclaims re-queue the slow attempts, and the zombies
+        // report after later admissions retired their rows. Nodes 2–3
+        // deliver every result twice.
+        let forever = SimTime::from_millis(100_000_000);
+        let mut plan = FaultPlan::new();
+        for node in 0..2 {
+            let slow = FaultKind::Slowdown { factor: 20.0 };
+            plan = plan.with_episode(FaultEpisode::new(node, SimTime::ZERO, forever, slow));
+        }
+        for node in 2..4 {
+            let twice = FaultKind::DuplicateDelivery;
+            plan = plan.with_episode(FaultEpisode::new(node, SimTime::ZERO, forever, twice));
+        }
+        cfg.faults = Some(plan);
+        cfg.mitigation = Some(MitigationConfig::new().with_hedge_after(0.5));
+        cfg.lease_ttl = Some(SimDuration::from_millis(2_000));
+        let report = run_testbed(&cfg);
+        let (lc, r) = (&report.lifecycle, &report.robustness);
+        assert!(r.hedges_issued > 0 && lc.reclaims > 0, "{r:?} {lc:?}");
+        assert!(lc.stale_commits_rejected > 0, "no zombie reported late");
+        assert!(lc.duplicates_suppressed > 0, "no result arrived twice");
+        // Every fenced report reached the store and was counted once.
+        assert_eq!(
+            report.fenced_reports,
+            lc.stale_commits_rejected + lc.duplicates_suppressed
+        );
+        assert_eq!(
+            report.completed_queries + r.partial_completions + r.failed_queries,
+            1_500
+        );
+        // The driver's rows follow the work in flight, not the run: about
+        // 380 held at the end, of ~9 500 dispatches; under sixteen a node.
+        assert!(
+            report.task_rows_held <= 16 * 32,
+            "{}",
+            report.task_rows_held
         );
     }
 
