@@ -2,18 +2,21 @@
 //!
 //! The paper (§III.A) compares four queuing policies at the task servers:
 //!
-//! * **FIFO** — first-in-first-out ([`FifoQueue`]),
-//! * **PRIQ** — strict priority across service classes, FIFO within a class
-//!   ([`PriqQueue`]),
+//! * **FIFO** — first-in-first-out,
+//! * **PRIQ** — strict priority across service classes, FIFO within a class,
 //! * **T-EDFQ** — earliest-deadline-first with the *fanout-unaware* deadline
 //!   `t_D = t_0 + x_p^SLO`,
 //! * **TF-EDFQ (TailGuard)** — earliest-deadline-first with the fanout-aware
 //!   deadline `t_D = t_0 + x_p^SLO − x_p^u(k_f)` (Eq. 6).
 //!
-//! T-EDFQ and TF-EDFQ share the same queue structure ([`EdfQueue`]) and
-//! differ only in how deadlines are computed — that computation lives in the
-//! `tailguard` core crate ([`DeadlineRule`] names the variants). This crate
-//! is purely about queue *ordering*.
+//! They differ in one decision only, the order in which a server dequeues
+//! its tasks, so one queue type serves them all: [`PolicyQueue`] is a
+//! binary min-heap on `(key, seq)`, where the key is `0`, the class, `t_D`
+//! or (for the SJF extension) the task size, and `seq` breaks ties in
+//! arrival order. T-EDFQ and TF-EDFQ share the key and differ only in how
+//! deadlines are computed — that computation lives in the `tailguard` core
+//! crate ([`DeadlineRule`] names the variants). This crate is purely about
+//! queue *ordering*.
 //!
 //! # Example
 //!
@@ -27,16 +30,10 @@
 //! assert_eq!(q.pop().unwrap().task_id, 2); // earliest deadline first
 //! ```
 
-mod edf;
-mod fifo;
-mod priq;
-mod sjf;
+mod queue;
 mod task;
 
-pub use edf::EdfQueue;
-pub use fifo::FifoQueue;
-pub use priq::PriqQueue;
-pub use sjf::SjfQueue;
+pub use queue::PolicyQueue;
 pub use task::{QueuedTask, ServiceClass};
 
 use serde::{Deserialize, Serialize};
@@ -44,18 +41,16 @@ use std::fmt;
 
 /// A task queue at (or in front of) a task server.
 ///
-/// All four of the paper's policies implement this trait; the cluster
-/// simulator and the tokio testbed are generic over it. Implementations must
-/// be *work-conserving-friendly*: `pop` returns `Some` whenever `len() > 0`.
+/// [`PolicyQueue`] is its one implementation, for every policy; the trait
+/// lets a caller hold a queue behind [`Policy::new_queue`]'s box.
+/// Implementations must be *work-conserving-friendly*: `pop` returns `Some`
+/// whenever `len() > 0`.
 pub trait TaskQueue: fmt::Debug + Send {
     /// Enqueues a task.
     fn push(&mut self, task: QueuedTask);
 
     /// Dequeues the next task according to the discipline.
     fn pop(&mut self) -> Option<QueuedTask>;
-
-    /// Inspects the next task without removing it.
-    fn peek(&self) -> Option<&QueuedTask>;
 
     /// Number of queued tasks.
     fn len(&self) -> usize;
@@ -99,12 +94,7 @@ impl Policy {
 
     /// Creates an empty queue implementing this policy's ordering.
     pub fn new_queue(&self) -> Box<dyn TaskQueue> {
-        match self {
-            Policy::Fifo => Box::new(FifoQueue::new()),
-            Policy::Priq => Box::new(PriqQueue::new()),
-            Policy::TEdf | Policy::TfEdf => Box::new(EdfQueue::new()),
-            Policy::Sjf => Box::new(SjfQueue::new()),
-        }
+        Box::new(PolicyQueue::new(*self))
     }
 
     /// Which deadline computation this policy expects from the query

@@ -22,10 +22,11 @@ impl fmt::Display for ServiceClass {
 
 /// A task waiting in (or about to enter) a task-server queue.
 ///
-/// Carries exactly the metadata the four disciplines need: the insertion
-/// identity (`task_id`), the service class (PRIQ), the queuing deadline
-/// `t_D` (T-EDFQ / TF-EDFQ), and the enqueue timestamp (FIFO tie-breaking
-/// and pre-dequeuing-time accounting).
+/// Carries exactly the metadata the disciplines need: the task's identity
+/// (`task_id`), the service class (PRIQ's key), the queuing deadline `t_D`
+/// (the key of T-EDFQ / TF-EDFQ), the size hint (SJF's key), and the
+/// enqueue timestamp (pre-dequeuing-time accounting). Ties between equal
+/// keys break by insertion order inside [`crate::PolicyQueue`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueuedTask {
     /// Unique id of the task within a run; links the queue entry back to the
@@ -38,8 +39,8 @@ pub struct QueuedTask {
     /// When the task entered the queue (`t_0` of its query, in the central
     /// queuing model).
     pub enqueued_at: SimTime,
-    /// The task's (estimated) service demand — consumed only by the
-    /// size-aware [`crate::SjfQueue`] baseline; zero when unknown.
+    /// The task's (estimated) service demand — the queue key of the
+    /// size-aware [`crate::Policy::Sjf`] baseline only; zero when unknown.
     pub size_hint: SimDuration,
 }
 

@@ -3,7 +3,7 @@
 //! [`QueryHandler`] owns everything the TailGuard query handler of Fig. 2
 //! does between "a query arrives" and "its slowest task returns": deadline
 //! stamping (`t_D = t_0 + T_b`, Eq. 6) via the [`DeadlineEstimator`],
-//! per-server [`TaskQueue`]s under the configured [`Policy`], window-based
+//! per-server [`PolicyQueue`]s under the configured [`Policy`], window-based
 //! admission with hysteresis (§III.C), dequeue-time deadline-miss detection
 //! feeding the admission window, fanout aggregation (slowest-task-wins),
 //! and per-class latency/load accounting.
@@ -28,7 +28,7 @@ use tailguard_lifecycle::{
     AttemptKind, CommitOutcome, IdRing, LeaseToken, LifecycleStats, TaskStateStore,
 };
 use tailguard_metrics::{LatencyReservoir, LoadStats};
-use tailguard_policy::{DeadlineRule, Policy, QueuedTask, ServiceClass, TaskQueue};
+use tailguard_policy::{DeadlineRule, Policy, PolicyQueue, QueuedTask, ServiceClass, TaskQueue};
 use tailguard_simcore::{SimDuration, SimTime};
 
 /// Handler-local query identifier, assigned sequentially from 0.
@@ -302,7 +302,7 @@ struct QueryMeta {
 }
 
 struct ServerSlot {
-    queue: Box<dyn TaskQueue>,
+    queue: PolicyQueue,
     in_service: Option<TaskId>,
 }
 
@@ -419,7 +419,7 @@ impl QueryHandler {
             estimator,
             servers: (0..servers)
                 .map(|_| ServerSlot {
-                    queue: policy.new_queue(),
+                    queue: PolicyQueue::new(policy),
                     in_service: None,
                 })
                 .collect(),
@@ -949,7 +949,7 @@ impl QueryHandler {
     /// Releases `server` and pulls its next queued task into service, if
     /// any. Queued attempts whose slot was already resolved (hedge losers,
     /// stragglers of early-quorum queries) are discarded here — the
-    /// cancel-at-dequeue that a [`TaskQueue`] without arbitrary removal
+    /// cancel-at-dequeue that a [`PolicyQueue`] without arbitrary removal
     /// supports.
     fn on_server_free(&mut self, now: SimTime, server: u32) -> Option<DispatchedTask> {
         self.server(server).in_service = None;
@@ -1823,7 +1823,7 @@ mod tests {
         h.on_task_complete(SimTime::from_millis(3), 0, LeaseToken(1), ms(3.0));
 
         let events = sink.0.lock().unwrap();
-        let kinds: Vec<&str> = events.iter().map(|e| e.kind_name()).collect();
+        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind_name).collect();
         assert_eq!(
             kinds,
             vec![

@@ -180,9 +180,10 @@ mod tests {
     fn sat_f64_to_u64_near_max() {
         assert_eq!(sat_f64_to_u64(u64::MAX as f64), u64::MAX);
         assert_eq!(sat_f64_to_u64(u64::MAX as f64 * 2.0), u64::MAX);
-        // The largest f64 strictly below 2^64 converts without clamping.
+        // The largest f64 strictly below 2^64 converts without clamping:
+        // it is 2^64 − 2^11 exactly (f64 spacing below 2^64 is 2^11).
         let below = (u64::MAX as f64).next_down();
-        assert!(sat_f64_to_u64(below) <= u64::MAX);
+        assert_eq!(sat_f64_to_u64(below), u64::MAX - 2047);
         assert_eq!(sat_f64_to_u64(0.4), 0);
         assert_eq!(sat_f64_to_u64(0.6), 1);
     }

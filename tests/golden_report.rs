@@ -8,7 +8,7 @@
 use tailguard_repro::policy::Policy;
 use tailguard_repro::simcore::SimDuration;
 use tailguard_repro::tailguard::{measure_at_load, run_simulation, scenarios, MaxLoadOptions};
-use tailguard_repro::workload::TailbenchWorkload;
+use tailguard_repro::workload::{ArrivalProcess, TailbenchWorkload};
 
 fn opts() -> MaxLoadOptions {
     MaxLoadOptions {
@@ -114,4 +114,46 @@ fn golden_single_class_invariants() {
     assert_eq!(GOLDEN[1].1, GOLDEN[3].1);
     assert_ne!(GOLDEN[0].1, GOLDEN[1].1);
     assert_ne!(GOLDEN[4].1, GOLDEN[1].1);
+}
+
+/// (policy, class-0 p99 in ns, class-1 p99 in ns, completed queries) at
+/// Masstree two-class (SLOs 1.0 / 1.5 ms, Poisson arrivals), N=100,
+/// offered load 0.40, 10 000 queries. With two classes the five policies
+/// dequeue differently, so these pins see what the single-class ones
+/// cannot: PRIQ's class order (its class-0 tail is the lowest of the five,
+/// its class-1 tail the highest) and T-EDFQ's per-class deadlines.
+// PROVENANCE — read on commit bc39a82, before the five queue disciplines
+// became sort keys over one heap; that change reproduces them exactly.
+const GOLDEN_TWO_CLASS: [(&str, u64, u64, u64); 5] = [
+    ("TailGuard", 573732, 878911, 9500),
+    ("FIFO", 679069, 703904, 9500),
+    ("PRIQ", 537412, 920345, 9500),
+    ("T-EDFQ", 549841, 878911, 9500),
+    ("SJF", 817180, 918900, 9500),
+];
+
+#[test]
+fn golden_two_class_masstree() {
+    let scenario = scenarios::two_class(
+        TailbenchWorkload::Masstree,
+        1.0,
+        ArrivalProcess::poisson(1.0),
+    );
+    for (policy, (name, p99_hi_ns, p99_lo_ns, completed)) in
+        Policy::WITH_EXTENSIONS.iter().zip(GOLDEN_TWO_CLASS)
+    {
+        assert_eq!(policy.name(), name);
+        let mut r = measure_at_load(&scenario, *policy, 0.4, &opts());
+        assert_eq!(
+            r.class_tail(0, 0.99).as_nanos(),
+            p99_hi_ns,
+            "{name}: class-0 p99 drifted"
+        );
+        assert_eq!(
+            r.class_tail(1, 0.99).as_nanos(),
+            p99_lo_ns,
+            "{name}: class-1 p99 drifted"
+        );
+        assert_eq!(r.completed_queries, completed, "{name}: completion count");
+    }
 }
