@@ -86,6 +86,15 @@ pub struct ObsOptions {
     /// (misses, hedges, retries, losses, reclaims, slow dequeues) are
     /// retained whole, healthy ones at the configured per-mille rate.
     /// `None` (the default) records every event.
+    ///
+    /// The registry's event-derived counters and histograms and the SLO
+    /// monitor are built from the retained stream, so with sampling on
+    /// they describe the kept queries, not the run. The stream is also in
+    /// bundle order (each kept query's events released at its
+    /// completion), not time order, so the monitor's windows are those of
+    /// the retained stream too. The report and the `tailguard_run_*` and
+    /// `tailguard_mitigation_*` metrics come from the handler and still
+    /// cover the whole run.
     pub sampler: Option<SamplerConfig>,
     /// SLO-monitor windowing. `None` (the default) uses the default
     /// windows with the attainment target derived from the class specs

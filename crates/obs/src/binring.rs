@@ -36,9 +36,9 @@ struct BinRing {
     /// recording overhead on the pure-sim hot path).
     blocks: VecDeque<Vec<u8>>,
     /// Byte offset of the oldest *retained* record in the front block;
-    /// eviction advances it record by record and pops the block when it
-    /// reaches the end, keeping per-event eviction semantics on top of
-    /// block-granular memory management.
+    /// eviction pops whole blocks and advances it by the remainder,
+    /// keeping per-event eviction semantics on top of block-granular
+    /// memory management.
     head: usize,
     /// Events currently retained (`blocks` bytes past `head`, in records).
     retained: usize,
@@ -54,28 +54,35 @@ struct BinRing {
 
 impl BinRing {
     /// Takes ownership of one staged block and evicts oldest records
-    /// until the capacity bound holds again. A fully evicted block is
-    /// handed back (cleared, capacity intact) for the caller to stage
-    /// into next, so a sink at steady state recycles the same few
-    /// buffers instead of churning the allocator once per flush.
+    /// until the capacity bound holds again: whole blocks while the
+    /// excess covers them, then one head advance inside the new front
+    /// block. A fully evicted block is handed back (cleared, capacity
+    /// intact) for the caller to stage into next, so a sink at steady
+    /// state recycles the same few buffers instead of churning the
+    /// allocator once per flush.
     fn push_block(&mut self, block: Vec<u8>) -> Option<Vec<u8>> {
         debug_assert!(!block.is_empty() && block.len().is_multiple_of(EVENT_BYTES));
         let events = block.len() / EVENT_BYTES;
         self.total += events as u64;
         self.retained += events;
         self.blocks.push_back(block);
+        let mut excess = self.retained.saturating_sub(self.capacity);
+        self.retained = self.retained.min(self.capacity);
+        self.dropped += excess as u64;
         let mut recycled = None;
-        while self.retained > self.capacity {
-            self.head += EVENT_BYTES;
-            self.retained = self.retained.saturating_sub(1);
-            self.dropped += 1;
-            if self.head == self.blocks[0].len() {
-                if let Some(mut freed) = self.blocks.pop_front() {
-                    freed.clear();
-                    recycled = Some(freed);
-                }
-                self.head = 0;
+        // The block just pushed always survives: `capacity` is at least 1.
+        while let Some(front) = self.blocks.front() {
+            let front_records = front.len().saturating_sub(self.head) / EVENT_BYTES;
+            if excess < front_records {
+                self.head += excess * EVENT_BYTES;
+                break;
             }
+            excess -= front_records;
+            recycled = self.blocks.pop_front().map(|mut freed| {
+                freed.clear();
+                freed
+            });
+            self.head = 0;
         }
         recycled
     }
@@ -86,7 +93,7 @@ impl BinRing {
         self.blocks
             .iter()
             .enumerate()
-            // tg-lint: allow(panic-surface) -- `head` always lands on a record boundary inside block 0: the eviction loop above advances it by whole records and resets it at block ends
+            // tg-lint: allow(panic-surface) -- `head` always lands on a record boundary inside block 0: `push_block` advances it by whole records and resets it when it pops a block
             .map(|(i, b)| if i == 0 { &b[self.head..] } else { &b[..] })
             .filter(|run| !run.is_empty())
     }
@@ -172,18 +179,25 @@ impl BinaryRecorder {
     /// Undecodable records (corruption — not expected in-process) are
     /// skipped.
     pub fn events(&self) -> Vec<TraceEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_event(|ev| out.push(ev));
+        out
+    }
+
+    /// Decodes each retained record in place, oldest first, and hands it
+    /// to `f` — the analysis path's one pass over the ring, with no
+    /// decoded copy of it. Skips undecodable records like
+    /// [`BinaryRecorder::events`]. Holds the ring lock throughout, so `f`
+    /// must not touch this recorder.
+    pub(crate) fn for_each_event(&self, mut f: impl FnMut(TraceEvent)) {
         let ring = self.ring();
-        let mut out = Vec::with_capacity(ring.retained);
         for run in ring.byte_runs() {
-            for chunk in run.chunks_exact(EVENT_BYTES) {
-                // tg-lint: allow(unwrap-in-lib) -- chunks_exact yields EVENT_BYTES slices
-                let rec: &[u8; EVENT_BYTES] = chunk.try_into().unwrap();
+            for rec in run.as_chunks::<EVENT_BYTES>().0 {
                 if let Some(ev) = decode(rec) {
-                    out.push(ev);
+                    f(ev);
                 }
             }
         }
-        out
     }
 
     /// The retained records as one contiguous byte string, oldest first —
@@ -396,6 +410,40 @@ mod tests {
         rec.clear();
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 0);
+    }
+
+    /// Records `n` events through a plain sink into a ring of
+    /// `capacity` and checks the retained bytes are exactly the encoding
+    /// of the last `capacity` events, with every other one counted.
+    fn check_ring_keeps_the_last(capacity: usize, n: u64) {
+        let rec = BinaryRecorder::with_capacity(capacity);
+        {
+            let mut sink = rec.sink();
+            for k in 0..n {
+                sink.record(&pause(k));
+            }
+        }
+        let kept = (n as usize).min(capacity);
+        let mut expected = Vec::new();
+        for k in (n - kept as u64)..n {
+            encode_append(&pause(k), &mut expected);
+        }
+        assert_eq!(rec.raw_bytes(), expected, "capacity {capacity}, {n} events");
+        assert_eq!(rec.len(), kept);
+        assert_eq!(rec.total_recorded(), n);
+        assert_eq!(rec.dropped(), n - kept as u64);
+    }
+
+    #[test]
+    fn ring_keeps_exactly_the_last_capacity_records() {
+        // Not a multiple of FLUSH_EVENTS: eviction ends mid-block.
+        check_ring_keeps_the_last(FLUSH_EVENTS * 3 + 37, 2_000);
+        check_ring_keeps_the_last(FLUSH_EVENTS * 3 + 37, (FLUSH_EVENTS * 3 + 37) as u64);
+        // Below one block: every flush evicts inside the block it pushed.
+        check_ring_keeps_the_last(FLUSH_EVENTS / 2 + 1, 2_000);
+        check_ring_keeps_the_last(1, 300);
+        // A multiple of FLUSH_EVENTS: whole blocks leave the ring.
+        check_ring_keeps_the_last(FLUSH_EVENTS * 2, 2_000);
     }
 
     #[test]

@@ -535,10 +535,8 @@ pub fn decode(buf: &[u8; EVENT_BYTES]) -> Option<TraceEvent> {
 pub fn decode_stream(bytes: &[u8]) -> (Vec<TraceEvent>, u64) {
     let mut events = Vec::with_capacity(bytes.len() / EVENT_BYTES);
     let mut corrupt = 0u64;
-    for chunk in bytes.chunks_exact(EVENT_BYTES) {
-        let mut rec = [0u8; EVENT_BYTES];
-        rec.copy_from_slice(chunk);
-        match decode(&rec) {
+    for rec in bytes.as_chunks::<EVENT_BYTES>().0 {
+        match decode(rec) {
             Some(ev) => events.push(ev),
             None => corrupt += 1,
         }

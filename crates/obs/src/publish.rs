@@ -1,6 +1,7 @@
 //! Publishing a finished run into the [`Registry`], once, for both
 //! runtimes.
 
+use crate::registry::EventTally;
 use crate::{BinaryRecorder, Registry, SloConfig, SloMonitor, SloSnapshot};
 use tailguard_sched::{ClassSpec, HealthStats, LifecycleStats, RobustnessStats};
 
@@ -36,14 +37,24 @@ pub struct RunSummary<'a> {
     pub deadline_miss_ratio: f64,
 }
 
-/// Distills a finished run into `registry`: decodes the recording once,
-/// replays it through a [`SloMonitor`] (configured by `slo`, or by
-/// [`SloConfig::for_classes`]), and sets
-/// the event-derived, mitigation, lifecycle, SLO, health, estimator and
+/// Distills a finished run into `registry`: decodes each retained record
+/// once, straight from the ring, and feeds it to a [`SloMonitor`]
+/// (configured by `slo`, or by [`SloConfig::for_classes`]) and to the
+/// event-derived counters and histograms in the same pass — no decoded
+/// copy of the recording is built. Then sets
+/// the mitigation, lifecycle, SLO, health, estimator and
 /// run-level metrics under the one `tailguard_*` naming scheme. Health and
 /// adaptive-estimator metrics exist exactly when their features are
 /// configured, so feature-off registries keep their shape. Returns the
 /// sealed monitor's state.
+///
+/// Everything event-derived describes the *retained* stream, in ring
+/// order. After capacity eviction that is a suffix of the run
+/// (`tailguard_trace_events_dropped_total` says so). After tail-aware
+/// sampling it is the kept queries' bundles in the order they were
+/// released, each at its query's completion — not the run, and not in
+/// time order — so the monitor's buckets, burn rates and alerts and the
+/// event-derived counters describe that retained stream, not the run.
 pub fn publish_run(
     registry: &mut Registry,
     recorder: &BinaryRecorder,
@@ -51,11 +62,14 @@ pub fn publish_run(
     slo: Option<SloConfig>,
     run: &RunSummary<'_>,
 ) -> SloSnapshot {
-    let events = recorder.events();
     let mut monitor = SloMonitor::new(slo.unwrap_or_else(|| SloConfig::for_classes(classes)));
-    monitor.ingest(&events);
+    let mut tally = EventTally::default();
+    recorder.for_each_event(|ev| {
+        monitor.observe(&ev);
+        tally.observe(&ev);
+    });
     monitor.finish();
-    registry.ingest_events(&events);
+    tally.publish(registry);
     registry.ingest_robustness(run.robustness);
     registry.ingest_lifecycle(run.lifecycle);
     monitor.publish(registry);

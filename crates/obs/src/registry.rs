@@ -16,7 +16,8 @@
 //!   clock of the producing runtime.
 //!
 //! Lifecycle counters (`tailguard_queries_*`, `tailguard_tasks_*`) are
-//! derived from the trace-event stream by [`Registry::ingest_events`];
+//! derived from the trace-event stream by [`Registry::ingest_events`]
+//! (or by [`publish_run`](crate::publish_run), straight off the ring);
 //! mitigation counters (`tailguard_mitigation_*`) come from the handler's
 //! [`RobustnessStats`] via [`Registry::ingest_robustness`]; estimator and
 //! run-level counters are set by the driver. The two families overlap in
@@ -128,194 +129,11 @@ impl Registry {
     /// histogram (`slack ≥ 0`) and a lateness histogram (`|slack|` of
     /// misses).
     pub fn ingest_events(&mut self, events: &[TraceEvent]) {
-        // One local accumulation pass, then one registry touch per metric
-        // name. The per-event string-keyed map lookups this replaces were
-        // the dominant cost of observed runs (see `BENCH_obs.json`); the
-        // resulting counters and histograms are identical.
-        let mut admitted = 0u64;
-        let mut rejected = 0u64;
-        let mut enqueued = 0u64;
-        let mut dequeued = 0u64;
-        let mut missed = 0u64;
-        let mut cancelled = 0u64;
-        let mut completed = 0u64;
-        let mut lost = 0u64;
-        let mut pauses = 0u64;
-        let mut resumes = 0u64;
-        let mut reclaimed = 0u64;
-        let mut dup_suppressed = 0u64;
-        let mut stale_rejected = 0u64;
-        let mut ejections = 0u64;
-        let mut readmissions = 0u64;
-        let mut budget_denials = 0u64;
-        let mut queue_wait = LogHistogram::new();
-        let mut hedge_wait = LogHistogram::new();
-        let mut service = LogHistogram::new();
-        let mut slack_by_class: BTreeMap<u8, LogHistogram> = BTreeMap::new();
-        let mut lateness_by_class: BTreeMap<u8, LogHistogram> = BTreeMap::new();
+        let mut tally = EventTally::default();
         for ev in events {
-            match *ev {
-                TraceEvent::QueryAdmitted { .. } => admitted += 1,
-                TraceEvent::QueryRejected { .. } => rejected += 1,
-                TraceEvent::TaskEnqueued { .. } => enqueued += 1,
-                TraceEvent::TaskDequeued {
-                    class,
-                    kind,
-                    waited,
-                    slack_ns,
-                    ..
-                } => {
-                    dequeued += 1;
-                    queue_wait.record(waited.as_millis_f64());
-                    if kind == AttemptKind::Hedge {
-                        hedge_wait.record(waited.as_millis_f64());
-                    }
-                    let slack_ms = slack_ns as f64 / 1e6;
-                    if slack_ns >= 0 {
-                        slack_by_class.entry(class).or_default().record(slack_ms);
-                    } else {
-                        lateness_by_class
-                            .entry(class)
-                            .or_default()
-                            .record(-slack_ms);
-                    }
-                }
-                TraceEvent::DeadlineMissed { .. } => missed += 1,
-                TraceEvent::HedgeIssued { .. } => {}
-                TraceEvent::TaskCancelled { .. } => cancelled += 1,
-                TraceEvent::TaskCompleted { busy, .. } => {
-                    completed += 1;
-                    service.record(busy.as_millis_f64());
-                }
-                TraceEvent::TaskLost { .. } => lost += 1,
-                TraceEvent::AdmissionPause { .. } => pauses += 1,
-                TraceEvent::AdmissionResume { .. } => resumes += 1,
-                TraceEvent::LeaseReclaimed { .. } => reclaimed += 1,
-                TraceEvent::DuplicateSuppressed { .. } => dup_suppressed += 1,
-                TraceEvent::StaleCommitRejected { .. } => stale_rejected += 1,
-                TraceEvent::ServerEjected { .. } => ejections += 1,
-                TraceEvent::ServerReadmitted { .. } => readmissions += 1,
-                TraceEvent::HedgeBudgetExhausted { .. } => budget_denials += 1,
-            }
+            tally.observe(ev);
         }
-        // Metric names appear exactly when their events did, matching the
-        // previous per-event behaviour.
-        let counters: [(&str, &'static str, u64); 16] = [
-            (
-                "tailguard_queries_admitted_total",
-                "Queries that passed admission control",
-                admitted,
-            ),
-            (
-                "tailguard_queries_rejected_total",
-                "Queries turned away by admission control",
-                rejected,
-            ),
-            (
-                "tailguard_tasks_enqueued_total",
-                "Task attempts enqueued (originals, hedges, retries)",
-                enqueued,
-            ),
-            (
-                "tailguard_tasks_dequeued_total",
-                "Task attempts that entered service",
-                dequeued,
-            ),
-            (
-                "tailguard_tasks_deadline_missed_total",
-                "Task attempts that dequeued past their deadline t_D",
-                missed,
-            ),
-            (
-                "tailguard_tasks_cancelled_at_dequeue_total",
-                "Queued attempts discarded because their slot had resolved",
-                cancelled,
-            ),
-            (
-                "tailguard_tasks_completed_total",
-                "Task attempts that finished service",
-                completed,
-            ),
-            (
-                "tailguard_tasks_lost_total",
-                "In-service attempts lost to faults or worker failures",
-                lost,
-            ),
-            (
-                "tailguard_admission_pauses_total",
-                "Admission flips from admitting to rejecting",
-                pauses,
-            ),
-            (
-                "tailguard_admission_resumes_total",
-                "Admission flips from rejecting back to admitting",
-                resumes,
-            ),
-            (
-                "tailguard_leases_reclaimed_total",
-                "Expired leases reclaimed (attempt re-enqueued or cancelled)",
-                reclaimed,
-            ),
-            (
-                "tailguard_duplicates_suppressed_total",
-                "Redelivered results suppressed by idempotent commit",
-                dup_suppressed,
-            ),
-            (
-                "tailguard_stale_commits_rejected_total",
-                "Zombie results fenced off by lease-token mismatch",
-                stale_rejected,
-            ),
-            (
-                "tailguard_trace_server_ejections_total",
-                "Server-ejection flips narrated into the trace stream",
-                ejections,
-            ),
-            (
-                "tailguard_trace_server_readmissions_total",
-                "Server-readmission flips narrated into the trace stream",
-                readmissions,
-            ),
-            (
-                "tailguard_trace_budget_denials_total",
-                "Hedges/retries denied by an empty per-class token bucket",
-                budget_denials,
-            ),
-        ];
-        for (name, help, count) in counters {
-            if count > 0 {
-                self.counter_add(name, help, count);
-            }
-        }
-        self.histogram_merge(
-            "tailguard_queue_wait_ms",
-            "Pre-dequeuing wait per task attempt",
-            queue_wait,
-        );
-        self.histogram_merge(
-            "tailguard_hedge_wait_ms",
-            "Pre-dequeuing wait of hedge copies",
-            hedge_wait,
-        );
-        self.histogram_merge(
-            "tailguard_service_ms",
-            "Service time per completed task attempt",
-            service,
-        );
-        for (class, h) in slack_by_class {
-            self.histogram_merge(
-                &format!("tailguard_dequeue_slack_ms{{class=\"{class}\"}}"),
-                "Deadline slack at dequeue (on-time attempts)",
-                h,
-            );
-        }
-        for (class, h) in lateness_by_class {
-            self.histogram_merge(
-                &format!("tailguard_dequeue_lateness_ms{{class=\"{class}\"}}"),
-                "How far past t_D late attempts dequeued",
-                h,
-            );
-        }
+        tally.publish(self);
     }
 
     /// Merges a locally accumulated histogram into a named one, creating
@@ -654,6 +472,211 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// All time series, sorted by name.
     pub series: Vec<SeriesSnapshot>,
+}
+
+/// The event-derived counters and histograms, accumulated in plain
+/// fields and published with one registry touch per metric name instead
+/// of a string-keyed map lookup per event; the result is the same either
+/// way. The one implementation behind both entry points:
+/// [`Registry::ingest_events`] feeds it a slice, [`publish_run`](crate::publish_run)
+/// the ring's records as it decodes them.
+#[derive(Default)]
+pub(crate) struct EventTally {
+    admitted: u64,
+    rejected: u64,
+    enqueued: u64,
+    dequeued: u64,
+    missed: u64,
+    cancelled: u64,
+    completed: u64,
+    lost: u64,
+    pauses: u64,
+    resumes: u64,
+    reclaimed: u64,
+    dup_suppressed: u64,
+    stale_rejected: u64,
+    ejections: u64,
+    readmissions: u64,
+    budget_denials: u64,
+    queue_wait: LogHistogram,
+    hedge_wait: LogHistogram,
+    service: LogHistogram,
+    slack_by_class: BTreeMap<u8, LogHistogram>,
+    lateness_by_class: BTreeMap<u8, LogHistogram>,
+}
+
+impl EventTally {
+    /// Folds one event into the tally.
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::QueryAdmitted { .. } => self.admitted += 1,
+            TraceEvent::QueryRejected { .. } => self.rejected += 1,
+            TraceEvent::TaskEnqueued { .. } => self.enqueued += 1,
+            TraceEvent::TaskDequeued {
+                class,
+                kind,
+                waited,
+                slack_ns,
+                ..
+            } => {
+                self.dequeued += 1;
+                self.queue_wait.record(waited.as_millis_f64());
+                if kind == AttemptKind::Hedge {
+                    self.hedge_wait.record(waited.as_millis_f64());
+                }
+                let slack_ms = slack_ns as f64 / 1e6;
+                if slack_ns >= 0 {
+                    self.slack_by_class
+                        .entry(class)
+                        .or_default()
+                        .record(slack_ms);
+                } else {
+                    self.lateness_by_class
+                        .entry(class)
+                        .or_default()
+                        .record(-slack_ms);
+                }
+            }
+            TraceEvent::DeadlineMissed { .. } => self.missed += 1,
+            TraceEvent::HedgeIssued { .. } => {}
+            TraceEvent::TaskCancelled { .. } => self.cancelled += 1,
+            TraceEvent::TaskCompleted { busy, .. } => {
+                self.completed += 1;
+                self.service.record(busy.as_millis_f64());
+            }
+            TraceEvent::TaskLost { .. } => self.lost += 1,
+            TraceEvent::AdmissionPause { .. } => self.pauses += 1,
+            TraceEvent::AdmissionResume { .. } => self.resumes += 1,
+            TraceEvent::LeaseReclaimed { .. } => self.reclaimed += 1,
+            TraceEvent::DuplicateSuppressed { .. } => self.dup_suppressed += 1,
+            TraceEvent::StaleCommitRejected { .. } => self.stale_rejected += 1,
+            TraceEvent::ServerEjected { .. } => self.ejections += 1,
+            TraceEvent::ServerReadmitted { .. } => self.readmissions += 1,
+            TraceEvent::HedgeBudgetExhausted { .. } => self.budget_denials += 1,
+        }
+    }
+
+    /// Publishes the tally into `registry`.
+    pub(crate) fn publish(self, registry: &mut Registry) {
+        // Metric names appear exactly when their events did, matching the
+        // previous per-event behaviour.
+        let counters: [(&str, &'static str, u64); 16] = [
+            (
+                "tailguard_queries_admitted_total",
+                "Queries that passed admission control",
+                self.admitted,
+            ),
+            (
+                "tailguard_queries_rejected_total",
+                "Queries turned away by admission control",
+                self.rejected,
+            ),
+            (
+                "tailguard_tasks_enqueued_total",
+                "Task attempts enqueued (originals, hedges, retries)",
+                self.enqueued,
+            ),
+            (
+                "tailguard_tasks_dequeued_total",
+                "Task attempts that entered service",
+                self.dequeued,
+            ),
+            (
+                "tailguard_tasks_deadline_missed_total",
+                "Task attempts that dequeued past their deadline t_D",
+                self.missed,
+            ),
+            (
+                "tailguard_tasks_cancelled_at_dequeue_total",
+                "Queued attempts discarded because their slot had resolved",
+                self.cancelled,
+            ),
+            (
+                "tailguard_tasks_completed_total",
+                "Task attempts that finished service",
+                self.completed,
+            ),
+            (
+                "tailguard_tasks_lost_total",
+                "In-service attempts lost to faults or worker failures",
+                self.lost,
+            ),
+            (
+                "tailguard_admission_pauses_total",
+                "Admission flips from admitting to rejecting",
+                self.pauses,
+            ),
+            (
+                "tailguard_admission_resumes_total",
+                "Admission flips from rejecting back to admitting",
+                self.resumes,
+            ),
+            (
+                "tailguard_leases_reclaimed_total",
+                "Expired leases reclaimed (attempt re-enqueued or cancelled)",
+                self.reclaimed,
+            ),
+            (
+                "tailguard_duplicates_suppressed_total",
+                "Redelivered results suppressed by idempotent commit",
+                self.dup_suppressed,
+            ),
+            (
+                "tailguard_stale_commits_rejected_total",
+                "Zombie results fenced off by lease-token mismatch",
+                self.stale_rejected,
+            ),
+            (
+                "tailguard_trace_server_ejections_total",
+                "Server-ejection flips narrated into the trace stream",
+                self.ejections,
+            ),
+            (
+                "tailguard_trace_server_readmissions_total",
+                "Server-readmission flips narrated into the trace stream",
+                self.readmissions,
+            ),
+            (
+                "tailguard_trace_budget_denials_total",
+                "Hedges/retries denied by an empty per-class token bucket",
+                self.budget_denials,
+            ),
+        ];
+        for (name, help, count) in counters {
+            if count > 0 {
+                registry.counter_add(name, help, count);
+            }
+        }
+        registry.histogram_merge(
+            "tailguard_queue_wait_ms",
+            "Pre-dequeuing wait per task attempt",
+            self.queue_wait,
+        );
+        registry.histogram_merge(
+            "tailguard_hedge_wait_ms",
+            "Pre-dequeuing wait of hedge copies",
+            self.hedge_wait,
+        );
+        registry.histogram_merge(
+            "tailguard_service_ms",
+            "Service time per completed task attempt",
+            self.service,
+        );
+        for (class, h) in self.slack_by_class {
+            registry.histogram_merge(
+                &format!("tailguard_dequeue_slack_ms{{class=\"{class}\"}}"),
+                "Deadline slack at dequeue (on-time attempts)",
+                h,
+            );
+        }
+        for (class, h) in self.lateness_by_class {
+            registry.histogram_merge(
+                &format!("tailguard_dequeue_lateness_ms{{class=\"{class}\"}}"),
+                "How far past t_D late attempts dequeued",
+                h,
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -300,8 +300,13 @@ impl SloMonitor {
 
     /// Feeds one event. Only [`TraceEvent::TaskDequeued`] moves the
     /// monitor; everything else is ignored, so the full decoded stream
-    /// can be replayed unfiltered. Events must arrive in time order per
-    /// class (emission order satisfies this).
+    /// can be replayed unfiltered. Buckets assume time order per class:
+    /// a dequeue older than the class's open bucket is counted in that
+    /// open bucket. A full recording is in emission order and satisfies
+    /// this. A sampled recording is in bundle order — each kept query's
+    /// events released together at its completion — so on a sampled run
+    /// the buckets, burn rates and alerts describe the retained stream,
+    /// not the run's timeline.
     pub fn observe(&mut self, ev: &TraceEvent) {
         let TraceEvent::TaskDequeued {
             at,

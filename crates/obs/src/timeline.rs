@@ -12,7 +12,7 @@ use tailguard_sched::{AttemptKind, QueryId, TaskId, TraceEvent};
 use tailguard_simcore::{SimDuration, SimTime};
 
 /// The reconstructed life of one task attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttemptRecord {
     /// The attempt's task id.
     pub task: TaskId,
@@ -60,7 +60,7 @@ impl AttemptRecord {
 }
 
 /// The reconstructed life of one query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTimeline {
     /// The query id.
     pub query: QueryId,
@@ -111,6 +111,26 @@ impl QueryTimeline {
             .filter(|a| a.kind != AttemptKind::Original)
             .count()
     }
+
+    /// Where original attempt `task` sits without a scan: a query's
+    /// originals are minted consecutively and enqueued at admission, so
+    /// task `t` is at `t − attempts[0].task`. `None` when the attempt is
+    /// not there — hedges and retries, minted later, usually are not, nor
+    /// is anything a hand-built stream put elsewhere — and the caller
+    /// scans instead.
+    fn original_index(&self, task: TaskId) -> Option<usize> {
+        let i = task.checked_sub(self.attempts.first()?.task)? as usize;
+        self.attempts.get(i).filter(|a| a.task == task).map(|_| i)
+    }
+
+    /// The attempt with task id `task`: at its original's offset, else
+    /// found by a scan.
+    fn attempt_mut(&mut self, task: TaskId) -> Option<&mut AttemptRecord> {
+        let i = self
+            .original_index(task)
+            .or_else(|| self.attempts.iter().position(|a| a.task == task))?;
+        self.attempts.get_mut(i)
+    }
 }
 
 /// Folds an event stream into per-query timelines, keyed by query id.
@@ -118,10 +138,17 @@ impl QueryTimeline {
 /// Events for queries whose `QueryAdmitted` was evicted from the ring are
 /// dropped (a timeline without its head cannot be anchored); the caller
 /// can compare against [`BinaryRecorder::dropped`](crate::BinaryRecorder)
-/// to know whether that happened.
+/// to know whether that happened. A later `QueryAdmitted` for an id
+/// already seen (two recordings concatenated) replaces its timeline.
+///
+/// One pass. Query ids are minted densely in admission order, so a
+/// timeline is found at its id's offset from the first admitted id seen
+/// (see `TimelineIndex`), and an original attempt at its task's offset
+/// from the query's first attempt. Only hedges and retries, and a new
+/// attempt's first enqueue (which must be told from a reclaim's
+/// re-enqueue), scan the query's attempts.
 pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline> {
-    let mut timelines: BTreeMap<QueryId, QueryTimeline> = BTreeMap::new();
-    let mut task_owner: BTreeMap<TaskId, QueryId> = BTreeMap::new();
+    let mut index = TimelineIndex::default();
     for ev in events {
         match *ev {
             TraceEvent::QueryAdmitted {
@@ -131,18 +158,15 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
                 fanout,
                 deadline,
             } => {
-                timelines.insert(
+                index.insert(QueryTimeline {
                     query,
-                    QueryTimeline {
-                        query,
-                        class,
-                        fanout,
-                        admitted_at: at,
-                        deadline,
-                        attempts: Vec::with_capacity(fanout as usize),
-                        budget_denials: 0,
-                    },
-                );
+                    class,
+                    fanout,
+                    admitted_at: at,
+                    deadline,
+                    attempts: Vec::with_capacity(fanout as usize),
+                    budget_denials: 0,
+                });
             }
             TraceEvent::TaskEnqueued {
                 at,
@@ -154,37 +178,37 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
                 kind,
                 deadline,
             } => {
-                if let Some(tl) = timelines.get_mut(&query) {
-                    // A second enqueue of a known task is a lease reclaim
-                    // bouncing the attempt back into its queue: reopen the
-                    // existing record instead of inventing a new attempt.
-                    if let Some(a) = tl.attempts.iter_mut().find(|a| a.task == task) {
-                        a.enqueued_at = at;
-                        a.dequeued_at = None;
-                        a.waited = None;
-                        a.slack_ns = None;
-                        continue;
-                    }
-                    task_owner.insert(task, query);
-                    tl.attempts.push(AttemptRecord {
-                        task,
-                        slot,
-                        server,
-                        kind,
-                        reclaims: 0,
-                        enqueued_at: at,
-                        deadline,
-                        dequeued_at: None,
-                        waited: None,
-                        slack_ns: None,
-                        missed_deadline: false,
-                        completed_at: None,
-                        busy: None,
-                        won: false,
-                        cancelled_at: None,
-                        lost_at: None,
-                    });
+                let Some(tl) = index.get_mut(query) else {
+                    continue;
+                };
+                // A second enqueue of a known task is a lease reclaim
+                // bouncing the attempt back into its queue: reopen the
+                // existing record instead of inventing a new attempt.
+                if let Some(a) = tl.attempt_mut(task) {
+                    a.enqueued_at = at;
+                    a.dequeued_at = None;
+                    a.waited = None;
+                    a.slack_ns = None;
+                    continue;
                 }
+                tl.attempts.push(AttemptRecord {
+                    task,
+                    slot,
+                    server,
+                    kind,
+                    reclaims: 0,
+                    enqueued_at: at,
+                    deadline,
+                    dequeued_at: None,
+                    waited: None,
+                    slack_ns: None,
+                    missed_deadline: false,
+                    completed_at: None,
+                    busy: None,
+                    won: false,
+                    cancelled_at: None,
+                    lost_at: None,
+                });
             }
             TraceEvent::TaskDequeued {
                 at,
@@ -194,14 +218,14 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
                 slack_ns,
                 ..
             } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.dequeued_at = Some(at);
                     a.waited = Some(waited);
                     a.slack_ns = Some(slack_ns);
                 }
             }
             TraceEvent::DeadlineMissed { task, query, .. } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.missed_deadline = true;
                 }
             }
@@ -213,7 +237,7 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
                 won,
                 ..
             } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.completed_at = Some(at);
                     a.busy = Some(busy);
                     a.won = won;
@@ -222,24 +246,24 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
             TraceEvent::TaskCancelled {
                 at, task, query, ..
             } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.cancelled_at = Some(at);
                 }
             }
             TraceEvent::TaskLost {
                 at, task, query, ..
             } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.lost_at = Some(at);
                 }
             }
             TraceEvent::LeaseReclaimed { task, query, .. } => {
-                if let Some(a) = attempt_mut(&mut timelines, &task_owner, query, task) {
+                if let Some(a) = index.attempt_mut(query, task) {
                     a.reclaims += 1;
                 }
             }
             TraceEvent::HedgeBudgetExhausted { query, .. } => {
-                if let Some(tl) = timelines.get_mut(&query) {
+                if let Some(tl) = index.get_mut(query) {
                     tl.budget_denials += 1;
                 }
             }
@@ -253,7 +277,63 @@ pub fn build_timelines(events: &[TraceEvent]) -> BTreeMap<QueryId, QueryTimeline
             | TraceEvent::ServerReadmitted { .. } => {}
         }
     }
-    timelines
+    index.into_map()
+}
+
+/// The timelines under construction, keyed by query id.
+///
+/// `dense[i]` holds query `base + i`: admissions that continue the run
+/// (`query − base == dense.len()`) append, admissions of an id already
+/// in that range replace in place. Everything else — ids below `base` or
+/// past a gap, which a sampled recording produces (each kept query's
+/// bundle released at its completion, healthy ones thinned out) — lives
+/// in `sparse`. An id is in exactly one of the two.
+#[derive(Default)]
+struct TimelineIndex {
+    /// The first admitted id seen; `None` before any admission.
+    base: Option<QueryId>,
+    dense: Vec<QueryTimeline>,
+    sparse: BTreeMap<QueryId, QueryTimeline>,
+}
+
+impl TimelineIndex {
+    /// `query`'s offset into `dense`, whether or not it is in range.
+    fn offset(&self, query: QueryId) -> Option<usize> {
+        query.checked_sub(self.base?).map(|off| off as usize)
+    }
+
+    fn insert(&mut self, tl: QueryTimeline) {
+        let query = tl.query;
+        self.base.get_or_insert(query);
+        if self.offset(query) == Some(self.dense.len()) {
+            self.sparse.remove(&query);
+            self.dense.push(tl);
+        } else if let Some(slot) = self.get_mut(query) {
+            *slot = tl;
+        } else {
+            self.sparse.insert(query, tl);
+        }
+    }
+
+    fn get_mut(&mut self, query: QueryId) -> Option<&mut QueryTimeline> {
+        match self.offset(query) {
+            Some(off) if off < self.dense.len() => self.dense.get_mut(off),
+            _ => self.sparse.get_mut(&query),
+        }
+    }
+
+    fn attempt_mut(&mut self, query: QueryId, task: TaskId) -> Option<&mut AttemptRecord> {
+        self.get_mut(query)?.attempt_mut(task)
+    }
+
+    fn into_map(self) -> BTreeMap<QueryId, QueryTimeline> {
+        // Both halves iterate in id order and share no key, so the
+        // collect's sort sees two sorted runs.
+        self.sparse
+            .into_iter()
+            .chain(self.dense.into_iter().map(|tl| (tl.query, tl)))
+            .collect()
+    }
 }
 
 /// One health-tracker ejection-state flip pulled from an event stream.
@@ -287,20 +367,6 @@ pub fn server_transitions(events: &[TraceEvent]) -> Vec<ServerTransition> {
             _ => None,
         })
         .collect()
-}
-
-fn attempt_mut<'a>(
-    timelines: &'a mut BTreeMap<QueryId, QueryTimeline>,
-    task_owner: &BTreeMap<TaskId, QueryId>,
-    query: QueryId,
-    task: TaskId,
-) -> Option<&'a mut AttemptRecord> {
-    debug_assert_eq!(task_owner.get(&task), Some(&query));
-    timelines
-        .get_mut(&query)?
-        .attempts
-        .iter_mut()
-        .find(|a| a.task == task)
 }
 
 /// The `k` slowest completed queries, highest latency first (ties broken
@@ -596,6 +662,41 @@ mod tests {
         assert_eq!(original.completed_at, Some(t(6)));
         assert!(tl.is_complete());
         assert_eq!(tl.latency(), Some(ms(6)));
+    }
+
+    #[test]
+    fn originals_are_found_at_their_offset_and_copies_by_scan() {
+        let t = SimTime::from_millis;
+        let enqueued = |task, slot, kind| TraceEvent::TaskEnqueued {
+            at: t(0),
+            task,
+            slot,
+            query: 4,
+            class: 0,
+            server: task,
+            kind,
+            deadline: t(5),
+        };
+        let mut events = vec![TraceEvent::QueryAdmitted {
+            at: t(0),
+            query: 4,
+            class: 0,
+            fanout: 3,
+            deadline: t(5),
+        }];
+        events.extend((10..13).map(|task| enqueued(task, task, AttemptKind::Original)));
+        events.push(enqueued(40, 11, AttemptKind::Hedge));
+        let mut tl = build_timelines(&events).remove(&4).expect("admitted");
+        assert_eq!(tl.original_index(10), Some(0));
+        assert_eq!(tl.original_index(12), Some(2));
+        assert_eq!(tl.original_index(9), None, "below the first original");
+        assert_eq!(
+            tl.original_index(40),
+            None,
+            "the hedge is past the originals"
+        );
+        let hedge = tl.attempt_mut(40).expect("found by the scan");
+        assert_eq!((hedge.kind, hedge.slot), (AttemptKind::Hedge, 11));
     }
 
     #[test]

@@ -20,7 +20,7 @@ const VARIANTS: usize = 17;
 /// draws), so the near-`u64::MAX` regime the Pi→wall scaling audit cares
 /// about is exercised constantly, not just by a single pinned case.
 fn random_event(variant: usize, rng: &mut SimRng) -> TraceEvent {
-    let mut wide = |rng: &mut SimRng| -> u64 {
+    let wide = |rng: &mut SimRng| -> u64 {
         if rng.chance(0.25) {
             u64::MAX - rng.u64() % 4
         } else {

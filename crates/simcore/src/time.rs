@@ -196,6 +196,7 @@ impl SimDuration {
     }
 
     /// Checked subtraction: `None` on underflow.
+    /// `rhs` is a virtual-time duration (nanosecond domain).
     #[inline]
     pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
         self.0.checked_sub(rhs.0).map(SimDuration)

@@ -17,9 +17,23 @@
 //!     the binary codec round-trips every event the simulator emits, not
 //!     just the variants unit tests construct by hand, and the driver's
 //!     order of settling one event's fallout is pinned.
+//!
+//! Two oracles check the one-pass analysis against the simple versions
+//! in `observability/reference.rs`:
+//!  5. `build_timelines` equals the reference builder on full, truncated,
+//!     sampled and concatenated recordings.
+//!  6. `publish_run`, which decodes the ring once and streams it, equals
+//!     decoding into a `Vec` and ingesting that slice, on an evicting and
+//!     a sampled ring.
 
-use tailguard_repro::obs::events_to_jsonl;
+#[path = "observability/reference.rs"]
+mod reference;
+
+use tailguard_repro::obs::{
+    build_timelines, events_to_jsonl, publish_run, Registry, RunSummary, SamplerConfig,
+};
 use tailguard_repro::policy::Policy;
+use tailguard_repro::sched::{AttemptKind, TraceEvent};
 use tailguard_repro::simcore::{SimDuration, SimTime};
 use tailguard_repro::tailguard::{
     run_indexed, run_simulation, run_simulation_observed, scenarios, ClassSpec, ClusterSpec,
@@ -239,4 +253,198 @@ fn exposition_matches_committed_golden() {
         "Prometheus exposition drifted from the committed golden snapshot; \
          if the change is deliberate, regenerate with TG_UPDATE_GOLDEN=1"
     );
+}
+
+/// The retained events of one observed run.
+fn recording(config: &SimConfig, input: &SimInput, opts: &ObsOptions) -> Vec<TraceEvent> {
+    run_simulation_observed(config, input, opts)
+        .recorder
+        .events()
+}
+
+/// Invariant 5: the one-pass timeline builder (id-offset index, original
+/// attempts found at their task offset) folds every stream exactly as the
+/// reference does — including streams where those shortcuts do not hold.
+#[test]
+fn timelines_equal_the_reference_builder() {
+    let (golden_config, golden_input) = golden_run(Policy::TfEdf);
+    let (cascade_config, cascade_input) = fault_cascade_run();
+    let full = ObsOptions::default();
+    let golden = recording(&golden_config, &golden_input, &full);
+    let cascade = recording(&cascade_config, &cascade_input, &full);
+    let truncated = recording(
+        &golden_config,
+        &golden_input,
+        &ObsOptions {
+            ring_capacity: golden.len() / 4,
+            ..ObsOptions::default()
+        },
+    );
+    let sampled = recording(
+        &golden_config,
+        &golden_input,
+        &ObsOptions {
+            sampler: Some(SamplerConfig::default()),
+            ..ObsOptions::default()
+        },
+    );
+    let concatenated: Vec<TraceEvent> = cascade.iter().chain(&golden).copied().collect();
+
+    // Each stream carries what it is here for.
+    for kind in [
+        "hedge_issued",
+        "task_lost",
+        "lease_reclaimed",
+        "task_cancelled",
+    ] {
+        assert!(
+            cascade.iter().any(|e| e.kind_name() == kind),
+            "the cascade has no {kind}"
+        );
+    }
+    assert!(
+        cascade.iter().any(|e| matches!(
+            e,
+            TraceEvent::TaskEnqueued {
+                kind: AttemptKind::Retry,
+                ..
+            }
+        )),
+        "the cascade has no retry"
+    );
+    let admitted = |events: &[TraceEvent]| -> Vec<u32> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::QueryAdmitted { query, .. } => Some(query),
+                _ => None,
+            })
+            .collect()
+    };
+    let truncated_heads = admitted(&truncated);
+    assert!(
+        truncated.iter().any(|e| matches!(
+            *e,
+            TraceEvent::TaskCompleted { query, .. } if !truncated_heads.contains(&query)
+        )),
+        "the truncated ring kept every timeline's head"
+    );
+    assert!(
+        admitted(&sampled).windows(2).any(|w| w[1] < w[0]),
+        "the sampled recording admits in id order"
+    );
+
+    for (name, events) in [
+        ("golden", &golden),
+        ("fault cascade", &cascade),
+        ("truncated ring", &truncated),
+        ("sampled", &sampled),
+        ("concatenated", &concatenated),
+    ] {
+        let want = reference::reference_build_timelines(events);
+        let got = build_timelines(events);
+        assert!(!want.is_empty(), "{name}: no timelines");
+        let differing: Vec<u32> = want
+            .iter()
+            .filter(|(q, tl)| got.get(q) != Some(tl))
+            .map(|(&q, _)| q)
+            .take(5)
+            .collect();
+        assert!(
+            got == want,
+            "{name}: {} timelines vs the reference's {}; first differing ids {differing:?}",
+            got.len(),
+            want.len()
+        );
+    }
+    // The golden run's admissions replaced the cascade's under the same ids.
+    let merged = build_timelines(&concatenated);
+    assert_eq!(merged.get(&0), build_timelines(&golden).get(&0));
+    assert_ne!(merged.get(&0), build_timelines(&cascade).get(&0));
+}
+
+/// Invariant 6: publishing straight off the ring — each record decoded
+/// once and fed to the SLO monitor and the event tally together — fills
+/// the registry and seals the monitor exactly as decoding the whole
+/// recording and ingesting the slice does.
+#[test]
+fn one_pass_publish_equals_the_slice_path() {
+    let (golden_config, golden_input) = golden_run(Policy::TfEdf);
+    for (scenario, (config, input)) in [
+        ("golden", (golden_config, golden_input)),
+        ("fault cascade", fault_cascade_run()),
+    ] {
+        let events = run_simulation_observed(&config, &input, &ObsOptions::default())
+            .recorder
+            .len();
+        let rings = [
+            (
+                "evicting",
+                ObsOptions {
+                    ring_capacity: events / 4,
+                    ..ObsOptions::default()
+                },
+            ),
+            (
+                "sampled",
+                ObsOptions {
+                    sampler: Some(SamplerConfig::default()),
+                    ..ObsOptions::default()
+                },
+            ),
+        ];
+        for (ring, opts) in rings {
+            let run = run_simulation_observed(&config, &input, &opts);
+            let case = format!("{scenario}, {ring} ring");
+            if opts.sampler.is_some() {
+                assert!(
+                    run.recorder.sampled_out() > 0,
+                    "{case}: nothing sampled out"
+                );
+            } else {
+                assert!(run.recorder.dropped() > 0, "{case}: nothing evicted");
+            }
+            let report = &run.report;
+            let summary = RunSummary {
+                robustness: &report.robustness,
+                lifecycle: &report.lifecycle,
+                health: &report.health,
+                server_health: &report.server_health,
+                window_rolls: config.adaptive.map(|_| report.estimator_window_rolls),
+                budget_lookups: report.budget_lookups,
+                estimator_refreshes: report.estimator_refreshes,
+                cached_budgets: report.cached_budgets,
+                completed_queries: report.completed_queries,
+                elapsed_ms: report.elapsed.as_millis_f64(),
+                deadline_miss_ratio: report.deadline_miss_ratio(),
+            };
+            let mut one_pass = Registry::new();
+            let got = publish_run(
+                &mut one_pass,
+                &run.recorder,
+                &config.classes,
+                opts.slo,
+                &summary,
+            );
+            let mut slice = Registry::new();
+            let want = reference::reference_publish_run(
+                &mut slice,
+                &run.recorder,
+                &config.classes,
+                opts.slo,
+                &summary,
+            );
+            assert_eq!(
+                one_pass.prometheus_text(),
+                slice.prometheus_text(),
+                "{case}: exposition"
+            );
+            assert_eq!(one_pass.to_json(), slice.to_json(), "{case}: JSON snapshot");
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{case}: SLO snapshot"
+            );
+        }
+    }
 }
