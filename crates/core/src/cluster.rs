@@ -17,7 +17,7 @@ use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
     Begun, DeadlineEstimator, DispatchedTask, Driver, EstimatorMode, LeaseToken, QueryArrival,
-    QueryHandler, Timer, TraceSink, Transport,
+    QueryDone, QueryHandler, Timer, TraceSink, Transport,
 };
 use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 
@@ -29,6 +29,31 @@ use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 pub(crate) struct ObserverSetup {
     pub sink: Box<dyn TraceSink>,
     pub snapshot_every: Option<SimDuration>,
+}
+
+/// Sees every query a run finishes, and may end the run early.
+///
+/// The unit watch sees nothing and never settles. Both of its methods are
+/// empty and inline, so a run under it compiles to the loop without a
+/// watch: no branch per event, no `Option` to check.
+pub(crate) trait QueryWatch {
+    /// A query finished: recorded or not; full, partial or failed.
+    fn finished(&mut self, done: &QueryDone);
+
+    /// True once the rest of the run can no longer change what the watch
+    /// decides. The run then stops after the current event, and its
+    /// report covers only the events handled so far.
+    fn settled(&self) -> bool;
+}
+
+impl QueryWatch for () {
+    #[inline(always)]
+    fn finished(&mut self, _: &QueryDone) {}
+
+    #[inline(always)]
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// Runs one simulation to completion and returns the measurements.
@@ -109,6 +134,17 @@ pub(crate) fn run_with_observer(
     input: &SimInput,
     observer: Option<ObserverSetup>,
 ) -> (SimReport, Vec<SimSnapshot>) {
+    run_watched(config, input, observer, &mut ())
+}
+
+/// [`run_with_observer`] with `watch` told of every finished query; the
+/// run stops early once the watch [settles](QueryWatch::settled).
+pub(crate) fn run_watched<W: QueryWatch>(
+    config: &SimConfig,
+    input: &SimInput,
+    observer: Option<ObserverSetup>,
+    watch: &mut W,
+) -> (SimReport, Vec<SimSnapshot>) {
     let mut master = SimRng::seed(config.seed);
     let placement_rng = master.split();
     let service_rng = master.split();
@@ -177,7 +213,19 @@ pub(crate) fn run_with_observer(
     let mut events = 0u64;
     while let Some(scheduled) = run.events().pop() {
         events += 1;
-        run.handle(scheduled.at(), scheduled.event);
+        let (now, ev) = (scheduled.at(), scheduled.event);
+        let arrival = matches!(ev, Ev::Arrive(_));
+        run.handle(now, ev);
+        while let Some(done) = run.settle(now) {
+            watch.finished(&done);
+        }
+        // An arrival's fallout settles before the snapshot is armed.
+        if arrival {
+            run.schedule_snapshot(now);
+        }
+        if watch.settled() {
+            break;
+        }
     }
     // `last_activity` equals the last event's time on unobserved runs
     // (every event updates it); on observed runs it excludes any snapshot
@@ -417,12 +465,13 @@ impl<'a> Run<'a> {
         true
     }
 
-    /// Runs the current event's fallout to the end, chaining each request
-    /// whose query finishes on the way.
-    fn drain(&mut self, now: SimTime) {
-        while let Some(done) = self.driver.drain(now) {
-            self.chain(now, done);
-        }
+    /// Runs the current event's fallout until a query finishes, chains its
+    /// request and returns how it finished; `None` once the fallout
+    /// settled.
+    fn settle(&mut self, now: SimTime) -> Option<QueryDone> {
+        let (at, done) = self.driver.drain(now)?;
+        self.chain(now, at);
+        Some(done)
     }
 
     fn finish_task(
@@ -506,6 +555,8 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Applies one event. Its fallout is left queued in the driver for
+    /// [`Run::settle`].
     fn handle(&mut self, now: SimTime, ev: Ev<'a>) {
         // Only a real reclaim counts as activity among lease expiries (see
         // below), so lease-only runs keep `elapsed` — and every load
@@ -529,9 +580,6 @@ impl<'a> Run<'a> {
                     };
                     self.issue_query(now, at);
                 }
-                // The arrival's fallout settles before the snapshot is armed.
-                self.drain(now);
-                self.schedule_snapshot(now);
             }
             Ev::Finish {
                 server,
@@ -553,7 +601,6 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        self.drain(now);
     }
 }
 

@@ -6,13 +6,27 @@
 //! that as a bisection over offered load `ρ`: each probe generates the
 //! scenario's workload at `ρ`, runs the simulator, and asks
 //! [`SimReport::meets_all_slos`].
+//!
+//! A probe that fails stops as soon as its verdict is certain. The tail
+//! is the nearest-rank quantile ([`nearest_rank`]): the `p`-quantile of a
+//! type with `n` recorded queries is over its SLO exactly when more than
+//! `n − ⌈p·n⌉` of them are. The type's `N` queries in the probe's input
+//! bound `n` from above (warm-up, rejection, partial and failed queries
+//! only lower it), and `n − ⌈p·n⌉` never decreases as `n` grows. So once
+//! `N − ⌈p·N⌉ + 1` recorded completions of a type are over its SLO, and at
+//! least [`SimReport::MIN_TYPE_SAMPLES`] of that type are recorded,
+//! `meets_all_slos` of the full run is certain to be `false`, and the
+//! probe ends there. A probe that passes runs to the end. Every verdict,
+//! and so every probe sequence and returned load, equals that of full
+//! runs.
 
-use crate::cluster::run_simulation;
+use crate::cluster::{run_simulation, run_watched, QueryWatch};
 use crate::report::SimReport;
-use crate::spec::Scenario;
+use crate::spec::{Scenario, SimConfig, SimInput};
 use std::collections::BTreeMap;
+use tailguard_metrics::nearest_rank;
 use tailguard_policy::Policy;
-use tailguard_sched::units;
+use tailguard_sched::{units, ClassSpec, QueryDone, QueryTypeKey};
 use tailguard_simcore::SimDuration;
 
 /// Tuning knobs for [`max_load`] and [`sweep_loads`].
@@ -76,19 +90,125 @@ pub fn measure_at_load(
     load: f64,
     opts: &MaxLoadOptions,
 ) -> SimReport {
-    let input = scenario.input(load, opts.queries);
-    let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
-    let config = scenario.config(policy).with_warmup(warmup);
+    let (config, input) = probe(scenario, policy, load, opts);
     run_simulation(&config, &input)
 }
 
+/// The run [`measure_at_load`] simulates.
+fn probe(
+    scenario: &Scenario,
+    policy: Policy,
+    load: f64,
+    opts: &MaxLoadOptions,
+) -> (SimConfig, SimInput) {
+    let input = scenario.input(load, opts.queries);
+    let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
+    (scenario.config(policy).with_warmup(warmup), input)
+}
+
+/// `measure_at_load(..).meets_all_slos()`, decided early.
 fn meets(scenario: &Scenario, policy: Policy, load: f64, opts: &MaxLoadOptions) -> bool {
-    measure_at_load(scenario, policy, load, opts).meets_all_slos()
+    let (config, input) = probe(scenario, policy, load, opts);
+    verdict(&config, &input)
+}
+
+/// `run_simulation(config, input).meets_all_slos()`, with the run stopped
+/// once one query type's [`MissBudget`] is spent. Only the verdict leaves:
+/// the report of a stopped run covers part of the input.
+fn verdict(config: &SimConfig, input: &SimInput) -> bool {
+    let mut budget = MissBudget::new(&config.classes, input);
+    let (mut report, _) = run_watched(config, input, None, &mut budget);
+    !budget.spent && report.meets_all_slos()
+}
+
+/// Per `(class, fanout)` query type of one run's input: how many recorded
+/// full completions over the class SLO make the type's tail certainly
+/// miss it (see the module docs), and the tallies toward that.
+struct MissBudget {
+    types: BTreeMap<QueryTypeKey, TypeBudget>,
+    /// Some type's tail is certainly over its SLO.
+    spent: bool,
+}
+
+struct TypeBudget {
+    slo: SimDuration,
+    /// `N − nearest_rank(p, N) + 1` for the type's `N` queries in the
+    /// input.
+    need: usize,
+    /// Completions recorded into the type's reservoir so far.
+    recorded: usize,
+    /// Those of them over `slo`.
+    over: usize,
+}
+
+impl MissBudget {
+    fn new(classes: &[ClassSpec], input: &SimInput) -> Self {
+        let mut counts: BTreeMap<QueryTypeKey, usize> = BTreeMap::new();
+        for query in input.requests.iter().flat_map(|r| &r.queries) {
+            let key = QueryTypeKey {
+                class: query.class,
+                fanout: query.fanout,
+            };
+            *counts.entry(key).or_default() += 1;
+        }
+        // A class the config lacks gets no budget: the run panics on its
+        // first query anyway.
+        let types = counts
+            .into_iter()
+            .filter_map(|(key, n)| {
+                let spec = classes.get(usize::from(key.class))?;
+                let budget = TypeBudget {
+                    slo: spec.slo,
+                    need: n - nearest_rank(spec.percentile, n) + 1,
+                    recorded: 0,
+                    over: 0,
+                };
+                Some((key, budget))
+            })
+            .collect();
+        MissBudget {
+            types,
+            spent: false,
+        }
+    }
+}
+
+impl QueryWatch for MissBudget {
+    fn finished(&mut self, done: &QueryDone) {
+        // Only recorded full completions enter the type reservoirs that
+        // `meets_all_slos` reads.
+        if !done.recorded || done.partial {
+            return;
+        }
+        let key = QueryTypeKey {
+            class: done.class,
+            fanout: done.fanout,
+        };
+        let Some(t) = self.types.get_mut(&key) else {
+            return;
+        };
+        t.recorded += 1;
+        t.over += usize::from(done.latency > t.slo);
+        self.spent |= t.over >= t.need && t.recorded >= SimReport::MIN_TYPE_SAMPLES;
+    }
+
+    fn settled(&self) -> bool {
+        self.spent
+    }
 }
 
 /// Bisects for the maximum offered load at which every query type meets its
 /// SLO. Returns `opts.lo` when even the lower bracket fails, and `opts.hi`
 /// when the upper bracket passes.
+///
+/// A probe that fails stops once one query type can no longer meet its
+/// SLO: with `N` queries of that type in the probe, `N − ⌈p·N⌉ + 1`
+/// recorded completions over the SLO (and at least
+/// [`SimReport::MIN_TYPE_SAMPLES`] recorded) put its nearest-rank
+/// `p`-quantile over the SLO however the run would continue, because no
+/// more than `N` can be recorded and `n − ⌈p·n⌉` never decreases in `n`.
+/// Probes that pass run to the end, so the verdicts, the probes run and
+/// the result are those of full runs.
 ///
 /// # Example
 ///
@@ -168,8 +288,13 @@ pub fn sweep_loads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{BudgetSplit, RequestPlanner};
     use crate::scenarios;
-    use tailguard_workload::TailbenchWorkload;
+    use crate::spec::{QuerySpec, RequestInput};
+    use tailguard_metrics::LatencyReservoir;
+    use tailguard_sched::AdmissionConfig;
+    use tailguard_simcore::{SimRng, SimTime};
+    use tailguard_workload::{ArrivalProcess, TailbenchWorkload};
 
     fn quick_opts() -> MaxLoadOptions {
         MaxLoadOptions {
@@ -235,6 +360,201 @@ mod tests {
             .collect();
         assert!(t[0] < t[2], "tails {t:?}");
         assert!(pts[0].meets, "low load point must meet SLO");
+    }
+
+    fn ms(v: f64) -> SimDuration {
+        SimDuration::from_millis_f64(v)
+    }
+
+    fn done(class: u8, fanout: u32, latency: SimDuration) -> QueryDone {
+        QueryDone {
+            query: 0,
+            class,
+            fanout,
+            latency,
+            recorded: true,
+            partial: false,
+        }
+    }
+
+    #[test]
+    fn budget_is_spent_exactly_when_the_full_tail_misses() {
+        // 200 fanout-4 queries at p99: the tail (rank 198) is over the SLO
+        // exactly when 3 of the 200 are.
+        let slo = ms(1.0);
+        let classes = [ClassSpec::p99(slo)];
+        let input = SimInput {
+            requests: (0..200)
+                .map(|i| RequestInput {
+                    arrival: SimTime::from_millis(i),
+                    queries: vec![QuerySpec::new(0, 4)],
+                })
+                .collect(),
+        };
+        for (over, misses_first) in (0..=25).flat_map(|o| [(o, true), (o, false)]) {
+            let mut budget = MissBudget::new(&classes, &input);
+            let mut all = LatencyReservoir::new();
+            let mut spent_at = None;
+            // Unrecorded and partial queries count for nothing.
+            let mut ignored = done(0, 4, ms(9.0));
+            ignored.recorded = false;
+            budget.finished(&ignored);
+            ignored.recorded = true;
+            ignored.partial = true;
+            budget.finished(&ignored);
+            for i in 0..200 {
+                let missed = if misses_first {
+                    i < over
+                } else {
+                    i >= 200 - over
+                };
+                let latency = if missed { ms(2.0) } else { ms(0.5) };
+                all.record(latency);
+                budget.finished(&done(0, 4, latency));
+                if budget.settled() && spent_at.is_none() {
+                    spent_at = Some(i + 1);
+                }
+            }
+            let misses = all.percentile(0.99) > slo;
+            assert_eq!(budget.settled(), misses, "{over} over the SLO");
+            // Misses first: the sample floor holds the verdict back. Misses
+            // last: the third one decides.
+            let expected = match misses_first {
+                true => SimReport::MIN_TYPE_SAMPLES,
+                false => 200 - over + 3,
+            };
+            assert_eq!(spent_at, misses.then_some(expected), "{over} over the SLO");
+        }
+    }
+
+    /// The full run's verdict on one probe, after checking that the early
+    /// verdict equals it; counts the failing probes that stopped early.
+    fn full_verdict(config: &SimConfig, input: &SimInput, stopped: &mut usize) -> bool {
+        let mut full = run_simulation(config, input);
+        let meets = full.meets_all_slos();
+        assert_eq!(
+            verdict(config, input),
+            meets,
+            "early verdict differs from the full run's ({} queries)",
+            input.query_count()
+        );
+        if !meets {
+            let mut budget = MissBudget::new(&config.classes, input);
+            let (cut, _) = run_watched(config, input, None, &mut budget);
+            if budget.spent {
+                assert!(cut.events_processed < full.events_processed);
+                *stopped += 1;
+            }
+        }
+        meets
+    }
+
+    /// [`max_load`]'s bisection over an arbitrary verdict.
+    fn reference_bisection(opts: &MaxLoadOptions, mut meets: impl FnMut(f64) -> bool) -> f64 {
+        if meets(opts.hi) {
+            return opts.hi;
+        }
+        if !meets(opts.lo) {
+            return opts.lo;
+        }
+        let (mut lo, mut hi) = (opts.lo, opts.hi);
+        while hi - lo > opts.tolerance {
+            let mid = 0.5 * (lo + hi);
+            if meets(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn oracle_opts() -> MaxLoadOptions {
+        MaxLoadOptions {
+            queries: 6_000,
+            tolerance: 0.05,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn early_verdicts_and_max_load_equal_full_runs_for_every_policy() {
+        let opts = oracle_opts();
+        let mut stopped = 0;
+        for seed in [1, 2] {
+            let mut s = scenarios::two_class(
+                TailbenchWorkload::Masstree,
+                1.0,
+                ArrivalProcess::poisson(1.0),
+            );
+            s.seed = seed;
+            for policy in Policy::ALL {
+                let reference = reference_bisection(&opts, |load| {
+                    let (config, input) = probe(&s, policy, load, &opts);
+                    full_verdict(&config, &input, &mut stopped)
+                });
+                assert_eq!(
+                    max_load(&s, policy, &opts),
+                    reference,
+                    "{policy:?} seed {seed}"
+                );
+            }
+        }
+        assert!(stopped > 0, "no failing probe stopped early");
+    }
+
+    #[test]
+    fn early_verdicts_equal_full_runs_with_admission_control() {
+        let opts = oracle_opts();
+        let s = scenarios::two_class(
+            TailbenchWorkload::Masstree,
+            1.0,
+            ArrivalProcess::poisson(1.0),
+        );
+        let mut stopped = 0;
+        let found = reference_bisection(&opts, |load| {
+            let (config, input) = probe(&s, Policy::TfEdf, load, &opts);
+            let config = config.with_admission(AdmissionConfig::new(ms(20.0), 0.01));
+            full_verdict(&config, &input, &mut stopped)
+        });
+        assert!(
+            found > opts.lo && found < opts.hi,
+            "probes both pass and fail"
+        );
+        assert!(stopped > 0, "no failing probe stopped early");
+    }
+
+    #[test]
+    fn early_verdicts_equal_full_runs_on_multi_query_requests() {
+        // Eq. 7: a fanout-10 then a fanout-1 query per request, each with
+        // its share of a 2 ms request budget.
+        let s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
+        let fanouts = [10, 1];
+        let planner = RequestPlanner::new(0.99, 20_000, 41);
+        let budgets = planner.plan(&s.cluster, &fanouts, ms(2.0), BudgetSplit::Equal);
+        let requests = 3_000;
+        let (opts, mut stopped) = (oracle_opts(), 0);
+        let found = reference_bisection(&opts, |load| {
+            let work_ms = 11.0 * s.mean_task_work_ms;
+            let arrival = ArrivalProcess::poisson(load * 100.0 / work_ms);
+            let mut rng = SimRng::seed(17);
+            let mut at = SimTime::ZERO;
+            let input = SimInput {
+                requests: (0..requests)
+                    .map(|_| {
+                        at += arrival.next_gap(&mut rng);
+                        planner.request_input(at, 0, &fanouts, &budgets)
+                    })
+                    .collect(),
+            };
+            let config = s.config(Policy::TfEdf).with_warmup(requests / 10);
+            full_verdict(&config, &input, &mut stopped)
+        });
+        assert!(
+            found > opts.lo && found < opts.hi,
+            "probes both pass and fail"
+        );
+        assert!(stopped > 0, "no failing probe stopped early");
     }
 
     #[test]

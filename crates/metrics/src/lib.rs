@@ -16,5 +16,5 @@ mod reservoir;
 mod timed_window;
 
 pub use load::LoadStats;
-pub use reservoir::{LatencyReservoir, LatencySummary};
+pub use reservoir::{nearest_rank, LatencyReservoir, LatencySummary};
 pub use timed_window::TimedRatio;

@@ -4,6 +4,20 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use tailguard_simcore::SimDuration;
 
+/// The nearest rank of the `p`-quantile among `n` sorted samples: `⌈p·n⌉`
+/// with `p` clamped to `[0, 1]` and the rank to `1..=n` (0 when `n` is 0).
+/// [`LatencyReservoir::percentile`] reads the sample at this rank.
+///
+/// `n − nearest_rank(p, n)`, the samples ranked above the quantile, never
+/// decreases as `n` grows. So once more than `N − nearest_rank(p, N)` of at
+/// most `N` samples exceed a bound, the final quantile exceeds it too,
+/// however many samples end up recorded.
+pub fn nearest_rank(p: f64, n: usize) -> usize {
+    // tg-lint: allow(lossy-cast) -- the ceiling of p·n with p in [0, 1] lies in 0..=n, so the cast is exact
+    let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    rank.max(1).min(n)
+}
+
 /// A reservoir of latency samples with exact percentile queries.
 ///
 /// The paper's conclusions hinge on 99th-percentile comparisons between
@@ -79,11 +93,7 @@ impl LatencyReservoir {
             return SimDuration::ZERO;
         }
         self.ensure_sorted();
-        let p = p.clamp(0.0, 1.0);
-        let n = self.samples.len();
-        // tg-lint: allow(lossy-cast) -- rank/bound arithmetic is clamped to 1.0..=n before truncation; the u128 ns sum divided by the count fits back in u64
-        let rank = (p * n as f64).ceil() as usize;
-        let idx = rank.clamp(1, n) - 1;
+        let idx = nearest_rank(p, self.samples.len()) - 1;
         // tg-lint: allow(panic-surface) -- guarded: ranks are clamped to 1..=n and the empty case returns early above
         SimDuration::from_nanos(self.samples[idx])
     }
@@ -282,6 +292,20 @@ mod tests {
         assert_eq!(r.percentile(0.5), ms(5));
         assert_eq!(r.percentile(0.99), ms(10));
         assert_eq!(r.percentile(1.0), ms(10));
+    }
+
+    #[test]
+    fn samples_above_the_rank_never_decrease_with_n() {
+        for p in [0.5, 0.9, 0.95, 0.99, 0.999] {
+            let mut above = 0;
+            for n in 1..=1_000_000 {
+                let rank = nearest_rank(p, n);
+                assert!((1..=n).contains(&rank), "p {p} n {n}: rank {rank}");
+                assert!(n - rank >= above, "p {p}: n − rank fell at n = {n}");
+                above = n - rank;
+            }
+        }
+        assert_eq!(nearest_rank(0.99, 0), 0);
     }
 
     #[test]

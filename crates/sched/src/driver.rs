@@ -3,7 +3,8 @@
 //! [`Transport`] only carries the work; workers decide nothing.
 
 use crate::handler::{
-    AdmitDecision, DispatchedTask, QueryArrival, QueryHandler, RetryPlan, TaskCompletion, TaskId,
+    AdmitDecision, DispatchedTask, QueryArrival, QueryDone, QueryHandler, RetryPlan,
+    TaskCompletion, TaskId,
 };
 use tailguard_lifecycle::{AttemptKind, CommitOutcome, IdRing, LeaseToken};
 use tailguard_simcore::{SimDuration, SimTime};
@@ -36,7 +37,7 @@ pub trait Transport {
     /// service time; a record range).
     type Row: Copy;
     /// What the driver keeps per query id and hands back from
-    /// [`Driver::drain`] when the query finishes.
+    /// [`Driver::drain`], with the query's [`QueryDone`], when it finishes.
     type Tag: Copy;
 
     /// Begins the work of a task the handler moved into service.
@@ -68,8 +69,8 @@ enum Step<G> {
     Begin(DispatchedTask),
     /// Issue the retry the handler planned for a lost task.
     Retry(RetryPlan),
-    /// A query finished: hand its tag back.
-    Done(G),
+    /// A query finished: hand its tag and its outcome back.
+    Done(G, QueryDone),
 }
 
 /// The handler plus the rows, tags, work stack and timers around it.
@@ -190,14 +191,14 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Runs the queued fallout until it settles (`None`) or a query
-    /// finishes (its tag, for the runtime to act on before calling again).
-    /// `now` is virtual time (nanosecond domain).
-    pub fn drain(&mut self, now: SimTime) -> Option<T::Tag> {
+    /// finishes (its tag and how it finished, for the runtime to act on
+    /// before calling again). `now` is virtual time (nanosecond domain).
+    pub fn drain(&mut self, now: SimTime) -> Option<(T::Tag, QueryDone)> {
         while let Some(step) = self.steps.pop() {
             match step {
                 Step::Begin(d) => self.begin(now, d),
                 Step::Retry(r) => self.issue_copy(now, r.slot, r.server, AttemptKind::Retry),
-                Step::Done(tag) => return Some(tag),
+                Step::Done(tag, done) => return Some((tag, done)),
             }
         }
         None
@@ -211,7 +212,8 @@ impl<T: Transport> Driver<T> {
     /// Its tag is copied out now, because a later admission may retire it.
     fn apply(&mut self, ended: TaskCompletion) {
         if let Some(done) = ended.done {
-            self.steps.push(Step::Done(*self.tags.row(done.query)));
+            self.steps
+                .push(Step::Done(*self.tags.row(done.query), done));
         }
         self.steps.extend(ended.retry.map(Step::Retry));
         self.steps.extend(ended.next.map(Step::Begin));
