@@ -73,8 +73,8 @@ pub fn header(id: &str, paper_ref: &str, what: &str) {
 /// # Example
 ///
 /// ```
-/// let mut csv = tailguard_bench::FigureCsv::create("doctest_example", &["slo_ms", "maxload"]);
-/// csv.row(&[0.8, 0.289]);
+/// let mut csv = tailguard_bench::FigureCsv::create("doctest_example", &["policy", "maxload"]);
+/// csv.labeled_row("TailGuard", &[0.289]);
 /// let path = csv.finish();
 /// assert!(path.ends_with("doctest_example.csv"));
 /// ```
@@ -117,18 +117,6 @@ impl FigureCsv {
             content: format!("{}\n", header.join(",")),
             columns: header.len(),
         }
-    }
-
-    /// Appends one numeric row.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the row width differs from the header width.
-    pub fn row(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.columns, "row width mismatch");
-        let line: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-        self.content.push_str(&line.join(","));
-        self.content.push('\n');
     }
 
     /// Appends one row with a leading string label.
@@ -201,7 +189,7 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn figure_csv_rejects_bad_width() {
         let mut csv = FigureCsv::create("unit_test_csv_bad", &["a", "b"]);
-        csv.row(&[1.0]);
+        csv.labeled_row("x", &[1.0, 2.0]);
     }
 
     #[test]

@@ -76,10 +76,11 @@ fn fanout_from(arg: Option<&str>, servers: u32) -> Result<FanoutDist, ArgError> 
         "facebook" => Ok(FanoutDist::facebook_like(servers.min(300))),
         other => {
             if let Some(k) = other.strip_prefix("fixed:") {
-                let k: u32 = k
-                    .parse()
-                    .map_err(|_| err(format!("--fanout fixed:{k}: not an integer")))?;
-                Ok(FanoutDist::fixed(k))
+                match k.parse::<u32>() {
+                    Ok(0) => Err(err("--fanout fixed:<k> needs k ≥ 1")),
+                    Ok(k) => Ok(FanoutDist::fixed(k)),
+                    Err(_) => Err(err(format!("--fanout fixed:{k}: not an integer"))),
+                }
             } else {
                 Err(err(format!(
                     "unknown fanout model `{other}` (expected paper|oldi|facebook|fixed:<k>)"
@@ -111,6 +112,21 @@ fn admission_from(arg: Option<&str>) -> Result<Option<AdmissionConfig>, ArgError
             ))
         }
     }
+}
+
+/// Checks an offered load passed as `--<flag>` against the range (0, 1.5]
+/// the simulator accepts.
+fn check_load(flag: &str, load: f64) -> Result<f64, ArgError> {
+    if load > 0.0 && load <= 1.5 {
+        Ok(load)
+    } else {
+        Err(err(format!("--{flag} must lie in (0, 1.5]")))
+    }
+}
+
+/// The offered load of a single run: `--load`, 0.4 by default.
+fn load_from(args: &Args) -> Result<f64, ArgError> {
+    check_load("load", args.f64_or("load", 0.4)?)
 }
 
 /// Builds a [`Scenario`] from common options (`sim`, `maxload`, `sweep`).
@@ -296,10 +312,7 @@ pub fn cmd_sim(args: &Args) -> Result<String, ArgError> {
         scenario = scenario.with_drift(drift);
     }
     let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = args.f64_or("load", 0.4)?;
-    if !(0.0..=1.5).contains(&load) || load <= 0.0 {
-        return Err(err("--load must lie in (0, 1.5]"));
-    }
+    let load = load_from(args)?;
     let queries = args.usize_or("queries", 100_000)?;
     let warmup = args.usize_or("warmup", queries / 20)?;
     let input = scenario.input(load, queries);
@@ -355,9 +368,13 @@ pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
     let scenario = scenario_from(args)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
+    let tolerance = args.f64_or("tolerance", 0.01)?;
+    if !(tolerance > 0.0 && tolerance.is_finite()) {
+        return Err(err("--tolerance must be a positive number"));
+    }
     let opts = MaxLoadOptions {
         queries: args.usize_or("queries", 100_000)?,
-        tolerance: args.f64_or("tolerance", 0.01)?,
+        tolerance,
         ..MaxLoadOptions::default()
     };
     let rows: Vec<(String, f64)> = max_load_many(&scenario, &policies, &opts, jobs)
@@ -394,6 +411,9 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     let loads = args
         .f64_list("loads")?
         .unwrap_or_else(|| (4..=12).map(|i| i as f64 * 0.05).collect());
+    for &load in &loads {
+        check_load("loads", load)?;
+    }
     let opts = MaxLoadOptions {
         queries: args.usize_or("queries", 40_000)?,
         ..MaxLoadOptions::default()
@@ -647,10 +667,7 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
     let servers = args.usize_or("servers", 100)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
-    let load = args.f64_or("load", 0.4)?;
-    if !(0.0..=1.5).contains(&load) || load <= 0.0 {
-        return Err(err("--load must lie in (0, 1.5]"));
-    }
+    let load = load_from(args)?;
     let queries = args.usize_or("queries", 10_000)?;
     let plan = fault_plan_from(args, servers)?;
     // Crash/restart episodes swallow in-flight work silently (crash) or
@@ -875,10 +892,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
     args.check_known(TRACE_KEYS)?;
     let scenario = scenario_from(args)?;
     let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = args.f64_or("load", 0.4)?;
-    if !(0.0..=1.5).contains(&load) || load <= 0.0 {
-        return Err(err("--load must lie in (0, 1.5]"));
-    }
+    let load = load_from(args)?;
     let queries = args.usize_or("queries", 20_000)?;
     let warmup = args.usize_or("warmup", queries / 20)?;
     let input = scenario.input(load, queries);
@@ -1165,10 +1179,7 @@ pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
     args.check_known(SLO_KEYS)?;
     let scenario = scenario_from(args)?;
     let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = args.f64_or("load", 0.4)?;
-    if !(0.0..=1.5).contains(&load) || load <= 0.0 {
-        return Err(err("--load must lie in (0, 1.5]"));
-    }
+    let load = load_from(args)?;
     let queries = args.usize_or("queries", 20_000)?;
     let warmup = args.usize_or("warmup", queries / 20)?;
     let input = scenario.input(load, queries);
@@ -1559,6 +1570,12 @@ mod tests {
     }
 
     #[test]
+    fn sim_rejects_a_zero_fixed_fanout() {
+        let e = cmd_sim(&args(&["--fanout", "fixed:0"])).unwrap_err();
+        assert!(e.0.contains("k ≥ 1"), "{}", e.0);
+    }
+
+    #[test]
     fn sim_drift_runs_and_conserves() {
         for drift in ["diurnal", "flashcrowd"] {
             let out = cmd_sim(&args(&[
@@ -1633,6 +1650,49 @@ mod tests {
         .expect("maxload");
         assert!(out.contains("TailGuard"));
         assert!(out.contains("FIFO"));
+    }
+
+    fn maxload_tolerance_error(tolerance: &str) -> String {
+        let opts = ["--queries", "3000", "--policies", "tfedf", "--tolerance"];
+        cmd_maxload(&args(&[&opts as &[&str], &[tolerance]].concat()))
+            .unwrap_err()
+            .0
+    }
+
+    #[test]
+    fn maxload_rejects_a_zero_tolerance() {
+        assert!(maxload_tolerance_error("0").contains("--tolerance"));
+    }
+
+    #[test]
+    fn maxload_rejects_a_negative_tolerance() {
+        assert!(maxload_tolerance_error("-1").contains("--tolerance"));
+    }
+
+    #[test]
+    fn maxload_rejects_a_nan_tolerance() {
+        assert!(maxload_tolerance_error("nan").contains("--tolerance"));
+    }
+
+    fn sweep_loads_error(loads: &str) -> String {
+        cmd_sweep(&args(&["--queries", "1000", "--loads", loads]))
+            .unwrap_err()
+            .0
+    }
+
+    #[test]
+    fn sweep_rejects_a_zero_load() {
+        assert!(sweep_loads_error("0.2,0").contains("--loads must lie in (0, 1.5]"));
+    }
+
+    #[test]
+    fn sweep_rejects_a_nan_load() {
+        assert!(sweep_loads_error("nan").contains("--loads must lie in (0, 1.5]"));
+    }
+
+    #[test]
+    fn sweep_rejects_a_load_above_the_sim_range() {
+        assert!(sweep_loads_error("5").contains("--loads must lie in (0, 1.5]"));
     }
 
     #[test]

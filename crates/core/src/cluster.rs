@@ -103,9 +103,10 @@ pub fn run_simulation(config: &SimConfig, input: &SimInput) -> SimReport {
 /// else* from the observability layer: no snapshot events, no registry
 /// ingest, no decoding. The report — including `events_processed` — is
 /// identical to [`run_simulation`]'s; the only added cost is the sink's
-/// own recording, which is exactly what the `obs_overhead` bench
-/// measures. Use [`crate::run_simulation_observed`] for the full
-/// metrics/snapshot pipeline.
+/// own recording, which is exactly what tgbench's
+/// `obs.recording_overhead_pct` row measures. Use
+/// [`crate::run_simulation_observed`] for the full metrics/snapshot
+/// pipeline.
 pub fn run_simulation_traced(
     config: &SimConfig,
     input: &SimInput,
@@ -211,6 +212,7 @@ pub(crate) fn run_watched<W: QueryWatch>(
             .schedule_at(first.arrival, Ev::Arrive(&input.requests));
     }
     let mut events = 0u64;
+    // tg-lint: hot(event-loop)
     while let Some(scheduled) = run.events().pop() {
         events += 1;
         let (now, ev) = (scheduled.at(), scheduled.event);
@@ -227,6 +229,7 @@ pub(crate) fn run_watched<W: QueryWatch>(
             break;
         }
     }
+    // tg-lint: endhot
     // `last_activity` equals the last event's time on unobserved runs
     // (every event updates it); on observed runs it excludes any snapshot
     // that fired after the final completion, keeping `elapsed` — and with

@@ -210,6 +210,12 @@ impl QueryWatch for MissBudget {
 /// Probes that pass run to the end, so the verdicts, the probes run and
 /// the result are those of full runs.
 ///
+/// # Panics
+///
+/// Panics unless `0 < opts.lo < opts.hi < 1` and `opts.tolerance` is finite
+/// and positive. The search also stops once `lo` and `hi` are adjacent
+/// floats, so a tolerance below their spacing cannot stall it.
+///
 /// # Example
 ///
 /// ```
@@ -227,6 +233,10 @@ pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f
         opts.lo > 0.0 && opts.lo < opts.hi && opts.hi < 1.0,
         "need 0 < lo < hi < 1"
     );
+    assert!(
+        opts.tolerance > 0.0 && opts.tolerance.is_finite(),
+        "need a finite positive tolerance"
+    );
     if meets(scenario, policy, opts.hi, opts) {
         return opts.hi;
     }
@@ -236,6 +246,9 @@ pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f
     let (mut lo, mut hi) = (opts.lo, opts.hi);
     while hi - lo > opts.tolerance {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
         if meets(scenario, policy, mid, opts) {
             lo = mid;
         } else {
@@ -302,6 +315,17 @@ mod tests {
             tolerance: 0.05,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "need a finite positive tolerance")]
+    fn max_load_rejects_a_zero_tolerance() {
+        let s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
+        let opts = MaxLoadOptions {
+            tolerance: 0.0,
+            ..quick_opts()
+        };
+        max_load(&s, Policy::TfEdf, &opts);
     }
 
     #[test]

@@ -37,10 +37,11 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 /// not encoding — filling [`DEFAULT_RING_CAPACITY`]'s tens of megabytes
 /// first-touches cold pages and roughly doubles the recording cost, while
 /// a ring at this bound recycles warm blocks and stays within the ≤15%
-/// always-on budget (`BENCH_obs.json`, `binrecorder` vs
-/// `binrecorder_fullring`). Use the full capacity when the analysis needs
-/// the whole run (`tailguard trace`, `sim --json`); use this bound when
-/// tracing stays on and only the recent window matters.
+/// always-on budget (tgbench's `obs.recording_overhead_pct` measures this
+/// capacity; DESIGN.md §12 gives the full-capacity figure). Use the full
+/// capacity when the analysis needs the whole run (`tailguard trace`,
+/// `sim --json`); use this bound when tracing stays on and only the
+/// recent window matters.
 pub const FLIGHT_RING_CAPACITY: usize = 1 << 14;
 
 /// One sample of the cluster's state at a point in virtual time.

@@ -190,6 +190,7 @@ impl<T: Transport> Driver<T> {
         true
     }
 
+    // tg-lint: hot(event-loop)
     /// Runs the queued fallout until it settles (`None`) or a query
     /// finishes (its tag and how it finished, for the runtime to act on
     /// before calling again). `now` is virtual time (nanosecond domain).
@@ -238,4 +239,5 @@ impl<T: Transport> Driver<T> {
         debug_assert_eq!(minted, task);
         self.steps.extend(dispatched.map(Step::Begin));
     }
+    // tg-lint: endhot
 }

@@ -357,8 +357,8 @@ pub trait TraceSink: Send {
     /// returns its preferred batch size; the handler then stages events
     /// in a plain `Vec` and pays one virtual dispatch per batch instead
     /// of one per event. (On the simulator hot path the dispatch saving
-    /// roughly cancels against the staging copy — see `BENCH_obs.json` —
-    /// but the batch call also hands the sink a natural flush boundary.)
+    /// roughly cancels against the staging copy, but the batch call also
+    /// hands the sink a natural flush boundary.)
     /// Delivery is deferred by at most one batch: the stage flushes when
     /// full and when the handler finishes.
     fn batch_hint(&self) -> usize {

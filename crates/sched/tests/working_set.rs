@@ -1,20 +1,19 @@
 //! The handler's working set follows the work in flight, not the length of
 //! the run — and where it cannot, the limit is the documented one.
 //!
-//! A small event-driven driver (the simulator's loop without its fault
-//! plan, request chaining or reports) pushes a long Poisson arrival stream
-//! through one [`QueryHandler`] and, at every arrival, measures the rows
-//! the handler still holds: task ids minted minus
-//! [`QueryHandler::first_live_task`], and query ids minted minus
+//! The shared [`Driver`] over a small test [`Transport`] (the simulator's
+//! without its fault plan, request chaining or reports) pushes a long
+//! Poisson arrival stream through one [`QueryHandler`] and, at every
+//! arrival, measures the rows the handler still holds: task ids minted
+//! minus [`QueryHandler::first_live_task`], and query ids minted minus
 //! [`QueryHandler::first_live_query`].
 
 use tailguard_policy::Policy;
 use tailguard_sched::{
-    AdmitDecision, AttemptKind, ClassSpec, ClusterSpec, CommitOutcome, DeadlineEstimator,
-    DispatchedTask, EstimatorMode, LeaseToken, MitigationConfig, QueryArrival, QueryHandler,
-    TaskCompletion,
+    Begun, ClassSpec, ClusterSpec, CommitOutcome, DeadlineEstimator, DispatchedTask, Driver,
+    EstimatorMode, LeaseToken, MitigationConfig, QueryArrival, QueryHandler, Timer, Transport,
 };
-use tailguard_simcore::{Engine, Scheduler, SimDuration, SimRng, SimTime, Simulation};
+use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 use tailguard_workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload, Trace};
 
 const SERVERS: usize = 100;
@@ -41,11 +40,7 @@ enum Ev {
         lease: LeaseToken,
         busy: SimDuration,
     },
-    LeaseCheck {
-        task: u32,
-        lease: LeaseToken,
-    },
-    HedgeCheck(u32),
+    Timer(Timer),
 }
 
 /// What goes wrong on the way from a dispatch to its result.
@@ -61,43 +56,23 @@ enum Trouble {
     SwallowDispatch(u64),
 }
 
-struct Driver {
-    handler: QueryHandler,
-    trace: Trace,
+/// The test's runtime: an event heap, the service draw and the trouble.
+struct Net {
+    events: Scheduler<Ev>,
     cluster: ClusterSpec,
-    placement: SimRng,
     service: SimRng,
     trouble: Trouble,
     dispatches: u64,
-    started: Vec<DispatchedTask>,
     /// The task of the swallowed dispatch of [`Trouble::SwallowDispatch`].
     pinned: Option<u32>,
-    tasks_held_max: u64,
-    queries_held_max: u64,
-    depth_max: usize,
-    late_stale: u64,
 }
 
-impl Driver {
-    fn tasks_minted(&self) -> u64 {
-        let st = self.handler.lifecycle();
-        st.queued + st.leased + st.running + st.completed + st.failed
-    }
+impl Transport for Net {
+    type Row = ();
+    type Tag = ();
 
-    fn tasks_held(&self) -> u64 {
-        self.tasks_minted() - u64::from(self.handler.first_live_task())
-    }
-
-    fn queries_held(&self) -> u64 {
-        self.handler.query_count() as u64 - u64::from(self.handler.first_live_query())
-    }
-
-    fn dispatch(&mut self, now: SimTime, d: DispatchedTask, sched: &mut Scheduler<Ev>) {
+    fn begin(&mut self, now: SimTime, d: DispatchedTask, (): ()) -> Begun {
         self.dispatches += 1;
-        if let Some(at) = d.lease_expires_at {
-            let (task, lease) = (d.task, d.lease);
-            sched.schedule_at(at, Ev::LeaseCheck { task, lease });
-        }
         let ms = self
             .cluster
             .service_of(d.server as usize)
@@ -108,7 +83,7 @@ impl Driver {
             Trouble::Storm => {
                 let phase = (now.as_nanos() / 5_000_000 + u64::from(d.server)) % 50;
                 if phase == 0 {
-                    return;
+                    return Begun::Swallowed;
                 }
                 if phase == 25 {
                     busy = busy.mul_f64(30.0);
@@ -117,112 +92,65 @@ impl Driver {
             Trouble::SwallowDispatch(nth) => {
                 if self.dispatches == nth {
                     self.pinned = Some(d.task);
-                    return;
+                    return Begun::Swallowed;
                 }
             }
         }
         let (task, lease) = (d.task, d.lease);
-        sched.schedule_in(now, busy, Ev::Finish { task, lease, busy });
+        self.events
+            .schedule_in(now, busy, Ev::Finish { task, lease, busy });
+        Begun::Runs
     }
 
-    fn apply(&mut self, now: SimTime, ended: TaskCompletion, sched: &mut Scheduler<Ev>) {
-        if let Some(next) = ended.next {
-            self.dispatch(now, next, sched);
-        }
-        if let Some(retry) = ended.retry {
-            self.issue_copy(now, retry.slot, retry.server, AttemptKind::Retry, sched);
-        }
+    fn arm(&mut self, at: SimTime, timer: Timer) {
+        self.events.schedule_at(at, Ev::Timer(timer));
     }
 
-    fn issue_copy(
-        &mut self,
-        now: SimTime,
-        slot: u32,
-        server: u32,
-        kind: AttemptKind,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let (_, dispatched) = self.handler.issue_duplicate(now, slot, server, None, kind);
-        if let Some(d) = dispatched {
-            self.dispatch(now, d, sched);
-        }
+    fn copy(&mut self, _: SimTime, _: u32, (): ()) -> ((), Option<SimDuration>) {
+        ((), None)
     }
 }
 
-impl Simulation for Driver {
-    type Event = Ev;
+fn tasks_minted(handler: &QueryHandler) -> u64 {
+    let st = handler.lifecycle();
+    st.queued + st.leased + st.running + st.completed + st.failed
+}
 
-    fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-        match ev {
-            Ev::Arrive(i) => {
-                if let Some(next) = self.trace.records.get(i + 1) {
-                    sched.schedule_at(next.arrival(), Ev::Arrive(i + 1));
-                }
-                let query = self.trace.records[i];
-                let targets: Vec<u32> = self
-                    .placement
-                    .sample_distinct(SERVERS, query.fanout as usize)
-                    .into_iter()
-                    .map(|s| s as u32)
-                    .collect();
-                let mut started = std::mem::take(&mut self.started);
-                let decision = self.handler.on_query_arrival(
-                    now,
-                    QueryArrival {
-                        class: query.class,
-                        targets: &targets,
-                        sizes: None,
-                        budget_override: None,
-                        task_budgets: None,
-                        record: true,
-                    },
-                    &mut started,
-                );
-                let AdmitDecision::Admitted { query } = decision else {
-                    panic!("no admission control configured");
-                };
-                let checks: Vec<_> = self.handler.hedge_checks(query).collect();
-                for (task, at) in checks {
-                    sched.schedule_at(at, Ev::HedgeCheck(task));
-                }
-                for &d in &started {
-                    self.dispatch(now, d, sched);
-                }
-                self.started = started;
-                // Rows retire at admission, so this is where the window
-                // is at its widest.
-                self.tasks_held_max = self.tasks_held_max.max(self.tasks_held());
-                self.queries_held_max = self.queries_held_max.max(self.queries_held());
-                self.depth_max = self
-                    .depth_max
-                    .max(self.handler.queued_tasks() + self.handler.servers_busy());
-            }
-            Ev::Finish { task, lease, busy } => {
-                let late = task < self.handler.first_live_task();
-                let ended = self.handler.on_task_complete(now, task, lease, busy);
-                if late {
-                    assert_eq!(ended.commit, CommitOutcome::Stale, "only zombies are late");
-                    self.late_stale += 1;
-                }
-                self.apply(now, ended, sched);
-            }
-            Ev::LeaseCheck { task, lease } => {
-                if let Some(Some(d)) = self.handler.on_lease_expired(now, task, lease) {
-                    self.dispatch(now, d, sched);
-                }
-            }
-            Ev::HedgeCheck(task) => {
-                if let Some(server) = self.handler.copy_target(now, task) {
-                    self.issue_copy(now, task, server, AttemptKind::Hedge, sched);
-                }
-            }
-        }
+fn tasks_held(handler: &QueryHandler) -> u64 {
+    tasks_minted(handler) - u64::from(handler.first_live_task())
+}
+
+fn queries_held(handler: &QueryHandler) -> u64 {
+    handler.query_count() as u64 - u64::from(handler.first_live_query())
+}
+
+/// A finished run and the peaks measured along the way.
+struct Outcome {
+    handler: QueryHandler,
+    pinned: Option<u32>,
+    tasks_held_max: u64,
+    queries_held_max: u64,
+    depth_max: usize,
+    late_stale: u64,
+}
+
+impl Outcome {
+    fn tasks_minted(&self) -> u64 {
+        tasks_minted(&self.handler)
+    }
+
+    fn tasks_held(&self) -> u64 {
+        tasks_held(&self.handler)
+    }
+
+    fn queries_held(&self) -> u64 {
+        queries_held(&self.handler)
     }
 }
 
 /// Runs `queries` arrivals of the paper's fanout mix at load 0.5 on 100
 /// Masstree servers to the end of the event list.
-fn run(queries: usize, lease: Option<SimDuration>, hedge: bool, trouble: Trouble) -> Driver {
+fn run(queries: usize, lease: Option<SimDuration>, hedge: bool, trouble: Trouble) -> Outcome {
     let workload = TailbenchWorkload::Masstree;
     let fanout = FanoutDist::paper_mix();
     let rate = LOAD * SERVERS as f64 / (fanout.mean() * workload.mean_service_ms());
@@ -244,25 +172,78 @@ fn run(queries: usize, lease: Option<SimDuration>, hedge: bool, trouble: Trouble
         handler = handler.with_mitigation(MitigationConfig::new().with_hedge_after(0.5));
     }
     let mut rng = SimRng::seed(5);
-    let mut engine = Engine::new(Driver {
-        handler,
-        trace,
+    let mut placement = rng.split();
+    let net = Net {
+        events: Scheduler::new(),
         cluster,
-        placement: rng.split(),
         service: rng.split(),
         trouble,
         dispatches: 0,
-        started: Vec::new(),
         pinned: None,
-        tasks_held_max: 0,
-        queries_held_max: 0,
-        depth_max: 0,
-        late_stale: 0,
-    });
-    let first = engine.state().trace.records[0].arrival();
-    engine.scheduler_mut().schedule_at(first, Ev::Arrive(0));
-    engine.run_to_completion();
-    engine.into_state()
+    };
+    let mut driver = Driver::new(handler, net);
+    let (mut tasks_held_max, mut queries_held_max, mut depth_max) = (0, 0, 0);
+    let mut late_stale = 0;
+    let first = trace.records[0].arrival();
+    driver.transport.events.schedule_at(first, Ev::Arrive(0));
+    while let Some(event) = driver.transport.events.pop() {
+        let now = event.at();
+        match event.event {
+            Ev::Arrive(i) => {
+                if let Some(next) = trace.records.get(i + 1) {
+                    let events = &mut driver.transport.events;
+                    events.schedule_at(next.arrival(), Ev::Arrive(i + 1));
+                }
+                let query = trace.records[i];
+                let targets: Vec<u32> = placement
+                    .sample_distinct(SERVERS, query.fanout as usize)
+                    .into_iter()
+                    .map(|s| s as u32)
+                    .collect();
+                let arrival = QueryArrival {
+                    class: query.class,
+                    targets: &targets,
+                    sizes: None,
+                    budget_override: None,
+                    task_budgets: None,
+                    record: true,
+                };
+                let admitted = driver.handler().query_count();
+                driver.admit(now, arrival, &vec![(); targets.len()], ());
+                assert!(
+                    driver.handler().query_count() > admitted,
+                    "no admission control configured"
+                );
+                // Rows retire at admission, so this is where the window
+                // is at its widest.
+                let h = driver.handler();
+                tasks_held_max = tasks_held_max.max(tasks_held(h));
+                queries_held_max = queries_held_max.max(queries_held(h));
+                depth_max = depth_max.max(h.queued_tasks() + h.servers_busy());
+            }
+            Ev::Finish { task, lease, busy } => {
+                let late = task < driver.handler().first_live_task();
+                let commit = driver.report(now, task, lease, Some(busy));
+                if late {
+                    assert_eq!(commit, CommitOutcome::Stale, "only zombies are late");
+                    late_stale += 1;
+                }
+            }
+            Ev::Timer(timer) => {
+                driver.on_timer(now, timer);
+            }
+        }
+        while driver.drain(now).is_some() {}
+    }
+    let pinned = driver.transport.pinned;
+    Outcome {
+        handler: driver.into_handler(),
+        pinned,
+        tasks_held_max,
+        queries_held_max,
+        depth_max,
+        late_stale,
+    }
 }
 
 #[test]

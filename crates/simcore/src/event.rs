@@ -60,10 +60,8 @@ impl<E> Ord for Scheduled<E> {
 
 /// A deterministic future-event list.
 ///
-/// The scheduler is the only channel through which a [`crate::Simulation`]
-/// creates future work. Determinism guarantee:
-/// two events scheduled for the same instant are delivered in the order they
-/// were scheduled.
+/// Determinism guarantee: two events scheduled for the same instant are
+/// delivered in the order they were scheduled.
 ///
 /// # Example
 ///
@@ -82,7 +80,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct Scheduler<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -97,17 +94,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             heap: BinaryHeap::new(),
             seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Creates an empty scheduler with pre-allocated capacity for `cap`
-    /// simultaneously outstanding events.
-    pub fn with_capacity(cap: usize) -> Self {
-        Scheduler {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -116,7 +102,6 @@ impl<E> Scheduler<E> {
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Scheduled::new(at, seq, event));
     }
 
@@ -131,11 +116,6 @@ impl<E> Scheduler<E> {
         self.heap.pop()
     }
 
-    /// The instant of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(Scheduled::at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -144,16 +124,6 @@ impl<E> Scheduler<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events scheduled over the scheduler's lifetime.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drops all pending events (the lifetime counter is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -186,20 +156,18 @@ mod tests {
     fn schedule_in_offsets_from_now() {
         let mut s = Scheduler::new();
         s.schedule_in(SimTime::from_millis(2), SimDuration::from_millis(3), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(s.pop().map(|e| e.at()), Some(SimTime::from_millis(5)));
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_counts_pending_events() {
         let mut s = Scheduler::new();
         assert!(s.is_empty());
         s.schedule_at(SimTime::ZERO, ());
         s.schedule_at(SimTime::ZERO, ());
         assert_eq!(s.len(), 2);
-        assert_eq!(s.scheduled_total(), 2);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.scheduled_total(), 2);
+        s.pop();
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -5,71 +5,53 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution simulated clock
 //!   with total ordering and saturating arithmetic,
-//! * [`Scheduler`] / [`Engine`] — a deterministic future-event list (a binary
-//!   heap keyed by `(time, sequence)`) and a run loop driving a user-supplied
-//!   [`Simulation`] state machine,
+//! * [`Scheduler`] — a deterministic future-event list (a binary heap keyed
+//!   by `(time, sequence)`); the caller pops it and owns the run loop,
 //! * [`SimRng`] — a seedable, splittable random-number generator so that every
 //!   experiment is exactly reproducible from a single `u64` seed.
 //!
 //! # Example
 //!
-//! A minimal M/D/1 queue simulated to completion:
+//! A minimal M/D/1 queue simulated to completion: the caller pops the
+//! scheduler and owns the run loop.
 //!
 //! ```
-//! use tailguard_simcore::{Engine, Scheduler, SimDuration, SimTime, Simulation};
+//! use tailguard_simcore::{Scheduler, SimDuration, SimTime};
 //!
-//! #[derive(Debug)]
-//! enum Ev { Arrival, Departure }
+//! enum Ev { Arrive(u32), Depart }
 //!
-//! #[derive(Default)]
-//! struct Md1 {
-//!     arrived: u32,
-//!     queued: u32,
-//!     busy: bool,
-//!     served: u32,
-//! }
-//!
-//! impl Simulation for Md1 {
-//!     type Event = Ev;
-//!     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-//!         match ev {
-//!             Ev::Arrival => {
-//!                 self.arrived += 1;
-//!                 if self.arrived < 10 {
-//!                     sched.schedule_in(now, SimDuration::from_millis_f64(1.0), Ev::Arrival);
-//!                 }
-//!                 if self.busy {
-//!                     self.queued += 1;
-//!                 } else {
-//!                     self.busy = true;
-//!                     sched.schedule_in(now, SimDuration::from_millis_f64(0.5), Ev::Departure);
-//!                 }
+//! let service = SimDuration::from_micros(500);
+//! let mut events = Scheduler::new();
+//! events.schedule_at(SimTime::ZERO, Ev::Arrive(1));
+//! let (mut in_system, mut served) = (0, 0);
+//! while let Some(next) = events.pop() {
+//!     let now = next.at();
+//!     match next.event {
+//!         Ev::Arrive(n) => {
+//!             if n < 10 {
+//!                 events.schedule_in(now, SimDuration::from_millis(1), Ev::Arrive(n + 1));
 //!             }
-//!             Ev::Departure => {
-//!                 self.served += 1;
-//!                 if self.queued > 0 {
-//!                     self.queued -= 1;
-//!                     sched.schedule_in(now, SimDuration::from_millis_f64(0.5), Ev::Departure);
-//!                 } else {
-//!                     self.busy = false;
-//!                 }
+//!             in_system += 1;
+//!             if in_system == 1 {
+//!                 events.schedule_in(now, service, Ev::Depart);
+//!             }
+//!         }
+//!         Ev::Depart => {
+//!             served += 1;
+//!             in_system -= 1;
+//!             if in_system > 0 {
+//!                 events.schedule_in(now, service, Ev::Depart);
 //!             }
 //!         }
 //!     }
 //! }
-//!
-//! let mut engine = Engine::new(Md1::default());
-//! engine.scheduler_mut().schedule_at(SimTime::ZERO, Ev::Arrival);
-//! engine.run_to_completion();
-//! assert_eq!(engine.state().served, 10);
+//! assert_eq!(served, 10);
 //! ```
 
-mod engine;
 mod event;
 mod rng;
 mod time;
 
-pub use engine::{Engine, RunOutcome, Simulation};
 pub use event::{Scheduled, Scheduler};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

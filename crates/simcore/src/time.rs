@@ -110,12 +110,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` when `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -142,12 +136,6 @@ impl SimDuration {
         SimDuration(millis * 1_000_000)
     }
 
-    /// Creates a duration of `secs` seconds.
-    #[inline]
-    pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000_000)
-    }
-
     /// Creates a duration from fractional milliseconds.
     ///
     /// Negative and non-finite inputs clamp to [`SimDuration::ZERO`]; values
@@ -155,13 +143,6 @@ impl SimDuration {
     #[inline]
     pub fn from_millis_f64(millis: f64) -> Self {
         SimDuration(millis_f64_to_nanos(millis))
-    }
-
-    /// Creates a duration from fractional seconds, with the same clamping as
-    /// [`SimDuration::from_millis_f64`].
-    #[inline]
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration(millis_f64_to_nanos(secs * 1e3))
     }
 
     /// Length in nanoseconds.
@@ -342,7 +323,7 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
+        assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_millis_f64(0.5).as_micros(), 500);
     }
 
@@ -372,8 +353,7 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_millis(1)));
+        assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
     }
 
     #[test]
