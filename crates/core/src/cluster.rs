@@ -5,7 +5,7 @@
 //! of Fig. 2: deadline stamping (`t_D = t_0 + T_b`, Eq. 6), per-server
 //! policy queues, dequeue-time deadline-miss detection (§III.C),
 //! window-based admission, and fanout aggregation. This module owns only
-//! what is genuinely simulation: the event heap, the RNG streams that draw
+//! what is genuinely simulation: the event list, the RNG streams that draw
 //! placements and service times, failure injection, warm-up accounting,
 //! and the sequential request chaining of Fig. 1.
 
@@ -128,7 +128,7 @@ pub fn run_simulation_traced(
 /// snapshots of an observed run. Without an observer this is
 /// byte-for-byte the unobserved simulation: no sink is installed (the
 /// handler keeps its allocation-free [`tailguard_sched::NullSink`]) and no
-/// snapshot events enter the heap, so reports — including
+/// snapshot events enter the event list, so reports — including
 /// `events_processed` — are identical to the pre-observability ones.
 pub(crate) fn run_with_observer(
     config: &SimConfig,
@@ -209,7 +209,7 @@ pub(crate) fn run_watched<W: QueryWatch>(
 
     if let [first, ..] = input.requests.as_slice() {
         run.events()
-            .schedule_at(first.arrival, Ev::Arrive(&input.requests));
+            .schedule_in_lane(ARRIVAL_LANE, first.arrival, Ev::Arrive(&input.requests));
     }
     let mut events = 0u64;
     // tg-lint: hot(event-loop)
@@ -303,7 +303,14 @@ struct Cursor<'a> {
     started: SimTime,
 }
 
-/// The simulator's transport: the event heap, the fault plan, and the
+/// [`Scheduler`] lanes of the events the simulator schedules in time
+/// order: the arrival chain (one pending `Ev::Arrive`), lease expiries and
+/// hedge checks. `Ev::Finish` and `Ev::Snapshot` go on the heap.
+const ARRIVAL_LANE: usize = 0;
+const LEASE_LANE: usize = 1;
+const HEDGE_LANE: usize = 2;
+
+/// The simulator's transport: the event list, the fault plan, and the
 /// service-time stream.
 struct ClusterSim<'a> {
     config: &'a SimConfig,
@@ -359,8 +366,15 @@ impl<'a> Transport for ClusterSim<'a> {
         Begun::Runs
     }
 
+    /// Each timer kind waits in its own lane: leases are armed at
+    /// `now + ttl`, so always in time order, and hedge checks at
+    /// `now + f·T_b`, out of order only when `T_b` shrinks.
     fn arm(&mut self, at: SimTime, timer: Timer) {
-        self.events.schedule_at(at, Ev::Timer(timer));
+        let lane = match timer {
+            Timer::Lease(..) => LEASE_LANE,
+            Timer::Hedge(_) => HEDGE_LANE,
+        };
+        self.events.schedule_in_lane(lane, at, Ev::Timer(timer));
     }
 
     /// A fresh service draw, which doubles as the copy's size hint.
@@ -529,7 +543,7 @@ impl<'a> Run<'a> {
     /// pending. Called from arrivals (so sampling resumes after an idle
     /// gap) and from the snapshot handler itself while work remains — when
     /// the cluster drains with no arrivals left, no snapshot is re-armed
-    /// and the event heap can empty.
+    /// and the event list can empty.
     fn schedule_snapshot(&mut self, now: SimTime) {
         if self.snapshot_pending {
             return;
@@ -573,7 +587,8 @@ impl<'a> Run<'a> {
                     // Chain the next arrival (requests are pre-sorted).
                     if let [next, ..] = rest {
                         let at = next.arrival.max(now);
-                        self.events().schedule_at(at, Ev::Arrive(rest));
+                        self.events()
+                            .schedule_in_lane(ARRIVAL_LANE, at, Ev::Arrive(rest));
                     }
                     let queries = &request.queries;
                     let at = Cursor {

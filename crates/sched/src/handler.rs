@@ -10,7 +10,7 @@
 //!
 //! It is a pure event-driven core: every method takes `now` as an argument
 //! and the handler holds no clock, RNG, or I/O. The discrete-event
-//! simulator drives it from its event heap; the tokio testbed drives it
+//! simulator drives it from its event list; the tokio testbed drives it
 //! from channel events under a real or paused clock. Drivers own what is
 //! genuinely theirs — the sim draws placements/service times and schedules
 //! `Finish` events; the testbed sends task assignments to edge-node tasks

@@ -57,8 +57,9 @@ pub struct HealthConfig {
     /// Hard floor: ejection never drops the healthy-server count below
     /// `ceil(min_healthy_fraction × servers)` (must lie in `(0, 1]`).
     pub min_healthy_fraction: f64,
-    /// Re-evaluate ejection state every this many observations (the
-    /// cross-sectional median sort is O(N log N), so it is amortized).
+    /// Re-evaluate ejection state every this many observations (each
+    /// evaluation selects the cross-sectional median in O(N), so it is
+    /// amortized).
     pub eval_every: u64,
 }
 
@@ -207,7 +208,7 @@ pub struct HealthTracker {
     /// Per-server divert counter driving the probe cadence.
     probe_counter: Vec<u32>,
     since_eval: u64,
-    /// `(score, server)` scratch for the median sort.
+    /// `(score, server)` scratch for the median selection.
     scratch: Vec<(f64, u32)>,
     min_healthy: usize,
     healthy: usize,
@@ -288,17 +289,27 @@ impl HealthTracker {
         }
         // Deterministic median: total order on (score, index) — sched is
         // float-strict, so no NaN can reach here (durations are finite).
-        self.scratch
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let order = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
         // Lower-middle median: with an even count this keeps the baseline
         // on the healthy side when up to half the cluster degrades.
-        // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
-        let median = self.scratch[(self.scratch.len() - 1) / 2].0;
+        let lower_middle = self.scratch.len().saturating_sub(1) / 2;
+        let (_, &mut (median, _), _) = self.scratch.select_nth_unstable_by(lower_middle, order);
         if median <= 0.0 {
             return;
         }
         let eject_above = median * self.config.eject_multiplier;
         let readmit_below = median * self.config.readmit_multiplier;
+        // Keep only the servers a loop below can act on — usually none —
+        // and sort just those.
+        let ejected = &self.ejected;
+        self.scratch.retain(|&(score, s)| {
+            if ejected.get(s as usize) == Some(&true) {
+                score < readmit_below
+            } else {
+                score > eject_above
+            }
+        });
+        self.scratch.sort_unstable_by(order);
         // Readmissions first, so recovered servers free floor room for
         // genuinely degraded ones in the same evaluation.
         for &(score, s) in self.scratch.iter() {
@@ -403,6 +414,7 @@ impl HealthTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tailguard_simcore::SimRng;
 
     fn ms(v: f64) -> SimDuration {
         SimDuration::from_millis_f64(v)
@@ -572,5 +584,96 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn oversized_alpha_panics() {
         let _ = HealthConfig::new().with_alpha(1.5);
+    }
+
+    /// The full-sort `evaluate` that median selection replaced: sorts
+    /// every scored server, reads the lower median, then scans them all.
+    fn evaluate_by_full_sort(t: &mut HealthTracker) {
+        t.scratch.clear();
+        for (s, (&score, &n)) in t.ewma.iter().zip(&t.count).enumerate() {
+            if n >= t.config.min_observations {
+                t.scratch.push((score, s as u32));
+            }
+        }
+        if t.scratch.is_empty() {
+            return;
+        }
+        t.scratch
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let median = t.scratch[(t.scratch.len() - 1) / 2].0;
+        if median <= 0.0 {
+            return;
+        }
+        let eject_above = median * t.config.eject_multiplier;
+        let readmit_below = median * t.config.readmit_multiplier;
+        for &(score, s) in t.scratch.iter() {
+            let s = s as usize;
+            if t.ejected[s] && score < readmit_below {
+                t.ejected[s] = false;
+                t.probe_counter[s] = 0;
+                t.healthy += 1;
+                t.stats.readmissions += 1;
+                t.transitions.push((s as u32, false));
+            }
+        }
+        for i in (0..t.scratch.len()).rev() {
+            let (score, s) = t.scratch[i];
+            let s = s as usize;
+            if t.ejected[s] || score <= eject_above {
+                continue;
+            }
+            if t.healthy <= t.min_healthy {
+                t.stats.floor_denials += 1;
+                continue;
+            }
+            t.ejected[s] = true;
+            t.healthy -= 1;
+            t.stats.ejections += 1;
+            t.transitions.push((s as u32, true));
+        }
+    }
+
+    /// A tracker in a random state: scores from a small set (so ties are
+    /// common), some servers under `min_observations`, some ejected.
+    fn random_tracker(rng: &mut SimRng, servers: usize) -> HealthTracker {
+        let floor = [0.2, 0.5, 0.8, 1.0][rng.index(4)];
+        let config = quick_config().with_min_healthy_fraction(floor);
+        let mut t = HealthTracker::new(config, servers);
+        for s in 0..servers {
+            t.ewma[s] = [0.0, 0.2, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0][rng.index(8)];
+            t.count[s] = if rng.chance(0.8) { 5 } else { 4 };
+            t.ejected[s] = rng.chance(0.3);
+            t.probe_counter[s] = rng.index(3) as u32;
+        }
+        t.healthy = t.ejected.iter().filter(|&&e| !e).count();
+        t
+    }
+
+    #[test]
+    fn median_selection_matches_the_full_sort() {
+        let (mut moves, mut denials) = (0, 0);
+        for seed in 0..2_000 {
+            // Odd and even counts, small and past the size at which
+            // selection stops sorting its whole input.
+            let servers = match seed % 2 {
+                0 => 1 + (seed / 2 % 12) as usize,
+                _ => 20 + (seed / 2 % 90) as usize,
+            };
+            let mut fast = random_tracker(&mut SimRng::seed(seed), servers);
+            let mut slow = random_tracker(&mut SimRng::seed(seed), servers);
+            fast.evaluate();
+            evaluate_by_full_sort(&mut slow);
+            assert_eq!(fast.transitions, slow.transitions, "seed {seed}");
+            assert_eq!(fast.stats, slow.stats, "seed {seed}");
+            assert_eq!(fast.ejected, slow.ejected, "seed {seed}");
+            assert_eq!(fast.probe_counter, slow.probe_counter, "seed {seed}");
+            assert_eq!(fast.healthy, slow.healthy, "seed {seed}");
+            moves += fast.transitions.len();
+            denials += fast.stats.floor_denials;
+        }
+        assert!(
+            moves > 1_000 && denials > 100,
+            "{moves} moves, {denials} denials"
+        );
     }
 }

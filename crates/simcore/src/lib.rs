@@ -5,8 +5,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution simulated clock
 //!   with total ordering and saturating arithmetic,
-//! * [`Scheduler`] — a deterministic future-event list (a binary heap keyed
-//!   by `(time, sequence)`); the caller pops it and owns the run loop,
+//! * [`Scheduler`] — a deterministic future-event list (a binary heap plus
+//!   FIFO lanes for events scheduled in time order, popped in one
+//!   `(time, sequence)` order); the caller pops it and owns the run loop,
 //! * [`SimRng`] — a seedable, splittable random-number generator so that every
 //!   experiment is exactly reproducible from a single `u64` seed.
 //!
