@@ -20,7 +20,7 @@ use tailguard_obs::{
 };
 use tailguard_policy::Policy;
 use tailguard_simcore::{SimDuration, SimTime};
-use tailguard_testbed::{run_testbed, TestbedConfig, TestbedMode};
+use tailguard_testbed::{run_testbed, TestbedConfig, TestbedMode, HISTORY_DAYS};
 use tailguard_workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload, Trace};
 
 fn err(msg: impl Into<String>) -> ArgError {
@@ -484,14 +484,28 @@ const TESTBED_KEYS: &[&str] = &[
 /// `tailguard testbed` — run the tokio SaS testbed.
 pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
     args.check_known(TESTBED_KEYS)?;
+    let queries = args.usize_or("queries", 2_000)?;
+    if queries == 0 {
+        return Err(err("--queries must be at least 1"));
+    }
+    let time_scale = args.f64_or("scale", 25.0)?;
+    if !(time_scale.is_finite() && time_scale > 0.0) {
+        return Err(err("--scale must be finite and positive"));
+    }
+    // The paper's eighteen months; the store's u32 minute stamps would
+    // wrap long before u32::MAX days anyway.
+    let store_days = u32::try_from(args.usize_or("store-days", 90)?)
+        .ok()
+        .filter(|days| (1..=HISTORY_DAYS).contains(days))
+        .ok_or_else(|| err(format!("--store-days must lie in 1..={HISTORY_DAYS}")))?;
     let cfg = TestbedConfig {
         policy: policy_from(args.get("policy").unwrap_or("tfedf"))?,
-        queries: args.usize_or("queries", 2_000)?,
-        target_load: args.f64_or("load", 0.4)?,
-        time_scale: args.f64_or("scale", 25.0)?,
+        queries,
+        target_load: load_from(args)?,
+        time_scale,
         calibration_probes: args.usize_or("probes", 40)?,
         seed: args.u64_or("seed", 0x5A5_7E57)?,
-        store_days: args.usize_or("store-days", 90)? as u32,
+        store_days,
         mode: if args.flag("realtime") {
             TestbedMode::RealTime
         } else {
@@ -1693,6 +1707,53 @@ mod tests {
     #[test]
     fn sweep_rejects_a_load_above_the_sim_range() {
         assert!(sweep_loads_error("5").contains("--loads must lie in (0, 1.5]"));
+    }
+
+    /// The error `tailguard testbed --<flag> <value>` returns; validation
+    /// fails before the testbed starts.
+    fn testbed_error(flag: &str, value: &str) -> String {
+        cmd_testbed(&args(&[flag, value])).unwrap_err().0
+    }
+
+    #[test]
+    fn testbed_rejects_zero_queries() {
+        assert!(testbed_error("--queries", "0").contains("--queries"));
+    }
+
+    #[test]
+    fn testbed_rejects_a_zero_load() {
+        assert!(testbed_error("--load", "0").contains("--load must lie in (0, 1.5]"));
+    }
+
+    #[test]
+    fn testbed_rejects_a_nan_load() {
+        assert!(testbed_error("--load", "nan").contains("--load must lie in (0, 1.5]"));
+    }
+
+    #[test]
+    fn testbed_rejects_a_load_above_the_sim_range() {
+        assert!(testbed_error("--load", "5").contains("--load must lie in (0, 1.5]"));
+    }
+
+    #[test]
+    fn testbed_rejects_a_zero_scale() {
+        assert!(testbed_error("--scale", "0").contains("--scale"));
+    }
+
+    #[test]
+    fn testbed_rejects_a_negative_scale() {
+        assert!(testbed_error("--scale", "-1").contains("--scale"));
+    }
+
+    #[test]
+    fn testbed_rejects_zero_store_days() {
+        assert!(testbed_error("--store-days", "0").contains("--store-days must lie in 1..=540"));
+    }
+
+    #[test]
+    fn testbed_rejects_store_days_past_u32() {
+        let e = testbed_error("--store-days", "5000000000");
+        assert!(e.contains("--store-days must lie in 1..=540"), "{e}");
     }
 
     #[test]

@@ -321,18 +321,10 @@ struct ClusterSim<'a> {
     events: Scheduler<Ev<'a>>,
 }
 
-/// Draws one service time for `server` at virtual time `now`: the
-/// cluster's service distribution, inflated by any active step
-/// [`crate::spec::Slowdown`]s (interval fault episodes apply later, at
-/// dispatch time).
-fn draw_service(config: &SimConfig, rng: &mut SimRng, server: u32, now: SimTime) -> SimDuration {
-    let mut ms = config.cluster.service_of(server as usize).sample(rng);
-    for sd in &config.slowdowns {
-        if now >= sd.at && sd.servers.contains(&server) {
-            ms *= sd.factor;
-        }
-    }
-    SimDuration::from_millis_f64(ms)
+/// Draws one nominal service time for `server` from the cluster's service
+/// distribution (fault episodes apply later, at dispatch time).
+fn draw_service(config: &SimConfig, rng: &mut SimRng, server: u32) -> SimDuration {
+    SimDuration::from_millis_f64(config.cluster.service_of(server as usize).sample(rng))
 }
 
 impl<'a> Transport for ClusterSim<'a> {
@@ -380,11 +372,11 @@ impl<'a> Transport for ClusterSim<'a> {
     /// A fresh service draw, which doubles as the copy's size hint.
     fn copy(
         &mut self,
-        now: SimTime,
+        _: SimTime,
         server: u32,
         _: SimDuration,
     ) -> (SimDuration, Option<SimDuration>) {
-        let service = draw_service(self.config, &mut self.service_rng, server, now);
+        let service = draw_service(self.config, &mut self.service_rng, server);
         (service, Some(service))
     }
 }
@@ -459,7 +451,7 @@ impl<'a> Run<'a> {
         // alignment — and so rejected work can be accounted.
         self.services_scratch.clear();
         let (config, rng) = (self.config, &mut self.driver.transport.service_rng);
-        let draw = |&s: &u32| draw_service(config, rng, s, now);
+        let draw = |&s: &u32| draw_service(config, rng, s);
         self.services_scratch
             .extend(self.targets_scratch.iter().map(draw));
 
@@ -1031,58 +1023,6 @@ mod tests {
             }],
         };
         let _ = run_simulation(&cfg, &input);
-    }
-
-    #[test]
-    fn slowdown_multiplies_service_after_cutover() {
-        use crate::spec::Slowdown;
-        let cfg = SimConfig::new(
-            det_cluster(1, 2.0),
-            vec![ClassSpec::p99(ms(1000.0))],
-            Policy::Fifo,
-        )
-        .with_warmup(0)
-        .with_slowdown(Slowdown::new(SimTime::from_millis(5), 0..1, 3.0));
-        // One query before the cutover (latency 2ms), one after (6ms).
-        let input = one_query_input(&[0, 10], 0, 1);
-        let mut report = run_simulation(&cfg, &input);
-        assert_eq!(report.class_tail(0, 0.4), ms(2.0));
-        assert_eq!(report.class_tail(0, 1.0), ms(6.0));
-    }
-
-    #[test]
-    fn slowdown_only_affects_named_servers() {
-        use crate::spec::Slowdown;
-        let cfg = SimConfig::new(
-            det_cluster(2, 2.0),
-            vec![ClassSpec::p99(ms(1000.0))],
-            Policy::Fifo,
-        )
-        .with_warmup(0)
-        .with_slowdown(Slowdown::new(SimTime::ZERO, 1..2, 5.0));
-        // Fanout 2: one task per server. Slow server dominates: 10ms.
-        let input = one_query_input(&[0], 0, 2);
-        let mut report = run_simulation(&cfg, &input);
-        assert_eq!(report.class_tail(0, 1.0), ms(10.0));
-        // Fast server's busy time stays 2ms.
-        assert_eq!(report.busy_by_server[0], ms(2.0));
-        assert_eq!(report.busy_by_server[1], ms(10.0));
-    }
-
-    #[test]
-    fn slowdowns_compose_multiplicatively() {
-        use crate::spec::Slowdown;
-        let cfg = SimConfig::new(
-            det_cluster(1, 1.0),
-            vec![ClassSpec::p99(ms(1000.0))],
-            Policy::Fifo,
-        )
-        .with_warmup(0)
-        .with_slowdown(Slowdown::new(SimTime::ZERO, 0..1, 2.0))
-        .with_slowdown(Slowdown::new(SimTime::ZERO, 0..1, 3.0));
-        let input = one_query_input(&[0], 0, 1);
-        let mut report = run_simulation(&cfg, &input);
-        assert_eq!(report.class_tail(0, 1.0), ms(6.0));
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub use runner::{
     ClassStat, Replication,
 };
 pub use spec::{
-    AdmissionConfig, ClassSpec, ClusterSpec, QuerySpec, RequestInput, Scenario, SimConfig,
-    SimInput, Slowdown,
+    AdmissionConfig, ClassSpec, ClusterSpec, QuerySpec, RequestInput, Scenario, SimConfig, SimInput,
 };
 pub use tailguard_faults::{FaultEpisode, FaultKind, FaultPlan};
 pub use tailguard_sched::{

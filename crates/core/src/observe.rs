@@ -139,14 +139,6 @@ pub struct ObservedRun {
     pub slo: SloSnapshot,
 }
 
-impl ObservedRun {
-    /// The snapshots as pretty-printed JSON (an array of objects).
-    pub fn snapshots_json(&self) -> String {
-        // tg-lint: allow(unwrap-in-lib) -- pure in-memory serialization of plain structs cannot fail
-        serde_json::to_string_pretty(&self.snapshots).expect("snapshots serialize")
-    }
-}
-
 /// The snapshot cadence when [`ObsOptions::snapshot_every`] is `None`:
 /// the admission window if admission control is on, else 10 ms.
 fn default_snapshot_interval(config: &SimConfig) -> SimDuration {
@@ -353,9 +345,6 @@ mod tests {
             .counter("tailguard_estimator_budget_lookups_total")
             .is_some());
         assert!(run.registry.series("tailguard_queue_depth").is_some());
-        let json = run.snapshots_json();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert!(v.as_array().unwrap().len() == run.snapshots.len());
     }
 
     #[test]

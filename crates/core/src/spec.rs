@@ -100,46 +100,6 @@ impl SimInput {
     }
 }
 
-/// A mid-run change to a range of servers' service speed — failure
-/// injection for the scenarios §III.B.2 motivates the online updating
-/// process with ("skewed workloads, uneven resource allocation and
-/// resource availability changes").
-///
-/// From `at` onward, service times drawn for servers in `servers` are
-/// multiplied by `factor` (`> 1` = slowdown, `< 1` = speedup). Multiple
-/// events compose multiplicatively.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Slowdown {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// The affected server index range.
-    pub servers: std::ops::Range<u32>,
-    /// Service-time multiplier.
-    pub factor: f64,
-}
-
-impl Slowdown {
-    /// Creates a slowdown event.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is finite and positive and the range is
-    /// non-empty.
-    /// `at` is virtual time (nanosecond domain).
-    pub fn new(at: SimTime, servers: std::ops::Range<u32>, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        assert!(!servers.is_empty(), "server range must be non-empty");
-        Slowdown {
-            at,
-            servers,
-            factor,
-        }
-    }
-}
-
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -158,8 +118,6 @@ pub struct SimConfig {
     pub warmup_queries: usize,
     /// Master seed for service times and placement.
     pub seed: u64,
-    /// Mid-run server speed changes (failure injection); empty by default.
-    pub slowdowns: Vec<Slowdown>,
     /// Interval fault episodes (slowdowns, stalls, blackouts) applied at
     /// task dispatch/completion time. `None` (the default) injects nothing
     /// and leaves the hot path untouched.
@@ -199,7 +157,6 @@ impl SimConfig {
             estimator: EstimatorMode::Analytic,
             warmup_queries: 5_000,
             seed: 1,
-            slowdowns: Vec::new(),
             faults: None,
             mitigation: None,
             lease: None,
@@ -235,12 +192,6 @@ impl SimConfig {
     /// Sets the seed (builder-style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Adds a mid-run server speed change (builder-style).
-    pub fn with_slowdown(mut self, slowdown: Slowdown) -> Self {
-        self.slowdowns.push(slowdown);
         self
     }
 

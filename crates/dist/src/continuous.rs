@@ -109,33 +109,6 @@ impl LogNormal {
         LogNormal { mu, sigma }
     }
 
-    /// Creates a log-normal with the given mean and a given `p`-quantile
-    /// (both in ms) — the calibration form used to fit Tailbench workloads
-    /// to the paper's Table II statistics.
-    ///
-    /// Solves `exp(mu + sigma^2/2) = mean` and
-    /// `exp(mu + z_p * sigma) = quantile` for `(mu, sigma)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pair is infeasible (requires `quantile > mean` for
-    /// `p > 0.5`) or inputs are not positive.
-    pub fn from_mean_and_quantile(mean: f64, p: f64, quantile: f64) -> Self {
-        assert!(mean > 0.0 && quantile > 0.0, "values must be positive");
-        assert!((0.5..1.0).contains(&p), "p must lie in [0.5, 1)");
-        let z = inverse_normal_cdf(p);
-        // mu + sigma^2/2 = ln mean ; mu + z sigma = ln q
-        // => z sigma - sigma^2/2 = ln q - ln mean =: d  (d > 0 required)
-        let d = quantile.ln() - mean.ln();
-        assert!(d > 0.0, "quantile must exceed mean for upper-tail p");
-        // sigma^2/2 - z sigma + d = 0  => sigma = z - sqrt(z^2 - 2d)
-        let disc = z * z - 2.0 * d;
-        assert!(disc >= 0.0, "infeasible mean/quantile pair");
-        let sigma = z - disc.sqrt();
-        let mu = mean.ln() - sigma * sigma / 2.0;
-        LogNormal::new(mu, sigma)
-    }
-
     /// The `mu` parameter of the underlying normal.
     pub fn mu(&self) -> f64 {
         self.mu
@@ -757,19 +730,6 @@ mod tests {
         let analytic = (-1.0f64 + 0.125).exp();
         assert!((d.mean() - analytic).abs() < 1e-12);
         assert!((sample_mean(&d, 200_000, 2) - analytic).abs() < 0.01 * analytic);
-    }
-
-    #[test]
-    fn lognormal_calibration_hits_targets() {
-        let d = LogNormal::from_mean_and_quantile(0.176, 0.99, 0.219);
-        assert!((d.mean() - 0.176).abs() < 1e-9);
-        assert!((d.quantile(0.99) - 0.219).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must exceed mean")]
-    fn lognormal_calibration_rejects_infeasible() {
-        let _ = LogNormal::from_mean_and_quantile(1.0, 0.99, 0.5);
     }
 
     #[test]

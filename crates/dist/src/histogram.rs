@@ -107,20 +107,6 @@ impl LogHistogram {
         self.sum += x;
     }
 
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        if !x.is_finite() || x < 0.0 || n == 0 {
-            return;
-        }
-        let w = n as f64;
-        match self.bucket_of(x) {
-            Some(i) => self.counts[i] += w,
-            None => self.underflow += w,
-        }
-        self.total += w;
-        self.sum += x * w;
-    }
-
     /// Total (possibly decayed) observation weight.
     pub fn count(&self) -> f64 {
         self.total
@@ -411,19 +397,6 @@ mod tests {
         }
         let med = h.quantile(0.5);
         assert!((med - 10.0).abs() / 10.0 < 0.05, "median {med}");
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record_n(3.0, 5);
-        for _ in 0..5 {
-            b.record(3.0);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.5), b.quantile(0.5));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]

@@ -25,10 +25,8 @@
 //! Run it as `cargo run -p tailguard-lint` (optionally `-- --json`); it
 //! exits non-zero if any rule fires. `--changed-only <paths>` restricts
 //! *reporting* to the named files while still modeling the whole workspace
-//! (cross-file rules need it); `--baseline <json>` subtracts a previous
-//! report so CI can enforce "no new findings".
+//! (cross-file rules need it).
 
-pub mod baseline;
 pub mod config;
 pub mod diagnostics;
 pub mod model;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tailguard-lint [--root DIR] [--json] [--list-rules] [--paths P...]
-//!                [--changed-only P...] [--baseline FILE]
+//!                [--changed-only P...]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
@@ -12,7 +12,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tailguard_lint::baseline::subtract_baseline;
 use tailguard_lint::rules::ALL_RULES;
 use tailguard_lint::{lint_paths, lint_workspace_filtered};
 
@@ -29,8 +28,6 @@ OPTIONS:
     --changed-only <P>...  Model the whole workspace (cross-file rules need
                            it) but report findings only for these files;
                            paths outside the scanned set are ignored
-    --baseline <FILE>      Subtract a previous --json report: only findings
-                           not present in the baseline are reported
     --json                 Emit the machine-readable JSON report on stdout
     --list-rules           Print the rule catalog and exit
     -h, --help             Show this help
@@ -49,7 +46,6 @@ struct Options {
     root: PathBuf,
     paths: Vec<PathBuf>,
     changed_only: Vec<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
     list_rules: bool,
 }
@@ -59,7 +55,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         root: PathBuf::from("."),
         paths: Vec::new(),
         changed_only: Vec::new(),
-        baseline: None,
         json: false,
         list_rules: false,
     };
@@ -72,11 +67,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 1;
                 let dir = args.get(i).ok_or("--root needs a directory")?;
                 opts.root = PathBuf::from(dir);
-            }
-            "--baseline" => {
-                i += 1;
-                let file = args.get(i).ok_or("--baseline needs a JSON report file")?;
-                opts.baseline = Some(PathBuf::from(file));
             }
             "--paths" => {
                 i += 1;
@@ -142,27 +132,13 @@ fn main() -> ExitCode {
     } else {
         lint_workspace_filtered(&opts.root, None)
     };
-    let mut report = match result {
+    let report = match result {
         Ok(report) => report,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(msg) = subtract_baseline(&mut report, &text) {
-            eprintln!("error: baseline {}: {msg}", path.display());
-            return ExitCode::from(2);
-        }
-    }
 
     if opts.json {
         print!("{}", report.render_json());

@@ -138,15 +138,6 @@ impl LoadStats {
         self.queries_offered.saturating_sub(self.queries_accepted)
     }
 
-    /// Fraction of offered queries accepted (1.0 when none offered).
-    pub fn acceptance_ratio(&self) -> f64 {
-        if self.queries_offered == 0 {
-            1.0
-        } else {
-            self.queries_accepted as f64 / self.queries_offered as f64
-        }
-    }
-
     /// Dispatched tasks.
     pub fn tasks_dispatched_count(&self) -> u64 {
         self.tasks_dispatched
@@ -215,13 +206,6 @@ mod tests {
             ls.query_accepted();
         }
         assert_eq!(ls.queries_rejected_count(), 3);
-        assert!((ls.acceptance_ratio() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn acceptance_ratio_empty_is_one() {
-        let ls = LoadStats::new(1);
-        assert_eq!(ls.acceptance_ratio(), 1.0);
     }
 
     #[test]

@@ -168,60 +168,12 @@ impl LatencyReservoir {
         &self.samples
     }
 
-    /// A distribution-free confidence interval for the `p`-quantile at
-    /// (two-sided) confidence `conf`, via the binomial order-statistic
-    /// bound: the number of samples `≤ Q_p` is Binomial(n, p), so the
-    /// interval is `[x_(lo), x_(hi)]` with ranks at the normal-approximated
-    /// binomial quantiles.
-    ///
-    /// Used to justify tolerances when comparing p99s between policies:
-    /// if the intervals do not overlap, the difference is real.
-    ///
-    /// Returns `None` when fewer than 20 samples are available (the normal
-    /// approximation would mislead).
-    pub fn percentile_ci(&mut self, p: f64, conf: f64) -> Option<(SimDuration, SimDuration)> {
-        let n = self.samples.len();
-        if n < 20 {
-            return None;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let conf = conf.clamp(0.5, 0.9999);
-        // z for two-sided confidence.
-        let z = normal_quantile(0.5 + conf / 2.0);
-        let mean = p * n as f64;
-        let sd = (n as f64 * p * (1.0 - p)).sqrt();
-        // tg-lint: allow(lossy-cast) -- rank/bound arithmetic is clamped to 1.0..=n before truncation; the u128 ns sum divided by the count fits back in u64
-        let lo_rank = (mean - z * sd).floor().clamp(1.0, n as f64) as usize;
-        // tg-lint: allow(lossy-cast) -- rank/bound arithmetic is clamped to 1.0..=n before truncation; the u128 ns sum divided by the count fits back in u64
-        let hi_rank = (mean + z * sd).ceil().clamp(1.0, n as f64) as usize;
-        self.ensure_sorted();
-        Some((
-            // tg-lint: allow(panic-surface) -- guarded: ranks are clamped to 1..=n and the empty case returns early above
-            SimDuration::from_nanos(self.samples[lo_rank - 1]),
-            // tg-lint: allow(panic-surface) -- guarded: ranks are clamped to 1..=n and the empty case returns early above
-            SimDuration::from_nanos(self.samples[hi_rank - 1]),
-        ))
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples.sort_unstable();
             self.sorted = true;
         }
     }
-}
-
-/// Inverse standard-normal CDF via the Beasley-Springer-Moro style rational
-/// fit used for CI ranks (1e-4 accuracy suffices for rank selection).
-fn normal_quantile(p: f64) -> f64 {
-    // Shifted logistic-style approximation good to ~1e-3 over (0.5, 0.9999):
-    // use the symmetry and the classical Hastings fit.
-    let p = p.clamp(1e-6, 1.0 - 1e-6);
-    let (sign, pp) = if p < 0.5 { (-1.0, p) } else { (1.0, 1.0 - p) };
-    let t = (-2.0 * pp.ln()).sqrt();
-    let num = 2.30753 + 0.27061 * t;
-    let den = 1.0 + 0.99229 * t + 0.04481 * t * t;
-    sign * (t - num / den)
 }
 
 impl Extend<SimDuration> for LatencyReservoir {
@@ -376,47 +328,6 @@ mod tests {
         let line = s.to_string();
         assert!(line.contains("n=100"));
         assert!(line.contains("p99="));
-    }
-
-    #[test]
-    fn percentile_ci_brackets_the_point_estimate() {
-        let mut r: LatencyReservoir = (1..=10_000).map(ms).collect();
-        let p99 = r.percentile(0.99);
-        let (lo, hi) = r.percentile_ci(0.99, 0.95).expect("enough samples");
-        assert!(lo <= p99 && p99 <= hi, "[{lo}, {hi}] vs {p99}");
-        // Interval should be tight for 10k uniform samples (~±0.2%).
-        let width = hi.as_millis_f64() - lo.as_millis_f64();
-        assert!(width < 100.0, "width {width}");
-    }
-
-    #[test]
-    fn percentile_ci_requires_samples() {
-        let mut r: LatencyReservoir = (1..=10).map(ms).collect();
-        assert!(r.percentile_ci(0.99, 0.95).is_none());
-    }
-
-    #[test]
-    fn percentile_ci_coverage_monte_carlo() {
-        // The 95% CI for p90 should contain the true quantile in roughly
-        // 95% of repeated experiments.
-        use tailguard_simcore::SimRng;
-        let mut rng = SimRng::seed(31);
-        let true_p90 = 0.9_f64; // Uniform(0,1): Q(0.9) = 0.9
-        let mut covered = 0;
-        let trials = 400;
-        for _ in 0..trials {
-            let mut r = LatencyReservoir::new();
-            for _ in 0..500 {
-                r.record(SimDuration::from_nanos((rng.f64() * 1e9) as u64));
-            }
-            let (lo, hi) = r.percentile_ci(0.9, 0.95).expect("enough");
-            let t = (true_p90 * 1e9) as u64;
-            if lo.as_nanos() <= t && t <= hi.as_nanos() {
-                covered += 1;
-            }
-        }
-        let rate = covered as f64 / trials as f64;
-        assert!((0.90..=0.99).contains(&rate), "coverage {rate}");
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl Policy {
         }
     }
 
-    /// True for the fanout-aware policy (TailGuard itself).
-    pub fn is_fanout_aware(&self) -> bool {
-        matches!(self, Policy::TfEdf)
-    }
-
     /// The display name used in the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -190,7 +185,5 @@ mod tests {
         assert_eq!(Policy::TfEdf.to_string(), "TailGuard");
         assert_eq!(Policy::TEdf.to_string(), "T-EDFQ");
         assert_eq!(Policy::ALL.len(), 4);
-        assert!(Policy::TfEdf.is_fanout_aware());
-        assert!(!Policy::TEdf.is_fanout_aware());
     }
 }

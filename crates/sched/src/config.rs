@@ -125,11 +125,6 @@ impl ClusterSpec {
         }
     }
 
-    /// True when all servers share one distribution.
-    pub fn is_homogeneous(&self) -> bool {
-        self.service.len() == 1
-    }
-
     /// Mean task service time averaged over servers, in ms.
     pub fn mean_service_ms(&self) -> f64 {
         if self.service.len() == 1 {
@@ -237,7 +232,6 @@ mod tests {
     fn homogeneous_cluster_shares_distribution() {
         let c = ClusterSpec::homogeneous(10, Deterministic::new(0.5));
         assert_eq!(c.servers(), 10);
-        assert!(c.is_homogeneous());
         assert_eq!(c.mean_service_ms(), 0.5);
         assert_eq!(c.service_of(9).mean(), 0.5);
     }
@@ -248,7 +242,6 @@ mod tests {
             Arc::new(Deterministic::new(1.0)) as DynDistribution,
             Arc::new(Deterministic::new(3.0)),
         ]);
-        assert!(!c.is_homogeneous());
         assert_eq!(c.mean_service_ms(), 2.0);
         assert_eq!(c.service_of(1).mean(), 3.0);
     }

@@ -86,20 +86,6 @@ impl HealthConfig {
         HealthConfig::default()
     }
 
-    /// Sets the EWMA smoothing factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `alpha` lies in `(0, 1]`.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "health alpha must lie in (0, 1], got {alpha}"
-        );
-        self.alpha = alpha;
-        self
-    }
-
     /// Sets the ejection and readmission thresholds (hysteresis pair).
     ///
     /// # Panics
@@ -536,7 +522,11 @@ mod tests {
 
     #[test]
     fn scores_track_observations() {
-        let mut t = HealthTracker::new(quick_config().with_alpha(0.5), 2);
+        let config = HealthConfig {
+            alpha: 0.5,
+            ..quick_config()
+        };
+        let mut t = HealthTracker::new(config, 2);
         t.observe(0, ms(1.0));
         assert_eq!(t.scores()[0], 1.0, "first observation seeds the EWMA");
         t.observe(0, ms(3.0));
@@ -547,13 +537,11 @@ mod tests {
     #[test]
     fn config_builders_validate() {
         let c = HealthConfig::new()
-            .with_alpha(0.2)
             .with_thresholds(4.0, 2.0)
             .with_min_observations(10)
             .with_probe_every(5)
             .with_min_healthy_fraction(0.5)
             .with_eval_every(32);
-        assert_eq!(c.alpha, 0.2);
         assert_eq!(c.eject_multiplier, 4.0);
         assert_eq!(c.readmit_multiplier, 2.0);
         assert_eq!(c.min_observations, 10);
@@ -578,12 +566,6 @@ mod tests {
     #[should_panic(expected = "min_healthy_fraction")]
     fn zero_floor_panics() {
         let _ = HealthConfig::new().with_min_healthy_fraction(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn oversized_alpha_panics() {
-        let _ = HealthConfig::new().with_alpha(1.5);
     }
 
     /// The full-sort `evaluate` that median selection replaced: sorts

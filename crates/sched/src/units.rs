@@ -20,28 +20,6 @@
 //!   platforms (the testbed is aarch64, CI is x86-64); `usize`⇄`u64`
 //!   conversions are lossless there and saturate defensively elsewhere.
 
-/// Converts fractional milliseconds to integer nanoseconds, saturating.
-///
-/// Negative and NaN inputs clamp to `0`; values beyond `u64::MAX` ns
-/// (≈ 584 years) clamp to `u64::MAX`. The result is rounded to the
-/// nearest nanosecond, matching `SimDuration::from_millis_f64`.
-#[inline]
-#[must_use]
-pub fn ms_f64_to_ns(ms: f64) -> u64 {
-    sat_f64_to_u64(ms * 1e6)
-}
-
-/// Converts integer nanoseconds to fractional milliseconds.
-///
-/// Exact for durations up to 2^53 ns (≈ 104 days of virtual time); beyond
-/// that the f64 mantissa rounds — acceptable for reporting, which is the
-/// only consumer of the ms float domain.
-#[inline]
-#[must_use]
-pub fn ns_to_ms_f64(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
 /// Rounds a float to `u64`, saturating at both ends.
 ///
 /// NaN and negatives map to `0`; values at or above `u64::MAX` map to
@@ -101,13 +79,6 @@ pub fn trunc_f64_to_usize(v: f64) -> usize {
     v as usize
 }
 
-/// Narrows `u64` to `u32`, saturating at `u32::MAX`.
-#[inline]
-#[must_use]
-pub fn sat_u64_to_u32(v: u64) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
-}
-
 /// Narrows `u128` to `u64`, saturating at `u64::MAX`.
 ///
 /// Used where `std::time::Duration::as_nanos()` (a `u128`) meets the
@@ -127,20 +98,6 @@ pub fn sat_u128_to_u64(v: u128) -> u64 {
 #[must_use]
 pub fn sat_usize_to_u32(v: usize) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
-}
-
-/// Widens `usize` to `u64` (lossless on the supported 64-bit targets).
-#[inline]
-#[must_use]
-pub fn usize_to_u64(v: usize) -> u64 {
-    v as u64
-}
-
-/// Converts `u64` to `usize`, saturating on (unsupported) 32-bit targets.
-#[inline]
-#[must_use]
-pub fn u64_to_usize(v: u64) -> usize {
-    usize::try_from(v).unwrap_or(usize::MAX)
 }
 
 /// Signed difference `a - b` of two nanosecond instants, saturating at
@@ -165,16 +122,6 @@ pub fn signed_ns_delta(a: u64, b: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ms_to_ns_clamps_and_rounds() {
-        assert_eq!(ms_f64_to_ns(1.5), 1_500_000);
-        assert_eq!(ms_f64_to_ns(-3.0), 0);
-        assert_eq!(ms_f64_to_ns(f64::NAN), 0);
-        assert_eq!(ms_f64_to_ns(f64::INFINITY), u64::MAX);
-        // 0.5 ns rounds to nearest, matching SimDuration::from_millis_f64.
-        assert_eq!(ms_f64_to_ns(0.000_000_5), 1);
-    }
 
     #[test]
     fn sat_f64_to_u64_near_max() {
@@ -211,13 +158,9 @@ mod tests {
 
     #[test]
     fn integer_narrowing_saturates() {
-        assert_eq!(sat_u64_to_u32(7), 7);
-        assert_eq!(sat_u64_to_u32(u64::MAX), u32::MAX);
         assert_eq!(sat_u128_to_u64(u128::from(u64::MAX) + 1), u64::MAX);
         assert_eq!(sat_u128_to_u64(42), 42);
         assert_eq!(sat_usize_to_u32(usize::MAX), u32::MAX);
-        assert_eq!(usize_to_u64(3), 3);
-        assert_eq!(u64_to_usize(u64::MAX), usize::MAX);
     }
 
     #[test]

@@ -50,4 +50,4 @@ mod runner;
 mod sensor;
 
 pub use runner::{run_testbed, ClusterObservation, TestbedConfig, TestbedMode, TestbedReport};
-pub use sensor::{SensorRecord, SensorStore};
+pub use sensor::{SensorRecord, SensorStore, HISTORY_DAYS};

@@ -2,7 +2,6 @@
 
 use crate::{ArrivalProcess, FanoutDist};
 use serde::{Deserialize, Serialize};
-use std::io;
 use tailguard_simcore::{SimRng, SimTime};
 
 /// One class's share of the query mix.
@@ -179,8 +178,6 @@ pub struct Trace {
 /// Errors from trace (de)serialization.
 #[derive(Debug)]
 pub enum TraceError {
-    /// Underlying I/O failure.
-    Io(io::Error),
     /// Malformed JSON.
     Json(serde_json::Error),
     /// Malformed CSV row.
@@ -192,7 +189,6 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceError::Json(e) => write!(f, "trace json invalid: {e}"),
             TraceError::Csv(msg) => write!(f, "trace csv invalid: {msg}"),
             TraceError::NotSorted => f.write_str("trace records not sorted by arrival time"),
@@ -203,16 +199,9 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TraceError::Io(e) => Some(e),
             TraceError::Json(e) => Some(e),
             TraceError::Csv(_) | TraceError::NotSorted => None,
         }
-    }
-}
-
-impl From<io::Error> for TraceError {
-    fn from(e: io::Error) -> Self {
-        TraceError::Io(e)
     }
 }
 
@@ -265,11 +254,6 @@ impl Trace {
         self.records.is_empty()
     }
 
-    /// Total task count (sum of fanouts).
-    pub fn task_count(&self) -> u64 {
-        self.records.iter().map(|r| u64::from(r.fanout)).sum()
-    }
-
     /// Trace duration (arrival time of the last query).
     pub fn duration(&self) -> SimTime {
         self.records
@@ -303,29 +287,6 @@ impl Trace {
             return Err(TraceError::NotSorted);
         }
         Ok(trace)
-    }
-
-    /// Writes the trace as JSON to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] / [`TraceError::Json`] on failure.
-    pub fn write_json<W: io::Write>(&self, mut w: W) -> Result<(), TraceError> {
-        let s = self.to_json()?;
-        w.write_all(s.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a trace from a JSON reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] / [`TraceError::Json`] /
-    /// [`TraceError::NotSorted`] on failure.
-    pub fn read_json<R: io::Read>(mut r: R) -> Result<Self, TraceError> {
-        let mut s = String::new();
-        r.read_to_string(&mut s)?;
-        Trace::from_json(&s)
     }
 
     /// Serializes the records as CSV (`arrival_ns,class,fanout`, one query
@@ -484,16 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn writer_reader_roundtrip() {
-        let a = ArrivalProcess::poisson(1.0);
-        let t = Trace::generate("io", &a, &mix2(), 100, 5);
-        let mut buf = Vec::new();
-        t.write_json(&mut buf).unwrap();
-        let back = Trace::read_json(&buf[..]).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn csv_roundtrip_preserves_records() {
         let a = ArrivalProcess::poisson(2.0);
         let t = Trace::generate("csv", &a, &mix2(), 500, 21);
@@ -546,13 +497,6 @@ mod tests {
         .expect("parse");
         assert_eq!(t.len(), 2);
         assert_eq!(t.records[1].fanout, 4);
-    }
-
-    #[test]
-    fn task_count_sums_fanouts() {
-        let a = ArrivalProcess::poisson(1.0);
-        let t = Trace::generate("t", &a, &QueryMix::single(FanoutDist::fixed(4)), 25, 6);
-        assert_eq!(t.task_count(), 100);
     }
 
     #[test]
