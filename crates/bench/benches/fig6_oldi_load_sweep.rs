@@ -7,7 +7,7 @@
 //! Masstree/Shore/Xapian; TailGuard's two classes saturate within ~5 % of
 //! each other (balanced allocation).
 
-use tailguard::{scenarios, sweep_loads_parallel};
+use tailguard::{scenarios, sweep_loads};
 use tailguard_bench::{header, jobs, maxload_opts, FigureCsv};
 use tailguard_policy::Policy;
 use tailguard_workload::TailbenchWorkload;
@@ -31,7 +31,7 @@ fn main() {
         let scenario = scenarios::oldi_two_class(w, hi, lo);
         println!("\n--- {w}: SLOs {hi}/{lo} ms (class I/II) ---");
         for policy in [Policy::TfEdf, Policy::Fifo, Policy::Priq] {
-            let pts = sweep_loads_parallel(&scenario, policy, &loads, &opts, jobs);
+            let pts = sweep_loads(&scenario, policy, &loads, &opts, jobs);
             for p in &pts {
                 csv.labeled_row(
                     &format!("{w}/{}", policy.name()),

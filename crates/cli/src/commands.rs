@@ -2,24 +2,27 @@
 //!
 //! Every command is a pure function from parsed [`Args`] to a printable
 //! `String`, so the full surface is unit-testable without spawning
-//! processes.
+//! processes. Each command checks its keys, then reads every option
+//! through a typed [`Args`] accessor, before any simulation or testbed
+//! run starts.
 
-use crate::args::{ArgError, Args};
+use crate::args::{self, ArgError, Args};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::ops::Bound::{self, Excluded, Included};
 use tailguard::{
     default_jobs, max_load_many, run_indexed, run_simulation, run_simulation_observed, scenarios,
-    sweep_loads_parallel, AdmissionConfig, ClassSpec, ClusterSpec, DriftKind, DriftPlan,
-    EstimatorMode, FaultEpisode, FaultKind, FaultPlan, MaxLoadOptions, MitigationConfig,
-    ObsOptions, Scenario, SimReport,
+    sweep_loads, AdmissionConfig, ClassSpec, ClusterSpec, DriftKind, DriftPlan, EstimatorMode,
+    FaultEpisode, FaultKind, FaultPlan, MaxLoadOptions, MitigationConfig, ObsOptions, Scenario,
+    SimConfig, SimInput, SimReport,
 };
-use tailguard_dist::{Cdf, LogHistogram};
+use tailguard_dist::{Cdf, LogHistogram, PiecewiseQuantile};
 use tailguard_obs::{
     build_timelines, events_to_csv, events_to_jsonl, miss_ratio_timeline, server_transitions,
     slack_by_type, slowest_queries, QueryTimeline, Registry, SloSnapshot,
 };
 use tailguard_policy::Policy;
-use tailguard_simcore::{SimDuration, SimTime};
+use tailguard_simcore::SimTime;
 use tailguard_testbed::{run_testbed, TestbedConfig, TestbedMode, HISTORY_DAYS};
 use tailguard_workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload, Trace};
 
@@ -27,15 +30,61 @@ fn err(msg: impl Into<String>) -> ArgError {
     ArgError(msg.into())
 }
 
+/// The options that build a [`Scenario`] ([`scenario_from`]).
+const SCENARIO_KEYS: &[&str] = &[
+    "workload", "slo", "slos", "fanout", "servers", "arrival", "seed",
+];
+
+/// The options of one run at one load ([`run_from`]).
+const RUN_KEYS: &[&str] = &["policy", "load", "queries", "warmup", "admission", "online"];
+
+/// The workload-drift options `sim` adds ([`drift_plan_from`]).
+const DRIFT_KEYS: &[&str] = &[
+    "drift",
+    "drift-period",
+    "drift-amplitude",
+    "drift-from",
+    "drift-to",
+    "drift-factor",
+];
+
+/// The options that take no value.
+const SWITCHES: &[&str] = &["json", "online", "metrics", "realtime"];
+
+/// The offered loads the simulator accepts: (0, 1.5].
+const LOAD_RANGE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Included(1.5));
+
+/// The open unit interval (0, 1), for ratios and attainment targets.
+const OPEN_UNIT: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Excluded(1.0));
+
+/// A nonzero share of a whole, (0, 1].
+const SHARE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Included(1.0));
+
+/// Accepts exactly the keys of `groups`; see [`Args::check`].
+fn known(args: &Args, groups: &[&[&str]]) -> Result<(), ArgError> {
+    args.check(groups, SWITCHES)
+}
+
 /// Worker-thread count for parallel commands: `--jobs N`, defaulting to the
 /// machine's available parallelism. `--jobs 1` forces the serial path
 /// (results are bit-identical either way).
 fn jobs_from(args: &Args) -> Result<usize, ArgError> {
-    let jobs = args.usize_or("jobs", default_jobs())?;
-    if jobs == 0 {
-        return Err(err("--jobs must be at least 1"));
-    }
-    Ok(jobs)
+    args.count("jobs", default_jobs(), 1..)
+}
+
+/// The run length: `--queries`, at least 1.
+fn queries_from(args: &Args, default: usize) -> Result<usize, ArgError> {
+    args.count("queries", default, 1..)
+}
+
+/// The offered load of a single run: `--load`, 0.4 by default.
+fn load_from(args: &Args) -> Result<f64, ArgError> {
+    args.real_in("load", 0.4, LOAD_RANGE)
+}
+
+/// The cluster size: `--servers`, 100 by default.
+fn servers_from(args: &Args) -> Result<u32, ArgError> {
+    args.count("servers", 100, 1..)
 }
 
 pub(crate) fn workload_from(name: &str) -> Result<TailbenchWorkload, ArgError> {
@@ -69,8 +118,8 @@ fn policies_from(arg: Option<&str>) -> Result<Vec<Policy>, ArgError> {
     }
 }
 
-fn fanout_from(arg: Option<&str>, servers: u32) -> Result<FanoutDist, ArgError> {
-    match arg.unwrap_or("paper") {
+fn fanout_from(model: &str, servers: u32) -> Result<FanoutDist, ArgError> {
+    match model {
         "paper" => Ok(FanoutDist::paper_mix()),
         "oldi" => Ok(FanoutDist::fixed(servers)),
         "facebook" => Ok(FanoutDist::facebook_like(servers.min(300))),
@@ -90,111 +139,72 @@ fn fanout_from(arg: Option<&str>, servers: u32) -> Result<FanoutDist, ArgError> 
     }
 }
 
+/// The fanouts `budgets` and `calibrate` tabulate: `--fanouts`, integers
+/// ≥ 1, by default 1, 10 and 100.
+fn fanouts_from(args: &Args) -> Result<Vec<u32>, ArgError> {
+    args.counts("fanouts", &[1, 10, 100], 1..)
+}
+
+/// The per-class SLOs — `--slos a,b,…`, else `--slo` (1 ms) — as p99
+/// classes, with their count.
+fn classes_from(args: &Args) -> Result<(u8, Vec<ClassSpec>), ArgError> {
+    let slos = args.durations_ms("slos", &[args.duration_ms("slo", 1.0)?])?;
+    let n = u8::try_from(slos.len()).map_err(|_| err("--slos takes at most 255 classes"))?;
+    Ok((n, slos.into_iter().map(ClassSpec::p99).collect()))
+}
+
+/// The arrival process, `--arrival poisson|pareto`, at `rate` queries/ms.
+fn arrival_from(args: &Args, rate: f64) -> Result<ArrivalProcess, ArgError> {
+    match args.get_or("arrival", "poisson") {
+        "poisson" => Ok(ArrivalProcess::poisson(rate)),
+        "pareto" => Ok(ArrivalProcess::pareto(rate)),
+        other => Err(err(format!(
+            "unknown arrival `{other}` (expected poisson|pareto)"
+        ))),
+    }
+}
+
+/// `--admission <window_ms>:<threshold>`: the §III.C window (a duration)
+/// and miss-ratio threshold (in (0, 1)), resuming at 0.3× the threshold.
 fn admission_from(arg: Option<&str>) -> Result<Option<AdmissionConfig>, ArgError> {
-    match arg {
-        None => Ok(None),
-        Some(spec) => {
-            let (w, t) = spec.split_once(':').ok_or_else(|| {
-                err("--admission expects `<window_ms>:<threshold>`, e.g. 10:0.017")
-            })?;
-            let window: f64 = w
-                .parse()
-                .map_err(|_| err(format!("--admission window `{w}` is not a number")))?;
-            let threshold: f64 = t
-                .parse()
-                .map_err(|_| err(format!("--admission threshold `{t}` is not a number")))?;
-            if window <= 0.0 || !(0.0..1.0).contains(&threshold) || threshold == 0.0 {
-                return Err(err("--admission needs window > 0 and threshold in (0,1)"));
-            }
-            Ok(Some(
-                AdmissionConfig::new(SimDuration::from_millis_f64(window), threshold)
-                    .with_resume_threshold(threshold * 0.3),
-            ))
-        }
-    }
+    let Some(spec) = arg else {
+        return Ok(None);
+    };
+    let (w, t) = spec
+        .split_once(':')
+        .ok_or_else(|| err("--admission expects `<window_ms>:<threshold>`, e.g. 10:0.017"))?;
+    let (wkey, tkey) = ("admission window", "admission threshold");
+    let window = args::duration(wkey, args::number(wkey, w)?)?;
+    let threshold = args::in_range(tkey, args::number(tkey, t)?, &OPEN_UNIT)?;
+    Ok(Some(
+        AdmissionConfig::new(window, threshold).with_resume_threshold(threshold * 0.3),
+    ))
 }
 
-/// Checks an offered load passed as `--<flag>` against the range (0, 1.5]
-/// the simulator accepts.
-fn check_load(flag: &str, load: f64) -> Result<f64, ArgError> {
-    if load > 0.0 && load <= 1.5 {
-        Ok(load)
-    } else {
-        Err(err(format!("--{flag} must lie in (0, 1.5]")))
-    }
-}
-
-/// The offered load of a single run: `--load`, 0.4 by default.
-fn load_from(args: &Args) -> Result<f64, ArgError> {
-    check_load("load", args.f64_or("load", 0.4)?)
-}
-
-/// Builds a [`Scenario`] from common options (`sim`, `maxload`, `sweep`).
+/// Builds a [`Scenario`] from [`SCENARIO_KEYS`].
 fn scenario_from(args: &Args) -> Result<Scenario, ArgError> {
-    let workload = workload_from(args.get("workload").unwrap_or("masstree"))?;
-    let servers = args.usize_or("servers", 100)?;
-    if servers == 0 {
-        return Err(err("--servers must be positive"));
-    }
-    let slos = args
-        .f64_list("slos")?
-        .unwrap_or_else(|| vec![args.f64_or("slo", 1.0).unwrap_or(1.0)]);
-    if slos.is_empty() || slos.iter().any(|&s| s <= 0.0) {
-        return Err(err("--slos must be positive, e.g. --slos 1.0,1.5"));
-    }
-    let classes: Vec<ClassSpec> = slos
-        .iter()
-        .map(|&ms| ClassSpec::p99(SimDuration::from_millis_f64(ms)))
-        .collect();
-    let fanout = fanout_from(args.get("fanout"), servers as u32)?;
-    if fanout.max_fanout() as usize > servers {
+    let workload = workload_from(args.get_or("workload", "masstree"))?;
+    let servers = servers_from(args)?;
+    let (class_count, classes) = classes_from(args)?;
+    let fanout = fanout_from(args.get_or("fanout", "paper"), servers)?;
+    if fanout.max_fanout() > servers {
         return Err(err(format!(
             "fanout {} exceeds --servers {servers}",
             fanout.max_fanout()
         )));
     }
-    let arrival = match args.get("arrival").unwrap_or("poisson") {
-        "poisson" => ArrivalProcess::poisson(1.0),
-        "pareto" => ArrivalProcess::pareto(1.0),
-        other => return Err(err(format!("unknown arrival `{other}` (poisson|pareto)"))),
-    };
-    let service = workload.service_dist();
-    let mean = workload.mean_service_ms();
     Ok(Scenario {
         label: format!("{workload} via CLI"),
-        cluster: ClusterSpec::homogeneous(servers, service),
-        classes: classes.clone(),
-        mix: QueryMix::equiprobable(classes.len() as u8, fanout),
-        arrival,
-        mean_task_work_ms: mean,
+        cluster: ClusterSpec::homogeneous(servers as usize, workload.service_dist()),
+        classes,
+        mix: QueryMix::equiprobable(class_count, fanout),
+        arrival: arrival_from(args, 1.0)?,
+        mean_task_work_ms: workload.mean_service_ms(),
         placement: None,
-        seed: args.u64_or("seed", 1)?,
+        seed: args.seed(1)?,
         drift: None,
     })
 }
-
-const SIM_KEYS: &[&str] = &[
-    "workload",
-    "policy",
-    "load",
-    "queries",
-    "slo",
-    "slos",
-    "fanout",
-    "servers",
-    "arrival",
-    "seed",
-    "warmup",
-    "admission",
-    "online",
-    "drift",
-    "drift-period",
-    "drift-amplitude",
-    "drift-from",
-    "drift-to",
-    "drift-factor",
-    "json",
-];
 
 /// Builds the optional workload drift plan from `--drift diurnal|flashcrowd`.
 ///
@@ -209,34 +219,20 @@ fn drift_plan_from(args: &Args) -> Result<Option<DriftPlan>, ArgError> {
         return Ok(None);
     };
     let component = match kind {
-        "diurnal" => {
-            let period_ms = args.f64_or("drift-period", 5_000.0)?;
-            if !period_ms.is_finite() || period_ms <= 0.0 {
-                return Err(err("--drift-period must be a positive duration (ms)"));
-            }
-            let amplitude = args.f64_or("drift-amplitude", 0.25)?;
-            if !(0.0..1.0).contains(&amplitude) {
-                return Err(err("--drift-amplitude must lie in [0, 1)"));
-            }
-            DriftKind::Diurnal {
-                period: SimDuration::from_millis_f64(period_ms),
-                amplitude,
-            }
-        }
+        "diurnal" => DriftKind::Diurnal {
+            period: args.duration_ms("drift-period", 5_000.0)?,
+            amplitude: args.real_in("drift-amplitude", 0.25, 0.0..1.0)?,
+        },
         "flashcrowd" => {
-            let from_ms = args.f64_or("drift-from", 1_000.0)?;
-            let to_ms = args.f64_or("drift-to", 5_000.0)?;
-            if from_ms < 0.0 || to_ms <= from_ms {
+            let start = args.time_ms("drift-from", 1_000.0)?;
+            let end = args.time_ms("drift-to", 5_000.0)?;
+            if end <= start {
                 return Err(err("--drift-from/--drift-to need 0 <= from < to (ms)"));
             }
-            let factor = args.f64_or("drift-factor", 2.0)?;
-            if !factor.is_finite() || factor <= 0.0 {
-                return Err(err("--drift-factor must be a finite positive multiplier"));
-            }
             DriftKind::FlashCrowd {
-                start: SimTime::from_millis_f64(from_ms),
-                end: SimTime::from_millis_f64(to_ms),
-                factor,
+                start,
+                end,
+                factor: args.positive("drift-factor", 2.0)?,
             }
         }
         other => {
@@ -246,6 +242,44 @@ fn drift_plan_from(args: &Args) -> Result<Option<DriftPlan>, ArgError> {
         }
     };
     Ok(Some(DriftPlan::new(vec![component])))
+}
+
+/// One simulation at one load, as `sim`, `trace` and `slo` set it up.
+struct Run {
+    scenario: Scenario,
+    policy: Policy,
+    load: f64,
+    input: SimInput,
+    config: SimConfig,
+}
+
+/// Reads [`SCENARIO_KEYS`], [`RUN_KEYS`] and, where the command accepts
+/// them, [`DRIFT_KEYS`], and builds the run's input and config.
+fn run_from(args: &Args, default_queries: usize) -> Result<Run, ArgError> {
+    let mut scenario = scenario_from(args)?;
+    if let Some(drift) = drift_plan_from(args)? {
+        scenario = scenario.with_drift(drift);
+    }
+    let policy = policy_from(args.get_or("policy", "tfedf"))?;
+    let load = load_from(args)?;
+    let queries = queries_from(args, default_queries)?;
+    let warmup = args.count("warmup", queries / 20, 0..)?;
+    let admission = admission_from(args.get("admission"))?;
+    let mut config = scenario.config(policy).with_warmup(warmup);
+    if let Some(adm) = admission {
+        config = config.with_admission(adm);
+    }
+    if args.flag("online") {
+        config = config.with_estimator(EstimatorMode::online_default());
+    }
+    let input = scenario.input(load, queries);
+    Ok(Run {
+        scenario,
+        policy,
+        load,
+        input,
+        config,
+    })
 }
 
 #[derive(Serialize)]
@@ -306,75 +340,42 @@ fn uniform_metrics(registry: &Registry) -> BTreeMap<String, serde_json::Value> {
 
 /// `tailguard sim` — run one simulation and report per-type tails.
 pub fn cmd_sim(args: &Args) -> Result<String, ArgError> {
-    args.check_known(SIM_KEYS)?;
-    let mut scenario = scenario_from(args)?;
-    if let Some(drift) = drift_plan_from(args)? {
-        scenario = scenario.with_drift(drift);
-    }
-    let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = load_from(args)?;
-    let queries = args.usize_or("queries", 100_000)?;
-    let warmup = args.usize_or("warmup", queries / 20)?;
-    let input = scenario.input(load, queries);
-    let mut config = scenario.config(policy).with_warmup(warmup);
-    if let Some(adm) = admission_from(args.get("admission"))? {
-        config = config.with_admission(adm);
-    }
-    if args.flag("online") {
-        config = config.with_estimator(EstimatorMode::online_default());
-    }
+    known(args, &[SCENARIO_KEYS, RUN_KEYS, DRIFT_KEYS, &["json"]])?;
+    let sim = run_from(args, 100_000)?;
     if args.flag("json") {
         // Observed run: same report (snapshot sampling only adds engine
         // events), plus the registry whose counters/gauges fill the
         // uniformly named `metrics` object.
-        let run = run_simulation_observed(&config, &input, &ObsOptions::default());
+        let run = run_simulation_observed(&sim.config, &sim.input, &ObsOptions::default());
         let mut report = run.report;
-        let mut summary = summarize(&mut report, load);
+        let mut summary = summarize(&mut report, sim.load);
         summary.metrics = uniform_metrics(&run.registry);
         summary.slo = Some(run.slo);
         serde_json::to_string_pretty(&summary).map_err(|e| err(e.to_string()))
     } else {
-        let mut report = run_simulation(&config, &input);
+        let mut report = run_simulation(&sim.config, &sim.input);
         Ok(format!(
             "{} @ offered load {:.1}%\n{}",
-            scenario.label,
-            load * 100.0,
+            sim.scenario.label,
+            sim.load * 100.0,
             report.render_table()
         ))
     }
 }
-
-const MAXLOAD_KEYS: &[&str] = &[
-    "workload",
-    "policies",
-    "queries",
-    "slo",
-    "slos",
-    "fanout",
-    "servers",
-    "arrival",
-    "seed",
-    "tolerance",
-    "jobs",
-    "json",
-];
 
 /// `tailguard maxload` — bisect for the max load meeting all SLOs.
 ///
 /// With `--jobs N` (default: available parallelism) the per-policy
 /// bisections run concurrently; results are identical to `--jobs 1`.
 pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
-    args.check_known(MAXLOAD_KEYS)?;
+    const KEYS: &[&str] = &["policies", "queries", "tolerance", "jobs", "json"];
+    known(args, &[SCENARIO_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
-    let tolerance = args.f64_or("tolerance", 0.01)?;
-    if !(tolerance > 0.0 && tolerance.is_finite()) {
-        return Err(err("--tolerance must be a positive number"));
-    }
     let opts = MaxLoadOptions {
-        queries: args.usize_or("queries", 100_000)?,
-        tolerance,
+        queries: queries_from(args, 100_000)?,
+        tolerance: args.positive("tolerance", 0.01)?,
         ..MaxLoadOptions::default()
     };
     let rows: Vec<(String, f64)> = max_load_many(&scenario, &policies, &opts, jobs)
@@ -393,32 +394,24 @@ pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-const SWEEP_KEYS: &[&str] = &[
-    "workload", "policy", "loads", "queries", "slo", "slos", "fanout", "servers", "arrival",
-    "seed", "jobs",
-];
-
 /// `tailguard sweep` — per-class p99 at a list of loads (Fig. 6 style),
 /// with an ASCII chart of the curves against the tightest SLO.
 ///
 /// With `--jobs N` (default: available parallelism) the load points run
 /// concurrently; output is identical to `--jobs 1`.
 pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    args.check_known(SWEEP_KEYS)?;
+    const KEYS: &[&str] = &["policy", "loads", "queries", "jobs"];
+    known(args, &[SCENARIO_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
-    let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
+    let policy = policy_from(args.get_or("policy", "tfedf"))?;
     let jobs = jobs_from(args)?;
-    let loads = args
-        .f64_list("loads")?
-        .unwrap_or_else(|| (4..=12).map(|i| i as f64 * 0.05).collect());
-    for &load in &loads {
-        check_load("loads", load)?;
-    }
+    let default_loads: Vec<f64> = (4..=12).map(|i| i as f64 * 0.05).collect();
+    let loads = args.reals_in("loads", &default_loads, LOAD_RANGE)?;
     let opts = MaxLoadOptions {
-        queries: args.usize_or("queries", 40_000)?,
+        queries: queries_from(args, 40_000)?,
         ..MaxLoadOptions::default()
     };
-    let points = sweep_loads_parallel(&scenario, policy, &loads, &opts, jobs);
+    let points = sweep_loads(&scenario, policy, &loads, &opts, jobs);
     let mut out = format!("{} under {policy}\n{:>8}", scenario.label, "load");
     for c in 0..scenario.classes.len() {
         out.push_str(&format!(" {:>14}", format!("class{c} p99(ms)")));
@@ -469,43 +462,20 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-const TESTBED_KEYS: &[&str] = &[
-    "policy",
-    "load",
-    "queries",
-    "scale",
-    "probes",
-    "seed",
-    "realtime",
-    "store-days",
-    "json",
-];
-
 /// `tailguard testbed` — run the tokio SaS testbed.
 pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
-    args.check_known(TESTBED_KEYS)?;
-    let queries = args.usize_or("queries", 2_000)?;
-    if queries == 0 {
-        return Err(err("--queries must be at least 1"));
-    }
-    let time_scale = args.f64_or("scale", 25.0)?;
-    if !(time_scale.is_finite() && time_scale > 0.0) {
-        return Err(err("--scale must be finite and positive"));
-    }
-    // The paper's eighteen months; the store's u32 minute stamps would
-    // wrap long before u32::MAX days anyway.
-    let store_days = u32::try_from(args.usize_or("store-days", 90)?)
-        .ok()
-        .filter(|days| (1..=HISTORY_DAYS).contains(days))
-        .ok_or_else(|| err(format!("--store-days must lie in 1..={HISTORY_DAYS}")))?;
+    const KEYS: &[&str] = &["policy", "load", "queries", "scale", "probes", "seed"];
+    known(args, &[KEYS, &["store-days", "realtime", "json"]])?;
     let cfg = TestbedConfig {
-        policy: policy_from(args.get("policy").unwrap_or("tfedf"))?,
-        queries,
+        policy: policy_from(args.get_or("policy", "tfedf"))?,
+        queries: queries_from(args, 2_000)?,
         target_load: load_from(args)?,
-        time_scale,
-        calibration_probes: args.usize_or("probes", 40)?,
-        seed: args.u64_or("seed", 0x5A5_7E57)?,
-        store_days,
+        time_scale: args.positive("scale", 25.0)?,
+        calibration_probes: args.count("probes", 40, 0..)?,
+        seed: args.seed(0x5A5_7E57)?,
+        // The paper's eighteen months; the store's u32 minute stamps would
+        // wrap long before u32::MAX days anyway.
+        store_days: args.count("store-days", 90, 1..=HISTORY_DAYS as usize)?,
         mode: if args.flag("realtime") {
             TestbedMode::RealTime
         } else {
@@ -543,32 +513,6 @@ pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-const FAULTS_KEYS: &[&str] = &[
-    "workload",
-    "policies",
-    "load",
-    "queries",
-    "slo",
-    "slos",
-    "fanout",
-    "servers",
-    "arrival",
-    "seed",
-    "fault",
-    "factor",
-    "fault-servers",
-    "fault-from",
-    "fault-to",
-    "flap-period",
-    "episodes",
-    "lease-ms",
-    "hedge",
-    "attempts",
-    "quorum",
-    "jobs",
-    "json",
-];
-
 /// One `(policy, fault mode)` cell of the fault matrix.
 #[derive(Serialize)]
 struct FaultCell {
@@ -596,43 +540,52 @@ struct FaultCell {
     dup_suppressed: u64,
 }
 
+/// The options that shape `faults`' injected plan and its mitigation.
+const FAULT_KEYS: &[&str] = &[
+    "fault",
+    "factor",
+    "fault-servers",
+    "fault-from",
+    "fault-to",
+    "flap-period",
+    "episodes",
+    "lease-ms",
+    "hedge",
+    "attempts",
+    "quorum",
+];
+
 /// Builds the injected fault plan from `--fault`/`--factor`/
 /// `--fault-servers`/`--fault-from`/`--fault-to` (ms) or, for
 /// `--fault random`, from `FaultPlan::generate` with `--episodes`.
 /// The gray-failure kinds take extra knobs: `--fault ramp` ramps toward
 /// `--factor`× across the episode, `--fault flap` alternates degraded
 /// and healthy phases each lasting `--flap-period` (ms).
-fn fault_plan_from(args: &Args, servers: usize) -> Result<FaultPlan, ArgError> {
-    let from_ms = args.f64_or("fault-from", 0.0)?;
-    let to_ms = args.f64_or("fault-to", 3_600_000.0)?;
-    if from_ms < 0.0 || to_ms <= from_ms {
+fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, ArgError> {
+    let start = args.time_ms("fault-from", 0.0)?;
+    let end = args.time_ms("fault-to", 3_600_000.0)?;
+    if end <= start {
         return Err(err("--fault-from/--fault-to need 0 <= from < to (ms)"));
     }
-    let kind_name = args.get("fault").unwrap_or("slowdown");
+    let kind_name = args.get_or("fault", "slowdown");
     if kind_name == "random" {
-        let episodes = args.usize_or("episodes", 10)?;
-        if episodes == 0 {
-            return Err(err("--episodes must be positive"));
-        }
-        let mean_len = ((to_ms - from_ms) / episodes as f64).max(1.0);
+        let episodes = args.count("episodes", 10, 1..)?;
+        let span_ms = end.as_millis_f64() - start.as_millis_f64();
+        let mean_len = (span_ms / episodes as f64).max(1.0);
         return Ok(FaultPlan::generate(
-            args.u64_or("seed", 1)? ^ 0xFA17,
-            servers as u32,
-            SimDuration::from_millis_f64(to_ms),
+            seed ^ 0xFA17,
+            servers,
+            end.saturating_since(SimTime::ZERO),
             episodes,
             mean_len,
         ));
     }
-    let factor = args.f64_or("factor", 8.0)?;
-    if !factor.is_finite() || factor <= 1.0 {
-        return Err(err("--factor must be a finite slowdown factor > 1"));
-    }
-    let affected = args.usize_or("fault-servers", (servers / 10).max(1))?;
-    if affected == 0 || affected > servers {
-        return Err(err(format!(
-            "--fault-servers must lie in 1..={servers} for --servers {servers}"
-        )));
-    }
+    let factor = args.real_in("factor", 8.0, (Excluded(1.0), Excluded(f64::INFINITY)))?;
+    let affected: u32 = args.count(
+        "fault-servers",
+        (servers as usize / 10).max(1),
+        1..=servers as usize,
+    )?;
     let kind = match kind_name {
         "slowdown" => FaultKind::Slowdown { factor },
         "stall" => FaultKind::Stall,
@@ -645,26 +598,18 @@ fn fault_plan_from(args: &Args, servers: usize) -> Result<FaultPlan, ArgError> {
         "ramp" => FaultKind::DegradeRamp { peak: factor },
         // Intermittent gray failure: the server alternates degraded
         // (`--factor`×) and healthy every `--flap-period` ms.
-        "flap" => {
-            let period_ms = args.f64_or("flap-period", 200.0)?;
-            if !period_ms.is_finite() || period_ms <= 0.0 {
-                return Err(err("--flap-period must be a positive duration (ms)"));
-            }
-            FaultKind::Flap {
-                factor,
-                period: SimDuration::from_millis_f64(period_ms),
-            }
-        }
+        "flap" => FaultKind::Flap {
+            factor,
+            period: args.duration_ms("flap-period", 200.0)?,
+        },
         other => {
             return Err(err(format!(
             "unknown fault kind `{other}` (expected slowdown|stall|drop|crash|restart|dup|ramp|flap|random)"
         )))
         }
     };
-    let start = SimTime::from_millis_f64(from_ms);
-    let end = SimTime::from_millis_f64(to_ms);
     let mut plan = FaultPlan::new();
-    for server in 0..affected as u32 {
+    for server in 0..affected {
         plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
     }
     Ok(plan)
@@ -676,53 +621,37 @@ fn fault_plan_from(args: &Args, servers: usize) -> Result<FaultPlan, ArgError> {
 /// output is bit-identical for any `--jobs` value. Also writes a
 /// `FigureCsv` (`target/paper_figures/fault_matrix_cli.csv`).
 pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
-    args.check_known(FAULTS_KEYS)?;
+    const KEYS: &[&str] = &["policies", "load", "queries", "jobs", "json"];
+    known(args, &[SCENARIO_KEYS, FAULT_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
-    let servers = args.usize_or("servers", 100)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
     let load = load_from(args)?;
-    let queries = args.usize_or("queries", 10_000)?;
-    let plan = fault_plan_from(args, servers)?;
+    let queries = queries_from(args, 10_000)?;
+    let plan = fault_plan_from(args, servers_from(args)?, scenario.seed)?;
     // Crash/restart episodes swallow in-flight work silently (crash) or
     // lose it on landing (restart) — only a lease notices the former. The
     // faulty and mitigated cells arm one automatically for those kinds;
     // `--lease-ms` overrides the default TTL (the widest class SLO: past
-    // it the query has missed anyway, so reclaiming is free).
-    let lease_ms = args.f64_or("lease-ms", 0.0)?;
-    if lease_ms < 0.0 || !lease_ms.is_finite() {
-        return Err(err("--lease-ms must be a finite non-negative duration"));
-    }
+    // it the query has missed anyway, so reclaiming is free), and
+    // `--lease-ms 0` keeps the default.
+    let lease_ms = args.real_in("lease-ms", 0.0, 0.0..f64::INFINITY)?;
     let crashy = plan
         .episodes()
         .iter()
         .any(|e| matches!(e.kind, FaultKind::Crash | FaultKind::Restart));
     let lease_ttl = if lease_ms > 0.0 {
-        Some(SimDuration::from_millis_f64(lease_ms))
+        Some(args::duration("lease-ms", lease_ms)?)
     } else if crashy {
         scenario.classes.iter().map(|c| c.slo).max()
     } else {
         None
     };
-    let hedge = args.f64_or("hedge", 0.5)?;
-    if !hedge.is_finite() || hedge <= 0.0 {
-        return Err(err("--hedge must be a positive budget fraction"));
-    }
-    let attempts = args.usize_or("attempts", 2)?;
-    if attempts == 0 {
-        return Err(err("--attempts must be at least 1"));
-    }
     let mut mitigation = MitigationConfig::new()
-        .with_hedge_after(hedge)
-        .with_max_attempts(attempts as u32);
-    if let Some(q) = args.get("quorum") {
-        let q: f64 = q
-            .parse()
-            .map_err(|_| err(format!("--quorum `{q}` is not a number")))?;
-        if !(q > 0.0 && q <= 1.0) {
-            return Err(err("--quorum must lie in (0, 1]"));
-        }
-        mitigation = mitigation.with_partial_quorum(q);
+        .with_hedge_after(args.positive("hedge", 0.5)?)
+        .with_max_attempts(args.count("attempts", 2, 1..)?);
+    if args.get("quorum").is_some() {
+        mitigation = mitigation.with_partial_quorum(args.real_in("quorum", 1.0, SHARE)?);
     }
 
     const MODES: [&str; 3] = ["healthy", "faulty", "mitigated"];
@@ -869,20 +798,8 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// The options `trace` adds to a run.
 const TRACE_KEYS: &[&str] = &[
-    "workload",
-    "policy",
-    "load",
-    "queries",
-    "slo",
-    "slos",
-    "fanout",
-    "servers",
-    "arrival",
-    "seed",
-    "warmup",
-    "admission",
-    "online",
     "top",
     "query",
     "bin",
@@ -903,57 +820,39 @@ const TRACE_KEYS: &[&str] = &[
 /// the Prometheus text exposition, and `--json` emits the registry
 /// snapshot plus the virtual-time snapshot series.
 pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
-    args.check_known(TRACE_KEYS)?;
-    let scenario = scenario_from(args)?;
-    let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = load_from(args)?;
-    let queries = args.usize_or("queries", 20_000)?;
-    let warmup = args.usize_or("warmup", queries / 20)?;
-    let input = scenario.input(load, queries);
-    let mut config = scenario.config(policy).with_warmup(warmup);
-    if let Some(adm) = admission_from(args.get("admission"))? {
-        config = config.with_admission(adm);
-    }
-    if args.flag("online") {
-        config = config.with_estimator(EstimatorMode::online_default());
-    }
+    known(args, &[SCENARIO_KEYS, RUN_KEYS, TRACE_KEYS])?;
+    let sim = run_from(args, 20_000)?;
     let mut opts = ObsOptions {
-        ring_capacity: args.usize_or("ring", tailguard::DEFAULT_RING_CAPACITY)?,
+        ring_capacity: args.count("ring", tailguard::DEFAULT_RING_CAPACITY, 1..)?,
         ..ObsOptions::default()
     };
-    if opts.ring_capacity == 0 {
-        return Err(err("--ring must be positive (events)"));
-    }
     if args.get("snapshot-every").is_some() {
-        let every = args.f64_or("snapshot-every", 10.0)?;
-        if every <= 0.0 {
-            return Err(err("--snapshot-every must be positive (ms)"));
-        }
-        opts.snapshot_every = Some(SimDuration::from_millis_f64(every));
+        opts.snapshot_every = Some(args.duration_ms("snapshot-every", 10.0)?);
     }
     if args.get("sample").is_some() || args.get("slow-after").is_some() {
-        let keep = args.usize_or("sample", 10)?;
-        if keep > 1000 {
-            return Err(err("--sample is a per-mille keep rate (0..=1000)"));
-        }
-        let slow_ms = args.f64_or("slow-after", 20.0)?;
-        if slow_ms <= 0.0 {
-            return Err(err("--slow-after must be positive (ms)"));
-        }
         opts.sampler = Some(tailguard_obs::SamplerConfig {
-            keep_permille: keep as u16,
-            slow_after: SimDuration::from_millis_f64(slow_ms),
+            keep_permille: args.count("sample", 10, 0..=1000)?,
+            slow_after: args.duration_ms("slow-after", 20.0)?,
         });
     }
+    let export: Option<fn(&[tailguard_sched::TraceEvent]) -> String> = match args.get("export") {
+        Some("jsonl") => Some(events_to_jsonl),
+        Some("csv") => Some(events_to_csv),
+        Some(other) => return Err(err(format!("unknown --export `{other}` (jsonl|csv)"))),
+        None => None,
+    };
+    let query: Option<u32> = match args.get("query") {
+        Some(_) => Some(args.count("query", 0, 0..)?),
+        None => None,
+    };
+    let top = args.count("top", 5, 0..)?;
+    let bin = args.duration_ms("bin", 50.0)?;
 
-    let run = run_simulation_observed(&config, &input, &opts);
+    let run = run_simulation_observed(&sim.config, &sim.input, &opts);
     let events = run.recorder.events();
 
-    match args.get("export") {
-        Some("jsonl") => return Ok(events_to_jsonl(&events)),
-        Some("csv") => return Ok(events_to_csv(&events)),
-        Some(other) => return Err(err(format!("unknown --export `{other}` (jsonl|csv)"))),
-        None => {}
+    if let Some(export) = export {
+        return Ok(export(&events));
     }
     if args.flag("metrics") {
         return Ok(run.registry.prometheus_text());
@@ -985,10 +884,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
     }
 
     let timelines = build_timelines(&events);
-    if let Some(raw) = args.get("query") {
-        let qid: u32 = raw
-            .parse()
-            .map_err(|_| err(format!("--query `{raw}` is not a query id")))?;
+    if let Some(qid) = query {
         let tl = timelines.get(&qid).ok_or_else(|| {
             err(format!(
                 "query {qid} is not in the recording ({} queries recorded; \
@@ -1001,9 +897,9 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
 
     let mut out = format!(
         "{} under {} @ offered load {:.1}% — flight recording\n",
-        scenario.label,
-        policy.name(),
-        load * 100.0
+        sim.scenario.label,
+        sim.policy.name(),
+        sim.load * 100.0
     );
     out.push_str(&format!(
         "events: {} recorded, {} retained ({} dropped, {} sampled out); snapshots: {}\n",
@@ -1026,7 +922,6 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
         );
     }
 
-    let top = args.usize_or("top", 5)?;
     let slowest = slowest_queries(&timelines, top);
     out.push_str(&format!("\ntop {} slowest queries:\n", slowest.len()));
     for tl in slowest {
@@ -1060,16 +955,12 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
         ));
     }
 
-    let bin_ms = args.f64_or("bin", 50.0)?;
-    if bin_ms <= 0.0 {
-        return Err(err("--bin must be positive (ms)"));
-    }
-    let bins = miss_ratio_timeline(&events, SimDuration::from_millis_f64(bin_ms));
+    let bins = miss_ratio_timeline(&events, bin);
     // Coarsen long timelines so the chart stays readable.
     let group = bins.len().div_ceil(60).max(1);
     out.push_str(&format!(
         "\nmiss-ratio timeline (bin {:.0} ms):\n",
-        bin_ms * group as f64
+        bin.as_millis_f64() * group as f64
     ));
     for chunk in bins.chunks(group) {
         let start = chunk[0].start;
@@ -1162,27 +1053,6 @@ fn render_slo(slo: &SloSnapshot) -> String {
     out
 }
 
-const SLO_KEYS: &[&str] = &[
-    "workload",
-    "policy",
-    "load",
-    "queries",
-    "slo",
-    "slos",
-    "fanout",
-    "servers",
-    "arrival",
-    "seed",
-    "warmup",
-    "admission",
-    "online",
-    "target",
-    "bucket",
-    "slow-buckets",
-    "burn",
-    "json",
-];
-
 /// `tailguard slo` — run one simulation under the online SLO monitor and
 /// report per-class attainment, multi-window burn rates, windowed slack
 /// percentiles, and every burn-rate alert. `--target` overrides the
@@ -1190,52 +1060,18 @@ const SLO_KEYS: &[&str] = &[
 /// `--bucket`/`--slow-buckets` set the fast/slow windows, `--burn` the
 /// alert threshold, and `--json` emits the full monitor snapshot.
 pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
-    args.check_known(SLO_KEYS)?;
-    let scenario = scenario_from(args)?;
-    let policy = policy_from(args.get("policy").unwrap_or("tfedf"))?;
-    let load = load_from(args)?;
-    let queries = args.usize_or("queries", 20_000)?;
-    let warmup = args.usize_or("warmup", queries / 20)?;
-    let input = scenario.input(load, queries);
-    let mut config = scenario.config(policy).with_warmup(warmup);
-    if let Some(adm) = admission_from(args.get("admission"))? {
-        config = config.with_admission(adm);
-    }
-    if args.flag("online") {
-        config = config.with_estimator(EstimatorMode::online_default());
-    }
-    let mut slo_config = tailguard_obs::SloConfig::for_classes(&config.classes);
-    if args.get("target").is_some() {
-        let target = args.f64_or("target", 0.99)?;
-        if !(0.0..1.0).contains(&target) || target <= 0.0 {
-            return Err(err("--target must lie in (0, 1)"));
-        }
-        slo_config.target = target;
-    }
-    if args.get("bucket").is_some() {
-        let bucket_ms = args.f64_or("bucket", 100.0)?;
-        if bucket_ms <= 0.0 {
-            return Err(err("--bucket must be positive (ms)"));
-        }
-        slo_config.bucket = SimDuration::from_millis_f64(bucket_ms);
-    }
-    if args.get("slow-buckets").is_some() {
-        let n = args.usize_or("slow-buckets", 10)?;
-        if n == 0 {
-            return Err(err("--slow-buckets must be at least 1"));
-        }
-        slo_config.slow_buckets = n;
-    }
-    if args.get("burn").is_some() {
-        let burn = args.f64_or("burn", 2.0)?;
-        if !burn.is_finite() || burn <= 0.0 {
-            return Err(err("--burn must be a positive multiplier"));
-        }
-        slo_config.burn_threshold = burn;
-    }
+    const KEYS: &[&str] = &["target", "bucket", "slow-buckets", "burn", "json"];
+    known(args, &[SCENARIO_KEYS, RUN_KEYS, KEYS])?;
+    let sim = run_from(args, 20_000)?;
+    // Each option, when absent, keeps the monitor's default.
+    let mut slo_config = tailguard_obs::SloConfig::for_classes(&sim.config.classes);
+    slo_config.target = args.real_in("target", slo_config.target, OPEN_UNIT)?;
+    slo_config.bucket = args.duration_ms("bucket", slo_config.bucket.as_millis_f64())?;
+    slo_config.slow_buckets = args.count("slow-buckets", slo_config.slow_buckets, 1..)?;
+    slo_config.burn_threshold = args.positive("burn", slo_config.burn_threshold)?;
     let run = run_simulation_observed(
-        &config,
-        &input,
+        &sim.config,
+        &sim.input,
         &ObsOptions {
             slo: Some(slo_config),
             ..ObsOptions::default()
@@ -1246,9 +1082,9 @@ pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
     }
     let mut out = format!(
         "{} under {} @ offered load {:.1}% — SLO monitor\n",
-        scenario.label,
-        policy.name(),
-        load * 100.0
+        sim.scenario.label,
+        sim.policy.name(),
+        sim.load * 100.0
     );
     out.push_str(&render_slo(&run.slo));
     Ok(out)
@@ -1319,39 +1155,30 @@ fn render_timeline(tl: &QueryTimeline) -> String {
     out
 }
 
-const GENTRACE_KEYS: &[&str] = &[
-    "workload", "rate", "queries", "classes", "fanout", "servers", "seed", "arrival", "format",
-];
-
 /// `tailguard gentrace` — generate a JSON query trace on stdout.
 pub fn cmd_gentrace(args: &Args) -> Result<String, ArgError> {
-    args.check_known(GENTRACE_KEYS)?;
-    let servers = args.usize_or("servers", 100)? as u32;
-    let fanout = fanout_from(args.get("fanout"), servers)?;
-    let classes = args.usize_or("classes", 1)? as u8;
-    if classes == 0 {
-        return Err(err("--classes must be positive"));
+    const KEYS: &[&str] = &["workload", "fanout", "servers", "arrival", "seed", "rate"];
+    known(args, &[KEYS, &["queries", "classes", "format"]])?;
+    let fanout = fanout_from(args.get_or("fanout", "paper"), servers_from(args)?)?;
+    let classes = args.count("classes", 1, 1..=usize::from(u8::MAX))?;
+    let arrival = arrival_from(args, args.positive("rate", 1.0)?)?;
+    let queries = queries_from(args, 10_000)?;
+    let seed = args.seed(1)?;
+    let format = args.get_or("format", "json");
+    if !matches!(format, "json" | "csv") {
+        return Err(err(format!("unknown --format `{format}` (json|csv)")));
     }
-    let rate = args.f64_or("rate", 1.0)?;
-    if rate <= 0.0 {
-        return Err(err("--rate must be positive (queries per ms)"));
-    }
-    let arrival = match args.get("arrival").unwrap_or("poisson") {
-        "poisson" => ArrivalProcess::poisson(rate),
-        "pareto" => ArrivalProcess::pareto(rate),
-        other => return Err(err(format!("unknown arrival `{other}`"))),
-    };
     let trace = Trace::generate(
         "cli",
         &arrival,
         &QueryMix::equiprobable(classes, fanout),
-        args.usize_or("queries", 10_000)?,
-        args.u64_or("seed", 1)?,
+        queries,
+        seed,
     );
-    match args.get("format").unwrap_or("json") {
-        "json" => trace.to_json().map_err(|e| err(e.to_string())),
-        "csv" => Ok(trace.to_csv()),
-        other => Err(err(format!("unknown --format `{other}` (json|csv)"))),
+    if format == "csv" {
+        Ok(trace.to_csv())
+    } else {
+        trace.to_json().map_err(|e| err(e.to_string()))
     }
 }
 
@@ -1394,38 +1221,29 @@ pub fn cmd_workloads(args: &Args) -> Result<String, ArgError> {
 
 /// `tailguard budgets` — show Eq. 6 pre-dequeuing budgets for a workload.
 pub fn cmd_budgets(args: &Args) -> Result<String, ArgError> {
-    args.check_known(&["workload", "slos", "slo", "fanouts"])?;
-    let workload = workload_from(args.get("workload").unwrap_or("masstree"))?;
-    let slos = args
-        .f64_list("slos")?
-        .unwrap_or_else(|| vec![args.f64_or("slo", 1.0).unwrap_or(1.0)]);
-    let fanouts: Vec<u32> = match args.f64_list("fanouts")? {
-        Some(v) => v.into_iter().map(|f| f as u32).collect(),
-        None => vec![1, 10, 100],
-    };
-    if fanouts.contains(&0) {
-        return Err(err("--fanouts must be positive"));
-    }
+    known(args, &[&["workload", "slos", "slo", "fanouts"]])?;
+    let workload = workload_from(args.get_or("workload", "masstree"))?;
+    let (class_count, classes) = classes_from(args)?;
+    let fanouts = fanouts_from(args)?;
     let cluster = ClusterSpec::homogeneous(
         *fanouts.iter().max().expect("non-empty") as usize,
         workload.service_dist(),
     );
-    let classes: Vec<ClassSpec> = slos
-        .iter()
-        .map(|&ms| ClassSpec::p99(SimDuration::from_millis_f64(ms)))
-        .collect();
-    let mut est = tailguard::DeadlineEstimator::new(&cluster, classes, EstimatorMode::Analytic);
     let mut out = format!(
         "{workload}: task pre-dequeuing budgets T_b = x99_SLO − x99_u(k)  (Eq. 6, ms)\n{:>10}",
         "fanout"
     );
-    for slo in &slos {
-        out.push_str(&format!(" {:>12}", format!("SLO {slo}ms")));
+    for class in &classes {
+        out.push_str(&format!(
+            " {:>12}",
+            format!("SLO {}ms", class.slo.as_millis_f64())
+        ));
     }
     out.push('\n');
+    let mut est = tailguard::DeadlineEstimator::new(&cluster, classes, EstimatorMode::Analytic);
     for &k in &fanouts {
         out.push_str(&format!("{k:>10}"));
-        for class in 0..slos.len() as u8 {
+        for class in 0..class_count {
             out.push_str(&format!(
                 " {:>12.3}",
                 est.budget(class, k, &[]).as_millis_f64()
@@ -1436,8 +1254,6 @@ pub fn cmd_budgets(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-const CALIBRATE_KEYS: &[&str] = &["samples", "anchors", "fanouts", "json"];
-
 /// `tailguard calibrate` — fit a service-time model to measured latencies.
 ///
 /// Reads newline-separated latencies in milliseconds from `--samples
@@ -1445,10 +1261,13 @@ const CALIBRATE_KEYS: &[&str] = &["samples", "anchors", "fanouts", "json"];
 /// the fitted piecewise-quantile control points plus the Table-II-style
 /// statistics TailGuard consumes.
 pub fn cmd_calibrate(args: &Args) -> Result<String, ArgError> {
-    args.check_known(CALIBRATE_KEYS)?;
+    known(args, &[&["samples", "anchors", "fanouts", "json"]])?;
     let path = args
         .get("samples")
         .ok_or_else(|| err("missing required option --samples <path>"))?;
+    let anchors = PiecewiseQuantile::DEFAULT_ANCHORS;
+    let anchors = args.reals_in("anchors", &anchors, SHARE)?;
+    let fanouts = fanouts_from(args)?;
     let raw = std::fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read --samples {path}: {e}")))?;
     let mut samples = Vec::new();
@@ -1462,15 +1281,8 @@ pub fn cmd_calibrate(args: &Args) -> Result<String, ArgError> {
             .map_err(|_| err(format!("{path}:{}: `{line}` is not a number", lineno + 1)))?;
         samples.push(v);
     }
-    let anchors = args
-        .f64_list("anchors")?
-        .unwrap_or_else(|| tailguard_dist::PiecewiseQuantile::DEFAULT_ANCHORS.to_vec());
-    let model = tailguard_dist::PiecewiseQuantile::fit(&samples, &anchors)
+    let model = PiecewiseQuantile::fit(&samples, &anchors)
         .map_err(|e| err(format!("calibration failed: {e}")))?;
-    let fanouts: Vec<u32> = match args.f64_list("fanouts")? {
-        Some(v) => v.into_iter().map(|f| f as u32).collect(),
-        None => vec![1, 10, 100],
-    };
     if args.flag("json") {
         return serde_json::to_string_pretty(&model).map_err(|e| err(e.to_string()));
     }
@@ -1493,9 +1305,6 @@ control points (p, ms):
         model.mean()
     ));
     for k in fanouts {
-        if k == 0 {
-            return Err(err("--fanouts must be positive"));
-        }
         out.push_str(&format!(
             "x99^u({k}) = {:.4} ms
 ",

@@ -61,8 +61,7 @@ pub use observe::{
 pub use report::{QueryTypeKey, SimReport};
 pub use request::{BudgetSplit, RequestBudgets, RequestPlanner};
 pub use runner::{
-    default_jobs, max_load_many, replicate, replicate_seeds, run_indexed, sweep_loads_parallel,
-    ClassStat, Replication,
+    default_jobs, max_load_many, replicate, replicate_seeds, run_indexed, ClassStat, Replication,
 };
 pub use spec::{
     AdmissionConfig, ClassSpec, ClusterSpec, QuerySpec, RequestInput, Scenario, SimConfig, SimInput,

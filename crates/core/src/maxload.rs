@@ -22,6 +22,7 @@
 
 use crate::cluster::{run_simulation, run_watched, QueryWatch};
 use crate::report::SimReport;
+use crate::runner::run_indexed;
 use crate::spec::{Scenario, SimConfig, SimInput};
 use std::collections::BTreeMap;
 use tailguard_metrics::nearest_rank;
@@ -258,44 +259,37 @@ pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f
     lo
 }
 
-/// Measures one sweep point — the unit of work shared by the serial
-/// [`sweep_loads`] and the parallel
-/// [`sweep_loads_parallel`](crate::sweep_loads_parallel), so the two paths
-/// are bit-identical by construction.
-pub(crate) fn sweep_point(
-    scenario: &Scenario,
-    policy: Policy,
-    load: f64,
-    opts: &MaxLoadOptions,
-) -> LoadPoint {
-    let mut report = measure_at_load(scenario, policy, load, opts);
-    let mut tails = BTreeMap::new();
-    for (class, spec) in scenario.classes.iter().enumerate() {
-        // tg-lint: allow(lossy-cast) -- class ids are scenario constants, fewer than 256 classes by construction
-        tails.insert(class as u8, report.class_tail(class as u8, spec.percentile));
-    }
-    LoadPoint {
-        load,
-        tails_by_class: tails,
-        meets: report.meets_all_slos(),
-        miss_ratio: report.deadline_miss_ratio(),
-        measured_load: report.accepted_load(),
-        events_processed: report.events_processed,
-        completed_queries: report.completed_queries,
-    }
-}
-
-/// Measures per-class tails at each load in `loads` (the Fig. 6 curves).
+/// Measures per-class tails at each load in `loads` (the Fig. 6 curves),
+/// the points spread over up to `jobs` threads.
+///
+/// The result is bit-identical for every `jobs`: each point's simulation
+/// derives its RNG streams only from `(scenario.seed, load)`, and
+/// [`run_indexed`](crate::run_indexed) returns the points in `loads` order
+/// (`jobs <= 1` runs them one after another on the calling thread).
 pub fn sweep_loads(
     scenario: &Scenario,
     policy: Policy,
     loads: &[f64],
     opts: &MaxLoadOptions,
+    jobs: usize,
 ) -> Vec<LoadPoint> {
-    loads
-        .iter()
-        .map(|&load| sweep_point(scenario, policy, load, opts))
-        .collect()
+    run_indexed(loads, jobs, |_, &load| {
+        let mut report = measure_at_load(scenario, policy, load, opts);
+        let mut tails = BTreeMap::new();
+        for (class, spec) in scenario.classes.iter().enumerate() {
+            // tg-lint: allow(lossy-cast) -- class ids are scenario constants, fewer than 256 classes by construction
+            tails.insert(class as u8, report.class_tail(class as u8, spec.percentile));
+        }
+        LoadPoint {
+            load,
+            tails_by_class: tails,
+            meets: report.meets_all_slos(),
+            miss_ratio: report.deadline_miss_ratio(),
+            measured_load: report.accepted_load(),
+            events_processed: report.events_processed,
+            completed_queries: report.completed_queries,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -375,7 +369,7 @@ mod tests {
     #[test]
     fn sweep_monotone_tails() {
         let s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
-        let pts = sweep_loads(&s, Policy::Fifo, &[0.2, 0.5, 0.8], &quick_opts());
+        let pts = sweep_loads(&s, Policy::Fifo, &[0.2, 0.5, 0.8], &quick_opts(), 1);
         assert_eq!(pts.len(), 3);
         // Tail latency grows with load.
         let t: Vec<f64> = pts

@@ -79,9 +79,11 @@ pub struct ObsOptions {
     /// Most recent events the [`BinaryRecorder`] retains
     /// ([`DEFAULT_RING_CAPACITY`] by default).
     pub ring_capacity: usize,
-    /// Virtual-time interval between [`SimSnapshot`]s. `None` picks the
-    /// admission window when one is configured (so the sampling cadence
-    /// matches the controller's decision cadence) and 10 ms otherwise.
+    /// Virtual-time interval between [`SimSnapshot`]s; must be positive
+    /// (a zero cadence would re-arm the snapshot at the same instant
+    /// forever). `None` picks the admission window when one is configured
+    /// (so the sampling cadence matches the controller's decision cadence)
+    /// and 10 ms otherwise.
     pub snapshot_every: Option<SimDuration>,
     /// Tail-aware sampling in front of the recorder: interesting queries
     /// (misses, hedges, retries, losses, reclaims, slow dequeues) are
@@ -154,6 +156,11 @@ fn default_snapshot_interval(config: &SimConfig) -> SimDuration {
 /// recorded event stream, the snapshot series, and the populated metrics
 /// [`Registry`].
 ///
+/// # Panics
+///
+/// Besides [`crate::run_simulation`]'s panics, panics before the run
+/// starts when [`ObsOptions::snapshot_every`] is `Some(SimDuration::ZERO)`.
+///
 /// # Example
 ///
 /// ```
@@ -184,6 +191,10 @@ pub fn run_simulation_observed(
     input: &SimInput,
     opts: &ObsOptions,
 ) -> ObservedRun {
+    assert!(
+        !opts.snapshot_every.is_some_and(SimDuration::is_zero),
+        "snapshot cadence must be positive"
+    );
     let recorder = BinaryRecorder::with_capacity(opts.ring_capacity);
     let every = opts
         .snapshot_every
@@ -295,6 +306,16 @@ mod tests {
             11,
         );
         SimInput::from_trace(&trace)
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot cadence must be positive")]
+    fn a_zero_snapshot_cadence_is_rejected_before_the_run() {
+        let opts = ObsOptions {
+            snapshot_every: Some(SimDuration::ZERO),
+            ..ObsOptions::default()
+        };
+        run_simulation_observed(&small_config(), &small_input(10), &opts);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `jobs = 1` (or a single cell) bypasses threading entirely and runs on
 //! the caller's thread; `jobs = 0` is treated as 1.
 
-use crate::maxload::{max_load, sweep_point, LoadPoint, MaxLoadOptions};
+use crate::maxload::{max_load, MaxLoadOptions};
 use crate::spec::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -85,24 +85,6 @@ where
                 .expect("worker filled every claimed slot")
         })
         .collect()
-}
-
-/// Parallel version of [`sweep_loads`](crate::sweep_loads): measures every
-/// load point concurrently on up to `jobs` threads.
-///
-/// Bit-identical to the serial sweep — both call the same per-point code,
-/// and each point's simulation derives its RNG streams only from
-/// `(scenario.seed, load)`.
-pub fn sweep_loads_parallel(
-    scenario: &Scenario,
-    policy: Policy,
-    loads: &[f64],
-    opts: &MaxLoadOptions,
-    jobs: usize,
-) -> Vec<LoadPoint> {
-    run_indexed(loads, jobs, |_, &load| {
-        sweep_point(scenario, policy, load, opts)
-    })
 }
 
 /// Runs [`max_load`] for several policies concurrently (one bisection per
@@ -228,7 +210,6 @@ pub fn replicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxload::sweep_loads;
     use crate::scenarios;
     use tailguard_workload::TailbenchWorkload;
 
@@ -263,25 +244,6 @@ mod tests {
     fn run_indexed_zero_jobs_is_serial() {
         let out = run_indexed(&[1u32, 2, 3], 0, |_, &x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_bitwise() {
-        let scenario = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
-        let loads = [0.2, 0.4, 0.6];
-        let opts = quick_opts();
-        let serial = sweep_loads(&scenario, Policy::TfEdf, &loads, &opts);
-        for jobs in [1, 2, 8] {
-            let par = sweep_loads_parallel(&scenario, Policy::TfEdf, &loads, &opts, jobs);
-            assert_eq!(par.len(), serial.len());
-            for (p, s) in par.iter().zip(&serial) {
-                assert_eq!(p.load, s.load);
-                assert_eq!(p.tails_by_class, s.tails_by_class, "jobs={jobs}");
-                assert_eq!(p.meets, s.meets);
-                assert_eq!(p.miss_ratio, s.miss_ratio);
-                assert_eq!(p.measured_load, s.measured_load);
-            }
-        }
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! index for reachability).
 //!
 //! Run it as `cargo run -p tailguard-lint` (optionally `-- --json`); it
-//! exits non-zero if any rule fires. `--changed-only <paths>` restricts
-//! *reporting* to the named files while still modeling the whole workspace
-//! (cross-file rules need it).
+//! exits non-zero if any rule fires.
 
 pub mod config;
 pub mod diagnostics;
@@ -47,16 +45,6 @@ use report::Report;
 /// `crates/`, plus the root umbrella lib. `target/`, `third_party/`, and
 /// the linter's own `fixtures/` are never scanned.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_filtered(root, None)
-}
-
-/// Workspace lint with an optional changed-file filter: the whole
-/// workspace is scanned and modeled (the cross-file rules need every
-/// crate's identifier index), but violations and allows are only reported
-/// for files in `changed`. Paths in `changed` may be absolute or
-/// root-relative; entries that are not scanned workspace sources are
-/// silently ignored (deleted files, non-Rust files, fixtures).
-pub fn lint_workspace_filtered(root: &Path, changed: Option<&[PathBuf]>) -> Result<Report, String> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     for name in sorted_dir_names(&crates_dir)? {
@@ -85,13 +73,7 @@ pub fn lint_workspace_filtered(root: &Path, changed: Option<&[PathBuf]>) -> Resu
             .filter(|(_, c)| c.is_none())
             .for_each(|(_, c)| *c = Some(*cfg));
     }
-    let changed_rels: Option<BTreeSet<String>> = changed.map(|paths| {
-        paths
-            .iter()
-            .map(|p| display_path(root, p))
-            .collect::<BTreeSet<String>>()
-    });
-    lint_files(root, &files, changed_rels.as_ref())
+    lint_files(root, &files)
 }
 
 /// Lints an explicit set of paths (files or directories) under the
@@ -110,33 +92,26 @@ pub fn lint_paths(paths: &[PathBuf]) -> Result<Report, String> {
     for (_, c) in &mut files {
         c.get_or_insert(STRICT);
     }
-    lint_files(Path::new(""), &files, None)
+    lint_files(Path::new(""), &files)
 }
 
 /// One fully-scanned workspace source file, ready for pass 2.
 struct LoadedFile {
-    rel: String,
     cfg: CrateConfig,
     scanned: scanner::ScannedFile,
     model: model::FileModel,
 }
 
-fn lint_files(
-    root: &Path,
-    files: &[(PathBuf, Option<CrateConfig>)],
-    changed: Option<&BTreeSet<String>>,
-) -> Result<Report, String> {
+fn lint_files(root: &Path, files: &[(PathBuf, Option<CrateConfig>)]) -> Result<Report, String> {
     // Pass 1: scan and model every file.
     let mut loaded = Vec::with_capacity(files.len());
     for (path, cfg) in files {
         let cfg = cfg.as_ref().ok_or("file with no crate config")?;
         let source =
             fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let rel = display_path(root, path);
-        let scanned = scanner::scan(&rel, &source);
+        let scanned = scanner::scan(&display_path(root, path), &source);
         let model = model::build(&scanned);
         loaded.push(LoadedFile {
-            rel,
             cfg: *cfg,
             scanned,
             model,
@@ -146,7 +121,7 @@ fn lint_files(
     // Cross-file index: per crate, the union of identifiers its files
     // mention. A pub fn is "reachable" for `pub-doc-drift` when any other
     // crate's set contains its name.
-    let workspace_mode = changed.is_some() || loaded.iter().any(|f| f.cfg.name != STRICT.name);
+    let workspace_mode = loaded.iter().any(|f| f.cfg.name != STRICT.name);
     let mut per_crate: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     if workspace_mode {
         for f in &loaded {
@@ -167,10 +142,9 @@ fn lint_files(
     };
     let mut external_cache: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
 
-    // Pass 2: rules, with reporting restricted to changed files if asked.
+    // Pass 2: rules.
     let mut violations = Vec::new();
     let mut allows = Vec::new();
-    let mut reported_files = 0u32;
     for f in &loaded {
         let external = if workspace_mode {
             Some(
@@ -182,22 +156,11 @@ fn lint_files(
         } else {
             None
         };
-        if let Some(changed) = changed {
-            if !changed.contains(&f.rel) {
-                continue;
-            }
-        }
-        reported_files += 1;
         let (mut d, mut a) = rules::check_file_with(&f.scanned, &f.model, &f.cfg, external);
         violations.append(&mut d);
         allows.append(&mut a);
     }
-    let files_scanned = if changed.is_some() {
-        reported_files
-    } else {
-        loaded.len() as u32
-    };
-    Ok(Report::new(files_scanned, violations, allows))
+    Ok(Report::new(loaded.len() as u32, violations, allows))
 }
 
 /// Workspace-relative path with forward slashes (stable across platforms

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! tailguard-lint [--root DIR] [--json] [--list-rules] [--paths P...]
-//!                [--changed-only P...]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
@@ -13,7 +12,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tailguard_lint::rules::ALL_RULES;
-use tailguard_lint::{lint_paths, lint_workspace_filtered};
+use tailguard_lint::{lint_paths, lint_workspace};
 
 const USAGE: &str = "\
 tailguard-lint: workspace determinism & hygiene analyzer
@@ -25,9 +24,6 @@ OPTIONS:
     --root <DIR>           Workspace root to lint (default: current directory)
     --paths <P>...         Lint these files/directories instead of the
                            workspace, with every rule enabled (fixture mode)
-    --changed-only <P>...  Model the whole workspace (cross-file rules need
-                           it) but report findings only for these files;
-                           paths outside the scanned set are ignored
     --json                 Emit the machine-readable JSON report on stdout
     --list-rules           Print the rule catalog and exit
     -h, --help             Show this help
@@ -45,7 +41,6 @@ Mark an event-loop hot region (polices per-event allocation via hot-alloc):
 struct Options {
     root: PathBuf,
     paths: Vec<PathBuf>,
-    changed_only: Vec<PathBuf>,
     json: bool,
     list_rules: bool,
 }
@@ -54,7 +49,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         paths: Vec::new(),
-        changed_only: Vec::new(),
         json: false,
         list_rules: false,
     };
@@ -79,26 +73,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 continue;
             }
-            "--changed-only" => {
-                i += 1;
-                while i < args.len() && !args[i].starts_with("--") {
-                    opts.changed_only.push(PathBuf::from(&args[i]));
-                    i += 1;
-                }
-                if opts.changed_only.is_empty() {
-                    return Err("--changed-only needs at least one file".to_string());
-                }
-                continue;
-            }
             "-h" | "--help" => {
                 return Err(String::new()); // triggers usage, exit 0 handled below
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
         i += 1;
-    }
-    if !opts.paths.is_empty() && !opts.changed_only.is_empty() {
-        return Err("--paths and --changed-only are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -125,12 +105,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let result = if !opts.paths.is_empty() {
-        lint_paths(&opts.paths)
-    } else if !opts.changed_only.is_empty() {
-        lint_workspace_filtered(&opts.root, Some(&opts.changed_only))
+    let result = if opts.paths.is_empty() {
+        lint_workspace(&opts.root)
     } else {
-        lint_workspace_filtered(&opts.root, None)
+        lint_paths(&opts.paths)
     };
     let report = match result {
         Ok(report) => report,

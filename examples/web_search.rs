@@ -10,7 +10,7 @@
 
 // Printing is this example's interface.
 #![allow(clippy::print_stdout)]
-use tailguard::{scenarios, sweep_loads, MaxLoadOptions};
+use tailguard::{default_jobs, scenarios, sweep_loads, MaxLoadOptions};
 use tailguard_policy::Policy;
 use tailguard_workload::TailbenchWorkload;
 
@@ -25,7 +25,7 @@ fn main() {
     println!("Web search (OLDI): Xapian, fanout 100, SLOs 10/15 ms");
     println!("{:-<76}", "");
     for policy in [Policy::Fifo, Policy::Priq, Policy::TfEdf] {
-        let pts = sweep_loads(&scenario, policy, &loads, &opts);
+        let pts = sweep_loads(&scenario, policy, &loads, &opts, default_jobs());
         println!("\n{policy}:");
         println!(
             "  {:>8} {:>16} {:>16} {:>8}",

@@ -8,7 +8,7 @@
 
 use tailguard::{
     max_load, max_load_many, replicate, replicate_seeds, run_indexed, scenarios, sweep_loads,
-    sweep_loads_parallel, ClassSpec, ClusterSpec, DeadlineEstimator, EstimatorMode, MaxLoadOptions,
+    ClassSpec, ClusterSpec, DeadlineEstimator, EstimatorMode, MaxLoadOptions,
 };
 use tailguard_policy::Policy;
 use tailguard_simcore::SimDuration;
@@ -33,9 +33,9 @@ fn sweep_is_bit_identical_across_jobs() {
     );
     let loads = [0.15, 0.3, 0.45, 0.6, 0.75];
     let opts = quick_opts();
-    let serial = sweep_loads(&scenario, Policy::TfEdf, &loads, &opts);
-    for jobs in [1usize, 2, 8] {
-        let par = sweep_loads_parallel(&scenario, Policy::TfEdf, &loads, &opts, jobs);
+    let serial = sweep_loads(&scenario, Policy::TfEdf, &loads, &opts, 1);
+    for jobs in [2usize, 8] {
+        let par = sweep_loads(&scenario, Policy::TfEdf, &loads, &opts, jobs);
         assert_eq!(par.len(), serial.len(), "jobs={jobs}");
         for (p, s) in par.iter().zip(&serial) {
             assert_eq!(p.load.to_bits(), s.load.to_bits(), "jobs={jobs}");
