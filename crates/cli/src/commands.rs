@@ -465,7 +465,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
 /// `tailguard testbed` — run the tokio SaS testbed.
 pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
     const KEYS: &[&str] = &["policy", "load", "queries", "scale", "probes", "seed"];
-    known(args, &[KEYS, &["store-days", "realtime", "json"]])?;
+    known(args, &[KEYS, &["store-days", "realtime"]])?;
     let cfg = TestbedConfig {
         policy: policy_from(args.get_or("policy", "tfedf"))?,
         queries: queries_from(args, 2_000)?,
@@ -1157,7 +1157,7 @@ fn render_timeline(tl: &QueryTimeline) -> String {
 
 /// `tailguard gentrace` — generate a JSON query trace on stdout.
 pub fn cmd_gentrace(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["workload", "fanout", "servers", "arrival", "seed", "rate"];
+    const KEYS: &[&str] = &["fanout", "servers", "arrival", "seed", "rate"];
     known(args, &[KEYS, &["queries", "classes", "format"]])?;
     let fanout = fanout_from(args.get_or("fanout", "paper"), servers_from(args)?)?;
     let classes = args.count("classes", 1, 1..=usize::from(u8::MAX))?;

@@ -248,3 +248,22 @@ fn bare_value_options_and_valued_switches_are_errors() {
         case(&["testbed", "--realtime=false"], "realtime"),
     ]);
 }
+
+/// Options a command once listed but never read are unknown: the error
+/// comes before the testbed calibrates or a trace is drawn.
+#[test]
+fn options_a_command_ignores_are_unknown() {
+    let cases = [
+        case(&["testbed", "--json"], "json"),
+        case(&["gentrace", "--workload", "masstree"], "workload"),
+    ];
+    for (args, flag) in &cases {
+        let (_, _, stderr) = run(args, Duration::from_secs(5));
+        assert!(
+            stderr.starts_with(&format!("error: unknown option --{flag} ")),
+            "tailguard {}: {stderr}",
+            args.join(" ")
+        );
+    }
+    assert_rejected(cases);
+}

@@ -266,6 +266,10 @@ pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f
 /// derives its RNG streams only from `(scenario.seed, load)`, and
 /// [`run_indexed`](crate::run_indexed) returns the points in `loads` order
 /// (`jobs <= 1` runs them one after another on the calling thread).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "class ids are scenario constants, fewer than 256 classes by construction"
+)]
 pub fn sweep_loads(
     scenario: &Scenario,
     policy: Policy,
@@ -277,7 +281,6 @@ pub fn sweep_loads(
         let mut report = measure_at_load(scenario, policy, load, opts);
         let mut tails = BTreeMap::new();
         for (class, spec) in scenario.classes.iter().enumerate() {
-            // tg-lint: allow(lossy-cast) -- class ids are scenario constants, fewer than 256 classes by construction
             tails.insert(class as u8, report.class_tail(class as u8, spec.percentile));
         }
         LoadPoint {

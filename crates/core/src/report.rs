@@ -88,8 +88,11 @@ impl SimReport {
 
     /// The measured tail of one `(class, fanout)` type at that class's
     /// configured percentile.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs"
+    )]
     pub fn type_tail(&mut self, class: u8, fanout: u32) -> SimDuration {
-        // tg-lint: allow(panic-surface) -- per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs
         let p = self.classes[class as usize].percentile;
         self.query_latency_by_type
             .get_mut(&QueryTypeKey { class, fanout })
@@ -99,6 +102,14 @@ impl SimReport {
     /// True when **every** query type with at least
     /// [`Self::MIN_TYPE_SAMPLES`] samples meets its class SLO — the paper's
     /// acceptance criterion for a load point.
+    #[expect(
+        clippy::expect_used,
+        reason = "the key was listed from this same map two lines up"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs"
+    )]
     pub fn meets_all_slos(&mut self) -> bool {
         let classes = self.classes.clone();
         let keys: Vec<QueryTypeKey> = self
@@ -108,12 +119,10 @@ impl SimReport {
             .map(|(k, _)| *k)
             .collect();
         keys.into_iter().all(|k| {
-            // tg-lint: allow(panic-surface) -- per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs
             let spec = classes[k.class as usize];
             let tail = self
                 .query_latency_by_type
                 .get_mut(&k)
-                // tg-lint: allow(unwrap-in-lib) -- the key was listed from this same map two lines up
                 .expect("key just listed")
                 .percentile(spec.percentile);
             tail <= spec.slo
@@ -142,10 +151,13 @@ impl SimReport {
     ///
     /// Panics when the range is out of bounds or empty, or when no time has
     /// elapsed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "server ranges come from the scenario's cluster layout, bounded by busy_by_server's length"
+    )]
     pub fn server_range_load(&self, range: std::ops::Range<usize>) -> f64 {
         assert!(!range.is_empty() && range.end <= self.busy_by_server.len());
         assert!(self.elapsed > SimTime::ZERO, "no simulated time elapsed");
-        // tg-lint: allow(panic-surface) -- server ranges come from the scenario's cluster layout, bounded by busy_by_server's length
         let busy: f64 = self.busy_by_server[range.clone()]
             .iter()
             .map(|d| d.as_nanos() as f64)
@@ -159,6 +171,10 @@ impl SimReport {
     }
 
     /// A human-readable multi-line summary (one row per query type).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs; `k` was read from this map's own iterator"
+    )]
     pub fn render_table(&mut self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -173,10 +189,8 @@ impl SimReport {
         );
         let keys: Vec<QueryTypeKey> = self.query_latency_by_type.keys().copied().collect();
         for k in keys {
-            // tg-lint: allow(panic-surface) -- per-class/per-server tables are sized from the scenario spec; `class` ids come from those same specs
             let spec = self.classes[k.class as usize];
             let tail = self.type_tail(k.class, k.fanout);
-            // tg-lint: allow(panic-surface) -- `k` was read from this map's own iterator
             let n = self.query_latency_by_type[&k].len();
             let _ = writeln!(
                 out,

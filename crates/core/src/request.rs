@@ -119,6 +119,10 @@ impl RequestPlanner {
     /// # Panics
     ///
     /// Panics when `fanouts` is empty or contains a zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: `rank` is clamped to 1..=len and `samples` holds mc_samples (> 0) draws"
+    )]
     pub fn unloaded_request_tail_ms(&self, cluster: &ClusterSpec, fanouts: &[u32]) -> f64 {
         assert!(!fanouts.is_empty(), "request needs at least one query");
         assert!(fanouts.iter().all(|&k| k >= 1), "fanouts must be positive");
@@ -128,7 +132,6 @@ impl RequestPlanner {
             .collect();
         samples.sort_by(f64::total_cmp);
         let rank = units::trunc_f64_to_usize((self.percentile * samples.len() as f64).ceil());
-        // tg-lint: allow(panic-surface) -- guarded: `rank` is clamped to 1..=len and `samples` holds mc_samples (> 0) draws
         samples[rank.clamp(1, samples.len()) - 1]
     }
 

@@ -48,6 +48,14 @@ pub fn default_jobs() -> usize {
 /// let squares = tailguard::run_indexed(&[1u64, 2, 3, 4], 8, |_, &x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "each slot is touched by exactly one claiming worker; a poisoned lock means that worker already panicked; scope() already propagated any worker panic; the lock cannot be poisoned here; fetch_add hands every index to exactly one worker, which always fills it"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "guarded: the `break` above bounds `i < items.len()`"
+)]
 pub fn run_indexed<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -67,10 +75,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                // tg-lint: allow(panic-surface) -- guarded: the `break` above bounds `i < items.len()`
                 let r = f(i, &items[i]);
-                // tg-lint: allow(unwrap-in-lib) -- each slot is touched by exactly one claiming worker; a poisoned lock means that worker already panicked
-                // tg-lint: allow(panic-surface) -- guarded: the `break` above bounds `i < items.len()`
                 *slots[i].lock().expect("result slot lock") = Some(r);
             });
         }
@@ -79,9 +84,7 @@ where
         .into_iter()
         .map(|s| {
             s.into_inner()
-                // tg-lint: allow(unwrap-in-lib) -- scope() already propagated any worker panic; the lock cannot be poisoned here
                 .expect("result slot lock")
-                // tg-lint: allow(unwrap-in-lib) -- fetch_add hands every index to exactly one worker, which always fills it
                 .expect("worker filled every claimed slot")
         })
         .collect()
@@ -154,6 +157,14 @@ pub fn replicate_seeds(base_seed: u64, replicates: usize) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics when `replicates` is zero.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "class list indexed by its own enumerate index"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "class list indexed by its own enumerate index; per-seed tail vectors all have one entry per class by construction"
+)]
 pub fn replicate(
     scenario: &Scenario,
     policy: Policy,
@@ -172,7 +183,6 @@ pub fn replicate(
         let tails: Vec<f64> = (0..classes)
             .map(|c| {
                 report
-                    // tg-lint: allow(lossy-cast, panic-surface) -- class list indexed by its own enumerate index
                     .class_tail(c as u8, s.classes[c].percentile)
                     .as_millis_f64()
             })
@@ -183,7 +193,6 @@ pub fn replicate(
     let n = replicates as f64;
     let tails: Vec<ClassStat> = (0..classes)
         .map(|c| {
-            // tg-lint: allow(panic-surface) -- per-seed tail vectors all have one entry per class by construction
             let xs: Vec<f64> = per_seed.iter().map(|(t, _)| t[c]).collect();
             let mean = xs.iter().sum::<f64>() / n;
             let ci95 = if replicates > 1 {

@@ -185,8 +185,8 @@ impl SasCluster {
     }
 
     /// The server-index range of this cluster in the 32-node testbed.
+    #[expect(clippy::expect_used, reason = "every enum variant is listed in ALL")]
     pub fn server_range(&self) -> std::ops::Range<usize> {
-        // tg-lint: allow(unwrap-in-lib) -- every enum variant is listed in ALL
         let i = Self::ALL.iter().position(|c| c == self).expect("member");
         (i * 8)..(i * 8 + 8)
     }
@@ -194,6 +194,10 @@ impl SasCluster {
     /// An edge-node service-time distribution calibrated to
     /// [`Self::paper_stats`]: the mean is exact and p95/p99 are control
     /// points of the quantile function.
+    #[expect(
+        clippy::expect_used,
+        reason = "control points are compile-time constants; failing fast here surfaces a data bug the tests pin; Table III means are reachable for these fixed control points by construction"
+    )]
     pub fn service_dist(&self) -> PiecewiseQuantile {
         let (mean, p95, p99) = self.paper_stats();
         let lo = mean * 0.12;
@@ -206,10 +210,8 @@ impl SasCluster {
             (0.99, p99),
             (1.0, p99 * 1.15),
         ])
-        // tg-lint: allow(unwrap-in-lib) -- control points are compile-time constants; failing fast here surfaces a data bug the tests pin
         .expect("valid control points")
         .calibrate_mean(1, mean)
-        // tg-lint: allow(unwrap-in-lib) -- Table III means are reachable for these fixed control points by construction
         .expect("mean reachable")
     }
 }
@@ -222,6 +224,14 @@ impl SasCluster {
 ///   Server-room cluster, 20 % on a random node of the other clusters,
 /// * class B (40 %, SLO 1300 ms): fanout 4, one random node per cluster,
 /// * class C (10 %, SLO 1800 ms): fanout 32, every node.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`rng.index(n)` returns a value below n <= 32, well within u32"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`cluster_means` holds one mean per entry of `SasCluster::ALL`, the fixed four clusters"
+)]
 pub fn sas_testbed() -> Scenario {
     let dists: Vec<DynDistribution> = SasCluster::ALL
         .iter()
@@ -256,14 +266,11 @@ pub fn sas_testbed() -> Scenario {
                 0 => {
                     // 80% on the Server-room cluster, 20% elsewhere.
                     if rng.chance(0.8) {
-                        // tg-lint: allow(lossy-cast) -- `rng.index(n)` returns a value below n <= 32, well within u32
                         vec![rng.index(8) as u32]
                     } else {
-                        // tg-lint: allow(lossy-cast) -- `rng.index(n)` returns a value below n <= 32, well within u32
                         vec![(8 + rng.index(24)) as u32]
                     }
                 }
-                // tg-lint: allow(lossy-cast) -- `rng.index(n)` returns a value below n <= 32, well within u32
                 1 => (0..4).map(|c| (c * 8 + rng.index(8)) as u32).collect(),
                 _ => (0..fanout).collect(),
             }

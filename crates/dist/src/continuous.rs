@@ -131,7 +131,6 @@ impl Cdf for LogNormal {
 
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        // tg-lint: allow(float-eq) -- exact sentinel after clamp(0, 1); a tolerance would shift quantiles
         if p == 0.0 {
             return 0.0;
         }
@@ -609,14 +608,17 @@ impl Cdf for Mixture {
 }
 
 impl Distribution for Mixture {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mixture components are validated non-empty at construction"
+    )]
     fn sample(&self, rng: &mut SimRng) -> f64 {
         let u = rng.f64();
         let idx = match self.cumulative.iter().position(|&c| u < c) {
             Some(i) => i,
-            // tg-lint: allow(panic-surface) -- mixture components are validated non-empty at construction
+            // tg-lint: allow(unsigned-sub) -- mixture components are validated non-empty at construction
             None => self.components.len() - 1,
         };
-        // tg-lint: allow(panic-surface) -- mixture components are validated non-empty at construction
         self.components[idx].sample(rng)
     }
 

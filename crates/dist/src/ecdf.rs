@@ -65,13 +65,20 @@ impl Ecdf {
     }
 
     /// Smallest observed sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`from_samples` asserts at least one finite sample, so `sorted` is never empty"
+    )]
     pub fn min(&self) -> f64 {
         self.sorted[0]
     }
 
     /// Largest observed sample.
+    #[expect(
+        clippy::expect_used,
+        reason = "from_samples asserts at least one finite sample"
+    )]
     pub fn max(&self) -> f64 {
-        // tg-lint: allow(unwrap-in-lib) -- from_samples asserts at least one finite sample
         *self.sorted.last().expect("non-empty")
     }
 
@@ -99,18 +106,27 @@ impl Cdf for Ecdf {
     }
 
     /// The smallest sample `q` with `cdf(q) >= p`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rank of a [0,1]-clamped percentile over n samples: ceil result is in 0..=n, clamped before use"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "rank of a [0,1]-clamped percentile over n samples: ceil result is in 0..=n, clamped before use"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: `rank` is clamped to 1..=n and the empty case returns early above"
+    )]
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         let n = self.sorted.len();
-        // tg-lint: allow(float-eq) -- exact sentinel after clamp(0, 1): p = 0 means the minimum sample
         if p == 0.0 {
             return self.sorted[0];
         }
         // Rank ceil(p * n), 1-based; index rank-1.
-        // tg-lint: allow(lossy-cast) -- rank of a [0,1]-clamped percentile over n samples: ceil result is in 0..=n, clamped before use
         let rank = (p * n as f64).ceil() as usize;
         let idx = rank.clamp(1, n) - 1;
-        // tg-lint: allow(panic-surface) -- guarded: `rank` is clamped to 1..=n and the empty case returns early above
         self.sorted[idx]
     }
 }

@@ -58,6 +58,14 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics unless `0 < min_value < max_value` and `growth > 1`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after"
+    )]
     pub fn with_range(min_value: f64, max_value: f64, growth: f64) -> Self {
         assert!(
             min_value > 0.0 && min_value < max_value,
@@ -65,7 +73,6 @@ impl LogHistogram {
         );
         assert!(growth > 1.0, "growth must exceed 1");
         let log_growth = growth.ln();
-        // tg-lint: allow(lossy-cast) -- log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after
         let buckets = ((max_value / min_value).ln() / log_growth).ceil() as usize + 1;
         LogHistogram {
             min_value,
@@ -77,13 +84,20 @@ impl LogHistogram {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after"
+    )]
     fn bucket_of(&self, x: f64) -> Option<usize> {
         if x < self.min_value {
             return None;
         }
-        // tg-lint: allow(lossy-cast) -- log-ratio of validated positive bounds: `as` maps negatives to 0 and the result is min-clamped to the bucket range right after
         let idx = ((x / self.min_value).ln() / self.log_growth) as usize;
-        // tg-lint: allow(panic-surface) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
+        // tg-lint: allow(unsigned-sub) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
         Some(idx.min(self.counts.len() - 1))
     }
 
@@ -95,6 +109,10 @@ impl LogHistogram {
     /// Records one observation. Non-finite or negative values are ignored;
     /// values below the histogram floor land in an underflow bucket that
     /// reports as the floor.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bucket_of` returns an index already min-clamped to the last bucket"
+    )]
     pub fn record(&mut self, x: f64) {
         if !x.is_finite() || x < 0.0 {
             return;
@@ -235,22 +253,29 @@ impl CdfSnapshot {
 }
 
 impl Cdf for CdfSnapshot {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket"
+    )]
     fn cdf(&self, x: f64) -> f64 {
         if self.values.is_empty() || x < self.values[0] {
             return 0.0;
         }
         let idx = self.values.partition_point(|&v| v <= x);
-        // tg-lint: allow(panic-surface) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
         self.cumprob[idx - 1]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket"
+    )]
     fn quantile(&self, p: f64) -> f64 {
         if self.values.is_empty() {
             return 0.0;
         }
         let p = p.clamp(0.0, 1.0);
         let idx = self.cumprob.partition_point(|&c| c < p);
-        // tg-lint: allow(panic-surface) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
+        // tg-lint: allow(unsigned-sub) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
         self.values[idx.min(self.values.len() - 1)]
     }
 }
@@ -301,7 +326,7 @@ impl Cdf for LogHistogram {
             }
         }
         // All mass sits below p due to rounding; return the top bucket value.
-        // tg-lint: allow(panic-surface) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
+        // tg-lint: allow(unsigned-sub) -- bucket tables hold at least one entry by construction and indices are min-clamped to the last bucket
         self.bucket_value(self.counts.len() - 1)
     }
 }

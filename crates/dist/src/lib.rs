@@ -54,7 +54,6 @@ pub trait Cdf {
     /// analytic inverse should override it.
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        // tg-lint: allow(float-eq) -- exact sentinel after clamp(0, 1); a tolerance would shift quantiles
         if p == 0.0 {
             return 0.0;
         }

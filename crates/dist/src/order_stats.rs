@@ -94,6 +94,10 @@ pub fn homogeneous_quantile<C: Cdf + ?Sized>(cdf: &C, p: f64, k: u32) -> f64 {
 /// # Panics
 ///
 /// Panics unless `p ∈ (0, 1]` and at least one CDF is supplied.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "server/fanout counts are far below 2^31; powi exponents stay exact"
+)]
 pub fn heterogeneous_quantile<C: Cdf + ?Sized>(server_cdfs: &[&C], p: f64) -> f64 {
     assert!(p > 0.0 && p <= 1.0, "p must lie in (0,1]");
     assert!(!server_cdfs.is_empty(), "need at least one server CDF");
@@ -101,7 +105,6 @@ pub fn heterogeneous_quantile<C: Cdf + ?Sized>(server_cdfs: &[&C], p: f64) -> f6
     // Fast path: identical quantile bound gives a bracket start. Upper bound:
     // every marginal must individually reach p^(1/k) at the answer, so the
     // max of per-server quantiles at p^(1/k) is an upper bound.
-    // tg-lint: allow(lossy-cast) -- server/fanout counts are far below 2^31; powi exponents stay exact
     let per_task = per_task_percentile(p, server_cdfs.len() as u32);
     let mut hi = server_cdfs
         .iter()
@@ -156,6 +159,10 @@ pub fn heterogeneous_quantile<C: Cdf + ?Sized>(server_cdfs: &[&C], p: f64) -> f6
 ///
 /// Panics unless `p ∈ (0, 1]`, at least one group is supplied, and all
 /// counts are positive.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "server/fanout counts are far below 2^31; powi exponents stay exact"
+)]
 pub fn grouped_quantile<C: Cdf + ?Sized>(groups: &[(&C, u32)], p: f64) -> f64 {
     assert!(p > 0.0 && p <= 1.0, "p must lie in (0,1]");
     assert!(!groups.is_empty(), "need at least one server group");
@@ -167,7 +174,6 @@ pub fn grouped_quantile<C: Cdf + ?Sized>(groups: &[(&C, u32)], p: f64) -> f64 {
     let product = |t: f64| -> f64 {
         groups
             .iter()
-            // tg-lint: allow(lossy-cast) -- server/fanout counts are far below 2^31; powi exponents stay exact
             .map(|&(c, n)| c.cdf(t).powi(n as i32))
             .product()
     };
@@ -217,10 +223,13 @@ pub fn grouped_quantile<C: Cdf + ?Sized>(groups: &[(&C, u32)], p: f64) -> f64 {
 /// # Panics
 ///
 /// Panics unless `q ∈ [0, 1]` and `k >= 1`.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "server/fanout counts are far below 2^31; powi exponents stay exact"
+)]
 pub fn query_violation_probability(q: f64, k: u32) -> f64 {
     assert!((0.0..=1.0).contains(&q), "q must lie in [0,1]");
     assert!(k >= 1, "fanout must be at least 1");
-    // tg-lint: allow(lossy-cast) -- server/fanout counts are far below 2^31; powi exponents stay exact
     1.0 - (1.0 - q).powi(k as i32)
 }
 

@@ -77,12 +77,19 @@ impl PiecewiseQuantile {
     /// Returns a [`PiecewiseError`] when the points are not a valid quantile
     /// function: at least two points, `p` strictly increasing from exactly 0
     /// to exactly 1, `x` finite, non-negative and non-decreasing.
+    #[expect(
+        clippy::float_cmp,
+        reason = "the endpoints are exactly 0 and 1 by documented contract"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch; `windows(2)` yields two-element slices, and `points[0]` follows the length check above"
+    )]
     pub fn new(points: Vec<(f64, f64)>) -> Result<Self, PiecewiseError> {
         if points.len() < 2 {
             return Err(PiecewiseError::TooFewPoints);
         }
-        // tg-lint: allow(float-eq) -- the endpoints are exactly 0 and 1 by documented contract
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+        // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         if points[0].0 != 0.0 || points[points.len() - 1].0 != 1.0 {
             return Err(PiecewiseError::BadEndpoints);
         }
@@ -108,6 +115,10 @@ impl PiecewiseQuantile {
     }
 
     /// Exact mean: `Σ (p_{i+1}-p_i)(x_i+x_{i+1})/2`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields two-element slices"
+    )]
     fn exact_mean(&self) -> f64 {
         self.points
             .windows(2)
@@ -128,28 +139,28 @@ impl PiecewiseQuantile {
     /// # Panics
     ///
     /// Panics when `adjust_idx` is not an interior index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch"
+    )]
     pub fn calibrate_mean(mut self, adjust_idx: usize, target_mean: f64) -> Result<Self, f64> {
         assert!(
-            // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+            // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
             adjust_idx > 0 && adjust_idx < self.points.len() - 1,
             "adjust_idx must be interior"
         );
         // mean = C + x_k * (p_{k+1} - p_{k-1}) / 2, linear in x_k.
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+        // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p_prev, x_prev) = self.points[adjust_idx - 1];
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (_, _) = self.points[adjust_idx];
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p_next, x_next) = self.points[adjust_idx + 1];
         let weight = (p_next - p_prev) / 2.0;
         let current = self.exact_mean();
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let x_k = self.points[adjust_idx].1;
         let needed = x_k + (target_mean - current) / weight;
         if needed < x_prev || needed > x_next {
             return Err(needed);
         }
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         self.points[adjust_idx].1 = needed;
         Ok(self)
     }
@@ -173,6 +184,26 @@ impl PiecewiseQuantile {
     ///
     /// Returns a [`PiecewiseError`] when no finite samples are provided or
     /// the anchors are not strictly increasing within `(0, 1]` ending at 1.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rank is ceil'd then clamped to 1.0..=n before truncation"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "rank is ceil'd then clamped to 1.0..=n before truncation"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "is_empty is checked first in this chain; the 1.0 endpoint is exact by contract"
+    )]
+    #[expect(
+        clippy::float_cmp,
+        reason = "is_empty is checked first in this chain; the 1.0 endpoint is exact by contract"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields two-element slices; `anchors[0]` follows the `is_empty` check in the same chain, and `sorted` is non-empty after the early return above; control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch"
+    )]
     pub fn fit(samples: &[f64], anchors: &[f64]) -> Result<Self, PiecewiseError> {
         let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
         if sorted.is_empty() {
@@ -182,7 +213,6 @@ impl PiecewiseQuantile {
         if anchors.is_empty()
             || anchors.windows(2).any(|w| w[1] <= w[0])
             || anchors[0] <= 0.0
-            // tg-lint: allow(unwrap-in-lib, float-eq) -- is_empty is checked first in this chain; the 1.0 endpoint is exact by contract
             || *anchors.last().expect("non-empty") != 1.0
         {
             return Err(PiecewiseError::ProbabilitiesNotIncreasing);
@@ -192,11 +222,9 @@ impl PiecewiseQuantile {
         points.push((0.0, sorted[0]));
         let mut last_x = sorted[0];
         for &p in anchors {
-            // tg-lint: allow(lossy-cast) -- rank is ceil'd then clamped to 1.0..=n before truncation
             let rank = (p * n as f64).ceil().clamp(1.0, n as f64) as usize;
             // Enforce monotone values (duplicate empirical quantiles are
             // nudged by keeping the running max).
-            // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
             let x = sorted[rank - 1].max(last_x);
             last_x = x;
             points.push((p, x));
@@ -206,9 +234,17 @@ impl PiecewiseQuantile {
 }
 
 impl Cdf for PiecewiseQuantile {
+    #[expect(
+        clippy::float_cmp,
+        reason = "`x1 == x0` detects an exactly repeated control value; interpolating across it would divide by zero"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch"
+    )]
     fn cdf(&self, x: f64) -> f64 {
         let first = self.points[0].1;
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+        // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let last = self.points[self.points.len() - 1].1;
         if x < first {
             return 0.0;
@@ -223,13 +259,10 @@ impl Cdf for PiecewiseQuantile {
             .saturating_sub(1);
         // Skip flat runs: pick the right-most point with this x to keep the
         // CDF right-continuous.
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         while i + 1 < self.points.len() && self.points[i + 1].1 <= x {
             i += 1;
         }
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p0, x0) = self.points[i];
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p1, x1) = self.points[i + 1];
         if x1 == x0 {
             p1
@@ -238,16 +271,22 @@ impl Cdf for PiecewiseQuantile {
         }
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "`p1 == p0` detects an exactly repeated control probability; interpolating across it would divide by zero"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch"
+    )]
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         let i = self
             .points
             .partition_point(|&(pp, _)| pp <= p)
-            // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+            // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
             .clamp(1, self.points.len() - 1);
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p0, x0) = self.points[i - 1];
-        // tg-lint: allow(panic-surface) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
         let (p1, x1) = self.points[i];
         if p1 == p0 {
             x1

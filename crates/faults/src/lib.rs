@@ -139,6 +139,10 @@ impl FaultEpisode {
     /// `acc` times the service-time multiplier this episode contributes at
     /// `now`, an instant inside it (holds, losses and duplicates inflate
     /// nothing).
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "every episode in a plan passed `validate` (non-zero flap period), and `compressed` clamps the scaled period to >= 1 ns"
+    )]
     fn inflate(&self, acc: f64, now: SimTime) -> f64 {
         match self.kind {
             FaultKind::Slowdown { factor } => acc * factor,
@@ -148,7 +152,6 @@ impl FaultEpisode {
                 acc * (1.0 + (peak - 1.0) * phase)
             }
             FaultKind::Flap { factor, period } => {
-                // tg-lint: allow(panic-surface) -- every episode in a plan passed `validate` (non-zero flap period), and `compressed` clamps the scaled period to >= 1 ns
                 let cycle = now.saturating_since(self.start).as_nanos() / period.as_nanos();
                 if cycle.is_multiple_of(2) {
                     acc * factor
@@ -313,6 +316,14 @@ impl FaultPlan {
     /// an episode is never degenerate, a start uniform over the horizon,
     /// then whatever `draw_kind` takes from the stream (it is handed the
     /// length in ms).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`rng.index(servers)` is below the u32 server count; u64 nanoseconds times a [0,1) draw: truncation is the intended draw"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "u64 nanoseconds times a [0,1) draw: truncation is the intended draw"
+    )]
     fn generate_with(
         seed: u64,
         servers: u32,
@@ -330,10 +341,8 @@ impl FaultPlan {
         let mut rng = SimRng::seed(seed);
         let mut episodes: Vec<FaultEpisode> = (0..n_episodes)
             .map(|_| {
-                // tg-lint: allow(lossy-cast) -- `rng.index(servers)` is below the u32 server count
                 let server = rng.index(servers as usize) as u32;
                 let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
-                // tg-lint: allow(lossy-cast) -- u64 nanoseconds times a [0,1) draw: truncation is the intended draw
                 let start_ns = (horizon.as_nanos() as f64 * rng.f64()) as u64;
                 let start = SimTime::from_nanos(start_ns);
                 let end = start + SimDuration::from_millis_f64(len_ms);
@@ -437,12 +446,19 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics when `scale` is not finite and positive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 nanoseconds divided by a validated-positive scale: truncation is the intended rounding"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "u64 nanoseconds divided by a validated-positive scale: truncation is the intended rounding"
+    )]
     pub fn compressed(&self, scale: f64) -> FaultPlan {
         assert!(
             scale.is_finite() && scale > 0.0,
             "time scale must be finite and positive"
         );
-        // tg-lint: allow(lossy-cast) -- u64 nanoseconds divided by a validated-positive scale: truncation is the intended rounding
         let shrink = |ns: u64| (ns as f64 / scale) as u64;
         // Monotone in `start`, so the episodes stay sorted; every interval
         // and flap period stays non-empty.

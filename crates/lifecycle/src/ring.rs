@@ -82,8 +82,11 @@ impl<T> IdRing<T> {
     /// # Panics
     ///
     /// Panics when `id` has retired or was never minted.
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are minted by `push` and handed out by the owning table only; a foreign or retired id here is a bookkeeping bug where the documented panic is the designed failure mode"
+    )]
     pub fn row(&self, id: u32) -> &T {
-        // tg-lint: allow(unwrap-in-lib) -- ids are minted by `push` and handed out by the owning table only; a foreign or retired id here is a bookkeeping bug where the documented panic is the designed failure mode
         self.rows.get(self.offset(id)).expect("id is not held")
     }
 
@@ -92,9 +95,12 @@ impl<T> IdRing<T> {
     /// # Panics
     ///
     /// Panics when `id` has retired or was never minted.
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are minted by `push` and handed out by the owning table only; a foreign or retired id here is a bookkeeping bug where the documented panic is the designed failure mode"
+    )]
     pub fn row_mut(&mut self, id: u32) -> &mut T {
         let at = self.offset(id);
-        // tg-lint: allow(unwrap-in-lib) -- ids are minted by `push` and handed out by the owning table only; a foreign or retired id here is a bookkeeping bug where the documented panic is the designed failure mode
         self.rows.get_mut(at).expect("id is not held")
     }
 

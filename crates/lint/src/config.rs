@@ -13,8 +13,9 @@ use crate::rules::Rule;
 /// How a crate participates in the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrateClass {
-    /// Pure event-driven code: no wall clock, no OS entropy, no hash-order
-    /// iteration, no panicking shortcuts in library paths.
+    /// Pure event-driven code: virtual time, seeded randomness, ordered
+    /// collections and no panicking shortcuts in library paths (clippy
+    /// holds those; `unsigned-sub` and `pub-doc-drift` apply here).
     Deterministic,
     /// Runtime drivers that legitimately touch clocks, threads, and I/O.
     Driver,
@@ -27,9 +28,6 @@ pub struct CrateConfig {
     pub name: &'static str,
     /// Determinism class.
     pub class: CrateClass,
-    /// Whether `float-eq` applies: crates whose float comparisons feed the
-    /// Eq. 6 budget math, CDF inversion, or policy ordering.
-    pub float_strict: bool,
 }
 
 /// The workspace table. Order is the deterministic scan order.
@@ -37,79 +35,64 @@ pub const CRATES: &[CrateConfig] = &[
     CrateConfig {
         name: "simcore",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "dist",
         class: CrateClass::Deterministic,
-        float_strict: true,
     },
     CrateConfig {
         name: "metrics",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "workload",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "policy",
         class: CrateClass::Deterministic,
-        float_strict: true,
     },
     CrateConfig {
         name: "lifecycle",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "sched",
         class: CrateClass::Deterministic,
-        float_strict: true,
     },
     CrateConfig {
         name: "faults",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "core",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "obs",
         class: CrateClass::Deterministic,
-        float_strict: false,
     },
     CrateConfig {
         name: "testbed",
         class: CrateClass::Driver,
-        float_strict: false,
     },
     CrateConfig {
         name: "bench",
         class: CrateClass::Driver,
-        float_strict: false,
     },
     CrateConfig {
         name: "cli",
         class: CrateClass::Driver,
-        float_strict: false,
     },
     CrateConfig {
         name: "lint",
         class: CrateClass::Driver,
-        float_strict: false,
     },
     // The workspace-root umbrella lib (`src/lib.rs`): re-exports only, but
     // it is glue for integration tests, so it is driver-side.
     CrateConfig {
         name: ".",
         class: CrateClass::Driver,
-        float_strict: false,
     },
 ];
 
@@ -118,7 +101,6 @@ pub const CRATES: &[CrateConfig] = &[
 pub const STRICT: CrateConfig = CrateConfig {
     name: "<paths>",
     class: CrateClass::Deterministic,
-    float_strict: true,
 };
 
 /// Looks up a crate by directory name.
@@ -130,20 +112,15 @@ pub fn crate_config(name: &str) -> Option<&'static CrateConfig> {
 /// that filtering happens in the rule engine, not here).
 pub fn rule_applies(rule: Rule, cfg: &CrateConfig) -> bool {
     match rule {
-        Rule::WallClock | Rule::OsEntropy | Rule::HashOrder | Rule::UnwrapInLib => {
-            cfg.class == CrateClass::Deterministic
-        }
-        // The cast/panic audit and the cross-crate doc contract are scoped
-        // to deterministic library code: drivers legitimately bridge to
-        // std::time (u128 nanos) and OS APIs, and their conversions are
-        // covered by targeted tests instead (see crates/testbed).
-        Rule::LossyCast | Rule::PanicSurface | Rule::PubDocDrift => {
-            cfg.class == CrateClass::Deterministic
-        }
-        Rule::FloatEq => cfg.float_strict,
+        // The subtraction audit and the cross-crate doc contract are
+        // scoped to deterministic library code: drivers legitimately
+        // bridge to std::time (u128 nanos) and OS APIs, and their
+        // conversions are covered by targeted tests instead (see
+        // crates/testbed).
+        Rule::UnsignedSub | Rule::PubDocDrift => cfg.class == CrateClass::Deterministic,
         // Hot regions only exist where someone wrote a `hot(...)` marker,
         // so the rule is cheap to leave on everywhere.
-        Rule::TodoMarker | Rule::HotAlloc | Rule::MalformedAllow => true,
+        Rule::HotAlloc | Rule::MalformedAllow => true,
     }
 }
 
@@ -154,28 +131,9 @@ mod tests {
     #[test]
     fn deterministic_crates_get_determinism_rules() {
         let sched = crate_config("sched").unwrap();
-        assert!(rule_applies(Rule::WallClock, sched));
-        assert!(rule_applies(Rule::FloatEq, sched));
+        assert!(rule_applies(Rule::UnsignedSub, sched));
         let testbed = crate_config("testbed").unwrap();
-        assert!(!rule_applies(Rule::WallClock, testbed));
-        assert!(rule_applies(Rule::TodoMarker, testbed));
-    }
-
-    #[test]
-    fn float_eq_scope_is_sched_dist_policy() {
-        for name in ["sched", "dist", "policy"] {
-            assert!(crate_config(name).unwrap().float_strict, "{name}");
-        }
-        for name in [
-            "simcore",
-            "metrics",
-            "workload",
-            "lifecycle",
-            "faults",
-            "core",
-            "obs",
-        ] {
-            assert!(!crate_config(name).unwrap().float_strict, "{name}");
-        }
+        assert!(!rule_applies(Rule::UnsignedSub, testbed));
+        assert!(rule_applies(Rule::HotAlloc, testbed));
     }
 }

@@ -73,14 +73,14 @@ mod tests {
 
     #[test]
     fn render_is_grep_friendly() {
-        let d = Diagnostic::new(Rule::WallClock, "crates/x/src/a.rs", 3, 7, "code", "msg");
-        assert_eq!(d.render(), "crates/x/src/a.rs:3:7: wall-clock: msg");
+        let d = Diagnostic::new(Rule::HotAlloc, "crates/x/src/a.rs", 3, 7, "code", "msg");
+        assert_eq!(d.render(), "crates/x/src/a.rs:3:7: hot-alloc: msg");
     }
 
     #[test]
     fn long_snippets_truncate_cleanly() {
         let long = "x".repeat(300);
-        let d = Diagnostic::new(Rule::TodoMarker, "f.rs", 1, 1, &long, "m");
+        let d = Diagnostic::new(Rule::HotAlloc, "f.rs", 1, 1, &long, "m");
         assert!(d.snippet.len() <= 123);
         assert!(d.snippet.ends_with("..."));
     }

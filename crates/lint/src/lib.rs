@@ -1,26 +1,25 @@
-//! `tailguard-lint` — static determinism & hygiene analysis for the
-//! TailGuard workspace.
+//! `tailguard-lint` — the determinism and panic-surface checks for the
+//! TailGuard workspace that clippy cannot state.
 //!
 //! Every golden pin in this repository (sim reports, observed runs, the
-//! metrics exposition) assumes the deterministic crates are *pure*: all
-//! time is virtual, all randomness is caller-seeded, all iteration is
-//! ordered, and library code never panics a query away. Those properties
-//! were previously enforced only after the fact, by golden tests failing.
-//! This crate checks them at the source level with a hand-rolled scanner
-//! (no `syn`; the build environment is offline) and a small rule catalog —
-//! see [`rules::Rule`] — each with a justified per-line escape hatch:
+//! metrics exposition) assumes the deterministic crates are *pure* and
+//! never panic a query away. Most of that contract is a clippy lint set
+//! (`cargo det-lint`, see docs/lint.md): wall clocks, hash-ordered
+//! collections, `unwrap`, exact float comparison, lossy casts, indexing
+//! and division. This crate keeps the rest — see [`rules::Rule`] — with a
+//! hand-rolled scanner (no `syn`; the build environment is offline) and a
+//! justified per-line escape hatch:
 //!
 //! ```text
-//! // tg-lint: allow(hash-order) -- lookup-only cache, never iterated
+//! // tg-lint: allow(unsigned-sub) -- `hi >= lo` is checked just above
 //! ```
 //!
 //! The analyzer runs in two passes. Pass 1 ([`model`]) builds a
 //! lightweight per-file model — `fn` items with signatures and docs,
 //! local type ascriptions, `// tg-lint: hot(<label>)` regions, and the
-//! file's identifier set. Pass 2 runs the lexical rules plus the semantic
-//! rules in [`semantic`] (`lossy-cast`, `panic-surface`, `hot-alloc`, and
-//! the cross-file `pub-doc-drift`, which uses a workspace-wide identifier
-//! index for reachability).
+//! file's identifier set. Pass 2 runs the rules in [`semantic`]
+//! (`unsigned-sub`, `hot-alloc`, and the cross-file `pub-doc-drift`,
+//! which uses a workspace-wide identifier index for reachability).
 //!
 //! Run it as `cargo run -p tailguard-lint` (optionally `-- --json`); it
 //! exits non-zero if any rule fires.

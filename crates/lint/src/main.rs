@@ -15,7 +15,7 @@ use tailguard_lint::rules::ALL_RULES;
 use tailguard_lint::{lint_paths, lint_workspace};
 
 const USAGE: &str = "\
-tailguard-lint: workspace determinism & hygiene analyzer
+tailguard-lint: the workspace determinism checks clippy cannot state
 
 USAGE:
     tailguard-lint [OPTIONS]

@@ -8,7 +8,7 @@
 //! - every `fn` item: name, visibility, signature line, body line range,
 //!   parameter names/types, attached doc comment text,
 //! - `let name: T`, `const NAME: T`, and struct/enum field `name: T`
-//!   ascriptions (the local type environment for cast classification),
+//!   ascriptions (the local type environment that types `-` operands),
 //! - `// tg-lint: hot(<label>)` … `// tg-lint: endhot` region markers on
 //!   the event-loop code the `hot-alloc` rule polices,
 //! - the set of identifiers the file mentions (the cross-file usage index
@@ -90,10 +90,6 @@ pub struct FileModel {
     pub hot_regions: Vec<HotRegion>,
     /// Every identifier token in the file's masked code.
     pub idents: BTreeSet<String>,
-    /// Identifiers bound as `for <var> in <range>` loop variables
-    /// anywhere in the file. Indexing by such a variable is exempt from
-    /// `panic-surface`: the bound is visible at the loop header.
-    pub range_loop_vars: BTreeSet<String>,
     /// Marker-syntax errors (unclosed/unopened/bad hot markers), as
     /// `(line, message)`; surfaced via `malformed-allow`.
     pub marker_errors: Vec<(u32, String)>,
@@ -310,7 +306,6 @@ fn collect_items(file: &ScannedFile, m: &mut FileModel) {
         }
 
         collect_let_const(code, line.number, m);
-        collect_range_loop_vars(code, m);
         if open_types.last().is_some_and(|&d| depth > d) || line_opens_type_body(code) {
             collect_field(code, m);
         }
@@ -557,23 +552,6 @@ fn binding_after(code: &str, from: usize) -> Option<(String, String)> {
     (!ty.is_empty()).then(|| (name.to_string(), ty))
 }
 
-/// Collects `for <var> in <range>` loop variables: `for i in 0..n` makes
-/// `i` a range-derived index whose bound is stated at the loop header.
-fn collect_range_loop_vars(code: &str, m: &mut FileModel) {
-    for pos in find_words(code, "for") {
-        let Some(var) = ident_after(code, pos + 3) else {
-            continue;
-        };
-        let after_var = &code[pos + 3..];
-        let Some(in_pos) = find_words(after_var, "in").next() else {
-            continue;
-        };
-        if after_var[in_pos..].contains("..") {
-            m.range_loop_vars.insert(var);
-        }
-    }
-}
-
 /// Collects a `name: Type,` field line inside a struct/enum body.
 fn collect_field(code: &str, m: &mut FileModel) {
     let t = code.trim();
@@ -665,6 +643,19 @@ fn doc_text_above(file: &ScannedFile, line: u32) -> String {
                 // Attribute line between docs and item: keep walking.
                 expect -= 1;
             }
+            // The last line of a multi-line attribute (rustfmt's layout of
+            // a long `#[expect(..., reason = "...")]`): skip to its `#[`.
+            None if file.lines.get(idx).is_some_and(|l| l.code.trim() == ")]") => {
+                while expect > 1
+                    && !file.lines[expect as usize - 1]
+                        .code
+                        .trim_start()
+                        .starts_with("#[")
+                {
+                    expect -= 1;
+                }
+                expect -= 1;
+            }
             None => break,
         }
     }
@@ -679,6 +670,16 @@ mod tests {
 
     fn model_of(src: &str) -> FileModel {
         build(&scan("t.rs", src))
+    }
+
+    #[test]
+    fn docs_above_multiline_attributes_are_attached() {
+        let m = model_of(
+            "/// Waits `d` of virtual time.\n\
+             #[expect(\n    clippy::indexing_slicing,\n    reason = \"fixture\"\n)]\n\
+             pub fn wait(d: SimDuration) {}\n",
+        );
+        assert_eq!(m.fns[0].doc, "Waits `d` of virtual time.");
     }
 
     #[test]

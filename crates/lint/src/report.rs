@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        let d = Diagnostic::new(Rule::TodoMarker, "f.rs", 1, 1, "say \"hi\\\"", "a\tmessage");
+        let d = Diagnostic::new(Rule::HotAlloc, "f.rs", 1, 1, "say \"hi\\\"", "a\tmessage");
         let r = Report::new(1, vec![d], Vec::new());
         let json = r.render_json();
         assert!(json.contains("say \\\"hi\\\\\\\""));
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn violations_sort_by_location() {
-        let mk = |file: &str, line| Diagnostic::new(Rule::TodoMarker, file, line, 1, "", "m");
+        let mk = |file: &str, line| Diagnostic::new(Rule::HotAlloc, file, line, 1, "", "m");
         let r = Report::new(
             2,
             vec![mk("b.rs", 1), mk("a.rs", 9), mk("a.rs", 2)],

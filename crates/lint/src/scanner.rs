@@ -539,8 +539,8 @@ mod tests {
 
     #[test]
     fn directives_resolve_targets() {
-        let src = "let a = 1; // tg-lint: allow(wall-clock) -- trailing\n\
-                   // tg-lint: allow(hash-order) -- standalone\n\
+        let src = "let a = 1; // tg-lint: allow(unsigned-sub) -- trailing\n\
+                   // tg-lint: allow(hot-alloc) -- standalone\n\
                    let b = 2;\n";
         let f = scan("t.rs", src);
         assert_eq!(f.directives.len(), 2);

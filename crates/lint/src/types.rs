@@ -1,17 +1,9 @@
-//! Numeric type vocabulary and cast classification for the semantic pass.
+//! Numeric type vocabulary for the semantic pass.
 //!
-//! The `lossy-cast` rule needs to know, for `expr as T`, whether the
-//! conversion can lose information. The target type is always visible in
-//! the source; the operand's type comes from the lightweight per-file
+//! The `unsigned-sub` rule needs to know whether an operand of `-` is an
+//! unsigned integer. Operand types come from the lightweight per-file
 //! model ([`crate::model`]) plus the local inference in
-//! [`crate::semantic`]. This module owns the type lattice itself: which
-//! primitive a type string names, and how a `(source, target)` pair is
-//! classified.
-//!
-//! `usize`/`isize` are modeled as exactly 64 bits wide. The workspace
-//! documents a 64-bit-platform assumption (the testbed targets aarch64,
-//! CI is x86-64), and `sched::units` carries the saturating fallbacks for
-//! anything narrower.
+//! [`crate::semantic`]; this module names the primitives.
 
 /// A primitive numeric type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,26 +60,6 @@ impl Num {
         })
     }
 
-    /// The canonical type name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Num::U8 => "u8",
-            Num::U16 => "u16",
-            Num::U32 => "u32",
-            Num::U64 => "u64",
-            Num::U128 => "u128",
-            Num::Usize => "usize",
-            Num::I8 => "i8",
-            Num::I16 => "i16",
-            Num::I32 => "i32",
-            Num::I64 => "i64",
-            Num::I128 => "i128",
-            Num::Isize => "isize",
-            Num::F32 => "f32",
-            Num::F64 => "f64",
-        }
-    }
-
     /// True for `f32`/`f64`.
     pub fn is_float(self) -> bool {
         matches!(self, Num::F32 | Num::F64)
@@ -99,108 +71,6 @@ impl Num {
             self,
             Num::U8 | Num::U16 | Num::U32 | Num::U64 | Num::U128 | Num::Usize
         )
-    }
-
-    /// True for any integer type.
-    pub fn is_int(self) -> bool {
-        !self.is_float()
-    }
-
-    /// Bit width (`usize`/`isize` count as 64; floats report mantissa-free
-    /// storage width, only used between floats).
-    fn bits(self) -> u32 {
-        match self {
-            Num::U8 | Num::I8 => 8,
-            Num::U16 | Num::I16 => 16,
-            Num::U32 | Num::I32 | Num::F32 => 32,
-            Num::U64 | Num::I64 | Num::Usize | Num::Isize | Num::F64 => 64,
-            Num::U128 | Num::I128 => 128,
-        }
-    }
-
-    /// Largest integer bit-width a cast into this float preserves exactly.
-    fn exact_int_bits(self) -> u32 {
-        match self {
-            Num::F32 => 24,
-            Num::F64 => 53,
-            _ => 0,
-        }
-    }
-}
-
-/// How an `as` cast between two numeric types can behave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CastClass {
-    /// Provably lossless (e.g. `u32 as u64`, `u16 as i32`, `f32 as f64`,
-    /// `u32 as f64`). Never flagged.
-    Widening,
-    /// Integer to float where the integer's range exceeds the mantissa
-    /// (`u64 as f64`): values above 2^53 round. Accepted by policy —
-    /// the float domain is reporting/statistics — but classified so the
-    /// decision is explicit.
-    IntToFloat,
-    /// Integer to smaller-or-sign-losing integer (`u64 as u32`,
-    /// `i64 as u64`): silently truncates or reinterprets. Flagged.
-    Narrowing,
-    /// Float to integer (`f64 as u64`): truncates toward zero and
-    /// saturates, losing sub-integer precision and the NaN case. Flagged.
-    FloatTrunc,
-    /// `f64 as f32`: rounds and can overflow to infinity. Flagged.
-    FloatNarrow,
-}
-
-impl CastClass {
-    /// Whether this class violates the `lossy-cast` rule.
-    pub fn is_lossy(self) -> bool {
-        matches!(
-            self,
-            CastClass::Narrowing | CastClass::FloatTrunc | CastClass::FloatNarrow
-        )
-    }
-}
-
-/// Classifies `src as dst`.
-pub fn classify_cast(src: Num, dst: Num) -> CastClass {
-    match (src.is_float(), dst.is_float()) {
-        (true, true) => {
-            if dst.bits() >= src.bits() {
-                CastClass::Widening
-            } else {
-                CastClass::FloatNarrow
-            }
-        }
-        (true, false) => CastClass::FloatTrunc,
-        (false, true) => {
-            if src.bits() <= dst.exact_int_bits() {
-                CastClass::Widening
-            } else {
-                CastClass::IntToFloat
-            }
-        }
-        (false, false) => classify_int_cast(src, dst),
-    }
-}
-
-fn classify_int_cast(src: Num, dst: Num) -> CastClass {
-    match (src.is_unsigned(), dst.is_unsigned()) {
-        // Same signedness: pure width comparison.
-        (true, true) | (false, false) => {
-            if dst.bits() >= src.bits() {
-                CastClass::Widening
-            } else {
-                CastClass::Narrowing
-            }
-        }
-        // Unsigned into signed needs a strictly wider target.
-        (true, false) => {
-            if dst.bits() > src.bits() {
-                CastClass::Widening
-            } else {
-                CastClass::Narrowing
-            }
-        }
-        // Signed into unsigned reinterprets negatives, whatever the width.
-        (false, true) => CastClass::Narrowing,
     }
 }
 
@@ -214,45 +84,9 @@ mod tests {
             "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
             "f32", "f64",
         ] {
-            assert_eq!(Num::parse(name).map(Num::name), Some(name));
+            assert!(Num::parse(name).is_some(), "{name}");
         }
         assert_eq!(Num::parse("String"), None);
         assert_eq!(Num::parse("SimTime"), None);
-    }
-
-    #[test]
-    fn widening_casts_are_lossless() {
-        for (a, b) in [
-            (Num::U8, Num::U32),
-            (Num::U32, Num::U64),
-            (Num::U32, Num::I64),
-            (Num::I32, Num::I64),
-            (Num::U32, Num::F64),
-            (Num::F32, Num::F64),
-            (Num::Usize, Num::U64),
-            (Num::U64, Num::Usize),
-        ] {
-            assert_eq!(classify_cast(a, b), CastClass::Widening, "{a:?}→{b:?}");
-        }
-    }
-
-    #[test]
-    fn narrowing_and_truncation_are_lossy() {
-        assert_eq!(classify_cast(Num::U64, Num::U32), CastClass::Narrowing);
-        assert_eq!(classify_cast(Num::I64, Num::U64), CastClass::Narrowing);
-        assert_eq!(classify_cast(Num::U64, Num::I64), CastClass::Narrowing);
-        assert_eq!(classify_cast(Num::Usize, Num::U32), CastClass::Narrowing);
-        assert_eq!(classify_cast(Num::U128, Num::U64), CastClass::Narrowing);
-        assert_eq!(classify_cast(Num::F64, Num::U64), CastClass::FloatTrunc);
-        assert_eq!(classify_cast(Num::F64, Num::F32), CastClass::FloatNarrow);
-        assert!(classify_cast(Num::F64, Num::U64).is_lossy());
-        assert!(!classify_cast(Num::U64, Num::F64).is_lossy());
-    }
-
-    #[test]
-    fn int_to_float_is_classified_but_accepted() {
-        assert_eq!(classify_cast(Num::U64, Num::F64), CastClass::IntToFloat);
-        assert_eq!(classify_cast(Num::U32, Num::F32), CastClass::IntToFloat);
-        assert_eq!(classify_cast(Num::U16, Num::F32), CastClass::Widening);
     }
 }

@@ -12,8 +12,15 @@ use tailguard_simcore::SimDuration;
 /// decreases as `n` grows. So once more than `N − nearest_rank(p, N)` of at
 /// most `N` samples exceed a bound, the final quantile exceeds it too,
 /// however many samples end up recorded.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the ceiling of p·n with p in [0, 1] lies in 0..=n, so the cast is exact"
+)]
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "the ceiling of p·n with p in [0, 1] lies in 0..=n, so the cast is exact"
+)]
 pub fn nearest_rank(p: f64, n: usize) -> usize {
-    // tg-lint: allow(lossy-cast) -- the ceiling of p·n with p in [0, 1] lies in 0..=n, so the cast is exact
     let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
     rank.max(1).min(n)
 }
@@ -88,22 +95,32 @@ impl LatencyReservoir {
     /// (rank `⌈p·n⌉`) — the same convention as `tailguard_dist::Ecdf`.
     ///
     /// Returns [`SimDuration::ZERO`] on an empty reservoir.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: ranks are clamped to 1..=n and the empty case returns early above"
+    )]
     pub fn percentile(&mut self, p: f64) -> SimDuration {
         if self.samples.is_empty() {
             return SimDuration::ZERO;
         }
         self.ensure_sorted();
         let idx = nearest_rank(p, self.samples.len()) - 1;
-        // tg-lint: allow(panic-surface) -- guarded: ranks are clamped to 1..=n and the empty case returns early above
         SimDuration::from_nanos(self.samples[idx])
     }
 
     /// Arithmetic mean of the samples ([`SimDuration::ZERO`] when empty).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "guarded by the is_empty() early return above; a mean of u64 ns samples fits u64"
+    )]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "guarded by the is_empty() early return above; a mean of u64 ns samples fits u64"
+    )]
     pub fn mean(&self) -> SimDuration {
         if self.samples.is_empty() {
             return SimDuration::ZERO;
         }
-        // tg-lint: allow(lossy-cast, panic-surface) -- guarded by the is_empty() early return above; a mean of u64 ns samples fits u64
         SimDuration::from_nanos((self.sum / self.samples.len() as u128) as u64)
     }
 
@@ -117,6 +134,10 @@ impl LatencyReservoir {
     }
 
     /// Smallest sample ([`SimDuration::ZERO`] when empty).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the empty case returns early above"
+    )]
     pub fn min(&mut self) -> SimDuration {
         if self.samples.is_empty() {
             return SimDuration::ZERO;

@@ -60,6 +60,10 @@ impl BinRing {
     /// intact) for the caller to stage into next, so a sink at steady
     /// state recycles the same few buffers instead of churning the
     /// allocator once per flush.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "`EVENT_BYTES` is a non-zero constant"
+    )]
     fn push_block(&mut self, block: Vec<u8>) -> Option<Vec<u8>> {
         debug_assert!(!block.is_empty() && block.len().is_multiple_of(EVENT_BYTES));
         let events = block.len() / EVENT_BYTES;
@@ -89,11 +93,14 @@ impl BinRing {
 
     /// The retained records, oldest first, as (up to two) contiguous byte
     /// runs: the front block past `head`, then every later block whole.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` always lands on a record boundary inside block 0: `push_block` advances it by whole records and resets it when it pops a block"
+    )]
     fn byte_runs(&self) -> impl Iterator<Item = &[u8]> {
         self.blocks
             .iter()
             .enumerate()
-            // tg-lint: allow(panic-surface) -- `head` always lands on a record boundary inside block 0: `push_block` advances it by whole records and resets it when it pops a block
             .map(|(i, b)| if i == 0 { &b[self.head..] } else { &b[..] })
             .filter(|run| !run.is_empty())
     }

@@ -58,29 +58,41 @@ struct Writer<'a> {
 
 impl Writer<'_> {
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u8(&mut self, v: u8) {
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         self.buf[self.pos] = v;
         self.pos += 1;
     }
 
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u32(&mut self, v: u32) {
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         self.buf[self.pos..self.pos + 4].copy_from_slice(&v.to_le_bytes());
         self.pos += 4;
     }
 
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u64(&mut self, v: u64) {
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         self.buf[self.pos..self.pos + 8].copy_from_slice(&v.to_le_bytes());
         self.pos += 8;
     }
 
     #[inline(always)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn i64(&mut self, v: i64) {
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         self.buf[self.pos..self.pos + 8].copy_from_slice(&v.to_le_bytes());
         self.pos += 8;
     }
@@ -103,32 +115,44 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u8(&mut self) -> u8 {
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         let v = self.buf[self.pos];
         self.pos += 1;
         v
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         b.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
         self.pos += 4;
         u32::from_le_bytes(b)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         u64::from_le_bytes(b)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)"
+    )]
     fn i64(&mut self) -> i64 {
         let mut b = [0u8; 8];
-        // tg-lint: allow(panic-surface) -- fixed field plan: every variant's widths sum to <= EVENT_BYTES over a fixed-size array; byte content cannot move `pos` (roundtrip + proptest pinned)
         b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         i64::from_le_bytes(b)
@@ -182,11 +206,17 @@ pub fn encode_append(ev: &TraceEvent, out: &mut Vec<u8>) {
 /// Extending from a constant zero block compiles to one bulk copy, where
 /// `Vec::resize` is free to zero element by element.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "in range by construction: `out` was zero-extended by exactly EVENT_BYTES above"
+)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "the slice is EVENT_BYTES long by construction"
+)]
 fn append_record(out: &mut Vec<u8>) -> &mut [u8; EVENT_BYTES] {
     let start = out.len();
     out.extend_from_slice(&[0u8; EVENT_BYTES]);
-    // tg-lint: allow(unwrap-in-lib) -- the slice is EVENT_BYTES long by construction
-    // tg-lint: allow(panic-surface) -- in range by construction: `out` was zero-extended by exactly EVENT_BYTES above
     (&mut out[start..start + EVENT_BYTES]).try_into().unwrap()
 }
 
@@ -532,6 +562,10 @@ pub fn decode(buf: &[u8; EVENT_BYTES]) -> Option<TraceEvent> {
 /// Decodes a concatenation of fixed-width records, skipping (and
 /// counting) undecodable ones. The trailing partial record, if the input
 /// length is not a multiple of [`EVENT_BYTES`], is ignored.
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "`EVENT_BYTES` is a non-zero constant"
+)]
 pub fn decode_stream(bytes: &[u8]) -> (Vec<TraceEvent>, u64) {
     let mut events = Vec::with_capacity(bytes.len() / EVENT_BYTES);
     let mut corrupt = 0u64;

@@ -27,9 +27,7 @@
 //!   top-k slowest queries, per-class/per-type dequeue-slack statistics,
 //!   and the reconstructed miss-ratio timeline;
 //! - exporters ([`events_to_jsonl`], [`events_to_csv`]) for external
-//!   tooling;
-//! - [`MetricsServer`] — a `std::net` `/metrics` endpoint the tokio
-//!   testbed serves scrapes from.
+//!   tooling.
 //!
 //! Everything here is read-side: the scheduling core emits events and
 //! knows nothing about recording, so disabled tracing (the default
@@ -41,7 +39,6 @@ mod export;
 mod publish;
 mod registry;
 mod sampler;
-mod server;
 mod slo;
 mod timeline;
 
@@ -49,11 +46,10 @@ pub use binring::{BinaryRecorder, BinarySink, FLUSH_EVENTS};
 pub use export::{event_to_csv_row, event_to_json, events_to_csv, events_to_jsonl, CSV_HEADER};
 pub use publish::{publish_run, RunSummary};
 pub use registry::{
-    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Registry, RegistrySnapshot, SeriesPoint,
-    SeriesSnapshot,
+    shared_registry, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Registry, RegistrySnapshot,
+    SeriesPoint, SeriesSnapshot, SharedRegistry,
 };
 pub use sampler::{SamplerConfig, TailSampler};
-pub use server::{shared_registry, MetricsServer, SharedRegistry};
 pub use slo::{SloAlert, SloClassSnapshot, SloConfig, SloMonitor, SloSnapshot};
 pub use timeline::{
     build_timelines, miss_ratio_timeline, server_transitions, slack_by_class, slack_by_type,

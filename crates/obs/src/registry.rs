@@ -26,6 +26,7 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use tailguard_dist::{Cdf, LogHistogram};
 use tailguard_sched::units;
 use tailguard_sched::{AttemptKind, LifecycleStats, RobustnessStats, TraceEvent};
@@ -40,6 +41,15 @@ const EXPO_BOUNDS_MS: [f64; 9] = [0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0, 1
 struct Entry<T> {
     help: &'static str,
     value: T,
+}
+
+/// A shareable registry handle: the testbed's handlers update it while
+/// the run is live, and the caller reads it afterwards.
+pub type SharedRegistry = Arc<Mutex<Registry>>;
+
+/// Creates a fresh [`SharedRegistry`].
+pub fn shared_registry() -> SharedRegistry {
+    Arc::new(Mutex::new(Registry::new()))
 }
 
 /// Counters, gauges, log-bucketed histograms, and time series under one
@@ -373,8 +383,11 @@ impl Registry {
     }
 
     /// The snapshot as pretty-printed JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "pure in-memory serialization of plain structs cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // tg-lint: allow(unwrap-in-lib) -- pure in-memory serialization of plain structs cannot fail
         serde_json::to_string_pretty(&self.snapshot()).expect("registry snapshot serializes")
     }
 }
@@ -401,9 +414,16 @@ fn with_le(labels: &str, le: &str) -> String {
 
 /// Formats an f64 the way Prometheus expects (no trailing `.0` noise for
 /// integers, plain decimal otherwise).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "display-only truncation: the value was just checked integral and below 1e15"
+)]
+#[expect(
+    clippy::float_cmp,
+    reason = "an exact integrality test: an integral float equals its own `trunc` bit for bit"
+)]
 fn fmt_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
-        // tg-lint: allow(lossy-cast) -- display-only truncation: the value was just checked integral and below 1e15
         format!("{}", v as i64)
     } else {
         format!("{v}")

@@ -106,6 +106,10 @@ impl TailSampler {
     }
 
     /// Whether this query id survives healthy sampling.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "a literal non-zero modulus (the per-mille bucket)"
+    )]
     fn keeps_healthy(&self, query: QueryId) -> bool {
         splitmix64(u64::from(query)) % 1000 < u64::from(self.config.keep_permille)
     }
@@ -117,13 +121,20 @@ impl TailSampler {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
     fn open_bundle(&mut self, query: QueryId, interesting: bool) -> usize {
         if self.slots.len() <= query as usize {
             self.slots.resize(query as usize + 1, NO_BUNDLE);
         }
         let idx = match self.free.pop() {
             Some(idx) => {
-                // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
                 let b = &mut self.bundles[idx as usize];
                 b.query = query;
                 b.buf.clear();
@@ -140,34 +151,40 @@ impl TailSampler {
                     interesting,
                     reclaim_pending: false,
                 });
-                // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
+                // tg-lint: allow(unsigned-sub) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
                 self.bundles.len() - 1
             }
         };
-        // tg-lint: allow(lossy-cast, panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
         self.slots[query as usize] = idx as u32;
         idx
     }
 
     /// Finalizes one bundle: appends its bytes to `out` if retained,
     /// returns the number of events discarded otherwise.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bundle indices are bounded by the bundle pool size, far below 2^32"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
     fn finalize(&mut self, query: QueryId, out: &mut Vec<u8>) -> u64 {
         let Some(idx) = self.bundle_index(query) else {
             return 0;
         };
-        // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
         self.slots[query as usize] = NO_BUNDLE;
-        // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
         let keep = self.bundles[idx].interesting || self.keeps_healthy(query);
         let discarded = if keep {
-            // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
             out.extend_from_slice(&self.bundles[idx].buf);
             0
         } else {
-            // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
             (self.bundles[idx].buf.len() / EVENT_BYTES) as u64
         };
-        // tg-lint: allow(lossy-cast) -- bundle indices are bounded by the bundle pool size, far below 2^32
         self.free.push(idx as u32);
         discarded
     }
@@ -175,6 +192,10 @@ impl TailSampler {
     /// Offers one event. Encoded bytes of events/bundles decided *kept*
     /// are appended to `out`; the return value is how many events were
     /// discarded by healthy sampling as a result of this call.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
     pub fn offer(&mut self, ev: &TraceEvent, out: &mut Vec<u8>) -> u64 {
         let query = ev.query();
         let mut discarded = 0;
@@ -208,7 +229,6 @@ impl TailSampler {
                 idx
             }
         };
-        // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
         let b = &mut self.bundles[idx];
         encode_append(ev, &mut b.buf);
         match *ev {
@@ -259,6 +279,14 @@ impl TailSampler {
     /// retained (an unresolved query at end of stream is interesting).
     /// Returns the healthy-sampled-away count from closing the pending
     /// query, if any.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`slots` is indexed by query id, so every `q` is a `QueryId` the handler minted"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`q` ranges over `0..self.slots.len()`; bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above"
+    )]
     pub fn finish(&mut self, out: &mut Vec<u8>) -> u64 {
         let mut discarded = 0;
         if let Some(closing) = self.pending_close.take() {
@@ -267,7 +295,6 @@ impl TailSampler {
         for q in 0..self.slots.len() {
             if self.slots[q] != NO_BUNDLE {
                 let idx = self.slots[q] as usize;
-                // tg-lint: allow(panic-surface) -- bundle/slot tables: `idx` comes from sentinel-checked `slots` entries or the free list, both minted by this sampler; `bundles` is non-empty right after the push above
                 self.bundles[idx].interesting = true;
                 discarded += self.finalize(q as QueryId, out);
             }

@@ -212,6 +212,10 @@ impl SloMonitor {
 
     /// Closes the newest bucket of `class`: computes both burn rates and
     /// evaluates the alert transition.
+    #[expect(
+        clippy::expect_used,
+        reason = "a ClassWindow is constructed with one bucket and never drained below one"
+    )]
     fn close_bucket(
         config: &SloConfig,
         budget: f64,
@@ -221,7 +225,6 @@ impl SloMonitor {
         class: u8,
         w: &mut ClassWindow,
     ) {
-        // tg-lint: allow(unwrap-in-lib) -- a ClassWindow is constructed with one bucket and never drained below one
         let closed = w.buckets.back().expect("window always has a bucket");
         let fast_ratio = if closed.dequeues == 0 {
             0.0
@@ -256,6 +259,10 @@ impl SloMonitor {
 
     /// Rolls `class`'s window forward so the newest bucket covers
     /// `index`, closing (and alert-evaluating) every bucket left behind.
+    #[expect(
+        clippy::expect_used,
+        reason = "observe() inserts the entry before calling roll_to; a ClassWindow is constructed with one bucket and never drained below one; the loop pushes a bucket each iteration; the window is never empty"
+    )]
     fn roll_to(&mut self, class: u8, index: u64) {
         let budget = self.error_budget();
         let slow_len = self.slow_buckets();
@@ -264,9 +271,7 @@ impl SloMonitor {
         let w = self
             .classes
             .get_mut(&class)
-            // tg-lint: allow(unwrap-in-lib) -- observe() inserts the entry before calling roll_to
             .expect("roll_to called after entry creation");
-        // tg-lint: allow(unwrap-in-lib) -- a ClassWindow is constructed with one bucket and never drained below one
         while w.buckets.back().expect("non-empty").index < index {
             Self::close_bucket(
                 &config,
@@ -277,7 +282,6 @@ impl SloMonitor {
                 class,
                 w,
             );
-            // tg-lint: allow(unwrap-in-lib) -- the loop pushes a bucket each iteration; the window is never empty
             let next = w.buckets.back().expect("non-empty").index + 1;
             // A gap longer than the slow window leaves nothing but empty
             // buckets in scope: jump straight to the target.
@@ -307,6 +311,14 @@ impl SloMonitor {
     /// events released together at its completion — so on a sampled run
     /// the buckets, burn rates and alerts describe the retained stream,
     /// not the run's timeline.
+    #[expect(
+        clippy::expect_used,
+        reason = "the entry was inserted just above; a window always has a bucket; a ClassWindow is constructed with one bucket and never drained below one"
+    )]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "`bucket_ns` is `.max(1)`-clamped at construction"
+    )]
     pub fn observe(&mut self, ev: &TraceEvent) {
         let TraceEvent::TaskDequeued {
             at,
@@ -317,15 +329,12 @@ impl SloMonitor {
         else {
             return;
         };
-        // tg-lint: allow(panic-surface) -- `bucket_ns` is `.max(1)`-clamped at construction
         let index = at.as_nanos() / self.bucket_ns;
         self.classes
             .entry(class)
             .or_insert_with(|| ClassWindow::new(index));
         self.roll_to(class, index);
-        // tg-lint: allow(unwrap-in-lib) -- the entry was inserted just above; a window always has a bucket
         let w = self.classes.get_mut(&class).expect("just inserted");
-        // tg-lint: allow(unwrap-in-lib) -- a ClassWindow is constructed with one bucket and never drained below one
         let b = w.buckets.back_mut().expect("non-empty");
         b.dequeues += 1;
         w.total_dequeues += 1;

@@ -480,12 +480,23 @@ impl MissBin {
 ///
 /// Panics when `bin` is zero.
 /// `bin` is a virtual-time duration (nanosecond domain).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "usize is 64 bits on every supported target (x86-64, aarch64), so the u64 bin index converts losslessly"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`bin` is asserted non-zero above and the `while` loop extends `bins` past `idx` before indexing"
+)]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "`bin` is asserted non-zero above and the `while` loop extends `bins` past `idx` before indexing"
+)]
 pub fn miss_ratio_timeline(events: &[TraceEvent], bin: SimDuration) -> Vec<MissBin> {
     assert!(!bin.is_zero(), "miss-ratio bin must be positive");
     let mut bins: Vec<MissBin> = Vec::new();
     for ev in events {
         if let TraceEvent::TaskDequeued { at, slack_ns, .. } = *ev {
-            // tg-lint: allow(panic-surface) -- `bin` is asserted non-zero above and the `while` loop extends `bins` past `idx` before indexing
             let idx = (at.as_nanos() / bin.as_nanos()) as usize;
             while bins.len() <= idx {
                 let start = SimTime::from_nanos(bins.len() as u64 * bin.as_nanos());
@@ -495,10 +506,8 @@ pub fn miss_ratio_timeline(events: &[TraceEvent], bin: SimDuration) -> Vec<MissB
                     misses: 0,
                 });
             }
-            // tg-lint: allow(panic-surface) -- `bin` is asserted non-zero above and the `while` loop extends `bins` past `idx` before indexing
             bins[idx].dequeues += 1;
             if slack_ns < 0 {
-                // tg-lint: allow(panic-surface) -- `bin` is asserted non-zero above and the `while` loop extends `bins` past `idx` before indexing
                 bins[idx].misses += 1;
             }
         }

@@ -1,8 +1,9 @@
 //! Property coverage for the 51-byte trace codec: random valid events —
 //! including near-`u64::MAX` timestamps — encode→decode bit-identically,
 //! and arbitrary byte corruption is *counted*, never a panic. This is the
-//! contract the `panic-surface`-clean decode path (fixed field plan, no
-//! computed offsets) is supposed to guarantee; see `docs/lint.md`.
+//! contract the decode path's fixed field plan (no computed offsets) is
+//! supposed to guarantee, and the reason its `clippy::indexing_slicing`
+//! exemptions give; see `docs/lint.md`.
 //!
 //! `proptest` here is the offline stand-in under `third_party/proptest`
 //! (version `0.0.0-offline-stub`): deterministic case streams, no

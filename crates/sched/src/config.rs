@@ -115,17 +115,24 @@ impl ClusterSpec {
     /// # Panics
     ///
     /// Panics when `i >= servers()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "asserted `i < servers` above; `service` holds 1 or `servers` entries by construction"
+    )]
     pub fn service_of(&self, i: usize) -> &DynDistribution {
         assert!(i < self.servers, "server index out of range");
         if self.service.len() == 1 {
             &self.service[0]
         } else {
-            // tg-lint: allow(panic-surface) -- asserted `i < servers` above; `service` holds 1 or `servers` entries by construction
             &self.service[i]
         }
     }
 
     /// Mean task service time averaged over servers, in ms.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`service` holds 1 or `servers` entries by construction; this branch has exactly one"
+    )]
     pub fn mean_service_ms(&self) -> f64 {
         if self.service.len() == 1 {
             self.service[0].mean()

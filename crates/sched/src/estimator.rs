@@ -129,12 +129,14 @@ enum CdfSource {
 
 impl CdfSource {
     /// Group `g`'s CDF.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     fn group(&self, g: u32) -> &dyn Cdf {
         let g = g as usize;
         match self {
-            // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
             CdfSource::Analytic(reps) => reps[g].as_ref(),
-            // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
             CdfSource::Online(snaps) => snaps[g].as_ref(),
         }
     }
@@ -206,6 +208,14 @@ impl DeadlineEstimator {
     /// # Panics
     ///
     /// Panics when `classes` is empty.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "group/server counts are far below 2^32"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     pub fn new(cluster: &ClusterSpec, classes: Vec<ClassSpec>, mode: EstimatorMode) -> Self {
         assert!(!classes.is_empty(), "need at least one class");
         // Group servers by distribution identity.
@@ -218,16 +228,14 @@ impl DeadlineEstimator {
                 .position(|r| Arc::ptr_eq(r, d))
                 .unwrap_or_else(|| {
                     reps.push(Arc::clone(d));
-                    // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
+                    // tg-lint: allow(unsigned-sub) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
                     reps.len() - 1
                 });
-            // tg-lint: allow(lossy-cast) -- group/server counts are far below 2^32
             group_of.push(gid as u32);
         }
         let group_count = reps.len();
         let mut group_sizes = vec![0u32; group_count];
         for &g in &group_of {
-            // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
             group_sizes[g as usize] += 1;
         }
         let (source, hists, refresh_every) = match mode {
@@ -273,6 +281,10 @@ impl DeadlineEstimator {
     /// estimator onto the measured CDFs.
     ///
     /// No-op in analytic mode.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`group_of` has one entry per server of the cluster; group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     pub fn seed_offline(&mut self, cluster: &ClusterSpec, samples: usize, rng: &mut SimRng) {
         if self.hists.is_empty() {
             return;
@@ -280,11 +292,9 @@ impl DeadlineEstimator {
         for server in 0..cluster.servers() {
             let g = self.group_of[server] as usize;
             // Spread samples evenly across the group's servers.
-            // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
             let per_server = samples.div_ceil(self.group_sizes[g] as usize);
             let d = cluster.service_of(server);
             for _ in 0..per_server {
-                // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
                 self.hists[g].record(d.sample(rng));
             }
         }
@@ -299,12 +309,15 @@ impl DeadlineEstimator {
     ///
     /// Panics when `server` is out of range.
     /// `t` is a virtual-time duration (nanosecond domain).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`group_of` has one entry per server of the cluster; group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     pub fn record_post_queuing(&mut self, server: usize, t: SimDuration) {
         if self.hists.is_empty() {
             return; // analytic mode ignores observations
         }
         let g = self.group_of[server] as usize;
-        // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
         self.hists[g].record(t.as_millis_f64());
         self.since_refresh += 1;
         if let Some(aw) = self.adaptive {
@@ -382,6 +395,14 @@ impl DeadlineEstimator {
 
     /// Builds the key of `fanout` tasks on `servers` into `key_scratch`
     /// and returns it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "group/server counts are far below 2^32"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     fn group_key(&mut self, fanout: u32, servers: &[u32]) -> &[(u32, u32)] {
         self.key_scratch.clear();
         if self.group_count == 1 {
@@ -397,18 +418,13 @@ impl DeadlineEstimator {
             // scratch.
             self.counts_scratch.iter_mut().for_each(|c| *c = 0);
             for &s in servers {
-                // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
                 self.counts_scratch[self.group_of[s as usize] as usize] += 1;
             }
         }
         // Indexed by group id, hence already sorted.
         let pairs = self.counts_scratch.iter().enumerate();
-        self.key_scratch.extend(
-            pairs
-                .filter(|&(_, &c)| c > 0)
-                // tg-lint: allow(lossy-cast) -- group/server counts are far below 2^32
-                .map(|(g, &c)| (g as u32, c)),
-        );
+        self.key_scratch
+            .extend(pairs.filter(|&(_, &c)| c > 0).map(|(g, &c)| (g as u32, c)));
         &self.key_scratch
     }
 
@@ -456,11 +472,14 @@ impl DeadlineEstimator {
     /// # Panics
     ///
     /// Panics when `class` is out of range or `fanout` is zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     pub fn budget(&mut self, class: u8, fanout: u32, servers: &[u32]) -> SimDuration {
         // tg-lint: hot(admit)
         assert!(fanout >= 1, "fanout must be at least 1");
         self.budget_lookups += 1;
-        // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
         let slo = self.classes[class as usize].slo;
         slo.saturating_sub(self.tail(class, fanout, servers))
         // tg-lint: endhot
@@ -521,8 +540,11 @@ impl DeadlineEstimator {
     }
 
     /// Solves Eq. 2 for `class`'s percentile over the multiset `key`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list"
+    )]
     fn solve(&self, class: u8, key: &[(u32, u32)]) -> SimDuration {
-        // tg-lint: allow(panic-surface) -- group tables (`group_of`, `reps`, `hists`, `group_sizes`, `counts_scratch`) are rebuilt together by the grouping pass, so entries of one index the others by construction; per-class specs are sized from the class list
         let p = self.classes[class as usize].percentile;
         let pairs: Vec<(&dyn Cdf, u32)> = key
             .iter()

@@ -501,8 +501,11 @@ impl QueryHandler {
         self
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense per-server table sized at construction; `server` ids come from the admitted placement or a backup scan over the same table — an out-of-range id is a driver bug where the documented panic is the designed failure mode"
+    )]
     fn server(&mut self, server: u32) -> &mut ServerSlot {
-        // tg-lint: allow(panic-surface) -- dense per-server table sized at construction; `server` ids come from the admitted placement or a backup scan over the same table — an out-of-range id is a driver bug where the documented panic is the designed failure mode
         &mut self.servers[server as usize]
     }
 
@@ -513,9 +516,12 @@ impl QueryHandler {
 
     /// Outstanding hedge+retry copies of `query`'s class (the
     /// [`MitigationConfig::hedge_budget`] token bucket).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one counter per class, sized at construction; `class` was range-checked when its query was admitted"
+    )]
     fn dups(&mut self, query: QueryId) -> &mut u32 {
         let class = self.query(query).class;
-        // tg-lint: allow(panic-surface) -- one counter per class, sized at construction; `class` was range-checked when its query was admitted
         &mut self.outstanding_dups[class as usize]
     }
 
@@ -534,6 +540,18 @@ impl QueryHandler {
     /// Panics when `class` is out of range, a target server index is out of
     /// range, or `sizes`/`task_budgets` lengths disagree with `targets`.
     /// `now` is virtual time (nanosecond domain).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "guarded: the ceil'd product is clamped to `1..=fanout` immediately, so any NaN/overflow truncation is erased by the clamp; `TaskId` is u32 by design: a run mints fewer than 2^32 attempts"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "guarded: the ceil'd product is clamped to `1..=fanout` immediately, so any NaN/overflow truncation is erased by the clamp"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`arrival.class` was range-checked against `classes` at the top of this function"
+    )]
     pub fn on_query_arrival(
         &mut self,
         now: SimTime,
@@ -578,7 +596,6 @@ impl QueryHandler {
         let budget = match arrival.budget_override {
             Some(b) => b,
             None => match self.policy.deadline_rule() {
-                // tg-lint: allow(panic-surface) -- `arrival.class` was range-checked against `classes` at the top of this function
                 DeadlineRule::SloOnly => self.classes[arrival.class as usize].slo,
                 // FIFO/PRIQ ignore deadlines for ordering; we still stamp
                 // the TailGuard deadline so miss accounting is comparable.
@@ -600,7 +617,6 @@ impl QueryHandler {
         // Graceful degradation (when configured): the query may complete
         // "partial" once a quorum of its slots has a result.
         let quorum = match self.mitigation.as_ref().and_then(|m| m.partial_quorum) {
-            // tg-lint: allow(lossy-cast) -- guarded: the ceil'd product is clamped to `1..=fanout` immediately, so any NaN/overflow truncation is erased by the clamp
             Some(f) => ((f64::from(fanout) * f).ceil() as u32).clamp(1, fanout),
             None => fanout,
         };
@@ -921,9 +937,12 @@ impl QueryHandler {
     }
 
     /// Busy/estimator/health accounting for a committed completion.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense per-server table sized at construction, indexed by the server a committed attempt was dispatched to"
+    )]
     fn record_service(&mut self, now: SimTime, server: u32, busy: SimDuration) {
         self.stats.load.record_busy(busy);
-        // tg-lint: allow(panic-surface) -- dense per-server table sized at construction, indexed by the server a committed attempt was dispatched to
         self.stats.busy_by_server[server as usize] += busy;
         // Online updating process (§III.B.2): the handler learns the
         // server's post-queuing time distribution from returned results.
@@ -951,6 +970,10 @@ impl QueryHandler {
     /// stragglers of early-quorum queries) are discarded here — the
     /// cancel-at-dequeue that a [`PolicyQueue`] without arbitrary removal
     /// supports.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "queue entries carry the `TaskId` this handler pushed, widened to u64 by the policy crate"
+    )]
     fn on_server_free(&mut self, now: SimTime, server: u32) -> Option<DispatchedTask> {
         self.server(server).in_service = None;
         loop {
@@ -1132,6 +1155,10 @@ impl QueryHandler {
     /// recording, and lease issuance — the dispatch runs under a fresh
     /// fencing token from here on.
     // tg-lint: hot(dequeue)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "queue entries carry the `TaskId` this handler pushed, widened to u64 by the policy crate"
+    )]
     fn start(&mut self, now: SimTime, server: u32, entry: QueuedTask) -> DispatchedTask {
         let missed = now > entry.deadline;
         self.stats.load.task_completed(missed);
@@ -1251,8 +1278,11 @@ impl QueryHandler {
     }
 
     /// The task currently in service at `server`, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode"
+    )]
     pub fn task_in_service(&self, server: u32) -> Option<TaskId> {
-        // tg-lint: allow(panic-surface) -- dense per-server/per-query/per-class tables sized at construction; `server` ids come from the admitted placement, `query`/`class` ids are minted/validated at admission — an out-of-range id is an internal-invariant breach where the documented panic is the designed failure mode
         self.servers[server as usize].in_service
     }
 

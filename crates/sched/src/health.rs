@@ -212,11 +212,18 @@ impl HealthTracker {
     /// # Panics
     ///
     /// Panics when `servers` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after"
+    )]
     pub fn new(config: HealthConfig, servers: usize) -> Self {
         assert!(servers > 0, "need at least one server");
         // ceil(fraction × N), clamped into 1..=N.
         let min_healthy =
-            // tg-lint: allow(lossy-cast) -- server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after
             ((config.min_healthy_fraction * servers as f64).ceil() as usize).clamp(1, servers);
         HealthTracker {
             config,
@@ -240,16 +247,17 @@ impl HealthTracker {
     ///
     /// Panics when `server` is out of range.
     /// `t` is a virtual-time duration (nanosecond domain).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read"
+    )]
     pub fn observe(&mut self, server: usize, t: SimDuration) {
         let ms = t.as_millis_f64();
-        // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
         let n = &mut self.count[server];
         if *n == 0 {
-            // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
             self.ewma[server] = ms;
         } else {
             let a = self.config.alpha;
-            // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
             self.ewma[server] = a * ms + (1.0 - a) * self.ewma[server];
         }
         *n += 1;
@@ -261,12 +269,23 @@ impl HealthTracker {
     }
 
     /// Re-evaluates ejection state against the current cluster median.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`scratch` holds indices of servers in the per-server tables it was built from, and `i` ranges over `0..scratch.len()`"
+    )]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "a literal non-zero divisor (the lower-middle median)"
+    )]
     fn evaluate(&mut self) {
         let min_obs = self.config.min_observations;
         self.scratch.clear();
         for (s, (&score, &n)) in self.ewma.iter().zip(&self.count).enumerate() {
             if n >= min_obs {
-                // tg-lint: allow(lossy-cast) -- server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after
                 self.scratch.push((score, s as u32));
             }
         }
@@ -305,7 +324,6 @@ impl HealthTracker {
                 self.probe_counter[s] = 0;
                 self.healthy += 1;
                 self.stats.readmissions += 1;
-                // tg-lint: allow(lossy-cast) -- server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after
                 self.transitions.push((s as u32, false));
             }
         }
@@ -324,7 +342,6 @@ impl HealthTracker {
             self.ejected[s] = true;
             self.healthy = self.healthy.saturating_sub(1);
             self.stats.ejections += 1;
-            // tg-lint: allow(lossy-cast) -- server counts are far below 2^32; the min-healthy floor is clamped to 1..=servers right after
             self.transitions.push((s as u32, true));
         }
     }
@@ -343,8 +360,11 @@ impl HealthTracker {
     }
 
     /// Whether `server` is currently ejected.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read"
+    )]
     pub fn is_ejected(&self, server: usize) -> bool {
-        // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
         self.ejected[server]
     }
 
@@ -352,12 +372,14 @@ impl HealthTracker {
     /// task should be diverted to a healthy server, `false` means it goes
     /// to its target (either the server is healthy, or this task is the
     /// periodic recovery probe). Counts probes and reroutes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read"
+    )]
     pub fn should_divert(&mut self, server: usize) -> bool {
-        // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
         if !self.ejected[server] {
             return false;
         }
-        // tg-lint: allow(panic-surface) -- per-server tables are sized at construction and `server` ids are validated by the handler; `scratch` is refilled from the non-empty server set before the median read
         let c = &mut self.probe_counter[server];
         *c += 1;
         if *c >= self.config.probe_every {

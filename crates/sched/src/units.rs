@@ -1,7 +1,7 @@
 //! Sanctioned numeric conversions for the deadline/lease/trace paths.
 //!
-//! The workspace-wide `lossy-cast` lint (`crates/lint`) forbids bare `as`
-//! casts that can silently truncate in deterministic library code: a
+//! The deterministic crates' clippy lint set (`cargo det-lint`) forbids
+//! bare `as` casts that can silently truncate in library code: a
 //! narrowed nanosecond count or a float-truncated deadline corrupts the
 //! Eq. 6 budget math without any visible failure. Every conversion that
 //! *can* lose range goes through one of these helpers instead, so the
@@ -28,6 +28,14 @@
 /// wraps the deadline to garbage.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded: 0 < v < 2^64, rounding cannot overflow"
+)]
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "guarded: 0 < v < 2^64, rounding cannot overflow"
+)]
 pub fn sat_f64_to_u64(v: f64) -> u64 {
     if v.is_nan() || v <= 0.0 {
         return 0;
@@ -35,7 +43,6 @@ pub fn sat_f64_to_u64(v: f64) -> u64 {
     if v >= u64::MAX as f64 {
         u64::MAX
     } else {
-        // tg-lint: allow(lossy-cast) -- guarded: 0 < v < 2^64, rounding cannot overflow
         v.round() as u64
     }
 }
@@ -63,8 +70,15 @@ pub fn scale_ns(ns: u64, factor: f64) -> u64 {
 /// pinned bit.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "this helper *is* the documented truncation policy"
+)]
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "this helper *is* the documented truncation policy"
+)]
 pub fn trunc_f64_to_u64(v: f64) -> u64 {
-    // tg-lint: allow(lossy-cast) -- this helper *is* the documented truncation policy
     v as u64
 }
 
@@ -74,8 +88,15 @@ pub fn trunc_f64_to_u64(v: f64) -> u64 {
 /// Used where a float rank or fraction selects a collection slot.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "this helper *is* the documented truncation policy"
+)]
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "this helper *is* the documented truncation policy"
+)]
 pub fn trunc_f64_to_usize(v: f64) -> usize {
-    // tg-lint: allow(lossy-cast) -- this helper *is* the documented truncation policy
     v as usize
 }
 
@@ -111,10 +132,10 @@ pub fn sat_usize_to_u32(v: usize) -> u32 {
 #[must_use]
 pub fn signed_ns_delta(a: u64, b: u64) -> i64 {
     if a >= b {
-        // tg-lint: allow(panic-surface) -- guarded: the branch establishes the minuend >= the subtrahend
+        // tg-lint: allow(unsigned-sub) -- guarded: the branch establishes the minuend >= the subtrahend
         i64::try_from(a - b).unwrap_or(i64::MAX)
     } else {
-        // tg-lint: allow(panic-surface) -- guarded: the branch establishes the minuend >= the subtrahend
+        // tg-lint: allow(unsigned-sub) -- guarded: the branch establishes the minuend >= the subtrahend
         i64::try_from(b - a).map_or(i64::MIN, |d| -d)
     }
 }

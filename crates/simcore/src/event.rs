@@ -26,7 +26,6 @@ pub struct Scheduled<E> {
 impl<E> Scheduled<E> {
     /// When the event fires.
     pub fn at(&self) -> SimTime {
-        // tg-lint: allow(lossy-cast) -- exact: the upper half of the packed (time, seq) u128 key — `>> 64` bounds it below 2^64
         SimTime::from_nanos((self.key >> 64) as u64)
     }
 }

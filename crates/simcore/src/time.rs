@@ -87,6 +87,10 @@ impl SimTime {
 
     /// Microseconds since simulation start (truncating).
     #[inline]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "a literal non-zero divisor (ns per µs)"
+    )]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
@@ -153,6 +157,10 @@ impl SimDuration {
 
     /// Length in microseconds (truncating).
     #[inline]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "a literal non-zero divisor (ns per µs)"
+    )]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
@@ -197,6 +205,14 @@ impl SimDuration {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded: the branches above establish 0 < nanos < 2^64"
+)]
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "guarded: the branches above establish 0 < nanos < 2^64"
+)]
 fn millis_f64_to_nanos(millis: f64) -> u64 {
     if millis.is_nan() || millis <= 0.0 {
         return 0;
@@ -205,7 +221,6 @@ fn millis_f64_to_nanos(millis: f64) -> u64 {
     if nanos >= u64::MAX as f64 {
         u64::MAX
     } else {
-        // tg-lint: allow(lossy-cast) -- guarded: the branches above establish 0 < nanos < 2^64
         nanos.round() as u64
     }
 }
@@ -285,8 +300,11 @@ impl Div<u64> for SimDuration {
     ///
     /// Panics when `rhs` is zero.
     #[inline]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "operator contract mirrors u64 `/` (documented); a zero divisor is a caller bug surfaced loudly"
+    )]
     fn div(self, rhs: u64) -> SimDuration {
-        // tg-lint: allow(panic-surface) -- operator contract mirrors u64 `/` (documented); a zero divisor is a caller bug surfaced loudly
         SimDuration(self.0 / rhs)
     }
 }

@@ -87,8 +87,8 @@ pub struct TestbedConfig {
     pub store_days: u32,
     /// Shared metrics registry, if the run should be observable. The
     /// handler records lifecycle events and keeps the registry current
-    /// while running, so a [`tailguard_obs::MetricsServer`] serving this
-    /// registry exposes live `/metrics` scrapes. Registry durations are in
+    /// while running, so a reader holding the same handle sees live
+    /// counters and its Prometheus text. Registry durations are in
     /// the *compressed* wall domain; the `tailguard_run_time_scale` gauge
     /// carries the factor to uncompress them.
     pub registry: Option<SharedRegistry>,
@@ -825,8 +825,8 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_populates_registry_and_serves_metrics() {
-        use tailguard_obs::{shared_registry, MetricsServer};
+    fn observed_run_populates_registry() {
+        use tailguard_obs::shared_registry;
 
         let registry = shared_registry();
         let mut cfg = quick(Policy::TfEdf, 0.25, 200);
@@ -857,15 +857,8 @@ mod tests {
             );
         }
 
-        // The same registry serves live Prometheus scrapes.
-        let server = MetricsServer::serve(Arc::clone(&registry), 0).unwrap();
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        use std::io::{Read as _, Write as _};
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut body = String::new();
-        stream.read_to_string(&mut body).unwrap();
+        // The same registry renders the Prometheus exposition.
+        let body = registry.lock().unwrap().prometheus_text();
         assert!(body.contains("# TYPE tailguard_queries_admitted_total counter"));
         assert!(body.contains("# TYPE tailguard_queue_wait_ms histogram"));
         assert!(body.contains("tailguard_queries_admitted_total 200"));

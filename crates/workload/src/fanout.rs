@@ -83,6 +83,10 @@ impl FanoutDist {
     /// # Panics
     ///
     /// Panics unless `n` is a positive multiple of 10.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "a literal non-zero divisor; `n` is asserted a positive multiple of 10 above"
+    )]
     pub fn paper_mix_scaled(n: u32) -> Self {
         assert!(
             n >= 10 && n.is_multiple_of(10),
@@ -115,14 +119,17 @@ impl FanoutDist {
     }
 
     /// Draws a fanout.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry"
+    )]
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
         let u = rng.f64();
         let idx = self
             .cumulative
             .partition_point(|&c| c <= u)
-            // tg-lint: allow(panic-surface) -- fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry
+            // tg-lint: allow(unsigned-sub) -- fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry
             .min(self.fanouts.len() - 1);
-        // tg-lint: allow(panic-surface) -- fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry
         self.fanouts[idx]
     }
 
@@ -138,21 +145,26 @@ impl FanoutDist {
     }
 
     /// The largest possible fanout.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor asserts at least one fanout entry"
+    )]
     pub fn max_fanout(&self) -> u32 {
-        // tg-lint: allow(unwrap-in-lib) -- the constructor asserts at least one fanout entry
         *self.fanouts.iter().max().expect("non-empty")
     }
 
     /// The probability of drawing `k`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry"
+    )]
     pub fn probability_of(&self, k: u32) -> f64 {
         let mut prev = 0.0;
         for (i, &f) in self.fanouts.iter().enumerate() {
-            // tg-lint: allow(panic-surface) -- fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry
             let p = self.cumulative[i] - prev;
             if f == k {
                 return p;
             }
-            // tg-lint: allow(panic-surface) -- fanout/cumulative tables are built in lockstep by the validated constructor; indices are min-clamped to the last entry
             prev = self.cumulative[i];
         }
         0.0

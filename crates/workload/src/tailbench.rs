@@ -94,6 +94,10 @@ impl TailbenchWorkload {
     ///
     /// Panics if the built-in control points ever become infeasible — a
     /// programming error caught by tests, not a runtime condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "Table II control points are compile-time constants validated by tests; the fixed control points admit the published mean by construction"
+    )]
     pub fn service_dist(&self) -> PiecewiseQuantile {
         let s = self.paper_stats();
         let (points, adjust_idx) = match self {
@@ -137,10 +141,8 @@ impl TailbenchWorkload {
             ),
         };
         PiecewiseQuantile::new(points)
-            // tg-lint: allow(unwrap-in-lib) -- Table II control points are compile-time constants validated by tests
             .expect("built-in control points are valid")
             .calibrate_mean(adjust_idx, s.mean)
-            // tg-lint: allow(unwrap-in-lib) -- the fixed control points admit the published mean by construction
             .expect("built-in control points admit the Table II mean")
     }
 

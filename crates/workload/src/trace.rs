@@ -109,25 +109,31 @@ impl QueryMix {
     }
 
     /// Draws `(class, fanout)` for one query.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: records are validated sorted by arrival and the branch above requires len >= 2"
+    )]
     pub fn sample(&self, rng: &mut SimRng) -> (u8, u32) {
         let u = rng.f64();
         let idx = self
             .cumulative
             .partition_point(|&c| c <= u)
-            // tg-lint: allow(panic-surface) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
+            // tg-lint: allow(unsigned-sub) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
             .min(self.classes.len() - 1);
-        // tg-lint: allow(panic-surface) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
         let share = &self.classes[idx];
         (share.class, share.fanout.sample(rng))
     }
 
     /// The largest fanout any class can draw.
+    #[expect(
+        clippy::expect_used,
+        reason = "mix constructors assert at least one class share"
+    )]
     pub fn max_fanout(&self) -> u32 {
         self.classes
             .iter()
             .map(|c| c.fanout.max_fanout())
             .max()
-            // tg-lint: allow(unwrap-in-lib) -- mix constructors assert at least one class share
             .expect("non-empty")
     }
 }
@@ -277,6 +283,10 @@ impl Trace {
     ///
     /// Returns [`TraceError::Json`] on malformed input and
     /// [`TraceError::NotSorted`] when arrivals are out of order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`windows(2)` yields two-element slices"
+    )]
     pub fn from_json(s: &str) -> Result<Self, TraceError> {
         let trace: Trace = serde_json::from_str(s)?;
         if trace
@@ -315,6 +325,11 @@ impl Trace {
     ///
     /// Returns [`TraceError::Csv`] on malformed rows and
     /// [`TraceError::NotSorted`] when arrivals are out of order.
+    #[expect(clippy::expect_used, reason = "guarded by the len() >= 2 branch above")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded: records are validated sorted by arrival and the branch above requires len >= 2"
+    )]
     pub fn from_csv(s: &str) -> Result<Self, TraceError> {
         let mut lines = s.lines();
         match lines.next() {
@@ -357,13 +372,12 @@ impl Trace {
             return Err(TraceError::NotSorted);
         }
         let rate = if records.len() >= 2 {
-            // tg-lint: allow(unwrap-in-lib) -- guarded by the len() >= 2 branch above
-            // tg-lint: allow(panic-surface) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
+            // tg-lint: allow(unsigned-sub) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
             let span_ms = (records.last().expect("non-empty").arrival_ns - records[0].arrival_ns)
                 as f64
                 / 1e6;
             if span_ms > 0.0 {
-                // tg-lint: allow(panic-surface) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
+                // tg-lint: allow(unsigned-sub) -- guarded: records are validated sorted by arrival and the branch above requires len >= 2
                 (records.len() - 1) as f64 / span_ms
             } else {
                 1.0
