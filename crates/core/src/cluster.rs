@@ -11,13 +11,13 @@
 
 use crate::observe::SimSnapshot;
 use crate::report::SimReport;
-use crate::spec::{QuerySpec, RequestInput, SimConfig, SimInput};
+use crate::spec::{ClusterSpec, QuerySpec, RequestInput, SimConfig, SimInput};
 use std::collections::BTreeMap;
 use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
 use tailguard_sched::{
     Begun, DeadlineEstimator, DispatchedTask, Driver, EstimatorMode, LeaseToken, QueryArrival,
-    QueryDone, QueryHandler, Timer, TraceSink, Transport,
+    QueryHandler, Timer, TraceSink, Transport,
 };
 use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 
@@ -29,31 +29,6 @@ use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 pub(crate) struct ObserverSetup {
     pub sink: Box<dyn TraceSink>,
     pub snapshot_every: Option<SimDuration>,
-}
-
-/// Sees every query a run finishes, and may end the run early.
-///
-/// The unit watch sees nothing and never settles. Both of its methods are
-/// empty and inline, so a run under it compiles to the loop without a
-/// watch: no branch per event, no `Option` to check.
-pub(crate) trait QueryWatch {
-    /// A query finished: recorded or not; full, partial or failed.
-    fn finished(&mut self, done: &QueryDone);
-
-    /// True once the rest of the run can no longer change what the watch
-    /// decides. The run then stops after the current event, and its
-    /// report covers only the events handled so far.
-    fn settled(&self) -> bool;
-}
-
-impl QueryWatch for () {
-    #[inline(always)]
-    fn finished(&mut self, _: &QueryDone) {}
-
-    #[inline(always)]
-    fn settled(&self) -> bool {
-        false
-    }
 }
 
 /// Runs one simulation to completion and returns the measurements.
@@ -135,17 +110,6 @@ pub(crate) fn run_with_observer(
     input: &SimInput,
     observer: Option<ObserverSetup>,
 ) -> (SimReport, Vec<SimSnapshot>) {
-    run_watched(config, input, observer, &mut ())
-}
-
-/// [`run_with_observer`] with `watch` told of every finished query; the
-/// run stops early once the watch [settles](QueryWatch::settled).
-pub(crate) fn run_watched<W: QueryWatch>(
-    config: &SimConfig,
-    input: &SimInput,
-    observer: Option<ObserverSetup>,
-    watch: &mut W,
-) -> (SimReport, Vec<SimSnapshot>) {
     let mut master = SimRng::seed(config.seed);
     let placement_rng = master.split();
     let service_rng = master.split();
@@ -218,15 +182,10 @@ pub(crate) fn run_watched<W: QueryWatch>(
         let (now, ev) = (scheduled.at(), scheduled.event);
         let arrival = matches!(ev, Ev::Arrive(_));
         run.handle(now, ev);
-        while let Some(done) = run.settle(now) {
-            watch.finished(&done);
-        }
+        run.settle(now);
         // An arrival's fallout settles before the snapshot is armed.
         if arrival {
             run.schedule_snapshot(now);
-        }
-        if watch.settled() {
-            break;
         }
     }
     // tg-lint: endhot
@@ -323,8 +282,38 @@ struct ClusterSim<'a> {
 
 /// Draws one nominal service time for `server` from the cluster's service
 /// distribution (fault episodes apply later, at dispatch time).
-fn draw_service(config: &SimConfig, rng: &mut SimRng, server: u32) -> SimDuration {
-    SimDuration::from_millis_f64(config.cluster.service_of(server as usize).sample(rng))
+pub(crate) fn draw_service(cluster: &ClusterSpec, rng: &mut SimRng, server: u32) -> SimDuration {
+    SimDuration::from_millis_f64(cluster.service_of(server as usize).sample(rng))
+}
+
+/// Fills `out` with the servers `spec` fans out to on a cluster of `n`:
+/// its explicit placement, or `k_f` distinct servers drawn from `rng`.
+pub(crate) fn place(n: usize, spec: &QuerySpec, rng: &mut SimRng, out: &mut Vec<u32>) {
+    match &spec.servers {
+        Some(s) => {
+            assert_eq!(
+                s.len(),
+                spec.fanout as usize,
+                "explicit placement length must equal fanout"
+            );
+            assert!(
+                s.iter().all(|&i| (i as usize) < n),
+                "placement server index out of range"
+            );
+            out.clear();
+            out.extend_from_slice(s);
+        }
+        None => {
+            assert!(
+                spec.fanout as usize <= n,
+                "fanout {} exceeds cluster size {n}",
+                spec.fanout
+            );
+            // tg-lint: hot(admit)
+            rng.sample_distinct_into(n, spec.fanout as usize, out);
+            // tg-lint: endhot
+        }
+    }
 }
 
 impl<'a> Transport for ClusterSim<'a> {
@@ -376,7 +365,7 @@ impl<'a> Transport for ClusterSim<'a> {
         server: u32,
         _: SimDuration,
     ) -> (SimDuration, Option<SimDuration>) {
-        let service = draw_service(self.config, &mut self.service_rng, server);
+        let service = draw_service(&self.config.cluster, &mut self.service_rng, server);
         (service, Some(service))
     }
 }
@@ -410,48 +399,18 @@ impl<'a> Run<'a> {
         &mut self.driver.transport.events
     }
 
-    /// Fills `targets_scratch` with the servers `spec` fans out to.
-    fn choose_servers(&mut self, spec: &QuerySpec) {
-        let (n, out) = (self.config.cluster.servers(), &mut self.targets_scratch);
-        match &spec.servers {
-            Some(s) => {
-                assert_eq!(
-                    s.len(),
-                    spec.fanout as usize,
-                    "explicit placement length must equal fanout"
-                );
-                assert!(
-                    s.iter().all(|&i| (i as usize) < n),
-                    "placement server index out of range"
-                );
-                out.clear();
-                out.extend_from_slice(s);
-            }
-            None => {
-                assert!(
-                    spec.fanout as usize <= n,
-                    "fanout {} exceeds cluster size {n}",
-                    spec.fanout
-                );
-                // tg-lint: hot(admit)
-                self.placement_rng
-                    .sample_distinct_into(n, spec.fanout as usize, out);
-                // tg-lint: endhot
-            }
-        }
-    }
-
     /// Issues the query `at` points at; `false` past its request's last.
     fn issue_query(&mut self, now: SimTime, at: Cursor<'a>) -> bool {
         let Some(spec) = at.queries.get(at.index) else {
             return false;
         };
-        self.choose_servers(spec);
+        let n = self.config.cluster.servers();
+        place(n, spec, &mut self.placement_rng, &mut self.targets_scratch);
         // Service times drawn now, in issue order, for cross-policy
         // alignment — and so rejected work can be accounted.
         self.services_scratch.clear();
-        let (config, rng) = (self.config, &mut self.driver.transport.service_rng);
-        let draw = |&s: &u32| draw_service(config, rng, s);
+        let (cluster, rng) = (&self.config.cluster, &mut self.driver.transport.service_rng);
+        let draw = |&s: &u32| draw_service(cluster, rng, s);
         self.services_scratch
             .extend(self.targets_scratch.iter().map(draw));
 
@@ -474,13 +433,12 @@ impl<'a> Run<'a> {
         true
     }
 
-    /// Runs the current event's fallout until a query finishes, chains its
-    /// request and returns how it finished; `None` once the fallout
-    /// settled.
-    fn settle(&mut self, now: SimTime) -> Option<QueryDone> {
-        let (at, done) = self.driver.drain(now)?;
-        self.chain(now, at);
-        Some(done)
+    /// Runs the current event's fallout, chaining each request whose query
+    /// finishes, until it settles.
+    fn settle(&mut self, now: SimTime) {
+        while let Some(at) = self.driver.drain(now) {
+            self.chain(now, at);
+        }
     }
 
     fn finish_task(
@@ -1191,6 +1149,80 @@ mod tests {
         assert_eq!(report.robustness.failed_queries, N);
         assert_eq!(report.robustness.tasks_lost_to_faults, N);
         assert_eq!(report.load.queries_offered_count(), N);
+    }
+
+    /// Server 0's dequeues in a traced run of `input`, as (class, instant).
+    fn dequeues_on_server_0(cfg: &SimConfig, input: &SimInput) -> Vec<(u8, SimTime)> {
+        use std::sync::{Arc, Mutex};
+        use tailguard_sched::TraceEvent;
+        struct Collect(Arc<Mutex<Vec<(u8, SimTime)>>>);
+        impl TraceSink for Collect {
+            fn record(&mut self, event: &TraceEvent) {
+                if let TraceEvent::TaskDequeued {
+                    at,
+                    class,
+                    server: 0,
+                    ..
+                } = *event
+                {
+                    self.0.lock().expect("trace lock").push((class, at));
+                }
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        run_simulation_traced(cfg, input, Box::new(Collect(Arc::clone(&seen))));
+        let seen = seen.lock().expect("trace lock").clone();
+        seen
+    }
+
+    #[test]
+    fn a_finish_and_an_arrival_at_one_instant_fire_in_scheduling_order() {
+        // Server 0 serves 2 ms tasks under T-EDFQ. At 0 a loose query puts
+        // two tasks on it: one starts and finishes at 2 ms, one (L) queues.
+        // A tight task (T, deadline 3 ms) arrives at 2 ms, as the first
+        // finishes. If T's arrival fires first, T is queued when server 0
+        // frees and jumps L; if the finish fires first, L dequeues before T
+        // is there.
+        let cfg = SimConfig::new(
+            det_cluster(2, 2.0),
+            vec![ClassSpec::p99(ms(1000.0)), ClassSpec::p99(ms(1.0))],
+            Policy::TEdf,
+        )
+        .with_warmup(0);
+        let request = |at_ms: u64, class: u8, servers: Vec<u32>| RequestInput {
+            arrival: SimTime::from_millis(at_ms),
+            queries: vec![QuerySpec {
+                class,
+                fanout: servers.len() as u32,
+                servers: Some(servers),
+                budget_override: None,
+                task_budgets: None,
+            }],
+        };
+        let at = SimTime::from_millis;
+        // The arrival at 2 ms follows the one at 0 directly, so it was
+        // scheduled when that one fired, before its tasks began: it fires
+        // before the finish.
+        let arrival_first = SimInput {
+            requests: vec![request(0, 0, vec![0, 0]), request(2, 1, vec![0])],
+        };
+        assert_eq!(
+            dequeues_on_server_0(&cfg, &arrival_first),
+            [(0, at(0)), (1, at(2)), (0, at(4))]
+        );
+        // With an arrival at 1 ms in between (on server 1), the one at 2 ms
+        // was scheduled at 1 ms, after the finish: the finish fires first.
+        let finish_first = SimInput {
+            requests: vec![
+                request(0, 0, vec![0, 0]),
+                request(1, 0, vec![1]),
+                request(2, 1, vec![0]),
+            ],
+        };
+        assert_eq!(
+            dequeues_on_server_0(&cfg, &finish_first),
+            [(0, at(0)), (0, at(2)), (1, at(4))]
+        );
     }
 
     #[test]

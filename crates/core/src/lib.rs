@@ -46,6 +46,7 @@
 mod cluster;
 mod maxload;
 mod observe;
+mod plain;
 mod report;
 mod request;
 mod runner;
@@ -58,6 +59,7 @@ pub use observe::{
     run_simulation_observed, ObsOptions, ObservedRun, SimSnapshot, DEFAULT_RING_CAPACITY,
     FLIGHT_RING_CAPACITY,
 };
+pub use plain::{run_plain_tapped, PlainEvent, PlainRun};
 pub use report::{QueryTypeKey, SimReport};
 pub use request::{BudgetSplit, RequestBudgets, RequestPlanner};
 pub use runner::{

@@ -7,27 +7,33 @@
 //! scenario's workload at `ρ`, runs the simulator, and asks
 //! [`SimReport::meets_all_slos`].
 //!
+//! Every run here is *plain* ([`crate::plain`]): [`Scenario::input`]
+//! makes single-query requests, and [`Scenario::config`] sets the analytic
+//! estimator and none of admission, faults, leases, mitigation or health.
+//! So every probe and every sweep point runs on the plain-run engine, N
+//! independent server queues, and its report equals the event loop's.
+//!
 //! A probe that fails stops as soon as its verdict is certain. The tail
 //! is the nearest-rank quantile ([`nearest_rank`]): the `p`-quantile of a
 //! type with `n` recorded queries is over its SLO exactly when more than
 //! `n − ⌈p·n⌉` of them are. The type's `N` queries in the probe's input
-//! bound `n` from above (warm-up, rejection, partial and failed queries
-//! only lower it), and `n − ⌈p·n⌉` never decreases as `n` grows. So once
-//! `N − ⌈p·N⌉ + 1` recorded completions of a type are over its SLO, and at
-//! least [`SimReport::MIN_TYPE_SAMPLES`] of that type are recorded,
-//! `meets_all_slos` of the full run is certain to be `false`, and the
+//! bound `n` from above (warm-up only lowers it), and `n − ⌈p·n⌉` never
+//! decreases as `n` grows. So once `N − ⌈p·N⌉ + 1` recorded completions of
+//! a type are over its SLO, and at least [`SimReport::MIN_TYPE_SAMPLES`]
+//! of that type are recorded, `meets_all_slos` of the full run is certain
+//! to be `false`, in whatever order the completions are counted, and the
 //! probe ends there. A probe that passes runs to the end. Every verdict,
 //! and so every probe sequence and returned load, equals that of full
 //! runs.
 
-use crate::cluster::{run_simulation, run_watched, QueryWatch};
+use crate::plain::{run_plain, PlainRun, Watch};
 use crate::report::SimReport;
 use crate::runner::run_indexed;
 use crate::spec::{Scenario, SimConfig, SimInput};
 use std::collections::BTreeMap;
 use tailguard_metrics::nearest_rank;
 use tailguard_policy::Policy;
-use tailguard_sched::{units, ClassSpec, QueryDone, QueryTypeKey};
+use tailguard_sched::{units, ClassSpec, QueryTypeKey};
 use tailguard_simcore::SimDuration;
 
 /// Tuning knobs for [`max_load`] and [`sweep_loads`].
@@ -92,7 +98,7 @@ pub fn measure_at_load(
     opts: &MaxLoadOptions,
 ) -> SimReport {
     let (config, input) = probe(scenario, policy, load, opts);
-    run_simulation(&config, &input)
+    run_plain(plain(&config), &input, &mut ())
 }
 
 /// The run [`measure_at_load`] simulates.
@@ -107,18 +113,30 @@ fn probe(
     (scenario.config(policy).with_warmup(warmup), input)
 }
 
+/// A probe's configuration as the plain run it is.
+fn plain(config: &SimConfig) -> PlainRun<'_> {
+    PlainRun {
+        cluster: &config.cluster,
+        classes: &config.classes,
+        policy: config.policy,
+        seed: config.seed,
+        warmup_queries: config.warmup_queries,
+    }
+}
+
 /// `measure_at_load(..).meets_all_slos()`, decided early.
 fn meets(scenario: &Scenario, policy: Policy, load: f64, opts: &MaxLoadOptions) -> bool {
     let (config, input) = probe(scenario, policy, load, opts);
     verdict(&config, &input)
 }
 
-/// `run_simulation(config, input).meets_all_slos()`, with the run stopped
-/// once one query type's [`MissBudget`] is spent. Only the verdict leaves:
-/// the report of a stopped run covers part of the input.
+/// `run_simulation(config, input).meets_all_slos()` for a probe's plain
+/// run, with the run stopped once one query type's [`MissBudget`] is
+/// spent. Only the verdict leaves: the report of a stopped run covers part
+/// of the input.
 fn verdict(config: &SimConfig, input: &SimInput) -> bool {
     let mut budget = MissBudget::new(&config.classes, input);
-    let (mut report, _) = run_watched(config, input, None, &mut budget);
+    let mut report = run_plain(plain(config), input, &mut budget);
     !budget.spent && report.meets_all_slos()
 }
 
@@ -174,22 +192,18 @@ impl MissBudget {
     }
 }
 
-impl QueryWatch for MissBudget {
-    fn finished(&mut self, done: &QueryDone) {
-        // Only recorded full completions enter the type reservoirs that
+impl Watch for MissBudget {
+    fn finished(&mut self, _: u32, key: QueryTypeKey, latency: SimDuration, recorded: bool) {
+        // Only recorded completions enter the type reservoirs that
         // `meets_all_slos` reads.
-        if !done.recorded || done.partial {
+        if !recorded {
             return;
         }
-        let key = QueryTypeKey {
-            class: done.class,
-            fanout: done.fanout,
-        };
         let Some(t) = self.types.get_mut(&key) else {
             return;
         };
         t.recorded += 1;
-        t.over += usize::from(done.latency > t.slo);
+        t.over += usize::from(latency > t.slo);
         self.spent |= t.over >= t.need && t.recorded >= SimReport::MIN_TYPE_SAMPLES;
     }
 
@@ -298,12 +312,11 @@ pub fn sweep_loads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{BudgetSplit, RequestPlanner};
+    use crate::cluster::run_simulation;
     use crate::scenarios;
     use crate::spec::{QuerySpec, RequestInput};
     use tailguard_metrics::LatencyReservoir;
-    use tailguard_sched::AdmissionConfig;
-    use tailguard_simcore::{SimRng, SimTime};
+    use tailguard_simcore::SimTime;
     use tailguard_workload::{ArrivalProcess, TailbenchWorkload};
 
     fn quick_opts() -> MaxLoadOptions {
@@ -387,17 +400,6 @@ mod tests {
         SimDuration::from_millis_f64(v)
     }
 
-    fn done(class: u8, fanout: u32, latency: SimDuration) -> QueryDone {
-        QueryDone {
-            query: 0,
-            class,
-            fanout,
-            latency,
-            recorded: true,
-            partial: false,
-        }
-    }
-
     #[test]
     fn budget_is_spent_exactly_when_the_full_tail_misses() {
         // 200 fanout-4 queries at p99: the tail (rank 198) is over the SLO
@@ -412,17 +414,16 @@ mod tests {
                 })
                 .collect(),
         };
+        let key = QueryTypeKey {
+            class: 0,
+            fanout: 4,
+        };
         for (over, misses_first) in (0..=25).flat_map(|o| [(o, true), (o, false)]) {
             let mut budget = MissBudget::new(&classes, &input);
             let mut all = LatencyReservoir::new();
             let mut spent_at = None;
-            // Unrecorded and partial queries count for nothing.
-            let mut ignored = done(0, 4, ms(9.0));
-            ignored.recorded = false;
-            budget.finished(&ignored);
-            ignored.recorded = true;
-            ignored.partial = true;
-            budget.finished(&ignored);
+            // Unrecorded queries count for nothing.
+            budget.finished(0, key, ms(9.0), false);
             for i in 0..200 {
                 let missed = if misses_first {
                     i < over
@@ -431,7 +432,7 @@ mod tests {
                 };
                 let latency = if missed { ms(2.0) } else { ms(0.5) };
                 all.record(latency);
-                budget.finished(&done(0, 4, latency));
+                budget.finished(0, key, latency, true);
                 if budget.settled() && spent_at.is_none() {
                     spent_at = Some(i + 1);
                 }
@@ -448,8 +449,9 @@ mod tests {
         }
     }
 
-    /// The full run's verdict on one probe, after checking that the early
-    /// verdict equals it; counts the failing probes that stopped early.
+    /// The event loop's full-run verdict on one probe, after checking that
+    /// the early verdict equals it; counts the failing probes that stopped
+    /// early.
     fn full_verdict(config: &SimConfig, input: &SimInput, stopped: &mut usize) -> bool {
         let mut full = run_simulation(config, input);
         let meets = full.meets_all_slos();
@@ -461,9 +463,12 @@ mod tests {
         );
         if !meets {
             let mut budget = MissBudget::new(&config.classes, input);
-            let (cut, _) = run_watched(config, input, None, &mut budget);
-            if budget.spent {
-                assert!(cut.events_processed < full.events_processed);
+            let cut = run_plain(plain(config), input, &mut budget);
+            // Counted when the stopped run dequeued fewer tasks: the budget
+            // can also run out at a run's last dequeue.
+            let dequeued = |r: &SimReport| r.load.tasks_completed_count();
+            assert!(dequeued(&cut) <= dequeued(&full));
+            if budget.spent && dequeued(&cut) < dequeued(&full) {
                 *stopped += 1;
             }
         }
@@ -521,60 +526,6 @@ mod tests {
                 );
             }
         }
-        assert!(stopped > 0, "no failing probe stopped early");
-    }
-
-    #[test]
-    fn early_verdicts_equal_full_runs_with_admission_control() {
-        let opts = oracle_opts();
-        let s = scenarios::two_class(
-            TailbenchWorkload::Masstree,
-            1.0,
-            ArrivalProcess::poisson(1.0),
-        );
-        let mut stopped = 0;
-        let found = reference_bisection(&opts, |load| {
-            let (config, input) = probe(&s, Policy::TfEdf, load, &opts);
-            let config = config.with_admission(AdmissionConfig::new(ms(20.0), 0.01));
-            full_verdict(&config, &input, &mut stopped)
-        });
-        assert!(
-            found > opts.lo && found < opts.hi,
-            "probes both pass and fail"
-        );
-        assert!(stopped > 0, "no failing probe stopped early");
-    }
-
-    #[test]
-    fn early_verdicts_equal_full_runs_on_multi_query_requests() {
-        // Eq. 7: a fanout-10 then a fanout-1 query per request, each with
-        // its share of a 2 ms request budget.
-        let s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
-        let fanouts = [10, 1];
-        let planner = RequestPlanner::new(0.99, 20_000, 41);
-        let budgets = planner.plan(&s.cluster, &fanouts, ms(2.0), BudgetSplit::Equal);
-        let requests = 3_000;
-        let (opts, mut stopped) = (oracle_opts(), 0);
-        let found = reference_bisection(&opts, |load| {
-            let work_ms = 11.0 * s.mean_task_work_ms;
-            let arrival = ArrivalProcess::poisson(load * 100.0 / work_ms);
-            let mut rng = SimRng::seed(17);
-            let mut at = SimTime::ZERO;
-            let input = SimInput {
-                requests: (0..requests)
-                    .map(|_| {
-                        at += arrival.next_gap(&mut rng);
-                        planner.request_input(at, 0, &fanouts, &budgets)
-                    })
-                    .collect(),
-            };
-            let config = s.config(Policy::TfEdf).with_warmup(requests / 10);
-            full_verdict(&config, &input, &mut stopped)
-        });
-        assert!(
-            found > opts.lo && found < opts.hi,
-            "probes both pass and fail"
-        );
         assert!(stopped > 0, "no failing probe stopped early");
     }
 

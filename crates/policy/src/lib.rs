@@ -38,6 +38,7 @@ pub use task::{QueuedTask, ServiceClass};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use tailguard_simcore::{SimDuration, SimTime};
 
 /// A task queue at (or in front of) a task server.
 ///
@@ -104,6 +105,20 @@ impl Policy {
             Policy::Fifo | Policy::Priq | Policy::Sjf => DeadlineRule::Unused,
             Policy::TEdf => DeadlineRule::SloOnly,
             Policy::TfEdf => DeadlineRule::SloAndFanout,
+        }
+    }
+
+    /// The key a [`PolicyQueue`] ranks a task by, least first: `0` (FIFO),
+    /// the class (PRIQ), the queuing deadline `t_D` (T-EDFQ, TF-EDFQ) or
+    /// the size hint (SJF). Ties leave in arrival order. `deadline` is
+    /// virtual time and `size_hint` a virtual-time duration (nanosecond
+    /// domain).
+    pub fn queue_key(&self, class: ServiceClass, deadline: SimTime, size_hint: SimDuration) -> u64 {
+        match self {
+            Policy::Fifo => 0,
+            Policy::Priq => u64::from(class.0),
+            Policy::TEdf | Policy::TfEdf => deadline.as_nanos(),
+            Policy::Sjf => size_hint.as_nanos(),
         }
     }
 

@@ -86,12 +86,9 @@ impl PolicyQueue {
 
 impl TaskQueue for PolicyQueue {
     fn push(&mut self, task: QueuedTask) {
-        let key = match self.policy {
-            Policy::Fifo => 0,
-            Policy::Priq => u64::from(task.class.0),
-            Policy::TEdf | Policy::TfEdf => task.deadline.as_nanos(),
-            Policy::Sjf => task.size_hint.as_nanos(),
-        };
+        let key = self
+            .policy
+            .queue_key(task.class, task.deadline, task.size_hint);
         let rank = u128::from(key) << 64 | u128::from(self.seq);
         self.seq += 1;
         self.heap.push(Entry { rank, task });

@@ -3,8 +3,7 @@
 //! [`Transport`] only carries the work; workers decide nothing.
 
 use crate::handler::{
-    AdmitDecision, DispatchedTask, QueryArrival, QueryDone, QueryHandler, RetryPlan,
-    TaskCompletion, TaskId,
+    AdmitDecision, DispatchedTask, QueryArrival, QueryHandler, RetryPlan, TaskCompletion, TaskId,
 };
 use tailguard_lifecycle::{AttemptKind, CommitOutcome, IdRing, LeaseToken};
 use tailguard_simcore::{SimDuration, SimTime};
@@ -37,7 +36,7 @@ pub trait Transport {
     /// service time; a record range).
     type Row: Copy;
     /// What the driver keeps per query id and hands back from
-    /// [`Driver::drain`], with the query's [`QueryDone`], when it finishes.
+    /// [`Driver::drain`] when it finishes.
     type Tag: Copy;
 
     /// Begins the work of a task the handler moved into service.
@@ -69,8 +68,8 @@ enum Step<G> {
     Begin(DispatchedTask),
     /// Issue the retry the handler planned for a lost task.
     Retry(RetryPlan),
-    /// A query finished: hand its tag and its outcome back.
-    Done(G, QueryDone),
+    /// A query finished: hand its tag back.
+    Done(G),
 }
 
 /// The handler plus the rows, tags, work stack and timers around it.
@@ -192,14 +191,14 @@ impl<T: Transport> Driver<T> {
 
     // tg-lint: hot(event-loop)
     /// Runs the queued fallout until it settles (`None`) or a query
-    /// finishes (its tag and how it finished, for the runtime to act on
-    /// before calling again). `now` is virtual time (nanosecond domain).
-    pub fn drain(&mut self, now: SimTime) -> Option<(T::Tag, QueryDone)> {
+    /// finishes (its tag, for the runtime to act on before calling again).
+    /// `now` is virtual time (nanosecond domain).
+    pub fn drain(&mut self, now: SimTime) -> Option<T::Tag> {
         while let Some(step) = self.steps.pop() {
             match step {
                 Step::Begin(d) => self.begin(now, d),
                 Step::Retry(r) => self.issue_copy(now, r.slot, r.server, AttemptKind::Retry),
-                Step::Done(tag, done) => return Some((tag, done)),
+                Step::Done(tag) => return Some(tag),
             }
         }
         None
@@ -213,8 +212,7 @@ impl<T: Transport> Driver<T> {
     /// Its tag is copied out now, because a later admission may retire it.
     fn apply(&mut self, ended: TaskCompletion) {
         if let Some(done) = ended.done {
-            self.steps
-                .push(Step::Done(*self.tags.row(done.query), done));
+            self.steps.push(Step::Done(*self.tags.row(done.query)));
         }
         self.steps.extend(ended.retry.map(Step::Retry));
         self.steps.extend(ended.next.map(Step::Begin));

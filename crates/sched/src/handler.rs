@@ -922,13 +922,15 @@ impl QueryHandler {
         if let Some(lost) = resolves_lost {
             self.store.resolve(slot);
             ended.done = self.resolve_slot(now, query, lost);
-            if let Some(done) = ended.done {
-                // The query is done (possibly at an early quorum), so any
+            let meta = self.query(query);
+            if ended.done.is_some() && meta.outstanding > 0 {
+                // The query finished early, at its quorum, so its
                 // unresolved straggler slots resolve now — their in-flight
                 // attempts become losers, cancelled at completion or
-                // dequeue.
-                let first = self.query(query).first_task;
-                for straggler in first..first + done.fanout {
+                // dequeue. (A query that finished with no slot outstanding
+                // has every slot resolved already.)
+                let first = meta.first_task;
+                for straggler in first..first + meta.fanout {
                     self.store.resolve(straggler);
                 }
             }
