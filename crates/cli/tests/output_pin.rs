@@ -2,8 +2,8 @@
 //! `tailguard` binary against committed text under `tests/pinned/`.
 //!
 //! Argument parsing may be rewritten freely; what a valid invocation
-//! prints may not move. Every run is small (`--queries` ≤ 2 000,
-//! `--jobs 1`) and deterministic in its seed. `faults` is pinned in its
+//! prints may not move. Every run is small (`--queries` ≤ 3 000, at most
+//! two jobs) and deterministic in its seed. `faults` is pinned in its
 //! `--json` form because the text form embeds the path of the CSV it
 //! writes.
 //!
@@ -31,6 +31,25 @@ const CASES: &[(&str, &[&str])] = &[
             "tfedf,fifo",
             "--jobs",
             "1",
+        ],
+    ),
+    // Every policy on Pareto arrivals, the searches on two workers sharing
+    // one draw of the load-free workload.
+    (
+        "maxload_pareto_json",
+        &[
+            "maxload",
+            "--json",
+            "--arrival",
+            "pareto",
+            "--policies",
+            "tfedf,fifo,priq,tedf,sjf",
+            "--queries",
+            "3000",
+            "--tolerance",
+            "0.05",
+            "--jobs",
+            "2",
         ],
     ),
     (

@@ -44,6 +44,7 @@
 //! ```
 
 mod cluster;
+mod draws;
 mod maxload;
 mod observe;
 mod plain;

@@ -3,9 +3,9 @@
 //!
 //! The paper reports, per policy, "the maximum load at which all three
 //! types of queries meet their tail latency SLOs" (§IV.B). We reproduce
-//! that as a bisection over offered load `ρ`: each probe generates the
-//! scenario's workload at `ρ`, runs the simulator, and asks
-//! [`SimReport::meets_all_slos`].
+//! that as a bisection over offered load `ρ`: each probe runs the
+//! scenario's workload at `ρ` and asks whether every query type meets its
+//! SLO, as [`SimReport::meets_all_slos`] would.
 //!
 //! Every run here is *plain* ([`crate::plain`]): [`Scenario::input`]
 //! makes single-query requests, and [`Scenario::config`] sets the analytic
@@ -13,28 +13,43 @@
 //! So every probe and every sweep point runs on the plain-run engine, N
 //! independent server queues, and its report equals the event loop's.
 //!
-//! A probe that fails stops as soon as its verdict is certain. The tail
-//! is the nearest-rank quantile ([`nearest_rank`]): the `p`-quantile of a
-//! type with `n` recorded queries is over its SLO exactly when more than
-//! `n − ⌈p·n⌉` of them are. The type's `N` queries in the probe's input
-//! bound `n` from above (warm-up only lowers it), and `n − ⌈p·n⌉` never
-//! decreases as `n` grows. So once `N − ⌈p·N⌉ + 1` recorded completions of
-//! a type are over its SLO, and at least [`SimReport::MIN_TYPE_SAMPLES`]
-//! of that type are recorded, `meets_all_slos` of the full run is certain
-//! to be `false`, in whatever order the completions are counted, and the
-//! probe ends there. A probe that passes runs to the end. Every verdict,
-//! and so every probe sequence and returned load, equals that of full
-//! runs.
+//! Every probe of a search, and every point of a sweep, runs one scenario
+//! from one seed, so all of them share one workload but for its arrival
+//! instants. A search draws that load-free part once ([`Draws`]: the
+//! unit arrival draws, classes, fanouts, placements and service times,
+//! 16 bytes per query and 12 per task), and every probe, on every worker,
+//! reads it; a probe only turns the unit draws into instants at its load.
+//! The draws equal those of [`Scenario::input`] and the event loop, so
+//! the reports and verdicts are theirs. The mix must not depend on
+//! arrival time, so a scenario whose drift shifts the mix is refused; a
+//! drift that only modulates the rate is applied as each probe's instants
+//! are computed.
+//!
+//! A probe decides its verdict from counts. The tail is the nearest-rank
+//! quantile ([`nearest_rank`]): the `p`-quantile of a type with `n`
+//! recorded queries is over its SLO exactly when more than `n − ⌈p·n⌉` of
+//! them are. So a probe keeps, per query type, only how many completions
+//! it recorded and how many of them were over the SLO: no reservoir and
+//! no sort. A probe that fails stops as soon as its verdict is certain.
+//! The type's `N` queries in the probe's input bound `n` from above
+//! (warm-up only lowers it), and `n − ⌈p·n⌉` never decreases as `n` grows.
+//! So once `N − ⌈p·N⌉ + 1` recorded completions of a type are over its
+//! SLO, and at least [`SimReport::MIN_TYPE_SAMPLES`] of that type are
+//! recorded, `meets_all_slos` of the full run is certain to be `false`, in
+//! whatever order the completions are counted, and the probe ends there. A
+//! probe that passes runs to the end. Every verdict, and so every probe
+//! sequence and returned load, equals that of full runs.
 
-use crate::plain::{run_plain, PlainRun, Watch};
+use crate::draws::Draws;
+use crate::plain::{run_plain, PlainRun, Record, Watch};
 use crate::report::SimReport;
 use crate::runner::run_indexed;
-use crate::spec::{Scenario, SimConfig, SimInput};
+use crate::spec::{Scenario, SimConfig};
 use std::collections::BTreeMap;
 use tailguard_metrics::nearest_rank;
 use tailguard_policy::Policy;
 use tailguard_sched::{units, ClassSpec, QueryTypeKey};
-use tailguard_simcore::SimDuration;
+use tailguard_simcore::{SimDuration, SimTime};
 
 /// Tuning knobs for [`max_load`] and [`sweep_loads`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,54 +105,118 @@ pub struct LoadPoint {
 ///
 /// # Panics
 ///
-/// Panics when `load` is not positive (via the rate computation).
+/// Panics when `load` is not positive (via the rate computation), and
+/// where [`max_load`] panics on the scenario.
 pub fn measure_at_load(
     scenario: &Scenario,
     policy: Policy,
     load: f64,
     opts: &MaxLoadOptions,
 ) -> SimReport {
-    let (config, input) = probe(scenario, policy, load, opts);
-    run_plain(plain(&config), &input, &mut ())
+    Search::new(scenario, opts).report(policy, load, &mut Vec::new())
 }
 
-/// The run [`measure_at_load`] simulates.
-fn probe(
-    scenario: &Scenario,
-    policy: Policy,
-    load: f64,
-    opts: &MaxLoadOptions,
-) -> (SimConfig, SimInput) {
-    let input = scenario.input(load, opts.queries);
-    let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
-    (scenario.config(policy).with_warmup(warmup), input)
+/// What every probe of one search, or every point of one sweep, shares:
+/// the scenario's configuration and its load-free draws (see the module
+/// docs).
+pub(crate) struct Search<'a> {
+    scenario: &'a Scenario,
+    opts: MaxLoadOptions,
+    /// The probes' configuration but for the policy.
+    config: SimConfig,
+    /// Per query, the unit draw of its arrival gap.
+    unit_draws: Vec<f64>,
+    draws: Draws,
 }
 
-/// A probe's configuration as the plain run it is.
-fn plain(config: &SimConfig) -> PlainRun<'_> {
+impl<'a> Search<'a> {
+    /// Draws the load-free part of `opts.queries` queries of `scenario`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the scenario's drift shifts the mix, and on a fanout
+    /// over the cluster size.
+    pub(crate) fn new(scenario: &'a Scenario, opts: &MaxLoadOptions) -> Self {
+        let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
+        // The draws do not depend on the policy.
+        let config = scenario.config(Policy::TfEdf).with_warmup(warmup);
+        let (unit_draws, draws) =
+            Draws::of_scenario(scenario, &plain(&config, config.policy), opts.queries);
+        Search {
+            scenario,
+            opts: *opts,
+            config,
+            unit_draws,
+            draws,
+        }
+    }
+
+    /// Fills `arrivals` with the instants [`Scenario::input`] gives the
+    /// queries at `load`.
+    fn arrivals_at(&self, load: f64, arrivals: &mut Vec<SimTime>) {
+        let mut clock = self.scenario.clock(load);
+        arrivals.clear();
+        arrivals.extend(self.unit_draws.iter().map(|&u| clock.tick(u)));
+    }
+
+    /// The full report of the run at `load` under `policy`; `arrivals` is
+    /// scratch space.
+    fn report(&self, policy: Policy, load: f64, arrivals: &mut Vec<SimTime>) -> SimReport {
+        self.arrivals_at(load, arrivals);
+        let run = plain(&self.config, policy);
+        let mut record = Record::default();
+        run_plain(run, arrivals, &self.draws, &mut record).report(run, record)
+    }
+
+    /// `self.report(policy, load, ..).meets_all_slos()`, decided from
+    /// counts and early; `arrivals` is scratch space.
+    fn meets(&self, policy: Policy, load: f64, arrivals: &mut Vec<SimTime>) -> bool {
+        self.arrivals_at(load, arrivals);
+        verdict(plain(&self.config, policy), arrivals, &self.draws)
+    }
+
+    /// [`max_load`] of `policy` on these draws.
+    pub(crate) fn max_load(&self, policy: Policy) -> f64 {
+        let (opts, arrivals) = (&self.opts, &mut Vec::new());
+        if self.meets(policy, opts.hi, arrivals) {
+            return opts.hi;
+        }
+        if !self.meets(policy, opts.lo, arrivals) {
+            return opts.lo;
+        }
+        let (mut lo, mut hi) = (opts.lo, opts.hi);
+        while hi - lo > opts.tolerance {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if self.meets(policy, mid, arrivals) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// A probe's configuration under `policy` as the plain run it is.
+fn plain(config: &SimConfig, policy: Policy) -> PlainRun<'_> {
     PlainRun {
         cluster: &config.cluster,
         classes: &config.classes,
-        policy: config.policy,
+        policy,
         seed: config.seed,
         warmup_queries: config.warmup_queries,
     }
 }
 
-/// `measure_at_load(..).meets_all_slos()`, decided early.
-fn meets(scenario: &Scenario, policy: Policy, load: f64, opts: &MaxLoadOptions) -> bool {
-    let (config, input) = probe(scenario, policy, load, opts);
-    verdict(&config, &input)
-}
-
-/// `run_simulation(config, input).meets_all_slos()` for a probe's plain
-/// run, with the run stopped once one query type's [`MissBudget`] is
-/// spent. Only the verdict leaves: the report of a stopped run covers part
-/// of the input.
-fn verdict(config: &SimConfig, input: &SimInput) -> bool {
-    let mut budget = MissBudget::new(&config.classes, input);
-    let mut report = run_plain(plain(config), input, &mut budget);
-    !budget.spent && report.meets_all_slos()
+/// Whether every query type of the plain run meets its SLO, with the run
+/// stopped once one type's [`MissBudget`] is spent.
+fn verdict(run: PlainRun<'_>, arrivals: &[SimTime], draws: &Draws) -> bool {
+    let mut budget = MissBudget::new(run.classes, &draws.types);
+    run_plain(run, arrivals, draws, &mut budget);
+    budget.meets()
 }
 
 /// Per `(class, fanout)` query type of one run's input: how many recorded
@@ -151,33 +230,29 @@ struct MissBudget {
 
 struct TypeBudget {
     slo: SimDuration,
+    percentile: f64,
     /// `N − nearest_rank(p, N) + 1` for the type's `N` queries in the
     /// input.
     need: usize,
-    /// Completions recorded into the type's reservoir so far.
+    /// Completions a full report would record for the type so far.
     recorded: usize,
     /// Those of them over `slo`.
     over: usize,
 }
 
 impl MissBudget {
-    fn new(classes: &[ClassSpec], input: &SimInput) -> Self {
-        let mut counts: BTreeMap<QueryTypeKey, usize> = BTreeMap::new();
-        for query in input.requests.iter().flat_map(|r| &r.queries) {
-            let key = QueryTypeKey {
-                class: query.class,
-                fanout: query.fanout,
-            };
-            *counts.entry(key).or_default() += 1;
-        }
+    /// The budgets of a run whose input holds `counts[key]` queries of
+    /// each type.
+    fn new(classes: &[ClassSpec], counts: &BTreeMap<QueryTypeKey, usize>) -> Self {
         // A class the config lacks gets no budget: the run panics on its
         // first query anyway.
         let types = counts
-            .into_iter()
-            .filter_map(|(key, n)| {
+            .iter()
+            .filter_map(|(&key, &n)| {
                 let spec = classes.get(usize::from(key.class))?;
                 let budget = TypeBudget {
                     slo: spec.slo,
+                    percentile: spec.percentile,
                     need: n - nearest_rank(spec.percentile, n) + 1,
                     recorded: 0,
                     over: 0,
@@ -189,6 +264,18 @@ impl MissBudget {
             types,
             spent: false,
         }
+    }
+
+    /// [`SimReport::meets_all_slos`] of the run so far: every type with
+    /// `n ≥ MIN_TYPE_SAMPLES` recorded completions has at most
+    /// `n − nearest_rank(p, n)` of them over its SLO, so its nearest-rank
+    /// tail is within it.
+    fn meets(&self) -> bool {
+        !self.spent
+            && self.types.values().all(|t| {
+                t.recorded < SimReport::MIN_TYPE_SAMPLES
+                    || t.over + nearest_rank(t.percentile, t.recorded) <= t.recorded
+            })
     }
 }
 
@@ -228,8 +315,10 @@ impl Watch for MissBudget {
 /// # Panics
 ///
 /// Panics unless `0 < opts.lo < opts.hi < 1` and `opts.tolerance` is finite
-/// and positive. The search also stops once `lo` and `hi` are adjacent
-/// floats, so a tolerance below their spacing cannot stall it.
+/// and positive, when the scenario's drift shifts the mix, and on a
+/// fanout over the cluster size, before any probe runs. The search also
+/// stops once `lo` and `hi` are adjacent floats, so a tolerance below
+/// their spacing cannot stall it.
 ///
 /// # Example
 ///
@@ -244,6 +333,12 @@ impl Watch for MissBudget {
 /// assert!(load > 0.05);
 /// ```
 pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f64 {
+    check_bracket(opts);
+    Search::new(scenario, opts).max_load(policy)
+}
+
+/// Panics unless `opts` brackets a search (see [`max_load`]).
+pub(crate) fn check_bracket(opts: &MaxLoadOptions) {
     assert!(
         opts.lo > 0.0 && opts.lo < opts.hi && opts.hi < 1.0,
         "need 0 < lo < hi < 1"
@@ -252,34 +347,20 @@ pub fn max_load(scenario: &Scenario, policy: Policy, opts: &MaxLoadOptions) -> f
         opts.tolerance > 0.0 && opts.tolerance.is_finite(),
         "need a finite positive tolerance"
     );
-    if meets(scenario, policy, opts.hi, opts) {
-        return opts.hi;
-    }
-    if !meets(scenario, policy, opts.lo, opts) {
-        return opts.lo;
-    }
-    let (mut lo, mut hi) = (opts.lo, opts.hi);
-    while hi - lo > opts.tolerance {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            break;
-        }
-        if meets(scenario, policy, mid, opts) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// Measures per-class tails at each load in `loads` (the Fig. 6 curves),
 /// the points spread over up to `jobs` threads.
 ///
-/// The result is bit-identical for every `jobs`: each point's simulation
-/// derives its RNG streams only from `(scenario.seed, load)`, and
+/// The points share one draw of the load-free workload. The result is
+/// bit-identical for every `jobs`: each point's simulation derives its RNG
+/// streams only from `(scenario.seed, load)`, and
 /// [`run_indexed`](crate::run_indexed) returns the points in `loads` order
 /// (`jobs <= 1` runs them one after another on the calling thread).
+///
+/// # Panics
+///
+/// Panics where [`measure_at_load`] does.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "class ids are scenario constants, fewer than 256 classes by construction"
@@ -291,8 +372,9 @@ pub fn sweep_loads(
     opts: &MaxLoadOptions,
     jobs: usize,
 ) -> Vec<LoadPoint> {
+    let search = Search::new(scenario, opts);
     run_indexed(loads, jobs, |_, &load| {
-        let mut report = measure_at_load(scenario, policy, load, opts);
+        let mut report = search.report(policy, load, &mut Vec::new());
         let mut tails = BTreeMap::new();
         for (class, spec) in scenario.classes.iter().enumerate() {
             tails.insert(class as u8, report.class_tail(class as u8, spec.percentile));
@@ -313,11 +395,25 @@ pub fn sweep_loads(
 mod tests {
     use super::*;
     use crate::cluster::run_simulation;
+    use crate::plain::run_plain_tapped;
     use crate::scenarios;
-    use crate::spec::{QuerySpec, RequestInput};
+    use crate::spec::SimInput;
     use tailguard_metrics::LatencyReservoir;
-    use tailguard_simcore::SimTime;
-    use tailguard_workload::{ArrivalProcess, TailbenchWorkload};
+    use tailguard_workload::{
+        ArrivalProcess, DriftKind, DriftPlan, FanoutDist, QueryMix, TailbenchWorkload,
+    };
+
+    /// The configuration and input of `scenario`'s probe at `load`.
+    fn probe(
+        scenario: &Scenario,
+        policy: Policy,
+        load: f64,
+        opts: &MaxLoadOptions,
+    ) -> (SimConfig, SimInput) {
+        let input = scenario.input(load, opts.queries);
+        let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
+        (scenario.config(policy).with_warmup(warmup), input)
+    }
 
     fn quick_opts() -> MaxLoadOptions {
         MaxLoadOptions {
@@ -366,7 +462,11 @@ mod tests {
         let load = max_load(&s, Policy::TfEdf, &opts);
         assert!(load > opts.lo && load < opts.hi, "load {load}");
         // The found load must itself pass.
-        assert!(meets(&s, Policy::TfEdf, load, &opts));
+        let search = Search::new(&s, &opts);
+        assert!(search.meets(Policy::TfEdf, load, &mut Vec::new()));
+        assert!(search
+            .report(Policy::TfEdf, load, &mut Vec::new())
+            .meets_all_slos());
     }
 
     #[test]
@@ -406,20 +506,13 @@ mod tests {
         // exactly when 3 of the 200 are.
         let slo = ms(1.0);
         let classes = [ClassSpec::p99(slo)];
-        let input = SimInput {
-            requests: (0..200)
-                .map(|i| RequestInput {
-                    arrival: SimTime::from_millis(i),
-                    queries: vec![QuerySpec::new(0, 4)],
-                })
-                .collect(),
-        };
         let key = QueryTypeKey {
             class: 0,
             fanout: 4,
         };
+        let counts = BTreeMap::from([(key, 200)]);
         for (over, misses_first) in (0..=25).flat_map(|o| [(o, true), (o, false)]) {
-            let mut budget = MissBudget::new(&classes, &input);
+            let mut budget = MissBudget::new(&classes, &counts);
             let mut all = LatencyReservoir::new();
             let mut spent_at = None;
             // Unrecorded queries count for nothing.
@@ -439,6 +532,7 @@ mod tests {
             }
             let misses = all.percentile(0.99) > slo;
             assert_eq!(budget.settled(), misses, "{over} over the SLO");
+            assert_eq!(budget.meets(), !misses, "{over} over the SLO");
             // Misses first: the sample floor holds the verdict back. Misses
             // last: the third one decides.
             let expected = match misses_first {
@@ -455,20 +549,25 @@ mod tests {
     fn full_verdict(config: &SimConfig, input: &SimInput, stopped: &mut usize) -> bool {
         let mut full = run_simulation(config, input);
         let meets = full.meets_all_slos();
+        let run = plain(config, config.policy);
+        let (arrivals, draws) = Draws::of_input(&run, input);
         assert_eq!(
-            verdict(config, input),
+            verdict(run, &arrivals, &draws),
             meets,
             "early verdict differs from the full run's ({} queries)",
             input.query_count()
         );
         if !meets {
-            let mut budget = MissBudget::new(&config.classes, input);
-            let cut = run_plain(plain(config), input, &mut budget);
+            let mut budget = MissBudget::new(&config.classes, &draws.types);
+            let cut = run_plain(run, &arrivals, &draws, &mut budget);
             // Counted when the stopped run dequeued fewer tasks: the budget
             // can also run out at a run's last dequeue.
-            let dequeued = |r: &SimReport| r.load.tasks_completed_count();
-            assert!(dequeued(&cut) <= dequeued(&full));
-            if budget.spent && dequeued(&cut) < dequeued(&full) {
+            let (cut, full) = (
+                cut.load.tasks_completed_count(),
+                full.load.tasks_completed_count(),
+            );
+            assert!(cut <= full);
+            if budget.spent && cut < full {
                 *stopped += 1;
             }
         }
@@ -527,6 +626,75 @@ mod tests {
             }
         }
         assert!(stopped > 0, "no failing probe stopped early");
+    }
+
+    /// Scenarios whose probes the shared draws must reproduce: Poisson and
+    /// Pareto arrivals, a rate-only diurnal drift, and the heterogeneous
+    /// SaS cluster with its own placement.
+    fn shared_draw_scenarios() -> Vec<Scenario> {
+        let two_class = |arrival| scenarios::two_class(TailbenchWorkload::Masstree, 1.0, arrival);
+        let diurnal = DriftPlan::new(vec![DriftKind::Diurnal {
+            period: SimDuration::from_millis(40),
+            amplitude: 0.6,
+        }]);
+        vec![
+            two_class(ArrivalProcess::poisson(1.0)),
+            two_class(ArrivalProcess::pareto(1.0)),
+            two_class(ArrivalProcess::poisson(1.0)).with_drift(diurnal.clone()),
+            two_class(ArrivalProcess::pareto(1.0)).with_drift(diurnal),
+            scenarios::sas_testbed(),
+        ]
+    }
+
+    #[test]
+    fn shared_draws_give_each_load_the_scenario_input_bit_for_bit() {
+        let opts = MaxLoadOptions {
+            queries: 3_000,
+            ..quick_opts()
+        };
+        for s in shared_draw_scenarios() {
+            let search = Search::new(&s, &opts);
+            let (config, _) = probe(&s, Policy::TfEdf, 0.5, &opts);
+            let run = plain(&config, config.policy);
+            let mut arrivals = Vec::new();
+            for load in [0.05, 0.5, 0.95, 1.5] {
+                let input = s.input(load, opts.queries);
+                let (want_arrivals, want_draws) = Draws::of_input(&run, &input);
+                search.arrivals_at(load, &mut arrivals);
+                assert_eq!(arrivals, want_arrivals, "{} at {load}", s.label);
+                assert_eq!(search.draws, want_draws, "{} at {load}", s.label);
+                let report = search.report(Policy::TfEdf, load, &mut arrivals);
+                assert_eq!(
+                    format!("{report:?}"),
+                    format!("{:?}", run_plain_tapped(run, &input, |_| {})),
+                    "{} at {load}",
+                    s.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run a mix shift")]
+    fn max_load_refuses_a_mix_shift() {
+        // The mix of a shifting scenario depends on arrival time, so on the
+        // load: it cannot be drawn once for every probe.
+        let shift = DriftKind::MixShift {
+            start: SimTime::from_millis(10),
+            end: SimTime::from_millis(20),
+            to: QueryMix::single(FanoutDist::fixed(1)),
+        };
+        let s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100)
+            .with_drift(DriftPlan::new(vec![shift]));
+        max_load(&s, Policy::TfEdf, &quick_opts());
+    }
+
+    #[test]
+    #[should_panic(expected = "fanout 101 exceeds cluster size 100")]
+    fn max_load_refuses_a_fanout_over_the_cluster_size() {
+        let mut s = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
+        s.mix = QueryMix::single(FanoutDist::fixed(101));
+        max_load(&s, Policy::TfEdf, &quick_opts());
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //! of [`crate::run_simulation`] returns for it, field for field, because
 //! every draw, stamp and dequeue is the event loop's.
 //!
-//! The engine takes the requests in arrival order and draws placement and
-//! service in issue order from the same split streams. Each task goes to
-//! its server, which first catches up: every finish that fires before the
-//! arrival frees it and dequeues its next task. A server's queue is ranked
+//! The engine takes the requests in arrival order, with their placement
+//! and service already drawn in issue order from the same split streams
+//! ([`Draws`]: a max-load search draws them once for all its probes, which
+//! differ only in their arrival instants). Each task goes to its server,
+//! which first catches up: every finish that fires before the arrival
+//! frees it and dequeues its next task. A server's queue is ranked
 //! by `(Policy::queue_key, task id)`; a server receives its tasks in id
 //! order, so the id breaks ties as the event loop's insertion counter
 //! does. A query's latency is known once its last task dequeues. Only the
-//! queries with a task still queued, and the queued tasks, are held.
+//! queries with a task still queued, and the queued tasks, are held. What
+//! a run records of its latencies is its [`Watch`]'s: a full report's
+//! reservoirs ([`Record`]), or a verdict's counts.
 //!
 //! **The one tie that matters.** A finish and an arrival due at the same
 //! nanosecond on one server fire in the order the event loop scheduled them
@@ -29,9 +33,9 @@
 //! beginning event fired before `A_{i−1}`: when fewer than `i` arrivals had
 //! fired by then. Every task in service carries that count.
 
-use crate::cluster::{draw_service, place};
+use crate::draws::Draws;
 use crate::report::SimReport;
-use crate::spec::{ClassSpec, ClusterSpec, RequestInput, SimInput};
+use crate::spec::{ClassSpec, ClusterSpec, SimInput};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use tailguard_metrics::{LatencyReservoir, LoadStats};
@@ -40,7 +44,7 @@ use tailguard_sched::{
     units, DeadlineEstimator, EstimatorMode, HealthStats, IdRing, LifecycleStats, QueryTypeKey,
     RobustnessStats,
 };
-use tailguard_simcore::{SimDuration, SimRng, SimTime};
+use tailguard_simcore::{SimDuration, SimTime};
 
 /// What a plain run reads of its configuration: the fields of a
 /// [`crate::SimConfig`] with nothing that couples servers set. There is no
@@ -73,10 +77,19 @@ pub enum PlainEvent {
 }
 
 /// Sees what a plain run decides, and may end it early. Every method is
-/// empty by default, so the unit watch compiles to the run without one.
+/// empty by default.
 pub(crate) trait Watch {
-    /// Task `task` entered service on `server` at `at`.
-    fn dequeued(&mut self, _server: u32, _task: u32, _at: SimTime) {}
+    /// Task `task` entered service on `server` at `at`, `waited` after its
+    /// query arrived; `recorded` unless the query was warm-up.
+    fn dequeued(
+        &mut self,
+        _server: u32,
+        _task: u32,
+        _at: SimTime,
+        _waited: SimDuration,
+        _recorded: bool,
+    ) {
+    }
 
     /// Query `query`, of type `key`, finished `latency` after it arrived;
     /// `recorded` unless it was warm-up. Queries finish in the order their
@@ -98,80 +111,154 @@ pub(crate) trait Watch {
     }
 }
 
-impl Watch for () {}
+/// The latencies a full report holds: every recorded wait before a
+/// dequeue, and every recorded query's latency by class and by type.
+#[derive(Default)]
+pub(crate) struct Record {
+    pre_dequeue: LatencyReservoir,
+    by_class: BTreeMap<u8, LatencyReservoir>,
+    by_type: BTreeMap<QueryTypeKey, LatencyReservoir>,
+    completed: u64,
+}
 
-/// A closure told of every [`PlainEvent`].
-struct Tap<F>(F);
-
-impl<F: FnMut(PlainEvent)> Watch for Tap<F> {
-    fn dequeued(&mut self, server: u32, task: u32, at: SimTime) {
-        (self.0)(PlainEvent::Dequeued { server, task, at });
+impl Watch for Record {
+    fn dequeued(&mut self, _: u32, _: u32, _: SimTime, waited: SimDuration, recorded: bool) {
+        if recorded {
+            self.pre_dequeue.record(waited);
+        }
     }
 
-    fn finished(&mut self, query: u32, _: QueryTypeKey, latency: SimDuration, _: bool) {
-        (self.0)(PlainEvent::Finished { query, latency });
+    fn finished(&mut self, _: u32, key: QueryTypeKey, latency: SimDuration, recorded: bool) {
+        if recorded {
+            self.by_class.entry(key.class).or_default().record(latency);
+            self.by_type.entry(key).or_default().record(latency);
+            self.completed += 1;
+        }
     }
 }
 
-/// Runs a plain run, to completion unless `watch` settles first. A full
-/// run's report equals [`crate::run_simulation`]'s for the same
-/// configuration and input.
+/// A [`Record`] that also tells a closure of every [`PlainEvent`].
+struct Tap<F> {
+    record: Record,
+    tap: F,
+}
+
+impl<F: FnMut(PlainEvent)> Watch for Tap<F> {
+    fn dequeued(&mut self, server: u32, task: u32, at: SimTime, waited: SimDuration, rec: bool) {
+        self.record.dequeued(server, task, at, waited, rec);
+        (self.tap)(PlainEvent::Dequeued { server, task, at });
+    }
+
+    fn finished(&mut self, query: u32, key: QueryTypeKey, latency: SimDuration, rec: bool) {
+        self.record.finished(query, key, latency, rec);
+        (self.tap)(PlainEvent::Finished { query, latency });
+    }
+}
+
+/// What every plain run counts, whatever its watch: the report's fields
+/// besides the latency reservoirs.
+pub(crate) struct Totals {
+    pub(crate) load: LoadStats,
+    busy_by_server: Vec<SimDuration>,
+    elapsed: SimTime,
+    arrivals: u64,
+    tasks: u32,
+    estimator: DeadlineEstimator,
+}
+
+impl Totals {
+    /// The report of a run that `record` watched.
+    pub(crate) fn report(self, run: PlainRun<'_>, record: Record) -> SimReport {
+        let tasks = u64::from(self.tasks);
+        let estimator = &self.estimator;
+        SimReport {
+            policy: run.policy,
+            classes: run.classes.to_vec(),
+            query_latency_by_class: record.by_class,
+            query_latency_by_type: record.by_type,
+            request_latency_by_class: BTreeMap::new(),
+            pre_dequeue: record.pre_dequeue,
+            load: self.load,
+            busy_by_server: self.busy_by_server,
+            elapsed: self.elapsed,
+            completed_queries: record.completed,
+            rejected_queries: 0,
+            // One arrival per request and one finish per task.
+            events_processed: self.arrivals + tasks,
+            // Every task wins its slot, and every dispatch runs under a
+            // lease that commits.
+            robustness: RobustnessStats {
+                task_wins: tasks,
+                ..RobustnessStats::default()
+            },
+            partial_latency: LatencyReservoir::new(),
+            lifecycle: LifecycleStats {
+                completed: tasks,
+                leases_issued: tasks,
+                ..LifecycleStats::default()
+            },
+            health: HealthStats::default(),
+            server_health: Vec::new(),
+            estimator_window_rolls: estimator.window_roll_count(),
+            budget_lookups: estimator.budget_lookup_count(),
+            estimator_refreshes: estimator.refresh_count(),
+            cached_budgets: estimator.cached_budget_count() as u64,
+        }
+    }
+}
+
+/// Runs a plain run on `draws` with request `i` arriving at
+/// `arrivals[i]`, to completion unless `watch` settles first. A full run
+/// watched by a [`Record`] reports what [`crate::run_simulation`] reports
+/// for the same configuration and input.
 ///
 /// # Panics
 ///
-/// Panics on a request with more than one query or out of arrival order,
+/// Panics unless there is one arrival per request and they are in order,
 /// and wherever [`crate::run_simulation`] panics on the same input.
 #[expect(
     clippy::indexing_slicing,
-    reason = "`place` checked every target against the cluster the server table is sized from"
+    reason = "the draws hold `fanout` tasks per query, and `place` checked every target against the cluster the server table is sized from"
 )]
-pub(crate) fn run_plain<W: Watch>(run: PlainRun<'_>, input: &SimInput, watch: &mut W) -> SimReport {
+pub(crate) fn run_plain<W: Watch>(
+    run: PlainRun<'_>,
+    arrivals: &[SimTime],
+    draws: &Draws,
+    watch: &mut W,
+) -> Totals {
+    assert_eq!(
+        arrivals.len(),
+        draws.queries.len(),
+        "a plain run needs one arrival per request"
+    );
     let n = run.cluster.servers();
-    let mut master = SimRng::seed(run.seed);
-    let mut placement_rng = master.split();
-    let mut service_rng = master.split();
     let mut estimator =
         DeadlineEstimator::new(run.cluster, run.classes.to_vec(), EstimatorMode::Analytic);
     let mut twin = Twin {
-        requests: &input.requests,
+        arrivals,
         warmup: run.warmup_queries,
         servers: (0..n).map(|_| Server::default()).collect(),
         pending: IdRing::new(),
         watch,
         load: LoadStats::new(n),
-        pre_dequeue: LatencyReservoir::new(),
         busy_by_server: vec![SimDuration::ZERO; n],
-        by_class: BTreeMap::new(),
-        by_type: BTreeMap::new(),
-        completed: 0,
         elapsed: SimTime::ZERO,
     };
-    let (mut targets, mut services) = (Vec::new(), Vec::new());
-    let (mut arrivals, mut tasks, mut last) = (0u64, 0u32, SimTime::ZERO);
+    let (mut fired, mut tasks, mut last) = (0u64, 0u32, SimTime::ZERO);
     // tg-lint: hot(event-loop)
-    for (i, request) in input.requests.iter().enumerate() {
+    for (i, (&now, spec)) in arrivals.iter().zip(&draws.queries).enumerate() {
         if twin.watch.settled() {
             break;
         }
-        let now = request.arrival;
-        arrivals += 1;
+        fired += 1;
         assert!(now >= last, "a plain run's requests arrive in order");
-        assert!(
-            request.queries.len() <= 1,
-            "a plain run issues one query per request"
-        );
         last = now;
         twin.elapsed = twin.elapsed.max(now);
-        let Some(spec) = request.queries.first() else {
+        if !spec.issued {
             continue;
-        };
-        place(n, spec, &mut placement_rng, &mut targets);
-        services.clear();
-        services.extend(
-            targets
-                .iter()
-                .map(|&s| draw_service(run.cluster, &mut service_rng, s)),
-        );
+        }
+        let first = tasks as usize;
+        let targets = &draws.servers[first..first + spec.fanout as usize];
         let class = spec.class;
         assert!(
             usize::from(class) < run.classes.len(),
@@ -179,35 +266,28 @@ pub(crate) fn run_plain<W: Watch>(run: PlainRun<'_>, input: &SimInput, watch: &m
         );
         twin.load.query_offered();
         twin.load.query_accepted();
+        let own = draws.budgets.get(&i);
         // Eq. 6, as the handler stamps it.
-        let fanout = units::sat_usize_to_u32(targets.len());
-        let budget = match spec.budget_override {
+        let budget = match own.and_then(|b| b.query) {
             Some(b) => b,
             None => match run.policy.deadline_rule() {
                 DeadlineRule::SloOnly => run.classes[usize::from(class)].slo,
                 DeadlineRule::SloAndFanout | DeadlineRule::Unused => {
-                    estimator.budget(class, fanout, &targets)
+                    estimator.budget(class, spec.fanout, targets)
                 }
             },
         };
-        if let Some(tb) = &spec.task_budgets {
-            assert_eq!(
-                tb.len(),
-                targets.len(),
-                "task budget count must equal fanout"
-            );
-        }
+        let task_budgets = own.and_then(|b| b.tasks.as_deref());
         let query = twin.pending.push(Pending {
             arrival: now,
             class,
-            fanout,
-            waiting: fanout,
+            fanout: spec.fanout,
+            waiting: spec.fanout,
             done_at: now,
         });
-        for (idx, (&server, &service)) in targets.iter().zip(&services).enumerate() {
-            let budget = spec
-                .task_budgets
-                .as_ref()
+        for (idx, &server) in targets.iter().enumerate() {
+            let service = draws.services[first + idx];
+            let budget = task_budgets
                 .and_then(|tb| tb.get(idx))
                 .map_or(budget, |&b| b);
             let deadline = now + budget;
@@ -237,55 +317,36 @@ pub(crate) fn run_plain<W: Watch>(run: PlainRun<'_>, input: &SimInput, watch: &m
         twin.catch_up(server, SimTime::MAX, usize::MAX);
     }
     // tg-lint: endhot
-    SimReport {
-        policy: run.policy,
-        classes: run.classes.to_vec(),
-        query_latency_by_class: twin.by_class,
-        query_latency_by_type: twin.by_type,
-        request_latency_by_class: BTreeMap::new(),
-        pre_dequeue: twin.pre_dequeue,
+    Totals {
         load: twin.load,
         busy_by_server: twin.busy_by_server,
         elapsed: twin.elapsed,
-        completed_queries: twin.completed,
-        rejected_queries: 0,
-        // One arrival per request and one finish per task.
-        events_processed: arrivals + u64::from(tasks),
-        // Every task wins its slot, and every dispatch runs under a lease
-        // that commits.
-        robustness: RobustnessStats {
-            task_wins: u64::from(tasks),
-            ..RobustnessStats::default()
-        },
-        partial_latency: LatencyReservoir::new(),
-        lifecycle: LifecycleStats {
-            completed: u64::from(tasks),
-            leases_issued: u64::from(tasks),
-            ..LifecycleStats::default()
-        },
-        health: HealthStats::default(),
-        server_health: Vec::new(),
-        estimator_window_rolls: estimator.window_roll_count(),
-        budget_lookups: estimator.budget_lookup_count(),
-        estimator_refreshes: estimator.refresh_count(),
-        cached_budgets: estimator.cached_budget_count() as u64,
+        arrivals: fired,
+        tasks,
+        estimator,
     }
 }
 
-/// [`run_plain`] to completion, telling `tap` of every dequeue and every
-/// finished query: the engine's decisions, for comparison with the event
-/// loop's trace.
+/// [`run_plain`] on a hand-built input to completion, telling `tap` of
+/// every dequeue and every finished query: the engine's decisions, for
+/// comparison with the event loop's trace.
 ///
 /// # Panics
 ///
-/// Panics where [`run_plain`] does.
+/// Panics on a request with more than one query or out of arrival order,
+/// and wherever [`crate::run_simulation`] panics on the same input.
 #[doc(hidden)]
 pub fn run_plain_tapped(
     run: PlainRun<'_>,
     input: &SimInput,
     tap: impl FnMut(PlainEvent),
 ) -> SimReport {
-    run_plain(run, input, &mut Tap(tap))
+    let (arrivals, draws) = Draws::of_input(&run, input);
+    let mut watch = Tap {
+        record: Record::default(),
+        tap,
+    };
+    run_plain(run, &arrivals, &draws, &mut watch).report(run, watch.record)
 }
 
 /// A task waiting at its server, ranked `queue_key << 64 | task`. Ranks
@@ -325,19 +386,15 @@ struct Pending {
     done_at: SimTime,
 }
 
-/// The servers, the queries in flight and the measurements of one run.
+/// The servers, the queries in flight and the counts of one run.
 struct Twin<'a, W> {
-    requests: &'a [RequestInput],
+    arrivals: &'a [SimTime],
     warmup: usize,
     servers: Vec<Server>,
     pending: IdRing<Pending>,
     watch: &'a mut W,
     load: LoadStats,
-    pre_dequeue: LatencyReservoir,
     busy_by_server: Vec<SimDuration>,
-    by_class: BTreeMap<u8, LatencyReservoir>,
-    by_type: BTreeMap<QueryTypeKey, LatencyReservoir>,
-    completed: u64,
     /// The latest event so far: an arrival or a task's finish.
     elapsed: SimTime,
 }
@@ -371,10 +428,10 @@ impl<W: Watch> Twin<'_, W> {
     /// is scheduled after the finish and fires first only if due earlier.
     fn fired_by(&self, busy: Busy, to: usize) -> usize {
         let k = busy.fired;
-        match self.requests.get(k) {
-            Some(a) if a.arrival <= busy.until => {
-                let to = to.min(self.requests.len());
-                let later = self.requests.get(k + 1..to).unwrap_or_default();
+        match self.arrivals.get(k) {
+            Some(&a) if a <= busy.until => {
+                let to = to.min(self.arrivals.len());
+                let later = self.arrivals.get(k + 1..to).unwrap_or_default();
                 k + 1 + due_before(later, busy.until)
             }
             _ => k,
@@ -392,51 +449,47 @@ impl<W: Watch> Twin<'_, W> {
         self.elapsed = self.elapsed.max(until);
         let recorded = task.query as usize >= self.warmup;
         let query = self.pending.row_mut(task.query);
-        if recorded {
-            self.pre_dequeue.record(now.saturating_since(query.arrival));
-        }
+        let waited = now.saturating_since(query.arrival);
         query.done_at = query.done_at.max(until);
         query.waiting = query.waiting.saturating_sub(1);
         let done = query.waiting == 0;
-        self.watch.dequeued(server, task.task, now);
+        self.watch
+            .dequeued(server, task.task, now, waited, recorded);
         if done {
             self.finish(task.query, recorded);
         }
     }
 
-    /// Records the latency of `query`, whose last task just dequeued, and
-    /// retires the finished queries at the front.
+    /// Tells the watch the latency of `query`, whose last task just
+    /// dequeued, and retires the finished queries at the front.
     fn finish(&mut self, query: u32, recorded: bool) {
         let row = self.pending.row(query);
         let latency = row.done_at.saturating_since(row.arrival);
-        let (class, fanout) = (row.class, row.fanout);
-        let key = QueryTypeKey { class, fanout };
+        let key = QueryTypeKey {
+            class: row.class,
+            fanout: row.fanout,
+        };
         self.watch.finished(query, key, latency, recorded);
-        if recorded {
-            self.by_class.entry(class).or_default().record(latency);
-            self.by_type.entry(key).or_default().record(latency);
-            self.completed += 1;
-        }
         while self.pending.front().is_some_and(|q| q.waiting == 0) {
             self.pending.pop_front();
         }
     }
 }
 
-/// How many of `requests`, sorted by arrival, are due before `t`: a
-/// galloping search from the front, so a count of `c` costs `O(log c)`
-/// however long the slice.
-fn due_before(requests: &[RequestInput], t: SimTime) -> usize {
+/// How many of `arrivals`, in order, are due before `t`: a galloping
+/// search from the front, so a count of `c` costs `O(log c)` however long
+/// the slice.
+fn due_before(arrivals: &[SimTime], t: SimTime) -> usize {
     let (mut lo, mut width) = (0usize, 1);
     loop {
-        let hi = lo.saturating_add(width).min(requests.len());
-        let window = requests.get(lo..hi).unwrap_or_default();
+        let hi = lo.saturating_add(width).min(arrivals.len());
+        let window = arrivals.get(lo..hi).unwrap_or_default();
         match window.last() {
-            Some(last) if last.arrival < t => {
+            Some(&last) if last < t => {
                 lo = hi;
                 width *= 2;
             }
-            _ => return lo + window.partition_point(|r| r.arrival < t),
+            _ => return lo + window.partition_point(|&a| a < t),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! `jobs = 1` (or a single cell) bypasses threading entirely and runs on
 //! the caller's thread; `jobs = 0` is treated as 1.
 
-use crate::maxload::{max_load, MaxLoadOptions};
+use crate::maxload::{check_bracket, MaxLoadOptions, Search};
 use crate::spec::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -90,19 +90,26 @@ where
         .collect()
 }
 
-/// Runs [`max_load`] for several policies concurrently (one bisection per
-/// worker — the per-figure pattern of Figs. 4–6, where every policy's
-/// search is independent).
+/// Runs [`max_load`](crate::max_load) for several policies concurrently
+/// (one bisection per worker — the per-figure pattern of Figs. 4–6, where
+/// every policy's search is independent). The workers share one read-only
+/// draw of the scenario's load-free workload.
 ///
 /// Returns `(policy, max_load)` pairs in the order of `policies`.
+///
+/// # Panics
+///
+/// Panics where [`max_load`](crate::max_load) does.
 pub fn max_load_many(
     scenario: &Scenario,
     policies: &[Policy],
     opts: &MaxLoadOptions,
     jobs: usize,
 ) -> Vec<(Policy, f64)> {
+    check_bracket(opts);
+    let search = Search::new(scenario, opts);
     run_indexed(policies, jobs, |_, &policy| {
-        (policy, max_load(scenario, policy, opts))
+        (policy, search.max_load(policy))
     })
 }
 
@@ -219,6 +226,7 @@ pub fn replicate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxload::max_load;
     use crate::scenarios;
     use tailguard_workload::TailbenchWorkload;
 

@@ -6,7 +6,7 @@ use tailguard_faults::FaultPlan;
 use tailguard_policy::Policy;
 use tailguard_sched::{AdaptiveWindow, EstimatorMode, HealthConfig, MitigationConfig};
 use tailguard_simcore::{SimDuration, SimRng, SimTime};
-use tailguard_workload::{ArrivalProcess, DriftPlan, QueryMix, Trace};
+use tailguard_workload::{ArrivalProcess, DriftPlan, GapScale, QueryMix, Trace};
 
 // Service classes, clusters, and admission control moved into the shared
 // scheduling core so the simulator and the testbed configure the same
@@ -230,6 +230,30 @@ impl SimConfig {
     }
 }
 
+/// Turns a scenario's unit arrival draws into arrival instants at one load:
+/// the arithmetic [`Scenario::input`] and the max-load harness share.
+pub(crate) struct ArrivalClock<'a> {
+    scale: GapScale,
+    /// The scenario's drift, when it modulates the rate.
+    rate_drift: Option<&'a DriftPlan>,
+    now: SimTime,
+}
+
+impl ArrivalClock<'_> {
+    /// The next arrival instant, `unit` after the last one. A drift that
+    /// modulates the rate stretches or compresses the gap by its rate
+    /// factor at the last arrival, so a drift-free plan gives the
+    /// stationary instants exactly.
+    pub(crate) fn tick(&mut self, unit: f64) -> SimTime {
+        let gap = self.scale.gap(unit);
+        self.now += match self.rate_drift {
+            Some(d) => gap.mul_f64(1.0 / d.rate_factor(self.now)),
+            None => gap,
+        };
+        self.now
+    }
+}
+
 /// A placement function: picks target servers for a `(class, fanout)` query.
 pub type PlacementFn = dyn Fn(&mut SimRng, u8, u32) -> Vec<u32> + Send + Sync;
 
@@ -298,44 +322,52 @@ impl Scenario {
     /// Generates the workload for one run at offered load `ρ` with
     /// `queries` single-query requests.
     pub fn input(&self, load: f64, queries: usize) -> SimInput {
-        let rate = self.rate_for_load(load);
-        let arrival = self.arrival.with_rate(rate);
-        let mut master = SimRng::seed(self.seed);
-        let mut arrival_rng = master.split();
-        let mut mix_rng = master.split();
-        let mut place_rng = master.split();
-        let mut t = SimTime::ZERO;
+        let mut clock = self.clock(load);
+        let [mut arrival_rng, mut mix_rng, mut place_rng] = self.workload_rngs();
         let mut requests = Vec::with_capacity(queries);
-        // Time-varying rate via gap rescaling: the same exponential draw,
-        // stretched or compressed by the drift's instantaneous rate factor
-        // — so a drift-free plan reproduces the stationary trace exactly.
-        let rate_drift = self.drift.as_ref().filter(|d| d.modulates_rate()).cloned();
         for _ in 0..queries {
-            let gap = arrival.next_gap(&mut arrival_rng);
-            t += match &rate_drift {
-                Some(d) => gap.mul_f64(1.0 / d.rate_factor(t)),
-                None => gap,
-            };
-            let (class, fanout) = match &self.drift {
-                Some(d) => d.sample_mix(&self.mix, t, &mut mix_rng),
-                None => self.mix.sample(&mut mix_rng),
-            };
-            let servers = self
-                .placement
-                .as_ref()
-                .map(|f| f(&mut place_rng, class, fanout));
+            let t = clock.tick(self.arrival.unit_draw(&mut arrival_rng));
             requests.push(RequestInput {
                 arrival: t,
-                queries: vec![QuerySpec {
-                    class,
-                    fanout,
-                    servers,
-                    budget_override: None,
-                    task_budgets: None,
-                }],
+                queries: vec![self.draw_query(t, &mut mix_rng, &mut place_rng)],
             });
         }
         SimInput { requests }
+    }
+
+    /// The query that arrives at `t`: its class and fanout from the mix
+    /// (shifted by the drift, if any, as of `t`), and its placement when
+    /// the scenario places queries itself.
+    pub(crate) fn draw_query(
+        &self,
+        t: SimTime,
+        mix_rng: &mut SimRng,
+        place_rng: &mut SimRng,
+    ) -> QuerySpec {
+        let (class, fanout) = match &self.drift {
+            Some(d) => d.sample_mix(&self.mix, t, mix_rng),
+            None => self.mix.sample(mix_rng),
+        };
+        let mut query = QuerySpec::new(class, fanout);
+        query.servers = self.placement.as_ref().map(|f| f(place_rng, class, fanout));
+        query
+    }
+
+    /// The streams [`Scenario::input`] draws from: arrival gaps, the
+    /// class/fanout mix and the scenario's placement.
+    pub(crate) fn workload_rngs(&self) -> [SimRng; 3] {
+        let mut master = SimRng::seed(self.seed);
+        [master.split(), master.split(), master.split()]
+    }
+
+    /// The arrival instants of the workload at offered load `ρ`, one
+    /// [`ArrivalProcess::unit_draw`] at a time.
+    pub(crate) fn clock(&self, load: f64) -> ArrivalClock<'_> {
+        ArrivalClock {
+            scale: self.arrival.with_rate(self.rate_for_load(load)).gap_scale(),
+            rate_drift: self.drift.as_ref().filter(|d| d.modulates_rate()),
+            now: SimTime::ZERO,
+        }
     }
 
     /// Builds a [`SimConfig`] for this scenario under `policy`.

@@ -110,17 +110,35 @@ impl ArrivalProcess {
         }
     }
 
-    /// Draws the gap until the next query arrival.
+    /// Draws the gap until the next query arrival: a
+    /// [`unit_draw`](Self::unit_draw) scaled by [`gap_scale`](Self::gap_scale).
     pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
-        let gap_ms = match self {
+        self.gap_scale().gap(self.unit_draw(rng))
+    }
+
+    /// Draws one gap of the process before its rate applies: `ln u` for
+    /// Poisson, `u^(−1/α)` for Pareto, `u` uniform on `(0, 1)`. The draw
+    /// does not depend on the rate, so one draw serves every rate.
+    pub fn unit_draw(&self, rng: &mut SimRng) -> f64 {
+        match self {
+            ArrivalProcess::Poisson { .. } => rng.open01().ln(),
+            ArrivalProcess::Pareto { shape, .. } => rng.open01().powf(-1.0 / shape),
+        }
+    }
+
+    /// What turns a [`unit_draw`](Self::unit_draw) into a gap at this
+    /// process's rate: `−1/λ` for Poisson, the scale `x_m` of the Pareto
+    /// with mean `1/λ` for Pareto. Each product is the one the
+    /// distribution's own `sample` computes.
+    pub fn gap_scale(&self) -> GapScale {
+        GapScale(match self {
             ArrivalProcess::Poisson { rate_per_ms } => {
-                Exponential::with_mean(1.0 / rate_per_ms).sample(rng)
+                -Exponential::with_mean(1.0 / rate_per_ms).mean()
             }
             ArrivalProcess::Pareto { rate_per_ms, shape } => {
-                Pareto::with_mean(1.0 / rate_per_ms, *shape).sample(rng)
+                Pareto::with_mean(1.0 / rate_per_ms, *shape).scale()
             }
-        };
-        SimDuration::from_millis_f64(gap_ms)
+        })
     }
 
     /// A short label for experiment tables.
@@ -129,6 +147,19 @@ impl ArrivalProcess {
             ArrivalProcess::Poisson { .. } => "Poisson",
             ArrivalProcess::Pareto { .. } => "Pareto",
         }
+    }
+}
+
+/// Turns unit draws into gaps at one rate (see
+/// [`ArrivalProcess::gap_scale`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GapScale(f64);
+
+impl GapScale {
+    /// The gap `unit`, a [`ArrivalProcess::unit_draw`], makes at this
+    /// scale's rate.
+    pub fn gap(self, unit: f64) -> SimDuration {
+        SimDuration::from_millis_f64(self.0 * unit)
     }
 }
 
@@ -197,6 +228,34 @@ mod tests {
     #[should_panic(expected = "shape must exceed 1")]
     fn rejects_infinite_mean_pareto() {
         let _ = ArrivalProcess::pareto_with_shape(1.0, 0.9);
+    }
+
+    #[test]
+    fn next_gap_is_the_distribution_sample_scaled_from_a_unit_draw() {
+        for rate in [0.05, 1.0, 3.7, 250.0] {
+            for (a, seed) in [
+                (ArrivalProcess::poisson(rate), 7),
+                (ArrivalProcess::pareto(rate), 8),
+                (ArrivalProcess::pareto_with_shape(rate, 2.5), 9),
+            ] {
+                let (mut unit, mut direct, mut split) =
+                    (SimRng::seed(seed), SimRng::seed(seed), SimRng::seed(seed));
+                let scale = a.gap_scale();
+                for _ in 0..1_000 {
+                    let ms = match a {
+                        ArrivalProcess::Poisson { rate_per_ms } => {
+                            Exponential::with_mean(1.0 / rate_per_ms).sample(&mut direct)
+                        }
+                        ArrivalProcess::Pareto { rate_per_ms, shape } => {
+                            Pareto::with_mean(1.0 / rate_per_ms, shape).sample(&mut direct)
+                        }
+                    };
+                    let want = SimDuration::from_millis_f64(ms);
+                    assert_eq!(a.next_gap(&mut unit), want, "{a:?}");
+                    assert_eq!(scale.gap(a.unit_draw(&mut split)), want, "{a:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -171,6 +171,14 @@ impl DriftPlan {
             .iter()
             .any(|c| !matches!(c, DriftKind::MixShift { .. }))
     }
+
+    /// Whether the plan shifts the query mix, so that an arrival's class
+    /// and fanout depend on when it arrives.
+    pub fn shifts_mix(&self) -> bool {
+        self.components
+            .iter()
+            .any(|c| matches!(c, DriftKind::MixShift { .. }))
+    }
 }
 
 #[cfg(test)]
@@ -275,6 +283,12 @@ mod tests {
         }]);
         assert_eq!(plan.rate_factor(ms(5)), 1.0);
         assert!(!plan.modulates_rate());
+        assert!(plan.shifts_mix());
+        let diurnal = DriftPlan::new(vec![DriftKind::Diurnal {
+            period: SimDuration::from_millis(500),
+            amplitude: 0.3,
+        }]);
+        assert!(!diurnal.shifts_mix());
     }
 
     #[test]

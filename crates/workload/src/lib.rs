@@ -20,7 +20,7 @@ mod fanout;
 mod tailbench;
 mod trace;
 
-pub use arrival::ArrivalProcess;
+pub use arrival::{ArrivalProcess, GapScale};
 pub use drift::{DriftKind, DriftPlan};
 pub use fanout::FanoutDist;
 pub use tailbench::{fig3_markers, TailbenchWorkload, UnloadedStats};
