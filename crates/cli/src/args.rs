@@ -5,7 +5,12 @@
 //! per kind of value — a duration or an instant in ms, a real in a range,
 //! an integer count of a given width, a seed, or a list of those — and
 //! each accessor's error names the flag.
+//!
+//! The accessors also record which keys a command read, and how, so
+//! [`Args::finish`] can reject every option the command did not read:
+//! the code that reads the options is the only list of them.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
@@ -84,6 +89,9 @@ pub struct Args {
     positional: Vec<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// Each key an accessor read, and whether it was first read as a
+    /// switch ([`Args::flag`]) rather than as a value.
+    read: RefCell<BTreeMap<String, bool>>,
 }
 
 impl Args {
@@ -122,8 +130,17 @@ impl Args {
         &self.positional
     }
 
+    /// Notes that `key` was read, as a switch or as a value.
+    fn note(&self, key: &str, switch: bool) {
+        self.read
+            .borrow_mut()
+            .entry(key.to_string())
+            .or_insert(switch);
+    }
+
     /// A string option, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.note(key, false);
         self.options.get(key).map(String::as_str)
     }
 
@@ -134,7 +151,8 @@ impl Args {
 
     /// True when `--key` appeared as a bare flag (or as `--key=true`).
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key) || self.get(key) == Some("true")
+        self.note(key, true);
+        self.flags.iter().any(|f| f == key) || self.options.get(key).is_some_and(|v| v == "true")
     }
 
     /// A float option with a default.
@@ -248,40 +266,29 @@ impl Args {
         self.u64_or("seed", default)
     }
 
-    /// Rejects unknown option keys (catches typos early).
-    pub fn check_known(&self, known: &[&str]) -> Result<(), ArgError> {
-        for k in self.options.keys().chain(self.flags.iter()) {
-            if !known.contains(&k.as_str()) {
-                return Err(err(format!(
-                    "unknown option --{k} (expected one of: {})",
-                    known
-                        .iter()
-                        .map(|k| format!("--{k}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
+    /// Ends a command's parse phase: rejects an option the command did not
+    /// read, listing the keys it did, a value option given bare, and a
+    /// switch given a value other than `true`.
+    pub fn finish(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        let values = self.options.iter().map(|(k, v)| (k, Some(v)));
+        for (key, value) in values.chain(self.flags.iter().map(|k| (k, None))) {
+            match (read.get(key), value) {
+                (None, _) => {
+                    let expected: Vec<String> = read.keys().map(|k| format!("--{k}")).collect();
+                    return Err(err(format!(
+                        "unknown option --{key} (expected one of: {})",
+                        expected.join(", ")
+                    )));
+                }
+                (Some(false), None) => return Err(err(format!("--{key} needs a value"))),
+                (Some(true), Some(v)) if v != "true" => {
+                    return Err(err(format!("--{key} takes no value (got `{v}`)")))
+                }
+                _ => {}
             }
         }
         Ok(())
-    }
-
-    /// Accepts exactly the keys of `groups`, and of those, bare only the
-    /// ones in `switches`: a switch given a value other than `true`, or a
-    /// value option given none, is an error.
-    pub fn check(&self, groups: &[&[&str]], switches: &[&str]) -> Result<(), ArgError> {
-        let known: Vec<&str> = groups.concat();
-        self.check_known(&known)?;
-        if let Some(k) = self.flags.iter().find(|k| !switches.contains(&k.as_str())) {
-            return Err(err(format!("--{k} needs a value")));
-        }
-        match self
-            .options
-            .iter()
-            .find(|(k, v)| switches.contains(&k.as_str()) && v.as_str() != "true")
-        {
-            Some((k, v)) => Err(err(format!("--{k} takes no value (got `{v}`)"))),
-            None => Ok(()),
-        }
     }
 }
 
@@ -353,10 +360,37 @@ mod tests {
     }
 
     #[test]
-    fn unknown_options_rejected() {
-        let a = parse(&["--laod", "0.4"]);
-        let e = a.check_known(&["load"]).unwrap_err();
-        assert!(e.0.contains("--laod"));
+    fn unread_options_are_unknown() {
+        let a = parse(&["--laod", "0.4", "--json"]);
+        assert_eq!(a.f64_or("load", 0.5).unwrap(), 0.5);
+        assert!(a.flag("json"));
+        let e = a.finish().unwrap_err();
+        assert_eq!(
+            e.0,
+            "unknown option --laod (expected one of: --json, --load)"
+        );
+    }
+
+    #[test]
+    fn read_options_pass() {
+        let a = parse(&["--load", "0.4", "--json=true"]);
+        assert_eq!(a.f64_or("load", 0.0).unwrap(), 0.4);
+        assert!(a.flag("json"));
+        assert_eq!(a.finish(), Ok(()));
+    }
+
+    #[test]
+    fn bare_values_and_valued_switches_rejected() {
+        let a = parse(&["--load", "--json"]);
+        assert_eq!(a.f64_or("load", 0.5).unwrap(), 0.5);
+        assert!(a.flag("json"));
+        assert_eq!(a.finish().unwrap_err().0, "--load needs a value");
+        let a = parse(&["--json", "yes"]);
+        assert!(!a.flag("json"));
+        assert_eq!(
+            a.finish().unwrap_err().0,
+            "--json takes no value (got `yes`)"
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every command is a pure function from parsed [`Args`] to a printable
 //! `String`, so the full surface is unit-testable without spawning
-//! processes. Each command checks its keys, then reads every option
-//! through a typed [`Args`] accessor, before any simulation or testbed
-//! run starts.
+//! processes. Each command reads the options its mode uses through typed
+//! [`Args`] accessors, then calls [`Args::finish`], which rejects every
+//! option it did not read, before any simulation, calibration or trace
+//! draw starts.
 
 use crate::args::{self, ArgError, Args};
 use serde::Serialize;
@@ -22,34 +23,13 @@ use tailguard_obs::{
     slack_by_type, slowest_queries, QueryTimeline, Registry, SloSnapshot,
 };
 use tailguard_policy::Policy;
-use tailguard_simcore::SimTime;
+use tailguard_simcore::{SimDuration, SimTime};
 use tailguard_testbed::{run_testbed, TestbedConfig, TestbedMode, HISTORY_DAYS};
 use tailguard_workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload, Trace};
 
 fn err(msg: impl Into<String>) -> ArgError {
     ArgError(msg.into())
 }
-
-/// The options that build a [`Scenario`] ([`scenario_from`]).
-const SCENARIO_KEYS: &[&str] = &[
-    "workload", "slo", "slos", "fanout", "servers", "arrival", "seed",
-];
-
-/// The options of one run at one load ([`run_from`]).
-const RUN_KEYS: &[&str] = &["policy", "load", "queries", "warmup", "admission", "online"];
-
-/// The workload-drift options `sim` adds ([`drift_plan_from`]).
-const DRIFT_KEYS: &[&str] = &[
-    "drift",
-    "drift-period",
-    "drift-amplitude",
-    "drift-from",
-    "drift-to",
-    "drift-factor",
-];
-
-/// The options that take no value.
-const SWITCHES: &[&str] = &["json", "online", "metrics", "realtime"];
 
 /// The offered loads the simulator accepts: (0, 1.5].
 const LOAD_RANGE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Included(1.5));
@@ -59,11 +39,6 @@ const OPEN_UNIT: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Excluded(1.0));
 
 /// A nonzero share of a whole, (0, 1].
 const SHARE: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Included(1.0));
-
-/// Accepts exactly the keys of `groups`; see [`Args::check`].
-fn known(args: &Args, groups: &[&[&str]]) -> Result<(), ArgError> {
-    args.check(groups, SWITCHES)
-}
 
 /// Worker-thread count for parallel commands: `--jobs N`, defaulting to the
 /// machine's available parallelism. `--jobs 1` forces the serial path
@@ -118,11 +93,13 @@ fn policies_from(arg: Option<&str>) -> Result<Vec<Policy>, ArgError> {
     }
 }
 
-fn fanout_from(model: &str, servers: u32) -> Result<FanoutDist, ArgError> {
-    match model {
+/// The fanout model, `--fanout`; the models that depend on the cluster
+/// size read `--servers`.
+fn fanout_from(args: &Args) -> Result<FanoutDist, ArgError> {
+    match args.get_or("fanout", "paper") {
         "paper" => Ok(FanoutDist::paper_mix()),
-        "oldi" => Ok(FanoutDist::fixed(servers)),
-        "facebook" => Ok(FanoutDist::facebook_like(servers.min(300))),
+        "oldi" => Ok(FanoutDist::fixed(servers_from(args)?)),
+        "facebook" => Ok(FanoutDist::facebook_like(servers_from(args)?.min(300))),
         other => {
             if let Some(k) = other.strip_prefix("fixed:") {
                 match k.parse::<u32>() {
@@ -148,7 +125,11 @@ fn fanouts_from(args: &Args) -> Result<Vec<u32>, ArgError> {
 /// The per-class SLOs — `--slos a,b,…`, else `--slo` (1 ms) — as p99
 /// classes, with their count.
 fn classes_from(args: &Args) -> Result<(u8, Vec<ClassSpec>), ArgError> {
-    let slos = args.durations_ms("slos", &[args.duration_ms("slo", 1.0)?])?;
+    let slos = if args.get("slos").is_some() {
+        args.durations_ms("slos", &[])?
+    } else {
+        vec![args.duration_ms("slo", 1.0)?]
+    };
     let n = u8::try_from(slos.len()).map_err(|_| err("--slos takes at most 255 classes"))?;
     Ok((n, slos.into_iter().map(ClassSpec::p99).collect()))
 }
@@ -181,12 +162,13 @@ fn admission_from(arg: Option<&str>) -> Result<Option<AdmissionConfig>, ArgError
     ))
 }
 
-/// Builds a [`Scenario`] from [`SCENARIO_KEYS`].
+/// Builds a [`Scenario`] from the workload, cluster size, SLO, fanout,
+/// arrival and seed options.
 fn scenario_from(args: &Args) -> Result<Scenario, ArgError> {
     let workload = workload_from(args.get_or("workload", "masstree"))?;
     let servers = servers_from(args)?;
     let (class_count, classes) = classes_from(args)?;
-    let fanout = fanout_from(args.get_or("fanout", "paper"), servers)?;
+    let fanout = fanout_from(args)?;
     if fanout.max_fanout() > servers {
         return Err(err(format!(
             "fanout {} exceeds --servers {servers}",
@@ -249,37 +231,46 @@ struct Run {
     scenario: Scenario,
     policy: Policy,
     load: f64,
-    input: SimInput,
+    queries: usize,
     config: SimConfig,
 }
 
-/// Reads [`SCENARIO_KEYS`], [`RUN_KEYS`] and, where the command accepts
-/// them, [`DRIFT_KEYS`], and builds the run's input and config.
-fn run_from(args: &Args, default_queries: usize) -> Result<Run, ArgError> {
-    let mut scenario = scenario_from(args)?;
-    if let Some(drift) = drift_plan_from(args)? {
-        scenario = scenario.with_drift(drift);
-    }
+/// Reads the options of one run of `scenario`: policy, load, length,
+/// admission and estimator. The report discards a twentieth of the run as
+/// warm-up unless [`Run::read_warmup`] reads `--warmup`.
+fn run_from(args: &Args, scenario: Scenario, default_queries: usize) -> Result<Run, ArgError> {
     let policy = policy_from(args.get_or("policy", "tfedf"))?;
     let load = load_from(args)?;
     let queries = queries_from(args, default_queries)?;
-    let warmup = args.count("warmup", queries / 20, 0..)?;
-    let admission = admission_from(args.get("admission"))?;
-    let mut config = scenario.config(policy).with_warmup(warmup);
-    if let Some(adm) = admission {
+    let mut config = scenario.config(policy).with_warmup(queries / 20);
+    if let Some(adm) = admission_from(args.get("admission"))? {
         config = config.with_admission(adm);
     }
     if args.flag("online") {
         config = config.with_estimator(EstimatorMode::online_default());
     }
-    let input = scenario.input(load, queries);
     Ok(Run {
         scenario,
         policy,
         load,
-        input,
+        queries,
         config,
     })
+}
+
+impl Run {
+    /// Reads `--warmup`. Only the report and the metrics derived from it
+    /// discard warm-up queries, so only outputs that print them read it.
+    fn read_warmup(mut self, args: &Args) -> Result<Run, ArgError> {
+        let warmup = args.count("warmup", self.queries / 20, 0..)?;
+        self.config = self.config.with_warmup(warmup);
+        Ok(self)
+    }
+
+    /// The run's workload, drawn from the scenario.
+    fn input(&self) -> SimInput {
+        self.scenario.input(self.load, self.queries)
+    }
 }
 
 #[derive(Serialize)]
@@ -340,20 +331,26 @@ fn uniform_metrics(registry: &Registry) -> BTreeMap<String, serde_json::Value> {
 
 /// `tailguard sim` — run one simulation and report per-type tails.
 pub fn cmd_sim(args: &Args) -> Result<String, ArgError> {
-    known(args, &[SCENARIO_KEYS, RUN_KEYS, DRIFT_KEYS, &["json"]])?;
-    let sim = run_from(args, 100_000)?;
-    if args.flag("json") {
+    let mut scenario = scenario_from(args)?;
+    if let Some(drift) = drift_plan_from(args)? {
+        scenario = scenario.with_drift(drift);
+    }
+    let sim = run_from(args, scenario, 100_000)?.read_warmup(args)?;
+    let json = args.flag("json");
+    args.finish()?;
+    let input = sim.input();
+    if json {
         // Observed run: same report (snapshot sampling only adds engine
         // events), plus the registry whose counters/gauges fill the
         // uniformly named `metrics` object.
-        let run = run_simulation_observed(&sim.config, &sim.input, &ObsOptions::default());
+        let run = run_simulation_observed(&sim.config, &input, &ObsOptions::default());
         let mut report = run.report;
         let mut summary = summarize(&mut report, sim.load);
         summary.metrics = uniform_metrics(&run.registry);
         summary.slo = Some(run.slo);
         serde_json::to_string_pretty(&summary).map_err(|e| err(e.to_string()))
     } else {
-        let mut report = run_simulation(&sim.config, &sim.input);
+        let mut report = run_simulation(&sim.config, &input);
         Ok(format!(
             "{} @ offered load {:.1}%\n{}",
             sim.scenario.label,
@@ -368,8 +365,6 @@ pub fn cmd_sim(args: &Args) -> Result<String, ArgError> {
 /// With `--jobs N` (default: available parallelism) the per-policy
 /// bisections run concurrently; results are identical to `--jobs 1`.
 pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["policies", "queries", "tolerance", "jobs", "json"];
-    known(args, &[SCENARIO_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
@@ -378,11 +373,13 @@ pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
         tolerance: args.positive("tolerance", 0.01)?,
         ..MaxLoadOptions::default()
     };
+    let json = args.flag("json");
+    args.finish()?;
     let rows: Vec<(String, f64)> = max_load_many(&scenario, &policies, &opts, jobs)
         .into_iter()
         .map(|(policy, load)| (policy.name().to_string(), load))
         .collect();
-    if args.flag("json") {
+    if json {
         let map: std::collections::BTreeMap<_, _> = rows.into_iter().collect();
         serde_json::to_string_pretty(&map).map_err(|e| err(e.to_string()))
     } else {
@@ -400,8 +397,6 @@ pub fn cmd_maxload(args: &Args) -> Result<String, ArgError> {
 /// With `--jobs N` (default: available parallelism) the load points run
 /// concurrently; output is identical to `--jobs 1`.
 pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["policy", "loads", "queries", "jobs"];
-    known(args, &[SCENARIO_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
     let policy = policy_from(args.get_or("policy", "tfedf"))?;
     let jobs = jobs_from(args)?;
@@ -411,6 +406,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
         queries: queries_from(args, 40_000)?,
         ..MaxLoadOptions::default()
     };
+    args.finish()?;
     let points = sweep_loads(&scenario, policy, &loads, &opts, jobs);
     let mut out = format!("{} under {policy}\n{:>8}", scenario.label, "load");
     for c in 0..scenario.classes.len() {
@@ -464,8 +460,6 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
 
 /// `tailguard testbed` — run the tokio SaS testbed.
 pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["policy", "load", "queries", "scale", "probes", "seed"];
-    known(args, &[KEYS, &["store-days", "realtime"]])?;
     let cfg = TestbedConfig {
         policy: policy_from(args.get_or("policy", "tfedf"))?,
         queries: queries_from(args, 2_000)?,
@@ -483,6 +477,7 @@ pub fn cmd_testbed(args: &Args) -> Result<String, ArgError> {
         },
         ..TestbedConfig::default()
     };
+    args.finish()?;
     let mut report = run_testbed(&cfg);
     let mut out = format!(
         "SaS testbed, {} @ {:.0}% target load ({} queries)\n",
@@ -540,54 +535,34 @@ struct FaultCell {
     dup_suppressed: u64,
 }
 
-/// The options that shape `faults`' injected plan and its mitigation.
-const FAULT_KEYS: &[&str] = &[
-    "fault",
-    "factor",
-    "fault-servers",
-    "fault-from",
-    "fault-to",
-    "flap-period",
-    "episodes",
-    "lease-ms",
-    "hedge",
-    "attempts",
-    "quorum",
-];
-
-/// Builds the injected fault plan from `--fault`/`--factor`/
-/// `--fault-servers`/`--fault-from`/`--fault-to` (ms) or, for
-/// `--fault random`, from `FaultPlan::generate` with `--episodes`.
-/// The gray-failure kinds take extra knobs: `--fault ramp` ramps toward
-/// `--factor`× across the episode, `--fault flap` alternates degraded
-/// and healthy phases each lasting `--flap-period` (ms).
+/// Builds the injected fault plan from `--fault`, `--fault-from` and
+/// `--fault-to` (ms): one episode on each of the first `--fault-servers`
+/// servers or, for `--fault random`, `--episodes` episodes from
+/// `FaultPlan::generate`. Slowdowns take `--factor`; so do the gray-failure
+/// kinds: `--fault ramp` ramps toward `--factor`× across the episode, and
+/// `--fault flap` alternates degraded and healthy phases each lasting
+/// `--flap-period` (ms).
 fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, ArgError> {
     let start = args.time_ms("fault-from", 0.0)?;
     let end = args.time_ms("fault-to", 3_600_000.0)?;
     if end <= start {
         return Err(err("--fault-from/--fault-to need 0 <= from < to (ms)"));
     }
-    let kind_name = args.get_or("fault", "slowdown");
-    if kind_name == "random" {
-        let episodes = args.count("episodes", 10, 1..)?;
-        let span_ms = end.as_millis_f64() - start.as_millis_f64();
-        let mean_len = (span_ms / episodes as f64).max(1.0);
-        return Ok(FaultPlan::generate(
-            seed ^ 0xFA17,
-            servers,
-            end.saturating_since(SimTime::ZERO),
-            episodes,
-            mean_len,
-        ));
-    }
-    let factor = args.real_in("factor", 8.0, (Excluded(1.0), Excluded(f64::INFINITY)))?;
-    let affected: u32 = args.count(
-        "fault-servers",
-        (servers as usize / 10).max(1),
-        1..=servers as usize,
-    )?;
-    let kind = match kind_name {
-        "slowdown" => FaultKind::Slowdown { factor },
+    let factor = || args.real_in("factor", 8.0, (Excluded(1.0), Excluded(f64::INFINITY)));
+    let kind = match args.get_or("fault", "slowdown") {
+        "random" => {
+            let episodes = args.count("episodes", 10, 1..)?;
+            let span_ms = end.as_millis_f64() - start.as_millis_f64();
+            let mean_len = (span_ms / episodes as f64).max(1.0);
+            return Ok(FaultPlan::generate(
+                seed ^ 0xFA17,
+                servers,
+                end.saturating_since(SimTime::ZERO),
+                episodes,
+                mean_len,
+            ));
+        }
+        "slowdown" => FaultKind::Slowdown { factor: factor()? },
         "stall" => FaultKind::Stall,
         "drop" => FaultKind::Drop,
         "crash" => FaultKind::Crash,
@@ -595,11 +570,11 @@ fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, Ar
         "dup" => FaultKind::DuplicateDelivery,
         // Gray failures: service times creep up toward `--factor`×
         // across the episode instead of jumping — the classic fail-slow.
-        "ramp" => FaultKind::DegradeRamp { peak: factor },
+        "ramp" => FaultKind::DegradeRamp { peak: factor()? },
         // Intermittent gray failure: the server alternates degraded
         // (`--factor`×) and healthy every `--flap-period` ms.
         "flap" => FaultKind::Flap {
-            factor,
+            factor: factor()?,
             period: args.duration_ms("flap-period", 200.0)?,
         },
         other => {
@@ -608,6 +583,11 @@ fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, Ar
         )))
         }
     };
+    let affected: u32 = args.count(
+        "fault-servers",
+        (servers as usize / 10).max(1),
+        1..=servers as usize,
+    )?;
     let mut plan = FaultPlan::new();
     for server in 0..affected {
         plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
@@ -618,11 +598,8 @@ fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, Ar
 /// `tailguard faults` — fault matrix × policy sweep: each policy runs
 /// healthy, under the injected faults, and under faults + mitigation
 /// (hedging/retry/optional partial quorum). Cells run `--jobs`-parallel;
-/// output is bit-identical for any `--jobs` value. Also writes a
-/// `FigureCsv` (`target/paper_figures/fault_matrix_cli.csv`).
+/// output is bit-identical for any `--jobs` value.
 pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["policies", "load", "queries", "jobs", "json"];
-    known(args, &[SCENARIO_KEYS, FAULT_KEYS, KEYS])?;
     let scenario = scenario_from(args)?;
     let policies = policies_from(args.get("policies"))?;
     let jobs = jobs_from(args)?;
@@ -653,6 +630,8 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
     if args.get("quorum").is_some() {
         mitigation = mitigation.with_partial_quorum(args.real_in("quorum", 1.0, SHARE)?);
     }
+    let json = args.flag("json");
+    args.finish()?;
 
     const MODES: [&str; 3] = ["healthy", "faulty", "mitigated"];
     let cells: Vec<(Policy, usize)> = policies
@@ -712,28 +691,9 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
             dup_suppressed: report.lifecycle.duplicates_suppressed,
         }
     });
-    if args.flag("json") {
+    if json {
         return serde_json::to_string_pretty(&results).map_err(|e| err(e.to_string()));
     }
-    let mut csv = tailguard_bench::FigureCsv::create(
-        "fault_matrix_cli",
-        &[
-            "cell",
-            "p99_ms",
-            "miss_pct",
-            "slack_p50_ms",
-            "slack_p99_ms",
-            "completed",
-            "partial",
-            "failed",
-            "lost_tasks",
-            "hedges",
-            "hedge_wins",
-            "retries",
-            "reclaims",
-            "dups",
-        ],
-    );
     let mut out = format!(
         "{} @ load {:.0}% — fault matrix ({} × healthy/faulty/mitigated)\n",
         scenario.label,
@@ -775,42 +735,50 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
             c.reclaims,
             c.dup_suppressed
         ));
-        csv.labeled_row(
-            &format!("{}/{}", c.policy, c.mode),
-            &[
-                c.p99_ms,
-                c.miss_ratio * 100.0,
-                c.slack_p50_ms,
-                c.slack_p99_ms,
-                c.completed as f64,
-                c.partial as f64,
-                c.failed as f64,
-                c.tasks_lost as f64,
-                c.hedges_issued as f64,
-                c.hedge_wins as f64,
-                c.retries as f64,
-                c.reclaims as f64,
-                c.dup_suppressed as f64,
-            ],
-        );
     }
-    out.push_str(&format!("\ncsv: {}\n", csv.finish()));
     Ok(out)
 }
 
-/// The options `trace` adds to a run.
-const TRACE_KEYS: &[&str] = &[
-    "top",
-    "query",
-    "bin",
-    "ring",
-    "snapshot-every",
-    "sample",
-    "slow-after",
-    "export",
-    "metrics",
-    "json",
-];
+/// What `trace` prints: exactly one output mode.
+enum TraceOutput {
+    /// `--export jsonl|csv`: the raw event stream.
+    Export(fn(&[tailguard_sched::TraceEvent]) -> String),
+    /// `--metrics`: the Prometheus text exposition.
+    Metrics,
+    /// `--json`: recording counts, registry, snapshots and SLO state.
+    Json,
+    /// `--query <id>`: one query's timeline.
+    Query(u32),
+    /// The `top` slowest queries, slack by query type, the miss-ratio
+    /// timeline in `bin`-wide bins, and the SLO monitor.
+    Summary { top: usize, bin: SimDuration },
+}
+
+/// Reads `trace`'s output mode: the first of `--export`, `--metrics`,
+/// `--json` and `--query` given, else the summary. The options of the
+/// other modes stay unread, so giving two is an error.
+fn trace_output_from(args: &Args) -> Result<TraceOutput, ArgError> {
+    if let Some(format) = args.get("export") {
+        return match format {
+            "jsonl" => Ok(TraceOutput::Export(events_to_jsonl)),
+            "csv" => Ok(TraceOutput::Export(events_to_csv)),
+            other => Err(err(format!("unknown --export `{other}` (jsonl|csv)"))),
+        };
+    }
+    if args.flag("metrics") {
+        return Ok(TraceOutput::Metrics);
+    }
+    if args.flag("json") {
+        return Ok(TraceOutput::Json);
+    }
+    if args.get("query").is_some() {
+        return Ok(TraceOutput::Query(args.count("query", 0, 0..)?));
+    }
+    Ok(TraceOutput::Summary {
+        top: args.count("top", 5, 0..)?,
+        bin: args.duration_ms("bin", 50.0)?,
+    })
+}
 
 /// `tailguard trace` — flight-record one simulation and summarize the
 /// recording: top-`k` slowest queries with their full per-task timelines,
@@ -820,13 +788,22 @@ const TRACE_KEYS: &[&str] = &[
 /// the Prometheus text exposition, and `--json` emits the registry
 /// snapshot plus the virtual-time snapshot series.
 pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
-    known(args, &[SCENARIO_KEYS, RUN_KEYS, TRACE_KEYS])?;
-    let sim = run_from(args, 20_000)?;
+    let sim = run_from(args, scenario_from(args)?, 20_000)?;
+    let output = trace_output_from(args)?;
+    // The registry holds the report's gauges, so the outputs that print it
+    // depend on the warm-up; the event stream does not.
+    let sim = match output {
+        TraceOutput::Metrics | TraceOutput::Json => sim.read_warmup(args)?,
+        _ => sim,
+    };
     let mut opts = ObsOptions {
         ring_capacity: args.count("ring", tailguard::DEFAULT_RING_CAPACITY, 1..)?,
         ..ObsOptions::default()
     };
-    if args.get("snapshot-every").is_some() {
+    // Snapshots add no event to the stream; only the outputs that count or
+    // print them read their cadence.
+    let snapshots_shown = !matches!(output, TraceOutput::Export(_) | TraceOutput::Query(_));
+    if snapshots_shown && args.get("snapshot-every").is_some() {
         opts.snapshot_every = Some(args.duration_ms("snapshot-every", 10.0)?);
     }
     if args.get("sample").is_some() || args.get("slow-after").is_some() {
@@ -835,66 +812,53 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             slow_after: args.duration_ms("slow-after", 20.0)?,
         });
     }
-    let export: Option<fn(&[tailguard_sched::TraceEvent]) -> String> = match args.get("export") {
-        Some("jsonl") => Some(events_to_jsonl),
-        Some("csv") => Some(events_to_csv),
-        Some(other) => return Err(err(format!("unknown --export `{other}` (jsonl|csv)"))),
-        None => None,
-    };
-    let query: Option<u32> = match args.get("query") {
-        Some(_) => Some(args.count("query", 0, 0..)?),
-        None => None,
-    };
-    let top = args.count("top", 5, 0..)?;
-    let bin = args.duration_ms("bin", 50.0)?;
+    args.finish()?;
 
-    let run = run_simulation_observed(&sim.config, &sim.input, &opts);
+    let run = run_simulation_observed(&sim.config, &sim.input(), &opts);
     let events = run.recorder.events();
-
-    if let Some(export) = export {
-        return Ok(export(&events));
-    }
-    if args.flag("metrics") {
-        return Ok(run.registry.prometheus_text());
-    }
-    if args.flag("json") {
-        use serde::Serialize as _;
-        let doc = serde_json::Value::Map(vec![
-            (
-                "events_recorded".to_string(),
-                serde_json::Value::U64(run.recorder.total_recorded()),
-            ),
-            (
-                "events_retained".to_string(),
-                serde_json::Value::U64(run.recorder.len() as u64),
-            ),
-            (
-                "events_dropped".to_string(),
-                serde_json::Value::U64(run.recorder.dropped()),
-            ),
-            (
-                "events_sampled_out".to_string(),
-                serde_json::Value::U64(run.recorder.sampled_out()),
-            ),
-            ("registry".to_string(), run.registry.snapshot().to_node()),
-            ("snapshots".to_string(), run.snapshots.to_node()),
-            ("slo".to_string(), run.slo.to_node()),
-        ]);
-        return serde_json::to_string_pretty(&doc).map_err(|e| err(e.to_string()));
-    }
+    let (top, bin) = match output {
+        TraceOutput::Export(export) => return Ok(export(&events)),
+        TraceOutput::Metrics => return Ok(run.registry.prometheus_text()),
+        TraceOutput::Json => {
+            use serde::Serialize as _;
+            let doc = serde_json::Value::Map(vec![
+                (
+                    "events_recorded".to_string(),
+                    serde_json::Value::U64(run.recorder.total_recorded()),
+                ),
+                (
+                    "events_retained".to_string(),
+                    serde_json::Value::U64(run.recorder.len() as u64),
+                ),
+                (
+                    "events_dropped".to_string(),
+                    serde_json::Value::U64(run.recorder.dropped()),
+                ),
+                (
+                    "events_sampled_out".to_string(),
+                    serde_json::Value::U64(run.recorder.sampled_out()),
+                ),
+                ("registry".to_string(), run.registry.snapshot().to_node()),
+                ("snapshots".to_string(), run.snapshots.to_node()),
+                ("slo".to_string(), run.slo.to_node()),
+            ]);
+            return serde_json::to_string_pretty(&doc).map_err(|e| err(e.to_string()));
+        }
+        TraceOutput::Query(qid) => {
+            let timelines = build_timelines(&events);
+            let tl = timelines.get(&qid).ok_or_else(|| {
+                err(format!(
+                    "query {qid} is not in the recording ({} queries recorded; \
+                     a larger --ring retains more of the run)",
+                    timelines.len()
+                ))
+            })?;
+            return Ok(render_timeline(tl));
+        }
+        TraceOutput::Summary { top, bin } => (top, bin),
+    };
 
     let timelines = build_timelines(&events);
-    if let Some(qid) = query {
-        let tl = timelines.get(&qid).ok_or_else(|| {
-            err(format!(
-                "query {qid} is not in the recording ({} queries recorded; \
-                 a larger --ring retains more of the run)",
-                timelines.len()
-            ))
-        })?;
-        return Ok(render_timeline(tl));
-    }
-
     let mut out = format!(
         "{} under {} @ offered load {:.1}% — flight recording\n",
         sim.scenario.label,
@@ -1060,24 +1024,25 @@ fn render_slo(slo: &SloSnapshot) -> String {
 /// `--bucket`/`--slow-buckets` set the fast/slow windows, `--burn` the
 /// alert threshold, and `--json` emits the full monitor snapshot.
 pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["target", "bucket", "slow-buckets", "burn", "json"];
-    known(args, &[SCENARIO_KEYS, RUN_KEYS, KEYS])?;
-    let sim = run_from(args, 20_000)?;
+    // The monitor reads the event stream, which the warm-up does not change.
+    let sim = run_from(args, scenario_from(args)?, 20_000)?;
     // Each option, when absent, keeps the monitor's default.
     let mut slo_config = tailguard_obs::SloConfig::for_classes(&sim.config.classes);
     slo_config.target = args.real_in("target", slo_config.target, OPEN_UNIT)?;
     slo_config.bucket = args.duration_ms("bucket", slo_config.bucket.as_millis_f64())?;
     slo_config.slow_buckets = args.count("slow-buckets", slo_config.slow_buckets, 1..)?;
     slo_config.burn_threshold = args.positive("burn", slo_config.burn_threshold)?;
+    let json = args.flag("json");
+    args.finish()?;
     let run = run_simulation_observed(
         &sim.config,
-        &sim.input,
+        &sim.input(),
         &ObsOptions {
             slo: Some(slo_config),
             ..ObsOptions::default()
         },
     );
-    if args.flag("json") {
+    if json {
         return serde_json::to_string_pretty(&run.slo).map_err(|e| err(e.to_string()));
     }
     let mut out = format!(
@@ -1157,9 +1122,7 @@ fn render_timeline(tl: &QueryTimeline) -> String {
 
 /// `tailguard gentrace` — generate a JSON query trace on stdout.
 pub fn cmd_gentrace(args: &Args) -> Result<String, ArgError> {
-    const KEYS: &[&str] = &["fanout", "servers", "arrival", "seed", "rate"];
-    known(args, &[KEYS, &["queries", "classes", "format"]])?;
-    let fanout = fanout_from(args.get_or("fanout", "paper"), servers_from(args)?)?;
+    let fanout = fanout_from(args)?;
     let classes = args.count("classes", 1, 1..=usize::from(u8::MAX))?;
     let arrival = arrival_from(args, args.positive("rate", 1.0)?)?;
     let queries = queries_from(args, 10_000)?;
@@ -1168,6 +1131,7 @@ pub fn cmd_gentrace(args: &Args) -> Result<String, ArgError> {
     if !matches!(format, "json" | "csv") {
         return Err(err(format!("unknown --format `{format}` (json|csv)")));
     }
+    args.finish()?;
     let trace = Trace::generate(
         "cli",
         &arrival,
@@ -1184,7 +1148,8 @@ pub fn cmd_gentrace(args: &Args) -> Result<String, ArgError> {
 
 /// `tailguard workloads` — the calibrated Table II statistics.
 pub fn cmd_workloads(args: &Args) -> Result<String, ArgError> {
-    args.check_known(&["json"])?;
+    let json = args.flag("json");
+    args.finish()?;
     #[derive(Serialize)]
     struct Row {
         name: String,
@@ -1203,7 +1168,7 @@ pub fn cmd_workloads(args: &Args) -> Result<String, ArgError> {
             x99_k100_ms: w.unloaded_query_tail(0.99, 100),
         })
         .collect();
-    if args.flag("json") {
+    if json {
         return serde_json::to_string_pretty(&rows).map_err(|e| err(e.to_string()));
     }
     let mut out = format!(
@@ -1221,10 +1186,10 @@ pub fn cmd_workloads(args: &Args) -> Result<String, ArgError> {
 
 /// `tailguard budgets` — show Eq. 6 pre-dequeuing budgets for a workload.
 pub fn cmd_budgets(args: &Args) -> Result<String, ArgError> {
-    known(args, &[&["workload", "slos", "slo", "fanouts"]])?;
     let workload = workload_from(args.get_or("workload", "masstree"))?;
     let (class_count, classes) = classes_from(args)?;
     let fanouts = fanouts_from(args)?;
+    args.finish()?;
     let cluster = ClusterSpec::homogeneous(
         *fanouts.iter().max().expect("non-empty") as usize,
         workload.service_dist(),
@@ -1261,13 +1226,19 @@ pub fn cmd_budgets(args: &Args) -> Result<String, ArgError> {
 /// the fitted piecewise-quantile control points plus the Table-II-style
 /// statistics TailGuard consumes.
 pub fn cmd_calibrate(args: &Args) -> Result<String, ArgError> {
-    known(args, &[&["samples", "anchors", "fanouts", "json"]])?;
     let path = args
         .get("samples")
         .ok_or_else(|| err("missing required option --samples <path>"))?;
     let anchors = PiecewiseQuantile::DEFAULT_ANCHORS;
     let anchors = args.reals_in("anchors", &anchors, SHARE)?;
-    let fanouts = fanouts_from(args)?;
+    let json = args.flag("json");
+    // The JSON form is the model alone, with no fanout table.
+    let fanouts = if json {
+        Vec::new()
+    } else {
+        fanouts_from(args)?
+    };
+    args.finish()?;
     let raw = std::fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read --samples {path}: {e}")))?;
     let mut samples = Vec::new();
@@ -1283,7 +1254,7 @@ pub fn cmd_calibrate(args: &Args) -> Result<String, ArgError> {
     }
     let model = PiecewiseQuantile::fit(&samples, &anchors)
         .map_err(|e| err(format!("calibration failed: {e}")))?;
-    if args.flag("json") {
+    if json {
         return serde_json::to_string_pretty(&model).map_err(|e| err(e.to_string()));
     }
     use tailguard_dist::{order_stats, Distribution};
@@ -1316,7 +1287,7 @@ control points (p, ms):
 
 /// `tailguard scenarios` — list built-in paper scenarios.
 pub fn cmd_scenarios(args: &Args) -> Result<String, ArgError> {
-    args.check_known(&[])?;
+    args.finish()?;
     let presets = [
         scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100).label,
         scenarios::two_class(
@@ -1818,7 +1789,6 @@ mod tests {
         .expect("faults");
         assert!(out.contains("healthy"));
         assert!(out.contains("mitigated"));
-        assert!(out.contains("csv:"));
     }
 
     #[test]
@@ -1871,8 +1841,6 @@ mod tests {
                 "20",
                 "--fanout",
                 "fixed:4",
-                "--warmup",
-                "0",
                 "--query",
                 qid,
             ]))

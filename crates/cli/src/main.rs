@@ -29,46 +29,52 @@ tailguard — TailGuard (ICDCS 2023) reproduction CLI
 USAGE:
     tailguard <command> [options]
 
-COMMANDS:
+COMMANDS (an option the invocation does not read is an error):
     sim        Run one cluster simulation and print per-type tails
-               --workload masstree|shore|xapian  --policy fifo|priq|tedf|tfedf|sjf
-               --load <frac>  --queries <n>  --slos <ms,...>
-               --fanout paper|oldi|facebook|fixed:<k>  --servers <n>
-               --arrival poisson|pareto  --admission <window_ms>:<threshold>
-               --online  --warmup <n>  --seed <n>  --json
-    maxload    Bisect for the maximum load meeting all SLOs
-               --policies all|<p,p,...> plus the sim workload options
-               --tolerance <frac>  --jobs <n> (policies in parallel)
-    sweep      Per-class p99 at each load in --loads <f,f,...>
-               --jobs <n> (load points in parallel; default: all cores)
+               <scenario> <run> --warmup <n> --json  --drift diurnal
+               --drift-period <ms> --drift-amplitude <a> | --drift flashcrowd
+               --drift-from <ms> --drift-to <ms> --drift-factor <x>
+    maxload    Bisect for the maximum load meeting all SLOs  <scenario>
+               --policies all|<p,p,...> --queries <n> --tolerance <frac>
+               --jobs <n> (policies in parallel) --json
+    sweep      Per-class p99 at each load  <scenario> --policy <p>
+               --loads <f,f,...> --queries <n> --jobs <n> (loads in parallel)
     faults     Fault matrix: each policy healthy / faulty / mitigated
-               --fault slowdown|stall|drop|crash|restart|dup|random
-               --factor <x>  --fault-servers <n>
-               --fault-from <ms>  --fault-to <ms>  --episodes <n> (random)
+               <scenario> --policies ... --load <frac> --queries <n>
+               --fault slowdown|ramp|flap (--factor <x>; flap: --flap-period
+               <ms>) | stall|drop|crash|restart|dup (all: --fault-servers <n>)
+               | random (--episodes <n>)  --fault-from <ms> --fault-to <ms>
                --lease-ms <ms> (crash-recovery lease TTL; crash/restart
                default to the widest class SLO)  --hedge <frac>
-               --attempts <n>  --quorum <frac>  --policies ...
-               --jobs <n>  --json
-    testbed    Run the tokio SaS testbed (32 nodes, 4 clusters)
-               --policy ... --load ... --queries ... --scale <x>
-               --probes <n> --store-days <n> --realtime
-    trace      Flight-record one simulation: per-query timelines, slack
-               histograms, miss-ratio timeline, Prometheus/JSON metrics
-               sim options plus --top <k>  --query <id>  --bin <ms>
-               --snapshot-every <ms>  --ring <events>
-               --sample <permille> --slow-after <ms> (tail-aware sampling)
-               --export jsonl|csv  --metrics  --json
+               --attempts <n> --quorum <frac> --jobs <n> --json
+    testbed    Run the tokio SaS testbed (32 nodes, 4 clusters)  --policy <p>
+               --load <frac> --queries <n> --scale <x> --probes <n>
+               --store-days <n> --seed <n> --realtime
+    trace      Flight-record one simulation  <scenario> <run> --ring <events>
+               --sample <permille> --slow-after <ms> (tail-aware sampling),
+               and one output: timelines, slack and miss-ratio summary (--top
+               <k> --bin <ms> --snapshot-every <ms>) | --query <id> | --export
+               jsonl|csv | --metrics or --json (--warmup <n> --snapshot-every
+               <ms>)
     slo        Run one simulation under the online SLO attainment monitor:
                per-class attainment, multi-window burn rates, alerts
-               sim options plus --target <frac>  --bucket <ms>
-               --slow-buckets <n>  --burn <x>  --json
-    gentrace   Generate a JSON query trace on stdout
-               --rate <q/ms> --queries <n> --classes <n> --fanout ...
-    workloads  Print the calibrated Tailbench statistics (Table II)
+               <scenario> <run> --target <frac> --bucket <ms>
+               --slow-buckets <n> --burn <x> --json
+    gentrace   Generate a JSON or CSV query trace on stdout  --rate <q/ms>
+               --queries <n> --classes <n> --seed <n> --arrival poisson|pareto
+               --format json|csv --fanout paper|fixed:<k>|oldi|facebook
+               (oldi, facebook: --servers <n>)
+    workloads  Print the calibrated Tailbench statistics (Table II)  --json
     calibrate  Fit a service-time model to measured latencies
-               --samples <path> [--anchors <p,...>] [--fanouts <k,...>] [--json]
-    budgets    Print Eq. 6 task budgets  --workload ... --slos ... --fanouts ...
+               --samples <path> --anchors <p,...> --fanouts <k,...> | --json
+    budgets    Print Eq. 6 task budgets  --workload ... --slos <ms,...> |
+               --slo <ms>  --fanouts <k,...>
     scenarios  List built-in paper scenarios
+    <scenario> --workload masstree|shore|xapian --servers <n> --slos <ms,...>
+               | --slo <ms>  --fanout paper|oldi|facebook|fixed:<k>
+               --arrival poisson|pareto --seed <n>
+    <run>      --policy fifo|priq|tedf|tfedf|sjf --load <frac> --queries <n>
+               --admission <window_ms>:<threshold> --online
 
 EXAMPLES:
     tailguard sim --workload masstree --policy tfedf --load 0.38

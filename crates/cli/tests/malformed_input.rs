@@ -176,7 +176,7 @@ fn assert_rejected<'a>(cases: impl IntoIterator<Item = (Vec<String>, &'a str)>) 
 
 /// `args` as owned strings, paired with the flag the error must name.
 fn case<'a>(args: &[&str], flag: &'a str) -> (Vec<String>, &'a str) {
-    (args.iter().map(|a| a.to_string()).collect(), flag)
+    (args.iter().map(ToString::to_string).collect(), flag)
 }
 
 /// Each case's context plus `--flag <value>`, for its kind's bad values
