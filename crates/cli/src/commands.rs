@@ -608,19 +608,17 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
     let plan = fault_plan_from(args, servers_from(args)?, scenario.seed)?;
     // Crash/restart episodes swallow in-flight work silently (crash) or
     // lose it on landing (restart) — only a lease notices the former. The
-    // faulty and mitigated cells arm one automatically for those kinds;
-    // `--lease-ms` overrides the default TTL (the widest class SLO: past
-    // it the query has missed anyway, so reclaiming is free), and
-    // `--lease-ms 0` keeps the default.
+    // faulty and mitigated cells arm one automatically for those kinds.
+    // A lease must outlast the longest service a live task can take under
+    // the plan, or the store reclaims and redispatches live tasks without
+    // end. The default TTL is the widest class SLO (past it the query has
+    // missed anyway, so reclaiming is free), or twice that longest service
+    // where the SLO does not exceed it. `--lease-ms` overrides the default
+    // and must exceed the longest service; `--lease-ms 0` keeps the
+    // default.
     let lease_ms = args.real_in("lease-ms", 0.0, 0.0..f64::INFINITY)?;
-    let crashy = plan
-        .episodes()
-        .iter()
-        .any(|e| matches!(e.kind, FaultKind::Crash | FaultKind::Restart));
-    let lease_ttl = if lease_ms > 0.0 {
+    let given_ttl = if lease_ms > 0.0 {
         Some(args::duration("lease-ms", lease_ms)?)
-    } else if crashy {
-        scenario.classes.iter().map(|c| c.slo).max()
     } else {
         None
     };
@@ -632,6 +630,30 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
     }
     let json = args.flag("json");
     args.finish()?;
+    let (service_ms, slowdown) = (scenario.cluster.max_service_ms(), plan.max_slowdown());
+    let longest = SimDuration::from_millis_f64(service_ms * slowdown);
+    let crashy = plan
+        .episodes()
+        .iter()
+        .any(|e| matches!(e.kind, FaultKind::Crash | FaultKind::Restart));
+    let lease_ttl = match given_ttl {
+        Some(ttl) if ttl <= longest => {
+            return Err(err(format!(
+                "--lease-ms {lease_ms} must exceed {:.3} ms, the longest service a task can \
+                 take under the fault plan ({service_ms} ms × slowdown {slowdown})",
+                longest.as_millis_f64()
+            )))
+        }
+        Some(ttl) => Some(ttl),
+        None if crashy => scenario.classes.iter().map(|c| c.slo).max().map(|slo| {
+            if slo > longest {
+                slo
+            } else {
+                longest.mul_f64(2.0)
+            }
+        }),
+        None => None,
+    };
 
     const MODES: [&str; 3] = ["healthy", "faulty", "mitigated"];
     let cells: Vec<(Policy, usize)> = policies

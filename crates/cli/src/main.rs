@@ -44,8 +44,9 @@ COMMANDS (an option the invocation does not read is an error):
                --fault slowdown|ramp|flap (--factor <x>; flap: --flap-period
                <ms>) | stall|drop|crash|restart|dup (all: --fault-servers <n>)
                | random (--episodes <n>)  --fault-from <ms> --fault-to <ms>
-               --lease-ms <ms> (crash-recovery lease TTL; crash/restart
-               default to the widest class SLO)  --hedge <frac>
+               --lease-ms <ms> (crash-recovery lease TTL, above the longest
+               service under the plan; crash/restart default to the widest
+               class SLO or twice that service if longer)  --hedge <frac>
                --attempts <n> --quorum <frac> --jobs <n> --json
     testbed    Run the tokio SaS testbed (32 nodes, 4 clusters)  --policy <p>
                --load <frac> --queries <n> --scale <x> --probes <n>

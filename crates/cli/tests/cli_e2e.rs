@@ -1,7 +1,8 @@
 //! End-to-end tests of the compiled `tailguard` binary: real process
 //! spawns, real stdout/stderr, real exit codes.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tailguard"))
@@ -148,4 +149,62 @@ fn json_output_is_machine_readable() {
     let v: serde_json::Value = serde_json::from_str(stdout(&o).trim()).expect("valid json");
     assert_eq!(v["policy"], "TailGuard");
     assert!(v["meets_all_slos"].is_boolean());
+}
+
+/// Runs `tailguard args…`, failing the test if the process outlives
+/// `limit`.
+fn run_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tailguard"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("wait").is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("tailguard {} still ran after {limit:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    child.wait_with_output().expect("output")
+}
+
+/// Shore's longest service (3 ms) exceeds its widest SLO (1 ms), so a crash
+/// plan's default lease must be longer than the SLO: one no longer than the
+/// service reclaimed and redispatched live tasks without end.
+#[test]
+fn faults_crash_default_lease_outlasts_the_longest_service() {
+    let o = run_within(
+        &[
+            "faults",
+            "--queries",
+            "1000",
+            "--servers",
+            "10",
+            "--fanout",
+            "fixed:2",
+            "--policies",
+            "tfedf",
+            "--fault-to",
+            "20",
+            "--fault",
+            "crash",
+            "--workload",
+            "shore",
+            "--json",
+        ],
+        Duration::from_secs(10),
+    );
+    assert!(o.status.success(), "{}", stderr(&o));
+    let cells: serde_json::Value = serde_json::from_str(&stdout(&o)).expect("json");
+    let cells = cells.as_array().expect("cells");
+    assert_eq!(cells.len(), 3);
+    for cell in cells {
+        assert_eq!(cell["completed"], cells[0]["completed"], "{cell:?}");
+        // Only swallowed tasks come back through a reclaim.
+        assert!(cell["reclaims"].as_u64() < Some(2_000), "{cell:?}");
+    }
 }

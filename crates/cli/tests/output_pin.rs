@@ -1,11 +1,10 @@
-//! Pins the exact stdout of a dozen valid invocations of the compiled
+//! Pins the exact stdout of valid invocations of the compiled
 //! `tailguard` binary against committed text under `tests/pinned/`.
 //!
 //! Argument parsing may be rewritten freely; what a valid invocation
 //! prints may not move. Every run is small (`--queries` ≤ 3 000, at most
-//! two jobs) and deterministic in its seed. `faults` is pinned in its
-//! `--json` form because the text form embeds the path of the CSV it
-//! writes.
+//! two jobs) and deterministic in its seed; `testbed` without `--realtime`
+//! runs on tokio's paused clock, which makes it deterministic too.
 //!
 //! If an output changes on purpose, regenerate its file with the command
 //! in `CASES`, e.g. `tailguard sim --queries 2000 > tests/pinned/sim.txt`
@@ -113,6 +112,34 @@ const CASES: &[(&str, &[&str])] = &[
     ("workloads", &["workloads"]),
     ("budgets", &["budgets", "--slos", "1,1.5"]),
     ("scenarios", &["scenarios"]),
+    // The tokio testbed in paused time: offline calibration, the load
+    // generator and the handler, with the calibrated budgets steering
+    // TailGuard's queues.
+    ("testbed", &["testbed", "--queries", "2000"]),
+    (
+        "testbed_seed7",
+        &[
+            "testbed",
+            "--queries",
+            "2000",
+            "--seed",
+            "7",
+            "--probes",
+            "40",
+        ],
+    ),
+    (
+        "testbed_load60",
+        &[
+            "testbed",
+            "--queries",
+            "2000",
+            "--load",
+            "0.6",
+            "--probes",
+            "10",
+        ],
+    ),
 ];
 
 fn pinned(stem: &str) -> String {

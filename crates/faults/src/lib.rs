@@ -136,6 +136,17 @@ impl FaultEpisode {
         self.start <= now && now < self.end
     }
 
+    /// The largest multiplier the episode puts on a service time, at least
+    /// 1.0: a slowdown's or flap's `factor`, a ramp's `peak`; holds, losses
+    /// and duplicates inflate nothing.
+    fn peak_factor(&self) -> f64 {
+        match self.kind {
+            FaultKind::Slowdown { factor } | FaultKind::Flap { factor, .. } => factor.max(1.0),
+            FaultKind::DegradeRamp { peak } => peak.max(1.0),
+            _ => 1.0,
+        }
+    }
+
     /// `acc` times the service-time multiplier this episode contributes at
     /// `now`, an instant inside it (holds, losses and duplicates inflate
     /// nothing).
@@ -500,6 +511,22 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.episodes.is_empty()
     }
+
+    /// The largest service-time multiplier the plan can put on a task, at
+    /// least 1.0: the largest product, over the instants an episode starts,
+    /// of the peak multipliers of the episodes then active on its server.
+    /// The set of active episodes grows only at a start, so this bounds
+    /// [`FaultPlan::slowdown_factor`] at every instant on every server.
+    pub fn max_slowdown(&self) -> f64 {
+        self.episodes
+            .iter()
+            .map(|e| {
+                self.active(e.server, e.start)
+                    .map(FaultEpisode::peak_factor)
+                    .product::<f64>()
+            })
+            .fold(1.0, f64::max)
+    }
 }
 
 // tg-lint: hot(fault-probe)
@@ -690,6 +717,52 @@ mod tests {
         assert!(!plan.drops(0, ms(0)));
         assert_eq!(plan.slowdown_factor(0, ms(0)), 1.0);
         assert_eq!(plan.completion_delay(0, ms(0), dms(3)), dms(3));
+    }
+
+    #[test]
+    fn max_slowdown_bounds_every_multiplier() {
+        assert_eq!(FaultPlan::new().max_slowdown(), 1.0);
+        let plan = FaultPlan::new()
+            .with_episode(FaultEpisode::new(
+                0,
+                ms(0),
+                ms(10),
+                FaultKind::Slowdown { factor: 2.0 },
+            ))
+            .with_episode(FaultEpisode::new(
+                0,
+                ms(5),
+                ms(20),
+                FaultKind::DegradeRamp { peak: 3.0 },
+            ))
+            .with_episode(FaultEpisode::new(
+                1,
+                ms(0),
+                ms(5),
+                FaultKind::Flap {
+                    factor: 4.0,
+                    period: dms(1),
+                },
+            ))
+            .with_episode(FaultEpisode::new(
+                2,
+                ms(0),
+                ms(5),
+                FaultKind::Slowdown { factor: 0.5 },
+            ))
+            .with_episode(FaultEpisode::new(3, ms(0), ms(5), FaultKind::Crash));
+        // Server 0's overlap composes: 2 × 3 while both run.
+        assert_eq!(plan.max_slowdown(), 6.0);
+        let storm = FaultPlan::generate(7, 4, dms(1_000), 40, 100.0);
+        let bound = storm.max_slowdown();
+        for server in 0..4 {
+            for t in (0..1_000).step_by(7) {
+                assert!(
+                    storm.slowdown_factor(server, ms(t)) <= bound,
+                    "server {server} at {t} ms"
+                );
+            }
+        }
     }
 
     #[test]

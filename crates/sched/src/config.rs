@@ -128,6 +128,16 @@ impl ClusterSpec {
         }
     }
 
+    /// The longest task service time any server can draw, in ms: the
+    /// largest `quantile(1.0)` over the servers' distributions (infinite
+    /// for an unbounded one).
+    pub fn max_service_ms(&self) -> f64 {
+        self.service
+            .iter()
+            .map(|d| d.quantile(1.0))
+            .fold(0.0, f64::max)
+    }
+
     /// Mean task service time averaged over servers, in ms.
     #[expect(
         clippy::indexing_slicing,
@@ -251,6 +261,17 @@ mod tests {
         ]);
         assert_eq!(c.mean_service_ms(), 2.0);
         assert_eq!(c.service_of(1).mean(), 3.0);
+    }
+
+    #[test]
+    fn max_service_is_the_slowest_servers_upper_end() {
+        let c = ClusterSpec::heterogeneous(vec![
+            Arc::new(tailguard_dist::Uniform::new(1.0, 4.0)) as DynDistribution,
+            Arc::new(Deterministic::new(3.0)),
+        ]);
+        assert_eq!(c.max_service_ms(), 4.0);
+        let c = ClusterSpec::homogeneous(5, tailguard_dist::Exponential::with_mean(1.0));
+        assert!(c.max_service_ms().is_infinite());
     }
 
     #[test]

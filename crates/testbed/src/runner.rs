@@ -259,7 +259,7 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
         .filter(|p| !p.is_empty())
         .map(|p| Arc::new(p.compressed(scale)));
     let fault_epoch: Arc<OnceLock<tokio::time::Instant>> = Arc::new(OnceLock::new());
-    let (result_tx, result_rx) = mpsc::unbounded_channel::<TaskResult>();
+    let (result_tx, mut result_rx) = mpsc::unbounded_channel::<TaskResult>();
     let mut node_txs = Vec::with_capacity(32);
     for node_id in 0..32u32 {
         let (tx, rx) = mpsc::unbounded_channel::<TaskAssignment>();
@@ -303,27 +303,20 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
             offline_samples: 0,
         },
     );
-    // Probe each node sequentially while it is idle, so the measured
-    // dispatch→result time is the node's unloaded response time.
-    let mut result_rx = result_rx;
-    let mut range_rng = master.split();
-    for (node, tx) in node_txs.iter().enumerate() {
-        for _ in 0..config.calibration_probes {
-            let start_day = range_rng.index(config.store_days.max(2) as usize - 1) as u32;
-            let sent = tokio::time::Instant::now();
-            let _ = tx.send(TaskAssignment {
-                task_id: u64::MAX,
-                start_day,
-                days: 1,
-                lease: 0, // probes bypass the core; no fencing
-                dispatched_at: sent,
-            });
-            let r = result_rx.recv().await.expect("nodes alive");
-            debug_assert_eq!(r.node as usize, node);
-            estimator.record_post_queuing(
-                node,
-                SimDuration::from_nanos(units::sat_u128_to_u64(sent.elapsed().as_nanos())),
-            );
+    // Probe every node at once, one probe in flight per node, then record
+    // the samples node by node: `LogHistogram` folds an f64 sum, so the
+    // record order is part of the result.
+    let samples = calibrate(
+        &node_txs,
+        &mut result_rx,
+        config.calibration_probes,
+        config.store_days,
+        &mut master.split(),
+    )
+    .await;
+    for (node, node_samples) in samples.iter().enumerate() {
+        for &sample in node_samples {
+            estimator.record_post_queuing(node, sample);
         }
     }
     estimator.refresh_now();
@@ -453,6 +446,66 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
         server_health: stats.server_health,
         estimator_window_rolls: stats.estimator_window_rolls,
     }
+}
+
+/// Offline calibration (§III.B.2): `probes` unloaded response times of
+/// each node, in the scaled wall domain, indexed by node.
+///
+/// Every node is probed at once, but a node's next probe leaves only when
+/// its previous result is back, so each probe finds its node idle and its
+/// dispatch→result time is the node's unloaded response time. The wall
+/// time spent is the slowest node's probe sequence, not the sum over
+/// nodes. Start days are drawn from `range_rng` node by node, so each node
+/// gets the probe sequence a node-by-node loop would send it.
+async fn calibrate(
+    node_txs: &[mpsc::UnboundedSender<TaskAssignment>],
+    results: &mut mpsc::UnboundedReceiver<TaskResult>,
+    probes: usize,
+    store_days: u32,
+    range_rng: &mut SimRng,
+) -> Vec<Vec<SimDuration>> {
+    let start_days: Vec<Vec<u32>> = node_txs
+        .iter()
+        .map(|_| {
+            (0..probes)
+                .map(|_| range_rng.index(store_days.max(2) as usize - 1) as u32)
+                .collect()
+        })
+        .collect();
+    let send_probe = |node: usize, k: usize| {
+        let _ = node_txs[node].send(TaskAssignment {
+            task_id: u64::MAX,
+            start_day: start_days[node][k],
+            days: 1,
+            lease: 0, // probes bypass the core; no fencing
+            dispatched_at: tokio::time::Instant::now(),
+        });
+    };
+    let mut samples: Vec<Vec<SimDuration>> = node_txs
+        .iter()
+        .map(|_| Vec::with_capacity(probes))
+        .collect();
+    if probes == 0 {
+        return samples;
+    }
+    for node in 0..node_txs.len() {
+        send_probe(node, 0);
+    }
+    let mut probing = node_txs.len();
+    while probing > 0 {
+        let r = results.recv().await.expect("nodes alive");
+        let node = r.node as usize;
+        let taken = &mut samples[node];
+        taken.push(SimDuration::from_nanos(units::sat_u128_to_u64(
+            r.dispatched_at.elapsed().as_nanos(),
+        )));
+        if taken.len() < probes {
+            send_probe(node, taken.len());
+        } else {
+            probing -= 1;
+        }
+    }
+    samples
 }
 
 #[cfg(test)]
@@ -894,5 +947,95 @@ mod tests {
         // Wall durations longer than the u64 ns domain (u128 from
         // std::time) clamp on entry instead of truncating high bits.
         assert_eq!(units::sat_u128_to_u64(u128::from(u64::MAX) + 7), u64::MAX);
+    }
+
+    /// Calibration on its own, against stand-in nodes that serve each probe
+    /// in one 1 ms wheel tick of paused time: every node gets exactly
+    /// `PROBES` probes, never a second one while the first is in service,
+    /// and the probes run side by side, so the virtual time spent is one
+    /// node's `PROBES` ticks, far below the `NODES × PROBES` of a
+    /// node-by-node loop. (The clock starts off the tick grid, so the first
+    /// probe takes a little less than a tick.)
+    #[test]
+    fn calibration_probes_all_nodes_at_once_one_probe_each() {
+        use std::time::Duration;
+        use tokio::time::Instant;
+        const NODES: usize = 32;
+        const PROBES: usize = 5;
+        const STORE_DAYS: u32 = 35;
+        let rt = tokio::runtime::Builder::new_current_thread()
+            .enable_time()
+            .build()
+            .expect("tokio runtime");
+        rt.block_on(async {
+            tokio::time::pause();
+            let (result_tx, mut result_rx) = mpsc::unbounded_channel::<TaskResult>();
+            let mut node_txs = Vec::new();
+            let mut nodes = Vec::new();
+            for node in 0..NODES as u32 {
+                let (tx, mut rx) = mpsc::unbounded_channel::<TaskAssignment>();
+                node_txs.push(tx);
+                let results = result_tx.clone();
+                nodes.push(tokio::spawn(async move {
+                    let mut served = Vec::new();
+                    let mut idle_since = Instant::now();
+                    while let Some(task) = rx.recv().await {
+                        assert!(
+                            task.dispatched_at >= idle_since,
+                            "node {node} got a probe while serving another"
+                        );
+                        served.push(task.start_day);
+                        tokio::time::sleep(Duration::ZERO).await; // one tick
+                        idle_since = Instant::now();
+                        let _ = results.send(TaskResult {
+                            node,
+                            task_id: task.task_id,
+                            lease: task.lease,
+                            dispatched_at: task.dispatched_at,
+                            records: 0,
+                            mean_temperature: 0.0,
+                            mean_humidity: 0.0,
+                            outcome: crate::node::TaskOutcome::Ok,
+                        });
+                    }
+                    served
+                }));
+            }
+            drop(result_tx);
+
+            let began = Instant::now();
+            let samples = calibrate(
+                &node_txs,
+                &mut result_rx,
+                PROBES,
+                STORE_DAYS,
+                &mut SimRng::seed(9),
+            )
+            .await;
+            let spent = began.elapsed();
+            drop(node_txs);
+
+            let tick = Duration::from_millis(1);
+            assert!(
+                spent <= tick * PROBES as u32,
+                "calibration took {spent:?}, more than one node's {PROBES} probes"
+            );
+            // Each node's start days are the ones a node-by-node loop
+            // draws for it from the same stream.
+            let mut rng = SimRng::seed(9);
+            for (node, handle) in nodes.into_iter().enumerate() {
+                let expected: Vec<u32> = (0..PROBES)
+                    .map(|_| rng.index(STORE_DAYS as usize - 1) as u32)
+                    .collect();
+                assert_eq!(handle.await.expect("node ran"), expected, "node {node}");
+                // An idle node answers within its one tick.
+                assert_eq!(samples[node].len(), PROBES, "node {node}");
+                assert!(
+                    samples[node].iter().all(|s| s.as_nanos() <= 1_000_000),
+                    "node {node} samples {:?}",
+                    samples[node]
+                );
+            }
+        });
     }
 }
