@@ -54,7 +54,7 @@ fn main() {
                 .iter()
                 .map(|r| {
                     let q = &r.queries[0];
-                    let servers = q.servers.clone().expect("sas places explicitly");
+                    let servers = q.servers().expect("sas places explicitly");
                     let spec = scenario.classes[q.class as usize];
                     let slo = spec.slo.as_millis_f64();
                     let budgets: Vec<SimDuration> = servers
@@ -65,11 +65,9 @@ fn main() {
                             )
                         })
                         .collect();
-                    let mut q = q.clone();
-                    q.task_budgets = Some(budgets);
                     RequestInput {
                         arrival: r.arrival,
-                        queries: vec![q],
+                        queries: q.clone().with_task_budgets(budgets).into(),
                     }
                 })
                 .collect(),

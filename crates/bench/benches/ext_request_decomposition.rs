@@ -102,21 +102,10 @@ fn main() {
             .map(|&at| tailguard::RequestInput {
                 arrival: at,
                 queries: vec![
-                    tailguard::QuerySpec {
-                        class: 0,
-                        fanout: 10,
-                        servers: None,
-                        budget_override: Some(naive_budget_q1),
-                        task_budgets: None,
-                    },
-                    tailguard::QuerySpec {
-                        class: 0,
-                        fanout: 100,
-                        servers: None,
-                        budget_override: Some(naive_budget_q2),
-                        task_budgets: None,
-                    },
-                ],
+                    tailguard::QuerySpec::new(0, 10).with_budget_override(naive_budget_q1),
+                    tailguard::QuerySpec::new(0, 100).with_budget_override(naive_budget_q2),
+                ]
+                .into(),
             })
             .collect(),
     };
@@ -185,13 +174,7 @@ fn main() {
                     arrival: at,
                     queries: budgets
                         .iter()
-                        .map(|&b| tailguard::QuerySpec {
-                            class: 0,
-                            fanout: 1,
-                            servers: None,
-                            budget_override: Some(b),
-                            task_budgets: None,
-                        })
+                        .map(|&b| tailguard::QuerySpec::new(0, 1).with_budget_override(b))
                         .collect(),
                 })
                 .collect(),

@@ -41,9 +41,13 @@ pub(crate) struct ObserverSetup {
 ///
 /// # Panics
 ///
-/// Panics when the input references a class outside `config.classes`, a
-/// fanout larger than the cluster, or an explicit placement of the wrong
-/// length.
+/// Panics, when the run reaches the offending query, on a query with
+/// - a class outside `config.classes`;
+/// - a fanout over the cluster's `N` servers;
+/// - an explicit placement ([`QuerySpec::servers`]) whose length is not
+///   the fanout, or that names a server outside `0..N`;
+/// - per-task budgets ([`QuerySpec::task_budgets`]) whose count is not the
+///   fanout.
 ///
 /// # Example
 ///
@@ -82,6 +86,10 @@ pub fn run_simulation(config: &SimConfig, input: &SimInput) -> SimReport {
 /// `obs.recording_overhead_pct` row measures. Use
 /// [`crate::run_simulation_observed`] for the full metrics/snapshot
 /// pipeline.
+///
+/// # Panics
+///
+/// Panics where [`run_simulation`] does, on the same input.
 pub fn run_simulation_traced(
     config: &SimConfig,
     input: &SimInput,
@@ -289,7 +297,7 @@ pub(crate) fn draw_service(cluster: &ClusterSpec, rng: &mut SimRng, server: u32)
 /// Fills `out` with the servers `spec` fans out to on a cluster of `n`:
 /// its explicit placement, or `k_f` distinct servers drawn from `rng`.
 pub(crate) fn place(n: usize, spec: &QuerySpec, rng: &mut SimRng, out: &mut Vec<u32>) {
-    match &spec.servers {
+    match spec.servers() {
         Some(s) => {
             assert_eq!(
                 s.len(),
@@ -423,8 +431,8 @@ impl<'a> Run<'a> {
             // The drawn services double as size hints so size-aware
             // policies (SJF) can order on them.
             sizes: Some(&self.services_scratch),
-            budget_override: spec.budget_override,
-            task_budgets: spec.task_budgets.as_deref(),
+            budget_override: spec.budget_override(),
+            task_budgets: spec.task_budgets(),
             record,
         };
         // On rejection no state is created: the query terminates its
@@ -594,7 +602,7 @@ mod tests {
                 .iter()
                 .map(|&t| RequestInput {
                     arrival: SimTime::from_millis(t),
-                    queries: vec![QuerySpec::new(class, fanout)],
+                    queries: QuerySpec::new(class, fanout).into(),
                 })
                 .collect(),
         }
@@ -707,15 +715,15 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(0, 1)], // occupies the server
+                    queries: QuerySpec::new(0, 1).into(), // occupies the server
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(1),
-                    queries: vec![QuerySpec::new(0, 1)], // loose
+                    queries: QuerySpec::new(0, 1).into(), // loose
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(2),
-                    queries: vec![QuerySpec::new(1, 1)], // tight
+                    queries: QuerySpec::new(1, 1).into(), // tight
                 },
             ],
         };
@@ -743,15 +751,15 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(1, 1)],
+                    queries: QuerySpec::new(1, 1).into(),
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(1),
-                    queries: vec![QuerySpec::new(1, 1)],
+                    queries: QuerySpec::new(1, 1).into(),
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(2),
-                    queries: vec![QuerySpec::new(0, 1)],
+                    queries: QuerySpec::new(0, 1).into(),
                 },
             ],
         };
@@ -800,11 +808,7 @@ mod tests {
         let input = SimInput {
             requests: vec![RequestInput {
                 arrival: SimTime::ZERO,
-                queries: vec![
-                    QuerySpec::new(0, 2),
-                    QuerySpec::new(0, 2),
-                    QuerySpec::new(0, 2),
-                ],
+                queries: vec![QuerySpec::new(0, 2); 3].into(),
             }],
         };
         let mut report = run_simulation(&cfg, &input);
@@ -831,11 +835,11 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(0, 1), QuerySpec::new(0, 1)],
+                    queries: vec![QuerySpec::new(0, 1), QuerySpec::new(0, 1)].into(),
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(1),
-                    queries: vec![QuerySpec::new(0, 1)],
+                    queries: QuerySpec::new(0, 1).into(),
                 },
             ],
         };
@@ -864,13 +868,7 @@ mod tests {
         let input = SimInput {
             requests: vec![RequestInput {
                 arrival: SimTime::ZERO,
-                queries: vec![QuerySpec {
-                    class: 0,
-                    fanout: 2,
-                    servers: Some(vec![0, 0]),
-                    budget_override: None,
-                    task_budgets: None,
-                }],
+                queries: QuerySpec::new(0, 2).with_servers(vec![0, 0]).into(),
             }],
         };
         let mut report = run_simulation(&cfg, &input);
@@ -884,17 +882,11 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(0, 1)],
+                    queries: QuerySpec::new(0, 1).into(),
                 },
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec {
-                        class: 0,
-                        fanout: 1,
-                        servers: None,
-                        budget_override: Some(budget),
-                        task_budgets: None,
-                    }],
+                    queries: QuerySpec::new(0, 1).with_budget_override(budget).into(),
                 },
             ],
         };
@@ -911,18 +903,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fanout 5 exceeds cluster size 2")]
-    fn oversized_fanout_panics() {
-        let cfg = SimConfig::new(
-            det_cluster(2, 1.0),
-            vec![ClassSpec::p99(ms(10.0))],
-            Policy::Fifo,
-        );
-        let input = one_query_input(&[0], 0, 5);
-        let _ = run_simulation(&cfg, &input);
-    }
-
-    #[test]
     fn per_task_budgets_order_the_queue() {
         // Footnote-4 ablation hook: two tasks of one query pinned to one
         // busy server, with per-task budgets reversing arrival order.
@@ -936,18 +916,15 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(0, 1)], // occupies the server
+                    queries: QuerySpec::new(0, 1).into(), // occupies the server
                 },
                 RequestInput {
                     arrival: SimTime::from_millis(1),
-                    queries: vec![QuerySpec {
-                        class: 0,
-                        fanout: 2,
-                        servers: Some(vec![0, 0]),
-                        budget_override: None,
-                        // Second task far more urgent than the first.
-                        task_budgets: Some(vec![ms(100.0), ms(1.0)]),
-                    }],
+                    // Second task far more urgent than the first.
+                    queries: QuerySpec::new(0, 2)
+                        .with_servers(vec![0, 0])
+                        .with_task_budgets(vec![ms(100.0), ms(1.0)])
+                        .into(),
                 },
             ],
         };
@@ -958,29 +935,6 @@ mod tests {
         assert_eq!(pre.percentile(1.0), ms(9.0));
         let sorted = pre.sorted_samples().to_vec();
         assert_eq!(sorted[1], ms(4.0).as_nanos());
-    }
-
-    #[test]
-    #[should_panic(expected = "task budget count must equal fanout")]
-    fn per_task_budgets_must_match_fanout() {
-        let cfg = SimConfig::new(
-            det_cluster(2, 1.0),
-            vec![ClassSpec::p99(ms(10.0))],
-            Policy::TfEdf,
-        );
-        let input = SimInput {
-            requests: vec![RequestInput {
-                arrival: SimTime::ZERO,
-                queries: vec![QuerySpec {
-                    class: 0,
-                    fanout: 2,
-                    servers: None,
-                    budget_override: None,
-                    task_budgets: Some(vec![ms(1.0)]),
-                }],
-            }],
-        };
-        let _ = run_simulation(&cfg, &input);
     }
 
     #[test]
@@ -1039,15 +993,11 @@ mod tests {
             requests: vec![
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![QuerySpec::new(0, 1), QuerySpec::new(0, 1)],
+                    queries: vec![QuerySpec::new(0, 1), QuerySpec::new(0, 1)].into(),
                 },
                 RequestInput {
                     arrival: SimTime::ZERO,
-                    queries: vec![
-                        QuerySpec::new(0, 1),
-                        QuerySpec::new(0, 1),
-                        QuerySpec::new(0, 1),
-                    ],
+                    queries: vec![QuerySpec::new(0, 1); 3].into(),
                 },
             ],
         };
@@ -1100,7 +1050,8 @@ mod tests {
                 requests: (0..200)
                     .map(|i| RequestInput {
                         arrival: SimTime::from_millis(i),
-                        queries: vec![QuerySpec::new(0, 1 + (i as u32 + seed as u32) % 3); 3],
+                        queries: vec![QuerySpec::new(0, 1 + (i as u32 + seed as u32) % 3); 3]
+                            .into(),
                     })
                     .collect(),
             };
@@ -1191,13 +1142,9 @@ mod tests {
         .with_warmup(0);
         let request = |at_ms: u64, class: u8, servers: Vec<u32>| RequestInput {
             arrival: SimTime::from_millis(at_ms),
-            queries: vec![QuerySpec {
-                class,
-                fanout: servers.len() as u32,
-                servers: Some(servers),
-                budget_override: None,
-                task_budgets: None,
-            }],
+            queries: QuerySpec::new(class, servers.len() as u32)
+                .with_servers(servers)
+                .into(),
         };
         let at = SimTime::from_millis;
         // The arrival at 2 ms follows the one at 0 directly, so it was

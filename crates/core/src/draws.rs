@@ -154,17 +154,18 @@ impl<'a> Drawing<'a> {
         draws
             .services
             .extend(self.targets.iter().map(|&s| draw_service(cluster, rng, s)));
-        if let Some(tb) = &spec.task_budgets {
+        let tasks = spec.task_budgets();
+        if let Some(tb) = tasks {
             assert_eq!(
                 tb.len(),
                 self.targets.len(),
                 "task budget count must equal fanout"
             );
         }
-        if spec.budget_override.is_some() || spec.task_budgets.is_some() {
+        if spec.budget_override().is_some() || tasks.is_some() {
             let budgets = Budgets {
-                query: spec.budget_override,
-                tasks: spec.task_budgets.clone(),
+                query: spec.budget_override(),
+                tasks: tasks.map(<[SimDuration]>::to_vec),
             };
             draws.budgets.insert(index, budgets);
         }

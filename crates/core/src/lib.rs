@@ -67,7 +67,8 @@ pub use runner::{
     default_jobs, max_load_many, replicate, replicate_seeds, run_indexed, ClassStat, Replication,
 };
 pub use spec::{
-    AdmissionConfig, ClassSpec, ClusterSpec, QuerySpec, RequestInput, Scenario, SimConfig, SimInput,
+    AdmissionConfig, ClassSpec, ClusterSpec, QueryChain, QuerySpec, RequestInput, Scenario,
+    SimConfig, SimInput,
 };
 pub use tailguard_faults::{FaultEpisode, FaultKind, FaultPlan};
 pub use tailguard_sched::{

@@ -158,8 +158,9 @@ fn default_snapshot_interval(config: &SimConfig) -> SimDuration {
 ///
 /// # Panics
 ///
-/// Besides [`crate::run_simulation`]'s panics, panics before the run
-/// starts when [`ObsOptions::snapshot_every`] is `Some(SimDuration::ZERO)`.
+/// Panics where [`crate::run_simulation`] does, on the same input; and
+/// before the run starts when [`ObsOptions::snapshot_every`] is
+/// `Some(SimDuration::ZERO)`.
 ///
 /// # Example
 ///
@@ -420,7 +421,7 @@ mod tests {
                 .iter()
                 .map(|&t| RequestInput {
                     arrival: SimTime::from_millis(t),
-                    queries: vec![QuerySpec::new(0, 1)],
+                    queries: QuerySpec::new(0, 1).into(),
                 })
                 .collect(),
         };

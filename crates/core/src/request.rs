@@ -189,12 +189,8 @@ impl RequestPlanner {
             queries: fanouts
                 .iter()
                 .zip(&budgets.per_query)
-                .map(|(&fanout, &budget)| QuerySpec {
-                    class,
-                    fanout,
-                    servers: None,
-                    budget_override: Some(budget),
-                    task_budgets: None,
+                .map(|(&fanout, &budget)| {
+                    QuerySpec::new(class, fanout).with_budget_override(budget)
                 })
                 .collect(),
         }
@@ -294,7 +290,10 @@ mod tests {
         let budgets = planner.plan(&cluster(), &[10, 100], ms(3.0), BudgetSplit::Equal);
         let input = planner.request_input(SimTime::ZERO, 0, &[10, 100], &budgets);
         assert_eq!(input.queries.len(), 2);
-        assert_eq!(input.queries[0].budget_override, Some(budgets.per_query[0]));
+        assert_eq!(
+            input.queries[0].budget_override(),
+            Some(budgets.per_query[0])
+        );
         assert_eq!(input.queries[1].fanout, 100);
     }
 

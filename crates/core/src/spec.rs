@@ -14,27 +14,25 @@ use tailguard_workload::{ArrivalProcess, DriftPlan, GapScale, QueryMix, Trace};
 // working.
 pub use tailguard_sched::{AdmissionConfig, ClassSpec, ClusterSpec};
 
-/// One query inside a request: class, fanout and optional pre-computed
-/// placement / budget.
+/// One query inside a request: its class and fanout `k_f`, and, for the
+/// few queries that set them, a boxed record of overrides. A generated query
+/// is 16 bytes and owns no heap memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Service class index into [`SimConfig::classes`].
     pub class: u8,
     /// Query fanout `k_f`.
     pub fanout: u32,
-    /// Pre-chosen target servers. `None` lets the simulator pick `k_f`
-    /// distinct servers uniformly at random (the paper's simulation
-    /// placement); presets with skewed placement (SaS) fill this in.
-    pub servers: Option<Vec<u32>>,
-    /// Overrides the estimator-derived pre-dequeuing budget `T_b` — used by
-    /// the request-decomposition extension (Eq. 7) to assign per-query
-    /// budgets out of a request-level budget.
-    pub budget_override: Option<SimDuration>,
-    /// Per-task budget overrides (one per task, aligned with the placement)
-    /// — used by the footnote-4 ablation to compare the paper's shared
-    /// query-wide deadline against per-task deadlines. Takes precedence
-    /// over `budget_override`.
-    pub task_budgets: Option<Vec<SimDuration>>,
+    overrides: Option<Box<QueryOverrides>>,
+}
+
+/// What a query may set beyond its class and fanout. Each field is `None`
+/// unless a `with_*` builder of [`QuerySpec`] set it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct QueryOverrides {
+    servers: Option<Vec<u32>>,
+    budget_override: Option<SimDuration>,
+    task_budgets: Option<Vec<SimDuration>>,
 }
 
 impl QuerySpec {
@@ -44,10 +42,104 @@ impl QuerySpec {
         QuerySpec {
             class,
             fanout,
-            servers: None,
-            budget_override: None,
-            task_budgets: None,
+            overrides: None,
         }
+    }
+
+    /// Pre-chosen target servers. `None` lets the simulator pick `k_f`
+    /// distinct servers uniformly at random (the paper's simulation
+    /// placement); presets with skewed placement (SaS) fill this in.
+    pub fn servers(&self) -> Option<&[u32]> {
+        self.overrides.as_ref()?.servers.as_deref()
+    }
+
+    /// Overrides the estimator-derived pre-dequeuing budget `T_b` — used by
+    /// the request-decomposition extension (Eq. 7) to assign per-query
+    /// budgets out of a request-level budget.
+    pub fn budget_override(&self) -> Option<SimDuration> {
+        self.overrides.as_ref()?.budget_override
+    }
+
+    /// Per-task budget overrides (one per task, aligned with the placement)
+    /// — used by the footnote-4 ablation to compare the paper's shared
+    /// query-wide deadline against per-task deadlines. Takes precedence
+    /// over [`QuerySpec::budget_override`].
+    pub fn task_budgets(&self) -> Option<&[SimDuration]> {
+        self.overrides.as_ref()?.task_budgets.as_deref()
+    }
+
+    /// Places the query on `servers`, one per task (builder-style).
+    pub fn with_servers(mut self, servers: Vec<u32>) -> Self {
+        self.overrides_mut().servers = Some(servers);
+        self
+    }
+
+    /// Gives the query the budget `T_b` instead of the estimator's
+    /// (builder-style).
+    pub fn with_budget_override(mut self, budget: SimDuration) -> Self {
+        self.overrides_mut().budget_override = Some(budget);
+        self
+    }
+
+    /// Gives each task its own budget, one per task (builder-style).
+    pub fn with_task_budgets(mut self, budgets: Vec<SimDuration>) -> Self {
+        self.overrides_mut().task_budgets = Some(budgets);
+        self
+    }
+
+    fn overrides_mut(&mut self) -> &mut QueryOverrides {
+        self.overrides.get_or_insert_with(Box::default)
+    }
+}
+
+/// A request's queries in issue order: one query held inline, or a chain
+/// of them. Derefs to `[QuerySpec]`.
+#[derive(Clone, PartialEq)]
+pub struct QueryChain(Chain);
+
+/// A lone query is always `One` (see `From<Vec<QuerySpec>>`), so the
+/// derived equality compares the queries.
+#[derive(Clone, PartialEq)]
+enum Chain {
+    One(QuerySpec),
+    Many(Vec<QuerySpec>),
+}
+
+impl std::ops::Deref for QueryChain {
+    type Target = [QuerySpec];
+
+    fn deref(&self) -> &[QuerySpec] {
+        match &self.0 {
+            Chain::One(query) => std::slice::from_ref(query),
+            Chain::Many(queries) => queries,
+        }
+    }
+}
+
+impl From<QuerySpec> for QueryChain {
+    fn from(query: QuerySpec) -> Self {
+        QueryChain(Chain::One(query))
+    }
+}
+
+impl From<Vec<QuerySpec>> for QueryChain {
+    fn from(queries: Vec<QuerySpec>) -> Self {
+        match <[QuerySpec; 1]>::try_from(queries) {
+            Ok([query]) => query.into(),
+            Err(queries) => QueryChain(Chain::Many(queries)),
+        }
+    }
+}
+
+impl FromIterator<QuerySpec> for QueryChain {
+    fn from_iter<I: IntoIterator<Item = QuerySpec>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<_>>().into()
+    }
+}
+
+impl fmt::Debug for QueryChain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -58,7 +150,7 @@ pub struct RequestInput {
     /// When the request (i.e. its first query) arrives.
     pub arrival: SimTime,
     /// The request's queries in issue order; `len() == 1` for plain queries.
-    pub queries: Vec<QuerySpec>,
+    pub queries: QueryChain,
 }
 
 /// The complete workload for one simulation run.
@@ -78,7 +170,7 @@ impl SimInput {
                 .iter()
                 .map(|r| RequestInput {
                     arrival: r.arrival(),
-                    queries: vec![QuerySpec::new(r.class, r.fanout)],
+                    queries: QuerySpec::new(r.class, r.fanout).into(),
                 })
                 .collect(),
         }
@@ -329,7 +421,7 @@ impl Scenario {
             let t = clock.tick(self.arrival.unit_draw(&mut arrival_rng));
             requests.push(RequestInput {
                 arrival: t,
-                queries: vec![self.draw_query(t, &mut mix_rng, &mut place_rng)],
+                queries: self.draw_query(t, &mut mix_rng, &mut place_rng).into(),
             });
         }
         SimInput { requests }
@@ -348,9 +440,11 @@ impl Scenario {
             Some(d) => d.sample_mix(&self.mix, t, mix_rng),
             None => self.mix.sample(mix_rng),
         };
-        let mut query = QuerySpec::new(class, fanout);
-        query.servers = self.placement.as_ref().map(|f| f(place_rng, class, fanout));
-        query
+        let query = QuerySpec::new(class, fanout);
+        match &self.placement {
+            Some(place) => query.with_servers(place(place_rng, class, fanout)),
+            None => query,
+        }
     }
 
     /// The streams [`Scenario::input`] draws from: arrival gaps, the
@@ -387,7 +481,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use tailguard_dist::Deterministic;
-    use tailguard_workload::FanoutDist;
+    use tailguard_workload::{FanoutDist, TailbenchWorkload};
 
     #[test]
     fn scenario_rate_for_load() {
@@ -443,7 +537,7 @@ mod tests {
         };
         let input = scenario.input(0.2, 10);
         for r in &input.requests {
-            assert_eq!(r.queries[0].servers, Some(vec![3]));
+            assert_eq!(r.queries[0].servers(), Some(&[3][..]));
         }
     }
 
@@ -460,6 +554,57 @@ mod tests {
         assert_eq!(input.len(), 50);
         assert_eq!(input.query_count(), 50);
         assert_eq!(input.requests[0].queries[0].fanout, 3);
+    }
+
+    #[test]
+    fn a_query_is_16_bytes_and_a_request_32() {
+        assert!(std::mem::size_of::<QuerySpec>() <= 16);
+        assert!(std::mem::size_of::<RequestInput>() <= 32);
+    }
+
+    /// True when `chain` holds its one query inline, without overrides.
+    fn inline_and_plain(chain: &QueryChain) -> bool {
+        matches!(&chain.0, Chain::One(q) if q.overrides.is_none())
+    }
+
+    #[test]
+    fn generated_queries_are_inline_and_only_placement_boxes_overrides() {
+        let plain = crate::scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
+        let input = plain.input(0.5, 500);
+        assert!(input.requests.iter().all(|r| inline_and_plain(&r.queries)));
+        let trace = Trace::generate(
+            "x",
+            &ArrivalProcess::poisson(1.0),
+            &QueryMix::single(FanoutDist::paper_mix()),
+            500,
+            3,
+        );
+        let from_trace = SimInput::from_trace(&trace);
+        assert!(from_trace
+            .requests
+            .iter()
+            .all(|r| inline_and_plain(&r.queries)));
+
+        let sas = crate::scenarios::sas_testbed();
+        for r in &sas.input(0.5, 500).requests {
+            let [q] = &*r.queries else {
+                panic!("a generated request issues one query");
+            };
+            assert!(matches!(r.queries.0, Chain::One(_)));
+            assert_eq!(q.servers().map(<[u32]>::len), Some(q.fanout as usize));
+            assert_eq!((q.budget_override(), q.task_budgets()), (None, None));
+        }
+    }
+
+    #[test]
+    fn a_chain_of_one_is_held_inline_and_compares_by_its_queries() {
+        let one: QueryChain = vec![QuerySpec::new(1, 4)].into();
+        assert!(inline_and_plain(&one));
+        assert_eq!(one, QueryChain::from(QuerySpec::new(1, 4)));
+        let many: QueryChain = vec![QuerySpec::new(0, 1); 3].into();
+        assert_eq!(many.len(), 3);
+        assert!(QueryChain::from(Vec::new()).is_empty());
+        assert_eq!(format!("{one:?}"), format!("{:?}", [QuerySpec::new(1, 4)]));
     }
 
     #[test]

@@ -342,9 +342,9 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
                 ));
             tokio::time::sleep_until(at).await;
             let servers = spec
-                .servers
-                .clone()
-                .expect("sas scenario always places explicitly");
+                .servers()
+                .expect("sas scenario always places explicitly")
+                .to_vec();
             let ranges: Vec<(u32, u32)> = servers
                 .iter()
                 .map(|_| {
@@ -954,8 +954,8 @@ mod tests {
     /// `PROBES` probes, never a second one while the first is in service,
     /// and the probes run side by side, so the virtual time spent is one
     /// node's `PROBES` ticks, far below the `NODES × PROBES` of a
-    /// node-by-node loop. (The clock starts off the tick grid, so the first
-    /// probe takes a little less than a tick.)
+    /// node-by-node loop. Paused time starts on the tick grid, so every
+    /// probe takes exactly one tick.
     #[test]
     fn calibration_probes_all_nodes_at_once_one_probe_each() {
         use std::time::Duration;
@@ -1016,9 +1016,10 @@ mod tests {
             drop(node_txs);
 
             let tick = Duration::from_millis(1);
-            assert!(
-                spent <= tick * PROBES as u32,
-                "calibration took {spent:?}, more than one node's {PROBES} probes"
+            assert_eq!(
+                spent,
+                tick * PROBES as u32,
+                "calibration took {spent:?}, not one node's {PROBES} probes"
             );
             // Each node's start days are the ones a node-by-node loop
             // draws for it from the same stream.
@@ -1028,10 +1029,10 @@ mod tests {
                     .map(|_| rng.index(STORE_DAYS as usize - 1) as u32)
                     .collect();
                 assert_eq!(handle.await.expect("node ran"), expected, "node {node}");
-                // An idle node answers within its one tick.
+                // An idle node answers in its one tick.
                 assert_eq!(samples[node].len(), PROBES, "node {node}");
                 assert!(
-                    samples[node].iter().all(|s| s.as_nanos() <= 1_000_000),
+                    samples[node].iter().all(|s| s.as_nanos() == 1_000_000),
                     "node {node} samples {:?}",
                     samples[node]
                 );

@@ -183,7 +183,7 @@ fn fault_cascade_run() -> (SimConfig, SimInput) {
         requests: (0..30)
             .map(|i| RequestInput {
                 arrival: at(i * 150),
-                queries: vec![QuerySpec::new(0, 2); 3],
+                queries: vec![QuerySpec::new(0, 2); 3].into(),
             })
             .collect(),
     };

@@ -57,7 +57,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, 1)],
+                    queries: QuerySpec::new(0, 1).into(),
                 })
                 .collect(),
         };
@@ -96,7 +96,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, fanout)],
+                    queries: QuerySpec::new(0, fanout).into(),
                 })
                 .collect(),
         };
@@ -130,7 +130,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, fanout)],
+                    queries: QuerySpec::new(0, fanout).into(),
                 })
                 .collect(),
         };
@@ -190,7 +190,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, fanout)],
+                    queries: QuerySpec::new(0, fanout).into(),
                 })
                 .collect(),
         };
@@ -248,7 +248,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, fanout)],
+                    queries: QuerySpec::new(0, fanout).into(),
                 })
                 .collect(),
         };
@@ -329,7 +329,7 @@ proptest! {
                 .iter()
                 .map(|&a| RequestInput {
                     arrival: SimTime::from_micros(a),
-                    queries: vec![QuerySpec::new(0, fanout)],
+                    queries: QuerySpec::new(0, fanout).into(),
                 })
                 .collect(),
         };

@@ -110,7 +110,7 @@ fn fork_join_unloaded_latency_matches_order_statistics() {
             .map(|i| RequestInput {
                 // Widely spaced arrivals: effectively an unloaded cluster.
                 arrival: tailguard_repro::simcore::SimTime::from_millis(i * 100),
-                queries: vec![QuerySpec::new(0, k)],
+                queries: QuerySpec::new(0, k).into(),
             })
             .collect(),
     };

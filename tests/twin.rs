@@ -261,25 +261,25 @@ fn lattice_input(seed: u64, requests: usize, step: SimDuration) -> SimInput {
             if rng.chance(0.01) {
                 return RequestInput {
                     arrival: at,
-                    queries: Vec::new(),
+                    queries: Vec::new().into(),
                 };
             }
             let fanout = 1 + rng.index(3) as u32;
             let mut query = QuerySpec::new(rng.index(2) as u8, fanout);
             if rng.chance(0.5) {
-                query.servers = Some((0..fanout).map(|_| rng.index(6) as u32).collect());
+                query = query.with_servers((0..fanout).map(|_| rng.index(6) as u32).collect());
             }
             match rng.index(4) {
-                0 => query.budget_override = Some(ms(rng.index(4) as u64)),
+                0 => query = query.with_budget_override(ms(rng.index(4) as u64)),
                 1 => {
-                    query.task_budgets =
-                        Some((0..fanout).map(|_| ms(rng.index(4) as u64)).collect());
+                    query = query
+                        .with_task_budgets((0..fanout).map(|_| ms(rng.index(4) as u64)).collect());
                 }
                 _ => {}
             }
             RequestInput {
                 arrival: at,
-                queries: vec![query],
+                queries: query.into(),
             }
         })
         .collect();
