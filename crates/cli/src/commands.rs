@@ -14,8 +14,8 @@ use std::ops::Bound::{self, Excluded, Included};
 use tailguard::{
     default_jobs, max_load_many, run_indexed, run_simulation, run_simulation_observed, scenarios,
     sweep_loads, AdmissionConfig, ClassSpec, ClusterSpec, DriftKind, DriftPlan, EstimatorMode,
-    FaultEpisode, FaultKind, FaultPlan, MaxLoadOptions, MitigationConfig, ObsOptions, Scenario,
-    SimConfig, SimInput, SimReport,
+    FaultEpisode, FaultKind, FaultPlan, MaxLoadOptions, MitigationConfig, ObsOptions, RequestInput,
+    Scenario, SimConfig, SimReport,
 };
 use tailguard_dist::{Cdf, LogHistogram, PiecewiseQuantile};
 use tailguard_obs::{
@@ -267,9 +267,9 @@ impl Run {
         Ok(self)
     }
 
-    /// The run's workload, drawn from the scenario.
-    fn input(&self) -> SimInput {
-        self.scenario.input(self.load, self.queries)
+    /// The run's workload, drawn from the scenario as the run reads it.
+    fn requests(&self) -> impl Iterator<Item = RequestInput> + '_ {
+        self.scenario.requests(self.load, self.queries)
     }
 }
 
@@ -338,19 +338,18 @@ pub fn cmd_sim(args: &Args) -> Result<String, ArgError> {
     let sim = run_from(args, scenario, 100_000)?.read_warmup(args)?;
     let json = args.flag("json");
     args.finish()?;
-    let input = sim.input();
     if json {
         // Observed run: same report (snapshot sampling only adds engine
         // events), plus the registry whose counters/gauges fill the
         // uniformly named `metrics` object.
-        let run = run_simulation_observed(&sim.config, &input, &ObsOptions::default());
+        let run = run_simulation_observed(&sim.config, sim.requests(), &ObsOptions::default());
         let mut report = run.report;
         let mut summary = summarize(&mut report, sim.load);
         summary.metrics = uniform_metrics(&run.registry);
         summary.slo = Some(run.slo);
         serde_json::to_string_pretty(&summary).map_err(|e| err(e.to_string()))
     } else {
-        let mut report = run_simulation(&sim.config, &input);
+        let mut report = run_simulation(&sim.config, sim.requests());
         Ok(format!(
             "{} @ offered load {:.1}%\n{}",
             sim.scenario.label,
@@ -662,7 +661,6 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
         .collect();
     let warmup = queries / 20;
     let results: Vec<FaultCell> = run_indexed(&cells, jobs, |_, &(policy, mode)| {
-        let input = scenario.input(load, queries);
         let mut config = scenario.config(policy).with_warmup(warmup);
         if mode >= 1 {
             config = config.with_faults(plan.clone());
@@ -676,7 +674,8 @@ pub fn cmd_faults(args: &Args) -> Result<String, ArgError> {
         // Observed run: the report is identical to an unobserved one
         // (only `events_processed` differs), and the registry's per-class
         // `tailguard_dequeue_slack_ms` histograms feed the slack column.
-        let run = run_simulation_observed(&config, &input, &ObsOptions::default());
+        let requests = scenario.requests(load, queries);
+        let run = run_simulation_observed(&config, requests, &ObsOptions::default());
         let mut report = run.report;
         let p99_ms = report.class_tail(0, 0.99).as_millis_f64();
         let mut slack = LogHistogram::new();
@@ -836,34 +835,28 @@ pub fn cmd_trace(args: &Args) -> Result<String, ArgError> {
     }
     args.finish()?;
 
-    let run = run_simulation_observed(&sim.config, &sim.input(), &opts);
+    let run = run_simulation_observed(&sim.config, sim.requests(), &opts);
     let events = run.recorder.events();
     let (top, bin) = match output {
         TraceOutput::Export(export) => return Ok(export(&events)),
         TraceOutput::Metrics => return Ok(run.registry.prometheus_text()),
         TraceOutput::Json => {
             use serde::Serialize as _;
-            let doc = serde_json::Value::Map(vec![
-                (
-                    "events_recorded".to_string(),
-                    serde_json::Value::U64(run.recorder.total_recorded()),
-                ),
-                (
-                    "events_retained".to_string(),
-                    serde_json::Value::U64(run.recorder.len() as u64),
-                ),
-                (
-                    "events_dropped".to_string(),
-                    serde_json::Value::U64(run.recorder.dropped()),
-                ),
-                (
-                    "events_sampled_out".to_string(),
-                    serde_json::Value::U64(run.recorder.sampled_out()),
-                ),
-                ("registry".to_string(), run.registry.snapshot().to_node()),
-                ("snapshots".to_string(), run.snapshots.to_node()),
-                ("slo".to_string(), run.slo.to_node()),
-            ]);
+            let rec = &run.recorder;
+            let counts = [
+                ("events_recorded", rec.total_recorded()),
+                ("events_retained", rec.len() as u64),
+                ("events_dropped", rec.dropped()),
+                ("events_sampled_out", rec.sampled_out()),
+            ];
+            let counts = counts.map(|(name, n)| (name, serde_json::Value::U64(n)));
+            let nodes = [
+                ("registry", run.registry.snapshot().to_node()),
+                ("snapshots", run.snapshots.to_node()),
+                ("slo", run.slo.to_node()),
+            ];
+            let doc = counts.into_iter().chain(nodes);
+            let doc = serde_json::Value::Map(doc.map(|(k, v)| (k.to_string(), v)).collect());
             return serde_json::to_string_pretty(&doc).map_err(|e| err(e.to_string()));
         }
         TraceOutput::Query(qid) => {
@@ -1058,7 +1051,7 @@ pub fn cmd_slo(args: &Args) -> Result<String, ArgError> {
     args.finish()?;
     let run = run_simulation_observed(
         &sim.config,
-        &sim.input(),
+        sim.requests(),
         &ObsOptions {
             slo: Some(slo_config),
             ..ObsOptions::default()
@@ -1228,15 +1221,22 @@ pub fn cmd_budgets(args: &Args) -> Result<String, ArgError> {
     }
     out.push('\n');
     let mut est = tailguard::DeadlineEstimator::new(&cluster, classes, EstimatorMode::Analytic);
+    let mut clamped = false;
     for &k in &fanouts {
         out.push_str(&format!("{k:>10}"));
         for class in 0..class_count {
-            out.push_str(&format!(
-                " {:>12.3}",
-                est.budget(class, k, &[]).as_millis_f64()
-            ));
+            let budget = est.budget(class, k, &[]);
+            clamped |= budget.is_zero();
+            let mark = if budget.is_zero() { "*" } else { "" };
+            let cell = format!("{:.3}{mark}", budget.as_millis_f64());
+            out.push_str(&format!(" {cell:>12}"));
         }
         out.push('\n');
+    }
+    if clamped {
+        out.push_str(
+            "* SLO at or below x99_u(k), the unloaded tail: Eq. 6 clamps T_b to 0 (no slack)\n",
+        );
     }
     Ok(out)
 }

@@ -63,6 +63,29 @@ fn budgets_match_paper_worked_example() {
 }
 
 #[test]
+fn budgets_mark_each_slo_that_eq6_clamps_to_a_zero_budget() {
+    let o = run(&["budgets", "--workload", "masstree", "--slos", "0.1,1.0"]);
+    assert!(o.status.success());
+    let out = stdout(&o);
+    let rows: Vec<&str> = out.lines().skip(2).take(3).collect();
+    assert_eq!(
+        rows,
+        [
+            "         1       0.000*        0.781",
+            "        10       0.000*        0.753",
+            "       100       0.000*        0.527",
+        ],
+        "{out}"
+    );
+    assert!(
+        out.contains("* SLO at or below x99_u(k), the unloaded tail"),
+        "{out}"
+    );
+    let unclamped = stdout(&run(&["budgets", "--slos", "1.0,1.5"]));
+    assert!(!unclamped.contains('*'), "{unclamped}");
+}
+
+#[test]
 fn sim_small_run_reports_types() {
     let o = run(&[
         "sim",

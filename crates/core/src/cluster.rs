@@ -11,7 +11,7 @@
 
 use crate::observe::SimSnapshot;
 use crate::report::SimReport;
-use crate::spec::{ClusterSpec, QuerySpec, RequestInput, SimConfig, SimInput};
+use crate::spec::{ClusterSpec, QueryChain, QuerySpec, RequestInput, SimConfig};
 use std::collections::BTreeMap;
 use tailguard_faults::{DispatchOutcome, FaultPlan, FinishOutcome};
 use tailguard_metrics::LatencyReservoir;
@@ -21,17 +21,11 @@ use tailguard_sched::{
 };
 use tailguard_simcore::{Scheduler, SimDuration, SimRng, SimTime};
 
-/// What [`run_with_observer`] installs when a run is observed: the trace
-/// sink the handler will emit lifecycle events into, and the virtual-time
-/// cadence for [`SimSnapshot`] sampling (`None` records the trace without
-/// injecting any snapshot events — the event count then matches the
-/// unobserved run exactly).
-pub(crate) struct ObserverSetup {
-    pub sink: Box<dyn TraceSink>,
-    pub snapshot_every: Option<SimDuration>,
-}
-
 /// Runs one simulation to completion and returns the measurements.
+///
+/// `input` yields the requests in arrival order: a caller's `&SimInput`,
+/// or a scenario's [`Scenario::requests`](crate::Scenario::requests),
+/// which the run pulls one at a time and never holds whole.
 ///
 /// The run is fully deterministic in `(config.seed, input)`: service times
 /// and placements are drawn from split RNG streams in request-arrival order,
@@ -43,7 +37,7 @@ pub(crate) struct ObserverSetup {
 ///
 /// Panics, when the run reaches the offending query, on a query with
 /// - a class outside `config.classes`;
-/// - a fanout over the cluster's `N` servers;
+/// - a fanout of 0, or over the cluster's `N` servers;
 /// - an explicit placement ([`QuerySpec::servers`]) whose length is not
 ///   the fanout, or that names a server outside `0..N`;
 /// - per-task budgets ([`QuerySpec::task_budgets`]) whose count is not the
@@ -74,8 +68,11 @@ pub(crate) struct ObserverSetup {
 /// assert!(report.completed_queries > 0);
 /// assert!(report.meets_all_slos());
 /// ```
-pub fn run_simulation(config: &SimConfig, input: &SimInput) -> SimReport {
-    run_with_observer(config, input, None).0
+pub fn run_simulation(
+    config: &SimConfig,
+    input: impl IntoIterator<Item = RequestInput>,
+) -> SimReport {
+    run_with_observer(config, input.into_iter(), None, None).0
 }
 
 /// Runs one simulation with a caller-supplied trace sink and *nothing
@@ -92,31 +89,23 @@ pub fn run_simulation(config: &SimConfig, input: &SimInput) -> SimReport {
 /// Panics where [`run_simulation`] does, on the same input.
 pub fn run_simulation_traced(
     config: &SimConfig,
-    input: &SimInput,
+    input: impl IntoIterator<Item = RequestInput>,
     sink: Box<dyn TraceSink>,
 ) -> SimReport {
-    run_with_observer(
-        config,
-        input,
-        Some(ObserverSetup {
-            sink,
-            snapshot_every: None,
-        }),
-    )
-    .0
+    run_with_observer(config, input.into_iter(), Some(sink), None).0
 }
 
 /// The shared run loop behind [`run_simulation`] and
-/// [`crate::run_simulation_observed`]: the report, plus the sampled
-/// snapshots of an observed run. Without an observer this is
-/// byte-for-byte the unobserved simulation: no sink is installed (the
-/// handler keeps its allocation-free [`tailguard_sched::NullSink`]) and no
-/// snapshot events enter the event list, so reports — including
-/// `events_processed` — are identical to the pre-observability ones.
+/// [`crate::run_simulation_observed`]: the report, plus the snapshots
+/// sampled every `snapshot_every` of virtual time. Without a `sink` the
+/// handler keeps its allocation-free [`tailguard_sched::NullSink`], and
+/// without a cadence no snapshot event enters the event list, so the
+/// report — `events_processed` included — is the unobserved run's.
 pub(crate) fn run_with_observer(
     config: &SimConfig,
-    input: &SimInput,
-    observer: Option<ObserverSetup>,
+    requests: impl Iterator<Item = RequestInput>,
+    sink: Option<Box<dyn TraceSink>>,
+    snapshot_every: Option<SimDuration>,
 ) -> (SimReport, Vec<SimSnapshot>) {
     let mut master = SimRng::seed(config.seed);
     let placement_rng = master.split();
@@ -154,9 +143,8 @@ pub(crate) fn run_with_observer(
     if let Some(hc) = config.health {
         handler = handler.with_health(hc);
     }
-    let snapshot_every = observer.as_ref().and_then(|o| o.snapshot_every);
-    if let Some(o) = observer {
-        handler = handler.with_trace_sink(o.sink);
+    if let Some(sink) = sink {
+        handler = handler.with_trace_sink(sink);
     }
     let sim = ClusterSim {
         config,
@@ -172,6 +160,10 @@ pub(crate) fn run_with_observer(
         placement_rng,
         targets_scratch: Vec::new(),
         services_scratch: Vec::new(),
+        requests,
+        next: None,
+        chains: BTreeMap::new(),
+        arrived: 0,
         request_latency_by_class: BTreeMap::new(),
         snapshot_every,
         snapshot_pending: false,
@@ -179,16 +171,13 @@ pub(crate) fn run_with_observer(
         last_activity: SimTime::ZERO,
     };
 
-    if let [first, ..] = input.requests.as_slice() {
-        run.events()
-            .schedule_in_lane(ARRIVAL_LANE, first.arrival, Ev::Arrive(&input.requests));
-    }
+    run.pull(SimTime::ZERO);
     let mut events = 0u64;
     // tg-lint: hot(event-loop)
     while let Some(scheduled) = run.events().pop() {
         events += 1;
         let (now, ev) = (scheduled.at(), scheduled.event);
-        let arrival = matches!(ev, Ev::Arrive(_));
+        let arrival = matches!(ev, Ev::Arrive);
         run.handle(now, ev);
         run.settle(now);
         // An arrival's fallout settles before the snapshot is armed.
@@ -237,10 +226,9 @@ pub(crate) fn run_with_observer(
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Ev<'a> {
-    /// The first request of this slice of the input arrives (its first
-    /// query is issued).
-    Arrive(&'a [RequestInput]),
+enum Ev {
+    /// The request [`Run::next`] holds arrives (its first query is issued).
+    Arrive,
     /// The work dispatched for `task` on `server` under `token` finishes.
     /// The token fences the result: a reclaim between dispatch and finish
     /// turns this into a stale commit the handler rejects. `busy` is the
@@ -260,14 +248,13 @@ enum Ev<'a> {
     Snapshot,
 }
 
-/// Where a request stands (Fig. 1 chaining): its queries, the index of
-/// the one in flight, and when the request arrived — the driver's tag of
-/// each admitted query, so the simulator keeps no table per request.
+/// The driver's tag of each admitted query: when its request arrived,
+/// and for a request of several queries (Fig. 1 chaining), its arrival
+/// number, its key in [`Run::chains`].
 #[derive(Debug, Clone, Copy)]
-struct Cursor<'a> {
-    queries: &'a [QuerySpec],
-    index: usize,
+struct Tag {
     started: SimTime,
+    chain: Option<u64>,
 }
 
 /// [`Scheduler`] lanes of the events the simulator schedules in time
@@ -285,7 +272,7 @@ struct ClusterSim<'a> {
     faults: Option<&'a FaultPlan>,
     service_rng: SimRng,
     /// The future-event list.
-    events: Scheduler<Ev<'a>>,
+    events: Scheduler<Ev>,
 }
 
 /// Draws one nominal service time for `server` from the cluster's service
@@ -328,7 +315,7 @@ impl<'a> Transport for ClusterSim<'a> {
     /// The nominal service draw: a reclaimed task re-dispatches from it, so
     /// reclaims cannot compound fault holds.
     type Row = SimDuration;
-    type Tag = Cursor<'a>;
+    type Tag = Tag;
 
     /// Without a fault plan this is exactly one `schedule_in`; with one,
     /// the task can be swallowed by an active crash, dropped by an active
@@ -378,9 +365,9 @@ impl<'a> Transport for ClusterSim<'a> {
     }
 }
 
-/// One run: the driver over [`ClusterSim`], plus placement, warm-up,
-/// request chaining and snapshots.
-struct Run<'a> {
+/// One run: the driver over [`ClusterSim`], plus the input, placement,
+/// warm-up, request chaining and snapshots.
+struct Run<'a, I> {
     config: &'a SimConfig,
     driver: Driver<ClusterSim<'a>>,
     placement_rng: SimRng,
@@ -388,6 +375,15 @@ struct Run<'a> {
     // does not allocate per query.
     targets_scratch: Vec<u32>,
     services_scratch: Vec<SimDuration>,
+    /// The requests not yet pulled, in arrival order.
+    requests: I,
+    /// The pulled request whose `Ev::Arrive` is scheduled.
+    next: Option<RequestInput>,
+    /// The requests of several queries with one in flight, by arrival
+    /// number: their queries, and the index of that one.
+    chains: BTreeMap<u64, (QueryChain, usize)>,
+    /// The requests that have arrived.
+    arrived: u64,
     request_latency_by_class: BTreeMap<u8, LatencyReservoir>,
     /// Snapshot cadence in virtual time; `None` for unobserved runs (the
     /// default), which then schedule no `Ev::Snapshot` events at all.
@@ -402,16 +398,22 @@ struct Run<'a> {
     last_activity: SimTime,
 }
 
-impl<'a> Run<'a> {
-    fn events(&mut self) -> &mut Scheduler<Ev<'a>> {
+impl<'a, I: Iterator<Item = RequestInput>> Run<'a, I> {
+    fn events(&mut self) -> &mut Scheduler<Ev> {
         &mut self.driver.transport.events
     }
 
-    /// Issues the query `at` points at; `false` past its request's last.
-    fn issue_query(&mut self, now: SimTime, at: Cursor<'a>) -> bool {
-        let Some(spec) = at.queries.get(at.index) else {
-            return false;
-        };
+    /// Pulls the next request and schedules its arrival, no earlier than `now`.
+    fn pull(&mut self, now: SimTime) {
+        self.next = self.requests.next();
+        if let Some(next) = &self.next {
+            let at = next.arrival.max(now);
+            self.events().schedule_in_lane(ARRIVAL_LANE, at, Ev::Arrive);
+        }
+    }
+
+    /// Issues `spec` for the request `tag` names; `false` if it is rejected.
+    fn issue_query(&mut self, now: SimTime, spec: &QuerySpec, tag: Tag) -> bool {
         let n = self.config.cluster.servers();
         place(n, spec, &mut self.placement_rng, &mut self.targets_scratch);
         // Service times drawn now, in issue order, for cross-policy
@@ -437,8 +439,7 @@ impl<'a> Run<'a> {
         };
         // On rejection no state is created: the query terminates its
         // request (no successors).
-        self.driver.admit(now, arrival, &self.services_scratch, at);
-        true
+        self.driver.admit(now, arrival, &self.services_scratch, tag)
     }
 
     /// Runs the current event's fallout, chaining each request whose query
@@ -512,27 +513,36 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Sequential request chaining (Fig. 1): the query `at` points at
-    /// finished, so the request issues its next query, or records its
-    /// latency when that was the last (partial and failed completions
-    /// advance the chain too — the request does not stall on a degraded
-    /// answer).
-    fn chain(&mut self, now: SimTime, mut at: Cursor<'a>) {
-        at.index += 1;
-        if self.issue_query(now, at) {
-            return;
+    /// Sequential request chaining (Fig. 1): the query `tag` names
+    /// finished, so a request of several queries issues its next one
+    /// (partial and failed completions advance the chain too — the
+    /// request does not stall on a degraded answer).
+    fn chain(&mut self, now: SimTime, tag: Tag) {
+        if let Some((queries, index)) = tag.chain.and_then(|key| self.chains.remove(&key)) {
+            self.advance(now, tag, queries, index + 1);
         }
-        if let [first, _, ..] = at.queries {
-            self.request_latency_by_class
-                .entry(first.class)
-                .or_default()
-                .record(now.saturating_since(at.started));
+    }
+
+    /// Issues query `index` of the request `tag` names, keeping a chain's
+    /// queries while it is in flight; past a chain's last query, records
+    /// the request's latency. A rejected query ends its request.
+    fn advance(&mut self, now: SimTime, tag: Tag, queries: QueryChain, index: usize) {
+        let Some(spec) = queries.get(index) else {
+            if let Some(first) = queries.first() {
+                let latency = now.saturating_since(tag.started);
+                let class = self.request_latency_by_class.entry(first.class);
+                class.or_default().record(latency);
+            }
+            return;
+        };
+        if let (true, Some(key)) = (self.issue_query(now, spec, tag), tag.chain) {
+            self.chains.insert(key, (queries, index));
         }
     }
 
     /// Applies one event. Its fallout is left queued in the driver for
     /// [`Run::settle`].
-    fn handle(&mut self, now: SimTime, ev: Ev<'a>) {
+    fn handle(&mut self, now: SimTime, ev: Ev) {
         // Only a real reclaim counts as activity among lease expiries (see
         // below), so lease-only runs keep `elapsed` — and every load
         // ratio — identical to lease-free ones.
@@ -540,21 +550,17 @@ impl<'a> Run<'a> {
             self.last_activity = now;
         }
         match ev {
-            Ev::Arrive(requests) => {
-                if let [request, rest @ ..] = requests {
-                    // Chain the next arrival (requests are pre-sorted).
-                    if let [next, ..] = rest {
-                        let at = next.arrival.max(now);
-                        self.events()
-                            .schedule_in_lane(ARRIVAL_LANE, at, Ev::Arrive(rest));
-                    }
-                    let queries = &request.queries;
-                    let at = Cursor {
-                        queries,
-                        index: 0,
+            Ev::Arrive => {
+                if let Some(request) = self.next.take() {
+                    // The next arrival is scheduled before this one's fallout.
+                    self.pull(now);
+                    self.arrived += 1;
+                    let chain = (request.queries.len() > 1).then_some(self.arrived);
+                    let tag = Tag {
                         started: now,
+                        chain,
                     };
-                    self.issue_query(now, at);
+                    self.advance(now, tag, request.queries, 0);
                 }
             }
             Ev::Finish {
@@ -583,7 +589,7 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AdmissionConfig, ClassSpec, ClusterSpec, RequestInput};
+    use crate::spec::{AdmissionConfig, ClassSpec, ClusterSpec, SimInput};
     use tailguard_dist::Deterministic;
     use tailguard_policy::Policy;
     use tailguard_workload::{ArrivalProcess, FanoutDist, QueryMix, Trace};

@@ -7,15 +7,14 @@
 //! of each type are the same at every load. [`Draws`] holds them, drawn
 //! once, in flat arrays: 8 bytes per query for the unit draws, 8 for the
 //! class and fanout, and 12 per task. A probe turns the unit draws into
-//! its arrival instants ([`Scenario::clock`]) and runs on the rest.
+//! its arrival instants ([`crate::Scenario::clock`]) and runs on the rest.
 
 use crate::cluster::{draw_service, place};
 use crate::plain::PlainRun;
-use crate::spec::{QuerySpec, Scenario, SimInput};
+use crate::spec::RequestInput;
 use std::collections::BTreeMap;
 use tailguard_sched::{units, ClusterSpec, QueryTypeKey};
-use tailguard_simcore::{SimDuration, SimRng, SimTime};
-use tailguard_workload::DriftPlan;
+use tailguard_simcore::{SimDuration, SimRng};
 
 /// One request's query: its class and fanout, or none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,54 +55,24 @@ pub(crate) struct Draws {
 }
 
 impl Draws {
-    /// `queries` requests of `scenario` as [`Scenario::input`] draws them,
-    /// placed and given service times from `run`'s seed as the run would:
-    /// the unit arrival draws, and the draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scenario's drift shifts the mix, and where placing
-    /// a query does (a fanout over the cluster size).
-    pub(crate) fn of_scenario(
-        scenario: &Scenario,
-        run: &PlainRun<'_>,
-        queries: usize,
-    ) -> (Vec<f64>, Draws) {
-        assert!(
-            !scenario.drift.as_ref().is_some_and(DriftPlan::shifts_mix),
-            "the max-load harness draws a scenario's query mix once for every load, \
-             so it cannot run a mix shift, whose mix depends on arrival time"
-        );
-        let [mut arrival_rng, mut mix_rng, mut place_rng] = scenario.workload_rngs();
-        let mut drawing = Drawing::new(run, queries);
-        let mut unit_draws = Vec::with_capacity(queries);
-        for i in 0..queries {
-            unit_draws.push(scenario.arrival.unit_draw(&mut arrival_rng));
-            // Without a mix shift the mix is drawn alike at every instant.
-            let spec = scenario.draw_query(SimTime::ZERO, &mut mix_rng, &mut place_rng);
-            drawing.push(Some(&spec), i);
-        }
-        (unit_draws, drawing.draws)
-    }
-
-    /// A hand-built `input` under `run`: its arrival instants, and the
-    /// draws.
+    /// Draws each request under `run`, keeping the value that comes with
+    /// it: its arrival instant, or the unit draw of its arrival gap.
     ///
     /// # Panics
     ///
     /// Panics on a request with more than one query, a task budget count
     /// other than the fanout, and where placing a query does.
-    pub(crate) fn of_input(run: &PlainRun<'_>, input: &SimInput) -> (Vec<SimTime>, Draws) {
-        let mut drawing = Drawing::new(run, input.requests.len());
-        for (i, request) in input.requests.iter().enumerate() {
-            assert!(
-                request.queries.len() <= 1,
-                "a plain run issues one query per request"
-            );
-            drawing.push(request.queries.first(), i);
+    pub(crate) fn of<T>(
+        run: &PlainRun<'_>,
+        requests: impl Iterator<Item = (T, RequestInput)>,
+    ) -> (Vec<T>, Draws) {
+        let mut drawing = Drawing::new(run, requests.size_hint().0);
+        let mut kept = Vec::with_capacity(requests.size_hint().0);
+        for (value, request) in requests {
+            kept.push(value);
+            drawing.push(&request);
         }
-        let arrivals = input.requests.iter().map(|r| r.arrival).collect();
-        (arrivals, drawing.draws)
+        (kept, drawing.draws)
     }
 }
 
@@ -132,9 +101,14 @@ impl<'a> Drawing<'a> {
         }
     }
 
-    /// Draws request `index`, which issues `spec` or nothing.
-    fn push(&mut self, spec: Option<&QuerySpec>, index: usize) {
-        let Some(spec) = spec else {
+    /// Draws the next request, which issues one query or none.
+    fn push(&mut self, request: &RequestInput) {
+        assert!(
+            request.queries.len() <= 1,
+            "a plain run issues one query per request"
+        );
+        let index = self.draws.queries.len();
+        let Some(spec) = request.queries.first() else {
             self.draws.queries.push(QueryDraw {
                 fanout: 0,
                 class: 0,

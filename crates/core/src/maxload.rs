@@ -50,6 +50,7 @@ use tailguard_metrics::nearest_rank;
 use tailguard_policy::Policy;
 use tailguard_sched::{units, ClassSpec, QueryTypeKey};
 use tailguard_simcore::{SimDuration, SimTime};
+use tailguard_workload::DriftPlan;
 
 /// Tuning knobs for [`max_load`] and [`sweep_loads`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,8 +141,15 @@ impl<'a> Search<'a> {
         let warmup = units::trunc_f64_to_usize(opts.queries as f64 * opts.warmup_fraction);
         // The draws do not depend on the policy.
         let config = scenario.config(Policy::TfEdf).with_warmup(warmup);
-        let (unit_draws, draws) =
-            Draws::of_scenario(scenario, &plain(&config, config.policy), opts.queries);
+        assert!(
+            !scenario.drift.as_ref().is_some_and(DriftPlan::shifts_mix),
+            "the max-load harness draws a scenario's query mix once for every load, \
+             so it cannot run a mix shift, whose mix depends on arrival time"
+        );
+        // Only the instants depend on the load, and without a mix shift
+        // the mix is drawn alike at every instant.
+        let requests = scenario.drawn(1.0, opts.queries);
+        let (unit_draws, draws) = Draws::of(&plain(&config, config.policy), requests);
         Search {
             scenario,
             opts: *opts,
@@ -550,7 +558,7 @@ mod tests {
         let mut full = run_simulation(config, input);
         let meets = full.meets_all_slos();
         let run = plain(config, config.policy);
-        let (arrivals, draws) = Draws::of_input(&run, input);
+        let (arrivals, draws) = Draws::of(&run, input.into_iter().map(|r| (r.arrival, r)));
         assert_eq!(
             verdict(run, &arrivals, &draws),
             meets,
@@ -659,7 +667,8 @@ mod tests {
             let mut arrivals = Vec::new();
             for load in [0.05, 0.5, 0.95, 1.5] {
                 let input = s.input(load, opts.queries);
-                let (want_arrivals, want_draws) = Draws::of_input(&run, &input);
+                let (want_arrivals, want_draws) =
+                    Draws::of(&run, input.into_iter().map(|r| (r.arrival, r)));
                 search.arrivals_at(load, &mut arrivals);
                 assert_eq!(arrivals, want_arrivals, "{} at {load}", s.label);
                 assert_eq!(search.draws, want_draws, "{} at {load}", s.label);

@@ -17,9 +17,9 @@
 //! differs (snapshot events are engine events too); every latency,
 //! load, and count in the report is identical.
 
-use crate::cluster::{run_with_observer, ObserverSetup};
+use crate::cluster::run_with_observer;
 use crate::report::SimReport;
-use crate::spec::{SimConfig, SimInput};
+use crate::spec::{RequestInput, SimConfig};
 use serde::Serialize;
 use tailguard_obs::{
     publish_run, BinaryRecorder, Registry, RunSummary, SamplerConfig, SloConfig, SloSnapshot,
@@ -189,7 +189,7 @@ fn default_snapshot_interval(config: &SimConfig) -> SimDuration {
 /// ```
 pub fn run_simulation_observed(
     config: &SimConfig,
-    input: &SimInput,
+    input: impl IntoIterator<Item = RequestInput>,
     opts: &ObsOptions,
 ) -> ObservedRun {
     assert!(
@@ -204,14 +204,7 @@ pub fn run_simulation_observed(
         Some(sampler) => recorder.sink_sampled(sampler),
         None => recorder.sink(),
     };
-    let (report, snapshots) = run_with_observer(
-        config,
-        input,
-        Some(ObserverSetup {
-            sink,
-            snapshot_every: Some(every),
-        }),
-    );
+    let (report, snapshots) = run_with_observer(config, input.into_iter(), Some(sink), Some(every));
     // The recording is decoded once, here at analysis time; the hot path
     // only saw fixed-width binary appends.
     let mut registry = Registry::new();
@@ -279,7 +272,7 @@ mod tests {
     use super::*;
     use crate::run_simulation;
     use crate::spec::QuerySpec;
-    use crate::spec::{AdmissionConfig, ClassSpec, ClusterSpec, RequestInput};
+    use crate::spec::{AdmissionConfig, ClassSpec, ClusterSpec, RequestInput, SimInput};
     use tailguard_dist::Deterministic;
     use tailguard_obs::build_timelines;
     use tailguard_policy::Policy;

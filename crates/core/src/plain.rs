@@ -35,7 +35,7 @@
 
 use crate::draws::Draws;
 use crate::report::SimReport;
-use crate::spec::{ClassSpec, ClusterSpec, SimInput};
+use crate::spec::{ClassSpec, ClusterSpec, RequestInput};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use tailguard_metrics::{LatencyReservoir, LoadStats};
@@ -327,7 +327,7 @@ pub(crate) fn run_plain<W: Watch>(
     }
 }
 
-/// [`run_plain`] on a hand-built input to completion, telling `tap` of
+/// [`run_plain`] on `input` to completion, telling `tap` of
 /// every dequeue and every finished query: the engine's decisions, for
 /// comparison with the event loop's trace.
 ///
@@ -338,10 +338,10 @@ pub(crate) fn run_plain<W: Watch>(
 #[doc(hidden)]
 pub fn run_plain_tapped(
     run: PlainRun<'_>,
-    input: &SimInput,
+    input: impl IntoIterator<Item = RequestInput>,
     tap: impl FnMut(PlainEvent),
 ) -> SimReport {
-    let (arrivals, draws) = Draws::of_input(&run, input);
+    let (arrivals, draws) = Draws::of(&run, input.into_iter().map(|r| (r.arrival, r)));
     let mut watch = Tap {
         record: Record::default(),
         tap,

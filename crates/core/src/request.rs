@@ -139,7 +139,6 @@ impl RequestPlanner {
     /// queries (Eq. 7's additive property makes any split SLO-safe; the
     /// split changes only resource efficiency).
     /// `request_slo` is a virtual-time duration (nanosecond domain).
-    /// `request_slo` is a virtual-time duration (nanosecond domain).
     pub fn plan(
         &self,
         cluster: &ClusterSpec,

@@ -153,11 +153,21 @@ pub struct RequestInput {
     pub queries: QueryChain,
 }
 
-/// The complete workload for one simulation run.
+/// A whole workload held in memory, such as a hand-built one or a trace's;
+/// a run reads a copy of each request in turn (`&SimInput` iterates them).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimInput {
     /// Requests sorted by arrival time.
     pub requests: Vec<RequestInput>,
+}
+
+impl<'a> IntoIterator for &'a SimInput {
+    type Item = RequestInput;
+    type IntoIter = std::iter::Cloned<std::slice::Iter<'a, RequestInput>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.requests.iter().cloned()
+    }
 }
 
 impl SimInput {
@@ -323,7 +333,7 @@ impl SimConfig {
 }
 
 /// Turns a scenario's unit arrival draws into arrival instants at one load:
-/// the arithmetic [`Scenario::input`] and the max-load harness share.
+/// the arithmetic [`Scenario::requests`] and the max-load harness share.
 pub(crate) struct ArrivalClock<'a> {
     scale: GapScale,
     /// The scenario's drift, when it modulates the rate.
@@ -411,47 +421,55 @@ impl Scenario {
         load * self.cluster.servers() as f64 / (self.mean_fanout() * self.mean_task_work_ms)
     }
 
-    /// Generates the workload for one run at offered load `ρ` with
-    /// `queries` single-query requests.
-    pub fn input(&self, load: f64, queries: usize) -> SimInput {
-        let mut clock = self.clock(load);
-        let [mut arrival_rng, mut mix_rng, mut place_rng] = self.workload_rngs();
-        let mut requests = Vec::with_capacity(queries);
-        for _ in 0..queries {
-            let t = clock.tick(self.arrival.unit_draw(&mut arrival_rng));
-            requests.push(RequestInput {
-                arrival: t,
-                queries: self.draw_query(t, &mut mix_rng, &mut place_rng).into(),
-            });
-        }
-        SimInput { requests }
-    }
-
-    /// The query that arrives at `t`: its class and fanout from the mix
-    /// (shifted by the drift, if any, as of `t`), and its placement when
-    /// the scenario places queries itself.
-    pub(crate) fn draw_query(
+    /// The workload for one run at offered load `ρ`: `queries`
+    /// single-query requests, drawn one at a time in arrival order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `load` is positive.
+    pub fn requests(
         &self,
-        t: SimTime,
-        mix_rng: &mut SimRng,
-        place_rng: &mut SimRng,
-    ) -> QuerySpec {
-        let (class, fanout) = match &self.drift {
-            Some(d) => d.sample_mix(&self.mix, t, mix_rng),
-            None => self.mix.sample(mix_rng),
-        };
-        let query = QuerySpec::new(class, fanout);
-        match &self.placement {
-            Some(place) => query.with_servers(place(place_rng, class, fanout)),
-            None => query,
-        }
+        load: f64,
+        queries: usize,
+    ) -> impl ExactSizeIterator<Item = RequestInput> + '_ {
+        self.drawn(load, queries).map(|(_, request)| request)
     }
 
-    /// The streams [`Scenario::input`] draws from: arrival gaps, the
-    /// class/fanout mix and the scenario's placement.
-    pub(crate) fn workload_rngs(&self) -> [SimRng; 3] {
+    /// [`Scenario::requests`], each with the unit draw of its arrival gap
+    /// ([`ArrivalProcess::unit_draw`]): the one place that draws a scenario's
+    /// arrivals, classes, fanouts and placements, each from its own stream.
+    pub(crate) fn drawn(
+        &self,
+        load: f64,
+        queries: usize,
+    ) -> impl ExactSizeIterator<Item = (f64, RequestInput)> + '_ {
+        let mut clock = self.clock(load);
         let mut master = SimRng::seed(self.seed);
-        [master.split(), master.split(), master.split()]
+        let (mut arrival_rng, mut mix_rng) = (master.split(), master.split());
+        let mut place_rng = master.split();
+        (0..queries).map(move |_| {
+            let unit = self.arrival.unit_draw(&mut arrival_rng);
+            let arrival = clock.tick(unit);
+            // A drift that shifts the mix does so as of the arrival.
+            let (class, fanout) = match &self.drift {
+                Some(d) => d.sample_mix(&self.mix, arrival, &mut mix_rng),
+                None => self.mix.sample(&mut mix_rng),
+            };
+            let query = QuerySpec::new(class, fanout);
+            let query = match &self.placement {
+                Some(place) => query.with_servers(place(&mut place_rng, class, fanout)),
+                None => query,
+            };
+            let queries = query.into();
+            (unit, RequestInput { arrival, queries })
+        })
+    }
+
+    /// [`Scenario::requests`], held whole.
+    pub fn input(&self, load: f64, queries: usize) -> SimInput {
+        SimInput {
+            requests: self.requests(load, queries).collect(),
+        }
     }
 
     /// The arrival instants of the workload at offered load `ρ`, one

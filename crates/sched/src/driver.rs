@@ -121,13 +121,20 @@ impl<T: Transport> Driver<T> {
     /// Presents a query arrival with one row per target, keeping `tag` for
     /// when it finishes. On admission the retired rows drop, hedge checks
     /// are armed, and the started tasks begin, in start order, at the next
-    /// [`Driver::drain`]. `now` is virtual time (nanosecond domain).
-    pub fn admit(&mut self, now: SimTime, arrival: QueryArrival<'_>, rows: &[T::Row], tag: T::Tag) {
+    /// [`Driver::drain`]; `false` when the handler rejected the query.
+    /// `now` is virtual time (nanosecond domain).
+    pub fn admit(
+        &mut self,
+        now: SimTime,
+        arrival: QueryArrival<'_>,
+        rows: &[T::Row],
+        tag: T::Tag,
+    ) -> bool {
         let AdmitDecision::Admitted { query } =
             self.handler
                 .on_query_arrival(now, arrival, &mut self.started)
         else {
-            return;
+            return false;
         };
         // Admission is when the handler retires rows, so it is when the
         // driver's follow.
@@ -146,6 +153,7 @@ impl<T: Transport> Driver<T> {
         // Reversed, so the first task started begins first.
         self.steps
             .extend(self.started.iter().rev().map(|&d| Step::Begin(d)));
+        true
     }
 
     /// Reports that `task`'s work under `token` finished after `busy` of

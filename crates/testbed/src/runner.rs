@@ -328,13 +328,13 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
     crate::node::arm_fault_epoch(&fault_epoch, tokio::time::Instant::now());
 
     // --- Load generator. ---------------------------------------------------
-    let input = scenario.input(config.target_load, config.queries);
     let (query_tx, query_rx) = mpsc::unbounded_channel::<IncomingQuery>();
     let mut gen_rng = master.split();
-    let store_days = config.store_days;
+    let (store_days, load, queries) = (config.store_days, config.target_load, config.queries);
+    let workload = scenario.clone();
     let generator = tokio::spawn(async move {
         let epoch = tokio::time::Instant::now();
-        for req in input.requests {
+        for req in workload.requests(load, queries) {
             let spec = &req.queries[0];
             let at = epoch
                 + std::time::Duration::from_nanos(units::sat_f64_to_u64(

@@ -190,6 +190,8 @@ pub enum TraceError {
     Csv(String),
     /// Records were not sorted by arrival time.
     NotSorted,
+    /// The record at this index has a fanout of 0: a query with no task.
+    ZeroFanout(usize),
 }
 
 impl std::fmt::Display for TraceError {
@@ -198,6 +200,7 @@ impl std::fmt::Display for TraceError {
             TraceError::Json(e) => write!(f, "trace json invalid: {e}"),
             TraceError::Csv(msg) => write!(f, "trace csv invalid: {msg}"),
             TraceError::NotSorted => f.write_str("trace records not sorted by arrival time"),
+            TraceError::ZeroFanout(i) => write!(f, "trace record {i} has fanout 0"),
         }
     }
 }
@@ -206,7 +209,7 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Json(e) => Some(e),
-            TraceError::Csv(_) | TraceError::NotSorted => None,
+            TraceError::Csv(_) | TraceError::NotSorted | TraceError::ZeroFanout(_) => None,
         }
     }
 }
@@ -277,12 +280,13 @@ impl Trace {
         Ok(serde_json::to_string(self)?)
     }
 
-    /// Parses a trace from JSON, validating arrival-order.
+    /// Parses a trace from JSON, validating arrival order and fanouts.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Json`] on malformed input and
-    /// [`TraceError::NotSorted`] when arrivals are out of order.
+    /// Returns [`TraceError::Json`] on malformed input,
+    /// [`TraceError::NotSorted`] when arrivals are out of order and
+    /// [`TraceError::ZeroFanout`] on a record with a fanout of 0.
     #[expect(
         clippy::indexing_slicing,
         reason = "`windows(2)` yields two-element slices"
@@ -295,6 +299,9 @@ impl Trace {
             .any(|w| w[1].arrival_ns < w[0].arrival_ns)
         {
             return Err(TraceError::NotSorted);
+        }
+        if let Some(i) = trace.records.iter().position(|r| r.fanout == 0) {
+            return Err(TraceError::ZeroFanout(i));
         }
         Ok(trace)
     }
@@ -467,6 +474,17 @@ mod tests {
         assert_eq!(t.records, back.records);
         // Reconstructed rate approximates the original.
         assert!((back.meta.arrival.rate_per_ms() - 2.0).abs() < 0.3);
+    }
+
+    #[test]
+    fn json_rejects_a_zero_fanout() {
+        let mut trace = Trace::generate("t", &ArrivalProcess::poisson(1.0), &mix2(), 5, 1);
+        trace.records[3].fanout = 0;
+        let json = trace.to_json().expect("serializes");
+        assert!(matches!(
+            Trace::from_json(&json),
+            Err(TraceError::ZeroFanout(3))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The panics `run_simulation`, `run_simulation_traced` and
-//! `run_simulation_observed` document: a query that asks for more than
-//! the cluster or its own fanout allows stops the run, whichever of the
-//! three runs it.
+//! `run_simulation_observed` document: a query that asks for no task, or
+//! for more than the cluster or its own fanout allows, stops the run,
+//! whichever of the three runs it.
 
 use tailguard_repro::dist::Deterministic;
 use tailguard_repro::policy::Policy;
@@ -36,6 +36,13 @@ fn input(query: QuerySpec) -> SimInput {
 #[should_panic(expected = "query class 1 out of range")]
 fn a_class_outside_the_config_panics() {
     run_simulation(&config(), &input(QuerySpec::new(1, 1)));
+}
+
+#[test]
+#[should_panic(expected = "fanout must be at least 1")]
+fn a_fanout_of_zero_panics_under_any_policy() {
+    let config = config().with_policy(Policy::Fifo);
+    run_simulation(&config, &input(QuerySpec::new(0, 0)));
 }
 
 #[test]

@@ -29,8 +29,9 @@ use tailguard_repro::policy::Policy;
 use tailguard_repro::sched::{TraceEvent, TraceSink};
 use tailguard_repro::simcore::{SimDuration, SimRng, SimTime};
 use tailguard_repro::tailguard::{
-    run_plain_tapped, run_simulation, run_simulation_traced, scenarios, ClassSpec, ClusterSpec,
-    PlainEvent, PlainRun, QuerySpec, RequestInput, Scenario, SimConfig, SimInput, SimReport,
+    run_plain_tapped, run_simulation, run_simulation_traced, scenarios, AdmissionConfig, ClassSpec,
+    ClusterSpec, DriftKind, DriftPlan, FaultPlan, HealthConfig, MitigationConfig, PlainEvent,
+    PlainRun, QuerySpec, RequestInput, Scenario, SimConfig, SimInput, SimReport,
 };
 use tailguard_repro::workload::{ArrivalProcess, TailbenchWorkload};
 
@@ -46,6 +47,11 @@ const LOAD_FACTORS: [f64; 4] = [0.2, 0.6, 1.0, 1.5];
 struct Decisions {
     /// The report's `Debug` print, every reservoir sorted first.
     report: String,
+    /// The per-class and per-type latency samples and the pre-dequeue
+    /// samples, each sorted.
+    samples: String,
+    /// Reclaims, copies (hedges and retries), ejections and rejections.
+    interventions: [u64; 4],
     /// Each query's latency, by query id.
     latency: BTreeMap<u32, SimDuration>,
     /// Each server's dequeues in order: task id and instant.
@@ -53,8 +59,9 @@ struct Decisions {
 }
 
 /// `report`, printed with its samples in order, so that two reports print
-/// alike exactly when every field holds the same values.
-fn printed(mut report: SimReport) -> String {
+/// alike exactly when every field holds the same values; its latency and
+/// pre-dequeue samples alone, printed alike; and its interventions.
+fn printed(mut report: SimReport) -> (String, String, [u64; 4]) {
     let reservoirs = report
         .query_latency_by_class
         .values_mut()
@@ -64,7 +71,18 @@ fn printed(mut report: SimReport) -> String {
     for reservoir in reservoirs {
         reservoir.sorted_samples();
     }
-    format!("{report:#?}")
+    let samples = format!(
+        "{:?}\n{:?}\n{:?}",
+        report.query_latency_by_class, report.query_latency_by_type, report.pre_dequeue
+    );
+    let rb = &report.robustness;
+    let interventions = [
+        report.lifecycle.reclaims,
+        rb.hedges_issued + rb.retries,
+        report.health.ejections,
+        report.rejected_queries,
+    ];
+    (format!("{report:#?}"), samples, interventions)
 }
 
 /// Collects every event of a traced run.
@@ -80,7 +98,7 @@ impl TraceSink for Collect {
 /// task at an instant when a request arrived: a finish and an arrival due
 /// at the same nanosecond.
 fn event_loop(config: &SimConfig, input: &SimInput) -> (Decisions, usize) {
-    let report = printed(run_simulation(config, input));
+    let (report, samples, interventions) = printed(run_simulation(config, input));
     let arrivals: BTreeSet<SimTime> = input.requests.iter().map(|r| r.arrival).collect();
     let mut ties = 0;
     let events = Arc::new(Mutex::new(Vec::new()));
@@ -116,13 +134,15 @@ fn event_loop(config: &SimConfig, input: &SimInput) -> (Decisions, usize) {
         .collect();
     let decisions = Decisions {
         report,
+        samples,
+        interventions,
         latency,
         dequeues,
     };
     (decisions, ties)
 }
 
-fn twin(config: &SimConfig, input: &SimInput) -> Decisions {
+fn twin(config: &SimConfig, input: impl IntoIterator<Item = RequestInput>) -> Decisions {
     let run = PlainRun {
         cluster: &config.cluster,
         classes: &config.classes,
@@ -138,26 +158,35 @@ fn twin(config: &SimConfig, input: &SimInput) -> Decisions {
             latency.insert(query, l);
         }
     });
+    let (report, samples, interventions) = printed(report);
     Decisions {
-        report: printed(report),
+        report,
+        samples,
+        interventions,
         latency,
         dequeues,
     }
+}
+
+/// Panics with the first line where `want` and `got` differ.
+fn assert_same_lines(want: &str, got: &str, what: &str) {
+    if let Some((w, g)) = want.lines().zip(got.lines()).find(|(w, g)| w != g) {
+        panic!("{what} differ: `{w}` against `{g}`");
+    }
+    assert_eq!(want, got, "{what} differ");
 }
 
 /// Runs `config` on `input` through both engines and requires the same
 /// decisions; returns the event loop's count of same-instant ties.
 fn assert_twin(config: &SimConfig, input: &SimInput, case: &str) -> usize {
     let ((want, ties), got) = (event_loop(config, input), twin(config, input));
-    if let Some((w, g)) = want
-        .report
-        .lines()
-        .zip(got.report.lines())
-        .find(|(w, g)| w != g)
-    {
-        panic!("{case}: reports differ: event loop `{w}`, twin `{g}`");
-    }
-    assert_eq!(want.report, got.report, "{case}: reports differ");
+    assert_same_lines(&want.report, &got.report, &format!("{case}: reports"));
+    assert_same_decisions(&want, &got, case);
+    ties
+}
+
+/// Requires equal dequeue orders and per-query latencies.
+fn assert_same_decisions(want: &Decisions, got: &Decisions, case: &str) {
     for (server, (w, g)) in want.dequeues.iter().zip(&got.dequeues).enumerate() {
         if let Some(at) = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i)) {
             panic!(
@@ -179,7 +208,6 @@ fn assert_twin(config: &SimConfig, input: &SimInput, case: &str) -> usize {
             got.latency.get(query)
         );
     }
-    ties
 }
 
 fn two_class(seed: u64) -> Scenario {
@@ -338,4 +366,104 @@ fn an_empty_input_matches_the_event_loop() {
     let s = two_class(1);
     let config = s.config(Policy::TfEdf);
     assert_twin(&config, &SimInput::default(), "empty input");
+}
+
+/// `base` with each optional layer on, one at a time, configured so that
+/// it can never act on a two-class Masstree run: every layer is present on
+/// the event loop's path, and none may change a decision.
+fn inert_layers(base: &SimConfig) -> Vec<(&'static str, SimConfig)> {
+    let never = MitigationConfig::new().with_hedge_after(1e6);
+    let whole = MitigationConfig::new().with_partial_quorum(1.0);
+    let admission = AdmissionConfig::new(SimDuration::from_millis(10), 0.999_999);
+    vec![
+        (
+            "10 s lease",
+            base.clone().with_lease(SimDuration::from_millis(10_000)),
+        ),
+        (
+            "no hedge",
+            base.clone().with_mitigation(MitigationConfig::new()),
+        ),
+        ("hedge after 1e6 T_b", base.clone().with_mitigation(never)),
+        ("quorum 1.0", base.clone().with_mitigation(whole)),
+        (
+            "empty fault plan",
+            base.clone().with_faults(FaultPlan::new()),
+        ),
+        ("R_th 0.999999", base.clone().with_admission(admission)),
+        (
+            "default health",
+            base.clone().with_health(HealthConfig::new()),
+        ),
+    ]
+}
+
+/// Each inert layer on the event loop must decide exactly as the plain
+/// engine does without it: the same latency and pre-dequeue samples, the
+/// same per-query latencies and per-server dequeue orders, and no reclaim,
+/// copy, ejection or rejection. Only `events_processed` and the lease
+/// counters may differ, through the timers the layers arm.
+#[test]
+fn inert_layers_decide_as_the_plain_engine() {
+    let s = two_class(1);
+    for policy in [Policy::TfEdf, Policy::Fifo] {
+        for load in [0.3, 0.45] {
+            let input = s.input(load, 4_000);
+            let base = s.config(policy).with_warmup(200);
+            let want = twin(&base, &input);
+            for (layer, config) in inert_layers(&base) {
+                let case = format!("{layer}, {policy:?} at load {load}");
+                let (got, _) = event_loop(&config, &input);
+                assert_same_lines(&got.samples, &want.samples, &format!("{case}: samples"));
+                assert_same_decisions(&got, &want, &case);
+                assert_eq!(got.interventions, [0; 4], "{case}: a layer acted");
+            }
+        }
+    }
+}
+
+/// A traced run's whole printed report and its trace.
+fn report_and_trace(
+    config: &SimConfig,
+    input: impl IntoIterator<Item = RequestInput>,
+) -> (String, Vec<TraceEvent>) {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let report = run_simulation_traced(config, input, Box::new(Collect(Arc::clone(&events))));
+    let trace = events.lock().expect("trace lock").clone();
+    (printed(report).0, trace)
+}
+
+/// A run fed a scenario's stream, which it draws one request at a time,
+/// must equal the run fed the same requests held whole, on both engines.
+#[test]
+fn a_scenario_stream_runs_as_its_held_input() {
+    let diurnal = DriftPlan::new(vec![DriftKind::Diurnal {
+        period: SimDuration::from_millis(40),
+        amplitude: 0.6,
+    }]);
+    let scenarios = [
+        two_class(1),
+        scenarios::sas_testbed(),
+        two_class(2).with_drift(diurnal),
+    ];
+    let queries = 1_500;
+    for s in &scenarios {
+        for policy in Policy::WITH_EXTENSIONS {
+            let load = 0.8 * TWO_CLASS_MAX_LOAD;
+            let config = s.config(policy).with_warmup(queries / 20);
+            let held = s.input(load, queries);
+            let case = format!("{} {policy:?}", s.label);
+            let (want, want_trace) = report_and_trace(&config, &held);
+            let (got, got_trace) = report_and_trace(&config, s.requests(load, queries));
+            assert_same_lines(&want, &got, &format!("{case}: reports"));
+            assert!(want_trace == got_trace, "{case}: traces differ");
+            let plain = run_simulation(&config, s.requests(load, queries));
+            assert_same_lines(&want, &printed(plain).0, &format!("{case}: untraced"));
+            let (want, got) = (
+                twin(&config, &held),
+                twin(&config, s.requests(load, queries)),
+            );
+            assert_same_lines(&want.report, &got.report, &format!("{case}: plain"));
+        }
+    }
 }
