@@ -98,9 +98,9 @@ pub fn run_simulation_traced(
 /// The shared run loop behind [`run_simulation`] and
 /// [`crate::run_simulation_observed`]: the report, plus the snapshots
 /// sampled every `snapshot_every` of virtual time. Without a `sink` the
-/// handler keeps its allocation-free [`tailguard_sched::NullSink`], and
-/// without a cadence no snapshot event enters the event list, so the
-/// report — `events_processed` included — is the unobserved run's.
+/// handler builds no trace event, and without a cadence no snapshot event
+/// enters the event list, so the report — `events_processed` included — is
+/// the unobserved run's.
 pub(crate) fn run_with_observer(
     config: &SimConfig,
     requests: impl Iterator<Item = RequestInput>,

@@ -70,8 +70,15 @@ pub struct PlainRun<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlainEvent {
     /// Task `task` (numbered as the event loop numbers it) entered service
-    /// on `server` at `at`.
-    Dequeued { server: u32, task: u32, at: SimTime },
+    /// on `server` at `at`, `waited` after its query arrived, for its drawn
+    /// `service`.
+    Dequeued {
+        server: u32,
+        task: u32,
+        at: SimTime,
+        waited: SimDuration,
+        service: SimDuration,
+    },
     /// Query `query` finished `latency` after it arrived.
     Finished { query: u32, latency: SimDuration },
 }
@@ -80,13 +87,15 @@ pub enum PlainEvent {
 /// empty by default.
 pub(crate) trait Watch {
     /// Task `task` entered service on `server` at `at`, `waited` after its
-    /// query arrived; `recorded` unless the query was warm-up.
+    /// query arrived, for its drawn `service`; `recorded` unless the query
+    /// was warm-up.
     fn dequeued(
         &mut self,
         _server: u32,
         _task: u32,
         _at: SimTime,
         _waited: SimDuration,
+        _service: SimDuration,
         _recorded: bool,
     ) {
     }
@@ -122,7 +131,15 @@ pub(crate) struct Record {
 }
 
 impl Watch for Record {
-    fn dequeued(&mut self, _: u32, _: u32, _: SimTime, waited: SimDuration, recorded: bool) {
+    fn dequeued(
+        &mut self,
+        _: u32,
+        _: u32,
+        _: SimTime,
+        waited: SimDuration,
+        _: SimDuration,
+        recorded: bool,
+    ) {
         if recorded {
             self.pre_dequeue.record(waited);
         }
@@ -144,9 +161,23 @@ struct Tap<F> {
 }
 
 impl<F: FnMut(PlainEvent)> Watch for Tap<F> {
-    fn dequeued(&mut self, server: u32, task: u32, at: SimTime, waited: SimDuration, rec: bool) {
-        self.record.dequeued(server, task, at, waited, rec);
-        (self.tap)(PlainEvent::Dequeued { server, task, at });
+    fn dequeued(
+        &mut self,
+        server: u32,
+        task: u32,
+        at: SimTime,
+        waited: SimDuration,
+        service: SimDuration,
+        rec: bool,
+    ) {
+        self.record.dequeued(server, task, at, waited, service, rec);
+        (self.tap)(PlainEvent::Dequeued {
+            server,
+            task,
+            at,
+            waited,
+            service,
+        });
     }
 
     fn finished(&mut self, query: u32, key: QueryTypeKey, latency: SimDuration, rec: bool) {
@@ -454,7 +485,7 @@ impl<W: Watch> Twin<'_, W> {
         query.waiting = query.waiting.saturating_sub(1);
         let done = query.waiting == 0;
         self.watch
-            .dequeued(server, task.task, now, waited, recorded);
+            .dequeued(server, task.task, now, waited, task.service, recorded);
         if done {
             self.finish(task.query, recorded);
         }

@@ -233,98 +233,6 @@ impl Distribution for Pareto {
 }
 
 // ---------------------------------------------------------------------------
-// Weibull
-// ---------------------------------------------------------------------------
-
-/// The Weibull distribution with scale `lambda` and shape `k` — a standard
-/// latency model interpolating between heavy (k < 1) and light (k > 1)
-/// tails; `k = 1` recovers the exponential.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are finite and positive.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
-        assert!(shape.is_finite() && shape > 0.0, "shape must be positive");
-        Weibull { scale, shape }
-    }
-
-    /// The scale parameter λ.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// The shape parameter k.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-}
-
-impl Cdf for Weibull {
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-(x / self.scale).powf(self.shape)).exp()
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p >= 1.0 {
-            return f64::INFINITY;
-        }
-        self.scale * (-(1.0 - p).ln()).powf(1.0 / self.shape)
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale * (-rng.open01().ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Lanczos approximation of the Gamma function (|error| < 2e-10 over the
-/// range used here).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.984_369_578_019_572e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        core::f64::consts::PI / ((core::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * core::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scaled
 // ---------------------------------------------------------------------------
 
@@ -750,39 +658,6 @@ mod tests {
         for &p in &[0.1, 0.5, 0.9, 0.99, 0.9999] {
             assert!((d.cdf(d.quantile(p)) - p).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn weibull_exponential_special_case() {
-        // k = 1 is Exp(mean = scale).
-        let w = Weibull::new(2.0, 1.0);
-        let e = Exponential::with_mean(2.0);
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            assert!((w.quantile(p) - e.quantile(p)).abs() < 1e-9, "p={p}");
-        }
-        assert!((w.mean() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weibull_cdf_quantile_roundtrip_and_mean() {
-        let w = Weibull::new(1.5, 0.7); // heavy-ish tail
-        for &p in &[0.05, 0.5, 0.95, 0.999] {
-            assert!((w.cdf(w.quantile(p)) - p).abs() < 1e-10, "p={p}");
-        }
-        // Gamma(1 + 1/0.7) = Gamma(2.42857); sample-check the mean.
-        let sm = sample_mean(&w, 500_000, 77);
-        assert!(
-            (sm - w.mean()).abs() / w.mean() < 0.02,
-            "{sm} vs {}",
-            w.mean()
-        );
-    }
-
-    #[test]
-    fn gamma_reference_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma(0.5) - core::f64::consts::PI.sqrt()).abs() < 1e-10);
     }
 
     #[test]

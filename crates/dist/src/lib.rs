@@ -32,7 +32,7 @@ mod piecewise;
 
 pub use continuous::{
     Deterministic, Distribution, DynDistribution, Exponential, LogNormal, Mixture, Pareto, Scaled,
-    Shifted, Uniform, Weibull,
+    Shifted, Uniform,
 };
 pub use ecdf::Ecdf;
 pub use histogram::{CdfSnapshot, LogHistogram};

@@ -327,26 +327,6 @@ impl TraceSink for BinarySink {
         self.flush_if_full();
     }
     // tg-lint: endhot
-
-    /// Matches the emitter's stage to [`FLUSH_EVENTS`], so one virtual
-    /// call delivers exactly one flush-worth of records. The sampled
-    /// configuration keeps per-event delivery: the sampler's per-query
-    /// staging wants events as they happen, and its bookkeeping dwarfs
-    /// the dispatch cost anyway.
-    fn batch_hint(&self) -> usize {
-        if self.sampler.is_some() {
-            1
-        } else {
-            FLUSH_EVENTS
-        }
-    }
-
-    fn record_batch(&mut self, events: &[TraceEvent]) {
-        for event in events {
-            encode_append(event, &mut self.staged);
-        }
-        self.flush_if_full();
-    }
 }
 
 impl Drop for BinarySink {

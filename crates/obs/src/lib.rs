@@ -30,8 +30,8 @@
 //!   tooling.
 //!
 //! Everything here is read-side: the scheduling core emits events and
-//! knows nothing about recording, so disabled tracing (the default
-//! [`tailguard_sched::NullSink`]) keeps the golden pins bit-identical.
+//! knows nothing about recording, so a run without a sink (the default)
+//! keeps the golden pins bit-identical.
 
 mod binring;
 pub mod codec;
@@ -52,6 +52,6 @@ pub use registry::{
 pub use sampler::{SamplerConfig, TailSampler};
 pub use slo::{SloAlert, SloClassSnapshot, SloConfig, SloMonitor, SloSnapshot};
 pub use timeline::{
-    build_timelines, miss_ratio_timeline, server_transitions, slack_by_class, slack_by_type,
-    slowest_queries, AttemptRecord, MissBin, QueryTimeline, ServerTransition, SlackStats,
+    build_timelines, miss_ratio_timeline, server_transitions, slack_by_type, slowest_queries,
+    AttemptRecord, MissBin, QueryTimeline, ServerTransition, SlackStats,
 };

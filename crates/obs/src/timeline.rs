@@ -418,20 +418,6 @@ impl SlackStats {
     }
 }
 
-/// Dequeue slack grouped by service class, straight from the event stream.
-pub fn slack_by_class(events: &[TraceEvent]) -> BTreeMap<u8, SlackStats> {
-    let mut by_class: BTreeMap<u8, SlackStats> = BTreeMap::new();
-    for ev in events {
-        if let TraceEvent::TaskDequeued {
-            class, slack_ns, ..
-        } = *ev
-        {
-            by_class.entry(class).or_default().record(slack_ns);
-        }
-    }
-    by_class
-}
-
 /// Dequeue slack grouped by `(class, fanout)` query type, via timelines
 /// (the dequeue event itself does not carry fanout).
 pub fn slack_by_type(
@@ -711,12 +697,10 @@ mod tests {
     #[test]
     fn slack_groupings_and_miss_timeline() {
         let events = sample_events();
-        let by_class = slack_by_class(&events);
-        assert_eq!(by_class[&0].dequeues, 1);
-        assert_eq!(by_class[&0].misses, 0);
         let timelines = build_timelines(&events);
         let by_type = slack_by_type(&timelines);
         assert_eq!(by_type[&(0, 1)].dequeues, 1);
+        assert_eq!(by_type[&(0, 1)].misses, 0);
         let bins = miss_ratio_timeline(&events, SimDuration::from_millis(1));
         assert_eq!(bins.len(), 2, "dequeue at 1ms lands in the second bin");
         assert_eq!(bins[1].dequeues, 1);

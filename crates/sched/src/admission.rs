@@ -35,6 +35,12 @@ impl AdmissionController {
         self.window.record(now, missed);
     }
 
+    /// Whether the controller is rejecting, as of its last
+    /// [`AdmissionController::rejects`] call.
+    pub(crate) fn is_rejecting(&self) -> bool {
+        self.rejecting
+    }
+
     /// Whether a query arriving at `now` must be rejected. Updates the
     /// `rejecting` state (hysteresis) as a side effect.
     pub(crate) fn rejects(&mut self, now: SimTime) -> bool {

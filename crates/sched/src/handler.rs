@@ -21,7 +21,7 @@ use crate::config::{AdmissionConfig, ClassSpec};
 use crate::estimator::DeadlineEstimator;
 use crate::health::{HealthConfig, HealthStats, HealthTracker};
 use crate::mitigation::{MitigationConfig, RobustnessStats};
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::units;
 use std::collections::BTreeMap;
 use tailguard_lifecycle::{
@@ -227,60 +227,6 @@ pub struct SchedStats {
     pub cached_budgets: u64,
 }
 
-/// The installed [`TraceSink`] plus the handler-side event stage.
-///
-/// For a sink whose [`TraceSink::batch_hint`] is 1 every event goes
-/// straight through [`TraceSink::record`]. For a batching sink the hot
-/// emission path is an inlined `Vec` push — no virtual dispatch — and the
-/// stage is handed over in [`TraceSink::record_batch`] runs when it fills.
-/// The `Drop` impl delivers the final partial batch, and because dropping
-/// a partially-moved struct still drops its remaining fields, the stage
-/// survives [`QueryHandler::into_stats`] moving the measurements out.
-struct Tracer {
-    sink: Box<dyn TraceSink>,
-    stage: Vec<TraceEvent>,
-    /// Cached `sink.batch_hint().max(1)`.
-    batch: usize,
-}
-
-impl Tracer {
-    fn new(sink: Box<dyn TraceSink>) -> Tracer {
-        let batch = sink.batch_hint().max(1);
-        Tracer {
-            sink,
-            stage: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
-            batch,
-        }
-    }
-
-    /// Emits one event: immediate delivery for per-event sinks, a staged
-    /// push (flushed on batch boundaries) for batching sinks.
-    #[inline]
-    fn emit(&mut self, ev: TraceEvent) {
-        if self.batch == 1 {
-            self.sink.record(&ev);
-            return;
-        }
-        self.stage.push(ev);
-        if self.stage.len() >= self.batch {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.stage.is_empty() {
-            self.sink.record_batch(&self.stage);
-            self.stage.clear();
-        }
-    }
-}
-
-impl Drop for Tracer {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 struct QueryMeta {
     class: u8,
     fanout: u32,
@@ -370,16 +316,9 @@ pub struct QueryHandler {
     /// [`MitigationConfig::hedge_budget`] token bucket.
     outstanding_dups: Vec<u32>,
     stats: SchedStats,
-    /// The flight-recorder sink plus its handler-side event stage (see
-    /// [`Tracer`]).
-    tracer: Tracer,
-    /// Cached `sink.enabled()`: every emission point is `if self.trace_on`,
-    /// so disabled tracing costs one predictable branch and never builds
-    /// the event.
-    trace_on: bool,
-    /// The admission state after the previous `admission_rejects` call,
-    /// for pause/resume edge detection.
-    admission_was_rejecting: bool,
+    /// The flight-recorder sink, when one is installed: every event goes
+    /// to it as it happens (see [`QueryHandler::trace`]).
+    sink: Option<Box<dyn TraceSink>>,
 }
 
 impl std::fmt::Debug for QueryHandler {
@@ -448,20 +387,25 @@ impl QueryHandler {
                 estimator_refreshes: 0,
                 cached_budgets: 0,
             },
-            tracer: Tracer::new(Box::new(NullSink)),
-            trace_on: false,
-            admission_was_rejecting: false,
+            sink: None,
         }
     }
 
-    /// Installs a flight-recorder sink (see [`TraceSink`]). The default is
-    /// [`NullSink`]; handing one in explicitly is equivalent to the
-    /// default. `sink.enabled()` is cached here, so a disabled sink keeps
-    /// the hot path free of event construction.
+    /// Installs a flight-recorder sink (see [`TraceSink`]). Without one the
+    /// handler builds no events at all.
     pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace_on = sink.enabled();
-        self.tracer = Tracer::new(sink);
+        self.sink = Some(sink);
         self
+    }
+
+    /// Hands the event `event` builds to the installed sink before the
+    /// caller goes on; without a sink the event is never built, so an
+    /// untraced run pays one branch per emission point.
+    #[inline]
+    fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = &mut self.sink {
+            sink.record(&event());
+        }
     }
 
     /// Enables straggler/fault mitigation (hedging, retries, partial
@@ -580,13 +524,11 @@ impl QueryHandler {
                     self.stats.load.record_rejected_work(svc);
                 }
             }
-            if self.trace_on {
-                self.tracer.emit(TraceEvent::QueryRejected {
-                    at: now,
-                    class: arrival.class,
-                    fanout: units::sat_usize_to_u32(arrival.targets.len()),
-                });
-            }
+            self.trace(|| TraceEvent::QueryRejected {
+                at: now,
+                class: arrival.class,
+                fanout: units::sat_usize_to_u32(arrival.targets.len()),
+            });
             return AdmitDecision::Rejected;
         }
         self.stats.load.query_accepted();
@@ -635,15 +577,13 @@ impl QueryHandler {
             completed_slots: 0,
             quorum,
         });
-        if self.trace_on {
-            self.tracer.emit(TraceEvent::QueryAdmitted {
-                at: now,
-                query,
-                class: arrival.class,
-                fanout,
-                deadline,
-            });
-        }
+        self.trace(|| TraceEvent::QueryAdmitted {
+            at: now,
+            query,
+            class: arrival.class,
+            fanout,
+            deadline,
+        });
 
         for (idx, &server) in arrival.targets.iter().enumerate() {
             // Outlier ejection: a task aimed at an ejected server diverts
@@ -710,18 +650,16 @@ impl QueryHandler {
         let rec = self.store.attempt(task);
         let class = self.query(rec.query).class;
         let deadline = self.store.slot(task).deadline;
-        if self.trace_on {
-            self.tracer.emit(TraceEvent::TaskEnqueued {
-                at: now,
-                task,
-                slot: rec.slot,
-                query: rec.query,
-                class,
-                server: rec.server,
-                kind: rec.kind,
-                deadline,
-            });
-        }
+        self.trace(|| TraceEvent::TaskEnqueued {
+            at: now,
+            task,
+            slot: rec.slot,
+            query: rec.query,
+            class,
+            server: rec.server,
+            kind: rec.kind,
+            deadline,
+        });
         let mut entry = QueuedTask::new(u64::from(task), ServiceClass(class), deadline, now);
         if let Some(size) = size {
             entry = entry.with_size_hint(size);
@@ -817,16 +755,16 @@ impl QueryHandler {
             commit,
         };
         let (Some(rec), CommitOutcome::Committed) = (rec, commit) else {
-            if self.trace_on {
-                // Narrated with the attempt's identity: its row's, or — for
-                // a zombie reporting after the row retired — its reclaimed
-                // lease's. (A redelivery that late is counted only.)
-                let who = rec
-                    .map(|rec| (rec.query, rec.server))
-                    .or_else(|| self.store.reclaimed(token).map(|l| (l.query, l.server)));
-                if let Some((query, server)) = who {
-                    let at = now;
-                    self.tracer.emit(if commit == CommitOutcome::Duplicate {
+            // Narrated with the attempt's identity: its row's, or — for a
+            // zombie reporting after the row retired — its reclaimed
+            // lease's. (A redelivery that late is counted only.)
+            let who = rec
+                .map(|rec| (rec.query, rec.server))
+                .or_else(|| self.store.reclaimed(token).map(|l| (l.query, l.server)));
+            if let Some((query, server)) = who {
+                let at = now;
+                self.trace(|| {
+                    if commit == CommitOutcome::Duplicate {
                         TraceEvent::DuplicateSuppressed {
                             at,
                             task,
@@ -841,8 +779,8 @@ impl QueryHandler {
                             server,
                             token,
                         }
-                    });
-                }
+                    }
+                });
             }
             return ended;
         };
@@ -861,36 +799,34 @@ impl QueryHandler {
         if let End::Completed { busy, .. } = end {
             self.record_service(now, server, busy);
         }
-        if self.trace_on {
-            // Emitted before the freed server's next dequeue so the stream
-            // reads completion-then-dequeue at equal timestamps.
-            let at = now;
-            self.tracer.emit(match end {
-                End::Completed { busy, .. } => TraceEvent::TaskCompleted {
-                    at,
-                    task,
-                    slot,
-                    query,
-                    server,
-                    busy,
-                    won: !was_resolved,
-                },
-                End::Lost { .. } => TraceEvent::TaskLost {
-                    at,
-                    task,
-                    slot,
-                    query,
-                    server,
-                },
-                End::Cancelled => TraceEvent::TaskCancelled {
-                    at,
-                    task,
-                    slot,
-                    query,
-                    server,
-                },
-            });
-        }
+        // Emitted before the freed server's next dequeue so the stream reads
+        // completion-then-dequeue at equal timestamps.
+        let at = now;
+        self.trace(|| match end {
+            End::Completed { busy, .. } => TraceEvent::TaskCompleted {
+                at,
+                task,
+                slot,
+                query,
+                server,
+                busy,
+                won: !was_resolved,
+            },
+            End::Lost { .. } => TraceEvent::TaskLost {
+                at,
+                task,
+                slot,
+                query,
+                server,
+            },
+            End::Cancelled => TraceEvent::TaskCancelled {
+                at,
+                task,
+                slot,
+                query,
+                server,
+            },
+        });
         if in_service {
             ended.next = self.on_server_free(now, server);
         }
@@ -954,15 +890,19 @@ impl QueryHandler {
         // here — drained even when tracing is off to keep the buffer empty.
         if let Some(h) = &mut self.health {
             h.observe(server as usize, busy);
-            while let Some((server, ejected)) = h.take_transition() {
-                if self.trace_on {
-                    self.tracer.emit(if ejected {
-                        TraceEvent::ServerEjected { at: now, server }
-                    } else {
-                        TraceEvent::ServerReadmitted { at: now, server }
-                    });
+        }
+        while let Some((server, ejected)) = self
+            .health
+            .as_mut()
+            .and_then(HealthTracker::take_transition)
+        {
+            self.trace(|| {
+                if ejected {
+                    TraceEvent::ServerEjected { at: now, server }
+                } else {
+                    TraceEvent::ServerReadmitted { at: now, server }
                 }
-            }
+            });
         }
     }
     // tg-lint: endhot
@@ -1023,14 +963,13 @@ impl QueryHandler {
             .is_some_and(|cap| *self.dups(rec.query) >= cap)
         {
             self.stats.robustness.budget_exhausted += 1;
-            if self.trace_on {
-                self.tracer.emit(TraceEvent::HedgeBudgetExhausted {
-                    at: now,
-                    slot: rec.slot,
-                    query: rec.query,
-                    class: self.query(rec.query).class,
-                });
-            }
+            let class = self.query(rec.query).class;
+            self.trace(|| TraceEvent::HedgeBudgetExhausted {
+                at: now,
+                slot: rec.slot,
+                query: rec.query,
+                class,
+            });
             return None;
         }
         // The slot's own server and every server a copy already tried are
@@ -1084,8 +1023,8 @@ impl QueryHandler {
         }
         *self.dups(query) += 1;
         self.stats.load.task_dispatched();
-        if self.trace_on && kind == AttemptKind::Hedge {
-            self.tracer.emit(TraceEvent::HedgeIssued {
+        if kind == AttemptKind::Hedge {
+            self.trace(|| TraceEvent::HedgeIssued {
                 at: now,
                 task,
                 slot,
@@ -1131,15 +1070,13 @@ impl QueryHandler {
             Some(task),
             "a reclaimed lease implies the task was in service at its server"
         );
-        if self.trace_on {
-            self.tracer.emit(TraceEvent::LeaseReclaimed {
-                at: now,
-                task,
-                query: rec.query,
-                server: rec.server,
-                token,
-            });
-        }
+        self.trace(|| TraceEvent::LeaseReclaimed {
+            at: now,
+            task,
+            query: rec.query,
+            server: rec.server,
+            token,
+        });
         if self.store.slot(task).resolved {
             // The slot resolved while this attempt sat on the dead server:
             // nothing left to recover.
@@ -1177,30 +1114,27 @@ impl QueryHandler {
         }
         let lease = self.store.lease(task, now);
         self.store.mark_running(task);
-        if self.trace_on {
-            // Slack is signed: negative exactly when this dequeue is a miss.
-            let slack_ns = units::signed_ns_delta(entry.deadline.as_nanos(), now.as_nanos());
-            self.tracer.emit(TraceEvent::TaskDequeued {
+        self.trace(|| TraceEvent::TaskDequeued {
+            at: now,
+            task,
+            slot: rec.slot,
+            query,
+            class,
+            kind: rec.kind,
+            server,
+            token: lease,
+            waited,
+            // Signed: negative exactly when this dequeue is a miss.
+            slack_ns: units::signed_ns_delta(entry.deadline.as_nanos(), now.as_nanos()),
+        });
+        if missed {
+            self.trace(|| TraceEvent::DeadlineMissed {
                 at: now,
                 task,
-                slot: rec.slot,
                 query,
-                class,
-                kind: rec.kind,
                 server,
-                token: lease,
-                waited,
-                slack_ns,
+                late_by: now.saturating_since(entry.deadline),
             });
-            if missed {
-                self.tracer.emit(TraceEvent::DeadlineMissed {
-                    at: now,
-                    task,
-                    query,
-                    server,
-                    late_by: now.saturating_since(entry.deadline),
-                });
-            }
         }
         self.server(server).in_service = Some(task);
         DispatchedTask {
@@ -1260,23 +1194,25 @@ impl QueryHandler {
         })
     }
 
+    /// Whether admission turns away a query arriving at `now`; a flip of
+    /// that state is narrated as a pause or a resume.
     fn admission_rejects(&mut self, now: SimTime) -> bool {
-        match &mut self.admission {
-            Some(adm) => {
-                let rejects = adm.rejects(now);
-                self.stats.admission_resumes = adm.resumes();
-                if self.trace_on && rejects != self.admission_was_rejecting {
-                    self.tracer.emit(if rejects {
-                        TraceEvent::AdmissionPause { at: now }
-                    } else {
-                        TraceEvent::AdmissionResume { at: now }
-                    });
+        let Some(adm) = &mut self.admission else {
+            return false;
+        };
+        let was_rejecting = adm.is_rejecting();
+        let rejects = adm.rejects(now);
+        self.stats.admission_resumes = adm.resumes();
+        if rejects != was_rejecting {
+            self.trace(|| {
+                if rejects {
+                    TraceEvent::AdmissionPause { at: now }
+                } else {
+                    TraceEvent::AdmissionResume { at: now }
                 }
-                self.admission_was_rejecting = rejects;
-                rejects
-            }
-            None => false,
+            });
         }
+        rejects
     }
 
     /// The task currently in service at `server`, if any.
@@ -1882,6 +1818,36 @@ mod tests {
             }
             ref other => panic!("expected TaskDequeued, got {other:?}"),
         }
+    }
+
+    /// A [`TestSink`] that asks for its events in batches of 4096.
+    struct Batching(TestSink);
+
+    impl TraceSink for Batching {
+        fn record(&mut self, event: &TraceEvent) {
+            self.0.record(event);
+        }
+
+        fn batch_hint(&self) -> usize {
+            4096
+        }
+    }
+
+    #[test]
+    fn each_event_reaches_the_sink_before_its_call_returns() {
+        let sink = TestSink::default();
+        let mut h =
+            handler(1, Policy::Fifo, None).with_trace_sink(Box::new(Batching(sink.clone())));
+        let recorded = || sink.0.lock().unwrap().len();
+        let mut started = Vec::new();
+        h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
+        assert_eq!(recorded(), 3, "admitted, enqueued, dequeued");
+        h.on_query_arrival(SimTime::ZERO, arrival(&[0], true), &mut started);
+        assert_eq!(recorded(), 5, "admitted, enqueued");
+        h.on_task_complete(SimTime::from_millis(3), 0, LeaseToken(1), ms(3.0));
+        assert_eq!(recorded(), 7, "completed, dequeued");
+        drop(h);
+        assert_eq!(recorded(), 7, "nothing was held back for the drop");
     }
 
     #[test]

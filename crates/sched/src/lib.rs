@@ -48,4 +48,4 @@ pub use mitigation::{MitigationConfig, RobustnessStats};
 // Lifecycle vocabulary re-exported for driver convenience (`AttemptKind`
 // predates the lifecycle crate and keeps its original path here).
 pub use tailguard_lifecycle::{AttemptKind, CommitOutcome, IdRing, LeaseToken, LifecycleStats};
-pub use trace::{NullSink, TraceEvent, TraceSink};
+pub use trace::{TraceEvent, TraceSink};

@@ -1,11 +1,11 @@
 //! The flight-recorder event taxonomy and sink trait.
 //!
 //! The [`QueryHandler`](crate::QueryHandler) narrates every query and task
-//! lifecycle transition as a [`TraceEvent`] into a [`TraceSink`]. The
-//! default sink is [`NullSink`]: a zero-sized type whose `enabled()` is
-//! `false`, so the handler skips event construction entirely — disabled
-//! tracing adds one predictable branch per emission point, no allocations,
-//! and leaves the golden pins bit-for-bit identical.
+//! lifecycle transition as a [`TraceEvent`] into a [`TraceSink`], one
+//! [`TraceSink::record`] call per event as it happens. Without a sink the
+//! handler builds no event at all: untraced runs pay one predictable branch
+//! per emission point, allocate nothing, and leave the golden pins
+//! bit-for-bit identical.
 //!
 //! Events carry handler-local ids ([`QueryId`]/[`TaskId`]) and virtual
 //! timestamps; both runtimes emit the same stream for the same input, which
@@ -333,44 +333,24 @@ impl TraceEvent {
 /// Where lifecycle events go.
 ///
 /// Sinks receive events strictly in emission order (which, at equal
-/// timestamps, is the handler's deterministic processing order). A sink
-/// must not call back into the handler. Sinks are `Send` so a traced
-/// handler can still move across the parallel runner's worker threads.
+/// timestamps, is the handler's deterministic processing order), each in
+/// its own [`TraceSink::record`] call before the handler call that emitted
+/// it returns. A sink that wants batches keeps its own buffer. A sink must
+/// not call back into the handler. Sinks are `Send` so a traced handler can
+/// still move across the parallel runner's worker threads.
 pub trait TraceSink: Send {
     /// Records one event.
     fn record(&mut self, event: &TraceEvent);
 
-    /// Whether the handler should construct and deliver events at all.
-    /// The handler caches this once at installation; returning `false`
-    /// (as [`NullSink`] does) makes every emission point a dead branch.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// How many events the emitter may stage before delivering them in
-    /// one [`TraceSink::record_batch`] call.
-    ///
-    /// The default (1) means per-event delivery through
-    /// [`TraceSink::record`], which every sink supports and which test
-    /// sinks rely on for immediate visibility. A sink that ingests in
-    /// bulk (the binary recorder encodes a whole batch per virtual call)
-    /// returns its preferred batch size; the handler then stages events
-    /// in a plain `Vec` and pays one virtual dispatch per batch instead
-    /// of one per event. (On the simulator hot path the dispatch saving
-    /// roughly cancels against the staging copy, but the batch call also
-    /// hands the sink a natural flush boundary.)
-    /// Delivery is deferred by at most one batch: the stage flushes when
-    /// full and when the handler finishes.
+    /// How many events a caller that replays a recorded stream may hand
+    /// over per [`TraceSink::record_batch`] call. The handler never calls
+    /// it; the default is 1.
     fn batch_hint(&self) -> usize {
         1
     }
 
-    /// Delivers a staged run of events, in emission order.
-    ///
-    /// The default forwards them one by one to [`TraceSink::record`], so
-    /// a batch-unaware sink observes the exact per-event stream — just
-    /// grouped. Only called when [`TraceSink::batch_hint`] returns more
-    /// than 1.
+    /// Records a run of events, in order. The default forwards them one by
+    /// one to [`TraceSink::record`]; the handler never calls it.
     fn record_batch(&mut self, events: &[TraceEvent]) {
         for ev in events {
             self.record(ev);
@@ -378,31 +358,9 @@ pub trait TraceSink: Send {
     }
 }
 
-/// The default sink: discards everything, reports itself disabled.
-///
-/// A boxed `NullSink` does not allocate (it is zero-sized), and because
-/// `enabled()` is `false` the handler never even builds the events — the
-/// traced and untraced hot paths are identical apart from one branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_is_disabled_and_zero_sized() {
-        assert!(!NullSink.enabled());
-        assert_eq!(std::mem::size_of::<NullSink>(), 0);
-    }
 
     #[test]
     fn event_accessors() {

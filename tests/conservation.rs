@@ -5,11 +5,13 @@
 //! S²/2)` over its tasks (`W` the wait, `S` the service), and that integral
 //! does not depend on the order of service. So `Σ W·S` at every server
 //! equals what FIFO would give on the same arrivals and services, which a
-//! Lindley recursion computes from those alone. Each run here is traced:
-//! a task's server and arrival come from its enqueue, its wait from its
-//! dequeue, and its service is the `busy` time its completion reports.
-//! The two sides must agree in `u128` ns², with no tolerance, whatever
-//! the policy orders by.
+//! Lindley recursion computes from those alone. Each event-loop run here is
+//! traced: a task's server and arrival come from its enqueue, its wait from
+//! its dequeue, and its service is the `busy` time its completion reports.
+//! A plain-engine run tells its dequeues: the server, the wait since the
+//! query arrived (so the arrival is the dequeue minus the wait) and the
+//! drawn service. The two sides must agree in `u128` ns², with no
+//! tolerance, whatever the policy orders by.
 //!
 //! A server that idles after a finish, serves a task longer than its
 //! service, or holds a queued task back breaks the law at the first
@@ -21,7 +23,8 @@ use tailguard_repro::policy::Policy;
 use tailguard_repro::sched::{TraceEvent, TraceSink};
 use tailguard_repro::simcore::SimDuration;
 use tailguard_repro::tailguard::{
-    run_simulation_traced, scenarios, AdmissionConfig, Scenario, SimConfig, SimInput,
+    run_plain_tapped, run_simulation_traced, scenarios, AdmissionConfig, PlainEvent, PlainRun,
+    Scenario, SimConfig, SimInput,
 };
 use tailguard_repro::workload::{ArrivalProcess, TailbenchWorkload};
 
@@ -55,6 +58,37 @@ fn fifo_wait_work(mut tasks: Vec<(u64, u64)>) -> u128 {
         last = (arrival, service);
     }
     sum
+}
+
+/// One served task, in ns of virtual time.
+struct Served {
+    server: u32,
+    arrival: u64,
+    wait: u64,
+    service: u64,
+}
+
+/// Requires `Σ W·S` of `served` at each of `servers` servers to equal
+/// FIFO's on the same arrivals and services.
+fn assert_law(servers: usize, served: &[Served], case: &str) {
+    let mut observed = vec![0u128; servers];
+    let mut arrivals = vec![Vec::new(); servers];
+    for task in served {
+        observed[task.server as usize] += u128::from(task.wait) * u128::from(task.service);
+        arrivals[task.server as usize].push((task.arrival, task.service));
+    }
+    let total: u128 = observed.iter().sum();
+    assert!(
+        total > 0,
+        "{case}: no task waited, so the law shows nothing"
+    );
+    for (server, (got, arrivals)) in observed.into_iter().zip(arrivals).enumerate() {
+        let want = fifo_wait_work(arrivals);
+        assert_eq!(
+            got, want,
+            "{case}: server {server}'s Σ W·S differs from FIFO's"
+        );
+    }
 }
 
 /// Runs `config` on `input` traced and requires the law at every server;
@@ -93,32 +127,54 @@ fn assert_conserved(config: &SimConfig, input: &SimInput, case: &str) -> usize {
             _ => {}
         }
     }
-    let mut observed = vec![0u128; config.cluster.servers()];
-    let mut arrivals = vec![Vec::new(); config.cluster.servers()];
+    let mut served = Vec::new();
     let mut unserved = 0;
     for task in tasks.values() {
         let (Some(dequeued), Some(service)) = (task.dequeued, task.service) else {
             unserved += 1;
             continue;
         };
-        let wait = dequeued - task.enqueued;
-        observed[task.server as usize] += u128::from(wait) * u128::from(service);
-        arrivals[task.server as usize].push((task.enqueued, service));
+        served.push(Served {
+            server: task.server,
+            arrival: task.enqueued,
+            wait: dequeued - task.enqueued,
+            service,
+        });
     }
-    let total: u128 = observed.iter().sum();
-    assert!(
-        total > 0,
-        "{case}: no task waited, so the law shows nothing"
-    );
-    for (server, (got, arrivals)) in observed.into_iter().zip(arrivals).enumerate() {
-        let want = fifo_wait_work(arrivals);
-        assert_eq!(
-            got, want,
-            "{case}: server {server}'s Σ W·S differs from FIFO's"
-        );
-    }
+    assert_law(config.cluster.servers(), &served, case);
     assert_eq!(unserved, 0, "{case}: tasks enqueued but never served");
     rejected
+}
+
+/// Runs `config` on `input` on the plain-run engine and requires the law
+/// at every server.
+fn assert_plain_conserved(config: &SimConfig, input: &SimInput, case: &str) {
+    let run = PlainRun {
+        cluster: &config.cluster,
+        classes: &config.classes,
+        policy: config.policy,
+        seed: config.seed,
+        warmup_queries: config.warmup_queries,
+    };
+    let mut served = Vec::new();
+    run_plain_tapped(run, input, |event| {
+        if let PlainEvent::Dequeued {
+            server,
+            at,
+            waited,
+            service,
+            ..
+        } = event
+        {
+            served.push(Served {
+                server,
+                arrival: (at - waited).as_nanos(),
+                wait: waited.as_nanos(),
+                service: service.as_nanos(),
+            });
+        }
+    });
+    assert_law(config.cluster.servers(), &served, case);
 }
 
 fn two_class() -> Scenario {
@@ -144,6 +200,16 @@ fn every_policy_conserves_work() {
     for policy in Policy::WITH_EXTENSIONS {
         let config = s.config(policy).with_warmup(0);
         assert_conserved(&config, &input, &format!("{policy:?}"));
+    }
+}
+
+#[test]
+fn every_policy_conserves_work_on_the_plain_engine() {
+    let s = two_class();
+    let input = s.input(0.45, 3_000);
+    for policy in Policy::WITH_EXTENSIONS {
+        let config = s.config(policy).with_warmup(0);
+        assert_plain_conserved(&config, &input, &format!("plain {policy:?}"));
     }
 }
 

@@ -5,12 +5,19 @@
 
 use tailguard_repro::dist::Deterministic;
 use tailguard_repro::policy::Policy;
-use tailguard_repro::sched::NullSink;
+use tailguard_repro::sched::{TraceEvent, TraceSink};
 use tailguard_repro::simcore::{SimDuration, SimTime};
 use tailguard_repro::tailguard::{
     run_simulation, run_simulation_observed, run_simulation_traced, ClassSpec, ClusterSpec,
     ObsOptions, QuerySpec, RequestInput, SimConfig, SimInput,
 };
+
+/// A sink that keeps nothing.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn record(&mut self, _: &TraceEvent) {}
+}
 
 /// Two servers of 1 ms each, one class.
 fn config() -> SimConfig {
@@ -55,7 +62,7 @@ fn a_fanout_over_the_cluster_size_panics() {
 #[should_panic(expected = "explicit placement length must equal fanout")]
 fn an_explicit_placement_of_another_length_than_the_fanout_panics() {
     let query = QuerySpec::new(0, 2).with_servers(vec![1]);
-    run_simulation_traced(&config(), &input(query), Box::new(NullSink));
+    run_simulation_traced(&config(), &input(query), Box::new(Discard));
 }
 
 #[test]

@@ -153,7 +153,9 @@ fn twin(config: &SimConfig, input: impl IntoIterator<Item = RequestInput>) -> De
     let mut dequeues = vec![Vec::new(); config.cluster.servers()];
     let mut latency = BTreeMap::new();
     let report = run_plain_tapped(run, input, |event| match event {
-        PlainEvent::Dequeued { server, task, at } => dequeues[server as usize].push((task, at)),
+        PlainEvent::Dequeued {
+            server, task, at, ..
+        } => dequeues[server as usize].push((task, at)),
         PlainEvent::Finished { query, latency: l } => {
             latency.insert(query, l);
         }
