@@ -939,8 +939,8 @@ mod tests {
         // lax task waited 9ms (served at t=10).
         let mut pre = report.pre_dequeue.clone();
         assert_eq!(pre.percentile(1.0), ms(9.0));
-        let sorted = pre.sorted_samples().to_vec();
-        assert_eq!(sorted[1], ms(4.0).as_nanos());
+        let sorted: Vec<SimDuration> = pre.ascending().collect();
+        assert_eq!(sorted[1], ms(4.0));
     }
 
     #[test]

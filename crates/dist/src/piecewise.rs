@@ -32,9 +32,46 @@ use tailguard_simcore::SimRng;
 /// assert_eq!(d.quantile(0.99), 0.5);
 /// assert!((d.cdf(0.5) - 0.99).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct PiecewiseQuantile {
     points: Vec<(f64, f64)>,
+    /// `guide[j]` counts the control points with `p ≤ j/GUIDE_SLOTS`, so a
+    /// draw's segment search starts there and scans forward. Derived from
+    /// the probabilities alone, so neither equality, `Debug` nor the
+    /// serialized form carries it.
+    guide: [usize; GUIDE_SLOTS + 1],
+}
+
+/// Slots in [`PiecewiseQuantile`]'s segment guide. A draw scans only the
+/// control points inside its slot: at most three for the Tailbench models,
+/// whose 0.99, 0.999 and 0.9999 points share the last.
+const GUIDE_SLOTS: usize = 64;
+
+impl PartialEq for PiecewiseQuantile {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+    }
+}
+
+impl std::fmt::Debug for PiecewiseQuantile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PiecewiseQuantile")
+            .field("points", &self.points)
+            .finish()
+    }
+}
+
+impl Serialize for PiecewiseQuantile {
+    fn to_node(&self) -> serde::Node {
+        serde::Node::Map(vec![("points".to_owned(), self.points.to_node())])
+    }
+}
+
+impl Deserialize for PiecewiseQuantile {
+    fn from_node(node: &serde::Node) -> Result<Self, serde::DeError> {
+        let points = Vec::from_node(serde::field(node, "points")?)?;
+        PiecewiseQuantile::new(points).map_err(|e| serde::DeError(e.to_string()))
+    }
 }
 
 /// Error building a [`PiecewiseQuantile`].
@@ -106,7 +143,10 @@ impl PiecewiseQuantile {
         if points[0].1 < 0.0 || points.windows(2).any(|w| w[1].1 < w[0].1) {
             return Err(PiecewiseError::ValuesNotMonotone);
         }
-        Ok(PiecewiseQuantile { points })
+        let guide = std::array::from_fn(|j| {
+            points.partition_point(|&(p, _)| p <= j as f64 / GUIDE_SLOTS as f64)
+        });
+        Ok(PiecewiseQuantile { points, guide })
     }
 
     /// The control points.
@@ -279,13 +319,25 @@ impl Cdf for PiecewiseQuantile {
         clippy::indexing_slicing,
         reason = "control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch"
     )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "p is clamped to [0, 1], so ⌊p·GUIDE_SLOTS⌋ lies in 0..=GUIDE_SLOTS (and a NaN casts to 0)"
+    )]
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "p is clamped to [0, 1], so ⌊p·GUIDE_SLOTS⌋ lies in 0..=GUIDE_SLOTS (and a NaN casts to 0)"
+    )]
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        let i = self
-            .points
-            .partition_point(|&(pp, _)| pp <= p)
-            // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
-            .clamp(1, self.points.len() - 1);
+        // The count of points with `pp ≤ p` (what `partition_point` finds):
+        // at least the guide's count at `⌊p·64⌋/64 ≤ p`, and the points
+        // between are scanned.
+        let mut i = self.guide[(p * GUIDE_SLOTS as f64) as usize];
+        while self.points.get(i).is_some_and(|&(pp, _)| pp <= p) {
+            i += 1;
+        }
+        // tg-lint: allow(unsigned-sub) -- control points are validated at construction (>= 2 points, endpoints pinned at p=0 and p=1) and indices are guarded/clamped by the surrounding branch
+        let i = i.clamp(1, self.points.len() - 1);
         let (p0, x0) = self.points[i - 1];
         let (p1, x1) = self.points[i];
         if p1 == p0 {

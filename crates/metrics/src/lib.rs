@@ -2,8 +2,9 @@
 //!
 //! Everything the evaluation (paper §IV) measures flows through this crate:
 //!
-//! * [`LatencyReservoir`] — stores raw latency samples and answers exact
-//!   percentile queries (the paper reports 95th/99th percentile tails),
+//! * [`LatencyReservoir`] — stores every latency sample (a zero as a count,
+//!   one below 4.29 s in 4 bytes) and answers exact percentile queries (the
+//!   paper reports 95th/99th percentile tails),
 //! * [`TimedRatio`] — the moving-time-window task-deadline-violation
 //!   ratio that drives query admission control (§III.C),
 //! * [`LoadStats`] — offered / accepted / rejected load accounting and

@@ -30,8 +30,16 @@ pub fn nearest_rank(p: f64, n: usize) -> usize {
 /// The paper's conclusions hinge on 99th-percentile comparisons between
 /// queuing policies, sometimes for query types that make up < 1 % of
 /// traffic; approximate sketches would blur exactly the signal under study,
-/// so the reservoir keeps every sample (8 bytes each) and sorts lazily on
-/// the first percentile query after an insert.
+/// so the reservoir keeps every sample and sorts lazily on the first
+/// percentile query after an insert.
+///
+/// Samples live in three tiers, ordered by construction: a count of zero
+/// samples (a task that finds its server idle waits exactly 0 ns, about
+/// `1 − ρ` of all pre-dequeue waits), 4 bytes each for samples in
+/// `1..2³²` ns (up to 4.29 s, far past any SLO the paper studies), and 8
+/// bytes each for longer ones. Every zero ranks below every
+/// 4-byte sample and every 4-byte sample below every 8-byte one, so the
+/// sorted tiers read in turn are the sorted samples.
 ///
 /// # Example
 ///
@@ -48,64 +56,76 @@ pub fn nearest_rank(p: f64, n: usize) -> usize {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyReservoir {
-    samples: Vec<u64>, // nanoseconds
-    sorted: bool,
+    /// Samples of exactly 0 ns.
+    zeros: usize,
+    /// Samples in `1..2³²` ns.
+    small: Vec<u32>,
+    /// Samples of at least 2³² ns.
+    large: Vec<u64>,
+    /// Whether a record since the last sort may have left `small` or
+    /// `large` out of ascending order.
+    unsorted: bool,
     sum: u128,
 }
 
 impl LatencyReservoir {
     /// Creates an empty reservoir.
     pub fn new() -> Self {
-        LatencyReservoir {
-            samples: Vec::new(),
-            sorted: true,
-            sum: 0,
-        }
-    }
-
-    /// Creates an empty reservoir with capacity pre-allocated for `cap`
-    /// samples.
-    pub fn with_capacity(cap: usize) -> Self {
-        LatencyReservoir {
-            samples: Vec::with_capacity(cap),
-            sorted: true,
-            sum: 0,
-        }
+        LatencyReservoir::default()
     }
 
     /// Records one latency sample.
     /// `d` is a virtual-time duration (nanosecond domain).
     pub fn record(&mut self, d: SimDuration) {
-        self.samples.push(d.as_nanos());
-        self.sorted = false;
-        self.sum += u128::from(d.as_nanos());
+        let ns = d.as_nanos();
+        match u32::try_from(ns) {
+            Ok(0) => self.zeros += 1,
+            Ok(small) => {
+                self.small.push(small);
+                self.unsorted = true;
+            }
+            Err(_) => {
+                self.large.push(ns);
+                self.unsorted = true;
+            }
+        }
+        self.sum += u128::from(ns);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.zeros + self.small.len() + self.large.len()
     }
 
     /// True when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// The exact `p`-quantile (`p ∈ [0, 1]`) using the nearest-rank method
     /// (rank `⌈p·n⌉`) — the same convention as `tailguard_dist::Ecdf`.
     ///
     /// Returns [`SimDuration::ZERO`] on an empty reservoir.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "guarded: ranks are clamped to 1..=n and the empty case returns early above"
-    )]
     pub fn percentile(&mut self, p: f64) -> SimDuration {
-        if self.samples.is_empty() {
+        let n = self.len();
+        if n == 0 {
             return SimDuration::ZERO;
         }
         self.ensure_sorted();
-        let idx = nearest_rank(p, self.samples.len()) - 1;
-        SimDuration::from_nanos(self.samples[idx])
+        // Ranks 1..=zeros are the zeros, the next ones the 4-byte tier.
+        let rank = nearest_rank(p, n);
+        let Some(i) = rank.checked_sub(self.zeros + 1) else {
+            return SimDuration::ZERO;
+        };
+        let ns = match self.small.get(i) {
+            Some(&ns) => u64::from(ns),
+            None => self
+                .large
+                .get(i.saturating_sub(self.small.len()))
+                .copied()
+                .unwrap_or_default(),
+        };
+        SimDuration::from_nanos(ns)
     }
 
     /// Arithmetic mean of the samples ([`SimDuration::ZERO`] when empty).
@@ -118,56 +138,66 @@ impl LatencyReservoir {
         reason = "guarded by the is_empty() early return above; a mean of u64 ns samples fits u64"
     )]
     pub fn mean(&self) -> SimDuration {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return SimDuration::ZERO;
         }
-        SimDuration::from_nanos((self.sum / self.samples.len() as u128) as u64)
+        SimDuration::from_nanos((self.sum / self.len() as u128) as u64)
     }
 
     /// Largest sample ([`SimDuration::ZERO`] when empty).
     pub fn max(&mut self) -> SimDuration {
         self.ensure_sorted();
-        match self.samples.last() {
-            Some(&v) => SimDuration::from_nanos(v),
-            None => SimDuration::ZERO,
-        }
+        let ns = match (self.large.last(), self.small.last()) {
+            (Some(&ns), _) => ns,
+            (None, Some(&ns)) => u64::from(ns),
+            (None, None) => 0,
+        };
+        SimDuration::from_nanos(ns)
     }
 
     /// Smallest sample ([`SimDuration::ZERO`] when empty).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the empty case returns early above"
-    )]
     pub fn min(&mut self) -> SimDuration {
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
         self.ensure_sorted();
-        SimDuration::from_nanos(self.samples[0])
+        let ns = match (self.zeros, self.small.first(), self.large.first()) {
+            (1.., _, _) => 0,
+            (0, Some(&ns), _) => u64::from(ns),
+            (0, None, Some(&ns)) => ns,
+            (0, None, None) => 0,
+        };
+        SimDuration::from_nanos(ns)
     }
 
     /// Fraction of samples strictly greater than `threshold` — the measured
     /// SLO violation rate.
     pub fn exceed_ratio(&self, threshold: SimDuration) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         let t = threshold.as_nanos();
-        let over = self.samples.iter().filter(|&&s| s > t).count();
-        over as f64 / self.samples.len() as f64
+        // No zero exceeds a threshold, and every 8-byte sample exceeds one
+        // that fits the 4-byte tier.
+        let over = match u32::try_from(t) {
+            Ok(t) => self.small.iter().filter(|&&s| s > t).count() + self.large.len(),
+            Err(_) => self.large.iter().filter(|&&s| s > t).count(),
+        };
+        over as f64 / self.len() as f64
     }
 
     /// Drops all samples.
     pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted = true;
+        self.zeros = 0;
+        self.small.clear();
+        self.large.clear();
+        self.unsorted = false;
         self.sum = 0;
     }
 
     /// Absorbs all samples of `other`.
     pub fn merge(&mut self, other: &LatencyReservoir) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
+        self.zeros += other.zeros;
+        self.small.extend_from_slice(&other.small);
+        self.large.extend_from_slice(&other.large);
+        self.unsorted = true;
         self.sum += other.sum;
     }
 
@@ -183,16 +213,21 @@ impl LatencyReservoir {
         }
     }
 
-    /// The raw samples in ascending order.
-    pub fn sorted_samples(&mut self) -> &[u64] {
+    /// The samples in ascending order. Sorts the reservoir first, so its
+    /// `Debug` form afterwards depends only on the samples it holds.
+    pub fn ascending(&mut self) -> impl Iterator<Item = SimDuration> + '_ {
         self.ensure_sorted();
-        &self.samples
+        std::iter::repeat_n(0, self.zeros)
+            .chain(self.small.iter().map(|&ns| u64::from(ns)))
+            .chain(self.large.iter().copied())
+            .map(SimDuration::from_nanos)
     }
 
     fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
+        if self.unsorted {
+            self.small.sort_unstable();
+            self.large.sort_unstable();
+            self.unsorted = false;
         }
     }
 }
@@ -352,9 +387,26 @@ mod tests {
     }
 
     #[test]
-    fn sorted_samples_ascending() {
+    fn samples_below_2_32_ns_take_4_bytes_and_zeros_none() {
+        let mut r = LatencyReservoir::new();
+        for _ in 0..10_000 {
+            r.record(SimDuration::ZERO);
+        }
+        assert_eq!((r.small.capacity(), r.large.capacity()), (0, 0));
+        let n = 100_000;
+        for i in 1..=n {
+            r.record(SimDuration::from_nanos(i * 42_000)); // up to 4.2e9 < 2³²
+        }
+        let heap_bytes = r.small.capacity() * std::mem::size_of_val(&r.small[0])
+            + r.large.capacity() * std::mem::size_of::<u64>();
+        assert!(heap_bytes <= 4 * r.small.capacity());
+        assert_eq!(r.len(), n as usize + 10_000);
+    }
+
+    #[test]
+    fn ascending_is_sorted() {
         let mut r: LatencyReservoir = [5, 1, 4, 2, 3].into_iter().map(ms).collect();
-        let s = r.sorted_samples();
-        assert!(s.windows(2).all(|w| w[0] <= w[1]));
+        let s: Vec<SimDuration> = r.ascending().collect();
+        assert_eq!(s, (1..=5).map(ms).collect::<Vec<_>>());
     }
 }

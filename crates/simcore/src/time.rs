@@ -221,7 +221,11 @@ fn millis_f64_to_nanos(millis: f64) -> u64 {
     if nanos >= u64::MAX as f64 {
         u64::MAX
     } else {
-        nanos.round() as u64
+        // `nanos.round()`, half away from zero, without the libm call: the
+        // fraction `nanos − ⌊nanos⌋` is exact in f64 (an integer `nanos`
+        // above 2⁵² has none).
+        let t = nanos as u64;
+        t + u64::from(nanos - t as f64 >= 0.5)
     }
 }
 

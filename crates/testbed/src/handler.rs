@@ -54,6 +54,8 @@ pub(crate) struct HandlerOutput {
     pub fenced_reports: u64,
     /// Task rows the driver still held when the run ended.
     pub task_rows_held: u32,
+    /// The flight recorder, when `config.registry` is set.
+    pub recorder: Option<BinaryRecorder>,
 }
 
 /// Runs the query handler until `config.queries` queries have finished,
@@ -269,6 +271,7 @@ pub(crate) async fn query_handler(
             },
         );
     }
+    out.recorder = recorder;
     (stats, out)
 }
 

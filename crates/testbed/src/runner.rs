@@ -10,7 +10,7 @@ use tailguard::{AdmissionConfig, ClusterSpec, DeadlineEstimator, EstimatorMode};
 use tailguard_dist::{DynDistribution, Scaled};
 use tailguard_faults::FaultPlan;
 use tailguard_metrics::LatencyReservoir;
-use tailguard_obs::SharedRegistry;
+use tailguard_obs::{BinaryRecorder, SharedRegistry};
 use tailguard_policy::Policy;
 use tailguard_sched::units;
 use tailguard_sched::{
@@ -185,6 +185,10 @@ pub struct TestbedReport {
     /// Adaptive-estimator window rolls (zero without
     /// [`TestbedConfig::adaptive`]).
     pub estimator_window_rolls: u64,
+    /// The flight recorder of an observed run ([`TestbedConfig::registry`]
+    /// set): the scheduling core's events, timed in ns of the *compressed*
+    /// wall domain since the handler started. `None` otherwise.
+    pub recorder: Option<BinaryRecorder>,
 }
 
 impl TestbedReport {
@@ -380,9 +384,8 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
 
     // --- Assemble the uncompressed report. ----------------------------------
     let unscale = |r: &mut LatencyReservoir| -> LatencyReservoir {
-        r.sorted_samples()
-            .iter()
-            .map(|&ns| SimDuration::from_nanos(units::scale_ns(ns, scale)))
+        r.ascending()
+            .map(|d| SimDuration::from_nanos(units::scale_ns(d.as_nanos(), scale)))
             .collect()
     };
     let mut latency_by_class = BTreeMap::new();
@@ -445,6 +448,7 @@ async fn run_async(config: &TestbedConfig) -> TestbedReport {
         health: stats.health,
         server_health: stats.server_health,
         estimator_window_rolls: stats.estimator_window_rolls,
+        recorder: out.recorder,
     }
 }
 

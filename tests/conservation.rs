@@ -10,8 +10,11 @@
 //! its dequeue, and its service is the `busy` time its completion reports.
 //! A plain-engine run tells its dequeues: the server, the wait since the
 //! query arrived (so the arrival is the dequeue minus the wait) and the
-//! drawn service. The two sides must agree in `u128` ns², with no
-//! tolerance, whatever the policy orders by.
+//! drawn service. A paused-time testbed run is read from its flight
+//! recorder like an event-loop trace; there a task's service is the
+//! dispatch-to-result time its node took, on the clock's 1 ms grid. The
+//! two sides must agree in `u128` ns², with no tolerance, whatever the
+//! policy orders by.
 //!
 //! A server that idles after a finish, serves a task longer than its
 //! service, or holds a queued task back breaks the law at the first
@@ -19,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use tailguard_repro::obs::shared_registry;
 use tailguard_repro::policy::Policy;
 use tailguard_repro::sched::{TraceEvent, TraceSink};
 use tailguard_repro::simcore::SimDuration;
@@ -26,6 +30,7 @@ use tailguard_repro::tailguard::{
     run_plain_tapped, run_simulation_traced, scenarios, AdmissionConfig, PlainEvent, PlainRun,
     Scenario, SimConfig, SimInput,
 };
+use tailguard_repro::testbed::{run_testbed, TestbedConfig, TestbedMode};
 use tailguard_repro::workload::{ArrivalProcess, TailbenchWorkload};
 
 /// Collects every event of a traced run.
@@ -97,6 +102,28 @@ fn assert_conserved(config: &SimConfig, input: &SimInput, case: &str) -> usize {
     let events = Arc::new(Mutex::new(Vec::new()));
     run_simulation_traced(config, input, Box::new(Collect(Arc::clone(&events))));
     let events = events.lock().expect("trace lock");
+    let traced = served_tasks(&events, case);
+    assert_law(config.cluster.servers(), &traced.served, case);
+    assert_eq!(
+        traced.unserved, 0,
+        "{case}: tasks enqueued but never served"
+    );
+    traced.rejected
+}
+
+/// What a trace tells of its tasks.
+struct Traced {
+    /// The served tasks: server and arrival from the enqueue, wait from
+    /// the dequeue, service from the `busy` the completion reports.
+    served: Vec<Served>,
+    /// Tasks enqueued but never dequeued or completed.
+    unserved: usize,
+    /// Queries rejected.
+    rejected: usize,
+}
+
+/// Reads each task of a trace off its enqueue, dequeue and completion.
+fn served_tasks(events: &[TraceEvent], case: &str) -> Traced {
     let mut tasks: BTreeMap<u32, Task> = BTreeMap::new();
     let mut rejected = 0;
     for event in events.iter() {
@@ -141,9 +168,11 @@ fn assert_conserved(config: &SimConfig, input: &SimInput, case: &str) -> usize {
             service,
         });
     }
-    assert_law(config.cluster.servers(), &served, case);
-    assert_eq!(unserved, 0, "{case}: tasks enqueued but never served");
-    rejected
+    Traced {
+        served,
+        unserved,
+        rejected,
+    }
 }
 
 /// Runs `config` on `input` on the plain-run engine and requires the law
@@ -235,5 +264,38 @@ fn every_policy_conserves_work_on_the_sas_cluster() {
     for policy in Policy::WITH_EXTENSIONS {
         let config = s.config(policy).with_warmup(0);
         assert_conserved(&config, &input, &format!("SaS {policy:?}"));
+    }
+}
+
+#[test]
+fn every_policy_conserves_work_on_the_paused_testbed() {
+    const TICK_NS: u64 = 1_000_000;
+    for policy in Policy::WITH_EXTENSIONS {
+        let case = format!("testbed {policy:?}");
+        let config = TestbedConfig {
+            policy,
+            queries: 600,
+            target_load: 0.5,
+            calibration_probes: 5,
+            store_days: 35,
+            mode: TestbedMode::PausedTime,
+            registry: Some(shared_registry()),
+            ..TestbedConfig::default()
+        };
+        let report = run_testbed(&config);
+        let recorder = report.recorder.expect("an observed run keeps its recorder");
+        assert_eq!(recorder.dropped(), 0, "{case}: the ring dropped events");
+        let traced = served_tasks(&recorder.events(), &case);
+        assert!(
+            traced.served.iter().all(|t| [t.arrival, t.wait, t.service]
+                .iter()
+                .all(|ns| ns % TICK_NS == 0)),
+            "{case}: a task time off the 1 ms tick grid"
+        );
+        assert_law(32, &traced.served, &case);
+        assert_eq!(
+            traced.unserved, 0,
+            "{case}: tasks enqueued but never served"
+        );
     }
 }

@@ -70,8 +70,9 @@ proptest! {
             .query_latency_by_class
             .get_mut(&0)
             .expect("latencies recorded")
-            .sorted_samples()
-            .to_vec();
+            .ascending()
+            .map(SimDuration::as_nanos)
+            .collect::<Vec<u64>>();
         prop_assert_eq!(got, expected_sorted);
     }
 

@@ -69,7 +69,9 @@ fn printed(mut report: SimReport) -> (String, String, [u64; 4]) {
         .chain(report.request_latency_by_class.values_mut())
         .chain([&mut report.pre_dequeue, &mut report.partial_latency]);
     for reservoir in reservoirs {
-        reservoir.sorted_samples();
+        // Sorting the reservoir makes its `Debug` form a function of its
+        // samples alone.
+        let _sorted = reservoir.ascending();
     }
     let samples = format!(
         "{:?}\n{:?}\n{:?}",
