@@ -131,10 +131,12 @@ fn main() {
     let cut = input.requests[opts.queries * 2 / 5].arrival;
     let slow = FaultKind::Slowdown { factor: 1.5 };
     let faculty = SasCluster::Faculty.server_range();
-    let plan = faculty.fold(FaultPlan::new(), |plan, server| {
-        let server = u32::try_from(server).expect("32 SaS servers");
-        plan.with_episode(FaultEpisode::new(server, cut, SimTime::MAX, slow))
-    });
+    let plan: FaultPlan = faculty
+        .map(|server| {
+            let server = u32::try_from(server).expect("32 SaS servers");
+            FaultEpisode::new(server, cut, SimTime::MAX, slow)
+        })
+        .collect();
     for (label, refresh) in [
         ("frozen (stale CDFs)", u64::MAX),
         ("adaptive (refresh 20k)", 20_000),

@@ -70,23 +70,19 @@ fn gray_failure(queries: usize) -> FaultPlan {
     let ramp_start = SimTime::from_millis_f64(h * 0.25);
     let ramp_end = SimTime::from_millis_f64(h * 0.40);
     let far = SimTime::from_millis_f64(h * 100.0);
-    let mut plan = FaultPlan::new();
-    for server in 0..DEGRADED {
-        plan = plan
-            .with_episode(FaultEpisode::new(
-                server,
-                ramp_start,
-                ramp_end,
-                FaultKind::DegradeRamp { peak: PEAK },
-            ))
-            .with_episode(FaultEpisode::new(
-                server,
-                ramp_end,
-                far,
-                FaultKind::Slowdown { factor: PEAK },
-            ));
-    }
-    plan
+    (0..DEGRADED)
+        .flat_map(|server| {
+            [
+                FaultEpisode::new(
+                    server,
+                    ramp_start,
+                    ramp_end,
+                    FaultKind::DegradeRamp { peak: PEAK },
+                ),
+                FaultEpisode::new(server, ramp_end, far, FaultKind::Slowdown { factor: PEAK }),
+            ]
+        })
+        .collect()
 }
 
 /// A mild diurnal load curve shared by every cell, so the comparison runs

@@ -37,18 +37,18 @@ fn scenario() -> Scenario {
 }
 
 fn plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for server in 0..SLOW_SERVERS {
-        plan = plan.with_episode(FaultEpisode::new(
-            server,
-            SimTime::ZERO,
-            SimTime::from_millis(3_600_000), // whole run
-            FaultKind::Slowdown {
-                factor: SLOW_FACTOR,
-            },
-        ));
-    }
-    plan
+    (0..SLOW_SERVERS)
+        .map(|server| {
+            FaultEpisode::new(
+                server,
+                SimTime::ZERO,
+                SimTime::from_millis(3_600_000), // whole run
+                FaultKind::Slowdown {
+                    factor: SLOW_FACTOR,
+                },
+            )
+        })
+        .collect()
 }
 
 fn mitigation() -> MitigationConfig {

@@ -587,11 +587,9 @@ fn fault_plan_from(args: &Args, servers: u32, seed: u64) -> Result<FaultPlan, Ar
         (servers as usize / 10).max(1),
         1..=servers as usize,
     )?;
-    let mut plan = FaultPlan::new();
-    for server in 0..affected {
-        plan = plan.with_episode(FaultEpisode::new(server, start, end, kind));
-    }
-    Ok(plan)
+    Ok((0..affected)
+        .map(|server| FaultEpisode::new(server, start, end, kind))
+        .collect())
 }
 
 /// `tailguard faults` — fault matrix × policy sweep: each policy runs

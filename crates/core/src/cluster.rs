@@ -951,9 +951,12 @@ mod tests {
         // reclaimed and dispatched again at 4 (also due at 6). A crash
         // began at 1 ms — after the first dispatch, before the second.
         let at = SimTime::from_millis;
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(0, at(0), at(5), FaultKind::Restart))
-            .with_episode(FaultEpisode::new(0, at(1), at(2), FaultKind::Crash));
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, at(0), at(5), FaultKind::Restart),
+            FaultEpisode::new(0, at(1), at(2), FaultKind::Crash),
+        ]
+        .into_iter()
+        .collect();
         let cfg = SimConfig::new(
             det_cluster(1, 1.0),
             vec![ClassSpec::p99(ms(100.0))],
@@ -982,12 +985,14 @@ mod tests {
         // next — three admissions, each retiring rows, all inside the
         // handling of Q0's one report. Q0's own request must still resolve
         // when that unwinds.
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             SimTime::from_micros(500),
             SimTime::from_millis(10),
             FaultKind::Drop,
-        ));
+        )]
+        .into_iter()
+        .collect();
         let cfg = SimConfig::new(
             det_cluster(1, 1.0),
             vec![ClassSpec::p99(ms(100.0))],
@@ -1030,12 +1035,14 @@ mod tests {
         // run must account for every query and finish every request.
         for seed in 0..40 {
             let horizon = SimDuration::from_millis(300);
-            let plan = FaultPlan::generate_crash_storm(seed, 4, horizon, 30, 6.0)
+            let blackouts = FaultPlan::generate(seed, 4, horizon, 40, 6.0);
+            let storm = FaultPlan::generate_crash_storm(seed, 4, horizon, 30, 6.0);
+            let plan: FaultPlan = blackouts
                 .episodes()
                 .iter()
-                .fold(FaultPlan::generate(seed, 4, horizon, 40, 6.0), |plan, e| {
-                    plan.with_episode(*e)
-                });
+                .chain(storm.episodes())
+                .copied()
+                .collect();
             let cfg = SimConfig::new(
                 det_cluster(4, 1.0),
                 vec![ClassSpec::p99(ms(20.0))],
@@ -1082,12 +1089,14 @@ mod tests {
         // again — one report whose fallout is 99 999 more losses. A driver
         // that recursed per loss overflowed this 256 KiB stack.
         const N: u64 = 100_000;
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             SimTime::from_micros(500),
             SimTime::from_millis(3_600_000),
             FaultKind::Drop,
-        ));
+        )]
+        .into_iter()
+        .collect();
         let cfg = SimConfig::new(
             det_cluster(1, 1.0),
             vec![ClassSpec::p99(ms(100.0))],

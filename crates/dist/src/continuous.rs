@@ -87,71 +87,6 @@ impl Distribution for Exponential {
 }
 
 // ---------------------------------------------------------------------------
-// LogNormal
-// ---------------------------------------------------------------------------
-
-/// The log-normal distribution: `ln X ~ N(mu, sigma^2)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal from the parameters of the underlying normal.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sigma` is finite and positive and `mu` is finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite(), "mu must be finite");
-        assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
-        LogNormal { mu, sigma }
-    }
-
-    /// The `mu` parameter of the underlying normal.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The `sigma` parameter of the underlying normal.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-}
-
-impl Cdf for LogNormal {
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            standard_normal_cdf((x.ln() - self.mu) / self.sigma)
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p == 0.0 {
-            return 0.0;
-        }
-        if p >= 1.0 {
-            return f64::INFINITY;
-        }
-        (self.mu + self.sigma * inverse_normal_cdf(p)).exp()
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.quantile(rng.open01())
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Pareto
 // ---------------------------------------------------------------------------
 
@@ -192,11 +127,6 @@ impl Pareto {
     /// The scale parameter `x_m` (the distribution minimum).
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// The shape parameter `alpha`.
-    pub fn shape(&self) -> f64 {
-        self.shape
     }
 }
 
@@ -281,50 +211,6 @@ impl<D: Distribution> Distribution for Scaled<D> {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform
-// ---------------------------------------------------------------------------
-
-/// The continuous uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= lo < hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-        assert!(lo >= 0.0 && lo < hi, "require 0 <= lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Cdf for Uniform {
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        self.lo + (self.hi - self.lo) * p.clamp(0.0, 1.0)
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.f64()
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic
 // ---------------------------------------------------------------------------
 
@@ -374,53 +260,6 @@ impl Distribution for Deterministic {
 }
 
 // ---------------------------------------------------------------------------
-// Shifted
-// ---------------------------------------------------------------------------
-
-/// A distribution translated right by a constant offset — models a fixed
-/// component (e.g. network round-trip) on top of a random service time.
-#[derive(Debug, Clone)]
-pub struct Shifted<D> {
-    offset: f64,
-    inner: D,
-}
-
-impl<D: Distribution> Shifted<D> {
-    /// Wraps `inner`, adding `offset` ms to every sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `offset` is finite and non-negative.
-    pub fn new(offset: f64, inner: D) -> Self {
-        assert!(
-            offset.is_finite() && offset >= 0.0,
-            "offset must be non-negative"
-        );
-        Shifted { offset, inner }
-    }
-}
-
-impl<D: Distribution> Cdf for Shifted<D> {
-    fn cdf(&self, x: f64) -> f64 {
-        self.inner.cdf(x - self.offset)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        self.offset + self.inner.quantile(p)
-    }
-}
-
-impl<D: Distribution> Distribution for Shifted<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.offset + self.inner.sample(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.offset + self.inner.mean()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Mixture
 // ---------------------------------------------------------------------------
 
@@ -430,14 +269,14 @@ impl<D: Distribution> Distribution for Shifted<D> {
 /// # Example
 ///
 /// ```
-/// use tailguard_dist::{Distribution, LogNormal, Mixture};
+/// use tailguard_dist::{Distribution, Exponential, Mixture};
 ///
 /// // 97% fast requests, 3% slow outliers.
 /// let m = Mixture::new(vec![
-///     (0.97, Box::new(LogNormal::new(-1.5, 0.3)) as Box<dyn Distribution>),
-///     (0.03, Box::new(LogNormal::new(0.7, 0.1))),
+///     (0.97, Box::new(Exponential::with_mean(0.2)) as Box<dyn Distribution>),
+///     (0.03, Box::new(Exponential::with_mean(2.0))),
 /// ]);
-/// assert!(m.mean() > 0.0);
+/// assert!((m.mean() - (0.97 * 0.2 + 0.03 * 2.0)).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
 pub struct Mixture {
@@ -486,22 +325,6 @@ impl Mixture {
             components,
         }
     }
-
-    /// Number of mixture components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True when the mixture has no components (never: construction forbids
-    /// it), provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-
-    /// The normalized component weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl Cdf for Mixture {
@@ -539,84 +362,6 @@ impl Distribution for Mixture {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Normal helpers
-// ---------------------------------------------------------------------------
-
-/// The standard normal CDF, accurate to ~1e-7 (Abramowitz & Stegun 7.1.26).
-pub(crate) fn standard_normal_cdf(x: f64) -> f64 {
-    let t = 1.0 / (1.0 + 0.3275911 * x.abs() / core::f64::consts::SQRT_2);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    let erf = 1.0 - poly * (-(x * x) / 2.0).exp();
-    if x >= 0.0 {
-        0.5 * (1.0 + erf)
-    } else {
-        0.5 * (1.0 - erf)
-    }
-}
-
-/// The inverse standard normal CDF (Acklam's algorithm, ~1e-9 relative
-/// error), refined with one Halley step against [`standard_normal_cdf`].
-///
-/// # Panics
-///
-/// Panics unless `p ∈ (0, 1)`.
-pub(crate) fn inverse_normal_cdf(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must lie strictly in (0,1)");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step.
-    let e = standard_normal_cdf(x) - p;
-    let u = e * (2.0 * core::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,14 +377,6 @@ mod tests {
         assert!((sample_mean(&d, 200_000, 1) - 2.0).abs() < 0.02);
         assert!((d.quantile(0.5) - 2.0 * core::f64::consts::LN_2).abs() < 1e-12);
         assert!((d.cdf(d.quantile(0.99)) - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lognormal_mean_matches() {
-        let d = LogNormal::new(-1.0, 0.5);
-        let analytic = (-1.0f64 + 0.125).exp();
-        assert!((d.mean() - analytic).abs() < 1e-12);
-        assert!((sample_mean(&d, 200_000, 2) - analytic).abs() < 0.01 * analytic);
     }
 
     #[test]
@@ -678,20 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_basics() {
-        let d = Uniform::new(1.0, 3.0);
-        assert_eq!(d.mean(), 2.0);
-        assert_eq!(d.quantile(0.25), 1.5);
-        assert_eq!(d.cdf(0.0), 0.0);
-        assert_eq!(d.cdf(5.0), 1.0);
-        let mut rng = SimRng::seed(4);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..3.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn deterministic_is_a_point_mass() {
         let d = Deterministic::new(1.5);
         let mut rng = SimRng::seed(5);
@@ -700,16 +423,6 @@ mod tests {
         assert_eq!(d.quantile(0.99), 1.5);
         assert_eq!(d.cdf(1.4), 0.0);
         assert_eq!(d.cdf(1.5), 1.0);
-    }
-
-    #[test]
-    fn shifted_adds_offset_everywhere() {
-        let d = Shifted::new(1.0, Exponential::with_mean(2.0));
-        assert!((d.mean() - 3.0).abs() < 1e-12);
-        assert!((d.quantile(0.5) - (1.0 + 2.0 * core::f64::consts::LN_2)).abs() < 1e-12);
-        assert_eq!(d.cdf(0.5), 0.0);
-        let mut rng = SimRng::seed(6);
-        assert!(d.sample(&mut rng) >= 1.0);
     }
 
     #[test]
@@ -722,8 +435,7 @@ mod tests {
             (1.0, Box::new(Deterministic::new(5.0))),
         ]);
         assert!((m.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(m.len(), 2);
-        assert!((m.weights()[0] - 0.75).abs() < 1e-12);
+        assert!((m.cdf(1.0) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -731,9 +443,9 @@ mod tests {
         let m = Mixture::new(vec![
             (
                 0.9,
-                Box::new(LogNormal::new(-1.7, 0.1)) as Box<dyn Distribution>,
+                Box::new(Exponential::with_mean(0.2)) as Box<dyn Distribution>,
             ),
-            (0.1, Box::new(LogNormal::new(0.5, 0.2))),
+            (0.1, Box::new(Exponential::with_mean(2.0))),
         ]);
         for &p in &[0.1, 0.5, 0.9, 0.99, 0.9999] {
             let q = m.quantile(p);
@@ -765,26 +477,6 @@ mod tests {
     #[should_panic(expected = "at least one component")]
     fn empty_mixture_panics() {
         let _ = Mixture::new(vec![]);
-    }
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        assert!((standard_normal_cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!((standard_normal_cdf(1.0) - 0.8413447461).abs() < 1e-6);
-        assert!((standard_normal_cdf(-1.96) - 0.0249979).abs() < 1e-5);
-        assert!((standard_normal_cdf(2.326347874) - 0.99).abs() < 1e-6);
-    }
-
-    #[test]
-    fn inverse_normal_roundtrip() {
-        for &p in &[0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999] {
-            let x = inverse_normal_cdf(p);
-            assert!(
-                (standard_normal_cdf(x) - p).abs() < 1e-7,
-                "p={p} x={x} cdf={}",
-                standard_normal_cdf(x)
-            );
-        }
     }
 
     #[test]

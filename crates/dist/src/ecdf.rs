@@ -20,11 +20,9 @@ use serde::{Deserialize, Serialize};
 /// use tailguard_dist::{Cdf, Ecdf};
 ///
 /// let e = Ecdf::from_samples(vec![3.0, 1.0, 2.0, 4.0]);
-/// assert_eq!(e.len(), 4);
 /// assert_eq!(e.cdf(2.0), 0.5);
 /// assert_eq!(e.quantile(0.5), 2.0);
-/// assert_eq!(e.min(), 1.0);
-/// assert_eq!(e.max(), 4.0);
+/// assert_eq!(e.mean(), 2.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ecdf {
@@ -49,50 +47,9 @@ impl Ecdf {
         }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false: construction requires at least one sample.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Sample mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Smallest observed sample.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`from_samples` asserts at least one finite sample, so `sorted` is never empty"
-    )]
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest observed sample.
-    #[expect(
-        clippy::expect_used,
-        reason = "from_samples asserts at least one finite sample"
-    )]
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Merges two ECDFs into one over the union of their samples.
-    pub fn merge(&self, other: &Ecdf) -> Ecdf {
-        let mut all = Vec::with_capacity(self.len() + other.len());
-        all.extend_from_slice(&self.sorted);
-        all.extend_from_slice(&other.sorted);
-        Ecdf::from_samples(all)
     }
 }
 
@@ -162,23 +119,23 @@ mod tests {
         assert_eq!(e.quantile(0.2001), 20.0);
         assert_eq!(e.quantile(1.0), 50.0);
         // quantile(cdf(x)) == x for sample points
-        for &x in e.samples() {
+        for x in [10.0, 20.0, 30.0, 40.0, 50.0] {
             assert_eq!(e.quantile(e.cdf(x)), x);
         }
     }
 
     #[test]
-    fn mean_min_max() {
+    fn mean_is_the_sample_mean() {
         let e = Ecdf::from_samples(vec![2.0, 4.0, 6.0]);
         assert_eq!(e.mean(), 4.0);
-        assert_eq!(e.min(), 2.0);
-        assert_eq!(e.max(), 6.0);
     }
 
     #[test]
     fn drops_non_finite() {
         let e = Ecdf::from_samples(vec![1.0, f64::NAN, 2.0, f64::INFINITY]);
-        assert_eq!(e.len(), 2);
+        assert_eq!(e.cdf(1.0), 0.5);
+        assert_eq!(e.quantile(1.0), 2.0);
+        assert_eq!(e.mean(), 1.5);
     }
 
     #[test]
@@ -188,18 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_samples() {
-        let a = Ecdf::from_samples(vec![1.0, 3.0]);
-        let b = Ecdf::from_samples(vec![2.0, 4.0]);
-        let m = a.merge(&b);
-        assert_eq!(m.samples(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.mean(), 2.5);
-    }
-
-    #[test]
     fn from_iterator() {
         let e: Ecdf = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(e.len(), 100);
+        assert_eq!(e.cdf(50.0), 0.5);
         assert_eq!(e.quantile(0.99), 99.0);
         assert_eq!(e.quantile(0.991), 100.0);
     }

@@ -12,14 +12,16 @@
 //! This crate supplies everything those equations need:
 //!
 //! * [`Distribution`] — analytic service-time distributions (exponential,
-//!   log-normal, Pareto, uniform, deterministic, shifted, mixtures) with
-//!   exact `cdf`/`quantile`,
+//!   Pareto, deterministic, piecewise-linear quantile functions, mixtures,
+//!   and a scaling wrapper) with exact `cdf`/`quantile`,
 //! * [`Ecdf`] — empirical CDFs built from samples (the paper's offline
 //!   estimation process),
 //! * [`LogHistogram`] — a constant-memory streaming histogram used for the
 //!   paper's *online updating process* (§III.B.2),
-//! * [`order_stats`] — the fanout order-statistics solver for Eqs. (1)–(2),
-//!   for both homogeneous and heterogeneous server populations.
+//! * [`order_stats`] — Eq. (2) two ways: the closed form
+//!   [`order_stats::homogeneous_quantile`] for i.i.d. tasks, and the
+//!   bisection [`order_stats::grouped_quantile`] over Eq. (1)'s product,
+//!   which the deadline estimator runs.
 //!
 //! All values are in **milliseconds** unless stated otherwise; conversion to
 //! [`tailguard_simcore::SimDuration`] happens at the workload boundary.
@@ -31,8 +33,7 @@ pub mod order_stats;
 mod piecewise;
 
 pub use continuous::{
-    Deterministic, Distribution, DynDistribution, Exponential, LogNormal, Mixture, Pareto, Scaled,
-    Shifted, Uniform,
+    Deterministic, Distribution, DynDistribution, Exponential, Mixture, Pareto, Scaled,
 };
 pub use ecdf::Ecdf;
 pub use histogram::{CdfSnapshot, LogHistogram};

@@ -15,8 +15,9 @@
 //! ```
 //!
 //! For a homogeneous cluster (`F_l = F` for all `l`) the inverse has the
-//! closed form `x_p^u(k) = F^{-1}(p^{1/k})`; for heterogeneous clusters we
-//! solve the product equation by bisection.
+//! closed form `x_p^u(k) = F^{-1}(p^{1/k})` ([`homogeneous_quantile`]).
+//! Otherwise [`grouped_quantile`] evaluates Eq. (1) with the tasks grouped by
+//! shared CDF, `Π_g F_g(t)^{c_g}`, and bisects it for Eq. (2).
 
 use crate::Cdf;
 
@@ -42,13 +43,6 @@ pub fn per_task_percentile(p: f64, k: u32) -> f64 {
     p.powf(1.0 / f64::from(k))
 }
 
-/// Eq. (1): the unloaded query-latency CDF at `t` for tasks dispatched to
-/// servers with the given CDFs (one entry per task; repeat a server's CDF if
-/// it receives several tasks).
-pub fn unloaded_query_cdf<C: Cdf + ?Sized>(server_cdfs: &[&C], t: f64) -> f64 {
-    server_cdfs.iter().map(|c| c.cdf(t)).product()
-}
-
 /// Eq. (2), homogeneous case: the unloaded `p`-quantile of the slowest of
 /// `k` i.i.d. tasks with common CDF `cdf`: `F^{-1}(p^{1/k})`.
 ///
@@ -70,72 +64,7 @@ pub fn homogeneous_quantile<C: Cdf + ?Sized>(cdf: &C, p: f64, k: u32) -> f64 {
     cdf.quantile(per_task_percentile(p, k))
 }
 
-/// Eq. (2), heterogeneous case: solves `Π_i F_i(t) = p` for `t` by bisection.
-///
-/// `server_cdfs` holds one CDF reference per task of the query (the paper's
-/// mapping `n(k)`).
-///
-/// Returns the smallest `t` (within `tol` relative error) whose product CDF
-/// reaches `p`.
-///
-/// # Example
-///
-/// ```
-/// use tailguard_dist::{Cdf, Exponential, order_stats};
-///
-/// let fast = Exponential::with_mean(0.5);
-/// let slow = Exponential::with_mean(2.0);
-/// let cdfs: Vec<&dyn Cdf> = vec![&fast, &slow];
-/// let x = order_stats::heterogeneous_quantile(&cdfs, 0.99);
-/// // Dominated by the slow server but strictly above its solo p99.
-/// assert!(x > slow.quantile(0.99));
-/// ```
-///
-/// # Panics
-///
-/// Panics unless `p ∈ (0, 1]` and at least one CDF is supplied.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "server/fanout counts are far below 2^31; powi exponents stay exact"
-)]
-pub fn heterogeneous_quantile<C: Cdf + ?Sized>(server_cdfs: &[&C], p: f64) -> f64 {
-    assert!(p > 0.0 && p <= 1.0, "p must lie in (0,1]");
-    assert!(!server_cdfs.is_empty(), "need at least one server CDF");
-
-    // Fast path: identical quantile bound gives a bracket start. Upper bound:
-    // every marginal must individually reach p^(1/k) at the answer, so the
-    // max of per-server quantiles at p^(1/k) is an upper bound.
-    let per_task = per_task_percentile(p, server_cdfs.len() as u32);
-    let mut hi = server_cdfs
-        .iter()
-        .map(|c| c.quantile(per_task))
-        .fold(0.0_f64, f64::max)
-        .max(1e-9);
-    // Guard against quantile under-reporting on discrete CDFs.
-    let mut guard = 0;
-    while unloaded_query_cdf(server_cdfs, hi) < p {
-        hi *= 2.0;
-        guard += 1;
-        if guard > 100 {
-            return hi;
-        }
-    }
-    let mut lo = 0.0_f64;
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if unloaded_query_cdf(server_cdfs, mid) >= p {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo <= 1e-9 * hi.max(1.0) {
-            break;
-        }
-    }
-    hi
-}
-
-/// Eq. (2) over a *multiset* of server CDFs: solves
+/// Eqs. (1)–(2) over a *multiset* of server CDFs: solves
 /// `Π_i F_i(t)^{c_i} = p` for `t` by bisection, where `c_i` is the number of
 /// the query's tasks dispatched to servers sharing CDF `F_i`.
 ///
@@ -153,6 +82,11 @@ pub fn heterogeneous_quantile<C: Cdf + ?Sized>(server_cdfs: &[&C], p: f64) -> f6
 /// let grouped = order_stats::grouped_quantile(&[(&f, 100)], 0.99);
 /// let hom = order_stats::homogeneous_quantile(&f, 0.99, 100);
 /// assert!((grouped - hom).abs() / hom < 1e-9);
+///
+/// // Mixed servers: dominated by the slow one, above its solo p99.
+/// let slow = Exponential::with_mean(4.0);
+/// let x = order_stats::grouped_quantile(&[(&f as &dyn Cdf, 3), (&slow, 1)], 0.99);
+/// assert!(x > slow.quantile(0.99));
 /// ```
 ///
 /// # Panics
@@ -236,7 +170,7 @@ pub fn query_violation_probability(q: f64, k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Distribution, Ecdf, Exponential, LogNormal};
+    use crate::{Distribution, Ecdf, Exponential, Pareto};
     use tailguard_simcore::SimRng;
 
     #[test]
@@ -251,7 +185,7 @@ mod tests {
 
     #[test]
     fn homogeneous_quantile_monotone_in_fanout() {
-        let f = LogNormal::new(-1.0, 0.4);
+        let f = Pareto::new(0.3, 4.0);
         let x1 = homogeneous_quantile(&f, 0.99, 1);
         let x10 = homogeneous_quantile(&f, 0.99, 10);
         let x100 = homogeneous_quantile(&f, 0.99, 100);
@@ -259,40 +193,46 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_reduces_to_homogeneous() {
+    fn grouped_split_into_singletons_is_homogeneous() {
         let f = Exponential::with_mean(1.0);
-        for k in [1usize, 5, 50] {
-            let cdfs: Vec<&Exponential> = std::iter::repeat_n(&f, k).collect();
-            let het = heterogeneous_quantile(&cdfs, 0.99);
-            let hom = homogeneous_quantile(&f, 0.99, k as u32);
-            assert!((het - hom).abs() / hom < 1e-6, "k={k} het={het} hom={hom}");
+        for k in [1u32, 5, 50] {
+            let groups: Vec<(&Exponential, u32)> = (0..k).map(|_| (&f, 1)).collect();
+            let split = grouped_quantile(&groups, 0.99);
+            let hom = homogeneous_quantile(&f, 0.99, k);
+            assert!(
+                (split - hom).abs() / hom < 1e-6,
+                "k={k} split={split} hom={hom}"
+            );
         }
     }
 
     #[test]
-    fn heterogeneous_dominated_by_slowest() {
+    fn grouped_dominated_by_slowest() {
         let fast = Exponential::with_mean(0.1);
         let slow = Exponential::with_mean(5.0);
-        let cdfs: Vec<&Exponential> = vec![&fast, &slow];
-        let x = heterogeneous_quantile(&cdfs, 0.99);
+        let x = grouped_quantile(&[(&fast, 1), (&slow, 1)], 0.99);
         assert!(x > slow.quantile(0.99));
         assert!(x < slow.quantile(0.999));
     }
 
     #[test]
-    fn product_cdf_matches_monte_carlo() {
+    fn grouped_answer_matches_monte_carlo() {
+        // Two tasks on `a`-servers and one on a `b`-server: the share of
+        // simulated queries done by the solved `x` is `p`.
         let a = Exponential::with_mean(1.0);
-        let b = LogNormal::new(0.0, 0.5);
+        let b = Pareto::new(0.5, 3.0);
+        let p = 0.95;
+        let x = grouped_quantile(&[(&a as &dyn Cdf, 2), (&b, 1)], p);
         let mut rng = SimRng::seed(10);
         let n = 200_000;
-        let t = 2.5;
         let hits = (0..n)
-            .filter(|_| a.sample(&mut rng).max(b.sample(&mut rng)) <= t)
+            .filter(|_| {
+                let slowest = a.sample(&mut rng).max(a.sample(&mut rng));
+                slowest.max(b.sample(&mut rng)) <= x
+            })
             .count();
         let mc = hits as f64 / n as f64;
-        let cdfs: Vec<&dyn crate::Cdf> = vec![&a, &b];
-        let analytic = unloaded_query_cdf(&cdfs, t);
-        assert!((mc - analytic).abs() < 0.005, "mc={mc} analytic={analytic}");
+        assert!((mc - p).abs() < 0.003, "mc={mc} p={p} x={x}");
     }
 
     #[test]
@@ -322,25 +262,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "need at least one server CDF")]
-    fn rejects_empty_server_list() {
-        let cdfs: Vec<&Exponential> = vec![];
-        let _ = heterogeneous_quantile(&cdfs, 0.99);
-    }
-
-    #[test]
-    fn grouped_matches_flat_heterogeneous() {
-        let fast = Exponential::with_mean(0.2);
-        let slow = Exponential::with_mean(2.0);
-        let grouped = grouped_quantile(&[(&fast, 3), (&slow, 2)], 0.99);
-        let flat: Vec<&Exponential> = vec![&fast, &fast, &fast, &slow, &slow];
-        let het = heterogeneous_quantile(&flat, 0.99);
-        assert!((grouped - het).abs() / het < 1e-6);
+    #[should_panic(expected = "need at least one server group")]
+    fn grouped_rejects_no_groups() {
+        let groups: Vec<(&Exponential, u32)> = vec![];
+        let _ = grouped_quantile(&groups, 0.99);
     }
 
     #[test]
     fn grouped_single_group_is_homogeneous() {
-        let f = LogNormal::new(-1.0, 0.3);
+        let f = Pareto::new(0.3, 4.0);
         for k in [1u32, 10, 100, 1000] {
             let g = grouped_quantile(&[(&f, k)], 0.99);
             let h = homogeneous_quantile(&f, 0.99, k);

@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use tailguard_dist::{
-    order_stats, Cdf, Deterministic, Distribution, Exponential, LogNormal, Pareto,
-    PiecewiseQuantile, Scaled, Shifted, Uniform,
+    order_stats, Cdf, Deterministic, Distribution, Exponential, Pareto, PiecewiseQuantile, Scaled,
 };
 use tailguard_simcore::SimRng;
 
@@ -65,30 +64,12 @@ proptest! {
     }
 
     #[test]
-    fn lognormal_contract(mu in -2.0f64..2.0, sigma in 0.05f64..1.2) {
-        check_cdf_quantile_contract(&LogNormal::new(mu, sigma), "lognormal")?;
-    }
-
-    #[test]
     fn pareto_contract(scale in 0.01f64..10.0, shape in 1.2f64..5.0) {
         check_cdf_quantile_contract(&Pareto::new(scale, shape), "pareto")?;
     }
 
     #[test]
-    fn uniform_contract(lo in 0.0f64..5.0, width in 0.1f64..10.0) {
-        check_cdf_quantile_contract(&Uniform::new(lo, lo + width), "uniform")?;
-    }
-
-    #[test]
-    fn shifted_scaled_contract(
-        offset in 0.0f64..5.0,
-        mean in 0.05f64..10.0,
-        divisor in 0.5f64..50.0,
-    ) {
-        check_cdf_quantile_contract(
-            &Shifted::new(offset, Exponential::with_mean(mean)),
-            "shifted",
-        )?;
+    fn scaled_contract(mean in 0.05f64..10.0, divisor in 0.5f64..50.0) {
         check_cdf_quantile_contract(
             &Scaled::new(Exponential::with_mean(mean), divisor),
             "scaled",

@@ -110,7 +110,7 @@ impl FaultEpisode {
     }
 
     /// The checks every episode in a plan has passed: the fields are `pub`,
-    /// so [`FaultPlan::with_episode`] repeats them on struct literals that
+    /// so collecting a [`FaultPlan`] repeats them on struct literals that
     /// never went through [`FaultEpisode::new`].
     fn validate(&self) {
         assert!(self.start < self.end, "fault episode needs start < end");
@@ -239,12 +239,14 @@ struct Row {
 /// use tailguard_faults::{DispatchOutcome, FaultEpisode, FaultKind, FaultPlan};
 /// use tailguard_simcore::{SimDuration, SimTime};
 ///
-/// let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+/// let plan: FaultPlan = [FaultEpisode::new(
 ///     0,
 ///     SimTime::from_millis(10),
 ///     SimTime::from_millis(20),
 ///     FaultKind::Slowdown { factor: 4.0 },
-/// ));
+/// )]
+/// .into_iter()
+/// .collect();
 /// let svc = SimDuration::from_millis(2);
 /// assert_eq!(plan.completion_delay(0, SimTime::from_millis(5), svc), svc);
 /// assert_eq!(
@@ -267,6 +269,24 @@ pub struct FaultPlan {
 impl PartialEq for FaultPlan {
     fn eq(&self, other: &Self) -> bool {
         self.episodes == other.episodes
+    }
+}
+
+/// Builds a plan from episodes in any order, indexing it once: each episode
+/// is validated, and the list is stable-sorted by `start`, so equal starts
+/// keep their input order.
+///
+/// # Panics
+///
+/// Panics when an episode would be rejected by [`FaultEpisode::new`].
+impl FromIterator<FaultEpisode> for FaultPlan {
+    fn from_iter<I: IntoIterator<Item = FaultEpisode>>(episodes: I) -> Self {
+        let mut episodes: Vec<FaultEpisode> = episodes
+            .into_iter()
+            .inspect(FaultEpisode::validate)
+            .collect();
+        episodes.sort_by_key(|e| e.start);
+        FaultPlan::indexed(episodes)
     }
 }
 
@@ -308,20 +328,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds an episode, keeping the episode list sorted by start time.
-    /// Re-indexes the whole plan: meant for hand-built plans, the
-    /// generators index once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the episode would be rejected by [`FaultEpisode::new`].
-    pub fn with_episode(mut self, episode: FaultEpisode) -> Self {
-        episode.validate();
-        let at = self.episodes.partition_point(|e| e.start <= episode.start);
-        self.episodes.insert(at, episode);
-        FaultPlan::indexed(self.episodes)
-    }
-
     /// The draws the three generators share: per episode a uniform server,
     /// a length ~ Exp(`mean_len_ms`) truncated below at 10% of the mean so
     /// an episode is never degenerate, a start uniform over the horizon,
@@ -350,7 +356,7 @@ impl FaultPlan {
             "mean episode length must be finite and positive"
         );
         let mut rng = SimRng::seed(seed);
-        let mut episodes: Vec<FaultEpisode> = (0..n_episodes)
+        (0..n_episodes)
             .map(|_| {
                 let server = rng.index(servers as usize) as u32;
                 let len_ms = (mean_len_ms * -rng.open01().ln()).max(mean_len_ms * 0.1);
@@ -359,10 +365,7 @@ impl FaultPlan {
                 let end = start + SimDuration::from_millis_f64(len_ms);
                 FaultEpisode::new(server, start, end, draw_kind(&mut rng, len_ms))
             })
-            .collect();
-        // Stable, like `with_episode`: equal starts keep their draw order.
-        episodes.sort_by_key(|e| e.start);
-        FaultPlan::indexed(episodes)
+            .collect()
     }
 
     /// Generates a seed-driven plan of fail/recover cycles: `n_episodes`
@@ -722,20 +725,10 @@ mod tests {
     #[test]
     fn max_slowdown_bounds_every_multiplier() {
         assert_eq!(FaultPlan::new().max_slowdown(), 1.0);
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(0),
-                ms(10),
-                FaultKind::Slowdown { factor: 2.0 },
-            ))
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(5),
-                ms(20),
-                FaultKind::DegradeRamp { peak: 3.0 },
-            ))
-            .with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, ms(0), ms(10), FaultKind::Slowdown { factor: 2.0 }),
+            FaultEpisode::new(0, ms(5), ms(20), FaultKind::DegradeRamp { peak: 3.0 }),
+            FaultEpisode::new(
                 1,
                 ms(0),
                 ms(5),
@@ -743,14 +736,12 @@ mod tests {
                     factor: 4.0,
                     period: dms(1),
                 },
-            ))
-            .with_episode(FaultEpisode::new(
-                2,
-                ms(0),
-                ms(5),
-                FaultKind::Slowdown { factor: 0.5 },
-            ))
-            .with_episode(FaultEpisode::new(3, ms(0), ms(5), FaultKind::Crash));
+            ),
+            FaultEpisode::new(2, ms(0), ms(5), FaultKind::Slowdown { factor: 0.5 }),
+            FaultEpisode::new(3, ms(0), ms(5), FaultKind::Crash),
+        ]
+        .into_iter()
+        .collect();
         // Server 0's overlap composes: 2 × 3 while both run.
         assert_eq!(plan.max_slowdown(), 6.0);
         let storm = FaultPlan::generate(7, 4, dms(1_000), 40, 100.0);
@@ -767,12 +758,14 @@ mod tests {
 
     #[test]
     fn slowdown_inflates_only_inside_interval() {
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             1,
             ms(10),
             ms(20),
             FaultKind::Slowdown { factor: 3.0 },
-        ));
+        )]
+        .into_iter()
+        .collect();
         assert_eq!(plan.completion_delay(1, ms(9), dms(2)), dms(2));
         assert_eq!(plan.completion_delay(1, ms(10), dms(2)), dms(6));
         assert_eq!(plan.completion_delay(1, ms(19), dms(2)), dms(6));
@@ -783,27 +776,21 @@ mod tests {
 
     #[test]
     fn overlapping_slowdowns_compose() {
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(0),
-                ms(100),
-                FaultKind::Slowdown { factor: 2.0 },
-            ))
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(50),
-                ms(100),
-                FaultKind::Slowdown { factor: 3.0 },
-            ));
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, ms(0), ms(100), FaultKind::Slowdown { factor: 2.0 }),
+            FaultEpisode::new(0, ms(50), ms(100), FaultKind::Slowdown { factor: 3.0 }),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(plan.slowdown_factor(0, ms(10)), 2.0);
         assert_eq!(plan.slowdown_factor(0, ms(60)), 6.0);
     }
 
     #[test]
     fn stall_defers_service_to_episode_end() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(0, ms(10), ms(30), FaultKind::Stall));
+        let plan: FaultPlan = [FaultEpisode::new(0, ms(10), ms(30), FaultKind::Stall)]
+            .into_iter()
+            .collect();
         // Dispatched mid-stall at t=15: waits 15ms, then serves 2ms.
         assert_eq!(plan.completion_delay(0, ms(15), dms(2)), dms(17));
         assert_eq!(plan.completion_delay(0, ms(30), dms(2)), dms(2));
@@ -811,15 +798,13 @@ mod tests {
 
     #[test]
     fn chained_stalls_and_slowdown_at_deferred_start() {
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(0, ms(0), ms(10), FaultKind::Stall))
-            .with_episode(FaultEpisode::new(0, ms(5), ms(20), FaultKind::Stall))
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(20),
-                ms(40),
-                FaultKind::Slowdown { factor: 5.0 },
-            ));
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, ms(0), ms(10), FaultKind::Stall),
+            FaultEpisode::new(0, ms(5), ms(20), FaultKind::Stall),
+            FaultEpisode::new(0, ms(20), ms(40), FaultKind::Slowdown { factor: 5.0 }),
+        ]
+        .into_iter()
+        .collect();
         // Dispatched at t=2: first stall pushes to 10, second to 20, where
         // the slowdown is active: 18ms wait + 5×2ms service.
         assert_eq!(plan.completion_delay(0, ms(2), dms(2)), dms(28));
@@ -827,8 +812,9 @@ mod tests {
 
     #[test]
     fn drop_is_scoped_to_server_and_interval() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(2, ms(5), ms(8), FaultKind::Drop));
+        let plan: FaultPlan = [FaultEpisode::new(2, ms(5), ms(8), FaultKind::Drop)]
+            .into_iter()
+            .collect();
         assert!(!plan.drops(2, ms(4)));
         assert!(plan.drops(2, ms(5)));
         assert!(plan.drops(2, ms(7)));
@@ -854,8 +840,9 @@ mod tests {
 
     #[test]
     fn compressed_divides_times() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(0, ms(100), ms(300), FaultKind::Stall));
+        let plan: FaultPlan = [FaultEpisode::new(0, ms(100), ms(300), FaultKind::Stall)]
+            .into_iter()
+            .collect();
         let c = plan.compressed(10.0);
         assert_eq!(c.episodes()[0].start, ms(10));
         assert_eq!(c.episodes()[0].end, ms(30));
@@ -863,8 +850,9 @@ mod tests {
 
     #[test]
     fn crash_is_silent_and_scoped() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(1, ms(10), ms(20), FaultKind::Crash));
+        let plan: FaultPlan = [FaultEpisode::new(1, ms(10), ms(20), FaultKind::Crash)]
+            .into_iter()
+            .collect();
         assert!(!plan.crashed(1, ms(9)));
         assert!(plan.crashed(1, ms(10)));
         assert!(plan.crashed(1, ms(19)));
@@ -877,8 +865,9 @@ mod tests {
 
     #[test]
     fn crash_interrupts_in_flight_work() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(0, ms(10), ms(20), FaultKind::Crash));
+        let plan: FaultPlan = [FaultEpisode::new(0, ms(10), ms(20), FaultKind::Crash)]
+            .into_iter()
+            .collect();
         // Dispatched at 5, would complete at 12: the crash at 10 interrupts.
         assert!(plan.crash_started_within(0, ms(5), ms(12)));
         // Completing exactly at the crash start is still swallowed.
@@ -894,8 +883,9 @@ mod tests {
 
     #[test]
     fn restart_holds_dispatches_and_loses_landing_results() {
-        let plan =
-            FaultPlan::new().with_episode(FaultEpisode::new(0, ms(10), ms(30), FaultKind::Restart));
+        let plan: FaultPlan = [FaultEpisode::new(0, ms(10), ms(30), FaultKind::Restart)]
+            .into_iter()
+            .collect();
         // Dispatched mid-restart at t=15: held 15ms, then serves 2ms.
         assert_eq!(plan.completion_delay(0, ms(15), dms(2)), dms(17));
         // A result landing inside the episode is lost with a notification.
@@ -906,12 +896,14 @@ mod tests {
 
     #[test]
     fn duplicate_delivery_is_scoped() {
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             2,
             ms(5),
             ms(8),
             FaultKind::DuplicateDelivery,
-        ));
+        )]
+        .into_iter()
+        .collect();
         assert!(plan.duplicates(2, ms(6)));
         assert!(!plan.duplicates(2, ms(8)));
         assert!(!plan.duplicates(0, ms(6)));
@@ -942,12 +934,14 @@ mod tests {
 
     #[test]
     fn degrade_ramp_interpolates_linearly() {
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             ms(10),
             ms(30),
             FaultKind::DegradeRamp { peak: 5.0 },
-        ));
+        )]
+        .into_iter()
+        .collect();
         assert_eq!(plan.slowdown_factor(0, ms(9)), 1.0);
         assert_eq!(plan.slowdown_factor(0, ms(10)), 1.0, "ramp starts at 1×");
         assert!(
@@ -963,7 +957,7 @@ mod tests {
 
     #[test]
     fn flap_alternates_degraded_and_healthy_phases() {
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             ms(10),
             ms(50),
@@ -971,7 +965,9 @@ mod tests {
                 factor: 4.0,
                 period: dms(5),
             },
-        ));
+        )]
+        .into_iter()
+        .collect();
         // Starts degraded, flips every 5 ms.
         assert_eq!(plan.slowdown_factor(0, ms(12)), 4.0);
         assert_eq!(plan.slowdown_factor(0, ms(17)), 1.0);
@@ -983,14 +979,9 @@ mod tests {
 
     #[test]
     fn gray_kinds_compose_with_step_slowdowns() {
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(0),
-                ms(100),
-                FaultKind::Slowdown { factor: 2.0 },
-            ))
-            .with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, ms(0), ms(100), FaultKind::Slowdown { factor: 2.0 }),
+            FaultEpisode::new(
                 0,
                 ms(0),
                 ms(100),
@@ -998,14 +989,17 @@ mod tests {
                     factor: 3.0,
                     period: dms(50),
                 },
-            ));
+            ),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(plan.slowdown_factor(0, ms(10)), 6.0);
         assert_eq!(plan.slowdown_factor(0, ms(60)), 2.0);
     }
 
     #[test]
     fn compressed_scales_flap_period() {
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             ms(100),
             ms(300),
@@ -1013,7 +1007,9 @@ mod tests {
                 factor: 4.0,
                 period: dms(50),
             },
-        ));
+        )]
+        .into_iter()
+        .collect();
         let c = plan.compressed(10.0);
         assert_eq!(c.episodes()[0].start, ms(10));
         assert_eq!(c.episodes()[0].end, ms(30));
@@ -1138,16 +1134,14 @@ mod tests {
 
     #[test]
     fn dispatch_and_finish_outcomes_follow_the_drivers_order() {
-        let plan = FaultPlan::new()
-            .with_episode(FaultEpisode::new(0, ms(10), ms(20), FaultKind::Crash))
-            .with_episode(FaultEpisode::new(0, ms(15), ms(30), FaultKind::Drop))
-            .with_episode(FaultEpisode::new(0, ms(25), ms(40), FaultKind::Restart))
-            .with_episode(FaultEpisode::new(
-                0,
-                ms(35),
-                ms(50),
-                FaultKind::DuplicateDelivery,
-            ));
+        let plan: FaultPlan = [
+            FaultEpisode::new(0, ms(10), ms(20), FaultKind::Crash),
+            FaultEpisode::new(0, ms(15), ms(30), FaultKind::Drop),
+            FaultEpisode::new(0, ms(25), ms(40), FaultKind::Restart),
+            FaultEpisode::new(0, ms(35), ms(50), FaultKind::DuplicateDelivery),
+        ]
+        .into_iter()
+        .collect();
         // A crash outranks the blackout it overlaps; the blackout outranks
         // the restart's hold.
         assert_eq!(
@@ -1181,52 +1175,53 @@ mod tests {
     }
 
     /// `FaultEpisode`'s fields are `pub`: a struct literal skips `new`, so
-    /// `with_episode` must reject what `new` would have.
-    fn literal(start: u64, end: u64, kind: FaultKind) -> FaultEpisode {
-        FaultEpisode {
+    /// collecting a plan must reject what `new` would have.
+    fn plan_of_literal(start: u64, end: u64, kind: FaultKind) -> FaultPlan {
+        [FaultEpisode {
             server: 0,
             start: ms(start),
             end: ms(end),
             kind,
-        }
+        }]
+        .into_iter()
+        .collect()
     }
 
     #[test]
     #[should_panic(expected = "start < end")]
     fn plan_rejects_inverted_interval_literal() {
-        let _ = FaultPlan::new().with_episode(literal(10, 10, FaultKind::Stall));
+        let _ = plan_of_literal(10, 10, FaultKind::Stall);
     }
 
     #[test]
     #[should_panic(expected = "slowdown factor must be finite")]
     fn plan_rejects_non_finite_factor_literal() {
-        let _ = FaultPlan::new().with_episode(literal(
+        let _ = plan_of_literal(
             0,
             1,
             FaultKind::Slowdown {
                 factor: f64::INFINITY,
             },
-        ));
+        );
     }
 
     #[test]
     #[should_panic(expected = "ramp peak must be finite")]
     fn plan_rejects_nan_peak_literal() {
-        let _ =
-            FaultPlan::new().with_episode(literal(0, 1, FaultKind::DegradeRamp { peak: f64::NAN }));
+        let _ = plan_of_literal(0, 1, FaultKind::DegradeRamp { peak: f64::NAN });
     }
 
     #[test]
     #[should_panic(expected = "flap period must be non-zero")]
     fn plan_rejects_zero_flap_period_literal() {
-        let _ = FaultPlan::new().with_episode(literal(
+        let _ = plan_of_literal(
             0,
             1,
             FaultKind::Flap {
                 factor: 2.0,
                 period: SimDuration::ZERO,
             },
-        ));
+        );
     }
 
     #[test]

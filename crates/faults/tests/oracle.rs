@@ -99,11 +99,11 @@ impl Scan<'_> {
 /// A plan on servers `1..=servers` (server 0 stays healthy inside the
 /// index), up to 64 episodes each, on a coarse time grid so equal starts,
 /// overlaps and short episodes nested in long earlier ones are all common.
-/// Built one `with_episode` at a time: ties must keep insertion order.
+/// Collected from draw order: ties must keep it.
 fn random_plan(rng: &mut SimRng, servers: u32) -> FaultPlan {
     let tick = 1 + rng.index(50) as u64;
     let at = |ticks: usize| SimTime::from_nanos(ticks as u64 * tick);
-    let mut plan = FaultPlan::new();
+    let mut episodes = Vec::new();
     for server in 1..=servers {
         for _ in 0..1 + rng.index(64) {
             let start = rng.index(256);
@@ -126,16 +126,15 @@ fn random_plan(rng: &mut SimRng, servers: u32) -> FaultPlan {
                     period: SimDuration::from_nanos(1 + rng.index(20) as u64 * tick),
                 },
             };
-            let episode = FaultEpisode {
+            episodes.push(FaultEpisode {
                 server,
                 start: at(start),
                 end: at(start + len),
                 kind,
-            };
-            plan = plan.with_episode(episode);
+            });
         }
     }
-    plan
+    episodes.into_iter().collect()
 }
 
 /// Holds every indexed answer to the scan's, at every episode edge and the

@@ -266,7 +266,9 @@ mod tests {
     #[test]
     fn max_service_is_the_slowest_servers_upper_end() {
         let c = ClusterSpec::heterogeneous(vec![
-            Arc::new(tailguard_dist::Uniform::new(1.0, 4.0)) as DynDistribution,
+            // Uniform on [1, 4]: its mean is below the other server's 3.
+            Arc::new(tailguard_dist::PiecewiseQuantile::new(vec![(0.0, 1.0), (1.0, 4.0)]).unwrap())
+                as DynDistribution,
             Arc::new(Deterministic::new(3.0)),
         ]);
         assert_eq!(c.max_service_ms(), 4.0);

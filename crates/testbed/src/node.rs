@@ -344,12 +344,14 @@ mod tests {
         let (task_tx, task_rx) = mpsc::unbounded_channel();
         let (res_tx, mut res_rx) = mpsc::unbounded_channel();
         let service: DynDistribution = Arc::new(Deterministic::new(2.0));
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             7,
             SimTime::from_millis(0),
             SimTime::from_millis(5),
             FaultKind::Drop,
-        ));
+        )]
+        .into_iter()
+        .collect();
         let epoch = Arc::new(OnceLock::new());
         arm_fault_epoch(&epoch, Instant::now());
         tokio::spawn(edge_node(
@@ -392,12 +394,14 @@ mod tests {
         let (task_tx, task_rx) = mpsc::unbounded_channel();
         let (res_tx, mut res_rx) = mpsc::unbounded_channel();
         let service: DynDistribution = Arc::new(Deterministic::new(2.0));
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             9,
             SimTime::from_millis(0),
             SimTime::from_millis(5),
             FaultKind::Crash,
-        ));
+        )]
+        .into_iter()
+        .collect();
         let epoch = Arc::new(OnceLock::new());
         arm_fault_epoch(&epoch, Instant::now());
         tokio::spawn(edge_node(
@@ -439,12 +443,14 @@ mod tests {
         let (task_tx, task_rx) = mpsc::unbounded_channel();
         let (res_tx, mut res_rx) = mpsc::unbounded_channel();
         let service: DynDistribution = Arc::new(Deterministic::new(2.0));
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             4,
             SimTime::from_millis(0),
             SimTime::from_millis(50),
             FaultKind::DuplicateDelivery,
-        ));
+        )]
+        .into_iter()
+        .collect();
         let epoch = Arc::new(OnceLock::new());
         arm_fault_epoch(&epoch, Instant::now());
         tokio::spawn(edge_node(
@@ -482,12 +488,14 @@ mod tests {
         let (task_tx, task_rx) = mpsc::unbounded_channel();
         let (res_tx, mut res_rx) = mpsc::unbounded_channel();
         let service: DynDistribution = Arc::new(Deterministic::new(5.0));
-        let plan = FaultPlan::new().with_episode(FaultEpisode::new(
+        let plan: FaultPlan = [FaultEpisode::new(
             0,
             SimTime::from_millis(0),
             SimTime::from_millis(1_000),
             FaultKind::Slowdown { factor: 4.0 },
-        ));
+        )]
+        .into_iter()
+        .collect();
         let epoch = Arc::new(OnceLock::new());
         arm_fault_epoch(&epoch, Instant::now());
         tokio::spawn(edge_node(

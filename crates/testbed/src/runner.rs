@@ -638,15 +638,16 @@ mod tests {
         let mut cfg = quick(Policy::TfEdf, 0.25, 300);
         // Nodes 0–3 black out for the whole run (Pi-time horizon far past
         // the measurement window); retries re-place their tasks.
-        let mut plan = FaultPlan::new();
-        for node in 0..4 {
-            plan = plan.with_episode(FaultEpisode::new(
-                node,
-                SimTime::ZERO,
-                SimTime::from_millis(100_000_000),
-                FaultKind::Drop,
-            ));
-        }
+        let plan: FaultPlan = (0..4)
+            .map(|node| {
+                FaultEpisode::new(
+                    node,
+                    SimTime::ZERO,
+                    SimTime::from_millis(100_000_000),
+                    FaultKind::Drop,
+                )
+            })
+            .collect();
         cfg.faults = Some(plan);
         cfg.mitigation = Some(MitigationConfig::new());
         let report = run_testbed(&cfg);
@@ -669,15 +670,16 @@ mod tests {
         use tailguard_faults::{FaultEpisode, FaultKind};
         use tailguard_simcore::SimTime;
         let mut cfg = quick(Policy::TfEdf, 0.25, 200);
-        let mut plan = FaultPlan::new();
-        for node in 0..4 {
-            plan = plan.with_episode(FaultEpisode::new(
-                node,
-                SimTime::ZERO,
-                SimTime::from_millis(100_000_000),
-                FaultKind::Drop,
-            ));
-        }
+        let plan: FaultPlan = (0..4)
+            .map(|node| {
+                FaultEpisode::new(
+                    node,
+                    SimTime::ZERO,
+                    SimTime::from_millis(100_000_000),
+                    FaultKind::Drop,
+                )
+            })
+            .collect();
         cfg.faults = Some(plan);
         let report = run_testbed(&cfg);
         let r = &report.robustness;
@@ -703,12 +705,16 @@ mod tests {
         let mut cfg = quick(Policy::TfEdf, 0.3, 300);
         // A long stall on one server-room node makes its queue linger past
         // hedge thresholds without losing tasks outright.
-        cfg.faults = Some(FaultPlan::new().with_episode(FaultEpisode::new(
-            0,
-            SimTime::ZERO,
-            SimTime::from_millis(100_000_000),
-            FaultKind::Slowdown { factor: 20.0 },
-        )));
+        cfg.faults = Some(
+            [FaultEpisode::new(
+                0,
+                SimTime::ZERO,
+                SimTime::from_millis(100_000_000),
+                FaultKind::Slowdown { factor: 20.0 },
+            )]
+            .into_iter()
+            .collect(),
+        );
         cfg.mitigation = Some(MitigationConfig::new().with_hedge_after(0.5));
         let report = run_testbed(&cfg);
         let r = &report.robustness;
@@ -728,15 +734,16 @@ mod tests {
         // Nodes 0–1 crash for a finite window: tasks dispatched into (or
         // caught in-flight by) the window vanish silently — no Lost
         // report, nothing. Only the lease notices.
-        let mut plan = FaultPlan::new();
-        for node in 0..2 {
-            plan = plan.with_episode(FaultEpisode::new(
-                node,
-                SimTime::ZERO,
-                SimTime::from_millis(3_000),
-                FaultKind::Crash,
-            ));
-        }
+        let plan: FaultPlan = (0..2)
+            .map(|node| {
+                FaultEpisode::new(
+                    node,
+                    SimTime::ZERO,
+                    SimTime::from_millis(3_000),
+                    FaultKind::Crash,
+                )
+            })
+            .collect();
         cfg.faults = Some(plan);
         cfg.lease_ttl = Some(SimDuration::from_millis(500));
         let report = run_testbed(&cfg);
@@ -763,15 +770,16 @@ mod tests {
         use tailguard_simcore::SimTime;
         let mut cfg = quick(Policy::TfEdf, 0.25, 300);
         // Nodes 0–3 deliver every result twice for the whole run.
-        let mut plan = FaultPlan::new();
-        for node in 0..4 {
-            plan = plan.with_episode(FaultEpisode::new(
-                node,
-                SimTime::ZERO,
-                SimTime::from_millis(100_000_000),
-                FaultKind::DuplicateDelivery,
-            ));
-        }
+        let plan: FaultPlan = (0..4)
+            .map(|node| {
+                FaultEpisode::new(
+                    node,
+                    SimTime::ZERO,
+                    SimTime::from_millis(100_000_000),
+                    FaultKind::DuplicateDelivery,
+                )
+            })
+            .collect();
         cfg.faults = Some(plan);
         cfg.lease_ttl = Some(SimDuration::from_millis(5_000));
         let mut report = run_testbed(&cfg);
@@ -795,16 +803,17 @@ mod tests {
         // One server-room node restarts repeatedly early in the run:
         // results landing inside an episode are lost WITH notification, so
         // the core frees the node immediately (no lease wait needed).
-        let mut plan = FaultPlan::new();
-        for k in 0..3 {
-            let start = 500 + k * 2_000;
-            plan = plan.with_episode(FaultEpisode::new(
-                0,
-                SimTime::from_millis(start),
-                SimTime::from_millis(start + 800),
-                FaultKind::Restart,
-            ));
-        }
+        let plan: FaultPlan = (0..3)
+            .map(|k| {
+                let start = 500 + k * 2_000;
+                FaultEpisode::new(
+                    0,
+                    SimTime::from_millis(start),
+                    SimTime::from_millis(start + 800),
+                    FaultKind::Restart,
+                )
+            })
+            .collect();
         cfg.faults = Some(plan);
         cfg.lease_ttl = Some(SimDuration::from_millis(2_000));
         cfg.mitigation = Some(MitigationConfig::new());
@@ -833,15 +842,14 @@ mod tests {
         // report after later admissions retired their rows. Nodes 2–3
         // deliver every result twice.
         let forever = SimTime::from_millis(100_000_000);
-        let mut plan = FaultPlan::new();
-        for node in 0..2 {
-            let slow = FaultKind::Slowdown { factor: 20.0 };
-            plan = plan.with_episode(FaultEpisode::new(node, SimTime::ZERO, forever, slow));
-        }
-        for node in 2..4 {
-            let twice = FaultKind::DuplicateDelivery;
-            plan = plan.with_episode(FaultEpisode::new(node, SimTime::ZERO, forever, twice));
-        }
+        let slow = FaultKind::Slowdown { factor: 20.0 };
+        let twice = FaultKind::DuplicateDelivery;
+        let plan: FaultPlan = (0..4)
+            .map(|node| {
+                let kind = if node < 2 { slow } else { twice };
+                FaultEpisode::new(node, SimTime::ZERO, forever, kind)
+            })
+            .collect();
         cfg.faults = Some(plan);
         cfg.mitigation = Some(MitigationConfig::new().with_hedge_after(0.5));
         cfg.lease_ttl = Some(SimDuration::from_millis(2_000));

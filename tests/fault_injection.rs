@@ -28,15 +28,16 @@ fn slow_rack_scenario() -> Scenario {
 
 /// 10 of the 100 servers serve at 8× for the whole run.
 fn slow_rack_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for server in 0..10 {
-        plan = plan.with_episode(FaultEpisode::new(
-            server,
-            SimTime::ZERO,
-            SimTime::from_millis(3_600_000),
-            FaultKind::Slowdown { factor: 8.0 },
-        ));
-    }
+    let plan: FaultPlan = (0..10)
+        .map(|server| {
+            FaultEpisode::new(
+                server,
+                SimTime::ZERO,
+                SimTime::from_millis(3_600_000),
+                FaultKind::Slowdown { factor: 8.0 },
+            )
+        })
+        .collect();
     plan
 }
 
@@ -121,15 +122,16 @@ fn fault_counters_identical_across_jobs() {
 fn sim_and_testbed_count_faults_alike() {
     let queries = 300usize;
     let load = 0.3;
-    let mut plan = FaultPlan::new();
-    for server in 0..4 {
-        plan = plan.with_episode(FaultEpisode::new(
-            server,
-            SimTime::ZERO,
-            SimTime::from_millis(3_600_000),
-            FaultKind::Drop,
-        ));
-    }
+    let plan: FaultPlan = (0..4)
+        .map(|server| {
+            FaultEpisode::new(
+                server,
+                SimTime::ZERO,
+                SimTime::from_millis(3_600_000),
+                FaultKind::Drop,
+            )
+        })
+        .collect();
     let mitigation = MitigationConfig::new(); // retry lost tasks, no hedging
 
     let tb_config = TestbedConfig {
@@ -192,15 +194,16 @@ fn sim_and_testbed_count_faults_alike() {
 fn sim_and_testbed_recover_from_crashes_alike() {
     let queries = 300usize;
     let load = 0.3;
-    let mut plan = FaultPlan::new();
-    for server in 0..4 {
-        plan = plan.with_episode(FaultEpisode::new(
-            server,
-            SimTime::ZERO,
-            SimTime::from_millis(3_000),
-            FaultKind::Crash,
-        ));
-    }
+    let plan: FaultPlan = (0..4)
+        .map(|server| {
+            FaultEpisode::new(
+                server,
+                SimTime::ZERO,
+                SimTime::from_millis(3_000),
+                FaultKind::Crash,
+            )
+        })
+        .collect();
     let lease = SimDuration::from_millis(500);
 
     let tb_config = TestbedConfig {

@@ -15,7 +15,8 @@
 //! Both are checked within a 4σ binomial margin, on the single-class
 //! Masstree scenario at a fixed fanout, for TF-EDFQ below and above its
 //! max load (≈ 0.43 here) and for FIFO, which stamps Eq. 6's `t_D` too.
-//! Under the paper's fanout mix each fanout has its own budget, so each is
+//! Under the paper's fanout mix each fanout has its own budget, and under
+//! two classes each class its own SLO, so each (class, fanout) cell is
 //! checked on its own queries against its own `x_p^u(k_f)`.
 
 use std::collections::BTreeMap;
@@ -23,14 +24,12 @@ use tailguard_repro::obs::build_timelines;
 use tailguard_repro::policy::Policy;
 use tailguard_repro::simcore::SimDuration;
 use tailguard_repro::tailguard::{
-    run_simulation_observed, scenarios, DeadlineEstimator, EstimatorMode, ObsOptions,
+    run_simulation_observed, scenarios, DeadlineEstimator, EstimatorMode, ObsOptions, Scenario,
 };
-use tailguard_repro::workload::{FanoutDist, QueryMix, TailbenchWorkload};
+use tailguard_repro::workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload};
 
-const QUERIES: usize = 20_000;
-
-/// On-time queries of one fanout: how many, how many missed the SLO, and
-/// how many had a service time over `x_p^u(k_f)`.
+/// On-time queries of one (class, fanout) cell: how many, how many missed
+/// the SLO, and how many had a service time over `x_p^u(k_f)`.
 #[derive(Default)]
 struct Tally {
     on_time: u32,
@@ -38,37 +37,44 @@ struct Tally {
     over_tail: u32,
 }
 
-/// Runs `policy` at `load` under the fanout mix `fanouts` and checks both
-/// shares over the on-time queries of each fanout; each fanout needs at
-/// least `min_on_time` of them.
-fn check_guarantee(policy: Policy, load: f64, fanouts: FanoutDist, min_on_time: u32) {
-    let mut scenario = scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100);
+/// Runs `policy` at `load` for `queries` queries of `scenario`, its classes
+/// equiprobable and all drawing fanouts from `fanouts`, and checks both
+/// shares over the on-time queries of each (class, fanout) cell; each cell
+/// needs at least `min_on_time` of them.
+fn check_guarantee(
+    policy: Policy,
+    load: f64,
+    mut scenario: Scenario,
+    fanouts: FanoutDist,
+    queries: usize,
+    min_on_time: u32,
+) {
     let mut estimator = DeadlineEstimator::new(
         &scenario.cluster,
         scenario.classes.clone(),
         EstimatorMode::Analytic,
     );
-    // `x_p^u(k_f)` of each fanout in the mix.
-    let tails: BTreeMap<u32, SimDuration> = fanouts
-        .support()
-        .iter()
-        .map(|&k| (k, estimator.unloaded_query_tail(0, k, &[])))
-        .collect();
-    scenario.mix = QueryMix::single(fanouts);
-    let class = scenario.classes[0];
+    // `x_p^u(k_f)` of each cell.
+    let mut tails: BTreeMap<(u8, u32), SimDuration> = BTreeMap::new();
+    for class in 0..scenario.classes.len() as u8 {
+        for &k in fanouts.support() {
+            tails.insert((class, k), estimator.unloaded_query_tail(class, k, &[]));
+        }
+    }
+    scenario.mix = QueryMix::equiprobable(scenario.classes.len() as u8, fanouts);
     let opts = ObsOptions {
         // About 40 events per query; the ring must keep every one.
-        ring_capacity: QUERIES * 64,
+        ring_capacity: queries * 64,
         ..ObsOptions::default()
     };
     let run = run_simulation_observed(
         &scenario.config(policy),
-        &scenario.input(load, QUERIES),
+        &scenario.input(load, queries),
         &opts,
     );
     assert_eq!(run.recorder.dropped(), 0, "{policy} @ {load}: ring dropped");
 
-    let mut tallies: BTreeMap<u32, Tally> = BTreeMap::new();
+    let mut tallies: BTreeMap<(u8, u32), Tally> = BTreeMap::new();
     for tl in build_timelines(&run.recorder.events()).values() {
         let Some(latency) = tl.latency() else {
             continue;
@@ -80,33 +86,35 @@ fn check_guarantee(policy: Policy, load: f64, fanouts: FanoutDist, min_on_time: 
         {
             continue;
         }
-        let tail = tails[&tl.fanout];
+        let cell = (tl.class, tl.fanout);
+        let slo = scenario.classes[usize::from(tl.class)].slo;
+        let tail = tails[&cell];
         let max_busy = tl.attempts.iter().filter_map(|a| a.busy).max();
         let slow = max_busy.is_some_and(|b| b > tail);
-        let tally = tallies.entry(tl.fanout).or_default();
+        let tally = tallies.entry(cell).or_default();
         tally.on_time += 1;
-        tally.missed += u32::from(latency > class.slo);
+        tally.missed += u32::from(latency > slo);
         tally.over_tail += u32::from(slow);
         // The bound is exact per query, not only in the aggregate.
         assert!(
-            latency <= class.slo || slow,
+            latency <= slo || slow,
             "{policy} @ {load}: on-time query {} missed with max busy {max_busy:?} <= {tail:?}",
             tl.query
         );
     }
     assert!(
         tallies.keys().eq(tails.keys()),
-        "{policy} @ {load}: a fanout has no on-time query"
+        "{policy} @ {load}: a (class, fanout) cell has no on-time query"
     );
-    let q = 1.0 - class.percentile;
-    for (&fanout, tally) in &tallies {
+    for (&(class, fanout), tally) in &tallies {
         let Tally {
             on_time,
             missed,
             over_tail,
         } = *tally;
-        let tail = tails[&fanout];
-        let case = format!("{policy} @ {load}, fanout {fanout}");
+        let tail = tails[&(class, fanout)];
+        let q = 1.0 - scenario.classes[usize::from(class)].percentile;
+        let case = format!("{policy} @ {load}, class {class}, fanout {fanout}");
         assert!(on_time >= min_on_time, "{case}: {on_time} on-time queries");
         let n = f64::from(on_time);
         let margin = 4.0 * (q * (1.0 - q) / n).sqrt();
@@ -123,24 +131,76 @@ fn check_guarantee(policy: Policy, load: f64, fanouts: FanoutDist, min_on_time: 
     }
 }
 
+/// The single-class Masstree scenario at a 1 ms SLO.
+fn masstree() -> Scenario {
+    scenarios::single_class(TailbenchWorkload::Masstree, 1.0, 100)
+}
+
 #[test]
 fn tfedf_below_max_load() {
-    check_guarantee(Policy::TfEdf, 0.3, FanoutDist::fixed(10), 1_000);
+    check_guarantee(
+        Policy::TfEdf,
+        0.3,
+        masstree(),
+        FanoutDist::fixed(10),
+        20_000,
+        1_000,
+    );
 }
 
 #[test]
 fn tfedf_above_max_load() {
-    check_guarantee(Policy::TfEdf, 0.6, FanoutDist::fixed(10), 1_000);
+    check_guarantee(
+        Policy::TfEdf,
+        0.6,
+        masstree(),
+        FanoutDist::fixed(10),
+        20_000,
+        1_000,
+    );
 }
 
 #[test]
 fn fifo_stamps_the_same_deadline() {
-    check_guarantee(Policy::Fifo, 0.5, FanoutDist::fixed(10), 1_000);
+    check_guarantee(
+        Policy::Fifo,
+        0.5,
+        masstree(),
+        FanoutDist::fixed(10),
+        20_000,
+        1_000,
+    );
 }
 
 #[test]
 fn tfedf_under_the_paper_mix_holds_per_fanout() {
     // 20 000 queries at P(k) ∝ 1/k: about 18 000, 1 800 and 180 of fanouts
     // 1, 10 and 100.
-    check_guarantee(Policy::TfEdf, 0.4, FanoutDist::paper_mix(), 100);
+    check_guarantee(
+        Policy::TfEdf,
+        0.4,
+        masstree(),
+        FanoutDist::paper_mix(),
+        20_000,
+        100,
+    );
+}
+
+#[test]
+fn tfedf_under_two_classes_holds_per_class_and_fanout() {
+    // Two equiprobable classes with SLOs 1 and 1.5 ms: 40 000 queries give
+    // each class about 180 of fanout 100.
+    let scenario = scenarios::two_class(
+        TailbenchWorkload::Masstree,
+        1.0,
+        ArrivalProcess::poisson(1.0),
+    );
+    check_guarantee(
+        Policy::TfEdf,
+        0.4,
+        scenario,
+        FanoutDist::paper_mix(),
+        40_000,
+        100,
+    );
 }

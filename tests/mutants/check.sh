@@ -10,9 +10,10 @@
 # reverts the patch.
 #
 # Usage: tests/mutants/check.sh [PATCH...]   (default: every patch here)
-# MUTANTS_WORK names the scratch directory (default: a fresh mktemp -d);
-# the copy and its build stay there between runs, so a second run only
-# rebuilds what the patches touch.
+# MUTANTS_WORK names the scratch directory (default: a fresh mktemp -d).
+# The copy and its build (inside the copy) are made afresh each run: a
+# build kept across runs would see the fresh copy's restored file times as
+# older than its artifacts and reuse a plant's objects after the revert.
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)

@@ -162,9 +162,12 @@ fn recorder_contents_identical_across_jobs() {
 /// queries: the order the simulator's driver settles that in is pinned.
 fn fault_cascade_run() -> (SimConfig, SimInput) {
     let at = SimTime::from_micros;
-    let plan = FaultPlan::new()
-        .with_episode(FaultEpisode::new(1, at(1_500), at(4_000), FaultKind::Drop))
-        .with_episode(FaultEpisode::new(2, at(2_500), at(5_000), FaultKind::Crash));
+    let plan: FaultPlan = [
+        FaultEpisode::new(1, at(1_500), at(4_000), FaultKind::Drop),
+        FaultEpisode::new(2, at(2_500), at(5_000), FaultKind::Crash),
+    ]
+    .into_iter()
+    .collect();
     let config = SimConfig::new(
         ClusterSpec::homogeneous(4, TailbenchWorkload::Masstree.service_dist()),
         vec![ClassSpec::p99(SimDuration::from_millis(2))],

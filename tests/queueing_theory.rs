@@ -2,13 +2,15 @@
 //! theory — independent ground truth no amount of self-consistent bugs can
 //! satisfy.
 
-use tailguard_repro::dist::{Deterministic, Exponential};
+use tailguard_repro::dist::{
+    order_stats, Cdf, Deterministic, Distribution, Exponential, LogHistogram,
+};
 use tailguard_repro::policy::Policy;
-use tailguard_repro::simcore::SimDuration;
+use tailguard_repro::simcore::{SimDuration, SimRng};
 use tailguard_repro::tailguard::{
     run_simulation, ClassSpec, ClusterSpec, QuerySpec, RequestInput, SimConfig, SimInput,
 };
-use tailguard_repro::workload::{ArrivalProcess, FanoutDist, QueryMix, Trace};
+use tailguard_repro::workload::{ArrivalProcess, FanoutDist, QueryMix, TailbenchWorkload, Trace};
 
 fn ms(v: f64) -> SimDuration {
     SimDuration::from_millis_f64(v)
@@ -134,4 +136,62 @@ fn fork_join_unloaded_latency_matches_order_statistics() {
         "fork-join mean: measured {measured:.4}, theory {:.4}",
         harmonic * service_ms
     );
+}
+
+#[test]
+fn grouped_quantile_inverts_the_exact_product() {
+    // Eq. 2 for i.i.d. Exp(mean) tasks has a closed form: the slowest of k
+    // has CDF (1 − e^{−t/mean})^k, so x_p = −mean·ln(1 − p^{1/k}).
+    let p = 0.99;
+    let mean = 1.0;
+    let exp = Exponential::with_mean(mean);
+    for k in [10u32, 100] {
+        let x = order_stats::grouped_quantile(&[(&exp, k)], p);
+        let exact = -mean * (1.0 - p.powf(1.0 / f64::from(k))).ln();
+        assert!(
+            (x - exact).abs() <= 1e-9 * exact,
+            "Exp, k = {k}: {x} vs {exact}"
+        );
+    }
+    // The Masstree model's own inverse gives F^{-1}(p^{1/k}).
+    let masstree = TailbenchWorkload::Masstree.service_dist();
+    for k in [10u32, 100] {
+        let x = order_stats::grouped_quantile(&[(&masstree, k)], p);
+        let closed = order_stats::homogeneous_quantile(&masstree, p, k);
+        assert!(
+            (x - closed).abs() <= 1e-8 * closed,
+            "Masstree, k = {k}: {x} vs {closed}"
+        );
+    }
+    // Mixed groups, and a learned step CDF: `x` is the smallest root of
+    // Eq. 1's product written out, Π_g F_g(x)^{c_g} ≥ p.
+    let fast = Exponential::with_mean(0.5);
+    let slow = Exponential::with_mean(2.0);
+    let mut hist = LogHistogram::new();
+    let mut rng = SimRng::seed(7);
+    for _ in 0..10_000 {
+        hist.record(slow.sample(&mut rng));
+    }
+    let snapshot = hist.snapshot();
+    let mixed: [(&dyn Cdf, u32); 2] = [(&fast, 3), (&slow, 2)];
+    let learned: [(&dyn Cdf, u32); 2] = [(&fast, 3), (&snapshot, 2)];
+    for (case, groups) in [
+        ("3 fast + 2 slow", mixed),
+        ("3 fast + 2 on a snapshot", learned),
+    ] {
+        let product = |t: f64| -> f64 {
+            groups
+                .iter()
+                .map(|&(c, n)| c.cdf(t).powi(n as i32))
+                .product()
+        };
+        let x = order_stats::grouped_quantile(&groups, p);
+        assert!(product(x) >= p, "{case}: Π F(x) = {} < {p}", product(x));
+        let below = x * (1.0 - 1e-8);
+        assert!(
+            product(below) < p,
+            "{case}: Π F at x·(1 − 1e-8) = {} is not below {p}",
+            product(below)
+        );
+    }
 }

@@ -93,15 +93,16 @@ fn drifting_gray_failure_agrees_across_runtimes() {
         end: SimTime::from_millis(10_000),
         factor: 1.5,
     }]);
-    let mut faults = FaultPlan::new();
-    for node in 0..2 {
-        faults = faults.with_episode(FaultEpisode::new(
-            node,
-            SimTime::from_millis(500),
-            SimTime::from_millis(100_000_000),
-            FaultKind::DegradeRamp { peak: 15.0 },
-        ));
-    }
+    let faults: FaultPlan = (0..2)
+        .map(|node| {
+            FaultEpisode::new(
+                node,
+                SimTime::from_millis(500),
+                SimTime::from_millis(100_000_000),
+                FaultKind::DegradeRamp { peak: 15.0 },
+            )
+        })
+        .collect();
     let health = HealthConfig::new()
         .with_min_observations(5)
         .with_eval_every(16)
